@@ -105,7 +105,7 @@ pub const RULES: &[RuleInfo] = &[
         name: "raw-thread",
         severity: Severity::Deny,
         scope: Scope::Workspace,
-        summary: "thread::spawn/scope or raw mpsc channel — concurrency lives in simcore::pool and simcore::shard only",
+        summary: "thread::spawn/scope or raw mpsc channel — concurrency lives in simcore::pool only",
     },
     RuleInfo {
         name: "env-read",

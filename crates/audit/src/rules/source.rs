@@ -197,10 +197,9 @@ pub fn scan_tokens(src: &str, toks: &[Token], mask: &[u8], hot: bool) -> Vec<(u3
                         hit(line, "thread-id", &mut hits);
                     }
                     // Raw concurrency construction: worker threads and the
-                    // channels between them live in simcore::pool and
-                    // simcore::shard (allow-listed), so every other crate
-                    // inherits their determinism arguments instead of
-                    // hand-rolling its own.
+                    // channels between them live in simcore::pool
+                    // (allow-listed), so every other crate inherits its
+                    // determinism argument instead of hand-rolling its own.
                     "thread"
                         if code.is_path_sep(i + 1)
                             && (code.is_ident(i + 3, "spawn") || code.is_ident(i + 3, "scope")) =>

@@ -17,23 +17,13 @@
 //!   pending populations from 10³ to 10⁶. Every simulation event in the
 //!   workspace funnels through this structure, so this group is the
 //!   engine-throughput guard.
-//! * `shard_sync` — the sharded engine's window-barrier round-trip
-//!   ([`dualpar_sim::ShardPool::run_round`] over near-empty cells) and the
-//!   deterministic k-way merge of outbound batches
-//!   ([`dualpar_sim::merge_batches`]) at 2/4/8 shards. The round-trip is
-//!   the fixed cost every conservative window pays, so it bounds how fine
-//!   the `net_latency` lookahead can slice simulated time before
-//!   synchronization dominates the win.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use dualpar_disk::{
     AnticipatoryConfig, AnticipatoryScheduler, CfqConfig, CfqScheduler, Decision, DiskRequest,
     IoCtx, IoKind, Scheduler,
 };
-use dualpar_sim::{
-    merge_batches, EventId, EventQueue, FxHashMap, FxHashSet, ShardPool, SimDuration, SimTime,
-    Slab, SlabKey, WindowCell,
-};
+use dualpar_sim::{EventId, EventQueue, FxHashMap, FxHashSet, SimDuration, SimTime, Slab, SlabKey};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hint::black_box;
@@ -329,76 +319,5 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 }
 
-/// A shard cell doing negligible per-window work, so `run_round` measures
-/// the conservative barrier itself: job dispatch, the window on a worker
-/// thread, and the ownership round-trip back to the coordinator.
-struct SyncCell {
-    acc: u64,
-}
-
-impl WindowCell for SyncCell {
-    fn run_window(&mut self, _horizon: SimTime) -> u64 {
-        self.acc = self.acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-        1
-    }
-}
-
-/// Outbound batches as the engine produces them at a window barrier: each
-/// shard's sends time-sorted, ready for the deterministic k-way merge.
-fn merge_input(shards: usize, per_shard: usize) -> Vec<Vec<(SimTime, u64)>> {
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    (0..shards)
-        .map(|_| {
-            let mut batch: Vec<(SimTime, u64)> = (0..per_shard as u64)
-                .map(|i| (SimTime(1 + xorshift(&mut x) % EQ_HORIZON_NS), i))
-                .collect();
-            batch.sort_by_key(|&(t, _)| t);
-            batch
-        })
-        .collect()
-}
-
-fn bench_shard_sync(c: &mut Criterion) {
-    let mut g = c.benchmark_group("shard_sync");
-    for shards in [2usize, 4, 8] {
-        // Window-barrier round-trip: one full `run_round` over `shards`
-        // near-empty cells. This is the fixed cost every conservative
-        // window pays before any simulation work happens, so it bounds
-        // how fine the lookahead can slice time before sync dominates.
-        g.bench_function(&format!("window_roundtrip_{shards}"), |b| {
-            let pool = ShardPool::new(shards);
-            let mut cells: Vec<Option<SyncCell>> =
-                (0..shards as u64).map(|i| Some(SyncCell { acc: i })).collect();
-            let active: Vec<usize> = (0..shards).collect();
-            b.iter(|| {
-                let (n, client) = pool.run_round(
-                    &mut cells,
-                    &active,
-                    SimTime(1_000),
-                    || black_box(0u64),
-                );
-                black_box(n.wrapping_add(client))
-            })
-        });
-        // Deterministic k-way merge of the shards' outbound batches, at
-        // the batch size a busy window produces.
-        g.throughput(Throughput::Elements((shards * 1_024) as u64));
-        g.bench_function(&format!("batch_merge_{shards}x1k"), |b| {
-            b.iter_batched(
-                || merge_input(shards, 1_024),
-                |batches| black_box(merge_batches(batches)),
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_group_slab,
-    bench_dispatch,
-    bench_event_queue,
-    bench_shard_sync
-);
+criterion_group!(benches, bench_group_slab, bench_dispatch, bench_event_queue);
 criterion_main!(benches);

@@ -18,6 +18,7 @@ pub mod registry;
 pub mod spec;
 pub mod suite;
 
+pub use dualpar_sim::default_jobs;
 pub use registry::{known_tags, PresetEntry, Workload, PRESETS};
 pub use spec::{
     add_workload, build_cluster, expected_cost, workload_cost, ArrivalEntry, ExperimentSpec,
@@ -43,11 +44,6 @@ pub fn jobs_from_args() -> usize {
             }
         },
     }
-}
-
-/// The machine's available parallelism (1 if it cannot be determined).
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The paper's platform scaled for simulation: nine data servers (as on

@@ -5,29 +5,18 @@
 
 use crate::config::{ClusterConfig, CtxMode, IoStrategy, ProgramSpec};
 use crate::metrics::{ModeEvent, ProgramReport, RunReport};
-use crate::sharded::{CrossShardMsg, SEv, ServerShard, SubReq};
+use crate::sharded::{SEv, ServerShard, SubReq};
 use dualpar_cache::{CacheConfig, GlobalCache, NodeId, OwnerId};
 use dualpar_core::{DualParConfig, Emc, ExecMode, IoClock, ProgramId, ReqDistTracker};
 use dualpar_disk::{Disk, IoCtx, IoKind};
 use dualpar_mpiio::{CoalescedIo, ProcessScript};
 use dualpar_pfs::{FileId, FileRegion, Pvfs};
-use dualpar_sim::{
-    merge_batches, EventId, EventQueue, Link, ShardPool, SimDuration, SimTime, Slab, SlabKey,
-    TimeSeries, WindowCell,
-};
+use dualpar_sim::{EventId, EventQueue, Link, SimDuration, SimTime, Slab, SlabKey, TimeSeries};
 use dualpar_telemetry::{SpanId, SpanProfile, Telemetry, TelemetryConfig};
 use dualpar_sim::{FxHashMap, FxHashSet};
 
 /// Safety valve: a single experiment should never need more events.
 const MAX_EVENTS: u64 = 2_000_000_000;
-
-/// Below this many events in a round, the next round runs its server
-/// windows inline on the coordinator: dispatching near-empty windows to
-/// worker threads costs more in barrier traffic than it saves. The
-/// threshold reads only simulation state, so the inline/parallel decision
-/// — which affects *where* windows run, never *what* they compute — is
-/// itself deterministic.
-const SMALL_ROUND_EVENTS: u64 = 64;
 
 /// Events driving the client shard (programs, processes, the cache, EMC).
 /// Everything server-side lives in [`crate::sharded::SEv`] on the per-data-
@@ -244,17 +233,14 @@ impl Program {
 }
 
 /// The assembled cluster simulator: the client shard (programs, processes,
-/// cache, EMC) plus one [`ServerShard`] cell per data server. The cells
-/// are `Option`s only so the conservative-parallel runtime can move them
-/// to worker threads for a window and back; between rounds every cell is
-/// home (`Some`).
+/// cache, EMC) plus one [`ServerShard`] per data server.
 pub struct Cluster {
     pub(crate) cfg: ClusterConfig,
     pub(crate) queue: EventQueue<Ev>,
     pub(crate) pvfs: Pvfs,
     pub(crate) cache: GlobalCache,
     pub(crate) emc: Emc,
-    pub(crate) servers: Vec<Option<ServerShard>>,
+    pub(crate) servers: Vec<ServerShard>,
     pub(crate) node_links: Vec<Link>,
     pub(crate) req_dist: Vec<ReqDistTracker>,
     pub(crate) procs: Vec<Proc>,
@@ -262,9 +248,9 @@ pub struct Cluster {
     pub(crate) groups: Slab<Group>,
     /// Monotonic sub-request id counter (ids are globally unique per run).
     pub(crate) next_sub_id: u64,
-    /// Outbound client→server requests of the current window, applied at
-    /// the barrier exchange.
-    pub(crate) outbox: Vec<(SimTime, CrossShardMsg)>,
+    /// Outbound client→server requests of the current window as
+    /// `(deliver, server, sub)`, applied at the barrier exchange.
+    pub(crate) outbox: Vec<(SimTime, u32, SubReq)>,
     /// The absolute time of the next scheduled `EmcTick`, which clips the
     /// window horizon: the tick needs exclusive access to every shard, so
     /// it runs in a serial section between rounds.
@@ -316,7 +302,7 @@ impl Cluster {
         });
         let emc = Emc::new(cfg.dualpar.clone());
         let servers = (0..cfg.num_data_servers)
-            .map(|id| Some(ServerShard::new(id, &cfg)))
+            .map(|id| ServerShard::new(id, &cfg))
             .collect();
         let node_links = (0..cfg.num_compute_nodes)
             .map(|_| Link::new(cfg.net_latency, cfg.net_bandwidth))
@@ -478,10 +464,7 @@ impl Cluster {
 
     /// Access a server's disk (for trace inspection after a run).
     pub fn disk(&self, server: u32) -> &Disk {
-        &self.servers[server as usize]
-            .as_ref()
-            .expect("server cell home between rounds")
-            .disk
+        &self.servers[server as usize].disk
     }
 
     /// The telemetry instance (counters, series, and the event trace).
@@ -660,19 +643,17 @@ impl Cluster {
             let deliver = self.node_links[node as usize].send(now, req_msg);
             self.outbox.push((
                 deliver,
-                CrossShardMsg::Request {
-                    server: server.0,
-                    sub: SubReq {
-                        id,
-                        lbn,
-                        sectors,
-                        kind,
-                        ctx,
-                        group,
-                        resp_bytes,
-                        life,
-                        stage,
-                    },
+                server.0,
+                SubReq {
+                    id,
+                    lbn,
+                    sectors,
+                    kind,
+                    ctx,
+                    group,
+                    resp_bytes,
+                    life,
+                    stage,
                 },
             ));
         }
@@ -690,35 +671,22 @@ impl Cluster {
 
     // ----- the event loop ----------------------------------------------
 
-    /// Run until every program has finished, executing every shard inline
-    /// on the calling thread. Identical output to [`Cluster::run_sharded`]
-    /// at any shard count. Returns the report.
-    pub fn run(&mut self) -> RunReport {
-        self.run_sharded(1)
-    }
-
-    /// Run until every program has finished, executing data-server windows
-    /// on up to `shards` worker threads (clamped to the server count;
-    /// `shards <= 1` runs everything inline).
+    /// Run until every program has finished. Returns the report.
     ///
-    /// The algorithm is conservative parallel discrete-event simulation
-    /// with the network's one-way latency as lookahead. Each round:
+    /// The loop is conservative discrete-event simulation over the logical
+    /// shards, with the network's one-way latency as lookahead. Each round:
     ///
     /// 1. `global_next` = earliest pending event across every shard.
     /// 2. If the next EMC tick is at `global_next`, run a serial section
     ///    instead (the tick reads every disk's seek window).
     /// 3. Otherwise the window horizon is
-    ///    `min(global_next + net_latency, next_tick)`; every shard
-    ///    executes its events with `t < horizon` — in parallel, since no
-    ///    message sent inside the window can be delivered before the
-    ///    horizon.
-    /// 4. At the barrier, outbound batches are exchanged in an order that
-    ///    is a pure function of simulation state.
-    ///
-    /// `shards` therefore only chooses where windows execute; the
-    /// simulation's output — report, trace, spans — is byte-identical at
-    /// every value.
-    pub fn run_sharded(&mut self, shards: usize) -> RunReport {
+    ///    `min(global_next + net_latency, next_tick)`; every server shard,
+    ///    then the client shard, executes its events with `t < horizon`.
+    ///    No message sent inside the window can be delivered before the
+    ///    horizon, so the shards need not see each other mid-window.
+    /// 4. At the barrier, [`Cluster::exchange`] delivers the outboxes in
+    ///    an order that is a pure function of simulation state.
+    pub fn run(&mut self) -> RunReport {
         if self.tele.tracing() {
             // Lead the trace with the thresholds this run decides against,
             // so the offline auditor validates EMC transitions with the
@@ -742,36 +710,25 @@ impl Cluster {
             self.next_tick = Some(at);
         }
         let lookahead = self.cfg.net_latency;
-        let nservers = self.servers.len();
-        let pool: Option<ShardPool<ServerShard>> =
-            (shards > 1 && nservers > 1).then(|| ShardPool::new(shards.min(nservers)));
-        let mut active: Vec<usize> = Vec::with_capacity(nservers);
-        // No history before the first round: let the pool prove itself.
-        let mut last_round_events = u64::MAX;
         loop {
-            let mut global = self.queue.peek_time();
-            for s in self.servers.iter_mut() {
-                let t = s.as_mut().expect("cell home between rounds").queue.peek_time();
-                global = match (global, t) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, None) => a,
-                    (None, b) => b,
-                };
-            }
+            let global = self
+                .servers
+                .iter_mut()
+                .filter_map(|s| s.queue.peek_time())
+                .chain(self.queue.peek_time())
+                .min();
             let Some(gn) = global else { break };
             if self.next_tick == Some(gn) {
                 // Serial section: the EMC tick is the earliest event, and
-                // it reads every server's disk, so every cell must be
-                // home. Drain the client events at exactly this instant
-                // (the tick, plus anything scheduled alongside it); server
-                // events at the same instant run in the following window —
-                // a fixed, shard-count-independent ordering rule.
+                // it reads every server's disk. Drain the client events at
+                // exactly this instant (the tick, plus anything scheduled
+                // alongside it); server events at the same instant run in
+                // the following window — a fixed ordering rule.
                 while self.queue.peek_time() == Some(gn) {
                     let (now, ev) = self.queue.pop().expect("peeked event present");
                     self.events_processed += 1;
                     self.handle(now, ev);
-                    if self.finished_programs == self.programs.len() && !self.programs.is_empty()
-                    {
+                    if self.finished_programs == self.programs.len() && !self.programs.is_empty() {
                         break;
                     }
                 }
@@ -785,56 +742,28 @@ impl Cluster {
             if let Some(tick) = self.next_tick {
                 horizon = horizon.min(tick);
             }
-            active.clear();
-            for (i, s) in self.servers.iter_mut().enumerate() {
-                let peek = s.as_mut().expect("cell home between rounds").queue.peek_time();
-                if peek.is_some_and(|t| t < horizon) {
-                    active.push(i);
-                }
-            }
-            let server_events = if active.is_empty() {
-                // Client-only window. If every server queue is empty the
+            let server_events: u64 = self.servers.iter_mut().map(|s| s.run_window(horizon)).sum();
+            if server_events > 0 {
+                self.run_client_window(horizon, false);
+            } else if self
+                .servers
+                .iter_mut()
+                .all(|s| s.queue.peek_time().is_none())
+            {
+                // Client-only window with every server queue empty: the
                 // servers are fully quiescent (disk work always has a
                 // DiskDone/DiskKick pending), so the client may run ahead
                 // of the lookahead — up to the next tick, or until it
                 // sends something a server must react to.
-                let all_empty = self
-                    .servers
-                    .iter_mut()
-                    .all(|s| s.as_mut().expect("cell home").queue.peek_time().is_none());
-                if all_empty {
-                    let h = self.next_tick.unwrap_or(SimTime::MAX);
-                    self.run_client_window(h, true);
-                } else {
-                    self.run_client_window(horizon, false);
-                }
-                0
-            } else if pool.is_some() && active.len() > 1 && last_round_events >= SMALL_ROUND_EVENTS
-            {
-                let pool = pool.as_ref().expect("checked");
-                let mut cells = std::mem::take(&mut self.servers);
-                let (sn, _) = pool.run_round(&mut cells, &active, horizon, || {
-                    self.run_client_window(horizon, false)
-                });
-                self.servers = cells;
-                sn
+                self.run_client_window(self.next_tick.unwrap_or(SimTime::MAX), true);
             } else {
-                let mut sn = 0;
-                for &i in &active {
-                    sn += self.servers[i]
-                        .as_mut()
-                        .expect("cell home between rounds")
-                        .run_window(horizon);
-                }
                 self.run_client_window(horizon, false);
-                sn
-            };
+            }
             self.events_processed += server_events;
             assert!(
                 self.events_processed < MAX_EVENTS,
                 "event budget exceeded — runaway simulation"
             );
-            last_round_events = server_events;
             self.exchange();
             if self.finished_programs == self.programs.len() && !self.programs.is_empty() {
                 break;
@@ -843,13 +772,20 @@ impl Cluster {
         self.report()
     }
 
+    /// Same as [`Cluster::run`]; the argument is ignored. The benchmark in
+    /// `perfbench/` calls this name, and the benchmark changes only in
+    /// commits of its own, so the forwarder stays until one drops the call.
+    #[doc(hidden)]
+    pub fn run_sharded(&mut self, _shards: usize) -> RunReport {
+        self.run()
+    }
+
     /// Execute the client shard's events with `t < horizon`. Stops early
     /// once every program has finished, or — in the extended (`stop_on_send`)
     /// window used while the servers are quiescent — as soon as an event
     /// queues an outbound request, which must reach its server before the
     /// client may run past `deliver` time.
-    fn run_client_window(&mut self, horizon: SimTime, stop_on_send: bool) -> u64 {
-        let mut n = 0u64;
+    fn run_client_window(&mut self, horizon: SimTime, stop_on_send: bool) {
         while self.queue.peek_time().is_some_and(|t| t < horizon) {
             let (now, ev) = self.queue.pop().expect("peeked event present");
             self.events_processed += 1;
@@ -858,7 +794,6 @@ impl Cluster {
                 "event budget exceeded — runaway simulation"
             );
             self.handle(now, ev);
-            n += 1;
             if self.finished_programs == self.programs.len() && !self.programs.is_empty() {
                 break;
             }
@@ -866,49 +801,23 @@ impl Cluster {
                 break;
             }
         }
-        n
     }
 
     /// The window barrier's message exchange. Applies the client's
-    /// outbound requests to the server queues in issue order, then merges
-    /// every server's ack batch into the client queue ordered by
-    /// `(deliver time, server)` — with ties inside one server kept in send
-    /// order. Both orders are pure functions of simulation state, so
-    /// delivery (and therefore FIFO pop order for same-time events) is
-    /// identical at every shard/thread count.
+    /// outbound requests to the server queues in issue order, then
+    /// schedules every server's acks into the client queue, server by
+    /// server in index order, each in send order. The client queue pops in
+    /// `(time, seq)` order, so acks due at the same instant fire in
+    /// `(server, send)` order — a pure function of simulation state.
     pub(crate) fn exchange(&mut self) {
-        for (deliver, msg) in self.outbox.drain(..) {
-            match msg {
-                CrossShardMsg::Request { server, sub } => {
-                    self.servers[server as usize]
-                        .as_mut()
-                        .expect("cell home at exchange")
-                        .queue
-                        .schedule(deliver, SEv::Recv(sub));
-                }
-                CrossShardMsg::Ack { .. } => unreachable!("client shard never emits acks"),
-            }
+        for (deliver, server, sub) in self.outbox.drain(..) {
+            self.servers[server as usize]
+                .queue
+                .schedule(deliver, SEv::Recv(sub));
         }
-        if self
-            .servers
-            .iter()
-            .all(|s| s.as_ref().expect("cell home").outbox.is_empty())
-        {
-            return;
-        }
-        let batches: Vec<Vec<(SimTime, CrossShardMsg)>> = self
-            .servers
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.as_mut().expect("cell home").outbox))
-            .collect();
-        for (t, _src, msg) in merge_batches(batches) {
-            match msg {
-                CrossShardMsg::Ack { group } => {
-                    self.queue.schedule(t, Ev::SubDone { group });
-                }
-                CrossShardMsg::Request { .. } => {
-                    unreachable!("server shards never emit requests")
-                }
+        for s in &mut self.servers {
+            for (deliver, group) in s.outbox.drain(..) {
+                self.queue.schedule(deliver, Ev::SubDone { group });
             }
         }
     }
@@ -989,11 +898,10 @@ impl Cluster {
 
     fn on_emc_tick(&mut self, now: SimTime) {
         // Gather seek-distance samples from every data server. The tick
-        // runs in the serial section between rounds, so every shard cell
-        // is home and its disk is directly readable.
-        for s in self.servers.iter_mut() {
-            let shard = s.as_mut().expect("cell home in serial section");
-            if let Some(avg) = shard.disk.trace_mut().take_window_avg_seek() {
+        // runs in the serial section between rounds, so every disk has
+        // finished its window.
+        for s in &mut self.servers {
+            if let Some(avg) = s.disk.trace_mut().take_window_avg_seek() {
                 self.emc.report_seek_dist(avg);
             }
         }
@@ -1135,7 +1043,7 @@ impl Cluster {
         self.tele.gauge_set("cache.dirty_hwm", cs.dirty_hwm as f64);
         let mut seek_total = 0u64;
         for i in 0..self.servers.len() {
-            let disk = &self.servers[i].as_ref().expect("cell home").disk;
+            let disk = &self.servers[i].disk;
             let seek = disk.total_seek_distance();
             let busy = disk.total_busy().as_secs_f64();
             let per_ctx: Vec<f64> = disk
@@ -1158,19 +1066,17 @@ impl Cluster {
 
     fn report(&mut self) -> RunReport {
         // The run ends where its last event ran, whichever shard that was.
-        let end = self.servers.iter().fold(self.queue.now(), |e, s| {
-            e.max(s.as_ref().expect("cell home").last_event_time)
-        });
+        let end = self
+            .servers
+            .iter()
+            .fold(self.queue.now(), |e, s| e.max(s.last_event_time));
         // Stitch the per-shard telemetry streams into the client's: trace
         // rings merge in `(time, shard, position)` order, span logs get
         // their cross-shard closes applied, registries sum/max/merge.
         let shard_teles: Vec<Telemetry> = self
             .servers
             .iter_mut()
-            .map(|s| {
-                let shard = s.as_mut().expect("cell home");
-                std::mem::replace(&mut shard.tele, Telemetry::new(&TelemetryConfig::default()))
-            })
+            .map(|s| std::mem::replace(&mut s.tele, Telemetry::new(&TelemetryConfig::default())))
             .collect();
         self.tele.absorb_shards(shard_teles);
         self.finalize_telemetry(end);
@@ -1209,11 +1115,7 @@ impl Cluster {
             throughput_timeline: self.timeline.clone(),
             mode_events: self.mode_events.clone(),
             emc_improvement: self.emc_improvement.clone(),
-            disk_bytes: self
-                .servers
-                .iter()
-                .map(|s| s.as_ref().expect("cell home").disk.bytes_serviced())
-                .sum(),
+            disk_bytes: self.servers.iter().map(|s| s.disk.bytes_serviced()).sum(),
             events_processed: self.events_processed,
             telemetry: self.tele.snapshot(),
             span_profile,

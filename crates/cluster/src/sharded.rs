@@ -1,7 +1,7 @@
 //! The data-server shard: everything one PVFS2 data server owns — its
-//! event queue, disk, response link, write-back buffer, and telemetry —
-//! packaged as a [`WindowCell`] so the conservative-parallel runtime in
-//! `simcore::shard` can execute server windows off the coordinator thread.
+//! event queue, disk, response link, write-back buffer, and telemetry.
+//! `Cluster::run` steps every shard through the same conservative windows
+//! on the calling thread.
 //!
 //! The partition rule is the paper's own architecture: client processes
 //! talk to data servers only through the network, and every crossing pays
@@ -9,14 +9,13 @@
 //! a server executing events with `t < horizon ≤ global_next + net_latency`
 //! can never miss a message from another shard, because anything sent
 //! during the window delivers at or after the horizon. Cross-shard sends
-//! therefore never touch a foreign queue directly — they accumulate in the
-//! shard's `outbox` as [`CrossShardMsg`]s and are applied by the
-//! coordinator at the window barrier, in an order that is a pure function
-//! of simulation state (see `Cluster::exchange`).
+//! therefore never touch a foreign queue directly — requests accumulate in
+//! the client's request outbox, acks in each server's `outbox`, and
+//! `Cluster::exchange` applies both at the window barrier.
 
 use crate::config::{ClusterConfig, CtxMode, ServerWriteMode};
 use dualpar_disk::{Disk, DiskRequest, IoCtx, IoKind, Lbn, StartOutcome};
-use dualpar_sim::{EventQueue, FxHashMap, Link, SimDuration, SimTime, SlabKey, WindowCell};
+use dualpar_sim::{EventQueue, FxHashMap, Link, SimDuration, SimTime, SlabKey};
 use dualpar_telemetry::{SpanId, Telemetry};
 
 /// One disk-bound sub-request (a resolved LBN run on one server), carried
@@ -40,18 +39,6 @@ pub(crate) struct SubReq {
     pub life: SpanId,
     /// The open `req.issue` stage span the server closes on receipt.
     pub stage: SpanId,
-}
-
-/// A message crossing the client/server shard boundary, delivered at the
-/// window barrier. The topology is a star: clients send requests, servers
-/// send acks, shards never talk to each other.
-#[derive(Debug, Clone)]
-pub(crate) enum CrossShardMsg {
-    /// Client → server: a sub-request arriving at a data server's NIC.
-    Request { server: u32, sub: SubReq },
-    /// Server → client: the response delivery completing one sub-request
-    /// of a completion group.
-    Ack { group: SlabKey },
 }
 
 /// Server-side record of a sub-request that is in the disk path (queued or
@@ -91,14 +78,13 @@ pub(crate) struct ServerShard {
     dirty: Vec<DiskRequest>,
     flush_scheduled: bool,
     pending: FxHashMap<u64, PendingSub>,
-    /// Outbound acks of the current window, drained by the exchange.
-    /// Time-monotone: the link serializes sends and event times within a
-    /// window are non-decreasing.
-    pub outbox: Vec<(SimTime, CrossShardMsg)>,
+    /// Outbound acks of the current window as `(deliver, group)`, drained
+    /// by the exchange. Time-monotone: the link serializes sends and event
+    /// times within a window are non-decreasing.
+    pub outbox: Vec<(SimTime, SlabKey)>,
     /// Shard-local telemetry (tag `id + 1`), stitched into the client's
     /// stream by `Telemetry::absorb_shards` after the run.
     pub tele: Telemetry,
-    pub events_processed: u64,
     pub last_event_time: SimTime,
     write_mode: ServerWriteMode,
     msg_header: u64,
@@ -127,7 +113,6 @@ impl ServerShard {
             pending: FxHashMap::default(),
             outbox: Vec::new(),
             tele: Telemetry::for_shard(&cfg.telemetry, id as u16 + 1),
-            events_processed: 0,
             last_event_time: SimTime::ZERO,
             write_mode: cfg.server_write_mode,
             msg_header: cfg.msg_header,
@@ -169,8 +154,7 @@ impl ServerShard {
             let deliver = self
                 .link
                 .send(now, self.msg_header.saturating_add(sub.resp_bytes));
-            self.outbox
-                .push((deliver, CrossShardMsg::Ack { group: sub.group }));
+            self.outbox.push((deliver, sub.group));
             if self.tele.spans_enabled() {
                 // Buffered ack: the queue/disk stages are owned by the
                 // flush daemon, so the lifecycle skips straight from issue
@@ -248,8 +232,7 @@ impl ServerShard {
                 let deliver = self
                     .link
                     .send(now, self.msg_header.saturating_add(p.resp_bytes));
-                self.outbox
-                    .push((deliver, CrossShardMsg::Ack { group: p.group }));
+                self.outbox.push((deliver, p.group));
                 if self.tele.spans_enabled() {
                     let stamp = now.as_secs_f64();
                     self.tele.span_close(stamp, p.stage, stamp);
@@ -306,10 +289,10 @@ impl ServerShard {
             StartOutcome::Quiescent => {}
         }
     }
-}
 
-impl WindowCell for ServerShard {
-    fn run_window(&mut self, horizon: SimTime) -> u64 {
+    /// Run every pending event strictly before `horizon`; return how many
+    /// events were executed.
+    pub fn run_window(&mut self, horizon: SimTime) -> u64 {
         let mut n = 0u64;
         while self.queue.peek_time().is_some_and(|t| t < horizon) {
             let (now, ev) = self.queue.pop().expect("peeked event present");
@@ -326,7 +309,6 @@ impl WindowCell for ServerShard {
             self.handle(now, ev);
             n += 1;
         }
-        self.events_processed += n;
         n
     }
 }

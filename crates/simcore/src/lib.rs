@@ -11,9 +11,8 @@
 //! * [`resource`] — FIFO resources and latency/bandwidth links;
 //! * [`slab`] — generational slab storage with stale-handle detection;
 //! * [`pool`] — order-preserving scoped worker pool (determinism-safe
-//!   parallel maps shared by the suite runner and the lint scanner);
-//! * [`shard`] — conservative-parallel window runtime (per-shard event
-//!   windows between barrier exchanges, deterministic batch merge).
+//!   parallel maps shared by the suite runner and the lint scanner); the
+//!   only module in the workspace that spawns threads.
 //!
 //! Everything is single-threaded and allocation-conscious; determinism is a
 //! hard guarantee (same seed ⇒ bit-identical run), which the property tests
@@ -26,7 +25,6 @@ pub mod hash;
 pub mod pool;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod slab;
 pub mod stats;
 pub mod time;
@@ -60,10 +58,11 @@ macro_rules! strict_assert_eq {
 
 pub use fel::{EventId, EventQueue};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use pool::{parallel_map, parallel_map_prioritized, run_with_deadline, DeadlineError};
+pub use pool::{
+    default_jobs, parallel_map, parallel_map_prioritized, run_with_deadline, DeadlineError,
+};
 pub use resource::{FifoResource, Link};
 pub use rng::DetRng;
-pub use shard::{merge_batches, ShardPool, WindowCell};
 pub use slab::{Slab, SlabKey};
 pub use stats::{OnlineStats, Samples, TimeSeries};
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};

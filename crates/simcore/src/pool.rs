@@ -55,6 +55,12 @@ where
     })
 }
 
+/// The machine's available parallelism (1 if it cannot be determined):
+/// the default worker count for [`parallel_map`] callers.
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Order-preserving parallel map over `items` with up to `jobs` worker
 /// threads. `f(index, item)` runs exactly once per item; results come
 /// back in input order. `jobs <= 1` degenerates to a plain serial map on

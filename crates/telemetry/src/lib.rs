@@ -662,7 +662,8 @@ impl Telemetry {
     /// Registries merge per [`Registry::merge_from`], trace rings k-way
     /// merge by `(t, shard, ring_position)`, and span logs concatenate with
     /// ids remapped and cross-shard closes applied ([`SpanLog::merge`]).
-    /// The result is byte-identical however many threads drove the shards.
+    /// The merge order depends only on the records, so the result is a
+    /// pure function of the simulation.
     pub fn absorb_shards(&mut self, shards: Vec<Telemetry>) {
         let mut traces = vec![std::mem::take(&mut self.trace)];
         let mut logs = vec![std::mem::replace(&mut self.spans, SpanLog::new())];

@@ -22,9 +22,7 @@
 //! instead of indexing its own records. [`SpanLog::merge`] stitches the
 //! per-shard logs back into one untagged log in shard order, remapping
 //! every id and parent link to plain indices and applying the foreign
-//! closes — the result is indistinguishable from a log produced by a
-//! single serial run of the same partitioned simulation, whatever the
-//! thread count.
+//! closes, so the result is a pure function of the simulation.
 
 use std::collections::BTreeMap;
 

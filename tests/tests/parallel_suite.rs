@@ -3,6 +3,7 @@
 //! run's serialized report or event trace, and traces produced on worker
 //! threads must pass the full invariant audit exactly like serial ones.
 
+use dualpar_audit::baseline::diff_suites;
 use dualpar_audit::{audit_jsonl_str, AuditConfig};
 use dualpar_bench::suite::{builtin_suite, run_entry, run_parallel, summarize, Scale};
 use dualpar_cluster::TelemetryLevel;
@@ -156,6 +157,40 @@ fn run_entry_matches_pooled_twin_for_every_small_entry() {
             twin.report_json, run.report_json,
             "{}: pooled run diverged from its serial twin",
             entry.name
+        );
+    }
+    // Every run must also reproduce the committed artifact's event count
+    // and report fingerprint — the same comparison `check.sh`'s suite
+    // gate makes with `dualpar-audit trace --baseline`.
+    let committed = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../bench_results/BENCH_suite.json"
+    ))
+    .expect("committed BENCH_suite.json is readable");
+    let committed = serde_json::from_str(&committed).expect("committed suite parses");
+    let fresh = serde_json::to_string(&summarize(&pooled, 4, 1.0)).expect("serialise summary");
+    let fresh = serde_json::from_str(&fresh).expect("fresh suite parses");
+    let diff = diff_suites(&committed, &fresh).expect("both documents are suite summaries");
+    assert!(
+        diff.missing_in_new.is_empty(),
+        "missing: {:?}",
+        diff.missing_in_new
+    );
+    assert!(
+        diff.added_in_new.is_empty(),
+        "added: {:?}",
+        diff.added_in_new
+    );
+    for d in &diff.runs {
+        assert_eq!(
+            d.old_events, d.new_events,
+            "{}: sim_events differ from bench_results/BENCH_suite.json",
+            d.name
+        );
+        assert!(
+            d.fingerprint_match,
+            "{}: report fingerprint differs from bench_results/BENCH_suite.json",
+            d.name
         );
     }
 }
