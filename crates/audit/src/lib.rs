@@ -1,11 +1,14 @@
 //! `dualpar-audit`: offline invariant checking for DualPar simulation
-//! traces, plus a source-lint pass for the workspace (see [`lint`]).
+//! traces, plus report and suite diffing (see [`baseline`]).
 //!
 //! The simulator (PR 1's telemetry subsystem) emits a structured JSONL
 //! event trace. This crate replays such a trace — from a file or straight
 //! from an in-process [`TraceBuffer`] — and checks the invariants the
 //! paper's design implies:
 //!
+//! - **trace schema**: every event's `(component, kind)` pair is registered
+//!   in `dualpar_telemetry::schema::TRACE_SCHEMA` (an unregistered record
+//!   would otherwise escape every check below);
 //! - **monotone time**: event timestamps never go backwards;
 //! - **EMC legality**: a program enters the data-driven mode only when the
 //!   same-tick observation shows `io_ratio` above the threshold and
@@ -43,15 +46,10 @@
 #![deny(missing_docs)]
 
 pub mod baseline;
-pub mod itemtree;
-pub mod lexer;
-pub mod lint;
-pub mod rules;
 
 /// Every `(component, kind)` pair the auditor's dispatch understands, in
 /// sorted order. Mirrors the `match` in [`Auditor::push`]; a parity test
-/// (and the `trace-schema` lint cross-check) keeps it in lock-step with
-/// `dualpar_telemetry::schema::TRACE_SCHEMA`.
+/// keeps it in lock-step with `dualpar_telemetry::schema::TRACE_SCHEMA`.
 pub fn audited_kinds() -> Vec<(&'static str, &'static str)> {
     vec![
         ("cache", "conservation"),
@@ -643,7 +641,12 @@ impl Auditor {
             ("cache", "conservation") => self.on_cache_conservation(ev),
             ("span", "open") => self.on_span_open(ev),
             ("span", "close") => self.on_span_close(ev),
-            _ => {}
+            // The arms above are exactly TRACE_SCHEMA (see audited_kinds).
+            (component, kind) => self.flag(
+                ev.t,
+                "trace-schema",
+                format!("unregistered trace kind {component}/{kind}"),
+            ),
         }
         self.index += 1;
     }
@@ -1258,12 +1261,26 @@ mod tests {
     #[test]
     fn flags_time_regression() {
         let r = audit(
-            "{\"t\":2.0,\"component\":\"a\",\"kind\":\"b\"}\n\
-             {\"t\":1.0,\"component\":\"a\",\"kind\":\"b\"}\n",
+            "{\"t\":2.0,\"component\":\"emc\",\"kind\":\"config\"}\n\
+             {\"t\":1.0,\"component\":\"emc\",\"kind\":\"config\"}\n",
         );
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].check, "monotone-time");
         assert_eq!(r.violations[0].index, 1);
+    }
+
+    #[test]
+    fn flags_unregistered_trace_kinds() {
+        // A record outside TRACE_SCHEMA would escape every invariant check,
+        // so the auditor rejects it instead of ignoring it.
+        let r = audit(
+            "{\"t\":1.0,\"component\":\"disk\",\"kind\":\"seek\",\"server\":0}\n\
+             {\"t\":1.5,\"component\":\"emc\",\"kind\":\"config\"}\n",
+        );
+        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+        assert_eq!(r.violations[0].check, "trace-schema");
+        assert_eq!(r.violations[0].index, 0);
+        assert!(r.violations[0].message.contains("disk/seek"));
     }
 
     #[test]
@@ -1385,8 +1402,8 @@ mod tests {
     #[test]
     fn report_json_is_machine_readable() {
         let r = audit(
-            "{\"t\":2.0,\"component\":\"a\",\"kind\":\"b\"}\n\
-             {\"t\":1.0,\"component\":\"a\",\"kind\":\"b\"}\n",
+            "{\"t\":2.0,\"component\":\"emc\",\"kind\":\"config\"}\n\
+             {\"t\":1.0,\"component\":\"emc\",\"kind\":\"config\"}\n",
         );
         let json = r.to_json();
         assert!(

@@ -1,22 +1,15 @@
-//! `dualpar-audit` — trace auditor and source linter for the DualPar
+//! `dualpar-audit` — trace auditor and report differ for the DualPar
 //! workspace.
 //!
 //! ```text
 //! dualpar-audit trace <trace.jsonl> [--json <out.json>] [--tolerate-truncation]
 //! dualpar-audit trace --baseline <old-report.json> <new-report.json> \
 //!     [--json <out.json>] [--max-regress-pct <pct>]
-//! dualpar-audit lint [--root <dir>] [--allow <file>] [--format text|json] [--jobs <n>]
 //! ```
 //!
 //! `--tolerate-truncation` accepts ring-buffer traces whose oldest events
 //! were dropped (runs past `trace_capacity`): pairing errors explainable by
 //! the missing prefix are counted as warnings instead of violations.
-//!
-//! `lint` scans `crates/*/src` with the token-aware rule engine (see
-//! `docs/LINT.md`): `--jobs` sets the scanner thread count (default 1 —
-//! finding order is identical at any count), `--format json` prints the
-//! machine-readable report `scripts/check.sh` gates on. Exit is clean only
-//! with zero deny findings and zero unused suppressions.
 //!
 //! `--baseline` switches from trace auditing to report diffing: both
 //! arguments are `RunReport` JSON files (`dualpar profile <t> --json`),
@@ -28,22 +21,20 @@
 //! completed, while events-per-second movement (machine-dependent) is
 //! reported without gating. See [`dualpar_audit::baseline`].
 //!
-//! Exit status: 0 — clean; 1 — violations, regressions, or lint findings;
-//! 2 — usage or I/O error.
+//! Exit status: 0 — clean; 1 — violations or regressions; 2 — usage or
+//! I/O error.
 
-use dualpar_audit::lint::{lint_workspace, AllowList};
 use dualpar_audit::{audit_jsonl_str, baseline, AuditConfig};
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: dualpar-audit trace <trace.jsonl> [--json <out.json>] [--tolerate-truncation]\n       dualpar-audit trace --baseline <old-report.json> <new-report.json> [--json <out.json>] [--max-regress-pct <pct>]\n       dualpar-audit lint [--root <dir>] [--allow <file>] [--format text|json] [--jobs <n>]";
+const USAGE: &str = "usage: dualpar-audit trace <trace.jsonl> [--json <out.json>] [--tolerate-truncation]\n       dualpar-audit trace --baseline <old-report.json> <new-report.json> [--json <out.json>] [--max-regress-pct <pct>]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("trace") => cmd_trace(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
         _ => Err(USAGE.to_string()),
     };
     match result {
@@ -148,56 +139,4 @@ fn cmd_baseline(
         None => println!("{json}"),
     }
     Ok(diff.ok())
-}
-
-fn cmd_lint(args: &[String]) -> Result<bool, String> {
-    let mut root = PathBuf::from(".");
-    let mut allow_path: Option<PathBuf> = None;
-    let mut json = false;
-    let mut jobs = 1usize;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => root = PathBuf::from(it.next().ok_or("--root needs a path")?),
-            "--allow" => {
-                allow_path = Some(PathBuf::from(it.next().ok_or("--allow needs a path")?));
-            }
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => json = false,
-                Some("json") => json = true,
-                _ => return Err("--format needs `text` or `json`".into()),
-            },
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .ok_or("--jobs needs a count")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--jobs: {e}"))?
-                    .max(1);
-            }
-            _ => return Err(USAGE.to_string()),
-        }
-    }
-    let mut allow = match &allow_path {
-        Some(path) => AllowList::load(path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?,
-        None => AllowList::default(),
-    };
-    let report = lint_workspace(&root, &mut allow, jobs)
-        .map_err(|e| format!("walking {}: {e}", root.display()))?;
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        for f in &report.findings {
-            println!("{}", f.render());
-        }
-        eprintln!(
-            "dualpar-audit: {} file(s), {} deny, {} warn, {} unused suppression(s)",
-            report.files_scanned,
-            report.deny(),
-            report.warn(),
-            report.unused_suppressions()
-        );
-    }
-    Ok(report.ok())
 }

@@ -298,6 +298,10 @@ fn run_suite_command(mut args: Vec<String>) {
         }
     }
     eprintln!("running {} experiments with --jobs {jobs}", entries.len());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host wall time for the suite summary and CLI footer; nothing simulated reads it"
+    )]
     let t0 = Instant::now();
     let results = run_suite_entries(&entries, jobs, timeout, retries);
     let total_wall = t0.elapsed().as_secs_f64();

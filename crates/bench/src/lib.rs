@@ -142,6 +142,10 @@ pub fn apply_telemetry_args(cfg: &mut ClusterConfig) -> Option<PathBuf> {
 }
 
 /// Write a finished run's JSONL event trace where `--trace` asked for it.
+#[expect(
+    clippy::panic,
+    reason = "a fail-fast harness: the message names the path, which `expect` cannot format"
+)]
 pub fn export_trace_to(cluster: &Cluster, path: &std::path::Path) {
     let file = std::fs::File::create(path).unwrap_or_else(|e| panic!("create {path:?}: {e}"));
     let mut w = std::io::BufWriter::new(file);
@@ -152,6 +156,10 @@ pub fn export_trace_to(cluster: &Cluster, path: &std::path::Path) {
 }
 
 /// Persist a harness's structured output.
+#[expect(
+    clippy::panic,
+    reason = "a fail-fast harness: the message names the path, which `expect` cannot format"
+)]
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
     let path = results_dir().join(format!("{name}.json"));
     let data = serde_json::to_string_pretty(value).expect("serialise results");
@@ -163,6 +171,10 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
 /// more series. Render with `gnuplot bench_results/<name>.gp` (produces
 /// `<name>.png`). Points are plotted as dots for scatter-style figures
 /// (the paper's LBN traces) and connected when `lines` is true.
+#[expect(
+    clippy::panic,
+    reason = "a fail-fast harness: the message names the path, which `expect` cannot format"
+)]
 pub fn save_gnuplot(
     name: &str,
     title: &str,

@@ -8,7 +8,7 @@
 //! event trace regardless of `jobs` — only the wall-clock numbers vary.
 //!
 //! The pool itself lives in [`dualpar_sim::pool`] (it is shared with the
-//! lint file scanner): workers claim entries from a shared work queue and
+//! figure harnesses): workers claim entries from a shared work queue and
 //! deliver `(original_index, result)` over a channel, so no locks are held
 //! anywhere. Results are re-ordered by input index before returning.
 //!
@@ -72,6 +72,10 @@ pub struct SuiteRun {
 
 /// Execute one entry start-to-finish on the calling thread.
 pub fn run_entry(entry: &SuiteEntry) -> SuiteRun {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host wall time for the suite summary and CLI footer; nothing simulated reads it"
+    )]
     let t0 = Instant::now();
     let mut cluster = build_cluster(&entry.spec);
     let report = cluster.run();

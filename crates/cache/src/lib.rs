@@ -11,6 +11,9 @@
 //! simulator only needs to know whether a read hits, how much is dirty,
 //! and which node's memory holds a chunk (to charge network transfers).
 
+// Hot path: byte offsets and chunk indices must not wrap or truncate.
+#![warn(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)]
+
 pub mod store;
 
 pub use store::{CacheConfig, CacheStats, GlobalCache, NodeId, OwnerId, ReadResult};

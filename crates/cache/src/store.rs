@@ -54,6 +54,10 @@ struct Chunk {
 }
 
 impl Chunk {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "a chunk's quota charges sum the bytes inserted into it"
+    )]
     fn charge(&mut self, owner: OwnerId, added: u64) {
         if added == 0 {
             return;
@@ -128,6 +132,10 @@ pub struct PrefetchLedger {
 
 impl PrefetchLedger {
     /// Does the conservation identity hold?
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "ledger sums are bounded by bytes that passed through a finite cache, and saturating would hide a real imbalance from the conservation check"
+    )]
     pub fn balanced(&self) -> bool {
         self.inserted
             == self.consumed + self.overwritten + self.evicted + self.misprefetched
@@ -208,6 +216,10 @@ impl GlobalCache {
     }
 
     /// Drop `removed` speculative bytes into the given ledger bucket.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "ledger sums are bounded by bytes that passed through a finite cache, and saturating would hide a real imbalance from the conservation check"
+    )]
     fn ledger_remove(&mut self, removed: u64, bucket: fn(&mut PrefetchLedger) -> &mut u64) {
         if removed == 0 {
             return;
@@ -223,12 +235,20 @@ impl GlobalCache {
 
     /// Home node of a chunk: round-robin by chunk index (§IV-D).
     #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "num_nodes is non-zero (checked in new)"
+    )]
     pub fn home_of(&self, _file: FileId, chunk_idx: u64) -> NodeId {
         let node = u32::try_from(chunk_idx % u64::from(self.cfg.num_nodes))
             .expect("residue of a u32 modulus fits in u32");
         NodeId(node)
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "callers pass non-empty regions, and chunk_size is non-zero (checked in new)"
+    )]
     fn chunk_range(&self, region: FileRegion) -> (u64, u64) {
         let first = region.offset / self.cfg.chunk_size;
         let last = (region.end() - 1) / self.cfg.chunk_size;
@@ -236,6 +256,11 @@ impl GlobalCache {
     }
 
     /// Iterate the (chunk_idx, sub-region) decomposition of `region`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "chunk bounds are clipped to the region, whose chunk count fits in memory"
+    )]
     fn per_chunk(&self, region: FileRegion) -> Vec<(u64, FileRegion)> {
         if region.len == 0 {
             return Vec::new();
@@ -252,6 +277,10 @@ impl GlobalCache {
         out
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "an owner's usage sums the bytes it inserted"
+    )]
     fn charge(&mut self, chunk: &mut Chunk, owner: OwnerId, added: u64) {
         if added == 0 {
             return;
@@ -262,6 +291,10 @@ impl GlobalCache {
 
     /// Insert prefetched data for `owner`. Returns `(home, bytes)` pairs for
     /// network-cost charging of the insertion.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "insert only grows coverage; the ledger and stats sum request bytes"
+    )]
     pub fn put_prefetch(
         &mut self,
         owner: OwnerId,
@@ -296,6 +329,10 @@ impl GlobalCache {
     }
 
     /// Buffer a write for `owner` (data-driven mode write path).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "insert only grows coverage and remove only shrinks it; stats sum request bytes"
+    )]
     pub fn put_write(
         &mut self,
         owner: OwnerId,
@@ -344,6 +381,10 @@ impl GlobalCache {
 
     /// Evict the node's least-recently-used *clean* chunks until it fits
     /// within `node_capacity`. Dirty chunks are pinned until write-back.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "eviction stats sum bytes that were cached"
+    )]
     fn enforce_node_capacity(&mut self, node: NodeId) {
         if self.cfg.node_capacity == u64::MAX {
             return;
@@ -384,6 +425,10 @@ impl GlobalCache {
 
     /// Probe (and consume) a read. Full hits mark the bytes as used and
     /// refresh the time tag.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "remove only shrinks coverage; sums are bounded by the request length"
+    )]
     pub fn read(&mut self, file: FileId, region: FileRegion, now: SimTime) -> ReadResult {
         self.stats.read_probes += 1;
         let mut found = 0u64;
@@ -432,6 +477,10 @@ impl GlobalCache {
     /// boundaries: the previous phase's consumed prefetch data and
     /// written-back data must stop counting against the per-process quota.
     /// Returns bytes evicted. Dirty chunks are kept.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "sums of bytes that were cached"
+    )]
     pub fn evict_clean_for(&mut self, files: &FxHashSet<FileId>) -> u64 {
         let mut evicted = 0u64;
         let mut pf_evicted = 0u64;
@@ -458,6 +507,10 @@ impl GlobalCache {
     /// Collect all dirty ranges for write-back, clearing dirty state but
     /// keeping the data cached. Output is sorted by (file, offset) — the
     /// order the CRM wants anyway.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "dirty runs are non-empty, and merged runs are adjacent pieces of one file"
+    )]
     pub fn drain_dirty(&mut self) -> Vec<(FileId, FileRegion)> {
         let mut out = Vec::new();
         for (&(file, _), chunk) in self.chunks.iter_mut() {
@@ -506,6 +559,10 @@ impl GlobalCache {
     /// End the prefetch epoch for `owner`: return the mis-prefetch ratio
     /// (unused prefetched bytes / prefetched bytes) and reset the epoch.
     /// Returns `None` if nothing was prefetched this epoch.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "sums of bytes that were cached"
+    )]
     pub fn end_prefetch_epoch(&mut self, owner: OwnerId) -> Option<f64> {
         let total = self.epoch_prefetched.remove(&owner)?;
         if total == 0 {
@@ -529,6 +586,10 @@ impl GlobalCache {
 
     /// Evict chunks idle since before `now - ttl`. Dirty chunks are never
     /// evicted (they must be written back first). Returns bytes evicted.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "sums of bytes that were cached"
+    )]
     pub fn evict_idle(&mut self, now: SimTime) -> u64 {
         let ttl = self.cfg.idle_ttl;
         let mut evicted = 0u64;
@@ -560,6 +621,10 @@ impl GlobalCache {
     /// # Panics
     /// Panics if the file still has dirty data — losing buffered writes is
     /// always a bug in the caller's phase logic.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "sums of bytes that were cached"
+    )]
     pub fn invalidate(&mut self, file: FileId) {
         let mut freed: Vec<(OwnerId, u64)> = Vec::new();
         let mut pf_evicted = 0u64;

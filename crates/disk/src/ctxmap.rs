@@ -78,6 +78,10 @@ impl<T> CtxMap<T> {
     }
 
     /// Insert `value` at `ctx`, overwriting any previous value.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "dense indices are below DENSE_LIMIT"
+    )]
     pub fn set(&mut self, ctx: IoCtx, value: T) {
         match Self::dense_index(ctx) {
             Some(i) => {
@@ -94,6 +98,10 @@ impl<T> CtxMap<T> {
     }
 
     /// The value at `ctx`, inserting `T::default()` first if absent.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "dense indices are below DENSE_LIMIT; the spill is non-empty after a push"
+    )]
     pub fn get_or_insert_default(&mut self, ctx: IoCtx) -> &mut T
     where
         T: Default,

@@ -126,6 +126,10 @@ impl Disk {
 
     /// If idle, pick the next request (or anticipation window). The caller
     /// must schedule the completion / poke event it is told about.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "lifetime statistics: seek sectors and bytes summed over serviced requests"
+    )]
     pub fn try_start(&mut self, now: SimTime) -> StartOutcome {
         if self.in_flight.is_some() {
             return StartOutcome::Quiescent; // busy; completion will re-poke

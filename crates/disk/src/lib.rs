@@ -8,6 +8,9 @@
 //! measures at the disk level — seek-distance statistics, LBN access traces,
 //! the sequential-vs-random throughput gap — is produced by these types.
 
+// Hot path: LBNs and sector counts must not wrap or truncate.
+#![warn(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)]
+
 pub mod ctxmap;
 pub mod disk;
 pub mod model;

@@ -78,6 +78,10 @@ impl DiskParams {
 
     /// Seek time for a head movement of `distance` sectors.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates; the result is capped at seek_max_ns"
+    )]
     pub fn seek_time(&self, distance: u64) -> SimDuration {
         if distance == 0 {
             return SimDuration::ZERO;
@@ -96,6 +100,10 @@ impl DiskParams {
     /// (low LBNs) stream at the full rate, the innermost at
     /// `inner_rate_fraction` of it, linearly interpolated in between.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates; the result is at most transfer_bytes_per_sec"
+    )]
     pub fn rate_at(&self, lbn: Lbn) -> u64 {
         if self.inner_rate_fraction >= 1.0 {
             return self.transfer_bytes_per_sec;

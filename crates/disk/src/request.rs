@@ -67,6 +67,10 @@ impl MergedIds {
     }
 
     /// Append one id, spilling to the heap when the inline buffer fills.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the inline length stays below MERGED_INLINE"
+    )]
     pub fn push(&mut self, id: u64) {
         match self {
             MergedIds::Inline { len, buf } => {

@@ -169,6 +169,10 @@ impl CfqScheduler {
 }
 
 impl Scheduler for CfqScheduler {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "total_queued counts the requests held in the queues"
+    )]
     fn enqueue(&mut self, req: DiskRequest) {
         let ctx = req.ctx;
         let before;
@@ -198,6 +202,10 @@ impl Scheduler for CfqScheduler {
         }
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "total_queued counts the requests held in the queues"
+    )]
     fn decide(&mut self, now: SimTime, head: Lbn) -> Decision {
         // Serve within the active slice while it lasts. Note anticipation
         // must run even when nothing at all is queued — that is the point
@@ -254,6 +262,10 @@ impl Scheduler for CfqScheduler {
         }
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "total_queued counts the requests held in the queues"
+    )]
     fn absorb_contiguous(&mut self, end: Lbn, kind: crate::request::IoKind) -> Option<DiskRequest> {
         // Context-id iteration order: when several contexts hold a
         // mergeable request at the same LBN, the lowest context id wins —
@@ -271,6 +283,10 @@ impl Scheduler for CfqScheduler {
         None
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "total_queued counts the requests held in the queues"
+    )]
     fn absorb_ending_at(&mut self, start: Lbn, kind: crate::request::IoKind) -> Option<DiskRequest> {
         for q in self.queues.values_mut() {
             if let Some(idx) = q

@@ -6,6 +6,12 @@
 //! Fig. 7(b), and so EMC can sample `aveSeekDist` exactly as the paper's
 //! locality daemon does from the kernel statistic.
 
+#![expect(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "statistics only: u64 sums of serviced requests and seek sectors cannot approach u64::MAX, and bin indices are bounded by the horizon"
+)]
+
 use crate::model::Lbn;
 use crate::request::{IoCtx, IoKind};
 use dualpar_sim::{SimDuration, SimTime};
@@ -62,7 +68,7 @@ impl BlockTrace {
         self.seek_sum += rec.seek_distance;
         self.seek_count += 1;
         self.window_sum = self.window_sum.saturating_add(rec.seek_distance);
-        self.window_count += 1; // audit:allow — bounded by records seen
+        self.window_count += 1;
         if self.enabled {
             self.records.push(rec);
         }

@@ -119,6 +119,10 @@ impl ExtentAllocator {
     ///
     /// # Panics
     /// Panics on access beyond the allocated object (an experiment bug).
+    #[expect(
+        clippy::panic,
+        reason = "an unallocated file is a caller bug; the message names the file id, which `expect` cannot format"
+    )]
     pub fn translate(&self, file: FileId, object_offset: u64, len: u64) -> Vec<(Lbn, u64)> {
         let extents = self
             .objects

@@ -84,7 +84,7 @@ proptest! {
         let mut p = Pvfs::new(servers, 64 * 1024, 1 << 32, AllocConfig::default());
         let f = p.create("f", 32 << 20);
         let step = step_kb * 1024;
-        let mut last: std::collections::HashMap<u32, u64> = Default::default();
+        let mut last: std::collections::BTreeMap<u32, u64> = Default::default();
         let mut off = 0;
         while off + 4096 <= 32 << 20 {
             for r in p.resolve(f, FileRegion::new(off, 4096)) {

@@ -10,6 +10,11 @@
 //!
 //! Not DoS-resistant; keys here are simulator-generated, never adversarial.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module defines FxHashMap/FxHashSet as std's HashMap/HashSet with a fixed-seed hasher"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

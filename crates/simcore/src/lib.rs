@@ -11,8 +11,9 @@
 //! * [`resource`] — FIFO resources and latency/bandwidth links;
 //! * [`slab`] — generational slab storage with stale-handle detection;
 //! * [`pool`] — order-preserving scoped worker pool (determinism-safe
-//!   parallel maps shared by the suite runner and the lint scanner); the
-//!   only module in the workspace that spawns threads.
+//!   parallel maps shared by the suite runner and the figure harnesses);
+//!   the only module in the workspace that spawns threads (clippy.toml
+//!   bans raw threads and channels everywhere else).
 //!
 //! Everything is single-threaded and allocation-conscious; determinism is a
 //! hard guarantee (same seed ⇒ bit-identical run), which the property tests

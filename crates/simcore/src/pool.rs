@@ -1,10 +1,10 @@
 //! Order-preserving scoped worker pool.
 //!
 //! The shared work-queue pattern every parallel consumer in the workspace
-//! uses (the suite runner, the source-lint file scanner): workers claim
+//! uses (the suite runner and the figure harnesses): workers claim
 //! items from an [`AtomicUsize`] cursor over a claim-order permutation and
 //! deliver `(original_index, result)` over an [`mpsc`] channel, so no locks
-//! are held anywhere (the workspace lint bans `std::sync::Mutex`, and the
+//! are held anywhere (clippy.toml bans `std::sync::Mutex`, and the
 //! claim/deliver pattern does not want one anyway). Results are re-ordered
 //! by input index before returning, which is what makes the pool safe for
 //! byte-identity guarantees: claim order changes *which worker* runs an
@@ -36,8 +36,11 @@ pub enum DeadlineError {
 /// reports the failure and moves on, not for anything long-lived.
 ///
 /// Timing uses [`mpsc::Receiver::recv_timeout`], so no wall-clock reads
-/// happen here (the workspace lint bans `Instant::now` outside allowed
-/// call sites).
+/// happen here (clippy.toml bans `Instant::now`).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this module is the one home of threads and channels; results are re-ordered by input index, so callers stay deterministic"
+)]
 pub fn run_with_deadline<R, F>(f: F, timeout: Duration) -> Result<R, DeadlineError>
 where
     R: Send + 'static,
@@ -109,6 +112,10 @@ where
 ///
 /// A panicking worker propagates its panic out of this call after the
 /// scope joins — no result is silently dropped.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this module is the one home of threads and channels; results are re-ordered by input index, so callers stay deterministic"
+)]
 fn parallel_map_in_claim_order<T, R, F>(
     items: &[T],
     jobs: usize,

@@ -2,7 +2,7 @@
 
 use dualpar_sim::{DetRng, EventQueue, FifoResource, OnlineStats, SimDuration, SimTime, Slab};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 proptest! {
     /// Events always pop in nondecreasing time order, and every live event
@@ -89,7 +89,7 @@ proptest! {
         let mut slab: Slab<u64> = Slab::new();
         let mut live: Vec<(dualpar_sim::SlabKey, u64)> = Vec::new();
         let mut dead: Vec<dualpar_sim::SlabKey> = Vec::new();
-        let mut raws: HashMap<u64, ()> = HashMap::new();
+        let mut raws: BTreeMap<u64, ()> = BTreeMap::new();
         let mut next_val = 0u64;
         for &(is_insert, pick) in &ops {
             if is_insert || live.is_empty() {

@@ -8,15 +8,15 @@
 //!    workspace passes a `(component, kind)` string-literal pair;
 //! 2. **The auditor** — `dualpar-audit` dispatches its invariant checks on
 //!    exactly these pairs (`dualpar_audit::audited_kinds` mirrors this
-//!    table, and a parity test enforces the mirror);
-//! 3. **The static cross-check** — `dualpar-audit lint` extracts every
-//!    literal pair from the workspace source and diffs it against this
-//!    table: an emitted pair missing here means the auditor silently
-//!    ignores those records; a pair listed here that no non-test code can
-//!    emit means the audit rule is dead.
+//!    table, and a parity test enforces the mirror) and reports any other
+//!    pair in a trace as a `trace-schema` violation;
+//! 3. **The coverage test** — `tests/tests/telemetry.rs` runs the
+//!    interference scenario with spans on and asserts that the set of
+//!    pairs it emits equals this table, so a registered kind that nothing
+//!    emits (a dead audit rule) fails the test suite.
 //!
-//! Adding a new trace record therefore takes three steps, and the lint
-//! fails until all three are done: add the entry here, emit it, and teach
+//! Adding a new trace record therefore takes three steps, and the tests
+//! fail until all three are done: add the entry here, emit it, and teach
 //! the auditor what invariant it carries.
 
 /// One registered trace-record kind.

@@ -17,10 +17,15 @@
 //!   produce the golden trace;
 //! - `--trace <path>` records the adaptive run's full JSONL event trace to
 //!   `<path>` (for `dualpar-audit trace`).
+//!
+//! A bad command line prints usage and exits 2; a failed trace write exits 1.
 
 use dualpar_cluster::prelude::*;
 use dualpar_workloads::{Hpio, MpiIoTest};
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
+
+const USAGE: &str = "usage: interference [--small] [--trace <out.jsonl>]";
 
 struct Scenario {
     small: bool,
@@ -72,13 +77,10 @@ fn run(adaptive: bool, scenario: &Scenario) {
             snapshot.trace_dropped, 0,
             "trace ring overflowed; raise trace_capacity"
         );
-        let mut file = std::io::BufWriter::new(
-            std::fs::File::create(path)
-                .unwrap_or_else(|e| panic!("create {}: {e}", path.display())),
-        );
-        cluster
-            .export_trace(&mut file)
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        if let Err(e) = write_trace(&cluster, path) {
+            eprintln!("interference: writing {}: {e}", path.display());
+            std::process::exit(1);
+        }
         println!(
             "[trace: {} events -> {}]",
             snapshot.trace_events,
@@ -107,6 +109,17 @@ fn run(adaptive: bool, scenario: &Scenario) {
     );
 }
 
+fn write_trace(cluster: &Cluster, path: &Path) -> std::io::Result<()> {
+    let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
+    cluster.export_trace(&mut file)?;
+    file.flush()
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("interference: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut scenario = Scenario {
         small: false,
@@ -116,13 +129,11 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--small" => scenario.small = true,
-            "--trace" => {
-                let path = args.next().unwrap_or_else(|| {
-                    panic!("--trace needs a path");
-                });
-                scenario.trace = Some(PathBuf::from(path));
-            }
-            other => panic!("unknown flag {other:?} (expected --small / --trace <path>)"),
+            "--trace" => match args.next() {
+                Some(path) => scenario.trace = Some(PathBuf::from(path)),
+                None => usage_error("--trace needs a path"),
+            },
+            other => usage_error(&format!("unknown flag {other:?}")),
         }
     }
     run(false, &scenario);

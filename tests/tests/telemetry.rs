@@ -2,8 +2,10 @@
 //! series consistency with the engine's own diagnostics.
 
 use dualpar_cluster::prelude::*;
+use dualpar_telemetry::schema::TRACE_SCHEMA;
 use dualpar_telemetry::FieldValue;
-use dualpar_workloads::MpiIoTest;
+use dualpar_workloads::{Hpio, MpiIoTest};
+use std::collections::BTreeSet;
 
 fn small() -> Experiment {
     Experiment::darwin().servers(3).compute_nodes(2)
@@ -182,4 +184,49 @@ fn levels_gate_what_is_recorded() {
     assert!(!snap.counters.is_empty());
     let trace = run(TelemetryLevel::Trace);
     assert!(trace.telemetry.expect("trace-level snapshot").trace_events > 0);
+}
+
+/// The interference scenario (`examples/interference.rs --small`, adaptive
+/// run) with spans on emits exactly the registered trace kinds: a
+/// registered kind nothing emits is a dead audit rule, and an emitted kind
+/// nobody registered would escape the auditor's checks.
+#[test]
+fn interference_trace_emits_exactly_the_schema() {
+    let stream = MpiIoTest {
+        nprocs: 16,
+        file_size: 32 << 20,
+        barrier_every: 8,
+        ..Default::default()
+    };
+    let hpio = Hpio {
+        nprocs: 16,
+        region_count: 64,
+        ..Default::default()
+    };
+    let mut c = Experiment::darwin()
+        .telemetry_config(TelemetryConfig {
+            level: TelemetryLevel::Trace,
+            trace_capacity: 1 << 22,
+            spans: true,
+        })
+        .file("stream", stream.file_size)
+        .file("hpio", hpio.file_size())
+        .program(IoStrategy::DualPar, move |files| stream.build(files[0]))
+        .program_at(IoStrategy::DualPar, SimTime::from_secs(1), move |files| {
+            hpio.build(files[1])
+        })
+        .build()
+        .expect("valid experiment");
+    let report = c.run();
+    let snap = report.telemetry.as_ref().expect("telemetry is on");
+    assert_eq!(snap.trace_dropped, 0, "trace ring overflowed");
+    let emitted: BTreeSet<(&str, &str)> = c
+        .telemetry()
+        .trace()
+        .iter()
+        .map(|ev| (ev.component, ev.kind))
+        .collect();
+    let registered: BTreeSet<(&str, &str)> =
+        TRACE_SCHEMA.iter().map(|s| (s.component, s.kind)).collect();
+    assert_eq!(emitted, registered);
 }
