@@ -123,6 +123,28 @@ fn bench_cache_store(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // BTIO's checkpoint pattern (§V-C): 64 ranks each buffer 16-byte cells
+    // at a 1 KiB stride over 64 chunks, rank after rank, so every chunk
+    // fragments into many runs that later ranks' cells merge back together.
+    let (ranks, cell, stride, chunks) = (64u64, 16u64, 1024u64, 64u64);
+    let cells = chunks * chunk / stride;
+    g.throughput(Throughput::Elements(ranks * cells));
+    g.bench_function("put_write_btio_cells", |b| {
+        b.iter_batched(
+            || GlobalCache::new(cfg.clone()),
+            |mut cache| {
+                let f = FileId(1);
+                for rank in 0..ranks {
+                    for k in 0..cells {
+                        let region = FileRegion::new(k * stride + rank * cell, cell);
+                        black_box(cache.put_write(OwnerId(rank), f, region, SimTime::ZERO));
+                    }
+                }
+                black_box(cache.dirty_bytes())
+            },
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 
@@ -136,15 +158,16 @@ fn bench_rangeset(c: &mut Criterion) {
         b.iter(|| {
             let mut set = RangeSet::new();
             let mut probe = 0u64;
+            let mut moved = 0u64;
             for i in 0..n {
                 let start = (i.wrapping_mul(2654435761)) % (1 << 22);
                 match i % 4 {
-                    0 | 1 => set.insert(start, 4096),
-                    2 => set.remove(start, 2048),
+                    0 | 1 => moved += set.insert(start, 4096),
+                    2 => moved += set.remove(start, 2048),
                     _ => probe += set.intersect_len(start, 8192),
                 }
             }
-            black_box((set.covered(), probe))
+            black_box((set.covered(), probe, moved))
         })
     });
     g.finish();

@@ -16,4 +16,4 @@
 
 pub mod store;
 
-pub use store::{CacheConfig, CacheStats, GlobalCache, NodeId, OwnerId, ReadResult};
+pub use store::{CacheConfig, CacheStats, ChunkHomes, GlobalCache, NodeId, OwnerId, ReadResult};

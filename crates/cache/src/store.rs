@@ -62,7 +62,9 @@ impl Chunk {
         if added == 0 {
             return;
         }
-        match self.charges.iter_mut().find(|(o, _)| *o == owner) {
+        // Back first: consecutive pieces of one call hit the same chunk, so
+        // the caller is usually its most recent charger.
+        match self.charges.iter_mut().rev().find(|(o, _)| *o == owner) {
             Some((_, c)) => *c += added,
             None => self.charges.push((owner, added)),
         }
@@ -71,6 +73,70 @@ impl Chunk {
     /// Owners whose prefetched data this chunk may hold.
     fn charged_owners(&self) -> impl Iterator<Item = OwnerId> + '_ {
         self.charges.iter().map(|&(o, _)| o)
+    }
+}
+
+/// The `(chunk index, sub-region)` pieces of a region, one per chunk it
+/// touches, in ascending offset order. Pure arithmetic on the chunk size:
+/// no allocation and no borrow of the cache.
+#[derive(Debug, Clone, Copy)]
+struct ChunkPieces {
+    chunk_size: u64,
+    /// Start of the next piece.
+    pos: u64,
+    end: u64,
+}
+
+impl Iterator for ChunkPieces {
+    type Item = (u64, FileRegion);
+
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "chunk_size is non-zero (checked in new), idx * chunk_size <= pos, and the piece ends past pos"
+    )]
+    fn next(&mut self) -> Option<(u64, FileRegion)> {
+        if self.pos >= self.end {
+            return None;
+        }
+        let idx = self.pos / self.chunk_size;
+        let chunk_end = (idx * self.chunk_size).saturating_add(self.chunk_size);
+        let e = self.end.min(chunk_end);
+        let piece = FileRegion::new(self.pos, e - self.pos);
+        self.pos = e;
+        Some((idx, piece))
+    }
+}
+
+/// Home node of chunk `chunk_idx`: round-robin over the compute nodes (§IV-D).
+#[inline]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "num_nodes is non-zero (checked in new)"
+)]
+fn home_node(chunk_idx: u64, num_nodes: u32) -> NodeId {
+    let node = u32::try_from(chunk_idx % u64::from(num_nodes))
+        .expect("residue of a u32 modulus fits in u32");
+    NodeId(node)
+}
+
+/// The `(home node, bytes)` pairs of a region inserted by
+/// [`GlobalCache::put_write`] or [`GlobalCache::put_prefetch`]: one per
+/// chunk the region touches, in ascending offset order, for charging the
+/// network transfer of each piece to its home. Computed from the region on
+/// the fly, so it is `Copy`, allocates nothing and holds no borrow of the
+/// cache.
+#[derive(Debug, Clone, Copy)]
+pub struct ChunkHomes {
+    pieces: ChunkPieces,
+    num_nodes: u32,
+}
+
+impl Iterator for ChunkHomes {
+    type Item = (NodeId, u64);
+
+    fn next(&mut self) -> Option<(NodeId, u64)> {
+        let (idx, sub) = self.pieces.next()?;
+        Some((home_node(idx, self.num_nodes), sub.len))
     }
 }
 
@@ -235,65 +301,44 @@ impl GlobalCache {
 
     /// Home node of a chunk: round-robin by chunk index (§IV-D).
     #[inline]
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "num_nodes is non-zero (checked in new)"
-    )]
     pub fn home_of(&self, _file: FileId, chunk_idx: u64) -> NodeId {
-        let node = u32::try_from(chunk_idx % u64::from(self.cfg.num_nodes))
-            .expect("residue of a u32 modulus fits in u32");
-        NodeId(node)
+        home_node(chunk_idx, self.cfg.num_nodes)
     }
 
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "callers pass non-empty regions, and chunk_size is non-zero (checked in new)"
-    )]
-    fn chunk_range(&self, region: FileRegion) -> (u64, u64) {
-        let first = region.offset / self.cfg.chunk_size;
-        let last = (region.end() - 1) / self.cfg.chunk_size;
-        (first, last)
+    /// The per-chunk pieces of `region` (none for an empty region).
+    fn pieces(&self, region: FileRegion) -> ChunkPieces {
+        ChunkPieces {
+            chunk_size: self.cfg.chunk_size,
+            pos: region.offset,
+            end: region.end(),
+        }
     }
 
-    /// Iterate the (chunk_idx, sub-region) decomposition of `region`.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        clippy::cast_possible_truncation,
-        reason = "chunk bounds are clipped to the region, whose chunk count fits in memory"
-    )]
-    fn per_chunk(&self, region: FileRegion) -> Vec<(u64, FileRegion)> {
-        if region.len == 0 {
-            return Vec::new();
+    /// The `(home, bytes)` pairs of `region`'s pieces.
+    fn homes(&self, region: FileRegion) -> ChunkHomes {
+        ChunkHomes {
+            pieces: self.pieces(region),
+            num_nodes: self.cfg.num_nodes,
         }
-        let (first, last) = self.chunk_range(region);
-        let mut out = Vec::with_capacity((last - first + 1) as usize);
-        for idx in first..=last {
-            let cs = idx * self.cfg.chunk_size;
-            let ce = cs + self.cfg.chunk_size;
-            let s = region.offset.max(cs);
-            let e = region.end().min(ce);
-            out.push((idx, FileRegion::new(s, e - s)));
-        }
-        out
     }
 
     #[expect(
         clippy::arithmetic_side_effects,
         reason = "an owner's usage sums the bytes it inserted"
     )]
-    fn charge(&mut self, chunk: &mut Chunk, owner: OwnerId, added: u64) {
+    fn charge_usage(&mut self, owner: OwnerId, added: u64) {
         if added == 0 {
             return;
         }
-        chunk.charge(owner, added);
         *self.usage.entry(owner).or_insert(0) += added;
     }
 
-    /// Insert prefetched data for `owner`. Returns `(home, bytes)` pairs for
-    /// network-cost charging of the insertion.
+    /// Insert prefetched data for `owner`. Returns the `(home, bytes)` pair
+    /// of every chunk piece of `region`, for network-cost charging of the
+    /// insertion. The owner is charged only for bytes not already present.
     #[expect(
         clippy::arithmetic_side_effects,
-        reason = "insert only grows coverage; the ledger and stats sum request bytes"
+        reason = "sums of bytes newly covered by insert are bounded by the request length; the ledger and stats sum request bytes"
     )]
     pub fn put_prefetch(
         &mut self,
@@ -301,37 +346,38 @@ impl GlobalCache {
         file: FileId,
         region: FileRegion,
         now: SimTime,
-    ) -> Vec<(NodeId, u64)> {
-        let mut homes = Vec::new();
-        for (idx, sub) in self.per_chunk(region) {
-            let home = self.home_of(file, idx);
-            let mut chunk = self.chunks.remove(&(file, idx)).unwrap_or_default();
-            let before = chunk.present.covered();
-            let pf_before = chunk.prefetched_unused.covered();
-            chunk.present.insert(sub.offset, sub.len);
-            chunk.prefetched_unused.insert(sub.offset, sub.len);
+    ) -> ChunkHomes {
+        let mut added = 0u64;
+        let mut pf_added = 0u64;
+        for (idx, sub) in self.pieces(region) {
+            let chunk = self.chunks.entry((file, idx)).or_default();
+            let new = chunk.present.insert(sub.offset, sub.len);
+            pf_added += chunk.prefetched_unused.insert(sub.offset, sub.len);
             chunk.last_ref = now;
-            let added = chunk.present.covered() - before;
-            let pf_added = chunk.prefetched_unused.covered() - pf_before;
-            self.ledger.inserted += pf_added;
-            self.ledger.unused_now = self.ledger.unused_now.saturating_add(pf_added);
-            self.charge(&mut chunk, owner, added);
-            self.chunks.insert((file, idx), chunk);
-            homes.push((home, sub.len));
+            chunk.charge(owner, new);
+            added += new;
         }
+        self.charge_usage(owner, added);
+        self.ledger.inserted += pf_added;
+        self.ledger.unused_now = self.ledger.unused_now.saturating_add(pf_added);
         dualpar_sim::strict_assert!(self.ledger.balanced(), "ledger after put_prefetch");
         self.stats.bytes_prefetched += region.len;
         *self.epoch_prefetched.entry(owner).or_insert(0) += region.len;
-        for &(home, _) in &homes {
+        let homes = self.homes(region);
+        for (home, _) in homes {
             self.enforce_node_capacity(home);
         }
         homes
     }
 
-    /// Buffer a write for `owner` (data-driven mode write path).
+    /// Buffer a write for `owner` (data-driven mode write path). Returns the
+    /// `(home, bytes)` pair of every chunk piece of `region`, for
+    /// network-cost charging of the write. The owner is charged only for
+    /// bytes not already present; prefetched bytes it overwrites become
+    /// live data.
     #[expect(
         clippy::arithmetic_side_effects,
-        reason = "insert only grows coverage and remove only shrinks it; stats sum request bytes"
+        reason = "sums of bytes newly covered by insert or dropped by remove are bounded by the request length; stats sum request bytes"
     )]
     pub fn put_write(
         &mut self,
@@ -339,32 +385,28 @@ impl GlobalCache {
         file: FileId,
         region: FileRegion,
         now: SimTime,
-    ) -> Vec<(NodeId, u64)> {
-        let mut homes = Vec::new();
+    ) -> ChunkHomes {
+        let mut added = 0u64;
+        let mut dirty_added = 0u64;
         let mut overwritten = 0u64;
-        for (idx, sub) in self.per_chunk(region) {
-            let home = self.home_of(file, idx);
-            let mut chunk = self.chunks.remove(&(file, idx)).unwrap_or_default();
-            let before = chunk.present.covered();
-            let dirty_before = chunk.dirty.covered();
-            let pf_before = chunk.prefetched_unused.covered();
-            chunk.present.insert(sub.offset, sub.len);
-            chunk.dirty.insert(sub.offset, sub.len);
-            self.dirty_now = self.dirty_now.saturating_add(chunk.dirty.covered() - dirty_before);
+        for (idx, sub) in self.pieces(region) {
+            let chunk = self.chunks.entry((file, idx)).or_default();
+            let new = chunk.present.insert(sub.offset, sub.len);
+            dirty_added += chunk.dirty.insert(sub.offset, sub.len);
             // Written bytes are live data, not speculative.
-            chunk.prefetched_unused.remove(sub.offset, sub.len);
-            overwritten += pf_before - chunk.prefetched_unused.covered();
+            overwritten += chunk.prefetched_unused.remove(sub.offset, sub.len);
             chunk.last_ref = now;
-            let added = chunk.present.covered() - before;
-            self.charge(&mut chunk, owner, added);
-            self.chunks.insert((file, idx), chunk);
-            homes.push((home, sub.len));
+            chunk.charge(owner, new);
+            added += new;
         }
+        self.charge_usage(owner, added);
+        self.dirty_now = self.dirty_now.saturating_add(dirty_added);
         self.ledger_remove(overwritten, |l| &mut l.overwritten);
         dualpar_sim::strict_assert!(self.ledger.balanced(), "ledger after put_write");
         self.stats.bytes_written += region.len;
         self.stats.dirty_hwm = self.stats.dirty_hwm.max(self.dirty_now);
-        for &(home, _) in &homes {
+        let homes = self.homes(region);
+        for (home, _) in homes {
             self.enforce_node_capacity(home);
         }
         homes
@@ -427,21 +469,19 @@ impl GlobalCache {
     /// refresh the time tag.
     #[expect(
         clippy::arithmetic_side_effects,
-        reason = "remove only shrinks coverage; sums are bounded by the request length"
+        reason = "sums of bytes found or removed are bounded by the request length"
     )]
     pub fn read(&mut self, file: FileId, region: FileRegion, now: SimTime) -> ReadResult {
         self.stats.read_probes += 1;
         let mut found = 0u64;
         let mut consumed = 0u64;
         let mut homes = Vec::new();
-        for (idx, sub) in self.per_chunk(region) {
+        for (idx, sub) in self.pieces(region) {
             if let Some(chunk) = self.chunks.get_mut(&(file, idx)) {
                 let n = chunk.present.intersect_len(sub.offset, sub.len);
                 if n > 0 {
                     found += n;
-                    let pf_before = chunk.prefetched_unused.covered();
-                    chunk.prefetched_unused.remove(sub.offset, sub.len);
-                    consumed += pf_before - chunk.prefetched_unused.covered();
+                    consumed += chunk.prefetched_unused.remove(sub.offset, sub.len);
                     chunk.last_ref = now;
                     homes.push((self.home_of(file, idx), n));
                 }
@@ -462,12 +502,9 @@ impl GlobalCache {
     /// Non-consuming probe: is every byte of `region` present? Does not
     /// touch reference times or prefetch-usage markers.
     pub fn contains(&self, file: FileId, region: FileRegion) -> bool {
-        if region.len == 0 {
-            return true;
-        }
-        self.per_chunk(region).iter().all(|(idx, sub)| {
+        self.pieces(region).all(|(idx, sub)| {
             self.chunks
-                .get(&(file, *idx))
+                .get(&(file, idx))
                 .is_some_and(|c| c.present.contains_range(sub.offset, sub.len))
         })
     }
@@ -569,10 +606,14 @@ impl GlobalCache {
             return None;
         }
         let mut unused = 0u64;
-        for chunk in self.chunks.values_mut() {
-            if chunk.charged_owners().any(|o| o == owner) {
-                unused += chunk.prefetched_unused.covered();
-                chunk.prefetched_unused.clear();
+        // With no unused prefetched bytes anywhere, the scan could only
+        // find 0 and clear nothing; the strict rescan below still checks.
+        if self.ledger.unused_now > 0 {
+            for chunk in self.chunks.values_mut() {
+                if chunk.charged_owners().any(|o| o == owner) {
+                    unused += chunk.prefetched_unused.covered();
+                    chunk.prefetched_unused.clear();
+                }
             }
         }
         self.ledger_remove(unused, |l| &mut l.misprefetched);
@@ -753,6 +794,43 @@ mod tests {
         c.put_prefetch(ow, f(1), FileRegion::new(0, 4096), SimTime::ZERO);
         c.read(f(1), FileRegion::new(0, 4096), SimTime::ZERO);
         assert_eq!(c.end_prefetch_epoch(ow), Some(0.0));
+    }
+
+    #[test]
+    fn consumed_epoch_skips_scan_and_stays_balanced() {
+        let mut c = cache(2);
+        let ow = OwnerId(1);
+        let region = FileRegion::new(CHUNK / 2, 2 * CHUNK);
+        c.put_prefetch(ow, f(1), region, SimTime::ZERO);
+        c.put_prefetch(OwnerId(2), f(2), FileRegion::new(0, 512), SimTime::ZERO);
+        c.read(f(1), region, SimTime::ZERO);
+        c.read(f(2), FileRegion::new(0, 512), SimTime::ZERO);
+        assert_eq!(c.prefetch_ledger().unused_now, 0);
+        assert_eq!(c.end_prefetch_epoch(ow), Some(0.0));
+        let l = c.prefetch_ledger();
+        assert_eq!(l.inserted, 2 * CHUNK + 512);
+        assert_eq!(l.consumed, l.inserted);
+        assert_eq!(l.misprefetched, 0);
+        c.assert_conservation();
+    }
+
+    #[test]
+    fn put_returns_chunk_homes_in_offset_order() {
+        let mut c = cache(3);
+        let region = FileRegion::new(CHUNK - 100, 2 * CHUNK);
+        let want = vec![
+            (NodeId(0), 100),
+            (NodeId(1), CHUNK),
+            (NodeId(2), CHUNK - 100),
+        ];
+        let homes = c.put_write(OwnerId(1), f(1), region, SimTime::ZERO);
+        assert_eq!(homes.collect::<Vec<_>>(), want);
+        let homes = c.put_prefetch(OwnerId(1), f(1), region, SimTime::ZERO);
+        assert_eq!(homes.collect::<Vec<_>>(), want);
+        let empty = c.put_write(OwnerId(1), f(1), FileRegion::new(0, 0), SimTime::ZERO);
+        assert_eq!(empty.count(), 0);
+        // Both calls covered the same bytes: only the first is charged.
+        assert_eq!(c.usage(OwnerId(1)), 2 * CHUNK);
     }
 
     #[test]

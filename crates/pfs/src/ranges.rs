@@ -3,6 +3,8 @@
 //! Used by the global cache to track which bytes of a chunk are present or
 //! dirty, and by the CRM to compute holes between requests. Stored as a
 //! sorted `Vec<(start, end)>` of half-open intervals, merged on insert.
+//! `insert` and `remove` return the bytes they added or removed, so a
+//! caller keeping byte totals never has to rescan the set.
 
 use serde::{Deserialize, Serialize};
 
@@ -60,44 +62,59 @@ impl RangeSet {
     }
 
     /// Insert `[start, start+len)`, merging with touching/overlapping runs.
-    pub fn insert(&mut self, start: u64, len: u64) {
+    /// Returns the bytes newly covered (`len` minus the bytes already
+    /// present), so callers never need a before/after [`covered`] pair.
+    ///
+    /// [`covered`]: RangeSet::covered
+    pub fn insert(&mut self, start: u64, len: u64) -> u64 {
         if len == 0 {
-            return;
+            return 0;
         }
         let mut s = start;
         let mut e = range_end(start, len);
         // Find all runs overlapping or touching [s, e).
         let lo = self.runs.partition_point(|&(_, re)| re < s);
         let mut hi = lo;
+        let mut absorbed = 0;
         while hi < self.runs.len() && self.runs[hi].0 <= e {
-            s = s.min(self.runs[hi].0);
-            e = e.max(self.runs[hi].1);
+            let (rs, re) = self.runs[hi];
+            absorbed += re - rs;
+            s = s.min(rs);
+            e = e.max(re);
             hi += 1;
         }
         self.runs.splice(lo..hi, [(s, e)]);
+        (e - s) - absorbed
     }
 
-    /// Remove `[start, start+len)` from the set.
-    pub fn remove(&mut self, start: u64, len: u64) {
-        if len == 0 || self.runs.is_empty() {
-            return;
+    /// Remove `[start, start+len)` from the set. Returns the bytes removed.
+    /// Works in place: only the runs overlapping the range are replaced
+    /// (by at most two trimmed ends), and a range that overlaps nothing
+    /// leaves the set untouched.
+    pub fn remove(&mut self, start: u64, len: u64) -> u64 {
+        if len == 0 {
+            return 0;
         }
         let s = start;
         let e = range_end(start, len);
-        let mut result = Vec::with_capacity(self.runs.len() + 1);
-        for &(rs, re) in &self.runs {
-            if re <= s || rs >= e {
-                result.push((rs, re));
-                continue;
-            }
-            if rs < s {
-                result.push((rs, s));
-            }
-            if re > e {
-                result.push((e, re));
-            }
+        let lo = self.runs.partition_point(|&(_, re)| re <= s);
+        let mut hi = lo;
+        let mut removed = 0;
+        while hi < self.runs.len() && self.runs[hi].0 < e {
+            let (rs, re) = self.runs[hi];
+            removed += re.min(e) - rs.max(s);
+            hi += 1;
         }
-        self.runs = result;
+        if hi == lo {
+            return 0;
+        }
+        let first_start = self.runs[lo].0;
+        let last_end = self.runs[hi - 1].1;
+        // The trimmed ends that survive: `[first_start, s)` and `[e, last_end)`.
+        let ends = [(first_start, s), (e, last_end)];
+        let keep = usize::from(first_start >= s)..1 + usize::from(last_end > e);
+        self.runs.splice(lo..hi, ends[keep].iter().copied());
+        removed
     }
 
     /// Does the set fully cover `[start, start+len)`?
@@ -198,8 +215,24 @@ mod tests {
     #[test]
     fn remove_nonexistent_is_noop() {
         let mut r = RangeSet::from_range(0, 10);
-        r.remove(50, 10);
+        assert_eq!(r.remove(50, 10), 0);
         assert_eq!(r.covered(), 10);
+    }
+
+    #[test]
+    fn insert_and_remove_return_byte_deltas() {
+        let mut r = RangeSet::new();
+        assert_eq!(r.insert(0, 10), 10);
+        assert_eq!(r.insert(5, 10), 5); // 10..15 is new
+        assert_eq!(r.insert(20, 5), 5);
+        assert_eq!(r.insert(0, 30), 10); // fills 15..20 and 25..30
+        assert_eq!(r.insert(3, 4), 0);
+        assert_eq!(r.remove(10, 5), 5); // splits the run
+        assert_eq!(r.num_runs(), 2);
+        assert_eq!(r.remove(5, 20), 15); // trims both neighbours
+        assert_eq!(r.iter().collect::<Vec<_>>(), vec![(0, 5), (25, 30)]);
+        assert_eq!(r.remove(0, 40), 10);
+        assert!(r.is_empty());
     }
 
     #[test]
@@ -279,7 +312,56 @@ mod tests {
             })
         }
 
+        /// Window of the bitmap oracle below.
+        const SPAN: usize = 256;
+
+        /// The canonical runs of a byte bitmap.
+        fn bitmap_runs(bits: &[bool]) -> Vec<(u64, u64)> {
+            let mut runs = Vec::new();
+            let mut i = 0;
+            while i < bits.len() {
+                if bits[i] {
+                    let s = i;
+                    while i < bits.len() && bits[i] {
+                        i += 1;
+                    }
+                    runs.push((s as u64, i as u64));
+                } else {
+                    i += 1;
+                }
+            }
+            runs
+        }
+
         proptest! {
+            #[test]
+            fn deltas_match_bitmap_oracle(
+                ops in proptest::collection::vec(
+                    (any::<bool>(), 0u64..SPAN as u64, 0u64..48), 1..64)
+            ) {
+                let mut r = RangeSet::new();
+                let mut bits = [false; SPAN + 48];
+                for &(is_insert, start, len) in &ops {
+                    let before = r.runs.clone();
+                    let window = &mut bits[start as usize..(start + len) as usize];
+                    let flips = window.iter().filter(|&&b| b != is_insert).count() as u64;
+                    window.fill(is_insert);
+                    let delta = if is_insert {
+                        r.insert(start, len)
+                    } else {
+                        r.remove(start, len)
+                    };
+                    prop_assert_eq!(delta, flips, "op {:?}", (is_insert, start, len));
+                    if !is_insert && delta == 0 {
+                        prop_assert_eq!(&r.runs, &before, "a remove that overlaps nothing");
+                    }
+                    // Sorted, disjoint, non-touching, non-empty runs.
+                    prop_assert!(r.runs.iter().all(|&(s, e)| s < e));
+                    prop_assert!(r.runs.windows(2).all(|w| w[0].1 < w[1].0));
+                    prop_assert_eq!(&r.runs, &bitmap_runs(&bits));
+                }
+            }
+
             #[test]
             fn single_insert_near_max_round_trips(
                 (start, len) in near_max_range()

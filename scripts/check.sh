@@ -73,6 +73,7 @@ cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
 # the vendored criterion stub) so a bench-only compile break or panic fails
 # the gate without paying for timed samples.
 cargo bench --offline -p dualpar-bench --bench hot_path -- --test
+cargo bench --offline -p dualpar-bench --bench sim_microbench -- --test
 
 # Suite smoke: the parallel runner over the small figure-set suite, with
 # the serial-twin determinism check (exits non-zero on any byte-level
