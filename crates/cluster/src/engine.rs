@@ -676,12 +676,14 @@ impl Cluster {
     /// The loop is conservative discrete-event simulation over the logical
     /// shards, with the network's one-way latency as lookahead. Each round:
     ///
-    /// 1. `global_next` = earliest pending event across every shard.
+    /// 1. `global_next` = earliest pending event across every shard (each
+    ///    server queue is peeked once per round).
     /// 2. If the next EMC tick is at `global_next`, run a serial section
     ///    instead (the tick reads every disk's seek window).
     /// 3. Otherwise the window horizon is
-    ///    `min(global_next + net_latency, next_tick)`; every server shard,
-    ///    then the client shard, executes its events with `t < horizon`.
+    ///    `min(global_next + net_latency, next_tick)`; every server shard
+    ///    with an event before the horizon, in index order, then the
+    ///    client shard, executes its events with `t < horizon`.
     ///    No message sent inside the window can be delivered before the
     ///    horizon, so the shards need not see each other mid-window.
     /// 4. At the barrier, [`Cluster::exchange`] delivers the outboxes in
@@ -710,11 +712,17 @@ impl Cluster {
             self.next_tick = Some(at);
         }
         let lookahead = self.cfg.net_latency;
+        // Each server's next event time, peeked once per window: it gives
+        // `global_next`, picks the servers that have work before the
+        // horizon, and answers the quiescence check below.
+        let mut server_next: Vec<Option<SimTime>> = Vec::with_capacity(self.servers.len());
         loop {
-            let global = self
-                .servers
-                .iter_mut()
-                .filter_map(|s| s.queue.peek_time())
+            server_next.clear();
+            server_next.extend(self.servers.iter_mut().map(|s| s.queue.peek_time()));
+            let global = server_next
+                .iter()
+                .flatten()
+                .copied()
                 .chain(self.queue.peek_time())
                 .min();
             let Some(gn) = global else { break };
@@ -728,12 +736,12 @@ impl Cluster {
                     let (now, ev) = self.queue.pop().expect("peeked event present");
                     self.events_processed += 1;
                     self.handle(now, ev);
-                    if self.finished_programs == self.programs.len() && !self.programs.is_empty() {
+                    if self.all_finished() {
                         break;
                     }
                 }
                 self.exchange();
-                if self.finished_programs == self.programs.len() && !self.programs.is_empty() {
+                if self.all_finished() {
                     break;
                 }
                 continue;
@@ -742,15 +750,20 @@ impl Cluster {
             if let Some(tick) = self.next_tick {
                 horizon = horizon.min(tick);
             }
-            let server_events: u64 = self.servers.iter_mut().map(|s| s.run_window(horizon)).sum();
-            if server_events > 0 {
-                self.run_client_window(horizon, false);
-            } else if self
+            // A server whose next event is at or past the horizon would
+            // execute nothing; skipping it leaves the order unchanged.
+            let server_events: u64 = self
                 .servers
                 .iter_mut()
-                .all(|s| s.queue.peek_time().is_none())
-            {
-                // Client-only window with every server queue empty: the
+                .zip(&server_next)
+                .filter(|(_, next)| next.is_some_and(|t| t < horizon))
+                .map(|(s, _)| s.run_window(horizon))
+                .sum();
+            if server_events > 0 {
+                self.run_client_window(horizon, false);
+            } else if server_next.iter().all(Option::is_none) {
+                // Client-only window with every server queue empty (no
+                // server ran, so the peeks above are still current): the
                 // servers are fully quiescent (disk work always has a
                 // DiskDone/DiskKick pending), so the client may run ahead
                 // of the lookahead — up to the next tick, or until it
@@ -765,7 +778,7 @@ impl Cluster {
                 "event budget exceeded — runaway simulation"
             );
             self.exchange();
-            if self.finished_programs == self.programs.len() && !self.programs.is_empty() {
+            if self.all_finished() {
                 break;
             }
         }
@@ -778,6 +791,11 @@ impl Cluster {
     #[doc(hidden)]
     pub fn run_sharded(&mut self, _shards: usize) -> RunReport {
         self.run()
+    }
+
+    /// Every program has finished (and there was at least one).
+    fn all_finished(&self) -> bool {
+        self.finished_programs == self.programs.len() && !self.programs.is_empty()
     }
 
     /// Execute the client shard's events with `t < horizon`. Stops early
@@ -794,7 +812,7 @@ impl Cluster {
                 "event budget exceeded — runaway simulation"
             );
             self.handle(now, ev);
-            if self.finished_programs == self.programs.len() && !self.programs.is_empty() {
+            if self.all_finished() {
                 break;
             }
             if stop_on_send && !self.outbox.is_empty() {

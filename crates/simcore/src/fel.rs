@@ -32,6 +32,16 @@
 //!   FIFO therefore survives any schedule/cancel interleaving, which the
 //!   oracle-equivalence property test (against the retained heap
 //!   implementation in the `event` test module) pins down.
+//! * **Peeking.** The cluster's window loop polls every server queue at
+//!   least once per window, and most of those polls find an empty ready
+//!   run: without help each would pay a bitmap scan for the first
+//!   occupied bucket plus a min-scan of that bucket. The queue therefore
+//!   memoizes the earliest *wheel* event time. A `schedule` into the
+//!   wheel lowers the memo; a `cancel` of a wheel entry at the memo time
+//!   invalidates it, as does every `refill` (the cursor moves and buckets
+//!   cascade). [`EventQueue::peek_time`] answers from the ready run, else
+//!   from the memo, and rescans the wheel only after an invalidation —
+//!   O(1) for the idle polls that dominate the window loop.
 //!
 //! The cursor only advances inside [`EventQueue::pop`], and only to the
 //! tick actually popped, so `tick(now) == cur_tick` holds at every public
@@ -39,7 +49,8 @@
 //! events straight into the ready run and place everything else strictly
 //! ahead of the cursor. [`EventQueue::peek_time`] deliberately does *not*
 //! advance the cursor (a later `schedule` may still target any time
-//! `>= now`, which can precede the next queued event).
+//! `>= now`, which can precede the next queued event); it only refreshes
+//! the memo.
 
 use crate::slab::{Slab, SlabKey};
 use crate::time::SimTime;
@@ -90,6 +101,16 @@ struct Entry<E> {
     payload: E,
 }
 
+/// Memo of the earliest wheel (non-ready) event time.
+#[derive(Clone, Copy)]
+enum WheelMin {
+    /// Exact: the earliest wheel event's time, or `None` if the wheel is
+    /// empty.
+    Known(Option<SimTime>),
+    /// Invalidated; the next `peek_time` with an empty ready run rescans.
+    Stale,
+}
+
 /// A deterministic future-event list. Drop-in API replacement for the old
 /// binary-heap queue: `schedule`/`cancel`/`pop`/`peek_time`/`len`/`now`
 /// behave identically (the property tests compare against the retained
@@ -108,6 +129,8 @@ pub struct EventQueue<E> {
     /// Cursor: every wheel event's tick is strictly greater; the ready
     /// run holds exactly the events at this tick.
     cur_tick: u64,
+    /// Earliest wheel event time, for `peek_time` (see the module doc).
+    wheel_min: WheelMin,
     next_seq: u64,
     now: SimTime,
     tag: u64,
@@ -127,6 +150,7 @@ impl<E> EventQueue<E> {
             occupancy: [[0; WORDS]; LEVELS],
             ready: Vec::new(),
             cur_tick: 0,
+            wheel_min: WheelMin::Known(None),
             next_seq: 0,
             now: SimTime::ZERO,
             tag: QUEUE_TAGS.fetch_add(1, Ordering::Relaxed),
@@ -184,6 +208,9 @@ impl<E> EventQueue<E> {
             self.ready_insert(at, seq, key);
         } else {
             self.place(key, tick);
+            if let WheelMin::Known(m) = self.wheel_min {
+                self.wheel_min = WheelMin::Known(Some(m.map_or(at, |m| m.min(at))));
+            }
         }
         EventId {
             queue: self.tag,
@@ -234,6 +261,9 @@ impl<E> EventQueue<E> {
                 let (level, slot) = (b / SLOTS, b % SLOTS);
                 self.occupancy[level][slot / 64] &= !(1u64 << (slot % 64));
             }
+            if matches!(self.wheel_min, WheelMin::Known(Some(m)) if m == entry.time) {
+                self.wheel_min = WheelMin::Stale;
+            }
         }
         true
     }
@@ -252,21 +282,34 @@ impl<E> EventQueue<E> {
         Some((t, entry.payload))
     }
 
-    /// Timestamp of the next live event without popping it. Does not move
-    /// the wheel cursor: a later `schedule` may target any time `>= now`,
-    /// which can still precede the next queued event.
+    /// Timestamp of the next live event without popping it: the back of
+    /// the ready run, else the memoized earliest wheel time. The memo is
+    /// lowered by `schedule` into the wheel and invalidated by a `cancel`
+    /// of a wheel entry at the memo time and by `refill`; only then does
+    /// this rescan the wheel, so repeated polls of an idle queue are O(1).
+    ///
+    /// Does not move the wheel cursor: a later `schedule` may target any
+    /// time `>= now`, which can still precede the next queued event, and
+    /// must then land in the ready run or ahead of the cursor. Only the
+    /// memo is refreshed.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         if let Some(&(t, _, _)) = self.ready.last() {
             return Some(t);
         }
-        let (level, slot) = self.first_bucket()?;
+        if let WheelMin::Known(m) = self.wheel_min {
+            return m;
+        }
         // The first bucket in cursor order covers the earliest occupied
         // tick range, so the global minimum timestamp is its minimum.
-        self.buckets[level * SLOTS + slot]
-            .iter()
-            .filter_map(|&k| self.slab.get(k))
-            .map(|e| e.time)
-            .min()
+        let m = self.first_bucket().and_then(|(level, slot)| {
+            self.buckets[level * SLOTS + slot]
+                .iter()
+                .filter_map(|&k| self.slab.get(k))
+                .map(|e| e.time)
+                .min()
+        });
+        self.wheel_min = WheelMin::Known(m);
+        m
     }
 
     /// Insert into the ready run, keeping it sorted descending by
@@ -315,6 +358,7 @@ impl<E> EventQueue<E> {
     /// `ready`. Returns `false` when no events remain anywhere.
     fn refill(&mut self) -> bool {
         debug_assert!(self.ready.is_empty());
+        self.wheel_min = WheelMin::Stale;
         loop {
             let Some((level, slot)) = self.first_bucket() else {
                 return false;
@@ -597,6 +641,35 @@ mod tests {
         assert_eq!(q.bucket_entries(), 0);
     }
 
+    #[test]
+    fn peek_memo_tracks_cancel_and_earlier_schedule() {
+        // Milliseconds ahead of a cursor at tick 0: level >= 1 of the
+        // wheel, ready run empty, so every peek here is answered by the
+        // wheel-min memo or its rescan.
+        let ms = 1_000_000u64;
+        let (a, b, c) = (SimTime(5 * ms), SimTime(9 * ms), SimTime(7 * ms));
+        let mut q = EventQueue::new();
+        let ida = q.schedule(a, "a");
+        q.schedule(b, "b");
+        assert!(q.bucket_entries() == 2 && q.ready.is_empty());
+        assert_eq!(q.peek_time(), Some(a));
+        // Cancelling the memoized minimum must invalidate it.
+        assert!(q.cancel(ida));
+        assert_eq!(q.peek_time(), Some(b));
+        // An earlier schedule into the wheel must lower it.
+        q.schedule(c, "c");
+        assert_eq!(q.peek_time(), Some(c));
+        // Each pop refills from the wheel; the memo must not outlive it.
+        let mut order = Vec::new();
+        while let Some(t) = q.peek_time() {
+            let (popped, e) = q.pop().expect("peeked event present");
+            assert_eq!(popped, t);
+            order.push(e);
+        }
+        assert_eq!(order, vec!["c", "b"]);
+        assert!(q.pop().is_none());
+    }
+
     /// One scripted operation over both queues.
     #[derive(Debug, Clone)]
     enum Op {
@@ -623,7 +696,8 @@ mod tests {
         /// The wheel is observationally equivalent to the old binary-heap
         /// queue across arbitrary schedule/cancel/pop/peek interleavings:
         /// identical pop sequences (same-time FIFO included), identical
-        /// cancel verdicts, identical peeks, exact `len()` at every step.
+        /// cancel verdicts, exact `len()` and identical peeks at every
+        /// step (the peek after each op exercises the wheel-min memo).
         #[test]
         fn fel_matches_heap_oracle(ops in proptest::collection::vec(op_strategy(), 1..200)) {
             let mut fel = EventQueue::new();
@@ -652,6 +726,9 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(fel.len(), heap.len());
+                // Every op is a potential memo transition (lower,
+                // invalidate, rescan): check the peek after each one.
+                prop_assert_eq!(fel.peek_time(), heap.peek_time());
             }
             // Drain both: the tails must agree event-for-event.
             loop {
