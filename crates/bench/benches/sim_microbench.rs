@@ -9,7 +9,7 @@ use dualpar_cache::{CacheConfig, GlobalCache, OwnerId};
 use dualpar_cluster::{Cluster, IoStrategy, ProgramSpec};
 use dualpar_disk::{CfqConfig, CfqScheduler, Decision, DiskRequest, IoCtx, IoKind, Scheduler};
 use dualpar_mpiio::build_batch;
-use dualpar_pfs::{FileId, FileRegion, RangeSet};
+use dualpar_pfs::{FileId, FileRegion, RangeSet, Strided};
 use dualpar_sim::{EventQueue, SimDuration, SimTime};
 use dualpar_workloads::MpiIoTest;
 use std::hint::black_box;
@@ -139,6 +139,22 @@ fn bench_cache_store(c: &mut Criterion) {
                         let region = FileRegion::new(k * stride + rank * cell, cell);
                         black_box(cache.put_write(OwnerId(rank), f, region, SimTime::ZERO));
                     }
+                }
+                black_box(cache.dirty_bytes())
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // The same cells and bytes as one strided run per rank: one cache
+    // insert per (rank, chunk) instead of one per cell.
+    g.bench_function("put_write_btio_strided", |b| {
+        b.iter_batched(
+            || GlobalCache::new(cfg.clone()),
+            |mut cache| {
+                let f = FileId(1);
+                for rank in 0..ranks {
+                    let run = Strided::new(rank * cell, cell, stride, cells);
+                    black_box(cache.put_write_strided(OwnerId(rank), f, run, SimTime::ZERO));
                 }
                 black_box(cache.dirty_bytes())
             },

@@ -1,6 +1,6 @@
 //! The chunked global cache store.
 
-use dualpar_pfs::{FileId, FileRegion, RangeSet};
+use dualpar_pfs::{FileId, FileRegion, RangeSet, Strided};
 use dualpar_sim::{FxHashMap, FxHashSet, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -76,15 +76,18 @@ impl Chunk {
     }
 }
 
-/// The `(chunk index, sub-region)` pieces of a region, one per chunk it
-/// touches, in ascending offset order. Pure arithmetic on the chunk size:
-/// no allocation and no borrow of the cache.
+/// The `(chunk index, span)` pieces of a strided run, one per chunk it
+/// touches, in ascending offset order. A piece's span runs from the run's
+/// first byte in the chunk to the chunk end or the run end, whichever is
+/// first; for a single region that is exactly the region's part in the
+/// chunk. Pure arithmetic on the chunk size: no allocation and no borrow of
+/// the cache.
 #[derive(Debug, Clone, Copy)]
 struct ChunkPieces {
     chunk_size: u64,
-    /// Start of the next piece.
+    run: Strided,
+    /// Where the search for the next piece starts.
     pos: u64,
-    end: u64,
 }
 
 impl Iterator for ChunkPieces {
@@ -92,18 +95,28 @@ impl Iterator for ChunkPieces {
 
     #[expect(
         clippy::arithmetic_side_effects,
-        reason = "chunk_size is non-zero (checked in new), idx * chunk_size <= pos, and the piece ends past pos"
+        reason = "chunk_size is non-zero (checked in new), idx * chunk_size <= start, and the piece ends past start"
     )]
     fn next(&mut self) -> Option<(u64, FileRegion)> {
-        if self.pos >= self.end {
+        let end = self.run.end();
+        if self.pos >= end {
             return None;
         }
-        let idx = self.pos / self.chunk_size;
+        // A one-block run has no gaps to skip.
+        let start = if self.run.len() == 1 {
+            self.pos
+        } else {
+            let Some(start) = self.run.first_byte_from(self.pos) else {
+                self.pos = end;
+                return None;
+            };
+            start
+        };
+        let idx = start / self.chunk_size;
         let chunk_end = (idx * self.chunk_size).saturating_add(self.chunk_size);
-        let e = self.end.min(chunk_end);
-        let piece = FileRegion::new(self.pos, e - self.pos);
+        let e = end.min(chunk_end);
         self.pos = e;
-        Some((idx, piece))
+        Some((idx, FileRegion::new(start, e - start)))
     }
 }
 
@@ -119,12 +132,12 @@ fn home_node(chunk_idx: u64, num_nodes: u32) -> NodeId {
     NodeId(node)
 }
 
-/// The `(home node, bytes)` pairs of a region inserted by
-/// [`GlobalCache::put_write`] or [`GlobalCache::put_prefetch`]: one per
-/// chunk the region touches, in ascending offset order, for charging the
-/// network transfer of each piece to its home. Computed from the region on
-/// the fly, so it is `Copy`, allocates nothing and holds no borrow of the
-/// cache.
+/// The `(home node, bytes)` pairs of data inserted by
+/// [`GlobalCache::put_write_strided`] (and so [`GlobalCache::put_write`])
+/// or [`GlobalCache::put_prefetch`]: one per chunk the data touches, in
+/// ascending offset order, for charging the network transfer of each
+/// chunk's bytes to its home. Computed on the fly, so it is `Copy`,
+/// allocates nothing and holds no borrow of the cache.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkHomes {
     pieces: ChunkPieces,
@@ -135,8 +148,15 @@ impl Iterator for ChunkHomes {
     type Item = (NodeId, u64);
 
     fn next(&mut self) -> Option<(NodeId, u64)> {
-        let (idx, sub) = self.pieces.next()?;
-        Some((home_node(idx, self.num_nodes), sub.len))
+        let (idx, span) = self.pieces.next()?;
+        // A one-block run's span holds nothing but its bytes.
+        let run = self.pieces.run;
+        let bytes = if run.len() == 1 {
+            span.len
+        } else {
+            run.bytes_in(span)
+        };
+        Some((home_node(idx, self.num_nodes), bytes))
     }
 }
 
@@ -305,19 +325,19 @@ impl GlobalCache {
         home_node(chunk_idx, self.cfg.num_nodes)
     }
 
-    /// The per-chunk pieces of `region` (none for an empty region).
-    fn pieces(&self, region: FileRegion) -> ChunkPieces {
+    /// The per-chunk pieces of `run` (none for an empty run).
+    fn pieces(&self, run: Strided) -> ChunkPieces {
         ChunkPieces {
             chunk_size: self.cfg.chunk_size,
-            pos: region.offset,
-            end: region.end(),
+            run,
+            pos: run.start(),
         }
     }
 
-    /// The `(home, bytes)` pairs of `region`'s pieces.
-    fn homes(&self, region: FileRegion) -> ChunkHomes {
+    /// The `(home, bytes)` pairs of `run`'s pieces.
+    fn homes(&self, run: Strided) -> ChunkHomes {
         ChunkHomes {
-            pieces: self.pieces(region),
+            pieces: self.pieces(run),
             num_nodes: self.cfg.num_nodes,
         }
     }
@@ -349,7 +369,7 @@ impl GlobalCache {
     ) -> ChunkHomes {
         let mut added = 0u64;
         let mut pf_added = 0u64;
-        for (idx, sub) in self.pieces(region) {
+        for (idx, sub) in self.pieces(Strided::one(region)) {
             let chunk = self.chunks.entry((file, idx)).or_default();
             let new = chunk.present.insert(sub.offset, sub.len);
             pf_added += chunk.prefetched_unused.insert(sub.offset, sub.len);
@@ -363,22 +383,15 @@ impl GlobalCache {
         dualpar_sim::strict_assert!(self.ledger.balanced(), "ledger after put_prefetch");
         self.stats.bytes_prefetched += region.len;
         *self.epoch_prefetched.entry(owner).or_insert(0) += region.len;
-        let homes = self.homes(region);
+        let homes = self.homes(Strided::one(region));
         for (home, _) in homes {
             self.enforce_node_capacity(home);
         }
         homes
     }
 
-    /// Buffer a write for `owner` (data-driven mode write path). Returns the
-    /// `(home, bytes)` pair of every chunk piece of `region`, for
-    /// network-cost charging of the write. The owner is charged only for
-    /// bytes not already present; prefetched bytes it overwrites become
-    /// live data.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "sums of bytes newly covered by insert or dropped by remove are bounded by the request length; stats sum request bytes"
-    )]
+    /// Buffer a write of one region for `owner`: a one-block
+    /// [`GlobalCache::put_write_strided`].
     pub fn put_write(
         &mut self,
         owner: OwnerId,
@@ -386,15 +399,70 @@ impl GlobalCache {
         region: FileRegion,
         now: SimTime,
     ) -> ChunkHomes {
+        self.put_write_strided(owner, file, Strided::one(region), now)
+    }
+
+    /// Buffer a write of every block of `run` for `owner` (data-driven mode
+    /// write path). Returns the `(home, bytes)` pair of every chunk the run
+    /// touches, for network-cost charging of the write. The owner is
+    /// charged only for bytes not already present; prefetched bytes it
+    /// overwrites become live data.
+    ///
+    /// Each touched chunk gets one map lookup, one strided merge per byte
+    /// set and one owner charge, however many blocks land in it. The
+    /// result — cached bytes, deltas, charges, ledger, stats and the
+    /// per-node byte totals of the returned homes — is exactly that of
+    /// writing the blocks one at a time. An unbounded cache never evicts,
+    /// so that holds by construction; a bounded one enforces its capacity
+    /// after every block, as separate writes would, because an eviction
+    /// between two blocks can drop a clean chunk that a later block writes.
+    pub fn put_write_strided(
+        &mut self,
+        owner: OwnerId,
+        file: FileId,
+        run: Strided,
+        now: SimTime,
+    ) -> ChunkHomes {
+        if self.cfg.node_capacity != u64::MAX && run.len() > 1 {
+            for block in run.iter() {
+                self.write_run(owner, file, Strided::one(block), now);
+            }
+        } else {
+            self.write_run(owner, file, run, now);
+        }
+        self.homes(run)
+    }
+
+    /// Insert `run` into its chunks, then enforce each touched home's
+    /// capacity.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "sums of bytes newly covered by insert or dropped by remove are bounded by the run's bytes; stats sum request bytes"
+    )]
+    fn write_run(&mut self, owner: OwnerId, file: FileId, run: Strided, now: SimTime) {
         let mut added = 0u64;
         let mut dirty_added = 0u64;
         let mut overwritten = 0u64;
-        for (idx, sub) in self.pieces(region) {
+        for (idx, span) in self.pieces(run) {
             let chunk = self.chunks.entry((file, idx)).or_default();
-            let new = chunk.present.insert(sub.offset, sub.len);
-            dirty_added += chunk.dirty.insert(sub.offset, sub.len);
-            // Written bytes are live data, not speculative.
-            overwritten += chunk.prefetched_unused.remove(sub.offset, sub.len);
+            // Written bytes are live data, not speculative. A one-block
+            // run's piece is the block's part in the chunk, so it takes the
+            // plain range ops and skips setting up a strided merge.
+            let (new, dirty, unspeculated) = if run.len() == 1 {
+                (
+                    chunk.present.insert(span.offset, span.len),
+                    chunk.dirty.insert(span.offset, span.len),
+                    chunk.prefetched_unused.remove(span.offset, span.len),
+                )
+            } else {
+                (
+                    chunk.present.insert_strided(run, span),
+                    chunk.dirty.insert_strided(run, span),
+                    chunk.prefetched_unused.remove_strided(run, span),
+                )
+            };
+            dirty_added += dirty;
+            overwritten += unspeculated;
             chunk.last_ref = now;
             chunk.charge(owner, new);
             added += new;
@@ -403,13 +471,13 @@ impl GlobalCache {
         self.dirty_now = self.dirty_now.saturating_add(dirty_added);
         self.ledger_remove(overwritten, |l| &mut l.overwritten);
         dualpar_sim::strict_assert!(self.ledger.balanced(), "ledger after put_write");
-        self.stats.bytes_written += region.len;
+        self.stats.bytes_written += run.bytes();
         self.stats.dirty_hwm = self.stats.dirty_hwm.max(self.dirty_now);
-        let homes = self.homes(region);
-        for (home, _) in homes {
-            self.enforce_node_capacity(home);
+        if self.cfg.node_capacity != u64::MAX {
+            for (home, _) in self.homes(run) {
+                self.enforce_node_capacity(home);
+            }
         }
-        homes
     }
 
     /// Bytes currently cached on `node`.
@@ -476,7 +544,7 @@ impl GlobalCache {
         let mut found = 0u64;
         let mut consumed = 0u64;
         let mut homes = Vec::new();
-        for (idx, sub) in self.pieces(region) {
+        for (idx, sub) in self.pieces(Strided::one(region)) {
             if let Some(chunk) = self.chunks.get_mut(&(file, idx)) {
                 let n = chunk.present.intersect_len(sub.offset, sub.len);
                 if n > 0 {
@@ -502,7 +570,7 @@ impl GlobalCache {
     /// Non-consuming probe: is every byte of `region` present? Does not
     /// touch reference times or prefetch-usage markers.
     pub fn contains(&self, file: FileId, region: FileRegion) -> bool {
-        self.pieces(region).all(|(idx, sub)| {
+        self.pieces(Strided::one(region)).all(|(idx, sub)| {
             self.chunks
                 .get(&(file, idx))
                 .is_some_and(|c| c.present.contains_range(sub.offset, sub.len))

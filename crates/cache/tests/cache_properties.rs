@@ -1,10 +1,12 @@
 //! Property tests for the global cache: read-your-prefetch, quota
-//! consistency, and dirty-data conservation through drain.
+//! consistency, dirty-data conservation through drain, and strided writes
+//! equal to their blocks written one at a time.
 
-use dualpar_cache::{CacheConfig, GlobalCache, OwnerId};
-use dualpar_pfs::{FileId, FileRegion};
+use dualpar_cache::{CacheConfig, GlobalCache, NodeId, OwnerId};
+use dualpar_pfs::{FileId, FileRegion, Strided};
 use dualpar_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn cache() -> GlobalCache {
     GlobalCache::new(CacheConfig {
@@ -15,8 +17,94 @@ fn cache() -> GlobalCache {
     })
 }
 
+/// Bytes per home node of a write's `(home, bytes)` pairs: what the engine
+/// charges network transfers on.
+fn per_node(homes: impl Iterator<Item = (NodeId, u64)>) -> BTreeMap<NodeId, u64> {
+    let mut m = BTreeMap::new();
+    for (home, bytes) in homes {
+        *m.entry(home).or_insert(0) += bytes;
+    }
+    m
+}
+
+/// Everything observable about a cache, for comparing two of them.
+fn observe(c: &GlobalCache, owners: u64) -> String {
+    let usage: Vec<u64> = (0..owners).map(|o| c.usage(OwnerId(o))).collect();
+    let nodes: Vec<u64> = (0..c.config().num_nodes)
+        .map(|n| c.node_bytes(NodeId(n)))
+        .collect();
+    format!(
+        "stats {:?} ledger {:?} usage {usage:?} nodes {nodes:?} dirty {} total {}",
+        c.stats(),
+        c.prefetch_ledger(),
+        c.dirty_bytes(),
+        c.total_bytes()
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `put_write_strided` is the per-region `put_write` loop over the run's
+    /// blocks: same bytes, charges, ledger, stats, evictions and per-node
+    /// home bytes, on a bounded cache as well as an unbounded one. Runs
+    /// include blocks that cross chunk boundaries, dense runs
+    /// (`block == stride`), strides wider than a chunk, and empty runs
+    /// (`count == 0`, `block == 0`). A prelude of prefetches and writes
+    /// leaves clean, dirty and prefetched-unused chunks for the runs to hit.
+    #[test]
+    fn strided_write_equals_per_region_loop(
+        prelude in proptest::collection::vec(
+            (0u64..3, 0u64..60_000, 1u64..6_000, any::<bool>()), 0..16),
+        runs in proptest::collection::vec(
+            ((0u64..3, 0u64..60_000), (0u64..3_000, 0u64..6_000, 0u64..40), any::<bool>()),
+            1..12),
+        bounded in any::<bool>(),
+        dense in any::<bool>(),
+    ) {
+        let cfg = CacheConfig {
+            chunk_size: 4096,
+            num_nodes: 3,
+            idle_ttl: SimDuration::from_secs(10),
+            node_capacity: if bounded { 5 * 4096 } else { u64::MAX },
+        };
+        let mut strided = GlobalCache::new(cfg.clone());
+        let mut looped = GlobalCache::new(cfg);
+        let f = FileId(1);
+        let mut t = 0u64;
+        for &(owner, off, len, is_write) in &prelude {
+            t += 1;
+            let now = SimTime::from_millis(t);
+            let region = FileRegion::new(off, len);
+            for c in [&mut strided, &mut looped] {
+                if is_write {
+                    c.put_write(OwnerId(owner), f, region, now);
+                } else {
+                    c.put_prefetch(OwnerId(owner), f, region, now);
+                }
+            }
+        }
+        for &((owner, base), (block, gap, count), drain) in &runs {
+            t += 1;
+            let now = SimTime::from_millis(t);
+            let stride = if dense { block } else { block + gap };
+            let run = Strided::new(base, block, stride, count);
+            let got = per_node(strided.put_write_strided(OwnerId(owner), f, run, now));
+            let mut want = BTreeMap::new();
+            for block in run.iter() {
+                for (home, bytes) in looped.put_write(OwnerId(owner), f, block, now) {
+                    *want.entry(home).or_insert(0) += bytes;
+                }
+            }
+            prop_assert_eq!(got, want, "homes of {:?}", run);
+            prop_assert_eq!(observe(&strided, 3), observe(&looped, 3), "after {:?}", run);
+            if drain {
+                prop_assert_eq!(strided.drain_dirty(), looped.drain_dirty());
+            }
+        }
+        prop_assert_eq!(strided.drain_dirty(), looped.drain_dirty());
+        strided.assert_conservation();
+    }
 
     /// Anything prefetched is readable in full (read-your-prefetch).
     #[test]

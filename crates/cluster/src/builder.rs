@@ -362,7 +362,7 @@ mod tests {
             Op::Io(IoCall {
                 kind: IoKind::Read,
                 file: f,
-                regions: vec![FileRegion::new(off, 64 * 1024)],
+                regions: FileRegion::new(off, 64 * 1024).into(),
                 collective: false,
                 predicted: None,
             })

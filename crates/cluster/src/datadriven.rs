@@ -37,12 +37,12 @@ impl Cluster {
         let all_present = call
             .regions
             .iter()
-            .all(|r| self.cache.contains(call.file, *r));
+            .all(|r| self.cache.contains(call.file, r));
         if all_present {
             let mut homes = std::mem::take(&mut self.homes_scratch);
             homes.clear();
-            for r in &call.regions {
-                let res = self.cache.read(call.file, *r, now);
+            for r in call.regions.iter() {
+                let res = self.cache.read(call.file, r, now);
                 homes.extend(res.homes);
             }
             let latency = self.cache_access_time(node, &homes);
@@ -82,8 +82,9 @@ impl Cluster {
         let owner = self.procs[p].owner;
         let mut homes = std::mem::take(&mut self.homes_scratch);
         homes.clear();
-        for r in &call.regions {
-            homes.extend(self.cache.put_write(owner, call.file, *r, now));
+        // One cache insert per (run, chunk): a strided call is one run.
+        for run in call.regions.runs() {
+            homes.extend(self.cache.put_write_strided(owner, call.file, run, now));
         }
         let latency = self.cache_access_time(node, &homes);
         self.homes_scratch = homes;
@@ -119,7 +120,7 @@ impl Cluster {
         let node = self.procs[p].node;
         let ctx = self.effective_ctx(self.procs[p].prog, self.procs[p].ctx);
         let covers: Vec<(FileId, FileRegion)> =
-            call.regions.iter().map(|r| (call.file, *r)).collect();
+            call.regions.iter().map(|r| (call.file, r)).collect();
         self.procs[p].direct_pending = true;
         self.procs[p].state = PState::S2Wait {
             op: self.procs[p].pos,
@@ -146,8 +147,8 @@ impl Cluster {
         };
         // Mark any cached parts of the call consumed (prefetch-usage
         // bookkeeping); the directly fetched parts bypass the cache.
-        for r in &call.regions {
-            self.cache.read(call.file, *r, now);
+        for r in call.regions.iter() {
+            self.cache.read(call.file, r, now);
         }
         self.complete_io_op(now, p, call);
     }
@@ -518,14 +519,13 @@ impl Cluster {
         let missing: Vec<FileRegion> = call
             .regions
             .iter()
-            .copied()
             .filter(|r| !self.cache.contains(call.file, *r))
             .collect();
         if missing.is_empty() {
             let mut homes = std::mem::take(&mut self.homes_scratch);
             homes.clear();
-            for r in &call.regions {
-                let res = self.cache.read(call.file, *r, now);
+            for r in call.regions.iter() {
+                let res = self.cache.read(call.file, r, now);
                 homes.extend(res.homes);
             }
             let latency = self.cache_access_time(node, &homes);
@@ -684,8 +684,8 @@ impl Cluster {
                         _ => unreachable!(),
                     };
                     // Consume from cache (mark used).
-                    for r in &call.regions {
-                        self.cache.read(call.file, *r, now);
+                    for r in call.regions.iter() {
+                        self.cache.read(call.file, r, now);
                     }
                     self.complete_io_op(now, w, call);
                 }

@@ -9,7 +9,7 @@ use crate::sharded::{SEv, ServerShard, SubReq};
 use dualpar_cache::{CacheConfig, GlobalCache, NodeId, OwnerId};
 use dualpar_core::{DualParConfig, Emc, ExecMode, IoClock, ProgramId, ReqDistTracker};
 use dualpar_disk::{Disk, IoCtx, IoKind};
-use dualpar_mpiio::{CoalescedIo, ProcessScript};
+use dualpar_mpiio::{CoalescedIo, ProcessScript, Regions};
 use dualpar_pfs::{FileId, FileRegion, Pvfs};
 use dualpar_sim::{EventId, EventQueue, Link, SimDuration, SimTime, Slab, SlabKey, TimeSeries};
 use dualpar_telemetry::{SpanId, SpanProfile, Telemetry, TelemetryConfig};
@@ -93,8 +93,13 @@ pub(crate) struct Group {
 pub(crate) enum PState {
     /// Waiting for a scheduled ProcReady (computing, or newly started).
     Computing,
-    /// Blocked on a vanilla I/O op; regions are issued one at a time.
-    VanillaIo { op: usize, next_region: usize },
+    /// Blocked on a vanilla I/O op; regions are issued one at a time, from
+    /// `cur_covers` when the op was `sieved`, else off the call itself.
+    VanillaIo {
+        op: usize,
+        next_region: usize,
+        sieved: bool,
+    },
     BarrierWait(u64),
     CollWait,
     /// Suspended in a data-driven phase. `retry_op` says whether the
@@ -139,7 +144,7 @@ pub(crate) struct Proc {
     pub pending_ghost: Vec<(FileId, FileRegion)>,
     /// Event id of the scheduled GhostDone (cancellable at phase timeout).
     pub ghost_ev: Option<EventId>,
-    /// Covers being issued for the current vanilla op (after sieving).
+    /// Covers being issued for the current sieved vanilla op.
     pub cur_covers: Vec<FileRegion>,
     /// Whether a direct-fetch group for the current op is outstanding.
     pub direct_pending: bool,
@@ -188,7 +193,7 @@ pub(crate) enum Phase {
 }
 
 pub(crate) struct CollectState {
-    pub arrived: Vec<Option<Vec<FileRegion>>>,
+    pub arrived: Vec<Option<Regions>>,
     pub count: usize,
     pub kind: Option<IoKind>,
     pub file: Option<FileId>,
@@ -465,6 +470,12 @@ impl Cluster {
     /// Access a server's disk (for trace inspection after a run).
     pub fn disk(&self, server: u32) -> &Disk {
         &self.servers[server as usize].disk
+    }
+
+    /// Every process's script, in process order (for inspecting the calls
+    /// the engine ran, e.g. that it never flattened a strided one).
+    pub fn scripts(&self) -> impl Iterator<Item = &ProcessScript> {
+        self.procs.iter().map(|p| &*p.script)
     }
 
     /// The telemetry instance (counters, series, and the event trace).

@@ -5,7 +5,7 @@ use crate::config::IoStrategy;
 use crate::engine::{Cluster, Ev, Group, PState, Purpose};
 use dualpar_core::ExecMode;
 use dualpar_disk::IoKind;
-use dualpar_mpiio::{plan_collective, plan_strided, IoCall, Op};
+use dualpar_mpiio::{plan_collective, plan_strided, IoCall, Op, Regions};
 use dualpar_pfs::{FileId, FileRegion};
 use dualpar_sim::{SimDuration, SimTime};
 
@@ -117,34 +117,44 @@ impl Cluster {
 
     /// Issue a call's regions synchronously, one region at a time — the
     /// computation-driven baseline ("a process issues its synchronous read
-    /// requests one at a time", §II).
+    /// requests one at a time", §II). Unsieved, the regions are read off
+    /// the call by index, so a strided call is never flattened; sieved
+    /// reads issue the covers of `plan_strided` instead.
     fn vanilla_io(&mut self, now: SimTime, p: usize, call: &IoCall) {
-        let covers: Vec<FileRegion> = if call.kind == IoKind::Read && self.cfg.sieve.enabled {
-            plan_strided(call.file, &call.regions, &self.cfg.sieve)
-                .into_iter()
-                .map(|io| io.cover)
-                .collect()
-        } else {
-            call.regions.clone()
-        };
+        let sieved = call.kind == IoKind::Read && self.cfg.sieve.enabled;
+        if sieved {
+            let covers = plan_strided(call.file, call.regions.iter(), &self.cfg.sieve);
+            let cur = &mut self.procs[p].cur_covers;
+            cur.clear();
+            cur.extend(covers.into_iter().map(|io| io.cover));
+        }
         // Feed the EMC's per-node request-distance tracker with the
         // app-level request stream (computation-driven issuance only).
-        let node = self.procs[p].node as usize;
-        for r in &call.regions {
-            self.req_dist[node].observe(call.file.0, r.offset, r.len);
+        // Only EMC ticks drain the tracker, so without an adaptive program
+        // (or after the last one finished) nothing would ever read these
+        // samples: skip them rather than hold one per region until exit.
+        if self.emc_active {
+            let node = self.procs[p].node as usize;
+            for r in call.regions.iter() {
+                self.req_dist[node].observe(call.file.0, r.offset, r.len);
+            }
         }
-        self.procs[p].cur_covers = covers;
         self.procs[p].state = PState::VanillaIo {
             op: self.procs[p].pos,
             next_region: 0,
+            sieved,
         };
         self.sync_proc_span(p, now);
         self.vanilla_issue_next(now, p);
     }
 
     pub(crate) fn vanilla_issue_next(&mut self, now: SimTime, p: usize) {
-        let (op, next_region) = match self.procs[p].state {
-            PState::VanillaIo { op, next_region } => (op, next_region),
+        let (op, next_region, sieved) = match self.procs[p].state {
+            PState::VanillaIo {
+                op,
+                next_region,
+                sieved,
+            } => (op, next_region, sieved),
             ref other => unreachable!("vanilla_issue_next in state {other:?}"),
         };
         let script = std::sync::Arc::clone(&self.procs[p].script);
@@ -152,15 +162,20 @@ impl Cluster {
             Op::Io(c) => c,
             _ => unreachable!("op index must be an Io op"),
         };
-        if next_region >= self.procs[p].cur_covers.len() {
+        let cover = if sieved {
+            self.procs[p].cur_covers.get(next_region).copied()
+        } else {
+            call.regions.get(next_region)
+        };
+        let Some(cover) = cover else {
             // Op complete.
             self.complete_io_op(now, p, call);
             return;
-        }
-        let cover = self.procs[p].cur_covers[next_region];
+        };
         self.procs[p].state = PState::VanillaIo {
             op,
             next_region: next_region + 1,
+            sieved,
         };
         let node = self.procs[p].node;
         let prog = self.procs[p].prog;
@@ -235,7 +250,7 @@ impl Cluster {
     fn coll_launch(&mut self, now: SimTime, prog: usize) {
         let (file, kind, per_rank) = {
             let coll = &self.programs[prog].coll;
-            let per_rank: Vec<Vec<FileRegion>> = coll
+            let per_rank: Vec<Regions> = coll
                 .arrived
                 .iter()
                 .map(|o| o.clone().unwrap_or_default())
@@ -288,10 +303,9 @@ impl Cluster {
         let kind = self.programs[prog].coll.kind.unwrap_or(IoKind::Read);
         for rank in 0..range.len() {
             let p = proc_base + rank;
-            let regions = self.programs[prog].coll.arrived[rank]
+            let bytes = self.programs[prog].coll.arrived[rank]
                 .take()
-                .unwrap_or_default();
-            let bytes: u64 = regions.iter().map(|r| r.len).sum();
+                .map_or(0, |regions| regions.bytes());
             total += bytes;
             let dur = now.since(self.procs[p].op_start);
             self.procs[p].clock.record_io(dur, bytes);

@@ -61,7 +61,7 @@ pub fn ghost_walk(script: &ProcessScript, start: usize, quota: u64) -> GhostRun 
             Op::Compute(d) => compute += *d,
             Op::Barrier(_) => {}
             Op::Io(call) => {
-                let call_bytes: u64 = call.ghost_regions().iter().map(|r| r.len).sum();
+                let call_bytes = call.ghost_regions().bytes();
                 if space + call_bytes > quota && space > 0 {
                     // Recording this call would overflow the quota: pause
                     // *before* it so the phase stays within the cache.
@@ -75,9 +75,7 @@ pub fn ghost_walk(script: &ProcessScript, start: usize, quota: u64) -> GhostRun 
                 }
                 space += call_bytes;
                 if call.kind == IoKind::Read {
-                    for r in call.ghost_regions() {
-                        prefetch.push((call.file, *r));
-                    }
+                    prefetch.extend(call.ghost_regions().iter().map(|r| (call.file, r)));
                 }
                 if space >= quota {
                     return GhostRun {

@@ -70,7 +70,7 @@ proptest! {
         let reads: Vec<FileRegion> = s.ops[start..run.end_pos]
             .iter()
             .filter_map(|op| match op {
-                Op::Io(c) if c.kind == IoKind::Read => Some(c.regions.clone()),
+                Op::Io(c) if c.kind == IoKind::Read => Some(c.regions.iter()),
                 _ => None,
             })
             .flatten()

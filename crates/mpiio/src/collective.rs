@@ -15,6 +15,7 @@
 //!   per-aggregator request size shrinks.
 
 use crate::access::{coalesce_with_holes, sort_and_merge, CoalescedIo};
+use crate::regions::Regions;
 use dualpar_pfs::{FileId, FileRegion};
 use serde::{Deserialize, Serialize};
 
@@ -66,11 +67,11 @@ impl Default for CollectiveConfig {
 
 /// Plan a collective call given each rank's requested regions.
 ///
-/// `per_rank[r]` lists rank `r`'s regions (any order). All regions refer to
-/// `file`. Returns `None` when nobody requested anything.
+/// `per_rank[r]` holds rank `r`'s regions. All regions refer to `file`.
+/// Returns `None` when nobody requested anything.
 pub fn plan_collective(
     file: FileId,
-    per_rank: &[Vec<FileRegion>],
+    per_rank: &[Regions],
     cfg: &CollectiveConfig,
 ) -> Option<CollectivePlan> {
     let nprocs = per_rank.len();
@@ -147,11 +148,14 @@ mod tests {
         FileRegion::new(offset, len)
     }
 
-    fn cfg(naggs: usize) -> CollectiveConfig {
-        CollectiveConfig {
+    /// Plan over `naggs` aggregators from plain per-rank region lists.
+    fn plan(per_rank: &[Vec<FileRegion>], naggs: usize) -> Option<CollectivePlan> {
+        let per_rank: Vec<Regions> = per_rank.iter().cloned().map(Regions::from).collect();
+        let cfg = CollectiveConfig {
             num_aggregators: naggs,
             max_hole: 4 << 20,
-        }
+        };
+        plan_collective(FileId(1), &per_rank, &cfg)
     }
 
     #[test]
@@ -161,7 +165,7 @@ mod tests {
         let per_rank: Vec<Vec<FileRegion>> = (0..4u64)
             .map(|i| (0..4u64).map(|j| r(i * 1024 + j * 4096, 1024)).collect())
             .collect();
-        let plan = plan_collective(FileId(1), &per_rank, &cfg(1)).unwrap();
+        let plan = plan(&per_rank, 1).unwrap();
         assert_eq!(plan.aggregators.len(), 1);
         let ios = &plan.aggregators[0].ios;
         assert_eq!(ios.len(), 1);
@@ -177,7 +181,7 @@ mod tests {
     fn domains_divide_span_among_aggregators() {
         let per_rank: Vec<Vec<FileRegion>> =
             (0..4u64).map(|i| vec![r(i * 1_000_000, 1000)]).collect();
-        let plan = plan_collective(FileId(1), &per_rank, &cfg(4)).unwrap();
+        let plan = plan(&per_rank, 4).unwrap();
         assert_eq!(plan.aggregators.len(), 4);
         // Each rank's data is in a distinct quarter of the span, and the
         // aggregator of domain d is rank d — so no exchange at all.
@@ -189,7 +193,7 @@ mod tests {
     fn region_straddling_domain_boundary_is_split() {
         // Span [0, 2000), two domains of 1000 each; one request crosses.
         let per_rank = vec![vec![r(0, 10)], vec![r(900, 200)], vec![r(1990, 10)]];
-        let plan = plan_collective(FileId(1), &per_rank, &cfg(2)).unwrap();
+        let plan = plan(&per_rank, 2).unwrap();
         let total: u64 = plan
             .aggregators
             .iter()
@@ -203,8 +207,8 @@ mod tests {
 
     #[test]
     fn empty_call_returns_none() {
-        assert!(plan_collective(FileId(1), &[vec![], vec![]], &cfg(2)).is_none());
-        assert!(plan_collective(FileId(1), &[vec![r(5, 0)]], &cfg(1)).is_none());
+        assert!(plan(&[vec![], vec![]], 2).is_none());
+        assert!(plan(&[vec![r(5, 0)]], 1).is_none());
     }
 
     #[test]
@@ -224,7 +228,7 @@ mod tests {
                 })
                 .collect();
             let plan =
-                plan_collective(FileId(1), &per_rank, &cfg(usize::MAX)).unwrap();
+                plan(&per_rank, usize::MAX).unwrap();
             plan.exchange_msgs
         };
         assert!(msgs(64) > msgs(16));
@@ -234,7 +238,7 @@ mod tests {
     #[test]
     fn overlapping_requests_counted_once_in_ios() {
         let per_rank = vec![vec![r(0, 100)], vec![r(50, 100)]];
-        let plan = plan_collective(FileId(1), &per_rank, &cfg(1)).unwrap();
+        let plan = plan(&per_rank, 1).unwrap();
         let io = &plan.aggregators[0].ios[0];
         assert_eq!(io.cover, r(0, 150));
         assert_eq!(io.useful_bytes(), 150);

@@ -1,12 +1,15 @@
 //! MPI derived datatypes — the subset the paper's benchmarks use.
 //!
-//! `demo` and `noncontig` build file views from *vector* datatypes
+//! `demo`, `noncontig` and `btio` build file views from *vector* datatypes
 //! (`count` blocks of `blocklen` elements separated by `stride` elements);
-//! the rest use contiguous types. A datatype lowers to a list of
-//! [`FileRegion`]s relative to a base file offset, which is all the I/O
-//! layers below need.
+//! the rest use contiguous types. One instance of a datatype at a base file
+//! offset lowers to the call's [`Regions`] without being flattened:
+//! contiguous, vector and 2-D subarray types become a single [`Strided`]
+//! run (one region stored inline when the run has one block), and only an
+//! indexed type is an explicit region list.
 
-use dualpar_pfs::FileRegion;
+use crate::regions::Regions;
+use dualpar_pfs::{FileRegion, Strided};
 use serde::{Deserialize, Serialize};
 
 /// A file-access datatype.
@@ -18,7 +21,8 @@ pub enum Datatype {
         len: u64,
     },
     /// MPI_Type_vector: `count` blocks of `block_bytes`, with consecutive
-    /// block starts `stride_bytes` apart. `stride_bytes >= block_bytes`.
+    /// block starts `stride_bytes` apart. `stride_bytes >= block_bytes`:
+    /// lowering a vector whose blocks overlap panics.
     Vector {
         /// Number of blocks.
         count: u64,
@@ -114,28 +118,21 @@ impl Datatype {
         }
     }
 
-    /// Lower one instance of the type at `base` into file regions,
-    /// in ascending offset order.
-    pub fn regions_at(&self, base: u64) -> Vec<FileRegion> {
+    /// Lower one instance of the type at `base` into the regions it
+    /// selects, in ascending offset order, without flattening a strided
+    /// pattern.
+    ///
+    /// # Panics
+    /// Panics on a `Vector` with `stride_bytes < block_bytes` (and two or
+    /// more blocks), in release builds too: its blocks would overlap.
+    pub fn lower(&self, base: u64) -> Regions {
         match self {
-            Datatype::Contiguous { len } => {
-                if *len == 0 {
-                    Vec::new()
-                } else {
-                    vec![FileRegion::new(base, *len)]
-                }
-            }
+            Datatype::Contiguous { len } => Regions::strided(Strided::new(base, *len, *len, 1)),
             Datatype::Vector {
                 count,
                 block_bytes,
                 stride_bytes,
-            } => {
-                debug_assert!(stride_bytes >= block_bytes, "overlapping vector blocks");
-                (0..*count)
-                    .filter(|_| *block_bytes > 0)
-                    .map(|i| FileRegion::new(base + i * stride_bytes, *block_bytes))
-                    .collect()
-            }
+            } => Regions::strided(Strided::new(base, *block_bytes, *stride_bytes, *count)),
             Datatype::Indexed { blocks } => {
                 let mut v: Vec<FileRegion> = blocks
                     .iter()
@@ -143,7 +140,7 @@ impl Datatype {
                     .map(|&(o, l)| FileRegion::new(base + o, l))
                     .collect();
                 v.sort_by_key(|r| r.offset);
-                v
+                Regions::from(v)
             }
             Datatype::Subarray2 {
                 rows,
@@ -156,17 +153,12 @@ impl Datatype {
             } => {
                 debug_assert!(row_off + sub_rows <= *rows, "subarray rows out of bounds");
                 debug_assert!(col_off + sub_cols <= *cols, "subarray cols out of bounds");
-                if *sub_cols == 0 || *elem_bytes == 0 {
-                    return Vec::new();
-                }
-                (0..*sub_rows)
-                    .map(|r| {
-                        FileRegion::new(
-                            base + ((row_off + r) * cols + col_off) * elem_bytes,
-                            sub_cols * elem_bytes,
-                        )
-                    })
-                    .collect()
+                Regions::strided(Strided::new(
+                    base + (row_off * cols + col_off) * elem_bytes,
+                    sub_cols * elem_bytes,
+                    cols * elem_bytes,
+                    *sub_rows,
+                ))
             }
         }
     }
@@ -201,10 +193,15 @@ impl Datatype {
 mod tests {
     use super::*;
 
+    /// One instance at `base`, flattened.
+    fn flat(t: &Datatype, base: u64) -> Vec<FileRegion> {
+        t.lower(base).iter().collect()
+    }
+
     #[test]
     fn contiguous_lowering() {
         let t = Datatype::Contiguous { len: 4096 };
-        assert_eq!(t.regions_at(100), vec![FileRegion::new(100, 4096)]);
+        assert_eq!(flat(&t, 100), vec![FileRegion::new(100, 4096)]);
         assert_eq!(t.extent_data(), 4096);
         assert_eq!(t.extent_span(), 4096);
         assert!(t.is_contiguous());
@@ -219,7 +216,7 @@ mod tests {
             stride_bytes: 64,
         };
         assert_eq!(
-            t.regions_at(1000),
+            flat(&t, 1000),
             vec![
                 FileRegion::new(1000, 16),
                 FileRegion::new(1064, 16),
@@ -229,6 +226,32 @@ mod tests {
         assert_eq!(t.extent_data(), 48);
         assert_eq!(t.extent_span(), 2 * 64 + 16);
         assert!(!t.is_contiguous());
+    }
+
+    #[test]
+    fn vector_lowers_to_one_strided_run() {
+        let t = Datatype::Vector {
+            count: 1 << 20,
+            block_bytes: 16,
+            stride_bytes: 1024,
+        };
+        let regions = t.lower(64);
+        assert!(regions.is_strided());
+        assert_eq!(regions.len(), 1 << 20);
+        assert_eq!(regions.bytes(), t.extent_data());
+        assert_eq!(regions.get(3), Some(FileRegion::new(64 + 3 * 1024, 16)));
+        assert!(!regions.is_flattened());
+    }
+
+    #[test]
+    #[should_panic(expected = "overlapping strided blocks")]
+    fn overlapping_vector_is_rejected() {
+        let t = Datatype::Vector {
+            count: 2,
+            block_bytes: 64,
+            stride_bytes: 16,
+        };
+        t.lower(0);
     }
 
     #[test]
@@ -246,7 +269,7 @@ mod tests {
         let t = Datatype::Indexed {
             blocks: vec![(100, 10), (0, 10), (50, 10)],
         };
-        let rs = t.regions_at(0);
+        let rs = flat(&t, 0);
         assert_eq!(rs[0].offset, 0);
         assert_eq!(rs[1].offset, 50);
         assert_eq!(rs[2].offset, 100);
@@ -279,7 +302,7 @@ mod tests {
             sub_cols: 3,
         };
         assert_eq!(
-            t.regions_at(0),
+            flat(&t, 0),
             vec![FileRegion::new(40, 12), FileRegion::new(72, 12)]
         );
         assert_eq!(t.extent_data(), 24);
@@ -298,7 +321,7 @@ mod tests {
             sub_cols: 4,
         };
         assert!(t.is_contiguous());
-        let rs = t.regions_at(100);
+        let rs = flat(&t, 100);
         assert_eq!(rs.len(), 2);
         assert_eq!(rs[0].end(), rs[1].offset);
     }
@@ -314,7 +337,7 @@ mod tests {
             sub_rows: 3,
             sub_cols: 5,
         };
-        let rs = t.regions_at(1000);
+        let rs = flat(&t, 1000);
         assert_eq!(rs[0].offset, 1005);
         assert_eq!(rs[2].end(), 1000 + 2 * 10 + 5 + 5);
         assert_eq!(t.extent_span(), 25);
@@ -327,9 +350,9 @@ mod tests {
             block_bytes: 16,
             stride_bytes: 64,
         };
-        assert!(t.regions_at(0).is_empty());
+        assert!(flat(&t, 0).is_empty());
         assert_eq!(t.extent_span(), 0);
         let t2 = Datatype::Contiguous { len: 0 };
-        assert!(t2.regions_at(5).is_empty());
+        assert!(flat(&t2, 5).is_empty());
     }
 }

@@ -11,48 +11,49 @@
 //! prediction is wrong and the prefetched data goes unused.
 
 use crate::datatype::Datatype;
-use dualpar_pfs::{FileId, FileRegion};
+use crate::regions::Regions;
+use dualpar_pfs::FileId;
 use dualpar_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 pub use dualpar_disk::IoKind;
 
 /// One I/O call as issued by the application.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoCall {
     /// Read or write.
     pub kind: IoKind,
     /// Target file.
     pub file: FileId,
     /// The regions actually accessed, ascending by offset.
-    pub regions: Vec<FileRegion>,
+    pub regions: Regions,
     /// Whether this call is a collective MPI-IO call (all ranks must arrive
     /// before any proceeds).
     pub collective: bool,
     /// For data-dependent accesses: what a ghost pre-execution would fetch
     /// instead (it cannot know the true addresses because the data they
     /// depend on has not been read yet). `None` means prediction is exact.
-    pub predicted: Option<Vec<FileRegion>>,
+    /// Boxed: few calls have one, and every op pays for the field.
+    pub predicted: Option<Box<Regions>>,
 }
 
 impl IoCall {
     /// An independent read of `regions`.
-    pub fn read(file: FileId, regions: Vec<FileRegion>) -> Self {
+    pub fn read(file: FileId, regions: impl Into<Regions>) -> Self {
         IoCall {
             kind: IoKind::Read,
             file,
-            regions,
+            regions: regions.into(),
             collective: false,
             predicted: None,
         }
     }
 
     /// An independent write of `regions`.
-    pub fn write(file: FileId, regions: Vec<FileRegion>) -> Self {
+    pub fn write(file: FileId, regions: impl Into<Regions>) -> Self {
         IoCall {
             kind: IoKind::Write,
             file,
-            regions,
+            regions: regions.into(),
             collective: false,
             predicted: None,
         }
@@ -63,7 +64,7 @@ impl IoCall {
         IoCall {
             kind,
             file,
-            regions: dt.regions_at(base),
+            regions: dt.lower(base),
             collective: false,
             predicted: None,
         }
@@ -76,24 +77,24 @@ impl IoCall {
     }
 
     /// Mark as data-dependent with the given (wrong) ghost prediction.
-    pub fn with_prediction(mut self, predicted: Vec<FileRegion>) -> Self {
-        self.predicted = Some(predicted);
+    pub fn with_prediction(mut self, predicted: impl Into<Regions>) -> Self {
+        self.predicted = Some(Box::new(predicted.into()));
         self
     }
 
     /// The regions a ghost pre-execution would request.
-    pub fn ghost_regions(&self) -> &[FileRegion] {
+    pub fn ghost_regions(&self) -> &Regions {
         self.predicted.as_deref().unwrap_or(&self.regions)
     }
 
     /// Total bytes the call moves.
     pub fn bytes(&self) -> u64 {
-        self.regions.iter().map(|r| r.len).sum()
+        self.regions.bytes()
     }
 }
 
 /// One step of a process script.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
     /// Pure computation for the given duration.
     Compute(SimDuration),
@@ -105,7 +106,7 @@ pub enum Op {
 }
 
 /// The full script of one rank.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProcessScript {
     /// The steps, executed in order.
     pub ops: Vec<Op>,
@@ -156,7 +157,7 @@ impl ProcessScript {
 }
 
 /// A multi-rank program: one script per rank plus a label.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProgramScript {
     /// Program label used in reports.
     pub name: String,
@@ -197,19 +198,39 @@ impl ProgramScript {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dualpar_pfs::FileRegion;
 
     #[test]
     fn ghost_regions_default_to_actual() {
         let call = IoCall::read(FileId(1), vec![FileRegion::new(0, 100)]);
-        assert_eq!(call.ghost_regions(), &[FileRegion::new(0, 100)]);
+        assert_eq!(
+            call.ghost_regions(),
+            &Regions::from(FileRegion::new(0, 100))
+        );
     }
 
     #[test]
     fn ghost_regions_use_prediction_when_dependent() {
         let call = IoCall::read(FileId(1), vec![FileRegion::new(0, 100)])
             .with_prediction(vec![FileRegion::new(5000, 100)]);
-        assert_eq!(call.ghost_regions(), &[FileRegion::new(5000, 100)]);
-        assert_eq!(call.regions, vec![FileRegion::new(0, 100)]);
+        assert_eq!(
+            call.ghost_regions(),
+            &Regions::from(FileRegion::new(5000, 100))
+        );
+        assert_eq!(call.regions, Regions::from(FileRegion::new(0, 100)));
+    }
+
+    #[test]
+    fn ops_stay_small() {
+        // Scripts hold millions of ops: a strided run and a prediction each
+        // live behind one pointer, and a single region is stored inline.
+        assert!(
+            std::mem::size_of::<Op>() <= 56,
+            "Op is {} bytes",
+            std::mem::size_of::<Op>()
+        );
+        let op = Op::Io(IoCall::read(FileId(1), FileRegion::new(0, 4096)));
+        assert!(matches!(&op, Op::Io(c) if !c.regions.is_strided() && c.regions.len() == 1));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use crate::access::CoalescedIo;
 use dualpar_pfs::{FileId, FileRegion};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Data-sieving policy.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -38,25 +39,29 @@ impl Default for SieveConfig {
 
 /// Plan the accesses for one independent strided call.
 ///
-/// Input regions must be sorted and disjoint. Returns the accesses to issue:
-/// either sieved covering extents or the raw regions.
-pub fn plan_strided(file: FileId, regions: &[FileRegion], cfg: &SieveConfig) -> Vec<CoalescedIo> {
-    debug_assert!(regions.windows(2).all(|w| w[0].end() <= w[1].offset));
-    let passthrough = |regions: &[FileRegion]| -> Vec<CoalescedIo> {
-        regions
-            .iter()
-            .filter(|r| r.len > 0)
-            .map(|&r| CoalescedIo {
-                file,
-                cover: r,
-                useful: vec![r],
-            })
-            .collect()
+/// Input regions must be sorted and disjoint; any iterable of regions or
+/// region references works (a slice, or a call's `Regions::iter()`, which
+/// does not flatten a strided call). Returns the accesses to issue: either
+/// sieved covering extents or the raw regions.
+pub fn plan_strided<R: Borrow<FileRegion>>(
+    file: FileId,
+    regions: impl IntoIterator<Item = R>,
+    cfg: &SieveConfig,
+) -> Vec<CoalescedIo> {
+    let regions = regions
+        .into_iter()
+        .map(|r| *r.borrow())
+        .filter(|r| r.len > 0);
+    let single = |r: FileRegion| CoalescedIo {
+        file,
+        cover: r,
+        useful: vec![r],
     };
-    if !cfg.enabled || regions.len() < 2 {
-        return passthrough(regions);
+    if !cfg.enabled {
+        return regions.map(single).collect();
     }
-    // Greedily grow sieve windows bounded by buffer_bytes.
+    // Greedily grow sieve windows bounded by buffer_bytes. A window of one
+    // region is issued as it is.
     let mut out = Vec::new();
     let mut window: Vec<FileRegion> = Vec::new();
     let flush = |window: &mut Vec<FileRegion>, out: &mut Vec<CoalescedIo>| {
@@ -73,16 +78,14 @@ pub fn plan_strided(file: FileId, regions: &[FileRegion], cfg: &SieveConfig) -> 
                 useful: std::mem::take(window),
             });
         } else {
-            for r in window.drain(..) {
-                out.push(CoalescedIo {
-                    file,
-                    cover: r,
-                    useful: vec![r],
-                });
-            }
+            out.extend(window.drain(..).map(single));
         }
     };
-    for &r in regions.iter().filter(|r| r.len > 0) {
+    for r in regions {
+        debug_assert!(
+            window.last().is_none_or(|w| w.end() <= r.offset),
+            "unsorted regions"
+        );
         let would_span = match window.first() {
             Some(first) => r.end() - first.offset,
             None => r.len,
@@ -155,7 +158,7 @@ mod tests {
 
     #[test]
     fn single_region_never_sieved() {
-        let out = plan_strided(FileId(1), &[r(0, 100)], &on());
+        let out = plan_strided(FileId(1), [r(0, 100)], &on());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].hole_bytes(), 0);
     }

@@ -3,7 +3,8 @@
 //! asked for.
 
 use dualpar_mpiio::{
-    build_batch, plan_collective, plan_strided, sort_and_merge, CollectiveConfig, SieveConfig,
+    build_batch, plan_collective, plan_strided, sort_and_merge, CollectiveConfig, Regions,
+    SieveConfig,
 };
 use dualpar_pfs::{FileId, FileRegion, RangeSet};
 use proptest::prelude::*;
@@ -104,7 +105,7 @@ proptest! {
         rank_items in proptest::collection::vec(regions(), 1..8),
         naggs in 1usize..8,
     ) {
-        let per_rank: Vec<Vec<FileRegion>> = rank_items
+        let per_rank: Vec<Regions> = rank_items
             .iter()
             .map(|items| items.iter().map(|&(o, l)| FileRegion::new(o, l)).collect())
             .collect();

@@ -10,8 +10,10 @@ pub mod alloc;
 pub mod ranges;
 pub mod fs;
 pub mod layout;
+pub mod strided;
 
 pub use alloc::{AllocConfig, Extent, ExtentAllocator};
 pub use ranges::RangeSet;
 pub use fs::{FileMeta, Pvfs, ResolvedIo};
 pub use layout::{FileId, FileRegion, ServerId, StripeLayout, StripePiece};
+pub use strided::Strided;

@@ -4,8 +4,13 @@
 //! dirty, and by the CRM to compute holes between requests. Stored as a
 //! sorted `Vec<(start, end)>` of half-open intervals, merged on insert.
 //! `insert` and `remove` return the bytes they added or removed, so a
-//! caller keeping byte totals never has to rescan the set.
+//! caller keeping byte totals never has to rescan the set. Their strided
+//! twins apply a whole [`Strided`] run (clipped to a window) in one merge
+//! pass, with the same byte deltas as inserting or removing its blocks one
+//! at a time.
 
+use crate::layout::FileRegion;
+use crate::strided::Strided;
 use serde::{Deserialize, Serialize};
 
 /// Set of disjoint half-open byte intervals `[start, end)`.
@@ -114,6 +119,100 @@ impl RangeSet {
         let ends = [(first_start, s), (e, last_end)];
         let keep = usize::from(first_start >= s)..1 + usize::from(last_end > e);
         self.runs.splice(lo..hi, ends[keep].iter().copied());
+        removed
+    }
+
+    /// Insert the blocks of `run` that meet `within`, clipped to it, in one
+    /// merge pass over the runs they touch. Returns the bytes newly
+    /// covered: exactly what inserting the clipped blocks one at a time
+    /// would return in total.
+    pub fn insert_strided(&mut self, run: Strided, within: FileRegion) -> u64 {
+        let blocks = run.clipped(within);
+        let Some((first, last)) = blocks.span() else {
+            return 0;
+        };
+        if blocks.len() == 1 {
+            return self.insert(first, last - first);
+        }
+        // Runs touching or overlapping [first, last] are merged with the
+        // blocks; everything outside that section stays put.
+        let lo = self.runs.partition_point(|&(_, re)| re < first);
+        let hi = self.runs.partition_point(|&(rs, _)| rs <= last);
+        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(hi - lo + blocks.len());
+        let (mut before, mut after) = (0, 0);
+        let mut push = |(s, e): (u64, u64)| match merged.last_mut() {
+            Some(prev) if s <= prev.1 => {
+                after += e.saturating_sub(prev.1);
+                prev.1 = prev.1.max(e);
+            }
+            _ => {
+                after += e - s;
+                merged.push((s, e));
+            }
+        };
+        let mut old = self.runs[lo..hi].iter().copied().peekable();
+        for block in blocks {
+            while let Some(run) = old.next_if(|&(rs, _)| rs <= block.0) {
+                before += run.1 - run.0;
+                push(run);
+            }
+            push(block);
+        }
+        for run in old {
+            before += run.1 - run.0;
+            push(run);
+        }
+        self.runs.splice(lo..hi, merged);
+        after - before
+    }
+
+    /// Remove the blocks of `run` that meet `within`, clipped to it, in one
+    /// pass over the runs they overlap. Returns the bytes removed: exactly
+    /// what removing the clipped blocks one at a time would return in
+    /// total.
+    pub fn remove_strided(&mut self, run: Strided, within: FileRegion) -> u64 {
+        if self.runs.is_empty() {
+            return 0;
+        }
+        let blocks = run.clipped(within);
+        let Some((first, last)) = blocks.span() else {
+            return 0;
+        };
+        if blocks.len() == 1 {
+            return self.remove(first, last - first);
+        }
+        let lo = self.runs.partition_point(|&(_, re)| re <= first);
+        let hi = self.runs.partition_point(|&(rs, _)| rs < last);
+        if lo == hi {
+            return 0;
+        }
+        let mut kept: Vec<(u64, u64)> = Vec::with_capacity(hi - lo + blocks.len());
+        let mut removed = 0;
+        let mut cuts = blocks.peekable();
+        for &(rs, re) in &self.runs[lo..hi] {
+            let mut cursor = rs;
+            while let Some(&(cs, ce)) = cuts.peek() {
+                if cs >= re {
+                    break;
+                }
+                if ce > cursor {
+                    if cs > cursor {
+                        kept.push((cursor, cs));
+                    }
+                    removed += ce.min(re) - cs.max(cursor);
+                    cursor = ce.min(re);
+                }
+                if ce > re {
+                    // The cut reaches past this run: it may cut the next.
+                    break;
+                }
+                cuts.next();
+            }
+            if cursor < re {
+                kept.push((cursor, re));
+            }
+        }
+        self.runs.splice(lo..hi, kept);
         removed
     }
 
@@ -337,21 +436,43 @@ mod tests {
             #[test]
             fn deltas_match_bitmap_oracle(
                 ops in proptest::collection::vec(
-                    (any::<bool>(), 0u64..SPAN as u64, 0u64..48), 1..64)
+                    (
+                        (0u8..4, 0u64..SPAN as u64, 0u64..48),
+                        (0u64..12, 0u64..12, 0u64..10),
+                        (0u64..SPAN as u64 + 48, 0u64..200),
+                    ),
+                    1..64,
+                )
             ) {
+                // Ops 0/1 insert/remove one range; ops 2/3 insert/remove the
+                // strided run at `start` (block, block + gap, count),
+                // clipped to the window `(wlo, wlen)`.
                 let mut r = RangeSet::new();
-                let mut bits = [false; SPAN + 48];
-                for &(is_insert, start, len) in &ops {
+                let mut bits = [false; SPAN + 512];
+                for &((op, start, len), (block, gap, count), (wlo, wlen)) in &ops {
+                    let is_insert = op % 2 == 0;
                     let before = r.runs.clone();
-                    let window = &mut bits[start as usize..(start + len) as usize];
-                    let flips = window.iter().filter(|&&b| b != is_insert).count() as u64;
-                    window.fill(is_insert);
-                    let delta = if is_insert {
-                        r.insert(start, len)
+                    let run = Strided::new(start, block, block + gap, count);
+                    let within = FileRegion::new(wlo, wlen);
+                    let spans: Vec<(u64, u64)> = if op < 2 {
+                        vec![(start, start + len)]
                     } else {
-                        r.remove(start, len)
+                        run.clipped(within).collect()
                     };
-                    prop_assert_eq!(delta, flips, "op {:?}", (is_insert, start, len));
+                    let mut flips = 0;
+                    for &(s, e) in &spans {
+                        let window = &mut bits[s as usize..e as usize];
+                        flips += window.iter().filter(|&&b| b != is_insert).count() as u64;
+                        window.fill(is_insert);
+                    }
+                    let delta = match op {
+                        0 => r.insert(start, len),
+                        1 => r.remove(start, len),
+                        2 => r.insert_strided(run, within),
+                        _ => r.remove_strided(run, within),
+                    };
+                    let what = (op, start, len, block, gap, count, wlo, wlen);
+                    prop_assert_eq!(delta, flips, "op {:?}", what);
                     if !is_insert && delta == 0 {
                         prop_assert_eq!(&r.runs, &before, "a remove that overlaps nothing");
                     }

@@ -1,6 +1,6 @@
 //! Shared helpers for workload generators.
 
-use dualpar_mpiio::{IoCall, IoKind, Op, ProcessScript, ProgramScript};
+use dualpar_mpiio::{IoCall, IoKind, Op, ProcessScript, ProgramScript, Regions};
 use dualpar_pfs::{FileId, FileRegion};
 use dualpar_sim::SimDuration;
 
@@ -18,17 +18,21 @@ pub fn build_program(
     }
 }
 
-/// An I/O op on a single contiguous region.
+/// An I/O op on a single contiguous region (stored inline; no regions
+/// when `len` is zero).
 pub fn io_region(kind: IoKind, file: FileId, offset: u64, len: u64, collective: bool) -> Op {
-    let mut call = IoCall {
+    let region = FileRegion::new(offset, len);
+    Op::Io(IoCall {
         kind,
         file,
-        regions: vec![FileRegion::new(offset, len)],
+        regions: if len > 0 {
+            region.into()
+        } else {
+            Regions::default()
+        },
         collective,
         predicted: None,
-    };
-    call.regions.retain(|r| r.len > 0);
-    Op::Io(call)
+    })
 }
 
 /// A compute burst (skipped entirely when zero).

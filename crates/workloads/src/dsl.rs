@@ -756,7 +756,7 @@ mod tests {
             for (rank, ps) in script.ranks.iter().enumerate() {
                 for op in &ps.ops {
                     if let Op::Io(c) = op {
-                        for r in &c.regions {
+                        for r in c.regions.iter() {
                             assert!(
                                 r.offset + r.len <= w.file_size,
                                 "{offsets:?}: region past EOF"

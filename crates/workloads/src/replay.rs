@@ -119,7 +119,7 @@ impl TraceReplay {
                     ops.push(Op::Io(IoCall {
                         kind: e.kind,
                         file: files[e.file_index as usize],
-                        regions: vec![FileRegion::new(e.offset, e.len)],
+                        regions: FileRegion::new(e.offset, e.len).into(),
                         collective: false,
                         predicted: None,
                     }));
@@ -160,9 +160,9 @@ mod tests {
         assert_eq!(p.nprocs(), 2);
         // Rank 0: read@0, compute 2 s, read@4096.
         let ops = &p.ranks[0].ops;
-        assert!(matches!(&ops[0], Op::Io(c) if c.regions[0].offset == 0));
+        assert!(matches!(&ops[0], Op::Io(c) if c.regions.get(0).is_some_and(|r| r.offset == 0)));
         assert!(matches!(ops[1], Op::Compute(d) if d == SimDuration::from_secs(2)));
-        assert!(matches!(&ops[2], Op::Io(c) if c.regions[0].offset == 4096));
+        assert!(matches!(&ops[2], Op::Io(c) if c.regions.get(0).is_some_and(|r| r.offset == 4096)));
         // Rank 1 writes to the second file.
         assert!(matches!(&p.ranks[1].ops[0], Op::Io(c) if c.file == FileId(2)));
     }

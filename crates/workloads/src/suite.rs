@@ -634,7 +634,7 @@ mod tests {
             .ops
             .iter()
             .find_map(|o| match o {
-                Op::Io(c) => Some(c.regions[0]),
+                Op::Io(c) => c.regions.get(0),
                 _ => None,
             })
             .unwrap();
@@ -654,7 +654,7 @@ mod tests {
         for (rank, script) in p.ranks.iter().enumerate() {
             for op in &script.ops {
                 if let Op::Io(c) = op {
-                    for r in &c.regions {
+                    for r in c.regions.iter() {
                         assert!(r.offset >= rank as u64 * scope);
                         assert!(r.end() <= (rank as u64 + 1) * scope);
                     }
@@ -679,7 +679,7 @@ mod tests {
             .ops
             .iter()
             .filter_map(|o| match o {
-                Op::Io(c) => Some(c.regions.clone()),
+                Op::Io(c) => Some(c.regions.iter()),
                 _ => None,
             })
             .flatten()
@@ -769,7 +769,7 @@ mod tests {
         for (rank, script) in p.ranks.iter().enumerate() {
             for op in &script.ops {
                 if let Op::Io(c) = op {
-                    for r in &c.regions {
+                    for r in c.regions.iter() {
                         match c.kind {
                             IoKind::Read => assert!(r.end() <= 16 << 20),
                             IoKind::Write => {
@@ -834,7 +834,7 @@ mod tests {
             for op in &script.ops {
                 if let Op::Io(c) = op {
                     total += 1;
-                    if c.predicted.as_ref() != Some(&c.regions) {
+                    if c.predicted.as_deref() != Some(&c.regions) {
                         mismatches += 1;
                     }
                 }
@@ -860,7 +860,7 @@ mod tests {
             .ops
             .iter()
             .filter_map(|o| match o {
-                Op::Io(c) => Some(c.regions[0]),
+                Op::Io(c) => c.regions.get(0),
                 _ => None,
             })
             .collect();

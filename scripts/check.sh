@@ -75,6 +75,12 @@ cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
 cargo bench --offline -p dualpar-bench --bench hot_path -- --test
 cargo bench --offline -p dualpar-bench --bench sim_microbench -- --test
 
+# Benchmark smoke: perfbench/ is a Cargo package of its own that compiles
+# against the crates' public API (scripts, `plan_strided`, `ghost_walk`,
+# the cache), so an API change that breaks it fails here, not in the next
+# benchmark run. Builds into .bench_build/ and runs each workload briefly.
+python3 perfbench/run.py --smoke
+
 # Suite smoke: the parallel runner over the small figure-set suite, with
 # the serial-twin determinism check (exits non-zero on any byte-level
 # report divergence between --jobs N and serial), a per-run wall-clock

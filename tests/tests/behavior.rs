@@ -311,15 +311,13 @@ fn collective_mixed_read_write() {
         .program(IoStrategy::Collective, |files| {
             let f = files[0];
             let mk = |kind: IoKind, regions: Vec<FileRegion>| {
-                let mut call = IoCall {
+                Op::Io(IoCall {
                     kind,
                     file: f,
-                    regions,
+                    regions: regions.into_iter().filter(|r| r.len > 0).collect(),
                     collective: true,
                     predicted: None,
-                };
-                call.regions.retain(|r| r.len > 0);
-                Op::Io(call)
+                })
             };
             let nprocs = 4usize;
             let slab = (2 << 20) / nprocs as u64;
