@@ -146,13 +146,40 @@ fn bench_cache_store(c: &mut Criterion) {
         )
     });
     // The same cells and bytes as one strided run per rank: one cache
-    // insert per (rank, chunk) instead of one per cell.
+    // insert per (rank, chunk) instead of one per cell. In rank order each
+    // rank's cells abut the last rank's, so every chunk's byte sets stay
+    // one periodic run and each insert is O(1).
     g.bench_function("put_write_btio_strided", |b| {
         b.iter_batched(
             || GlobalCache::new(cfg.clone()),
             |mut cache| {
                 let f = FileId(1);
                 for rank in 0..ranks {
+                    let run = Strided::new(rank * cell, cell, stride, cells);
+                    black_box(cache.put_write_strided(OwnerId(rank), f, run, SimTime::ZERO));
+                }
+                black_box(cache.dirty_bytes())
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // The same runs with the ranks in a fixed pseudo-random order
+    // (Fisher-Yates over a 64-bit LCG): most runs land between cells that
+    // are not theirs, so the chunks' byte sets take the explicit merge.
+    let mut shuffled: Vec<u64> = (0..ranks).collect();
+    let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
+    for i in (1..shuffled.len()).rev() {
+        lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        shuffled.swap(i, ((lcg >> 33) % (i as u64 + 1)) as usize);
+    }
+    g.bench_function("put_write_btio_strided_shuffled", |b| {
+        b.iter_batched(
+            || GlobalCache::new(cfg.clone()),
+            |mut cache| {
+                let f = FileId(1);
+                for &rank in &shuffled {
                     let run = Strided::new(rank * cell, cell, stride, cells);
                     black_box(cache.put_write_strided(OwnerId(rank), f, run, SimTime::ZERO));
                 }

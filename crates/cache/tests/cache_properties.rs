@@ -52,6 +52,10 @@ proptest! {
     /// (`block == stride`), strides wider than a chunk, and empty runs
     /// (`count == 0`, `block == 0`). A prelude of prefetches and writes
     /// leaves clean, dirty and prefetched-unused chunks for the runs to hit.
+    /// Then come BTIO-shaped interleaves: `ranks` runs of `cell`-byte blocks
+    /// at a shared stride, one per rank, in rank order or shuffled, over
+    /// used or fresh chunks, sometimes aligned so that chunk edges fall
+    /// between cells (the chunks' byte sets then stay periodic).
     #[test]
     fn strided_write_equals_per_region_loop(
         prelude in proptest::collection::vec(
@@ -61,6 +65,11 @@ proptest! {
             1..12),
         bounded in any::<bool>(),
         dense in any::<bool>(),
+        ((ranks, cell, gap, count), (aligned, shuffled, base)) in (
+            (1u64..9, 1u64..700, 0u64..64, 1u64..24),
+            (any::<bool>(), any::<bool>(), prop_oneof![0u64..60_000, 500_000u64..560_000]),
+        ),
+        keys in proptest::collection::vec(any::<u64>(), 8),
     ) {
         let cfg = CacheConfig {
             chunk_size: 4096,
@@ -84,11 +93,27 @@ proptest! {
                 }
             }
         }
-        for &((owner, base), (block, gap, count), drain) in &runs {
+        let random = runs.iter().map(|&((owner, base), (block, gap, count), drain)| {
+            let stride = if dense { block } else { block + gap };
+            (owner, Strided::new(base, block, stride, count), drain)
+        });
+        let (ranks, cell, gap, base) = if aligned {
+            // The stride divides the chunk size and the runs start on a
+            // chunk boundary.
+            (1 << (ranks % 4), 1 << (cell % 8), 0, base / 4096 * 4096)
+        } else {
+            (ranks, cell, gap, base)
+        };
+        let mut order: Vec<u64> = (0..ranks).collect();
+        if shuffled {
+            order.sort_by_key(|&k| keys[k as usize]);
+        }
+        let interleave = order
+            .iter()
+            .map(|&k| (k % 3, Strided::new(base + k * cell, cell, ranks * cell + gap, count), false));
+        for (owner, run, drain) in random.chain(interleave) {
             t += 1;
             let now = SimTime::from_millis(t);
-            let stride = if dense { block } else { block + gap };
-            let run = Strided::new(base, block, stride, count);
             let got = per_node(strided.put_write_strided(OwnerId(owner), f, run, now));
             let mut want = BTreeMap::new();
             for block in run.iter() {

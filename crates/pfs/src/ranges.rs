@@ -8,16 +8,52 @@
 //! twins apply a whole [`Strided`] run (clipped to a window) in one merge
 //! pass, with the same byte deltas as inserting or removing its blocks one
 //! at a time.
+//!
+//! A set may instead hold one periodic run: the blocks of a [`Strided`]
+//! with two or more blocks and a gap after each. Interleaved strided
+//! writes (BTIO's ranks, each writing every k-th cell of a chunk) build it
+//! in O(1) per insert: the first run into an empty set becomes the set,
+//! and each later run whose blocks abut the set's widens them, until the
+//! blocks fill their stride and the set collapses to one range. Any other
+//! mutation first expands the run into the explicit list. Queries read
+//! either form without allocating.
 
 use crate::layout::FileRegion;
-use crate::strided::Strided;
-use serde::{Deserialize, Serialize};
+use crate::strided::{Blocks, Strided};
 
 /// Set of disjoint half-open byte intervals `[start, end)`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Equality is set equality: two sets are equal when they cover the same
+/// bytes, whichever form each is stored in.
+#[derive(Debug, Clone, Default)]
 pub struct RangeSet {
-    runs: Vec<(u64, u64)>,
+    repr: Repr,
 }
+
+/// The two forms of a [`RangeSet`]. The periodic run sits behind a pointer
+/// so a set stays as small as its `Vec`.
+#[derive(Debug, Clone)]
+enum Repr {
+    /// Sorted, disjoint, non-touching, non-empty runs.
+    Runs(Vec<(u64, u64)>),
+    /// The blocks of a run with [`Strided::has_gaps`].
+    Periodic(Box<Strided>),
+}
+
+impl Default for Repr {
+    #[inline]
+    fn default() -> Self {
+        Repr::Runs(Vec::new())
+    }
+}
+
+impl PartialEq for RangeSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for RangeSet {}
 
 /// One-past-the-end offset of `[start, start+len)`. A range whose end
 /// exceeds `u64::MAX` is a caller bug (file offsets are byte positions, so
@@ -33,6 +69,49 @@ fn range_end(start: u64, len: u64) -> u64 {
     start.saturating_add(len)
 }
 
+/// Iterator over a set's runs; see [`RangeSet::iter`].
+enum Iter<'a> {
+    Runs(std::slice::Iter<'a, (u64, u64)>),
+    Periodic(Blocks),
+}
+
+impl Iterator for Iter<'_> {
+    type Item = (u64, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u64, u64)> {
+        match self {
+            Iter::Runs(runs) => runs.next().copied(),
+            Iter::Periodic(blocks) => blocks.next().map(|b| (b.offset, b.end())),
+        }
+    }
+}
+
+/// The blocks of a periodic run as explicit runs. Out of line: the
+/// mutations that call it stay small on their hot, explicit path.
+#[cold]
+#[inline(never)]
+fn expand(p: &Strided) -> Vec<(u64, u64)> {
+    p.iter().map(|b| (b.offset, b.end())).collect()
+}
+
+/// The gaps that `runs` leave in `[start, end)`, as `(offset, len)` pairs.
+/// `runs` ascend, and each starts before `end` and ends after `start`.
+fn gaps_between(runs: impl Iterator<Item = (u64, u64)>, start: u64, end: u64) -> Vec<(u64, u64)> {
+    let mut gaps = Vec::new();
+    let mut cursor = start;
+    for (rs, re) in runs {
+        if rs > cursor {
+            gaps.push((cursor, rs - cursor));
+        }
+        cursor = cursor.max(re);
+    }
+    if cursor < end {
+        gaps.push((cursor, end - cursor));
+    }
+    gaps
+}
+
 impl RangeSet {
     /// The empty set.
     pub fn new() -> Self {
@@ -46,24 +125,48 @@ impl RangeSet {
         s
     }
 
+    /// The explicit run list, expanding a periodic run into it first.
+    #[inline]
+    fn runs_mut(&mut self) -> &mut Vec<(u64, u64)> {
+        if let Repr::Periodic(p) = &self.repr {
+            self.repr = Repr::Runs(expand(p));
+        }
+        match &mut self.repr {
+            Repr::Runs(runs) => runs,
+            Repr::Periodic(_) => unreachable!("periodic set was just expanded"),
+        }
+    }
+
     /// Does the set cover nothing?
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        match &self.repr {
+            Repr::Runs(runs) => runs.is_empty(),
+            Repr::Periodic(_) => false,
+        }
     }
 
     /// Number of disjoint runs.
     pub fn num_runs(&self) -> usize {
-        self.runs.len()
+        match &self.repr {
+            Repr::Runs(runs) => runs.len(),
+            Repr::Periodic(p) => usize::try_from(p.len()).unwrap_or(usize::MAX),
+        }
     }
 
     /// Total bytes covered.
     pub fn covered(&self) -> u64 {
-        self.runs.iter().map(|&(s, e)| e - s).sum()
+        match &self.repr {
+            Repr::Runs(runs) => runs.iter().map(|&(s, e)| e - s).sum(),
+            Repr::Periodic(p) => p.bytes(),
+        }
     }
 
     /// Iterate the disjoint `(start, end)` runs in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.runs.iter().copied()
+        match &self.repr {
+            Repr::Runs(runs) => Iter::Runs(runs.iter()),
+            Repr::Periodic(p) => Iter::Periodic(p.iter()),
+        }
     }
 
     /// Insert `[start, start+len)`, merging with touching/overlapping runs.
@@ -75,57 +178,63 @@ impl RangeSet {
         if len == 0 {
             return 0;
         }
+        let runs = self.runs_mut();
         let mut s = start;
         let mut e = range_end(start, len);
         // Find all runs overlapping or touching [s, e).
-        let lo = self.runs.partition_point(|&(_, re)| re < s);
+        let lo = runs.partition_point(|&(_, re)| re < s);
         let mut hi = lo;
         let mut absorbed = 0;
-        while hi < self.runs.len() && self.runs[hi].0 <= e {
-            let (rs, re) = self.runs[hi];
+        while hi < runs.len() && runs[hi].0 <= e {
+            let (rs, re) = runs[hi];
             absorbed += re - rs;
             s = s.min(rs);
             e = e.max(re);
             hi += 1;
         }
-        self.runs.splice(lo..hi, [(s, e)]);
+        runs.splice(lo..hi, [(s, e)]);
         (e - s) - absorbed
     }
 
     /// Remove `[start, start+len)` from the set. Returns the bytes removed.
     /// Works in place: only the runs overlapping the range are replaced
     /// (by at most two trimmed ends), and a range that overlaps nothing
-    /// leaves the set untouched.
+    /// leaves the runs untouched.
     pub fn remove(&mut self, start: u64, len: u64) -> u64 {
         if len == 0 {
             return 0;
         }
+        let runs = self.runs_mut();
         let s = start;
         let e = range_end(start, len);
-        let lo = self.runs.partition_point(|&(_, re)| re <= s);
+        let lo = runs.partition_point(|&(_, re)| re <= s);
         let mut hi = lo;
         let mut removed = 0;
-        while hi < self.runs.len() && self.runs[hi].0 < e {
-            let (rs, re) = self.runs[hi];
+        while hi < runs.len() && runs[hi].0 < e {
+            let (rs, re) = runs[hi];
             removed += re.min(e) - rs.max(s);
             hi += 1;
         }
         if hi == lo {
             return 0;
         }
-        let first_start = self.runs[lo].0;
-        let last_end = self.runs[hi - 1].1;
+        let first_start = runs[lo].0;
+        let last_end = runs[hi - 1].1;
         // The trimmed ends that survive: `[first_start, s)` and `[e, last_end)`.
         let ends = [(first_start, s), (e, last_end)];
         let keep = usize::from(first_start >= s)..1 + usize::from(last_end > e);
-        self.runs.splice(lo..hi, ends[keep].iter().copied());
+        runs.splice(lo..hi, ends[keep].iter().copied());
         removed
     }
 
-    /// Insert the blocks of `run` that meet `within`, clipped to it, in one
-    /// merge pass over the runs they touch. Returns the bytes newly
-    /// covered: exactly what inserting the clipped blocks one at a time
-    /// would return in total.
+    /// Insert the blocks of `run` that meet `within`, clipped to it. Returns
+    /// the bytes newly covered: exactly what inserting the clipped blocks
+    /// one at a time would return in total.
+    ///
+    /// Two cases take O(1): uncut blocks into an empty set, which become
+    /// its periodic run, and uncut blocks that abut a periodic set's
+    /// blocks ([`Strided::joined`]), which widen them. Everything else is
+    /// one merge pass over the runs the blocks touch.
     pub fn insert_strided(&mut self, run: Strided, within: FileRegion) -> u64 {
         let blocks = run.clipped(within);
         let Some((first, last)) = blocks.span() else {
@@ -134,10 +243,14 @@ impl RangeSet {
         if blocks.len() == 1 {
             return self.insert(first, last - first);
         }
+        if let Some(added) = blocks.uncut().and_then(|whole| self.join(whole)) {
+            return added;
+        }
         // Runs touching or overlapping [first, last] are merged with the
         // blocks; everything outside that section stays put.
-        let lo = self.runs.partition_point(|&(_, re)| re < first);
-        let hi = self.runs.partition_point(|&(rs, _)| rs <= last);
+        let runs = self.runs_mut();
+        let lo = runs.partition_point(|&(_, re)| re < first);
+        let hi = runs.partition_point(|&(rs, _)| rs <= last);
         let mut merged: Vec<(u64, u64)> = Vec::with_capacity(hi - lo + blocks.len());
         let (mut before, mut after) = (0, 0);
         let mut push = |(s, e): (u64, u64)| match merged.last_mut() {
@@ -150,7 +263,7 @@ impl RangeSet {
                 merged.push((s, e));
             }
         };
-        let mut old = self.runs[lo..hi].iter().copied().peekable();
+        let mut old = runs[lo..hi].iter().copied().peekable();
         for block in blocks {
             while let Some(run) = old.next_if(|&(rs, _)| rs <= block.0) {
                 before += run.1 - run.0;
@@ -162,8 +275,34 @@ impl RangeSet {
             before += run.1 - run.0;
             push(run);
         }
-        self.runs.splice(lo..hi, merged);
+        runs.splice(lo..hi, merged);
         after - before
+    }
+
+    /// The O(1) cases of [`insert_strided`] for a run of two or more whole
+    /// blocks: the set is empty, or periodic with blocks the run abuts.
+    /// Returns the bytes added, or `None` with the set untouched.
+    ///
+    /// [`insert_strided`]: RangeSet::insert_strided
+    fn join(&mut self, whole: Strided) -> Option<u64> {
+        let joined = match &mut self.repr {
+            Repr::Runs(runs) if runs.is_empty() => whole,
+            Repr::Runs(_) => return None,
+            Repr::Periodic(p) => {
+                let joined = p.joined(&whole)?;
+                if joined.has_gaps() {
+                    **p = joined;
+                    return Some(whole.bytes());
+                }
+                joined
+            }
+        };
+        self.repr = if joined.has_gaps() {
+            Repr::Periodic(Box::new(joined))
+        } else {
+            Repr::Runs(vec![(joined.start(), joined.end())])
+        };
+        Some(whole.bytes())
     }
 
     /// Remove the blocks of `run` that meet `within`, clipped to it, in one
@@ -171,7 +310,7 @@ impl RangeSet {
     /// what removing the clipped blocks one at a time would return in
     /// total.
     pub fn remove_strided(&mut self, run: Strided, within: FileRegion) -> u64 {
-        if self.runs.is_empty() {
+        if self.is_empty() {
             return 0;
         }
         let blocks = run.clipped(within);
@@ -181,15 +320,16 @@ impl RangeSet {
         if blocks.len() == 1 {
             return self.remove(first, last - first);
         }
-        let lo = self.runs.partition_point(|&(_, re)| re <= first);
-        let hi = self.runs.partition_point(|&(rs, _)| rs < last);
+        let runs = self.runs_mut();
+        let lo = runs.partition_point(|&(_, re)| re <= first);
+        let hi = runs.partition_point(|&(rs, _)| rs < last);
         if lo == hi {
             return 0;
         }
         let mut kept: Vec<(u64, u64)> = Vec::with_capacity(hi - lo + blocks.len());
         let mut removed = 0;
         let mut cuts = blocks.peekable();
-        for &(rs, re) in &self.runs[lo..hi] {
+        for &(rs, re) in &runs[lo..hi] {
             let mut cursor = rs;
             while let Some(&(cs, ce)) = cuts.peek() {
                 if cs >= re {
@@ -212,7 +352,7 @@ impl RangeSet {
                 kept.push((cursor, re));
             }
         }
-        self.runs.splice(lo..hi, kept);
+        runs.splice(lo..hi, kept);
         removed
     }
 
@@ -222,10 +362,15 @@ impl RangeSet {
             return true;
         }
         let e = range_end(start, len);
-        let idx = self.runs.partition_point(|&(_, re)| re <= start);
-        match self.runs.get(idx) {
-            Some(&(rs, re)) => rs <= start && e <= re,
-            None => false,
+        match &self.repr {
+            Repr::Runs(runs) => {
+                let idx = runs.partition_point(|&(_, re)| re <= start);
+                match runs.get(idx) {
+                    Some(&(rs, re)) => rs <= start && e <= re,
+                    None => false,
+                }
+            }
+            Repr::Periodic(p) => p.bytes_in(FileRegion::new(start, e - start)) == e - start,
         }
     }
 
@@ -235,41 +380,44 @@ impl RangeSet {
             return 0;
         }
         let e = range_end(start, len);
-        let mut covered = 0;
-        let idx = self.runs.partition_point(|&(_, re)| re <= start);
-        for &(rs, re) in &self.runs[idx..] {
-            if rs >= e {
-                break;
+        match &self.repr {
+            Repr::Runs(runs) => {
+                let mut covered = 0;
+                let idx = runs.partition_point(|&(_, re)| re <= start);
+                for &(rs, re) in &runs[idx..] {
+                    if rs >= e {
+                        break;
+                    }
+                    covered += re.min(e) - rs.max(start);
+                }
+                covered
             }
-            covered += re.min(e) - rs.max(start);
+            Repr::Periodic(p) => p.bytes_in(FileRegion::new(start, e - start)),
         }
-        covered
     }
 
     /// The gaps of `[start, start+len)` not covered by the set.
     pub fn gaps(&self, start: u64, len: u64) -> Vec<(u64, u64)> {
         let e = range_end(start, len);
-        let mut gaps = Vec::new();
-        let mut cursor = start;
-        let idx = self.runs.partition_point(|&(_, re)| re <= start);
-        for &(rs, re) in &self.runs[idx..] {
-            if rs >= e {
-                break;
+        match &self.repr {
+            Repr::Runs(runs) => {
+                let idx = runs.partition_point(|&(_, re)| re <= start);
+                let inside = runs[idx..].iter().copied().take_while(|&(rs, _)| rs < e);
+                gaps_between(inside, start, e)
             }
-            if rs > cursor {
-                gaps.push((cursor, rs - cursor));
+            Repr::Periodic(p) => {
+                gaps_between(p.clipped(FileRegion::new(start, e - start)), start, e)
             }
-            cursor = cursor.max(re);
         }
-        if cursor < e {
-            gaps.push((cursor, e - cursor));
-        }
-        gaps
     }
 
     /// Remove everything.
     pub fn clear(&mut self) {
-        self.runs.clear();
+        if let Repr::Runs(runs) = &mut self.repr {
+            runs.clear();
+        } else {
+            self.repr = Repr::default();
+        }
     }
 }
 
@@ -391,6 +539,71 @@ mod tests {
         assert_eq!(r.gaps(start, 100), vec![(start + 40, 20)]);
     }
 
+    #[test]
+    fn set_stays_small() {
+        // The periodic run sits behind a pointer: a set costs its `Vec`.
+        assert_eq!(std::mem::size_of::<RangeSet>(), 24);
+    }
+
+    /// Rank `k` of four writing 16-byte cells at a 64-byte stride.
+    fn rank(k: u64) -> Strided {
+        Strided::new(k * 16, 16, 64, 4)
+    }
+
+    #[test]
+    fn interleaved_ranks_stay_periodic_and_collapse() {
+        let window = FileRegion::new(0, 256);
+        let mut r = RangeSet::new();
+        assert_eq!(r.insert_strided(rank(1), window), 64);
+        assert!(matches!(r.repr, Repr::Periodic(_)));
+        assert_eq!(r.insert_strided(rank(2), window), 64); // appends
+        assert_eq!(r.insert_strided(rank(0), window), 64); // prepends
+        assert!(matches!(r.repr, Repr::Periodic(_)));
+        assert_eq!((r.num_runs(), r.covered()), (4, 192));
+        assert_eq!(
+            r.iter().take(2).collect::<Vec<_>>(),
+            vec![(0, 48), (64, 112)]
+        );
+        assert!(r.contains_range(64, 48));
+        assert!(!r.contains_range(40, 16));
+        assert_eq!(r.intersect_len(40, 40), 8 + 16);
+        assert_eq!(r.gaps(40, 40), vec![(48, 16)]);
+        assert_eq!(r.insert_strided(rank(3), window), 64); // fills the stride
+        assert!(matches!(&r.repr, Repr::Runs(runs) if runs == &[(0, 256)]));
+    }
+
+    #[test]
+    fn other_strided_inserts_take_the_merge() {
+        let window = FileRegion::new(0, 256);
+        // A window that cuts the first block keeps the explicit form.
+        let mut cut = RangeSet::new();
+        assert_eq!(cut.insert_strided(rank(0), FileRegion::new(8, 248)), 56);
+        assert!(matches!(cut.repr, Repr::Runs(_)));
+        // A run whose blocks do not abut the periodic ones expands them.
+        let mut apart = RangeSet::new();
+        apart.insert_strided(rank(0), window);
+        assert_eq!(apart.insert_strided(rank(2), window), 64);
+        assert!(matches!(apart.repr, Repr::Runs(_)));
+        assert_eq!(apart.num_runs(), 8);
+        // A periodic set equals the same bytes held as explicit runs.
+        let mut periodic = RangeSet::new();
+        periodic.insert_strided(rank(0), window);
+        let mut explicit = RangeSet::new();
+        for k in 0..4 {
+            explicit.insert(k * 64, 16);
+        }
+        assert_eq!(periodic, explicit);
+        // Any other mutation expands it first.
+        assert_eq!(periodic.remove(8, 64), 8 + 8);
+        assert!(matches!(periodic.repr, Repr::Runs(_)));
+        assert_eq!(
+            periodic.iter().collect::<Vec<_>>(),
+            vec![(0, 8), (72, 80), (128, 144), (192, 208)]
+        );
+        periodic.clear();
+        assert!(periodic.is_empty());
+    }
+
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "byte range overflows u64")]
@@ -432,6 +645,79 @@ mod tests {
             runs
         }
 
+        /// Check every query of `r` against the bitmap `bits`: the runs,
+        /// their count and bytes, and `contains_range`, `intersect_len` and
+        /// `gaps` over the probe window `(plo, plen)`.
+        fn check_queries(r: &RangeSet, bits: &[bool], (plo, plen): (u64, u64)) {
+            let want = bitmap_runs(bits);
+            let got: Vec<(u64, u64)> = r.iter().collect();
+            prop_assert!(got.iter().all(|&(s, e)| s < e));
+            prop_assert!(got.windows(2).all(|w| w[0].1 < w[1].0));
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(r.num_runs(), want.len());
+            prop_assert_eq!(r.is_empty(), want.is_empty());
+            let set = bits.iter().filter(|&&b| b).count() as u64;
+            prop_assert_eq!(r.covered(), set);
+            let probe = &bits[plo as usize..(plo + plen) as usize];
+            let hit = probe.iter().filter(|&&b| b).count() as u64;
+            prop_assert_eq!(r.intersect_len(plo, plen), hit, "probe {:?}", (plo, plen));
+            prop_assert_eq!(
+                r.contains_range(plo, plen),
+                hit == plen,
+                "probe {:?}",
+                (plo, plen)
+            );
+            let gaps: Vec<(u64, u64)> = bitmap_runs(&probe.iter().map(|&b| !b).collect::<Vec<_>>())
+                .into_iter()
+                .map(|(s, e)| (plo + s, e - s))
+                .collect();
+            prop_assert_eq!(r.gaps(plo, plen), gaps, "probe {:?}", (plo, plen));
+        }
+
+        /// Apply one op to the set and the bitmap; check its byte delta.
+        /// Ops 0/1 insert/remove `[start, start + len)`; ops 2/3
+        /// insert/remove `run` clipped to `within`.
+        fn apply(
+            r: &mut RangeSet,
+            bits: &mut [bool],
+            op: u8,
+            (start, len): (u64, u64),
+            run: Strided,
+            within: FileRegion,
+        ) {
+            let is_insert = op.is_multiple_of(2);
+            let before = r.clone();
+            let spans: Vec<(u64, u64)> = if op < 2 {
+                vec![(start, start + len)]
+            } else {
+                run.clipped(within).collect()
+            };
+            let mut flips = 0;
+            for &(s, e) in &spans {
+                let window = &mut bits[s as usize..e as usize];
+                flips += window.iter().filter(|&&b| b != is_insert).count() as u64;
+                window.fill(is_insert);
+            }
+            let delta = match op {
+                0 => r.insert(start, len),
+                1 => r.remove(start, len),
+                2 => r.insert_strided(run, within),
+                _ => r.remove_strided(run, within),
+            };
+            prop_assert_eq!(
+                delta,
+                flips,
+                "op {} {:?} {:?} {:?}",
+                op,
+                (start, len),
+                run,
+                within
+            );
+            if delta == 0 {
+                prop_assert_eq!(&*r, &before, "an op that moves no byte");
+            }
+        }
+
         proptest! {
             #[test]
             fn deltas_match_bitmap_oracle(
@@ -442,46 +728,70 @@ mod tests {
                         (0u64..SPAN as u64 + 48, 0u64..200),
                     ),
                     1..64,
-                )
+                ),
+                probes in proptest::collection::vec((0u64..SPAN as u64 + 48, 0u64..200), 64),
             ) {
-                // Ops 0/1 insert/remove one range; ops 2/3 insert/remove the
-                // strided run at `start` (block, block + gap, count),
-                // clipped to the window `(wlo, wlen)`.
+                // Strided ops use the run at `start` (block, block + gap,
+                // count), clipped to the window `(wlo, wlen)`.
                 let mut r = RangeSet::new();
                 let mut bits = [false; SPAN + 512];
-                for &((op, start, len), (block, gap, count), (wlo, wlen)) in &ops {
-                    let is_insert = op % 2 == 0;
-                    let before = r.runs.clone();
+                for (i, &((op, start, len), (block, gap, count), (wlo, wlen))) in ops.iter().enumerate() {
                     let run = Strided::new(start, block, block + gap, count);
-                    let within = FileRegion::new(wlo, wlen);
-                    let spans: Vec<(u64, u64)> = if op < 2 {
-                        vec![(start, start + len)]
-                    } else {
-                        run.clipped(within).collect()
-                    };
-                    let mut flips = 0;
-                    for &(s, e) in &spans {
-                        let window = &mut bits[s as usize..e as usize];
-                        flips += window.iter().filter(|&&b| b != is_insert).count() as u64;
-                        window.fill(is_insert);
-                    }
-                    let delta = match op {
-                        0 => r.insert(start, len),
-                        1 => r.remove(start, len),
-                        2 => r.insert_strided(run, within),
-                        _ => r.remove_strided(run, within),
-                    };
-                    let what = (op, start, len, block, gap, count, wlo, wlen);
-                    prop_assert_eq!(delta, flips, "op {:?}", what);
-                    if !is_insert && delta == 0 {
-                        prop_assert_eq!(&r.runs, &before, "a remove that overlaps nothing");
-                    }
-                    // Sorted, disjoint, non-touching, non-empty runs.
-                    prop_assert!(r.runs.iter().all(|&(s, e)| s < e));
-                    prop_assert!(r.runs.windows(2).all(|w| w[0].1 < w[1].0));
-                    prop_assert_eq!(&r.runs, &bitmap_runs(&bits));
+                    apply(&mut r, &mut bits, op, (start, len), run, FileRegion::new(wlo, wlen));
+                    check_queries(&r, &bits, probes[i]);
                 }
             }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// BTIO's interleave: `k` ranks each write every k-th cell of a
+            /// stride (plus an optional gap that keeps the blocks from ever
+            /// filling it), in a random rank order, clipped to windows that
+            /// need not align with the stride, with plain inserts and
+            /// removes now and then. In rank order the set stays periodic
+            /// and collapses to one run; other orders and cut windows take
+            /// the merge.
+            #[test]
+            fn interleaved_strided_inserts_match_bitmap_oracle(
+                (ranks, cell, gap, count, base) in (1u64..7, 1u64..7, 0u64..3, 1u64..9, 0u64..20),
+                keys in proptest::collection::vec(any::<u64>(), 6),
+                passes in proptest::collection::vec(
+                    (any::<bool>(), 0u64..320, 0u64..340),
+                    1..3,
+                ),
+                extras in proptest::collection::vec((0u8..8, 0u64..300, 0u64..40), 12),
+                probes in proptest::collection::vec((0u64..320, 0u64..200), 12),
+            ) {
+                let stride = ranks * cell + gap;
+                let mut order: Vec<u64> = (0..ranks).collect();
+                if keys[0].is_multiple_of(2) {
+                    order.sort_by_key(|&k| keys[k as usize]);
+                }
+                let mut r = RangeSet::new();
+                let mut bits = [false; 768];
+                for &(whole, wlo, wlen) in &passes {
+                    let within = if whole {
+                        FileRegion::new(0, 768)
+                    } else {
+                        FileRegion::new(wlo, wlen)
+                    };
+                    for (i, &rank) in order.iter().enumerate() {
+                        let run = Strided::new(base + rank * cell, cell, stride, count);
+                        apply(&mut r, &mut bits, 2, (0, 0), run, within);
+                        check_queries(&r, &bits, probes[i]);
+                        let (op, start, len) = extras[i];
+                        if op < 2 {
+                            apply(&mut r, &mut bits, op, (start, len), run, within);
+                            check_queries(&r, &bits, probes[i + 6]);
+                        }
+                    }
+                }
+            }
+        }
+
+        proptest! {
 
             #[test]
             fn single_insert_near_max_round_trips(

@@ -180,6 +180,41 @@ impl Strided {
         self.bytes_below(within.end()) - self.bytes_below(within.offset)
     }
 
+    /// True when the run has two or more blocks and a gap after each:
+    /// its blocks are disjoint, non-touching ranges.
+    #[inline]
+    pub(crate) fn has_gaps(&self) -> bool {
+        self.count >= 2 && self.block < self.stride
+    }
+
+    /// `self` and `other` as one run, when `other` has the same stride and
+    /// block count (two or more) and each of its blocks starts where the
+    /// matching block of `self` ends or ends where it starts, without
+    /// reaching the next block. `None` otherwise. A result whose blocks
+    /// fill their stride is dense: one contiguous range.
+    #[inline]
+    pub(crate) fn joined(&self, other: &Strided) -> Option<Strided> {
+        if self.count < 2 || other.count != self.count || other.stride != self.stride {
+            return None;
+        }
+        let block = self.block + other.block;
+        if block > self.stride {
+            return None;
+        }
+        let base = if other.base == self.base + self.block {
+            self.base
+        } else if other.base + other.block == self.base {
+            other.base
+        } else {
+            return None;
+        };
+        Some(Strided {
+            base,
+            block,
+            ..*self
+        })
+    }
+
     /// The blocks that meet `within`, clipped to it, as ascending
     /// half-open `(start, end)` pairs.
     #[inline]
@@ -248,6 +283,25 @@ impl Clipped {
             let first = self.run.get(self.next).offset.max(self.lo);
             let last = self.run.get(self.end - 1).end().min(self.hi);
             (first, last)
+        })
+    }
+
+    /// The blocks left as one run, when the window cuts neither the first
+    /// nor the last of them. `None` when it does or no block is left.
+    #[inline]
+    pub(crate) fn uncut(&self) -> Option<Strided> {
+        if self.next >= self.end {
+            return None;
+        }
+        let first = self.run.get(self.next);
+        let last = self.run.get(self.end - 1);
+        (first.offset >= self.lo && last.end() <= self.hi).then(|| {
+            Strided::new(
+                first.offset,
+                self.run.block,
+                self.run.stride,
+                self.end - self.next,
+            )
         })
     }
 }
@@ -334,6 +388,49 @@ mod tests {
         assert_eq!(s.first_byte_from(116), Some(164));
         assert_eq!(s.first_byte_from(170), Some(170));
         assert_eq!(s.first_byte_from(308), None);
+    }
+
+    #[test]
+    fn abutting_runs_join() {
+        let s = Strided::new(100, 16, 64, 3); // 100..116, 164..180, 228..244
+        let after = Strided::new(116, 8, 64, 3);
+        let before = Strided::new(92, 8, 64, 3);
+        assert_eq!(s.joined(&after), Some(Strided::new(100, 24, 64, 3)));
+        assert_eq!(s.joined(&before), Some(Strided::new(92, 24, 64, 3)));
+        // Filling the stride leaves a dense run.
+        let fill = Strided::new(116, 48, 64, 3);
+        assert_eq!(s.joined(&fill), Some(Strided::new(100, 64, 64, 3)));
+        assert!(s.has_gaps());
+        assert!(!Strided::new(100, 64, 64, 3).has_gaps());
+        // Past the next block, a gap between, another count or stride, or
+        // a single block: no join.
+        assert_eq!(s.joined(&Strided::new(116, 49, 64, 3)), None);
+        assert_eq!(s.joined(&Strided::new(118, 8, 64, 3)), None);
+        assert_eq!(s.joined(&Strided::new(116, 8, 64, 2)), None);
+        assert_eq!(s.joined(&Strided::new(116, 8, 72, 3)), None);
+        assert_eq!(
+            Strided::one(r(0, 16)).joined(&Strided::one(r(16, 16))),
+            None
+        );
+    }
+
+    #[test]
+    fn uncut_keeps_whole_blocks_only() {
+        let s = Strided::new(100, 16, 64, 4); // 100..116, 164..180, 228..244, 292..308
+        assert_eq!(s.clipped(r(0, 400)).uncut(), Some(s));
+        // Window edges in the gaps keep the middle blocks as one run.
+        assert_eq!(
+            s.clipped(r(120, 170)).uncut(),
+            Some(Strided::new(164, 16, 64, 2))
+        );
+        assert_eq!(
+            s.clipped(r(164, 16)).uncut(),
+            Some(Strided::one(r(164, 16)))
+        );
+        // An edge inside the first or last block cuts it.
+        assert_eq!(s.clipped(r(110, 300)).uncut(), None);
+        assert_eq!(s.clipped(r(0, 300)).uncut(), None);
+        assert_eq!(s.clipped(r(116, 48)).uncut(), None);
     }
 
     proptest! {

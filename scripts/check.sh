@@ -104,4 +104,14 @@ time cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
 ./target/release/dualpar-audit trace --baseline \
     bench_results/BENCH_suite.json "$suite_out/BENCH_suite.json"
 
+# Paper-scale memory bound: BTIO's checkpoint under forced DualPar at the
+# paper's size (445 M cells) must complete inside 4 GB of address space,
+# where flattened datatypes once aborted it. Calls the built binary
+# directly so the limit applies to the simulator, not to cargo.
+(
+    ulimit -v 4000000
+    time ./target/release/dualpar suite --scale paper --jobs 1 \
+        --filter-exact btio_dualpar --out "$suite_out/BENCH_paper_btio.json"
+)
+
 echo "check.sh: all green"
