@@ -16,8 +16,7 @@
 //!   of the binary-heap + lazy-cancellation queue it replaced, at steady
 //!   pending populations from 10³ to 10⁶. Every simulation event in the
 //!   workspace funnels through this structure, so this group is the
-//!   engine-throughput guard. `idle_peek_9` polls `peek_time` on nine
-//!   idle server-like queues the way the cluster's window loop does.
+//!   engine-throughput guard.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use dualpar_disk::{
@@ -180,10 +179,6 @@ const EQ_CHURN: u64 = 4_096;
 /// Scheduling horizon for pseudo-random deltas (10 simulated seconds) —
 /// wide enough to spread events across every wheel level.
 const EQ_HORIZON_NS: u64 = 10_000_000_000;
-/// Server queues polled by `idle_peek_9` (the default cluster has 9).
-const IDLE_QUEUES: u64 = 9;
-/// Window-loop rounds per `idle_peek_9` iteration.
-const IDLE_POLLS: u64 = 4_096;
 
 fn xorshift(x: &mut u64) -> u64 {
     *x ^= *x << 13;
@@ -321,30 +316,6 @@ fn bench_event_queue(c: &mut Criterion) {
             )
         });
     }
-    // Nine queues (one per data server), each holding a few events
-    // milliseconds ahead: wheel level >= 1, empty ready run. Every window
-    // of the cluster loop peeks each of them without popping anything.
-    let mut idle: Vec<EventQueue<u64>> = (0..IDLE_QUEUES)
-        .map(|s| {
-            let mut q = EventQueue::new();
-            for i in 0..4u64 {
-                q.schedule(SimTime((1 + s + 2 * i) * 1_000_000 + 37 * i), i);
-            }
-            q
-        })
-        .collect();
-    g.throughput(Throughput::Elements(IDLE_POLLS * IDLE_QUEUES));
-    g.bench_function(&format!("idle_peek_{IDLE_QUEUES}"), |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for _ in 0..IDLE_POLLS {
-                for q in &mut idle {
-                    acc = acc.wrapping_add(q.peek_time().map_or(0, |t| t.0));
-                }
-            }
-            acc
-        })
-    });
     g.finish();
 }
 

@@ -5,22 +5,22 @@
 
 use crate::config::{ClusterConfig, CtxMode, IoStrategy, ProgramSpec};
 use crate::metrics::{ModeEvent, ProgramReport, RunReport};
-use crate::sharded::{SEv, ServerShard, SubReq};
+use crate::events::{Event, EventList, MAX_SERVERS};
+use crate::server::{Server, SubReq};
 use dualpar_cache::{CacheConfig, GlobalCache, NodeId, OwnerId};
 use dualpar_core::{DualParConfig, Emc, ExecMode, IoClock, ProgramId, ReqDistTracker};
 use dualpar_disk::{Disk, IoCtx, IoKind};
 use dualpar_mpiio::{CoalescedIo, ProcessScript, Regions};
-use dualpar_pfs::{FileId, FileRegion, Pvfs};
-use dualpar_sim::{EventId, EventQueue, Link, SimDuration, SimTime, Slab, SlabKey, TimeSeries};
-use dualpar_telemetry::{SpanId, SpanProfile, Telemetry, TelemetryConfig};
+use dualpar_pfs::{FileId, FileRegion, Pvfs, ResolvedIo};
+use dualpar_sim::{EventId, Link, SimDuration, SimTime, Slab, SlabKey, TimeSeries};
+use dualpar_telemetry::{SpanId, SpanProfile, Telemetry};
 use dualpar_sim::{FxHashMap, FxHashSet};
 
 /// Safety valve: a single experiment should never need more events.
 const MAX_EVENTS: u64 = 2_000_000_000;
 
-/// Events driving the client shard (programs, processes, the cache, EMC).
-/// Everything server-side lives in [`crate::sharded::SEv`] on the per-data-
-/// server shards.
+/// Events in the client lane (programs, processes, the cache, EMC).
+/// Everything server-side is a [`crate::server::SEv`] in its server's lane.
 #[derive(Debug, Clone)]
 pub(crate) enum Ev {
     /// A program begins.
@@ -237,15 +237,15 @@ impl Program {
     }
 }
 
-/// The assembled cluster simulator: the client shard (programs, processes,
-/// cache, EMC) plus one [`ServerShard`] per data server.
+/// The assembled cluster simulator: the client (programs, processes,
+/// cache, EMC) plus one [`Server`] per data server, on one event list.
 pub struct Cluster {
     pub(crate) cfg: ClusterConfig,
-    pub(crate) queue: EventQueue<Ev>,
+    pub(crate) queue: EventList,
     pub(crate) pvfs: Pvfs,
     pub(crate) cache: GlobalCache,
     pub(crate) emc: Emc,
-    pub(crate) servers: Vec<ServerShard>,
+    pub(crate) servers: Vec<Server>,
     pub(crate) node_links: Vec<Link>,
     pub(crate) req_dist: Vec<ReqDistTracker>,
     pub(crate) procs: Vec<Proc>,
@@ -253,13 +253,6 @@ pub struct Cluster {
     pub(crate) groups: Slab<Group>,
     /// Monotonic sub-request id counter (ids are globally unique per run).
     pub(crate) next_sub_id: u64,
-    /// Outbound client→server requests of the current window as
-    /// `(deliver, server, sub)`, applied at the barrier exchange.
-    pub(crate) outbox: Vec<(SimTime, u32, SubReq)>,
-    /// The absolute time of the next scheduled `EmcTick`, which clips the
-    /// window horizon: the tick needs exclusive access to every shard, so
-    /// it runs in a serial section between rounds.
-    pub(crate) next_tick: Option<SimTime>,
     pub(crate) s2_inflight: FxHashMap<(u32, u64, u64), Vec<usize>>,
     pub(crate) rng: dualpar_sim::DetRng,
     pub(crate) timeline: TimeSeries,
@@ -281,6 +274,8 @@ pub struct Cluster {
     /// Reusable buffer for the `(home, bytes)` lists the data-driven paths
     /// feed into `cache_access_time` (taken and returned around each use).
     pub(crate) homes_scratch: Vec<(NodeId, u64)>,
+    /// Reusable buffer for the disk runs `issue_covers` resolves.
+    resolved_scratch: Vec<ResolvedIo>,
 }
 
 // The parallel suite runner builds and runs whole clusters on scoped worker
@@ -293,6 +288,10 @@ const _: fn() = || {
 impl Cluster {
     /// Assemble a cluster from its configuration.
     pub fn new(cfg: ClusterConfig) -> Self {
+        assert!(
+            cfg.num_data_servers <= MAX_SERVERS,
+            "at most {MAX_SERVERS} data servers"
+        );
         let pvfs = Pvfs::new(
             cfg.num_data_servers,
             cfg.stripe_size,
@@ -307,7 +306,7 @@ impl Cluster {
         });
         let emc = Emc::new(cfg.dualpar.clone());
         let servers = (0..cfg.num_data_servers)
-            .map(|id| ServerShard::new(id, &cfg))
+            .map(|id| Server::new(id, &cfg))
             .collect();
         let node_links = (0..cfg.num_compute_nodes)
             .map(|_| Link::new(cfg.net_latency, cfg.net_bandwidth))
@@ -318,9 +317,10 @@ impl Cluster {
         let rng = dualpar_sim::DetRng::for_stream(cfg.seed, "cluster");
         let tele = Telemetry::new(&cfg.telemetry);
         let nnodes = cfg.num_compute_nodes as usize;
+        let queue = EventList::new(cfg.net_latency);
         Cluster {
             cfg,
-            queue: EventQueue::new(),
+            queue,
             rng,
             pvfs,
             cache,
@@ -332,8 +332,6 @@ impl Cluster {
             programs: Vec::new(),
             groups: Slab::with_capacity(64),
             next_sub_id: 0,
-            outbox: Vec::new(),
-            next_tick: None,
             s2_inflight: FxHashMap::default(),
             timeline: TimeSeries::new(SimDuration::from_secs(1)),
             mode_events: Vec::new(),
@@ -348,6 +346,7 @@ impl Cluster {
             cat_stamp: vec![0; nnodes],
             cat_epoch: 0,
             homes_scratch: Vec::new(),
+            resolved_scratch: Vec::new(),
         }
     }
 
@@ -623,18 +622,17 @@ impl Cluster {
         kind: IoKind,
         ios: &[(FileId, FileRegion)],
     ) -> usize {
-        let mut subs = Vec::new();
+        let mut runs = std::mem::take(&mut self.resolved_scratch);
+        runs.clear();
         for &(file, region) in ios {
-            for run in self.pvfs.resolve(file, region) {
-                subs.push((run.server, run.lbn, run.sectors, run.bytes));
-            }
+            self.pvfs.resolve(file, region, &mut runs);
         }
-        let n = subs.len();
+        let n = runs.len();
         self.groups.get_mut(group).expect("group exists").remaining += n;
-        for (server, lbn, sectors, bytes) in subs {
+        for run in &runs {
             let (req_msg, resp_bytes) = match kind {
-                IoKind::Read => (self.cfg.msg_header, bytes),
-                IoKind::Write => (self.cfg.msg_header + bytes, 0),
+                IoKind::Read => (self.cfg.msg_header, run.bytes),
+                IoKind::Write => (self.cfg.msg_header + run.bytes, 0),
             };
             let id = self.next_sub_id;
             self.next_sub_id += 1;
@@ -647,18 +645,16 @@ impl Cluster {
                 life = self.tele.span_open(stamp, at, "req.life", SpanId::INVALID, id);
                 stage = self.tele.span_open(stamp, at, "req.issue", life, id);
             }
-            // The request crosses the shard boundary: it rides the outbox
-            // to the barrier exchange, which schedules the server's Recv.
-            // `deliver ≥ now + net_latency ≥ horizon`, so the receiving
-            // window is always a later one.
+            // `deliver ≥ now + net_latency`: the request can never land
+            // inside the exchange window it was sent in.
             let deliver = self.node_links[node as usize].send(now, req_msg);
-            self.outbox.push((
+            self.queue.request(
                 deliver,
-                server.0,
+                run.server.0,
                 SubReq {
                     id,
-                    lbn,
-                    sectors,
+                    lbn: run.lbn,
+                    sectors: run.sectors,
                     kind,
                     ctx,
                     group,
@@ -666,8 +662,9 @@ impl Cluster {
                     life,
                     stage,
                 },
-            ));
+            );
         }
+        self.resolved_scratch = runs;
         n
     }
 
@@ -684,21 +681,8 @@ impl Cluster {
 
     /// Run until every program has finished. Returns the report.
     ///
-    /// The loop is conservative discrete-event simulation over the logical
-    /// shards, with the network's one-way latency as lookahead. Each round:
-    ///
-    /// 1. `global_next` = earliest pending event across every shard (each
-    ///    server queue is peeked once per round).
-    /// 2. If the next EMC tick is at `global_next`, run a serial section
-    ///    instead (the tick reads every disk's seek window).
-    /// 3. Otherwise the window horizon is
-    ///    `min(global_next + net_latency, next_tick)`; every server shard
-    ///    with an event before the horizon, in index order, then the
-    ///    client shard, executes its events with `t < horizon`.
-    ///    No message sent inside the window can be delivered before the
-    ///    horizon, so the shards need not see each other mid-window.
-    /// 4. At the barrier, [`Cluster::exchange`] delivers the outboxes in
-    ///    an order that is a pure function of simulation state.
+    /// Events pop from the one [`EventList`] in the order of
+    /// `crate::events`, which reproduces the windowed engine's.
     pub fn run(&mut self) -> RunReport {
         if self.tele.tracing() {
             // Lead the trace with the thresholds this run decides against,
@@ -718,78 +702,14 @@ impl Cluster {
         }
         if self.emc_active {
             let slot = self.cfg.dualpar.sample_slot;
-            let at = SimTime::ZERO + slot;
-            self.queue.schedule(at, Ev::EmcTick);
-            self.next_tick = Some(at);
+            self.queue.schedule_tick(SimTime::ZERO + slot);
         }
-        let lookahead = self.cfg.net_latency;
-        // Each server's next event time, peeked once per window: it gives
-        // `global_next`, picks the servers that have work before the
-        // horizon, and answers the quiescence check below.
-        let mut server_next: Vec<Option<SimTime>> = Vec::with_capacity(self.servers.len());
-        loop {
-            server_next.clear();
-            server_next.extend(self.servers.iter_mut().map(|s| s.queue.peek_time()));
-            let global = server_next
-                .iter()
-                .flatten()
-                .copied()
-                .chain(self.queue.peek_time())
-                .min();
-            let Some(gn) = global else { break };
-            if self.next_tick == Some(gn) {
-                // Serial section: the EMC tick is the earliest event, and
-                // it reads every server's disk. Drain the client events at
-                // exactly this instant (the tick, plus anything scheduled
-                // alongside it); server events at the same instant run in
-                // the following window — a fixed ordering rule.
-                while self.queue.peek_time() == Some(gn) {
-                    let (now, ev) = self.queue.pop().expect("peeked event present");
-                    self.events_processed += 1;
-                    self.handle(now, ev);
-                    if self.all_finished() {
-                        break;
-                    }
-                }
-                self.exchange();
-                if self.all_finished() {
-                    break;
-                }
-                continue;
-            }
-            let mut horizon = gn.saturating_add(lookahead);
-            if let Some(tick) = self.next_tick {
-                horizon = horizon.min(tick);
-            }
-            // A server whose next event is at or past the horizon would
-            // execute nothing; skipping it leaves the order unchanged.
-            let server_events: u64 = self
-                .servers
-                .iter_mut()
-                .zip(&server_next)
-                .filter(|(_, next)| next.is_some_and(|t| t < horizon))
-                .map(|(s, _)| s.run_window(horizon))
-                .sum();
-            if server_events > 0 {
-                self.run_client_window(horizon, false);
-            } else if server_next.iter().all(Option::is_none) {
-                // Client-only window with every server queue empty (no
-                // server ran, so the peeks above are still current): the
-                // servers are fully quiescent (disk work always has a
-                // DiskDone/DiskKick pending), so the client may run ahead
-                // of the lookahead — up to the next tick, or until it
-                // sends something a server must react to.
-                self.run_client_window(self.next_tick.unwrap_or(SimTime::MAX), true);
-            } else {
-                self.run_client_window(horizon, false);
-            }
-            self.events_processed += server_events;
-            assert!(
-                self.events_processed < MAX_EVENTS,
-                "event budget exceeded — runaway simulation"
-            );
-            self.exchange();
+        while let Some((now, event)) = self.queue.pop() {
+            self.dispatch(now, event);
             if self.all_finished() {
+                while let Some((now, event)) = self.queue.pop_window_rest() {
+                    self.dispatch(now, event);
+                }
                 break;
             }
         }
@@ -809,48 +729,6 @@ impl Cluster {
         self.finished_programs == self.programs.len() && !self.programs.is_empty()
     }
 
-    /// Execute the client shard's events with `t < horizon`. Stops early
-    /// once every program has finished, or — in the extended (`stop_on_send`)
-    /// window used while the servers are quiescent — as soon as an event
-    /// queues an outbound request, which must reach its server before the
-    /// client may run past `deliver` time.
-    fn run_client_window(&mut self, horizon: SimTime, stop_on_send: bool) {
-        while self.queue.peek_time().is_some_and(|t| t < horizon) {
-            let (now, ev) = self.queue.pop().expect("peeked event present");
-            self.events_processed += 1;
-            assert!(
-                self.events_processed < MAX_EVENTS,
-                "event budget exceeded — runaway simulation"
-            );
-            self.handle(now, ev);
-            if self.all_finished() {
-                break;
-            }
-            if stop_on_send && !self.outbox.is_empty() {
-                break;
-            }
-        }
-    }
-
-    /// The window barrier's message exchange. Applies the client's
-    /// outbound requests to the server queues in issue order, then
-    /// schedules every server's acks into the client queue, server by
-    /// server in index order, each in send order. The client queue pops in
-    /// `(time, seq)` order, so acks due at the same instant fire in
-    /// `(server, send)` order — a pure function of simulation state.
-    pub(crate) fn exchange(&mut self) {
-        for (deliver, server, sub) in self.outbox.drain(..) {
-            self.servers[server as usize]
-                .queue
-                .schedule(deliver, SEv::Recv(sub));
-        }
-        for s in &mut self.servers {
-            for (deliver, group) in s.outbox.drain(..) {
-                self.queue.schedule(deliver, Ev::SubDone { group });
-            }
-        }
-    }
-
     /// Static counter name for an event kind (dispatch accounting).
     fn ev_counter(ev: &Ev) -> &'static str {
         match ev {
@@ -863,7 +741,7 @@ impl Cluster {
         }
     }
 
-    fn handle(&mut self, now: SimTime, ev: Ev) {
+    fn dispatch(&mut self, now: SimTime, event: Event) {
         dualpar_sim::strict_assert!(
             now >= self.last_event_time,
             "event time went backwards: {:?} < {:?}",
@@ -871,9 +749,26 @@ impl Cluster {
             self.last_event_time
         );
         self.last_event_time = now;
-        self.tele.count(Self::ev_counter(&ev), 1);
+        self.events_processed += 1;
+        assert!(
+            self.events_processed < MAX_EVENTS,
+            "event budget exceeded — runaway simulation"
+        );
         self.tele
             .gauge_max("engine.queue_depth_max", self.queue.len() as f64);
+        match event {
+            Event::Client(ev) => {
+                self.tele.count(Self::ev_counter(&ev), 1);
+                self.handle(now, ev);
+            }
+            Event::Server(s, ev) => {
+                self.tele.count(Server::ev_counter(&ev), 1);
+                self.servers[s as usize].handle(now, ev, &mut self.queue, &mut self.tele);
+            }
+        }
+    }
+
+    fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::Start(prog) => self.on_start(now, prog),
             Ev::ProcReady(p) => self.advance(now, p),
@@ -926,9 +821,8 @@ impl Cluster {
     }
 
     fn on_emc_tick(&mut self, now: SimTime) {
-        // Gather seek-distance samples from every data server. The tick
-        // runs in the serial section between rounds, so every disk has
-        // finished its window.
+        // Gather seek-distance samples from every data server. Every
+        // server event before this instant has run, and none at it has.
         for s in &mut self.servers {
             if let Some(avg) = s.disk.trace_mut().take_window_avg_seek() {
                 self.emc.report_seek_dist(avg);
@@ -1013,12 +907,9 @@ impl Cluster {
             .any(|p| p.strategy == IoStrategy::DualPar && p.finish.is_none());
         if live {
             let slot = self.cfg.dualpar.sample_slot;
-            let at = now.saturating_add(slot);
-            self.queue.schedule(at, Ev::EmcTick);
-            self.next_tick = Some(at);
+            self.queue.schedule_tick(now.saturating_add(slot));
         } else {
             self.emc_active = false;
-            self.next_tick = None;
         }
     }
 
@@ -1026,9 +917,9 @@ impl Cluster {
 
     /// Fold end-of-run substrate statistics (cache counters, disk seek and
     /// per-context service totals) into the telemetry registry so the final
-    /// snapshot carries them. Runs after the shard streams are absorbed, so
-    /// its events land at `end` — at or after every merged event — and the
-    /// trace stays time-ordered. No-op when telemetry is off.
+    /// snapshot carries them. Its events land at `end` — at or after every
+    /// recorded event — so the trace stays time-ordered. No-op when
+    /// telemetry is off.
     fn finalize_telemetry(&mut self, end: SimTime) {
         // The conservation identity must hold whether or not telemetry is
         // on; under strict invariants, verify it against a full rescan.
@@ -1050,10 +941,9 @@ impl Cluster {
             });
         if self.tele.spans_enabled() {
             // Every lifecycle is complete by the time all programs finish:
-            // state spans close at proc_done, request spans at delivery.
-            // Cross-shard closes were applied by the merge, so the check
-            // covers server-side lifecycles too. (Flush-daemon disk work
-            // can outlive the run, but it never opens spans — its ids are
+            // state spans close at proc_done, request spans at delivery,
+            // server-side stages included. (Flush-daemon disk work can
+            // outlive the run, but it never opens spans — its ids are
             // stale by ack time.)
             let open = self.tele.spans().open_count();
             dualpar_sim::strict_assert!(open == 0, "{open} spans left open at end of run");
@@ -1094,20 +984,8 @@ impl Cluster {
     }
 
     fn report(&mut self) -> RunReport {
-        // The run ends where its last event ran, whichever shard that was.
-        let end = self
-            .servers
-            .iter()
-            .fold(self.queue.now(), |e, s| e.max(s.last_event_time));
-        // Stitch the per-shard telemetry streams into the client's: trace
-        // rings merge in `(time, shard, position)` order, span logs get
-        // their cross-shard closes applied, registries sum/max/merge.
-        let shard_teles: Vec<Telemetry> = self
-            .servers
-            .iter_mut()
-            .map(|s| std::mem::replace(&mut s.tele, Telemetry::new(&TelemetryConfig::default())))
-            .collect();
-        self.tele.absorb_shards(shard_teles);
+        // The run ends where its last event ran, whichever lane that was.
+        let end = self.last_event_time;
         self.finalize_telemetry(end);
         let programs = self
             .programs
@@ -1200,5 +1078,44 @@ impl Cluster {
             }
         }
         ours
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::SEv;
+    use dualpar_disk::{DiskRequest, StartOutcome};
+
+    #[test]
+    fn emc_tick_sample_excludes_a_disk_completion_at_its_instant() {
+        let cfg = ClusterConfig {
+            num_data_servers: 1,
+            trace_disks: true,
+            ..ClusterConfig::default()
+        };
+        let mut c = Cluster::new(cfg);
+        // Two reads far apart on the one disk: the first is dispatched at
+        // 0, the second when the first completes, at `done`.
+        let disk = &mut c.servers[0].disk;
+        disk.enqueue(DiskRequest::new(1, IoCtx(0), IoKind::Read, 1 << 20, 8, SimTime::ZERO));
+        disk.enqueue(DiskRequest::new(2, IoCtx(0), IoKind::Read, 1 << 26, 8, SimTime::ZERO));
+        let StartOutcome::Started { finish: done } = disk.try_start(SimTime::ZERO) else {
+            panic!("an idle disk with queued work starts one request")
+        };
+        c.queue.schedule_server(done, 0, SEv::DiskDone);
+        // One EMC tick, at exactly that completion's instant.
+        c.cfg.dualpar.sample_slot = done.since(SimTime::ZERO);
+        c.emc_active = true;
+        c.run();
+        let disk = &mut c.servers[0].disk;
+        let second = disk.trace().records()[1];
+        assert_eq!(second.at, done, "the completion dispatches the second read");
+        // The tick ran first and took only the first dispatch's seek; the
+        // second's is still in the window.
+        assert_eq!(
+            disk.trace_mut().take_window_avg_seek(),
+            Some(second.seek_distance as f64)
+        );
     }
 }

@@ -9,8 +9,9 @@
 
 mod datadriven;
 mod engine;
+mod events;
 mod exec;
-mod sharded;
+mod server;
 
 pub mod builder;
 pub mod config;

@@ -115,7 +115,9 @@ impl ExtentAllocator {
         self.objects.contains_key(&file)
     }
 
-    /// Translate `(object_offset, len)` into disk LBN runs.
+    /// Translate `(object_offset, len)` into disk LBN runs `(lbn,
+    /// sectors)`, one per extent the range touches, in object order.
+    /// `Pvfs::resolve` merges the runs that continue each other on disk.
     ///
     /// # Panics
     /// Panics on access beyond the allocated object (an experiment bug).
@@ -123,47 +125,33 @@ impl ExtentAllocator {
         clippy::panic,
         reason = "an unallocated file is a caller bug; the message names the file id, which `expect` cannot format"
     )]
-    pub fn translate(&self, file: FileId, object_offset: u64, len: u64) -> Vec<(Lbn, u64)> {
+    pub fn translate(
+        &self,
+        file: FileId,
+        object_offset: u64,
+        len: u64,
+    ) -> impl Iterator<Item = (Lbn, u64)> + '_ {
         let extents = self
             .objects
             .get(&file)
             .unwrap_or_else(|| panic!("file {file:?} not allocated on this server"));
-        if len == 0 {
-            return Vec::new();
-        }
-        let mut runs: Vec<(Lbn, u64)> = Vec::new();
-        let mut off = object_offset;
         let end = object_offset + len;
-        for e in extents {
-            let e_end = e.object_offset + e.bytes;
-            if e_end <= off {
-                continue;
-            }
-            if e.object_offset >= end {
-                break;
-            }
-            let seg_start = off.max(e.object_offset);
-            let seg_end = end.min(e_end);
-            let within = seg_start - e.object_offset;
-            // Sector-granular: sub-sector offsets round the run outward.
-            let lbn = e.lbn.saturating_add(within / dualpar_disk::SECTOR_BYTES);
-            let sectors = bytes_to_sectors(seg_end - seg_start);
-            // Merge with previous run when contiguous.
-            if let Some(last) = runs.last_mut() {
-                if last.0.saturating_add(last.1) == lbn {
-                    last.1 = last.1.saturating_add(sectors);
-                    off = seg_end;
-                    continue;
-                }
-            }
-            runs.push((lbn, sectors));
-            off = seg_end;
-        }
+        // Extents tile the object from offset 0, so the last one ends it.
+        let size = extents.last().map_or(0, |e| e.object_offset + e.bytes);
         assert!(
-            off >= end,
+            len == 0 || end <= size,
             "access beyond end of object: file {file:?} offset {object_offset} len {len}"
         );
-        runs
+        let touched = extents.iter().take_while(move |e| e.object_offset < end);
+        touched.filter_map(move |e| {
+            let seg_start = object_offset.max(e.object_offset);
+            let seg_end = end.min(e.object_offset + e.bytes);
+            (seg_start < seg_end).then(|| {
+                // Sector-granular: sub-sector offsets round the run outward.
+                let within = (seg_start - e.object_offset) / dualpar_disk::SECTOR_BYTES;
+                (e.lbn.saturating_add(within), bytes_to_sectors(seg_end - seg_start))
+            })
+        })
     }
 
     /// LBN of the first extent, if allocated (for locality assertions).
@@ -189,7 +177,7 @@ mod tests {
     fn contiguous_allocation_translates_to_one_run() {
         let mut a = alloc();
         a.allocate(FileId(1), 1 << 20);
-        let runs = a.translate(FileId(1), 0, 1 << 20);
+        let runs: Vec<_> = a.translate(FileId(1), 0, 1 << 20).collect();
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].1, bytes_to_sectors(1 << 20));
     }
@@ -198,8 +186,8 @@ mod tests {
     fn offsets_map_monotonically() {
         let mut a = alloc();
         a.allocate(FileId(1), 1 << 20);
-        let r1 = a.translate(FileId(1), 0, 4096);
-        let r2 = a.translate(FileId(1), 65536, 4096);
+        let r1: Vec<_> = a.translate(FileId(1), 0, 4096).collect();
+        let r2: Vec<_> = a.translate(FileId(1), 65536, 4096).collect();
         assert!(r2[0].0 > r1[0].0, "higher offset ⇒ higher LBN");
         assert_eq!(r2[0].0 - r1[0].0, 65536 / 512);
     }
@@ -224,10 +212,10 @@ mod tests {
         };
         let mut a = ExtentAllocator::new(1 << 30, cfg);
         a.allocate(FileId(1), 1 << 20); // 4 fragments
-        let runs = a.translate(FileId(1), 0, 1 << 20);
+        let runs: Vec<_> = a.translate(FileId(1), 0, 1 << 20).collect();
         assert_eq!(runs.len(), 4);
         // Cross-fragment read spans two runs.
-        let cross = a.translate(FileId(1), 200 * 1024, 100 * 1024);
+        let cross: Vec<_> = a.translate(FileId(1), 200 * 1024, 100 * 1024).collect();
         assert_eq!(cross.len(), 2);
         let total: u64 = cross.iter().map(|r| r.1).sum();
         assert_eq!(total, bytes_to_sectors(56 * 1024) + bytes_to_sectors(44 * 1024));
@@ -237,7 +225,7 @@ mod tests {
     #[should_panic(expected = "not allocated")]
     fn translate_unallocated_panics() {
         let a = alloc();
-        a.translate(FileId(9), 0, 10);
+        let _ = a.translate(FileId(9), 0, 10);
     }
 
     #[test]
@@ -245,7 +233,7 @@ mod tests {
     fn translate_past_end_panics() {
         let mut a = alloc();
         a.allocate(FileId(1), 4096);
-        a.translate(FileId(1), 0, 8192);
+        let _ = a.translate(FileId(1), 0, 8192);
     }
 
     #[test]
@@ -260,7 +248,6 @@ mod tests {
     fn translate_zero_len_inside_object() {
         let mut a = alloc();
         a.allocate(FileId(1), 4096);
-        let runs = a.translate(FileId(1), 100, 0);
-        assert!(runs.is_empty());
+        assert_eq!(a.translate(FileId(1), 100, 0).count(), 0);
     }
 }

@@ -113,16 +113,17 @@ impl Pvfs {
         self.files.get(&id).map_or(0, |m| m.size)
     }
 
-    /// Resolve a file region to per-server disk runs, in file order.
+    /// Resolve a file region to per-server disk runs, in file order, and
+    /// append them to `out` (runs already in `out` are left alone).
     /// Adjacent stripe pieces that are contiguous both on the same server's
     /// local object *and* on disk are merged into a single run.
-    pub fn resolve(&self, file: FileId, region: FileRegion) -> Vec<ResolvedIo> {
+    pub fn resolve(&self, file: FileId, region: FileRegion, out: &mut Vec<ResolvedIo>) {
         debug_assert!(
             region.end() <= self.size(file),
             "I/O beyond EOF: {region:?} on {file:?} (size {})",
             self.size(file)
         );
-        let mut out: Vec<ResolvedIo> = Vec::new();
+        let first = out.len();
         for piece in self.layout.split(region) {
             let alloc = &self.allocators[piece.server.0 as usize];
             let mut covered = 0u64;
@@ -130,7 +131,7 @@ impl Pvfs {
                 let run_bytes =
                     (sectors.saturating_mul(dualpar_disk::SECTOR_BYTES)).min(piece.len - covered);
                 // Merge with the previous run if it continues it on disk.
-                if let Some(last) = out.last_mut() {
+                if let Some(last) = out[first..].last_mut() {
                     if last.server == piece.server
                         && last.lbn.saturating_add(last.sectors) == lbn
                         && last.file_offset + last.bytes == piece.file_offset + covered
@@ -152,7 +153,6 @@ impl Pvfs {
                 covered += run_bytes;
             }
         }
-        out
     }
 
     /// First LBN of the file's object on `server` (for layout assertions).
@@ -168,6 +168,44 @@ mod tests {
     fn fs() -> Pvfs {
         // 4 servers, 64 KB stripes, 300 GB disks, default gaps.
         Pvfs::new(4, 64 * 1024, 300 * (1 << 30) / 512, AllocConfig::default())
+    }
+
+    fn resolved(p: &Pvfs, file: FileId, region: FileRegion) -> Vec<ResolvedIo> {
+        let mut out = Vec::new();
+        p.resolve(file, region, &mut out);
+        out
+    }
+
+    #[test]
+    fn resolve_merges_fragments_contiguous_on_disk() {
+        // 16 KB fragments with no gap between them: one 64 KB stripe unit
+        // spans four extents but one run of disk sectors.
+        let cfg = AllocConfig {
+            inter_file_gap: 0,
+            fragment_bytes: 16 << 10,
+            fragment_gap: 0,
+        };
+        let mut p = Pvfs::new(4, 64 * 1024, 1 << 32, cfg);
+        let f = p.create("frag", 1 << 20);
+        let runs = resolved(&p, f, FileRegion::new(1000, 60_000));
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].bytes, 60_000);
+        assert_eq!(runs[0].lbn, p.base_lbn(ServerId(0), f).unwrap() + 1);
+        assert_eq!(runs[0].sectors, 119);
+    }
+
+    #[test]
+    fn resolve_appends_without_merging_into_earlier_runs() {
+        let mut p = fs();
+        let f = p.create("big", 10 << 20);
+        // Two back-to-back regions inside one stripe unit: resolved
+        // separately they continue each other on disk, but each call's
+        // runs stay its own.
+        let mut out = Vec::new();
+        p.resolve(f, FileRegion::new(0, 4096), &mut out);
+        p.resolve(f, FileRegion::new(4096, 4096), &mut out);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[1].file_offset, 4096);
     }
 
     #[test]
@@ -192,7 +230,7 @@ mod tests {
         let mut p = fs();
         let f = p.create("big", 10 << 20);
         let region = FileRegion::new(100_000, 1_000_000);
-        let runs = p.resolve(f, region);
+        let runs = resolved(&p, f, region);
         let total: u64 = runs.iter().map(|r| r.bytes).sum();
         assert_eq!(total, region.len);
         let mut off = region.offset;
@@ -207,7 +245,7 @@ mod tests {
         let mut p = fs();
         let f = p.create("big", 10 << 20);
         // Entirely within stripe unit 5 → server 1.
-        let runs = p.resolve(f, FileRegion::new(5 * 65536 + 100, 1000));
+        let runs = resolved(&p, f, FileRegion::new(5 * 65536 + 100, 1000));
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].server, ServerId(1));
     }
@@ -216,7 +254,7 @@ mod tests {
     fn stripe_aligned_read_spreads_over_servers() {
         let mut p = fs();
         let f = p.create("big", 10 << 20);
-        let runs = p.resolve(f, FileRegion::new(0, 4 * 65536));
+        let runs = resolved(&p, f, FileRegion::new(0, 4 * 65536));
         let servers: Vec<u32> = runs.iter().map(|r| r.server.0).collect();
         assert_eq!(servers, vec![0, 1, 2, 3]);
     }
@@ -229,7 +267,7 @@ mod tests {
         let f = p.create("big", 64 << 20);
         let mut per_server_lbns: FxHashMap<ServerId, Vec<Lbn>> = FxHashMap::default();
         for i in 0..256u64 {
-            for r in p.resolve(f, FileRegion::new(i * 256 * 1024, 4096)) {
+            for r in resolved(&p, f, FileRegion::new(i * 256 * 1024, 4096)) {
                 per_server_lbns.entry(r.server).or_default().push(r.lbn);
             }
         }
@@ -258,7 +296,7 @@ mod tests {
         // adjacent in the local object, hence contiguous on disk — but a
         // region covering units 0..=4 visits servers 0,1,2,3,0: the final
         // piece merges with nothing because the previous run is server 3's.
-        let runs = p.resolve(f, FileRegion::new(0, 5 * 65536));
+        let runs = resolved(&p, f, FileRegion::new(0, 5 * 65536));
         assert_eq!(runs.len(), 5);
     }
 }

@@ -116,22 +116,25 @@ impl StripeLayout {
     /// Consecutive pieces on the same server (i.e. a region no wider than
     /// one stripe row) are NOT merged here; see `Pvfs::resolve` for LBN-run
     /// merging.
-    pub fn split(&self, region: FileRegion) -> Vec<StripePiece> {
-        let mut pieces = Vec::new();
-        let mut off = region.offset;
+    pub fn split(&self, region: FileRegion) -> impl Iterator<Item = StripePiece> {
+        let layout = *self;
         let end = region.end();
-        while off < end {
-            let unit_end = (off / self.stripe_size + 1) * self.stripe_size;
+        let mut off = region.offset;
+        std::iter::from_fn(move || {
+            if off >= end {
+                return None;
+            }
+            let unit_end = (off / layout.stripe_size + 1) * layout.stripe_size;
             let len = unit_end.min(end) - off;
-            pieces.push(StripePiece {
-                server: self.server_of(off),
+            let piece = StripePiece {
+                server: layout.server_of(off),
                 file_offset: off,
-                local_offset: self.local_offset_of(off),
+                local_offset: layout.local_offset_of(off),
                 len,
-            });
+            };
             off += len;
-        }
-        pieces
+            Some(piece)
+        })
     }
 
     /// Bytes of local object needed on `server` to hold a file of `size`.
@@ -185,7 +188,7 @@ mod tests {
     fn split_covers_region_exactly() {
         let l = StripeLayout::new(64 * 1024, 3);
         let region = FileRegion::new(100_000, 300_000);
-        let pieces = l.split(region);
+        let pieces: Vec<_> = l.split(region).collect();
         let mut expect = region.offset;
         for p in &pieces {
             assert_eq!(p.file_offset, expect);
@@ -198,7 +201,7 @@ mod tests {
     #[test]
     fn split_within_one_unit_is_single_piece() {
         let l = StripeLayout::new(64 * 1024, 3);
-        let pieces = l.split(FileRegion::new(10, 100));
+        let pieces: Vec<_> = l.split(FileRegion::new(10, 100)).collect();
         assert_eq!(pieces.len(), 1);
         assert_eq!(pieces[0].server, ServerId(0));
         assert_eq!(pieces[0].local_offset, 10);

@@ -65,7 +65,8 @@ proptest! {
         let mut p = Pvfs::new(servers, 64 * 1024, 1 << 32, AllocConfig::default());
         let f = p.create("f", 16 << 20);
         let region = FileRegion::new(offset, len);
-        let runs = p.resolve(f, region);
+        let mut runs = Vec::new();
+        p.resolve(f, region, &mut runs);
         let mut off = region.offset;
         for r in &runs {
             prop_assert_eq!(r.file_offset, off);
@@ -87,7 +88,9 @@ proptest! {
         let mut last: std::collections::BTreeMap<u32, u64> = Default::default();
         let mut off = 0;
         while off + 4096 <= 32 << 20 {
-            for r in p.resolve(f, FileRegion::new(off, 4096)) {
+            let mut runs = Vec::new();
+            p.resolve(f, FileRegion::new(off, 4096), &mut runs);
+            for r in runs {
                 if let Some(&prev) = last.get(&r.server.0) {
                     prop_assert!(r.lbn >= prev, "LBN regressed on server {}", r.server.0);
                 }

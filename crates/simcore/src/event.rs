@@ -2,7 +2,7 @@
 //!
 //! This was the production future-event list before the indexed timing
 //! wheel in [`crate::fel`] replaced it: a `BinaryHeap` of `(time, seq)`
-//! entries with lazy cancellation through a side `cancelled` set. It is
+//! entries (since extended with the wheel's `rank` tie-break) with lazy cancellation through a side `cancelled` set. It is
 //! compiled only under `cfg(test)` and exists so the wheel's property
 //! tests can assert *observational equivalence* against the exact
 //! semantics the whole engine was validated on — pop order, same-time
@@ -27,13 +27,14 @@ pub struct HeapEventId(u64);
 
 struct Entry<E> {
     time: SimTime,
+    rank: u64,
     seq: u64,
     payload: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.time == other.time && self.rank == other.rank && self.seq == other.seq
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -48,6 +49,7 @@ impl<E> Ord for Entry<E> {
         other
             .time
             .cmp(&self.time)
+            .then_with(|| other.rank.cmp(&self.rank))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -86,11 +88,16 @@ impl<E> HeapEventQueue<E> {
         self.pending.len()
     }
 
-    /// Schedule `payload` at absolute time `at`.
+    /// Schedule `payload` at absolute time `at`, rank 0.
+    pub fn schedule(&mut self, at: SimTime, payload: E) -> HeapEventId {
+        self.schedule_ranked(at, 0, payload)
+    }
+
+    /// Schedule `payload` at `at`; equal times pop by `(rank, seq)`.
     ///
     /// # Panics
     /// Panics if `at` is before the current clock.
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> HeapEventId {
+    pub fn schedule_ranked(&mut self, at: SimTime, rank: u64, payload: E) -> HeapEventId {
         assert!(
             at >= self.now,
             "scheduling event in the past: at={at} now={}",
@@ -101,6 +108,7 @@ impl<E> HeapEventQueue<E> {
         self.pending.insert(seq);
         self.heap.push(Entry {
             time: at,
+            rank,
             seq,
             payload,
         });

@@ -24,24 +24,16 @@
 //!   event moves at most `LEVELS - 1` times, so scheduling stays
 //!   amortised O(1)). Per-level occupancy bitmaps make "next non-empty
 //!   bucket" a handful of word scans.
-//! * **Determinism.** Pop order is exactly ascending `(time, seq)` — the
-//!   same total order the old heap produced. Bucket membership only
-//!   partitions events by tick; within the current tick the drained
-//!   bucket is sorted by `(time, seq)` into the `ready` run, and late
-//!   arrivals for the same tick insert in sorted position. Same-time
-//!   FIFO therefore survives any schedule/cancel interleaving, which the
-//!   oracle-equivalence property test (against the retained heap
+//! * **Determinism.** Pop order is exactly ascending `(time, rank, seq)`:
+//!   `rank` is a caller-chosen tie-break for equal times
+//!   ([`EventQueue::schedule_ranked`]; plain [`EventQueue::schedule`] uses
+//!   0) and `seq` the scheduling order, so equal `(time, rank)` pops FIFO.
+//!   Bucket membership only partitions events by tick; within the current
+//!   tick the drained bucket is sorted by the full key into the `ready`
+//!   run, and late arrivals for the same tick insert in sorted position.
+//!   The order therefore survives any schedule/cancel interleaving, which
+//!   the oracle-equivalence property test (against the retained heap
 //!   implementation in the `event` test module) pins down.
-//! * **Peeking.** The cluster's window loop polls every server queue at
-//!   least once per window, and most of those polls find an empty ready
-//!   run: without help each would pay a bitmap scan for the first
-//!   occupied bucket plus a min-scan of that bucket. The queue therefore
-//!   memoizes the earliest *wheel* event time. A `schedule` into the
-//!   wheel lowers the memo; a `cancel` of a wheel entry at the memo time
-//!   invalidates it, as does every `refill` (the cursor moves and buckets
-//!   cascade). [`EventQueue::peek_time`] answers from the ready run, else
-//!   from the memo, and rescans the wheel only after an invalidation —
-//!   O(1) for the idle polls that dominate the window loop.
 //!
 //! The cursor only advances inside [`EventQueue::pop`], and only to the
 //! tick actually popped, so `tick(now) == cur_tick` holds at every public
@@ -49,8 +41,7 @@
 //! events straight into the ready run and place everything else strictly
 //! ahead of the cursor. [`EventQueue::peek_time`] deliberately does *not*
 //! advance the cursor (a later `schedule` may still target any time
-//! `>= now`, which can precede the next queued event); it only refreshes
-//! the memo.
+//! `>= now`, which can precede the next queued event).
 
 use crate::slab::{Slab, SlabKey};
 use crate::time::SimTime;
@@ -67,7 +58,7 @@ pub struct EventId {
 
 /// Nanoseconds per tick, as a shift: 1 tick = 1024 ns (~1 µs). Finer than
 /// any scheduling quantum in the engine (cache hits are hundreds of ns but
-/// same-tick events are ordered exactly by `(time, seq)` anyway), coarse
+/// same-tick events are ordered exactly by the full key anyway), coarse
 /// enough that one 256-slot level spans ~262 µs of near horizon.
 const TICK_SHIFT: u32 = 10;
 /// Bits per wheel level: 256 slots each.
@@ -90,9 +81,12 @@ const _: () = assert!(LEVELS * SLOTS < LOC_READY as usize);
 /// for replay determinism.
 static QUEUE_TAGS: AtomicU64 = AtomicU64::new(1);
 
+/// The full pop-order key: `(time, rank, seq)`.
+type Key = (SimTime, u64, u64);
+
 struct Entry<E> {
-    time: SimTime,
-    seq: u64,
+    /// Pop-order key.
+    order: Key,
     /// Bucket index (`level * SLOTS + slot`), or [`LOC_READY`].
     bucket: u16,
     /// Position inside the bucket's vec (meaningless in the ready run,
@@ -101,36 +95,25 @@ struct Entry<E> {
     payload: E,
 }
 
-/// Memo of the earliest wheel (non-ready) event time.
-#[derive(Clone, Copy)]
-enum WheelMin {
-    /// Exact: the earliest wheel event's time, or `None` if the wheel is
-    /// empty.
-    Known(Option<SimTime>),
-    /// Invalidated; the next `peek_time` with an empty ready run rescans.
-    Stale,
-}
-
 /// A deterministic future-event list. Drop-in API replacement for the old
 /// binary-heap queue: `schedule`/`cancel`/`pop`/`peek_time`/`len`/`now`
 /// behave identically (the property tests compare against the retained
 /// heap oracle), only `EventId` changed representation.
+/// [`EventQueue::schedule_ranked`] adds a tie-break between equal times.
 pub struct EventQueue<E> {
     slab: Slab<Entry<E>>,
     /// `LEVELS * SLOTS` buckets of slab keys. Intra-bucket order is
-    /// immaterial (drains sort by `(time, seq)`), so cancellation can
+    /// immaterial (drains sort by the full key), so cancellation can
     /// `swap_remove`.
     buckets: Vec<Vec<SlabKey>>,
     /// One bit per bucket, per level: "this bucket is non-empty".
     occupancy: [[u64; WORDS]; LEVELS],
-    /// The current tick's events, sorted *descending* by `(time, seq)`:
-    /// pop takes the minimum from the back in O(1).
-    ready: Vec<(SimTime, u64, SlabKey)>,
+    /// The current tick's events, sorted *descending* by key: pop takes
+    /// the minimum from the back in O(1).
+    ready: Vec<(Key, SlabKey)>,
     /// Cursor: every wheel event's tick is strictly greater; the ready
     /// run holds exactly the events at this tick.
     cur_tick: u64,
-    /// Earliest wheel event time, for `peek_time` (see the module doc).
-    wheel_min: WheelMin,
     next_seq: u64,
     now: SimTime,
     tag: u64,
@@ -150,7 +133,6 @@ impl<E> EventQueue<E> {
             occupancy: [[0; WORDS]; LEVELS],
             ready: Vec::new(),
             cur_tick: 0,
-            wheel_min: WheelMin::Known(None),
             next_seq: 0,
             now: SimTime::ZERO,
             tag: QUEUE_TAGS.fetch_add(1, Ordering::Relaxed),
@@ -183,12 +165,22 @@ impl<E> EventQueue<E> {
         self.slab.capacity()
     }
 
-    /// Schedule `payload` at absolute time `at`.
+    /// Schedule `payload` at absolute time `at`, rank 0.
     ///
     /// # Panics
     /// Panics if `at` is before the current clock — an event in the past is
     /// always a simulation bug, and catching it here localises the error.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
+        self.schedule_ranked(at, 0, payload)
+    }
+
+    /// Schedule `payload` at absolute time `at`; among events at the same
+    /// time, lower `rank` pops first, and equal ranks pop in scheduling
+    /// order.
+    ///
+    /// # Panics
+    /// As [`EventQueue::schedule`].
+    pub fn schedule_ranked(&mut self, at: SimTime, rank: u64, payload: E) -> EventId {
         assert!(
             at >= self.now,
             "scheduling event in the past: at={at} now={}",
@@ -196,21 +188,18 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
+        let k = (at, rank, seq);
         let key = self.slab.insert(Entry {
-            time: at,
-            seq,
+            order: k,
             bucket: LOC_READY,
             pos: 0,
             payload,
         });
         let tick = at.nanos() >> TICK_SHIFT;
         if tick == self.cur_tick {
-            self.ready_insert(at, seq, key);
+            self.ready_insert(k, key);
         } else {
             self.place(key, tick);
-            if let WheelMin::Known(m) = self.wheel_min {
-                self.wheel_min = WheelMin::Known(Some(m.map_or(at, |m| m.min(at))));
-            }
         }
         EventId {
             queue: self.tag,
@@ -235,11 +224,9 @@ impl<E> EventQueue<E> {
             return false; // already fired or already cancelled
         };
         if entry.bucket == LOC_READY {
-            let pos = self
-                .ready
-                .partition_point(|&(t, s, _)| (t, s) > (entry.time, entry.seq));
+            let pos = self.ready.partition_point(|&(rk, _)| rk > entry.order);
             crate::strict_assert!(
-                self.ready.get(pos).is_some_and(|&(_, _, k)| k == id.key),
+                self.ready.get(pos).is_some_and(|&(_, key)| key == id.key),
                 "cancelled entry missing from its ready slot"
             );
             self.ready.remove(pos);
@@ -261,9 +248,6 @@ impl<E> EventQueue<E> {
                 let (level, slot) = (b / SLOTS, b % SLOTS);
                 self.occupancy[level][slot / 64] &= !(1u64 << (slot % 64));
             }
-            if matches!(self.wheel_min, WheelMin::Known(Some(m)) if m == entry.time) {
-                self.wheel_min = WheelMin::Stale;
-            }
         }
         true
     }
@@ -273,7 +257,7 @@ impl<E> EventQueue<E> {
         if self.ready.is_empty() && !self.refill() {
             return None;
         }
-        let (t, _seq, key) = self.ready.pop()?;
+        let ((t, _, _), key) = self.ready.pop()?;
         let Some(entry) = self.slab.remove(key) else {
             unreachable!("ready run holds only live keys")
         };
@@ -283,40 +267,30 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the next live event without popping it: the back of
-    /// the ready run, else the memoized earliest wheel time. The memo is
-    /// lowered by `schedule` into the wheel and invalidated by a `cancel`
-    /// of a wheel entry at the memo time and by `refill`; only then does
-    /// this rescan the wheel, so repeated polls of an idle queue are O(1).
+    /// the ready run, else the minimum of the first occupied wheel bucket.
     ///
     /// Does not move the wheel cursor: a later `schedule` may target any
     /// time `>= now`, which can still precede the next queued event, and
-    /// must then land in the ready run or ahead of the cursor. Only the
-    /// memo is refreshed.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if let Some(&(t, _, _)) = self.ready.last() {
+    /// must then land in the ready run or ahead of the cursor.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        if let Some(&((t, _, _), _)) = self.ready.last() {
             return Some(t);
-        }
-        if let WheelMin::Known(m) = self.wheel_min {
-            return m;
         }
         // The first bucket in cursor order covers the earliest occupied
         // tick range, so the global minimum timestamp is its minimum.
-        let m = self.first_bucket().and_then(|(level, slot)| {
+        self.first_bucket().and_then(|(level, slot)| {
             self.buckets[level * SLOTS + slot]
                 .iter()
                 .filter_map(|&k| self.slab.get(k))
-                .map(|e| e.time)
+                .map(|e| e.order.0)
                 .min()
-        });
-        self.wheel_min = WheelMin::Known(m);
-        m
+        })
     }
 
-    /// Insert into the ready run, keeping it sorted descending by
-    /// `(time, seq)`.
-    fn ready_insert(&mut self, t: SimTime, seq: u64, key: SlabKey) {
-        let pos = self.ready.partition_point(|&(rt, rs, _)| (rt, rs) > (t, seq));
-        self.ready.insert(pos, (t, seq, key));
+    /// Insert into the ready run, keeping it sorted descending by key.
+    fn ready_insert(&mut self, k: Key, key: SlabKey) {
+        let pos = self.ready.partition_point(|&(rk, _)| rk > k);
+        self.ready.insert(pos, (k, key));
     }
 
     /// File `key` into the wheel bucket for `tick`. The level is the
@@ -358,7 +332,6 @@ impl<E> EventQueue<E> {
     /// `ready`. Returns `false` when no events remain anywhere.
     fn refill(&mut self) -> bool {
         debug_assert!(self.ready.is_empty());
-        self.wheel_min = WheelMin::Stale;
         loop {
             let Some((level, slot)) = self.first_bucket() else {
                 return false;
@@ -376,20 +349,19 @@ impl<E> EventQueue<E> {
                 let Some(e) = self.slab.get_mut(key) else {
                     unreachable!("bucket holds only live keys")
                 };
-                let (t, seq) = (e.time, e.seq);
-                let tick = t.nanos() >> TICK_SHIFT;
+                let k = e.order;
+                let tick = k.0.nanos() >> TICK_SHIFT;
                 if tick == self.cur_tick {
                     e.bucket = LOC_READY;
-                    self.ready.push((t, seq, key));
+                    self.ready.push((k, key));
                 } else {
                     self.place(key, tick);
                 }
             }
             if !self.ready.is_empty() {
-                // Descending (time, seq): pop takes the minimum from the
-                // back. One sort per drained tick replaces per-pop sifts.
-                self.ready
-                    .sort_unstable_by_key(|&(t, s, _)| std::cmp::Reverse((t, s)));
+                // Descending key: pop takes the minimum from the back. One
+                // sort per drained tick replaces per-pop sifts.
+                self.ready.sort_unstable_by_key(|&(k, _)| std::cmp::Reverse(k));
                 return true;
             }
         }
@@ -644,8 +616,7 @@ mod tests {
     #[test]
     fn peek_memo_tracks_cancel_and_earlier_schedule() {
         // Milliseconds ahead of a cursor at tick 0: level >= 1 of the
-        // wheel, ready run empty, so every peek here is answered by the
-        // wheel-min memo or its rescan.
+        // wheel, ready run empty, so every peek here scans the wheel.
         let ms = 1_000_000u64;
         let (a, b, c) = (SimTime(5 * ms), SimTime(9 * ms), SimTime(7 * ms));
         let mut q = EventQueue::new();
@@ -653,13 +624,13 @@ mod tests {
         q.schedule(b, "b");
         assert!(q.bucket_entries() == 2 && q.ready.is_empty());
         assert_eq!(q.peek_time(), Some(a));
-        // Cancelling the memoized minimum must invalidate it.
+        // Cancelling the minimum must expose the next one.
         assert!(q.cancel(ida));
         assert_eq!(q.peek_time(), Some(b));
-        // An earlier schedule into the wheel must lower it.
+        // An earlier schedule into the wheel must lower the peek.
         q.schedule(c, "c");
         assert_eq!(q.peek_time(), Some(c));
-        // Each pop refills from the wheel; the memo must not outlive it.
+        // Each pop refills from the wheel.
         let mut order = Vec::new();
         while let Some(t) = q.peek_time() {
             let (popped, e) = q.pop().expect("peeked event present");
@@ -670,11 +641,23 @@ mod tests {
         assert!(q.pop().is_none());
     }
 
+    #[test]
+    fn rank_breaks_time_ties_before_fifo() {
+        let mut q = EventQueue::new();
+        q.schedule_ranked(SimTime(5), 2, "r2");
+        q.schedule_ranked(SimTime(5), 1, "r1-first");
+        q.schedule(SimTime(6), "later");
+        q.schedule_ranked(SimTime(5), 1, "r1-second");
+        q.schedule(SimTime(5), "r0");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["r0", "r1-first", "r1-second", "r2", "later"]);
+    }
+
     /// One scripted operation over both queues.
     #[derive(Debug, Clone)]
     enum Op {
-        /// Schedule at `now + delta`.
-        Schedule(u64),
+        /// Schedule at `now + delta` with a rank.
+        Schedule(u64, u64),
         /// Cancel the id issued `k` schedules ago (mod issued), if any.
         Cancel(usize),
         Pop,
@@ -684,7 +667,9 @@ mod tests {
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
             // Deltas spanning same-tick, near-horizon, and far-overflow.
-            (0u64..5_000_000_000).prop_map(Op::Schedule),
+            (0u64..5_000_000_000, 0u64..3).prop_map(|(d, r)| Op::Schedule(d, r)),
+            // Same-instant ties, where the rank decides.
+            (0u64..3).prop_map(|r| Op::Schedule(0, r)),
             (0usize..64).prop_map(Op::Cancel),
             Just(Op::Pop),
             Just(Op::Pop),
@@ -695,9 +680,9 @@ mod tests {
     proptest! {
         /// The wheel is observationally equivalent to the old binary-heap
         /// queue across arbitrary schedule/cancel/pop/peek interleavings:
-        /// identical pop sequences (same-time FIFO included), identical
-        /// cancel verdicts, exact `len()` and identical peeks at every
-        /// step (the peek after each op exercises the wheel-min memo).
+        /// identical pop sequences (rank tie-breaks and same-key FIFO
+        /// included), identical cancel verdicts, exact `len()` and
+        /// identical peeks at every step.
         #[test]
         fn fel_matches_heap_oracle(ops in proptest::collection::vec(op_strategy(), 1..200)) {
             let mut fel = EventQueue::new();
@@ -705,10 +690,10 @@ mod tests {
             let mut ids = Vec::new();
             for op in ops {
                 match op {
-                    Op::Schedule(delta) => {
+                    Op::Schedule(delta, rank) => {
                         let at = fel.now().saturating_add(crate::SimDuration(delta));
-                        let fid = fel.schedule(at, ids.len());
-                        let hid = heap.schedule(at, ids.len());
+                        let fid = fel.schedule_ranked(at, rank, ids.len());
+                        let hid = heap.schedule_ranked(at, rank, ids.len());
                         ids.push((fid, hid));
                     }
                     Op::Cancel(k) => {
@@ -726,8 +711,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(fel.len(), heap.len());
-                // Every op is a potential memo transition (lower,
-                // invalidate, rescan): check the peek after each one.
+                // Check the peek after every op.
                 prop_assert_eq!(fel.peek_time(), heap.peek_time());
             }
             // Drain both: the tails must agree event-for-event.

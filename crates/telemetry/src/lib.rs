@@ -274,41 +274,6 @@ impl TraceBuffer {
         }
         Ok(())
     }
-
-    /// Stitch per-shard rings into one stream ordered by
-    /// `(t, source_index, ring_position)` — a stable k-way merge, so
-    /// equal-timestamp events order by the caller-fixed source order (the
-    /// cluster passes client first, then data servers by index) and the
-    /// result is a pure function of the simulation, never of the thread
-    /// count. Each input ring must be time-monotone (every shard stamps
-    /// events in its own event order, which is). The merged ring's capacity
-    /// is the sum of the inputs' so the merge itself never evicts; dropped
-    /// counts accumulate.
-    pub fn merge(sources: Vec<TraceBuffer>) -> TraceBuffer {
-        let capacity: usize = sources.iter().map(|s| s.capacity).sum();
-        let dropped: u64 = sources.iter().map(|s| s.dropped).sum();
-        let mut heads: Vec<VecDeque<TraceEvent>> = sources.into_iter().map(|s| s.buf).collect();
-        let total: usize = heads.iter().map(VecDeque::len).sum();
-        let mut buf = VecDeque::with_capacity(total);
-        loop {
-            let mut best: Option<(f64, usize)> = None;
-            for (i, h) in heads.iter().enumerate() {
-                if let Some(ev) = h.front() {
-                    // Strictly-less keeps the earliest source on ties.
-                    if best.is_none_or(|(t, _)| ev.t < t) {
-                        best = Some((ev.t, i));
-                    }
-                }
-            }
-            let Some((_, i)) = best else { break };
-            buf.push_back(heads[i].pop_front().expect("nonempty head"));
-        }
-        TraceBuffer {
-            buf,
-            capacity: capacity.max(1),
-            dropped,
-        }
-    }
 }
 
 /// Named metric storage: counters, gauges, histograms, and time series.
@@ -395,29 +360,6 @@ impl Hist {
             }
         }
         bucket_rep(self.buckets.keys().next_back().copied().unwrap_or(0))
-    }
-
-    /// Fold `other` into `self` (parallel Welford combine plus bucket
-    /// addition). Deterministic for a fixed merge order; the cluster always
-    /// merges shard registries in shard order.
-    fn merge(&mut self, other: &Hist) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        self.m2 += other.m2 + delta * delta * (self.n as f64) * (other.n as f64) / n as f64;
-        self.mean += delta * other.n as f64 / n as f64;
-        self.n = n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (&key, &count) in &other.buckets {
-            *self.buckets.entry(key).or_insert(0) += count;
-        }
     }
 
     fn summary(&self) -> HistogramSummary {
@@ -516,41 +458,6 @@ impl Registry {
         self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Fold another registry into this one: counters add, gauges take the
-    /// maximum (every gauge the cluster emits is a high-water mark or an
-    /// end-of-run constant written by exactly one shard), histograms merge
-    /// their accumulators, and series points append in merge order (the
-    /// cluster's series are client-only, so appends never interleave).
-    pub fn merge_from(&mut self, other: Registry) {
-        for (name, n) in other.counters {
-            match self.counters.get_mut(&name) {
-                Some(c) => *c += n,
-                None => {
-                    self.counters.insert(name, n);
-                }
-            }
-        }
-        for (name, v) in other.gauges {
-            self.gauge_max(&name, v);
-        }
-        for (name, h) in other.hists {
-            match self.hists.get_mut(&name) {
-                Some(mine) => mine.merge(&h),
-                None => {
-                    self.hists.insert(name, h);
-                }
-            }
-        }
-        for (name, points) in other.series {
-            match self.series.get_mut(&name) {
-                Some(mine) => mine.extend(points),
-                None => {
-                    self.series.insert(name, points);
-                }
-            }
-        }
-    }
-
     /// Snapshot every metric into a serializable, deterministic form.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
@@ -643,38 +550,6 @@ impl Telemetry {
             trace: TraceBuffer::new(cfg.trace_capacity),
             spans: SpanLog::new(),
         }
-    }
-
-    /// Build one shard's instance of a partitioned simulation: identical to
-    /// [`Telemetry::new`] except span ids carry `tag` in their high bits so
-    /// they can cross shard boundaries and be re-linked at
-    /// [`Telemetry::absorb_shards`]. Tag 0 is the client shard (what
-    /// [`Telemetry::new`] produces).
-    pub fn for_shard(cfg: &TelemetryConfig, tag: u16) -> Self {
-        Telemetry {
-            spans: SpanLog::for_shard(tag),
-            ..Telemetry::new(cfg)
-        }
-    }
-
-    /// Fold per-shard instances into this one, in the order given (the
-    /// cluster passes data servers by index; `self` is the client shard).
-    /// Registries merge per [`Registry::merge_from`], trace rings k-way
-    /// merge by `(t, shard, ring_position)`, and span logs concatenate with
-    /// ids remapped and cross-shard closes applied ([`SpanLog::merge`]).
-    /// The merge order depends only on the records, so the result is a
-    /// pure function of the simulation.
-    pub fn absorb_shards(&mut self, shards: Vec<Telemetry>) {
-        let mut traces = vec![std::mem::take(&mut self.trace)];
-        let mut logs = vec![std::mem::replace(&mut self.spans, SpanLog::new())];
-        for shard in shards {
-            debug_assert!(shard.level == self.level && shard.spans_on == self.spans_on);
-            self.registry.merge_from(shard.registry);
-            traces.push(shard.trace);
-            logs.push(shard.spans);
-        }
-        self.trace = TraceBuffer::merge(traces);
-        self.spans = SpanLog::merge(logs);
     }
 
     /// A no-op instance (level `Off`).
@@ -1047,75 +922,6 @@ mod tests {
             .fields
             .iter()
             .any(|(k, v)| *k == "at" && *v == FieldValue::F64(1.0)));
-    }
-
-    #[test]
-    fn trace_merge_orders_by_time_then_source() {
-        let mut a = TraceBuffer::new(8);
-        let mut b = TraceBuffer::new(8);
-        a.push(TraceEvent::new(1.0, "client", "x").u64("i", 0));
-        a.push(TraceEvent::new(3.0, "client", "x").u64("i", 1));
-        b.push(TraceEvent::new(1.0, "server", "y").u64("i", 2));
-        b.push(TraceEvent::new(2.0, "server", "y").u64("i", 3));
-        let merged = TraceBuffer::merge(vec![a, b]);
-        let order: Vec<&'static str> = merged.iter().map(|e| e.component).collect();
-        // Tie at t=1.0 resolves to the earlier source (client).
-        assert_eq!(order, vec!["client", "server", "server", "client"]);
-        assert_eq!(merged.len(), 4);
-        assert_eq!(merged.dropped(), 0);
-    }
-
-    #[test]
-    fn registry_merge_sums_counts_maxes_gauges_merges_hists() {
-        let mut a = Registry::new();
-        let mut b = Registry::new();
-        a.count("ev", 3);
-        b.count("ev", 4);
-        b.count("only_b", 1);
-        a.gauge_max("depth", 5.0);
-        b.gauge_max("depth", 9.0);
-        for x in [2.0, 4.0] {
-            a.observe("lat", x);
-        }
-        for x in [4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            b.observe("lat", x);
-        }
-        a.sample("s", 1.0, 0.5);
-        b.sample("s", 2.0, 1.5);
-        a.merge_from(b);
-        assert_eq!(a.counter("ev"), 7);
-        assert_eq!(a.counter("only_b"), 1);
-        assert_eq!(a.gauge("depth"), 9.0);
-        let h = a.histogram("lat").unwrap();
-        // Same eight samples as `histogram_summary_matches_welford`.
-        assert_eq!(h.count, 8);
-        assert!((h.mean - 5.0).abs() < 1e-12);
-        assert!((h.stddev - (32.0f64 / 7.0).sqrt()).abs() < 1e-9);
-        assert_eq!((h.p50, h.p90), (4.0, 8.0));
-        assert_eq!(a.series("s"), &[(1.0, 0.5), (2.0, 1.5)]);
-    }
-
-    #[test]
-    fn absorb_shards_relinks_cross_shard_spans() {
-        let cfg = TelemetryConfig::at(TelemetryLevel::Trace).with_spans();
-        let mut client = Telemetry::new(&cfg);
-        let mut server = Telemetry::for_shard(&cfg, 1);
-        let life = client.span_open(0.0, 0.0, "req.life", SpanId::INVALID, 7);
-        let queue = server.span_open(1.0, 1.0, "server.queue", life, 7);
-        server.span_close(2.0, queue, 2.0);
-        server.span_close(2.0, life, 2.5);
-        client.count("engine.ev", 2);
-        server.count("engine.ev", 3);
-        client.absorb_shards(vec![server]);
-        assert_eq!(client.registry().counter("engine.ev"), 5);
-        let log = client.spans();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.open_count(), 0);
-        assert_eq!(log.records()[0].close, Some(2.5));
-        assert_eq!(log.records()[1].parent, SpanId(0));
-        // Trace streams interleave monotonically.
-        let ts: Vec<f64> = client.trace().iter().map(|e| e.t).collect();
-        assert!(ts.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

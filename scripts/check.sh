@@ -14,12 +14,13 @@ cargo clippy --offline --all-targets -- -D warnings
 # record the adaptive run's event trace, and check every simulation
 # invariant over it — registered trace kinds, monotone time, disk
 # exclusivity, PEC pairing, EMC transition legality, cache byte
-# conservation.
-golden="$(mktemp /tmp/dualpar-golden.XXXXXX.jsonl)"
-trap 'rm -f "$golden"' EXIT
+# conservation. The trace is also pinned byte for byte (below), so a
+# change of event order fails even when every invariant still holds.
+traces="$(mktemp -d /tmp/dualpar-traces.XXXXXX)"
+trap 'rm -rf "$traces"' EXIT
 cargo run --release --offline -q -p dualpar-bench --example interference -- \
-    --small --trace "$golden"
-./target/release/dualpar-audit trace "$golden"
+    --small --trace "$traces/interference_small.jsonl"
+./target/release/dualpar-audit trace "$traces/interference_small.jsonl"
 
 # Profile smoke: run the profiler on the quickstart fixture, audit the
 # span stream (pairing/nesting/stage order), and baseline-diff the report
@@ -30,7 +31,7 @@ cargo run --release --offline -q -p dualpar-bench --example interference -- \
 #   cargo run --release -p dualpar-bench --bin dualpar -- profile quickstart \
 #       --json --trace /dev/null > bench_results/PROFILE_quickstart_golden.json
 prof="$(mktemp -d /tmp/dualpar-prof.XXXXXX)"
-trap 'rm -f "$golden"; rm -rf "$prof"' EXIT
+trap 'rm -rf "$traces" "$prof"' EXIT
 cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
     profile quickstart --json --trace "$prof/spans.jsonl" > "$prof/profile.json"
 ./target/release/dualpar-audit trace "$prof/spans.jsonl"
@@ -48,14 +49,21 @@ cmp bench_results/PROFILE_quickstart_golden.json "$prof/profile.json"
 #       examples/specs/multitenant.json --trace /dev/null \
 #       > bench_results/GOLDEN_dsl_multitenant.json
 dsl="$(mktemp -d /tmp/dualpar-dsl.XXXXXX)"
-trap 'rm -f "$golden"; rm -rf "$prof" "$dsl"' EXIT
+trap 'rm -rf "$traces" "$prof" "$dsl"' EXIT
 cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
-    examples/specs/multitenant.json --trace "$dsl/trace.jsonl" > "$dsl/report.json"
-./target/release/dualpar-audit trace "$dsl/trace.jsonl"
+    examples/specs/multitenant.json --trace "$traces/multitenant.jsonl" > "$dsl/report.json"
+./target/release/dualpar-audit trace "$traces/multitenant.jsonl"
 ./target/release/dualpar-audit trace --baseline \
     bench_results/GOLDEN_dsl_multitenant.json "$dsl/report.json" \
     --max-regress-pct 0
 cmp bench_results/GOLDEN_dsl_multitenant.json "$dsl/report.json"
+
+# Trace pin: the two traces above must match the committed sha256 sums,
+# so any drift in event order or trace content fails the gate, not only
+# an invariant violation. Regenerate on intentional changes with the two
+# commands above and `sha256sum interference_small.jsonl multitenant.jsonl`
+# in the output directory, written to bench_results/TRACES.sha256.
+(cd "$traces" && sha256sum -c) < bench_results/TRACES.sha256
 # The same scenario through the parallel suite runner: reports must be
 # byte-identical between --jobs 4 and the serial twin.
 cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
@@ -88,7 +96,7 @@ python3 perfbench/run.py --smoke
 # gate (one retry before an entry is declared failed), and engine-speed
 # numbers timed into the log (see docs/BENCH.md).
 suite_out="$(mktemp -d /tmp/dualpar-suite.XXXXXX)"
-trap 'rm -f "$golden"; rm -rf "$prof" "$dsl" "$suite_out"' EXIT
+trap 'rm -rf "$traces" "$prof" "$dsl" "$suite_out"' EXIT
 time cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
     suite --jobs "$(nproc)" --scale small --verify-serial \
     --timeout-secs 300 --retry 1 --out "$suite_out/BENCH_suite.json"

@@ -94,15 +94,13 @@ fn worker_thread_trace_passes_interference_audit() {
 
 #[test]
 fn truncated_ring_trace_passes_audit_with_tolerance() {
-    // Since the engine was sharded, each data server records disk events
-    // into its own ring, so a ring overrun evicts whole start/done pairs
-    // per server and the surviving suffix is still pair-consistent — the
-    // classic truncation artifact (a completion whose dispatch was
-    // evicted) can no longer be produced by overrun alone. Construct that
-    // dropped-prefix artifact directly: cut the captured trace so it
-    // begins at its final `disk/done`, orphaning exactly one completion.
-    // The default audit rightly rejects it; the truncation-tolerant audit
-    // must accept it, counting the orphaned pairing as a warning instead.
+    // A ring overrun drops the oldest records, which can leave a
+    // completion whose dispatch was evicted. Construct that dropped-prefix
+    // artifact directly, without depending on where an overrun happens to
+    // cut: start the captured trace at its final `disk/done`, orphaning
+    // exactly one completion. The default audit rightly rejects it; the
+    // truncation-tolerant audit must accept it, counting the orphaned
+    // pairing as a warning instead.
     let entries: Vec<_> = traced_small_suite()
         .into_iter()
         .filter(|e| e.name.starts_with("mpiio"))
