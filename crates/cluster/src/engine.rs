@@ -5,8 +5,8 @@
 
 use crate::config::{ClusterConfig, CtxMode, IoStrategy, ProgramSpec};
 use crate::metrics::{ModeEvent, ProgramReport, RunReport};
-use crate::events::{Event, EventList, MAX_SERVERS};
-use crate::server::{Server, SubReq};
+use crate::events::{Event, EventList};
+use crate::server::{SEv, Server, SubReq};
 use dualpar_cache::{CacheConfig, GlobalCache, NodeId, OwnerId};
 use dualpar_core::{DualParConfig, Emc, ExecMode, IoClock, ProgramId, ReqDistTracker};
 use dualpar_disk::{Disk, IoCtx, IoKind};
@@ -288,10 +288,6 @@ const _: fn() = || {
 impl Cluster {
     /// Assemble a cluster from its configuration.
     pub fn new(cfg: ClusterConfig) -> Self {
-        assert!(
-            cfg.num_data_servers <= MAX_SERVERS,
-            "at most {MAX_SERVERS} data servers"
-        );
         let pvfs = Pvfs::new(
             cfg.num_data_servers,
             cfg.stripe_size,
@@ -317,7 +313,7 @@ impl Cluster {
         let rng = dualpar_sim::DetRng::for_stream(cfg.seed, "cluster");
         let tele = Telemetry::new(&cfg.telemetry);
         let nnodes = cfg.num_compute_nodes as usize;
-        let queue = EventList::new(cfg.net_latency);
+        let queue = EventList::default();
         Cluster {
             cfg,
             queue,
@@ -645,24 +641,20 @@ impl Cluster {
                 life = self.tele.span_open(stamp, at, "req.life", SpanId::INVALID, id);
                 stage = self.tele.span_open(stamp, at, "req.issue", life, id);
             }
-            // `deliver ≥ now + net_latency`: the request can never land
-            // inside the exchange window it was sent in.
             let deliver = self.node_links[node as usize].send(now, req_msg);
-            self.queue.request(
-                deliver,
-                run.server.0,
-                SubReq {
-                    id,
-                    lbn: run.lbn,
-                    sectors: run.sectors,
-                    kind,
-                    ctx,
-                    group,
-                    resp_bytes,
-                    life,
-                    stage,
-                },
-            );
+            let sub = SubReq {
+                id,
+                lbn: run.lbn,
+                sectors: run.sectors,
+                kind,
+                ctx,
+                group,
+                resp_bytes,
+                life,
+                stage,
+            };
+            self.queue
+                .schedule(deliver, Event::Server(run.server.0, SEv::Recv(sub)));
         }
         self.resolved_scratch = runs;
         n
@@ -681,8 +673,8 @@ impl Cluster {
 
     /// Run until every program has finished. Returns the report.
     ///
-    /// Events pop from the one [`EventList`] in the order of
-    /// `crate::events`, which reproduces the windowed engine's.
+    /// Events pop from the one [`EventList`] in `(time, lane, seq)` order
+    /// (`crate::events`).
     pub fn run(&mut self) -> RunReport {
         if self.tele.tracing() {
             // Lead the trace with the thresholds this run decides against,
@@ -702,14 +694,11 @@ impl Cluster {
         }
         if self.emc_active {
             let slot = self.cfg.dualpar.sample_slot;
-            self.queue.schedule_tick(SimTime::ZERO + slot);
+            self.queue.schedule(SimTime::ZERO + slot, Ev::EmcTick);
         }
         while let Some((now, event)) = self.queue.pop() {
             self.dispatch(now, event);
             if self.all_finished() {
-                while let Some((now, event)) = self.queue.pop_window_rest() {
-                    self.dispatch(now, event);
-                }
                 break;
             }
         }
@@ -907,7 +896,7 @@ impl Cluster {
             .any(|p| p.strategy == IoStrategy::DualPar && p.finish.is_none());
         if live {
             let slot = self.cfg.dualpar.sample_slot;
-            self.queue.schedule_tick(now.saturating_add(slot));
+            self.queue.schedule(now.saturating_add(slot), Ev::EmcTick);
         } else {
             self.emc_active = false;
         }
@@ -1084,7 +1073,6 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::SEv;
     use dualpar_disk::{DiskRequest, StartOutcome};
 
     #[test]
@@ -1103,7 +1091,7 @@ mod tests {
         let StartOutcome::Started { finish: done } = disk.try_start(SimTime::ZERO) else {
             panic!("an idle disk with queued work starts one request")
         };
-        c.queue.schedule_server(done, 0, SEv::DiskDone);
+        c.queue.schedule(done, Event::Server(0, SEv::DiskDone));
         // One EMC tick, at exactly that completion's instant.
         c.cfg.dualpar.sample_slot = done.since(SimTime::ZERO);
         c.emc_active = true;

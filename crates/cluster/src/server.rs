@@ -5,7 +5,8 @@
 //! EMC tick's seek-window sample and the end-of-run report.
 
 use crate::config::{ClusterConfig, CtxMode, ServerWriteMode};
-use crate::events::EventList;
+use crate::engine::Ev;
+use crate::events::{Event, EventList};
 use dualpar_disk::{Disk, DiskRequest, IoCtx, IoKind, Lbn, StartOutcome};
 use dualpar_sim::{FxHashMap, Link, SimDuration, SimTime, SlabKey};
 use dualpar_telemetry::{SpanId, Telemetry};
@@ -132,7 +133,7 @@ impl Server {
             let deliver = self
                 .link
                 .send(now, self.msg_header.saturating_add(sub.resp_bytes));
-            queue.ack(deliver, self.id, sub.group);
+            queue.schedule(deliver, Ev::SubDone { group: sub.group });
             if tele.spans_enabled() {
                 // Buffered ack: the queue/disk stages are owned by the
                 // flush daemon, so the lifecycle skips straight from issue
@@ -146,7 +147,8 @@ impl Server {
             self.dirty.push(req);
             if !self.flush_scheduled {
                 self.flush_scheduled = true;
-                queue.schedule_server(now.saturating_add(self.flush_interval), self.id, SEv::Flush);
+                let at = now.saturating_add(self.flush_interval);
+                queue.schedule(at, Event::Server(self.id, SEv::Flush));
             }
         } else {
             let mut stage = SpanId::INVALID;
@@ -205,7 +207,7 @@ impl Server {
                 let deliver = self
                     .link
                     .send(now, self.msg_header.saturating_add(p.resp_bytes));
-                queue.ack(deliver, self.id, p.group);
+                queue.schedule(deliver, Ev::SubDone { group: p.group });
                 if tele.spans_enabled() {
                     let stamp = now.as_secs_f64();
                     tele.span_close(stamp, p.stage, stamp);
@@ -254,10 +256,10 @@ impl Server {
                         });
                     }
                 }
-                queue.schedule_server(finish, self.id, SEv::DiskDone);
+                queue.schedule(finish, Event::Server(self.id, SEv::DiskDone));
             }
             StartOutcome::Idle { until } => {
-                queue.schedule_server(until, self.id, SEv::DiskKick);
+                queue.schedule(until, Event::Server(self.id, SEv::DiskKick));
             }
             StartOutcome::Quiescent => {}
         }

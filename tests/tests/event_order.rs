@@ -1,14 +1,12 @@
-//! The engine's event order, pinned against the windowed engine it
-//! replaced.
+//! The engine's event order: `(time, lane, seq)`.
 //!
-//! The cluster pops events from one list in `(time, lane, window, class,
-//! src, seq)` order (`crates/cluster/src/events.rs`, docs/PERF.md "One
-//! event list"). The first scenario here is dense with same-instant,
-//! same-lane ties; each of the other three is built so that exactly one
-//! component of that key decides a tie whose two orders lead to different
-//! reports. Every expected fingerprint and trace digest was computed by the
-//! engine that kept one queue per server and exchanged messages at window
-//! barriers, so a pass means the one list reproduces its order exactly.
+//! The cluster pops events from one list ordered by time, then lane (the
+//! client before server 0 before server 1 …), then scheduling order
+//! (`crates/cluster/src/events.rs`, docs/PERF.md "The order rule"). The
+//! first scenario here is dense with same-instant, same-lane ties and pins
+//! a report and a trace. Each of the other three is built so that two
+//! events of one lane land on one instant and their two orders lead to
+//! different reports: the one scheduled first must run first.
 
 use dualpar_bench::suite::report_fingerprint;
 use dualpar_cluster::prelude::*;
@@ -51,9 +49,8 @@ fn program(name: &str, ranks: Vec<Vec<Op>>) -> ProgramScript {
 
 /// Eight vanilla readers with a barrier after every 16 KB call, on three
 /// flat disks: symmetric stripes finish together, so acks, barrier
-/// releases and disk completions keep landing on the same instant. An
-/// instrumented build counted 381 pops that share both time and lane with
-/// the pop before them, 39 of which the `window` component orders.
+/// releases and disk completions keep landing on the same instant, so
+/// many pops share both time and lane with the pop before them.
 fn tie_heavy() -> Experiment {
     let w = MpiIoTest {
         nprocs: 8,
@@ -69,11 +66,11 @@ fn tie_heavy() -> Experiment {
 }
 
 #[test]
-fn tie_heavy_run_matches_the_windowed_engine() {
+fn tie_heavy_run_keeps_its_report_and_trace() {
     let report = tie_heavy().run().expect("valid experiment");
     assert_eq!(fingerprint(&report), "844f106949543fc1");
-    // The trace orders equal-time records client first, then server by
-    // server: the windowed engine's `(time, shard, position)` stitch.
+    // The trace records events in pop order: equal-time records come
+    // client first, then server by server, each lane in scheduling order.
     let mut cluster = tie_heavy()
         .telemetry(TelemetryLevel::Trace)
         .build()
@@ -83,17 +80,17 @@ fn tie_heavy_run_matches_the_windowed_engine() {
     cluster.export_trace(&mut jsonl).expect("in-memory write");
     let mut h = FxHasher::default();
     h.write(&jsonl);
-    assert_eq!(format!("{:016x}", h.finish()), "0569d2bae1e7bb97");
+    assert_eq!(format!("{:016x}", h.finish()), "e278d660027162a5");
 }
 
-/// `window`: at one instant the client holds an ack sent in an earlier
-/// window and a wake-up scheduled in the current one. Program x's rank 0
-/// reads from server 0 and then releases rank 1 from a barrier; program
-/// y's rank 1 reads from server 1 at the same time, so both acks arrive
-/// together. The x ack pops first (server order) and schedules rank 1's
-/// wake-up at that instant; the y ack, scheduled a window earlier, must
-/// still run before it. Both then send a read on node 1, so the order
-/// decides who gets the link first.
+/// At one instant the client holds an ack scheduled before a wake-up.
+/// Program x's rank 0 reads from server 0 and then releases rank 1 from a
+/// barrier; program y's rank 1 reads from server 1 at the same time, so
+/// both acks arrive together. Server 0's completion pops first (its lane
+/// is lower), so the x ack is scheduled and pops first, and it schedules
+/// rank 1's wake-up at that instant. The y ack, scheduled by server 1's
+/// completion before that, runs before the wake-up. Both then send a read
+/// on node 1, so the order decides who gets the link first.
 #[test]
 fn an_ack_from_an_earlier_window_runs_before_a_wake_up_at_its_instant() {
     let report = Experiment::darwin()
@@ -125,15 +122,15 @@ fn an_ack_from_an_earlier_window_runs_before_a_wake_up_at_its_instant() {
     assert_eq!(fingerprint(&report), "17957d714273a22d");
 }
 
-/// `class`: a request and a disk completion land on one server at the
-/// same instant, both scheduled in the same window and the request first.
-/// Program a's read reaches the only server at 52 048 ns and takes 52 048
-/// ns on the disk; program c's far read queues behind it; program b sends
-/// the read that follows a's on disk at 52 048 ns, so it arrives as a's
-/// completes. The completion must run first, so SSTF sees only c's read
-/// and serves it before b's.
+/// A request and a disk completion land on one server at the same
+/// instant, the request scheduled first. Program a's read reaches the only
+/// server at 52 048 ns and takes 52 048 ns on the disk; program c's far
+/// read queues behind it; program b sends the read that follows a's on
+/// disk at 52 048 ns, so it arrives as a's completes. The request runs
+/// first, so SSTF sees both b's and c's reads at the completion and serves
+/// b's, the nearer, first.
 #[test]
-fn a_disk_completion_runs_before_a_request_arriving_at_its_instant() {
+fn a_request_scheduled_before_a_disk_completion_at_its_instant_runs_first() {
     let report = Experiment::darwin()
         .servers(1)
         .compute_nodes(1)
@@ -152,18 +149,17 @@ fn a_disk_completion_runs_before_a_request_arriving_at_its_instant() {
         })
         .run()
         .expect("valid experiment");
-    assert!(report.programs[1].finish < report.programs[2].finish);
-    assert_eq!(fingerprint(&report), "5ce35419f4c6ee9f");
+    assert!(report.programs[2].finish < report.programs[1].finish);
+    assert_eq!(fingerprint(&report), "4d401518b3c6b032");
 }
 
-/// `src`: two acks reach the client at the same instant from servers 1
-/// and 0, scheduled in the same window, server 1's first. Program j reads
-/// 10 KB from server 1 at 0; program i reads 8 KB from server 0 16 388 ns
-/// later, which the shorter disk and wire times make up exactly. Server
-/// 0's ack must run first, so i's next read leaves the shared node link
-/// before j's.
+/// Two acks reach the client at the same instant from servers 1 and 0,
+/// server 1's scheduled first. Program j reads 10 KB from server 1 at 0;
+/// program i reads 8 KB from server 0 16 388 ns later, which the shorter
+/// disk and wire times make up exactly. Server 1's ack runs first, so j's
+/// next read leaves the shared node link before i's.
 #[test]
-fn acks_at_one_instant_run_in_server_order() {
+fn acks_at_one_instant_run_in_scheduling_order() {
     let report = Experiment::darwin()
         .servers(2)
         .compute_nodes(1)
@@ -180,6 +176,6 @@ fn acks_at_one_instant_run_in_server_order() {
         })
         .run()
         .expect("valid experiment");
-    assert!(report.programs[1].finish < report.programs[0].finish);
-    assert_eq!(fingerprint(&report), "012c26ef04a96e06");
+    assert!(report.programs[0].finish < report.programs[1].finish);
+    assert_eq!(fingerprint(&report), "214fcf4cebb99a7c");
 }
