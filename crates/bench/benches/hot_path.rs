@@ -11,11 +11,10 @@
 //!   on `partition_point` over a queue kept sorted by `(lbn, id)`, so
 //!   removal must shift (a `swap_remove` would corrupt the order). If the
 //!   O(n) shift ever dominates, this group is where it shows.
-//! * `event_queue` — schedule/cancel/pop churn through the hierarchical
-//!   timing wheel ([`dualpar_sim::EventQueue`]) against an inline rebuild
-//!   of the binary-heap + lazy-cancellation queue it replaced, at steady
-//!   pending populations from 10³ to 10⁶. Every simulation event in the
-//!   workspace funnels through this structure, so this group is the
+//! * `event_queue` — schedule/cancel/pop churn through the future-event
+//!   list ([`dualpar_sim::EventQueue`], a binary heap over a slab) at
+//!   steady pending populations from 10³ to 10⁶. Every simulation event in
+//!   the workspace funnels through this structure, so this group is the
 //!   engine-throughput guard.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -23,9 +22,7 @@ use dualpar_disk::{
     AnticipatoryConfig, AnticipatoryScheduler, CfqConfig, CfqScheduler, Decision, DiskRequest,
     IoCtx, IoKind, Scheduler,
 };
-use dualpar_sim::{EventId, EventQueue, FxHashMap, FxHashSet, SimDuration, SimTime, Slab, SlabKey};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use dualpar_sim::{EventId, EventQueue, FxHashMap, SimDuration, SimTime, Slab, SlabKey};
 use std::hint::black_box;
 
 /// Stand-in for the engine's `Group` record: big enough that moves are not
@@ -176,8 +173,7 @@ fn bench_dispatch(c: &mut Criterion) {
 
 /// Timed churn rounds per event-queue iteration.
 const EQ_CHURN: u64 = 4_096;
-/// Scheduling horizon for pseudo-random deltas (10 simulated seconds) —
-/// wide enough to spread events across every wheel level.
+/// Scheduling horizon for pseudo-random deltas (10 simulated seconds).
 const EQ_HORIZON_NS: u64 = 10_000_000_000;
 
 fn xorshift(x: &mut u64) -> u64 {
@@ -187,56 +183,7 @@ fn xorshift(x: &mut u64) -> u64 {
     *x
 }
 
-/// The retired production queue, rebuilt inline as the bench baseline:
-/// a min-heap of `(time, seq)` with lazy cancellation through side sets.
-struct LazyHeapQueue {
-    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    next_seq: u64,
-    now: SimTime,
-    cancelled: FxHashSet<u64>,
-    pending: FxHashSet<u64>,
-}
-
-impl LazyHeapQueue {
-    fn new() -> Self {
-        LazyHeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            cancelled: FxHashSet::default(),
-            pending: FxHashSet::default(),
-        }
-    }
-
-    fn schedule(&mut self, at: SimTime, payload: u64) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.insert(seq);
-        self.heap.push(Reverse((at, seq, payload)));
-        seq
-    }
-
-    fn cancel(&mut self, seq: u64) -> bool {
-        if !self.pending.remove(&seq) {
-            return false;
-        }
-        self.cancelled.insert(seq)
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        while let Some(Reverse((t, seq, payload))) = self.heap.pop() {
-            if self.cancelled.remove(&seq) {
-                continue;
-            }
-            self.pending.remove(&seq);
-            self.now = t;
-            return Some((t, payload));
-        }
-        None
-    }
-}
-
-fn wheel_prefill(pending: usize) -> (EventQueue<u64>, Vec<EventId>) {
+fn queue_prefill(pending: usize) -> (EventQueue<u64>, Vec<EventId>) {
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut ids = Vec::with_capacity(pending);
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -247,7 +194,7 @@ fn wheel_prefill(pending: usize) -> (EventQueue<u64>, Vec<EventId>) {
     (q, ids)
 }
 
-fn wheel_churn((mut q, mut ids): (EventQueue<u64>, Vec<EventId>)) -> u64 {
+fn queue_churn((mut q, mut ids): (EventQueue<u64>, Vec<EventId>)) -> u64 {
     let mut x = 0x2545_F491_4F6C_DD1Du64;
     let mut acc = 0u64;
     for i in 0..EQ_CHURN {
@@ -257,7 +204,7 @@ fn wheel_churn((mut q, mut ids): (EventQueue<u64>, Vec<EventId>)) -> u64 {
         let delta = SimDuration(1 + xorshift(&mut x) % EQ_HORIZON_NS);
         ids.push(q.schedule(q.now().saturating_add(delta), i));
         // Every fourth round, cancel a uniformly chosen remembered id.
-        // Some of them have already fired — exercising the O(1) stale-id
+        // Some of them have already fired — exercising the stale-id
         // rejection alongside live cancellation, like the engine does.
         if i % 4 == 0 {
             let pick = xorshift(&mut x) as usize % ids.len();
@@ -268,50 +215,14 @@ fn wheel_churn((mut q, mut ids): (EventQueue<u64>, Vec<EventId>)) -> u64 {
     acc.wrapping_add(q.len() as u64)
 }
 
-fn heap_prefill(pending: usize) -> (LazyHeapQueue, Vec<u64>) {
-    let mut q = LazyHeapQueue::new();
-    let mut ids = Vec::with_capacity(pending);
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    for i in 0..pending as u64 {
-        let delta = SimDuration(1 + xorshift(&mut x) % EQ_HORIZON_NS);
-        ids.push(q.schedule(q.now.saturating_add(delta), i));
-    }
-    (q, ids)
-}
-
-fn heap_churn((mut q, mut ids): (LazyHeapQueue, Vec<u64>)) -> u64 {
-    let mut x = 0x2545_F491_4F6C_DD1Du64;
-    let mut acc = 0u64;
-    for i in 0..EQ_CHURN {
-        if let Some((t, payload)) = q.pop() {
-            acc = acc.wrapping_add(t.0).wrapping_add(payload);
-        }
-        let delta = SimDuration(1 + xorshift(&mut x) % EQ_HORIZON_NS);
-        ids.push(q.schedule(q.now.saturating_add(delta), i));
-        if i % 4 == 0 {
-            let pick = xorshift(&mut x) as usize % ids.len();
-            let id = ids.swap_remove(pick);
-            acc = acc.wrapping_add(u64::from(q.cancel(id)));
-        }
-    }
-    acc.wrapping_add(q.pending.len() as u64)
-}
-
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
     g.throughput(Throughput::Elements(EQ_CHURN));
     for pending in [1_000usize, 10_000, 100_000, 1_000_000] {
-        g.bench_function(&format!("wheel_churn_{pending}"), |b| {
+        g.bench_function(&format!("churn_{pending}"), |b| {
             b.iter_batched(
-                || wheel_prefill(pending),
-                |input| black_box(wheel_churn(input)),
-                BatchSize::LargeInput,
-            )
-        });
-        g.bench_function(&format!("heap_churn_{pending}"), |b| {
-            b.iter_batched(
-                || heap_prefill(pending),
-                |input| black_box(heap_churn(input)),
+                || queue_prefill(pending),
+                |input| black_box(queue_churn(input)),
                 BatchSize::LargeInput,
             )
         });

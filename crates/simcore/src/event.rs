@@ -1,20 +1,19 @@
-//! The retired binary-heap event queue, kept as a test oracle.
+//! The lazy-cancellation binary-heap event queue, kept as a test oracle.
 //!
-//! This was the production future-event list before the indexed timing
-//! wheel in [`crate::fel`] replaced it: a `BinaryHeap` of `(time, seq)`
-//! entries (since extended with the wheel's `rank` tie-break) with lazy cancellation through a side `cancelled` set. It is
-//! compiled only under `cfg(test)` and exists so the wheel's property
-//! tests can assert *observational equivalence* against the exact
-//! semantics the whole engine was validated on — pop order, same-time
-//! FIFO, cancel verdicts, `len()` exactness, clock behaviour.
+//! A `BinaryHeap` of `(time, rank, seq)` entries with lazy cancellation
+//! through side `cancelled`/`pending` sets: the simplest queue with the
+//! engine's semantics. It is compiled only under `cfg(test)` and exists so
+//! the property tests of [`crate::fel`] can assert *observational
+//! equivalence* against it — pop order, rank tie-breaks, same-key FIFO,
+//! cancel verdicts, `len()` exactness, clock behaviour.
 //!
-//! Known (and deliberate) differences from the wheel, which the oracle
-//! tests do not observe through the public API:
+//! Known (and deliberate) differences from [`crate::fel::EventQueue`],
+//! which the oracle tests do not observe through the public API:
 //! * `HeapEventId` is a bare per-queue seq — the aliasing-across-queues
-//!   bug the wheel's tagged generational ids fix.
-//! * Cancellation is lazy: cancelled entries stay in the heap until the
-//!   clock reaches them — the unbounded-churn leak the wheel's eager
-//!   slot removal fixes.
+//!   bug the tagged generational ids fix.
+//! * Cancelled payloads and their seqs stay in the heap and the
+//!   `cancelled` set until the clock reaches them — the unbounded-churn
+//!   leak that eager payload drop plus compaction fixes.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -138,18 +137,6 @@ impl<E> HeapEventQueue<E> {
         }
         None
     }
-
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            let top_seq = self.heap.peek().map(|e| e.seq)?;
-            if self.cancelled.remove(&top_seq) {
-                self.heap.pop();
-                continue;
-            }
-            return self.heap.peek().map(|e| e.time);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +163,6 @@ mod tests {
         assert!(q.cancel(b));
         assert!(!q.cancel(b));
         assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime(1)));
         assert_eq!(q.pop().map(|(_, e)| e), Some("a"));
         assert!(!q.cancel(a));
         assert!(q.pop().is_none());

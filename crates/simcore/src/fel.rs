@@ -1,50 +1,29 @@
-//! Indexed future-event list: a hierarchical timing wheel over the
-//! generational [`Slab`].
+//! Future-event list: a binary heap of `(time, rank, seq)` keys over the
+//! generational [`Slab`] that holds the payloads.
 //!
-//! The previous [`EventQueue`] was a `BinaryHeap` with two side
-//! `FxHashSet`s (`cancelled`, `pending`): every schedule/cancel/pop paid
-//! O(log n) sift work plus two hash probes, and a cancelled-but-unreached
-//! entry stayed in the heap (and the `cancelled` set) for the rest of the
-//! run — lazy deletion never compacts. This replacement indexes events
-//! instead of comparing them:
-//!
-//! * **Storage.** Every scheduled event lives in a generational
-//!   [`Slab`] slot; [`EventId`] wraps the slot's [`SlabKey`] plus a
-//!   per-queue instance tag. `cancel` is an O(1) eager `Slab::remove`
-//!   (the payload drops immediately — no tombstones, no unbounded
-//!   growth), a stale id misses on the generation check, and an id minted
-//!   by a *different* queue instance is rejected by the tag before it can
-//!   alias an unrelated slot.
-//! * **Ordering.** Time is bucketed into ticks of 2^[`TICK_SHIFT`] ns.
-//!   The wheel has [`LEVELS`] levels of [`SLOTS`] buckets; an event's
-//!   level is the highest [`LEVEL_BITS`]-bit block where its tick differs
-//!   from the cursor, its slot that block's value — near-horizon events
-//!   land in level 0 (one tick per bucket), far events coarsen into the
-//!   overflow levels and cascade down as the cursor approaches (each
-//!   event moves at most `LEVELS - 1` times, so scheduling stays
-//!   amortised O(1)). Per-level occupancy bitmaps make "next non-empty
-//!   bucket" a handful of word scans.
-//! * **Determinism.** Pop order is exactly ascending `(time, rank, seq)`:
+//! * **Storage.** [`EventId`] wraps the payload's [`SlabKey`] plus a
+//!   per-queue instance tag. `cancel` is an eager `Slab::remove` (the
+//!   payload drops at once), a stale id misses on the generation check,
+//!   and an id minted by another queue instance is rejected by the tag
+//!   before it can alias an unrelated slot.
+//! * **Ordering.** Pop order is exactly ascending `(time, rank, seq)`:
 //!   `rank` is a caller-chosen tie-break for equal times
 //!   ([`EventQueue::schedule_ranked`]; plain [`EventQueue::schedule`] uses
 //!   0) and `seq` the scheduling order, so equal `(time, rank)` pops FIFO.
-//!   Bucket membership only partitions events by tick; within the current
-//!   tick the drained bucket is sorted by the full key into the `ready`
-//!   run, and late arrivals for the same tick insert in sorted position.
-//!   The order therefore survives any schedule/cancel interleaving, which
-//!   the oracle-equivalence property test (against the retained heap
-//!   implementation in the `event` test module) pins down.
-//!
-//! The cursor only advances inside [`EventQueue::pop`], and only to the
-//! tick actually popped, so `tick(now) == cur_tick` holds at every public
-//! API boundary — the invariant that lets `schedule` route same-tick
-//! events straight into the ready run and place everything else strictly
-//! ahead of the cursor. [`EventQueue::peek_time`] deliberately does *not*
-//! advance the cursor (a later `schedule` may still target any time
-//! `>= now`, which can precede the next queued event).
+//!   A property test holds this against the lazy-cancellation heap oracle
+//!   in the `event` test module across arbitrary interleavings.
+//! * **Cancelled entries.** `cancel` leaves the heap entry behind and
+//!   `pop` skips entries whose key no longer resolves. If a later
+//!   `schedule` reused the slot, the leftover carries the old generation,
+//!   so it can neither deliver the new payload early nor twice. Whenever
+//!   the heap exceeds `2 * len() + 1` entries it is compacted with
+//!   `BinaryHeap::retain`, so leftovers never outnumber live events by
+//!   more than one.
 
 use crate::slab::{Slab, SlabKey};
 use crate::time::SimTime;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Opaque handle that identifies a scheduled event so it can be cancelled.
@@ -56,64 +35,22 @@ pub struct EventId {
     key: SlabKey,
 }
 
-/// Nanoseconds per tick, as a shift: 1 tick = 1024 ns (~1 µs). Finer than
-/// any scheduling quantum in the engine (cache hits are hundreds of ns but
-/// same-tick events are ordered exactly by the full key anyway), coarse
-/// enough that one 256-slot level spans ~262 µs of near horizon.
-const TICK_SHIFT: u32 = 10;
-/// Bits per wheel level: 256 slots each.
-const LEVEL_BITS: u32 = 8;
-const SLOTS: usize = 1 << LEVEL_BITS;
-/// Levels needed to cover the full 54-bit tick space (the top levels are
-/// the far-event overflow: one level-6 bucket spans ~9 simulated years).
-const LEVELS: usize = (64 - TICK_SHIFT as usize).div_ceil(LEVEL_BITS as usize);
-const WORDS: usize = SLOTS / 64;
-/// `Entry::bucket` sentinel for "in the ready run".
-const LOC_READY: u16 = u16::MAX;
-
-// The wheel must be able to index every representable tick.
-const _: () = assert!(LEVELS * LEVEL_BITS as usize >= 64 - TICK_SHIFT as usize);
-const _: () = assert!(LEVELS * SLOTS < LOC_READY as usize);
-
-/// Monotone source of queue-instance tags. The tag only discriminates
-/// `EventId`s between queue instances (it never orders events or reaches
-/// any serialized output), so cross-thread allocation order is harmless
-/// for replay determinism.
+/// Monotone source of queue-instance tags. A tag only tells `EventId`s of
+/// different queues apart (it never orders events or reaches any output),
+/// so cross-thread allocation order cannot affect replay determinism.
 static QUEUE_TAGS: AtomicU64 = AtomicU64::new(1);
 
-/// The full pop-order key: `(time, rank, seq)`.
-type Key = (SimTime, u64, u64);
+/// Pop-order key `(time, rank, seq)` and the payload's slot. `seq` is
+/// unique, so the slot never takes part in a comparison.
+type Entry = Reverse<(SimTime, u64, u64, SlabKey)>;
 
-struct Entry<E> {
-    /// Pop-order key.
-    order: Key,
-    /// Bucket index (`level * SLOTS + slot`), or [`LOC_READY`].
-    bucket: u16,
-    /// Position inside the bucket's vec (meaningless in the ready run,
-    /// whose order is maintained by binary search instead).
-    pos: u32,
-    payload: E,
-}
-
-/// A deterministic future-event list. Drop-in API replacement for the old
-/// binary-heap queue: `schedule`/`cancel`/`pop`/`peek_time`/`len`/`now`
-/// behave identically (the property tests compare against the retained
-/// heap oracle), only `EventId` changed representation.
-/// [`EventQueue::schedule_ranked`] adds a tie-break between equal times.
+/// A deterministic future-event list; [`EventQueue::schedule_ranked`]
+/// adds a tie-break between equal times.
 pub struct EventQueue<E> {
-    slab: Slab<Entry<E>>,
-    /// `LEVELS * SLOTS` buckets of slab keys. Intra-bucket order is
-    /// immaterial (drains sort by the full key), so cancellation can
-    /// `swap_remove`.
-    buckets: Vec<Vec<SlabKey>>,
-    /// One bit per bucket, per level: "this bucket is non-empty".
-    occupancy: [[u64; WORDS]; LEVELS],
-    /// The current tick's events, sorted *descending* by key: pop takes
-    /// the minimum from the back in O(1).
-    ready: Vec<(Key, SlabKey)>,
-    /// Cursor: every wheel event's tick is strictly greater; the ready
-    /// run holds exactly the events at this tick.
-    cur_tick: u64,
+    /// Payloads of the live events: scheduled, neither fired nor cancelled.
+    slab: Slab<E>,
+    /// Live events plus the leftovers of cancelled ones.
+    heap: BinaryHeap<Entry>,
     next_seq: u64,
     now: SimTime,
     tag: u64,
@@ -129,10 +66,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             slab: Slab::new(),
-            buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            occupancy: [[0; WORDS]; LEVELS],
-            ready: Vec::new(),
-            cur_tick: 0,
+            heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             tag: QUEUE_TAGS.fetch_add(1, Ordering::Relaxed),
@@ -147,7 +81,7 @@ impl<E> EventQueue<E> {
 
     /// Number of live (not cancelled) events still pending. Exact: the
     /// slab holds precisely the scheduled-but-neither-fired-nor-cancelled
-    /// entries.
+    /// payloads.
     #[inline]
     pub fn len(&self) -> usize {
         self.slab.len()
@@ -188,19 +122,8 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let k = (at, rank, seq);
-        let key = self.slab.insert(Entry {
-            order: k,
-            bucket: LOC_READY,
-            pos: 0,
-            payload,
-        });
-        let tick = at.nanos() >> TICK_SHIFT;
-        if tick == self.cur_tick {
-            self.ready_insert(k, key);
-        } else {
-            self.place(key, tick);
-        }
+        let key = self.slab.insert(payload);
+        self.heap.push(Reverse((at, rank, seq, key)));
         EventId {
             queue: self.tag,
             key,
@@ -211,188 +134,45 @@ impl<E> EventQueue<E> {
     /// still pending. Cancelling an already-fired id, a stale id, or an id
     /// minted by a different queue instance is a no-op returning `false`.
     ///
-    /// Eager: the slot is freed and the entry leaves its bucket here, so
-    /// cancelled events occupy nothing until the clock reaches them.
+    /// Eager: the payload drops here; only its heap entry stays behind,
+    /// until `pop` skips it or a compaction removes it.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.queue != self.tag {
-            // Foreign queue's handle: its key could coincidentally name a
-            // live slot here (twin queues hand out identical key
-            // sequences), so reject before touching the slab.
+        // A foreign handle could name a live slot here (twin queues hand
+        // out identical key sequences): reject it before the slab.
+        if id.queue != self.tag || self.slab.remove(id.key).is_none() {
             return false;
         }
-        let Some(entry) = self.slab.remove(id.key) else {
-            return false; // already fired or already cancelled
-        };
-        if entry.bucket == LOC_READY {
-            let pos = self.ready.partition_point(|&(rk, _)| rk > entry.order);
-            crate::strict_assert!(
-                self.ready.get(pos).is_some_and(|&(_, key)| key == id.key),
-                "cancelled entry missing from its ready slot"
-            );
-            self.ready.remove(pos);
-        } else {
-            let b = entry.bucket as usize;
-            let pos = entry.pos as usize;
-            crate::strict_assert!(
-                self.buckets[b].get(pos).copied() == Some(id.key),
-                "cancelled entry missing from its bucket slot"
-            );
-            self.buckets[b].swap_remove(pos);
-            if let Some(&moved) = self.buckets[b].get(pos) {
-                let Some(m) = self.slab.get_mut(moved) else {
-                    unreachable!("bucket holds only live keys")
-                };
-                m.pos = entry.pos;
-            }
-            if self.buckets[b].is_empty() {
-                let (level, slot) = (b / SLOTS, b % SLOTS);
-                self.occupancy[level][slot / 64] &= !(1u64 << (slot % 64));
-            }
-        }
+        self.compact_if_sparse();
         true
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.ready.is_empty() && !self.refill() {
-            return None;
-        }
-        let ((t, _, _), key) = self.ready.pop()?;
-        let Some(entry) = self.slab.remove(key) else {
-            unreachable!("ready run holds only live keys")
-        };
-        debug_assert!(t >= self.now, "event queue time inversion");
-        self.now = t;
-        Some((t, entry.payload))
-    }
-
-    /// Timestamp of the next live event without popping it: the back of
-    /// the ready run, else the minimum of the first occupied wheel bucket.
-    ///
-    /// Does not move the wheel cursor: a later `schedule` may target any
-    /// time `>= now`, which can still precede the next queued event, and
-    /// must then land in the ready run or ahead of the cursor.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(&((t, _, _), _)) = self.ready.last() {
-            return Some(t);
-        }
-        // The first bucket in cursor order covers the earliest occupied
-        // tick range, so the global minimum timestamp is its minimum.
-        self.first_bucket().and_then(|(level, slot)| {
-            self.buckets[level * SLOTS + slot]
-                .iter()
-                .filter_map(|&k| self.slab.get(k))
-                .map(|e| e.order.0)
-                .min()
-        })
-    }
-
-    /// Insert into the ready run, keeping it sorted descending by key.
-    fn ready_insert(&mut self, k: Key, key: SlabKey) {
-        let pos = self.ready.partition_point(|&(rk, _)| rk > k);
-        self.ready.insert(pos, (k, key));
-    }
-
-    /// File `key` into the wheel bucket for `tick`. The level is the
-    /// highest bit-block where `tick` differs from the cursor; the slot is
-    /// that block's value in `tick`.
-    fn place(&mut self, key: SlabKey, tick: u64) {
-        debug_assert!(tick > self.cur_tick, "wheel placement behind the cursor");
-        let diff = tick ^ self.cur_tick;
-        let level = ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize;
-        let slot = ((tick >> (LEVEL_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize;
-        let b = level * SLOTS + slot;
-        let pos = self.buckets[b].len() as u32;
-        self.buckets[b].push(key);
-        self.occupancy[level][slot / 64] |= 1u64 << (slot % 64);
-        let Some(e) = self.slab.get_mut(key) else {
-            unreachable!("placing a key that was just inserted")
-        };
-        e.bucket = b as u16;
-        e.pos = pos;
-    }
-
-    /// First non-empty bucket in cursor order — the one holding the
-    /// globally earliest events — or `None` if the wheel is empty. Scan
-    /// order is level 0 upward; within a level only slots strictly after
-    /// the cursor's position can be occupied (same-tick events live in the
-    /// ready run, never the wheel).
-    fn first_bucket(&self) -> Option<(usize, usize)> {
-        for (level, words) in self.occupancy.iter().enumerate() {
-            let p = ((self.cur_tick >> (LEVEL_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize;
-            if let Some(slot) = first_set_after(words, p) {
-                return Some((level, slot));
+        while let Some(Reverse((t, _, _, key))) = self.heap.pop() {
+            if let Some(payload) = self.slab.remove(key) {
+                debug_assert!(t >= self.now, "event queue time inversion");
+                self.now = t;
+                self.compact_if_sparse();
+                return Some((t, payload));
             }
         }
         None
     }
 
-    /// Advance the cursor to the earliest occupied tick, cascading
-    /// higher-level buckets down until that tick's events sit sorted in
-    /// `ready`. Returns `false` when no events remain anywhere.
-    fn refill(&mut self) -> bool {
-        debug_assert!(self.ready.is_empty());
-        loop {
-            let Some((level, slot)) = self.first_bucket() else {
-                return false;
-            };
-            let shift = LEVEL_BITS as usize * level;
-            // Jump to the bucket's base tick: blocks above `level` keep the
-            // cursor's values, block `level` becomes `slot`, lower blocks
-            // zero. Every event in the bucket has a tick >= this base, so
-            // the cursor never overtakes an event.
-            let low_mask = (1u64 << (shift + LEVEL_BITS as usize)) - 1;
-            self.cur_tick = (self.cur_tick & !low_mask) | ((slot as u64) << shift);
-            let b = level * SLOTS + slot;
-            self.occupancy[level][slot / 64] &= !(1u64 << (slot % 64));
-            while let Some(key) = self.buckets[b].pop() {
-                let Some(e) = self.slab.get_mut(key) else {
-                    unreachable!("bucket holds only live keys")
-                };
-                let k = e.order;
-                let tick = k.0.nanos() >> TICK_SHIFT;
-                if tick == self.cur_tick {
-                    e.bucket = LOC_READY;
-                    self.ready.push((k, key));
-                } else {
-                    self.place(key, tick);
-                }
-            }
-            if !self.ready.is_empty() {
-                // Descending key: pop takes the minimum from the back. One
-                // sort per drained tick replaces per-pop sifts.
-                self.ready.sort_unstable_by_key(|&(k, _)| std::cmp::Reverse(k));
-                return true;
-            }
+    /// Drop the entries of cancelled events once they outnumber the live
+    /// ones by more than one. Each compaction removes at least half the
+    /// heap, so its cost is amortised over the cancels that made it.
+    fn compact_if_sparse(&mut self) {
+        if self.heap.len() > 2 * self.slab.len() + 1 {
+            let slab = &self.slab;
+            self.heap.retain(|Reverse((.., key))| slab.contains(*key));
         }
     }
 
-    /// Test hook: total keys parked in wheel buckets (excludes the ready
-    /// run). With eager cancellation this tracks live far events only.
+    /// Test hook: heap entries, live or left behind by a cancel.
     #[cfg(test)]
-    fn bucket_entries(&self) -> usize {
-        self.buckets.iter().map(Vec::len).sum()
-    }
-}
-
-/// Lowest set bit at an index strictly greater than `p`, if any.
-#[inline]
-fn first_set_after(bits: &[u64; WORDS], p: usize) -> Option<usize> {
-    let start = p + 1;
-    if start >= SLOTS {
-        return None;
-    }
-    let mut w = start / 64;
-    let mut word = bits[w] & (!0u64 << (start % 64));
-    loop {
-        if word != 0 {
-            return Some(w * 64 + word.trailing_zeros() as usize);
-        }
-        w += 1;
-        if w == WORDS {
-            return None;
-        }
-        word = bits[w];
+    fn heap_entries(&self) -> usize {
+        self.heap.len()
     }
 }
 
@@ -487,15 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime(1), "a");
-        q.schedule(SimTime(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime(2)));
-    }
-
-    #[test]
     fn cancellation_has_one_source_of_truth() {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime(1), "a");
@@ -505,8 +276,6 @@ mod tests {
         // Cancel, then cancel again: second is a no-op and len is exact.
         assert!(!q.cancel(b));
         assert_eq!(q.len(), 2);
-        // Peek must skip the cancelled entry without resurrecting it.
-        assert_eq!(q.peek_time(), Some(SimTime(1)));
         assert_eq!(q.pop().map(|(_, e)| e), Some("a"));
         assert_eq!(q.pop().map(|(_, e)| e), Some("c"));
         assert!(q.pop().is_none());
@@ -529,16 +298,16 @@ mod tests {
 
     #[test]
     fn events_across_tick_and_level_boundaries_pop_in_order() {
-        // Straddle level-0/level-1/far boundaries: ns deltas from sub-tick
-        // to hours, interleaved, must still pop in global (time, seq) order.
+        // Deltas from 1 ns to two hours, scheduled out of order, must pop
+        // in global (time, seq) order.
         let mut q = EventQueue::new();
         let times: Vec<u64> = vec![
             1,
             1023,
-            1024, // next tick
+            1024,
             1 << 18,
             (1 << 18) + 1,
-            1 << 26, // level-2 territory
+            1 << 26,
             3_600_000_000_000, // one hour
             7_200_000_000_000,
             5,
@@ -581,8 +350,9 @@ mod tests {
         // Regression (the lazy-deletion leak): schedule/cancel churn over
         // simulated hours used to leave every cancelled entry in the heap
         // and the cancelled-set until the clock reached it. With eager
-        // cancellation, slab capacity and bucket occupancy stay bounded by
-        // peak liveness (2 here), however long the churn runs.
+        // payload drop and compaction, slab capacity stays at peak
+        // liveness (2 here) and heap entries at most `2 * len() + 1`,
+        // however long the churn runs.
         let mut q = EventQueue::new();
         let hour = 3_600_000_000_000u64;
         let mut keep = q.schedule(SimTime(hour), 0u64);
@@ -591,18 +361,18 @@ mod tests {
             assert!(q.cancel(keep));
             keep = id;
             assert_eq!(q.len(), 1);
+            assert!(
+                q.heap_entries() <= 2 * q.len() + 1,
+                "cancelled entries lingering in the heap: {}",
+                q.heap_entries()
+            );
         }
         assert!(
             q.capacity() <= 2,
             "slab grew to {} slots under churn with 1 live event",
             q.capacity()
         );
-        assert!(
-            q.bucket_entries() <= 1,
-            "cancelled entries lingering in buckets: {}",
-            q.bucket_entries()
-        );
-        // Interleave pops so the wheel also advances across hours.
+        // Interleave pops so the clock also advances across hours.
         let mut last = SimTime::ZERO;
         q.schedule(SimTime(2 * hour), 100);
         while let Some((t, _)) = q.pop() {
@@ -610,35 +380,28 @@ mod tests {
             last = t;
         }
         assert_eq!(q.len(), 0);
-        assert_eq!(q.bucket_entries(), 0);
+        assert_eq!(q.heap_entries(), 0);
     }
 
     #[test]
-    fn peek_memo_tracks_cancel_and_earlier_schedule() {
-        // Milliseconds ahead of a cursor at tick 0: level >= 1 of the
-        // wheel, ready run empty, so every peek here scans the wheel.
-        let ms = 1_000_000u64;
-        let (a, b, c) = (SimTime(5 * ms), SimTime(9 * ms), SimTime(7 * ms));
+    fn stale_entry_of_a_reused_slot_never_fires() {
+        // A cancelled event's heap entry outlives its payload. When a later
+        // schedule reuses the freed slab slot, that leftover entry (earlier
+        // in time) names the same slot: it must be skipped, not deliver the
+        // new payload early, and the new payload must fire exactly once.
         let mut q = EventQueue::new();
-        let ida = q.schedule(a, "a");
-        q.schedule(b, "b");
-        assert!(q.bucket_entries() == 2 && q.ready.is_empty());
-        assert_eq!(q.peek_time(), Some(a));
-        // Cancelling the minimum must expose the next one.
-        assert!(q.cancel(ida));
-        assert_eq!(q.peek_time(), Some(b));
-        // An earlier schedule into the wheel must lower the peek.
-        q.schedule(c, "c");
-        assert_eq!(q.peek_time(), Some(c));
-        // Each pop refills from the wheel.
-        let mut order = Vec::new();
-        while let Some(t) = q.peek_time() {
-            let (popped, e) = q.pop().expect("peeked event present");
-            assert_eq!(popped, t);
-            order.push(e);
-        }
-        assert_eq!(order, vec!["c", "b"]);
+        let cancelled = q.schedule(SimTime(10), "cancelled");
+        q.schedule(SimTime(15), "middle");
+        assert!(q.cancel(cancelled));
+        let reused = q.schedule(SimTime(20), "reuses-slot");
+        let slot = |id: EventId| id.key.raw() & 0xFFFF_FFFF;
+        assert_eq!(slot(reused), slot(cancelled), "the freed slot is reused");
+        assert_eq!(q.heap_entries(), 3, "the leftover entry is still queued");
+        assert_eq!(q.pop(), Some((SimTime(15), "middle")));
+        assert_eq!(q.pop(), Some((SimTime(20), "reuses-slot")));
+        assert_eq!(q.now(), SimTime(20));
         assert!(q.pop().is_none());
+        assert!(!q.cancel(cancelled) && !q.cancel(reused));
     }
 
     #[test]
@@ -661,28 +424,25 @@ mod tests {
         /// Cancel the id issued `k` schedules ago (mod issued), if any.
         Cancel(usize),
         Pop,
-        Peek,
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
-            // Deltas spanning same-tick, near-horizon, and far-overflow.
+            // Deltas from zero to five simulated seconds.
             (0u64..5_000_000_000, 0u64..3).prop_map(|(d, r)| Op::Schedule(d, r)),
             // Same-instant ties, where the rank decides.
             (0u64..3).prop_map(|r| Op::Schedule(0, r)),
             (0usize..64).prop_map(Op::Cancel),
             Just(Op::Pop),
-            Just(Op::Pop),
-            Just(Op::Peek),
         ]
     }
 
     proptest! {
-        /// The wheel is observationally equivalent to the old binary-heap
-        /// queue across arbitrary schedule/cancel/pop/peek interleavings:
+        /// The queue is observationally equivalent to the lazy-cancellation
+        /// heap oracle across arbitrary schedule/cancel/pop interleavings:
         /// identical pop sequences (rank tie-breaks and same-key FIFO
-        /// included), identical cancel verdicts, exact `len()` and
-        /// identical peeks at every step.
+        /// included), identical cancel verdicts and an exact `len()` at
+        /// every step, with the heap never above `2 * len() + 1` entries.
         #[test]
         fn fel_matches_heap_oracle(ops in proptest::collection::vec(op_strategy(), 1..200)) {
             let mut fel = EventQueue::new();
@@ -706,13 +466,9 @@ mod tests {
                         prop_assert_eq!(fel.pop(), heap.pop());
                         prop_assert_eq!(fel.now(), heap.now());
                     }
-                    Op::Peek => {
-                        prop_assert_eq!(fel.peek_time(), heap.peek_time());
-                    }
                 }
                 prop_assert_eq!(fel.len(), heap.len());
-                // Check the peek after every op.
-                prop_assert_eq!(fel.peek_time(), heap.peek_time());
+                prop_assert!(fel.heap_entries() <= 2 * fel.len() + 1);
             }
             // Drain both: the tails must agree event-for-event.
             loop {

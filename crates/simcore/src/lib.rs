@@ -4,10 +4,10 @@
 //! reproduction. Provides:
 //!
 //! * [`time`] — integer-nanosecond simulated clock types;
-//! * [`fel`] — a stable-FIFO future-event list with O(1) generational
-//!   cancellation (hierarchical timing wheel over a slab);
+//! * [`fel`] — a stable-FIFO future-event list with eager generational
+//!   cancellation (binary heap over a slab);
 //! * [`rng`] — labelled deterministic random streams;
-//! * [`stats`] — online statistics, time series, exact percentiles;
+//! * [`stats`] — time series and exact percentiles;
 //! * [`resource`] — FIFO resources and latency/bandwidth links;
 //! * [`slab`] — generational slab storage with stale-handle detection;
 //! * [`pool`] — order-preserving scoped worker pool (determinism-safe
@@ -65,5 +65,5 @@ pub use pool::{
 pub use resource::{FifoResource, Link};
 pub use rng::DetRng;
 pub use slab::{Slab, SlabKey};
-pub use stats::{OnlineStats, Samples, TimeSeries};
+pub use stats::{Samples, TimeSeries};
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};

@@ -135,5 +135,13 @@ git diff --exit-code --stat -- bench_results/fig3_single_app.json bench_results/
     time ./target/release/dualpar suite --scale paper --jobs 1 \
         --filter-exact btio_dualpar --out "$suite_out/BENCH_paper_btio.json"
 )
+# Paper-scale order gate: the same run's sim_events and fingerprint are
+# diffed against the committed artifact, as for the small suite above, so
+# an event-order drift that only shows at paper scale fails here too.
+# Regenerate on intentional simulation changes:
+#   ./target/release/dualpar suite --scale paper --jobs 1 \
+#       --filter-exact btio_dualpar --out bench_results/BENCH_paper_btio.json
+./target/release/dualpar-audit trace --baseline \
+    bench_results/BENCH_paper_btio.json "$suite_out/BENCH_paper_btio.json"
 
 echo "check.sh: all green"
