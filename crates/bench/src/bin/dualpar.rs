@@ -20,6 +20,17 @@
 //! cargo run --release -p dualpar-bench --bin dualpar -- profile spec.json --json
 //! ```
 //!
+//! The paper's figures, tables and ablations (see DESIGN.md §5), each a
+//! registered entry; with no names every figure runs. Artifacts land in
+//! `--out` (default `bench_results/` under the current directory):
+//!
+//! ```sh
+//! cargo run --release -p dualpar-bench --bin dualpar -- figure
+//! cargo run --release -p dualpar-bench --bin dualpar -- figure fig3_single_app
+//! cargo run --release -p dualpar-bench --bin dualpar -- figure table3_misprefetch \
+//!     --out /tmp/figs --jobs 2
+//! ```
+//!
 //! Parallel figure-set suite (independent runs fanned over a worker pool;
 //! per-run reports are byte-identical at any `--jobs` level):
 //!
@@ -73,6 +84,7 @@ use dualpar_bench::suite::{
     builtin_suite, entries_from_spec_json, filter_entries, run_entry, run_suite_entries,
     summarize_results, Scale,
 };
+use dualpar_bench::figures::FigureRun;
 use dualpar_bench::{build_cluster, ExperimentSpec};
 use dualpar_cluster::TelemetryLevel;
 use std::time::{Duration, Instant};
@@ -100,6 +112,20 @@ fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
+/// `--jobs N`, defaulting to the machine's available parallelism.
+fn take_jobs(args: &mut Vec<String>) -> usize {
+    match take_flag(args, "--jobs") {
+        None => dualpar_bench::default_jobs(),
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => {
+                eprintln!("--jobs requires a positive integer, got {v:?}");
+                std::process::exit(2);
+            }
+        },
+    }
+}
+
 fn reject_unknown_flags(args: &[String], expected: &str) {
     if let Some(unknown) = args.iter().skip(1).find(|a| a.starts_with("--")) {
         eprintln!("unknown flag {unknown} (expected {expected})");
@@ -112,6 +138,11 @@ fn main() {
     if args.get(1).map(String::as_str) == Some("suite") {
         args.remove(1);
         run_suite_command(args);
+        return;
+    }
+    if args.get(1).map(String::as_str) == Some("figure") {
+        args.remove(1);
+        run_figure_command(args);
         return;
     }
     if args.get(1).map(String::as_str) == Some("profile") {
@@ -141,6 +172,7 @@ fn main() {
         eprintln!(
             "usage: dualpar <spec.json> [--telemetry off|counters|trace] [--trace <out.jsonl>]"
         );
+        eprintln!("       dualpar figure [NAME...] [--out <dir>] [--jobs N]");
         eprintln!("       dualpar suite [--jobs N] [--scale small|paper] [--spec <path>] [--out <path>] [--filter <substr>] [--filter-exact <name>] [--timeout-secs S] [--retry N] [--verify-serial]");
         eprintln!("       (or --example to print a spec template)");
         std::process::exit(2);
@@ -205,16 +237,7 @@ fn main() {
 /// `dualpar suite`: run the built-in figure-set suite over a worker pool
 /// and write the machine-readable summary to `BENCH_suite.json`.
 fn run_suite_command(mut args: Vec<String>) {
-    let jobs = match take_flag(&mut args, "--jobs") {
-        None => dualpar_bench::default_jobs(),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--jobs requires a positive integer, got {v:?}");
-                std::process::exit(2);
-            }
-        },
-    };
+    let jobs = take_jobs(&mut args);
     let scale = match take_flag(&mut args, "--scale").as_deref() {
         None | Some("small") => Scale::Small,
         Some("paper") => Scale::Paper,
@@ -233,9 +256,9 @@ fn run_suite_command(mut args: Vec<String>) {
             }
         },
     };
-    let out_path = take_flag(&mut args, "--out")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| dualpar_bench::results_dir().join("BENCH_suite.json"));
+    let out_path = std::path::PathBuf::from(
+        take_flag(&mut args, "--out").unwrap_or_else(|| "bench_results/BENCH_suite.json".into()),
+    );
     let spec_path = take_flag(&mut args, "--spec");
     let filter = take_flag(&mut args, "--filter");
     let filter_exact = take_flag(&mut args, "--filter-exact");
@@ -382,6 +405,30 @@ fn run_suite_command(mut args: Vec<String>) {
         // sure no caller mistakes a partial suite for a clean one.
         eprintln!("{failed} run(s) failed (see \"error\" fields in the summary)");
         std::process::exit(1);
+    }
+}
+
+/// `dualpar figure`: run the named figures (all of them when none is
+/// named) on a `--jobs` worker pool, writing their artifacts into `--out`.
+fn run_figure_command(mut args: Vec<String>) {
+    let jobs = take_jobs(&mut args);
+    let out = take_flag(&mut args, "--out").unwrap_or_else(|| "bench_results".into());
+    reject_unknown_flags(&args, "--out or --jobs");
+    let figures = dualpar_bench::figures::select(&args[1..]).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let fx = FigureRun {
+        jobs,
+        out: std::path::PathBuf::from(&out),
+    };
+    std::fs::create_dir_all(&fx.out).unwrap_or_else(|e| {
+        eprintln!("cannot create {out}: {e}");
+        std::process::exit(1);
+    });
+    for (name, run) in figures {
+        eprintln!("== figure {name}");
+        run(&fx);
     }
 }
 

@@ -8,7 +8,7 @@
 //! event trace regardless of `jobs` — only the wall-clock numbers vary.
 //!
 //! The pool itself lives in [`dualpar_sim::pool`] (it is shared with the
-//! figure harnesses): workers claim entries from a shared work queue and
+//! registered figures): workers claim entries from a shared work queue and
 //! deliver `(original_index, result)` over a channel, so no locks are held
 //! anywhere. Results are re-ordered by input index before returning.
 //!

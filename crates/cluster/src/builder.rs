@@ -194,14 +194,6 @@ impl Experiment {
         self
     }
 
-    /// Record request-lifecycle and process-state spans, enabling the
-    /// time-attribution profile (`RunReport::span_profile`). Orthogonal to
-    /// the telemetry level; see `docs/PROFILING.md` for the span catalogue.
-    pub fn profile_spans(mut self) -> Self {
-        self.cfg.telemetry.spans = true;
-        self
-    }
-
     /// Escape hatch: tweak any remaining `ClusterConfig` field in place.
     pub fn tune(mut self, f: impl FnOnce(&mut ClusterConfig)) -> Self {
         f(&mut self.cfg);

@@ -8,7 +8,7 @@ use crate::metrics::{ModeEvent, ProgramReport, RunReport};
 use crate::events::{Event, EventList};
 use crate::server::{SEv, Server, SubReq};
 use dualpar_cache::{CacheConfig, GlobalCache, NodeId, OwnerId};
-use dualpar_core::{DualParConfig, Emc, ExecMode, IoClock, ProgramId, ReqDistTracker};
+use dualpar_core::{Emc, ExecMode, IoClock, ProgramId, ReqDistTracker};
 use dualpar_disk::{Disk, IoCtx, IoKind};
 use dualpar_mpiio::{CoalescedIo, ProcessScript, Regions};
 use dualpar_pfs::{FileId, FileRegion, Pvfs, ResolvedIo};
@@ -349,11 +349,6 @@ impl Cluster {
     /// The active configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.cfg
-    }
-
-    /// DualPar's thresholds and quotas.
-    pub fn dualpar_config(&self) -> &DualParConfig {
-        &self.cfg.dualpar
     }
 
     /// Create a file in the parallel file system.

@@ -195,11 +195,6 @@ impl Disk {
             .take()
             .expect("Disk::complete called with no request in flight")
     }
-
-    /// Name of the active scheduler (for reports).
-    pub fn scheduler_name(&self) -> &'static str {
-        self.sched.name()
-    }
 }
 
 #[cfg(test)]

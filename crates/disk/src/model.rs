@@ -90,12 +90,6 @@ impl DiskParams {
         SimDuration((t as u64).min(self.seek_max_ns))
     }
 
-    /// Pure media transfer time for `sectors` at the outermost zone.
-    #[inline]
-    pub fn transfer_time(&self, sectors: u64) -> SimDuration {
-        SimDuration::for_transfer(sectors.saturating_mul(SECTOR_BYTES), self.transfer_bytes_per_sec)
-    }
-
     /// Media rate at a given LBN under zoned bit recording: outer tracks
     /// (low LBNs) stream at the full rate, the innermost at
     /// `inner_rate_fraction` of it, linearly interpolated in between.
@@ -140,12 +134,6 @@ impl DiskParams {
         }
         t = t.saturating_add(self.transfer_time_at(lbn, sectors));
         (distance, t)
-    }
-
-    /// Streaming (fully sequential) throughput in bytes/sec, ignoring
-    /// per-request overhead. Useful for calibration assertions.
-    pub fn streaming_bytes_per_sec(&self) -> u64 {
-        self.transfer_bytes_per_sec
     }
 }
 

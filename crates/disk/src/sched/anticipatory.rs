@@ -147,10 +147,6 @@ impl Scheduler for AnticipatoryScheduler {
     fn queued(&self) -> usize {
         self.sorted.len()
     }
-
-    fn name(&self) -> &'static str {
-        "anticipatory"
-    }
 }
 
 #[cfg(test)]

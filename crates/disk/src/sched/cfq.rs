@@ -304,10 +304,6 @@ impl Scheduler for CfqScheduler {
     fn queued(&self) -> usize {
         self.total_queued
     }
-
-    fn name(&self) -> &'static str {
-        "cfq"
-    }
 }
 
 #[cfg(test)]

@@ -147,10 +147,6 @@ impl Scheduler for DeadlineScheduler {
     fn queued(&self) -> usize {
         self.sorted.len()
     }
-
-    fn name(&self) -> &'static str {
-        "deadline"
-    }
 }
 
 #[cfg(test)]

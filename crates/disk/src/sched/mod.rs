@@ -74,9 +74,6 @@ pub trait Scheduler: Send {
     fn is_empty(&self) -> bool {
         self.queued() == 0
     }
-
-    /// Short scheduler name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Default cap on merged request size: 1024 sectors = 512 KB, matching the

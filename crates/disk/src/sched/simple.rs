@@ -60,10 +60,6 @@ impl Scheduler for NoopScheduler {
     fn queued(&self) -> usize {
         self.queue.len()
     }
-
-    fn name(&self) -> &'static str {
-        "noop"
-    }
 }
 
 /// Shortest-seek-time-first: greedy nearest request to the head. Maximises
@@ -129,10 +125,6 @@ impl Scheduler for SstfScheduler {
 
     fn queued(&self) -> usize {
         self.queue.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "sstf"
     }
 }
 
@@ -201,10 +193,6 @@ impl Scheduler for ScanScheduler {
 
     fn queued(&self) -> usize {
         self.queue.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "scan"
     }
 }
 

@@ -1,7 +1,7 @@
 //! Block-level tracing — the simulator's Blktrace.
 //!
 //! Records every serviced request (dispatch time, LBN, length, context) plus
-//! the head seek distance incurred, so the harnesses can regenerate the LBN
+//! the head seek distance incurred, so the figures can regenerate the LBN
 //! scatter plots of Figs. 1(c,d) and 6(a,b) and the seek-distance timeline of
 //! Fig. 7(b), and so EMC can sample `aveSeekDist` exactly as the paper's
 //! locality daemon does from the kernel statistic.
@@ -56,11 +56,6 @@ impl BlockTrace {
             enabled,
             ..Default::default()
         }
-    }
-
-    /// Toggle full record retention.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
     }
 
     /// Record one serviced request.

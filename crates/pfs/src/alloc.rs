@@ -110,11 +110,6 @@ impl ExtentAllocator {
         self.objects.insert(file, extents);
     }
 
-    /// Has `file` been allocated on this server?
-    pub fn is_allocated(&self, file: FileId) -> bool {
-        self.objects.contains_key(&file)
-    }
-
     /// Translate `(object_offset, len)` into disk LBN runs `(lbn,
     /// sectors)`, one per extent the range touches, in object order.
     /// `Pvfs::resolve` merges the runs that continue each other on disk.
@@ -157,11 +152,6 @@ impl ExtentAllocator {
     /// LBN of the first extent, if allocated (for locality assertions).
     pub fn base_lbn(&self, file: FileId) -> Option<Lbn> {
         self.objects.get(&file).and_then(|e| e.first()).map(|e| e.lbn)
-    }
-
-    /// High-water mark of allocated sectors.
-    pub fn sectors_used(&self) -> u64 {
-        self.next_lbn
     }
 }
 

@@ -86,11 +86,6 @@ impl StripeLayout {
         }
     }
 
-    /// PVFS2 default: 64 KB units.
-    pub fn pvfs2_default(num_servers: u32) -> Self {
-        StripeLayout::new(64 * 1024, num_servers)
-    }
-
     /// Which server holds the byte at `offset`.
     #[inline]
     pub fn server_of(&self, offset: u64) -> ServerId {

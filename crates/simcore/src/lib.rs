@@ -11,7 +11,7 @@
 //! * [`resource`] — FIFO resources and latency/bandwidth links;
 //! * [`slab`] — generational slab storage with stale-handle detection;
 //! * [`pool`] — order-preserving scoped worker pool (determinism-safe
-//!   parallel maps shared by the suite runner and the figure harnesses);
+//!   parallel maps shared by the suite runner and the registered figures);
 //!   the only module in the workspace that spawns threads (clippy.toml
 //!   bans raw threads and channels everywhere else).
 //!

@@ -1,7 +1,7 @@
 //! Order-preserving scoped worker pool.
 //!
 //! The shared work-queue pattern every parallel consumer in the workspace
-//! uses (the suite runner and the figure harnesses): workers claim
+//! uses (the suite runner and the registered figures): workers claim
 //! items from an [`AtomicUsize`] cursor over a claim-order permutation and
 //! deliver `(original_index, result)` over an [`mpsc`] channel, so no locks
 //! are held anywhere (clippy.toml bans `std::sync::Mutex`, and the

@@ -13,7 +13,6 @@ pub struct FifoResource {
     free_at: SimTime,
     /// Total busy time accepted, for utilisation accounting.
     busy: SimDuration,
-    accepted: u64,
 }
 
 impl FifoResource {
@@ -28,7 +27,6 @@ impl FifoResource {
         let end = start + service;
         self.free_at = end;
         self.busy += service;
-        self.accepted += 1;
         (start, end)
     }
 
@@ -44,10 +42,6 @@ impl FifoResource {
 
     pub fn total_busy(&self) -> SimDuration {
         self.busy
-    }
-
-    pub fn jobs_accepted(&self) -> u64 {
-        self.accepted
     }
 
     /// Fraction of `[0, horizon]` spent busy.

@@ -39,10 +39,6 @@ impl TimeSeries {
         self.counts[idx] += 1;
     }
 
-    pub fn bin_width(&self) -> SimDuration {
-        self.bin
-    }
-
     pub fn num_bins(&self) -> usize {
         self.sums.len()
     }

@@ -151,12 +151,6 @@ impl SimDuration {
     pub fn saturating_add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(other.0))
     }
-
-    #[inline]
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        debug_assert!(k >= 0.0);
-        SimDuration((self.0 as f64 * k).round() as u64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {

@@ -112,19 +112,23 @@ time cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
 ./target/release/dualpar-audit trace --baseline \
     bench_results/BENCH_suite.json "$suite_out/BENCH_suite.json"
 
-# Figure-artifact drift gate: rerun the harnesses whose committed artifacts
-# reproduce byte for byte (about 5 s of simulation) and fail on any change
-# to the files they write. `results_dir()` is fixed at compile time, so
-# they regenerate in place in this tree's bench_results/. fig1, fig4, fig5
-# and table2 are left out: fig4 takes minutes, and the other three do not
-# reproduce their committed bytes yet (ROADMAP item 3). Regenerate a file
-# on an intentional change by running its harness and committing it.
-for harness in fig3_single_app fig7_adaptive fig8_cache_size table3_misprefetch \
-    ablation_crm ablation_ghost ablation_sched ablation_thresholds ablation_writeback; do
-    cargo bench --offline -q -p dualpar-bench --bench "$harness" > /dev/null
+# Figure-artifact drift gate: regenerate every registered figure (about
+# 20 s of simulation on 2 cores) into a scratch directory and require the
+# committed figure files back exactly: a file whose bytes differ, a
+# committed figure file that is not written, or a written file that is not
+# committed all fail. The other committed artifacts (BENCH_*, GOLDEN_*,
+# PROFILE_*, TRACES.sha256) are gated above and below. Regenerate on an
+# intentional change with `./target/release/dualpar figure [NAME...]`,
+# which writes into bench_results/, and commit the files it writes.
+figs="$(mktemp -d /tmp/dualpar-figs.XXXXXX)"
+trap 'rm -rf "$traces" "$prof" "$dsl" "$suite_out" "$figs"' EXIT
+./target/release/dualpar figure --out "$figs" --jobs "$(nproc)" > /dev/null
+committed_figs="$(git ls-files bench_results \
+    | sed 's|^bench_results/||' | grep -v -e '^BENCH_' -e '^GOLDEN_' -e '^PROFILE_' -e '^TRACES\.')"
+diff <(echo "$committed_figs") <(LC_ALL=C ls "$figs")
+for f in $committed_figs; do
+    cmp "bench_results/$f" "$figs/$f"
 done
-git diff --exit-code --stat -- bench_results/fig3_single_app.json bench_results/fig7* \
-    bench_results/fig8_cache_size.json bench_results/table3_* bench_results/ablation_*
 
 # Paper-scale memory bound: BTIO's checkpoint under forced DualPar at the
 # paper's size (445 M cells) must complete inside 4 GB of address space,
