@@ -154,9 +154,12 @@ fn bench_cache_store(c: &mut Criterion) {
             || GlobalCache::new(cfg.clone()),
             |mut cache| {
                 let f = FileId(1);
+                let mut homes = Vec::new();
                 for rank in 0..ranks {
                     let run = Strided::new(rank * cell, cell, stride, cells);
-                    black_box(cache.put_write_strided(OwnerId(rank), f, run, SimTime::ZERO));
+                    homes.clear();
+                    cache.put_write_strided(OwnerId(rank), f, run, SimTime::ZERO, &mut homes);
+                    black_box(&homes);
                 }
                 black_box(cache.dirty_bytes())
             },
@@ -179,9 +182,12 @@ fn bench_cache_store(c: &mut Criterion) {
             || GlobalCache::new(cfg.clone()),
             |mut cache| {
                 let f = FileId(1);
+                let mut homes = Vec::new();
                 for &rank in &shuffled {
                     let run = Strided::new(rank * cell, cell, stride, cells);
-                    black_box(cache.put_write_strided(OwnerId(rank), f, run, SimTime::ZERO));
+                    homes.clear();
+                    cache.put_write_strided(OwnerId(rank), f, run, SimTime::ZERO, &mut homes);
+                    black_box(&homes);
                 }
                 black_box(cache.dirty_bytes())
             },

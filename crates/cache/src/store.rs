@@ -48,8 +48,9 @@ struct Chunk {
     /// Prefetched ranges not yet consumed by a normal read.
     prefetched_unused: RangeSet,
     last_ref: SimTime,
-    /// Quota charges against each inserting owner (usually one or a few
-    /// entries; interleaved writers can share a chunk).
+    /// Quota charges against each inserting owner, sorted by owner with
+    /// one entry each (usually one or a few entries; interleaved writers
+    /// can share a chunk).
     charges: Vec<(OwnerId, u64)>,
 }
 
@@ -62,17 +63,21 @@ impl Chunk {
         if added == 0 {
             return;
         }
-        // Back first: consecutive pieces of one call hit the same chunk, so
-        // the caller is usually its most recent charger.
-        match self.charges.iter_mut().rev().find(|(o, _)| *o == owner) {
-            Some((_, c)) => *c += added,
-            None => self.charges.push((owner, added)),
+        // Owners that write a chunk in ascending order (BTIO's ranks) only
+        // ever add to or push onto the back.
+        match self.charges.last_mut() {
+            Some((o, c)) if *o == owner => *c += added,
+            Some((o, _)) if *o > owner => match self.charge_index(owner) {
+                Ok(i) => self.charges[i].1 += added,
+                Err(i) => self.charges.insert(i, (owner, added)),
+            },
+            _ => self.charges.push((owner, added)),
         }
     }
 
-    /// Owners whose prefetched data this chunk may hold.
-    fn charged_owners(&self) -> impl Iterator<Item = OwnerId> + '_ {
-        self.charges.iter().map(|&(o, _)| o)
+    /// Where `owner`'s charge is (`Ok`) or would go (`Err`) in `charges`.
+    fn charge_index(&self, owner: OwnerId) -> Result<usize, usize> {
+        self.charges.binary_search_by_key(&owner, |&(o, _)| o)
     }
 }
 
@@ -132,12 +137,12 @@ fn home_node(chunk_idx: u64, num_nodes: u32) -> NodeId {
     NodeId(node)
 }
 
-/// The `(home node, bytes)` pairs of data inserted by
-/// [`GlobalCache::put_write_strided`] (and so [`GlobalCache::put_write`])
-/// or [`GlobalCache::put_prefetch`]: one per chunk the data touches, in
-/// ascending offset order, for charging the network transfer of each
-/// chunk's bytes to its home. Computed on the fly, so it is `Copy`,
-/// allocates nothing and holds no borrow of the cache.
+/// The `(home node, bytes)` pairs of a region inserted by
+/// [`GlobalCache::put_write`] or [`GlobalCache::put_prefetch`]: one per
+/// chunk the region touches, in ascending offset order, for charging the
+/// network transfer of each chunk's bytes to its home. Computed on the
+/// fly, so it is `Copy`, allocates nothing and holds no borrow of the
+/// cache.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkHomes {
     pieces: ChunkPieces,
@@ -148,15 +153,9 @@ impl Iterator for ChunkHomes {
     type Item = (NodeId, u64);
 
     fn next(&mut self) -> Option<(NodeId, u64)> {
+        // A region's piece holds nothing but its bytes.
         let (idx, span) = self.pieces.next()?;
-        // A one-block run's span holds nothing but its bytes.
-        let run = self.pieces.run;
-        let bytes = if run.len() == 1 {
-            span.len
-        } else {
-            run.bytes_in(span)
-        };
-        Some((home_node(idx, self.num_nodes), bytes))
+        Some((home_node(idx, self.num_nodes), span.len))
     }
 }
 
@@ -334,10 +333,10 @@ impl GlobalCache {
         }
     }
 
-    /// The `(home, bytes)` pairs of `run`'s pieces.
-    fn homes(&self, run: Strided) -> ChunkHomes {
+    /// The `(home, bytes)` pairs of `region`'s pieces.
+    fn homes(&self, region: FileRegion) -> ChunkHomes {
         ChunkHomes {
-            pieces: self.pieces(run),
+            pieces: self.pieces(Strided::one(region)),
             num_nodes: self.cfg.num_nodes,
         }
     }
@@ -383,7 +382,7 @@ impl GlobalCache {
         dualpar_sim::strict_assert!(self.ledger.balanced(), "ledger after put_prefetch");
         self.stats.bytes_prefetched += region.len;
         *self.epoch_prefetched.entry(owner).or_insert(0) += region.len;
-        let homes = self.homes(Strided::one(region));
+        let homes = self.homes(region);
         for (home, _) in homes {
             self.enforce_node_capacity(home);
         }
@@ -391,7 +390,8 @@ impl GlobalCache {
     }
 
     /// Buffer a write of one region for `owner`: a one-block
-    /// [`GlobalCache::put_write_strided`].
+    /// [`GlobalCache::put_write_strided`] that returns its homes as an
+    /// iterator instead of appending them.
     pub fn put_write(
         &mut self,
         owner: OwnerId,
@@ -399,47 +399,59 @@ impl GlobalCache {
         region: FileRegion,
         now: SimTime,
     ) -> ChunkHomes {
-        self.put_write_strided(owner, file, Strided::one(region), now)
+        self.write_run(owner, file, Strided::one(region), now, |_, _| {});
+        self.homes(region)
     }
 
     /// Buffer a write of every block of `run` for `owner` (data-driven mode
-    /// write path). Returns the `(home, bytes)` pair of every chunk the run
-    /// touches, for network-cost charging of the write. The owner is
-    /// charged only for bytes not already present; prefetched bytes it
-    /// overwrites become live data.
+    /// write path). Appends to `homes` the `(home, bytes)` pair of every
+    /// chunk the run touches, in ascending offset order, for network-cost
+    /// charging of the write. The owner is charged only for bytes not
+    /// already present; prefetched bytes it overwrites become live data.
     ///
-    /// Each touched chunk gets one map lookup, one strided merge per byte
-    /// set and one owner charge, however many blocks land in it. The
-    /// result — cached bytes, deltas, charges, ledger, stats and the
-    /// per-node byte totals of the returned homes — is exactly that of
-    /// writing the blocks one at a time. An unbounded cache never evicts,
-    /// so that holds by construction; a bounded one enforces its capacity
-    /// after every block, as separate writes would, because an eviction
-    /// between two blocks can drop a clean chunk that a later block writes.
+    /// Each touched chunk gets one map lookup, one clip of the run to the
+    /// chunk, one strided merge per byte set and one owner charge, however
+    /// many blocks land in it. The result — cached bytes, deltas, charges,
+    /// ledger, stats and the per-node byte totals of the appended homes —
+    /// is exactly that of writing the blocks one at a time. An unbounded
+    /// cache never evicts, so that holds by construction; a bounded one
+    /// writes block by block (appending each block's homes) and enforces
+    /// its capacity after every block, as separate writes would, because
+    /// an eviction between two blocks can drop a clean chunk that a later
+    /// block writes.
     pub fn put_write_strided(
         &mut self,
         owner: OwnerId,
         file: FileId,
         run: Strided,
         now: SimTime,
-    ) -> ChunkHomes {
+        homes: &mut Vec<(NodeId, u64)>,
+    ) {
+        let mut home = |node, bytes| homes.push((node, bytes));
         if self.cfg.node_capacity != u64::MAX && run.len() > 1 {
             for block in run.iter() {
-                self.write_run(owner, file, Strided::one(block), now);
+                self.write_run(owner, file, Strided::one(block), now, &mut home);
             }
         } else {
-            self.write_run(owner, file, run, now);
+            self.write_run(owner, file, run, now, home);
         }
-        self.homes(run)
     }
 
-    /// Insert `run` into its chunks, then enforce each touched home's
+    /// Insert `run` into its chunks, passing each chunk's home and the
+    /// run's bytes in it to `home`, then enforce each touched home's
     /// capacity.
     #[expect(
         clippy::arithmetic_side_effects,
         reason = "sums of bytes newly covered by insert or dropped by remove are bounded by the run's bytes; stats sum request bytes"
     )]
-    fn write_run(&mut self, owner: OwnerId, file: FileId, run: Strided, now: SimTime) {
+    fn write_run(
+        &mut self,
+        owner: OwnerId,
+        file: FileId,
+        run: Strided,
+        now: SimTime,
+        mut home: impl FnMut(NodeId, u64),
+    ) {
         let mut added = 0u64;
         let mut dirty_added = 0u64;
         let mut overwritten = 0u64;
@@ -447,20 +459,27 @@ impl GlobalCache {
             let chunk = self.chunks.entry((file, idx)).or_default();
             // Written bytes are live data, not speculative. A one-block
             // run's piece is the block's part in the chunk, so it takes the
-            // plain range ops and skips setting up a strided merge.
-            let (new, dirty, unspeculated) = if run.len() == 1 {
+            // plain range ops and skips setting up a strided merge. A longer
+            // run is clipped to the chunk once, and all three byte sets and
+            // the home's byte count read that one clip.
+            let (new, dirty, unspeculated, bytes) = if run.len() == 1 {
                 (
                     chunk.present.insert(span.offset, span.len),
                     chunk.dirty.insert(span.offset, span.len),
                     chunk.prefetched_unused.remove(span.offset, span.len),
+                    span.len,
                 )
             } else {
+                let blocks = run.clipped(span);
+                let bytes = blocks.bytes();
                 (
-                    chunk.present.insert_strided(run, span),
-                    chunk.dirty.insert_strided(run, span),
-                    chunk.prefetched_unused.remove_strided(run, span),
+                    chunk.present.insert_strided(blocks.clone()),
+                    chunk.dirty.insert_strided(blocks.clone()),
+                    chunk.prefetched_unused.remove_strided(blocks),
+                    bytes,
                 )
             };
+            home(home_node(idx, self.cfg.num_nodes), bytes);
             dirty_added += dirty;
             overwritten += unspeculated;
             chunk.last_ref = now;
@@ -474,8 +493,8 @@ impl GlobalCache {
         self.stats.bytes_written += run.bytes();
         self.stats.dirty_hwm = self.stats.dirty_hwm.max(self.dirty_now);
         if self.cfg.node_capacity != u64::MAX {
-            for (home, _) in self.homes(run) {
-                self.enforce_node_capacity(home);
+            for (idx, _) in self.pieces(run) {
+                self.enforce_node_capacity(home_node(idx, self.cfg.num_nodes));
             }
         }
     }
@@ -678,7 +697,7 @@ impl GlobalCache {
         // find 0 and clear nothing; the strict rescan below still checks.
         if self.ledger.unused_now > 0 {
             for chunk in self.chunks.values_mut() {
-                if chunk.charged_owners().any(|o| o == owner) {
+                if chunk.charge_index(owner).is_ok() {
                     unused += chunk.prefetched_unused.covered();
                     chunk.prefetched_unused.clear();
                 }
@@ -1020,6 +1039,48 @@ mod tests {
         // The mark persists after drain; a smaller later burst can't lower it.
         c.put_write(OwnerId(1), f(1), FileRegion::new(0, 100), SimTime::ZERO);
         assert_eq!(c.stats().dirty_hwm, 500);
+    }
+
+    #[test]
+    fn owner_charges_stay_sorted_and_unique() {
+        let shuffled = [5u64, 2, 7, 0, 3, 6, 1, 4];
+        let orders: [Vec<u64>; 3] = [
+            (0..8).rev().collect(),
+            (0..8).collect(),
+            shuffled.to_vec(),
+        ];
+        for order in orders {
+            let mut c = cache(1);
+            let mut homes = Vec::new();
+            // Each owner writes its own 16-byte cells twice over: a plain
+            // write, then a strided run that repeats it and adds more cells.
+            for pass in 0..2u64 {
+                for &o in &order {
+                    let base = o * 16;
+                    if pass == 0 {
+                        c.put_write(OwnerId(o), f(1), FileRegion::new(base, 16), SimTime::ZERO);
+                    } else {
+                        let run = Strided::new(base, 16, 128, 4);
+                        c.put_write_strided(OwnerId(o), f(1), run, SimTime::ZERO, &mut homes);
+                    }
+                }
+            }
+            let charges = &c.chunks[&(f(1), 0)].charges;
+            let want: Vec<(OwnerId, u64)> = (0..8).map(|o| (OwnerId(o), 64)).collect();
+            assert_eq!(charges, &want, "order {order:?}");
+            assert!((0..8).all(|o| c.usage(OwnerId(o)) == 64));
+            // A charger in the middle of the list finds its unused
+            // prefetch in the shared chunk at its epoch end.
+            c.put_prefetch(OwnerId(5), f(1), FileRegion::new(1024, 64), SimTime::ZERO);
+            assert_eq!(c.end_prefetch_epoch(OwnerId(5)), Some(1.0));
+            assert_eq!(c.usage(OwnerId(5)), 128);
+            c.drain_dirty();
+            c.evict_clean_for(&[f(1)].into_iter().collect());
+            assert!(
+                (0..8).all(|o| c.usage(OwnerId(o)) == 0),
+                "usage left after eviction, order {order:?}"
+            );
+        }
     }
 
     #[test]

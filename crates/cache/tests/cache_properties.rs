@@ -47,7 +47,9 @@ proptest! {
 
     /// `put_write_strided` is the per-region `put_write` loop over the run's
     /// blocks: same bytes, charges, ledger, stats, evictions and per-node
-    /// home bytes, on a bounded cache as well as an unbounded one. Runs
+    /// home bytes, on a bounded cache as well as an unbounded one. The
+    /// unbounded path appends exactly one home per chunk the run touches,
+    /// holding the run's bytes in that chunk. Runs
     /// include blocks that cross chunk boundaries, dense runs
     /// (`block == stride`), strides wider than a chunk, and empty runs
     /// (`count == 0`, `block == 0`). A prelude of prefetches and writes
@@ -114,14 +116,33 @@ proptest! {
         for (owner, run, drain) in random.chain(interleave) {
             t += 1;
             let now = SimTime::from_millis(t);
-            let got = per_node(strided.put_write_strided(OwnerId(owner), f, run, now));
+            // The homes are appended: an entry already there stays first.
+            let mut homes = vec![(NodeId(99), 7)];
+            strided.put_write_strided(OwnerId(owner), f, run, now, &mut homes);
+            prop_assert_eq!(homes[0], (NodeId(99), 7), "appended to {:?}", run);
+            let got = per_node(homes[1..].iter().copied());
             let mut want = BTreeMap::new();
+            let mut chunk_bytes = BTreeMap::new();
             for block in run.iter() {
                 for (home, bytes) in looped.put_write(OwnerId(owner), f, block, now) {
                     *want.entry(home).or_insert(0) += bytes;
                 }
+                let mut at = block.offset;
+                while at < block.end() {
+                    let end = block.end().min((at / 4096 + 1) * 4096);
+                    *chunk_bytes.entry(at / 4096).or_insert(0u64) += end - at;
+                    at = end;
+                }
             }
             prop_assert_eq!(got, want, "homes of {:?}", run);
+            if !bounded {
+                // One entry per touched chunk, in ascending chunk order.
+                let pieces: Vec<(NodeId, u64)> = chunk_bytes
+                    .iter()
+                    .map(|(&idx, &bytes)| (NodeId((idx % 3) as u32), bytes))
+                    .collect();
+                prop_assert_eq!(&homes[1..], &pieces[..], "pieces of {:?}", run);
+            }
             prop_assert_eq!(observe(&strided, 3), observe(&looped, 3), "after {:?}", run);
             if drain {
                 prop_assert_eq!(strided.drain_dirty(), looped.drain_dirty());

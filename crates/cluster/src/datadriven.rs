@@ -84,7 +84,7 @@ impl Cluster {
         homes.clear();
         // One cache insert per (run, chunk): a strided call is one run.
         for run in call.regions.runs() {
-            homes.extend(self.cache.put_write_strided(owner, call.file, run, now));
+            self.cache.put_write_strided(owner, call.file, run, now, &mut homes);
         }
         let latency = self.cache_access_time(node, &homes);
         self.homes_scratch = homes;

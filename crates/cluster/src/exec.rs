@@ -157,18 +157,27 @@ impl Cluster {
             } => (op, next_region, sieved),
             ref other => unreachable!("vanilla_issue_next in state {other:?}"),
         };
-        let script = std::sync::Arc::clone(&self.procs[p].script);
-        let call = match &script.ops[op] {
-            Op::Io(c) => c,
-            _ => unreachable!("op index must be an Io op"),
-        };
-        let cover = if sieved {
-            self.procs[p].cur_covers.get(next_region).copied()
-        } else {
-            call.regions.get(next_region)
+        // Copy what one region needs out of the script under a scoped
+        // borrow; only a completing op holds on to the call (and so takes a
+        // handle to the script) while `self` is mutated.
+        let (file, kind, cover) = {
+            let proc = &self.procs[p];
+            let Op::Io(call) = &proc.script.ops[op] else {
+                unreachable!("op index must be an Io op")
+            };
+            let cover = if sieved {
+                proc.cur_covers.get(next_region).copied()
+            } else {
+                call.regions.get(next_region)
+            };
+            (call.file, call.kind, cover)
         };
         let Some(cover) = cover else {
             // Op complete.
+            let script = std::sync::Arc::clone(&self.procs[p].script);
+            let Op::Io(call) = &script.ops[op] else {
+                unreachable!("op index must be an Io op")
+            };
             self.complete_io_op(now, p, call);
             return;
         };
@@ -181,7 +190,7 @@ impl Cluster {
         let prog = self.procs[p].prog;
         let ctx = self.effective_ctx(prog, self.procs[p].ctx);
         let group = self.new_group(Purpose::VanillaRegion { proc: p });
-        self.issue_covers(now, group, node, ctx, call.kind, &[(call.file, cover)]);
+        self.issue_covers(now, group, node, ctx, kind, &[(file, cover)]);
         self.finish_if_empty(now, group);
     }
 

@@ -16,4 +16,4 @@ pub use alloc::{AllocConfig, Extent, ExtentAllocator};
 pub use ranges::RangeSet;
 pub use fs::{FileMeta, Pvfs, ResolvedIo};
 pub use layout::{FileId, FileRegion, ServerId, StripeLayout, StripePiece};
-pub use strided::Strided;
+pub use strided::{Clipped, Strided};

@@ -5,9 +5,10 @@
 //! sorted `Vec<(start, end)>` of half-open intervals, merged on insert.
 //! `insert` and `remove` return the bytes they added or removed, so a
 //! caller keeping byte totals never has to rescan the set. Their strided
-//! twins apply a whole [`Strided`] run (clipped to a window) in one merge
-//! pass, with the same byte deltas as inserting or removing its blocks one
-//! at a time.
+//! twins apply the blocks of a [`Strided`] run clipped to a window (a
+//! [`Clipped`], which the caller builds once and may hand to several sets)
+//! in one merge pass, with the same byte deltas as inserting or removing
+//! the blocks one at a time.
 //!
 //! A set may instead hold one periodic run: the blocks of a [`Strided`]
 //! with two or more blocks and a gap after each. Interleaved strided
@@ -19,7 +20,7 @@
 //! either form without allocating.
 
 use crate::layout::FileRegion;
-use crate::strided::{Blocks, Strided};
+use crate::strided::{Blocks, Clipped, Strided};
 
 /// Set of disjoint half-open byte intervals `[start, end)`.
 ///
@@ -227,16 +228,15 @@ impl RangeSet {
         removed
     }
 
-    /// Insert the blocks of `run` that meet `within`, clipped to it. Returns
-    /// the bytes newly covered: exactly what inserting the clipped blocks
+    /// Insert the clipped blocks of a strided run ([`Strided::clipped`]).
+    /// Returns the bytes newly covered: exactly what inserting the blocks
     /// one at a time would return in total.
     ///
     /// Two cases take O(1): uncut blocks into an empty set, which become
     /// its periodic run, and uncut blocks that abut a periodic set's
     /// blocks ([`Strided::joined`]), which widen them. Everything else is
     /// one merge pass over the runs the blocks touch.
-    pub fn insert_strided(&mut self, run: Strided, within: FileRegion) -> u64 {
-        let blocks = run.clipped(within);
+    pub fn insert_strided(&mut self, blocks: Clipped) -> u64 {
         let Some((first, last)) = blocks.span() else {
             return 0;
         };
@@ -305,15 +305,14 @@ impl RangeSet {
         Some(whole.bytes())
     }
 
-    /// Remove the blocks of `run` that meet `within`, clipped to it, in one
-    /// pass over the runs they overlap. Returns the bytes removed: exactly
-    /// what removing the clipped blocks one at a time would return in
+    /// Remove the clipped blocks of a strided run ([`Strided::clipped`]) in
+    /// one pass over the runs they overlap. Returns the bytes removed:
+    /// exactly what removing the blocks one at a time would return in
     /// total.
-    pub fn remove_strided(&mut self, run: Strided, within: FileRegion) -> u64 {
+    pub fn remove_strided(&mut self, blocks: Clipped) -> u64 {
         if self.is_empty() {
             return 0;
         }
-        let blocks = run.clipped(within);
         let Some((first, last)) = blocks.span() else {
             return 0;
         };
@@ -554,10 +553,10 @@ mod tests {
     fn interleaved_ranks_stay_periodic_and_collapse() {
         let window = FileRegion::new(0, 256);
         let mut r = RangeSet::new();
-        assert_eq!(r.insert_strided(rank(1), window), 64);
+        assert_eq!(r.insert_strided(rank(1).clipped(window)), 64);
         assert!(matches!(r.repr, Repr::Periodic(_)));
-        assert_eq!(r.insert_strided(rank(2), window), 64); // appends
-        assert_eq!(r.insert_strided(rank(0), window), 64); // prepends
+        assert_eq!(r.insert_strided(rank(2).clipped(window)), 64); // appends
+        assert_eq!(r.insert_strided(rank(0).clipped(window)), 64); // prepends
         assert!(matches!(r.repr, Repr::Periodic(_)));
         assert_eq!((r.num_runs(), r.covered()), (4, 192));
         assert_eq!(
@@ -568,7 +567,7 @@ mod tests {
         assert!(!r.contains_range(40, 16));
         assert_eq!(r.intersect_len(40, 40), 8 + 16);
         assert_eq!(r.gaps(40, 40), vec![(48, 16)]);
-        assert_eq!(r.insert_strided(rank(3), window), 64); // fills the stride
+        assert_eq!(r.insert_strided(rank(3).clipped(window)), 64); // fills the stride
         assert!(matches!(&r.repr, Repr::Runs(runs) if runs == &[(0, 256)]));
     }
 
@@ -577,17 +576,17 @@ mod tests {
         let window = FileRegion::new(0, 256);
         // A window that cuts the first block keeps the explicit form.
         let mut cut = RangeSet::new();
-        assert_eq!(cut.insert_strided(rank(0), FileRegion::new(8, 248)), 56);
+        assert_eq!(cut.insert_strided(rank(0).clipped(FileRegion::new(8, 248))), 56);
         assert!(matches!(cut.repr, Repr::Runs(_)));
         // A run whose blocks do not abut the periodic ones expands them.
         let mut apart = RangeSet::new();
-        apart.insert_strided(rank(0), window);
-        assert_eq!(apart.insert_strided(rank(2), window), 64);
+        apart.insert_strided(rank(0).clipped(window));
+        assert_eq!(apart.insert_strided(rank(2).clipped(window)), 64);
         assert!(matches!(apart.repr, Repr::Runs(_)));
         assert_eq!(apart.num_runs(), 8);
         // A periodic set equals the same bytes held as explicit runs.
         let mut periodic = RangeSet::new();
-        periodic.insert_strided(rank(0), window);
+        periodic.insert_strided(rank(0).clipped(window));
         let mut explicit = RangeSet::new();
         for k in 0..4 {
             explicit.insert(k * 64, 16);
@@ -701,8 +700,8 @@ mod tests {
             let delta = match op {
                 0 => r.insert(start, len),
                 1 => r.remove(start, len),
-                2 => r.insert_strided(run, within),
-                _ => r.remove_strided(run, within),
+                2 => r.insert_strided(run.clipped(within)),
+                _ => r.remove_strided(run.clipped(within)),
             };
             prop_assert_eq!(
                 delta,

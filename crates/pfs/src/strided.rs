@@ -286,6 +286,21 @@ impl Clipped {
         })
     }
 
+    /// Bytes of the clipped blocks left: [`Strided::bytes_in`] of the
+    /// window while none are taken. O(1) and division-free: the whole
+    /// blocks less what the window cuts off the first and the last.
+    #[inline]
+    pub fn bytes(&self) -> u64 {
+        if self.next >= self.end {
+            return 0;
+        }
+        let first = self.run.get(self.next).offset;
+        let last_end = self.run.get(self.end - 1).end();
+        (self.end - self.next) * self.run.block
+            - self.lo.saturating_sub(first)
+            - last_end.saturating_sub(self.hi)
+    }
+
     /// The blocks left as one run, when the window cuts neither the first
     /// nor the last of them. `None` when it does or no block is left.
     #[inline]
@@ -464,6 +479,34 @@ mod tests {
             prop_assert_eq!(s.bytes_in(within), want.iter().map(|&(s, e)| e - s).sum::<u64>());
             let from = blocks.iter().find(|b| b.end() > lo).map(|b| b.offset.max(lo));
             prop_assert_eq!(s.first_byte_from(lo), from);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// `Clipped::bytes` is `bytes_in` of the window: on empty, one-block,
+        /// dense and gapped runs, with windows that cut blocks, hold whole
+        /// ones, or lie before, between or after the blocks. It also counts
+        /// what the iterator still yields once some blocks are taken.
+        #[test]
+        fn clipped_bytes_equal_bytes_in(
+            base in 0u64..64,
+            block in 0u64..24,
+            gap in prop_oneof![Just(0u64), 1u64..24],
+            count in prop_oneof![Just(0u64), Just(1u64), 2u64..12],
+            (lo, len) in (0u64..600, 0u64..300),
+            taken in 0usize..4,
+        ) {
+            let s = Strided::new(base, block, block + gap, count);
+            let within = r(lo, len);
+            let mut clipped = s.clipped(within);
+            prop_assert_eq!(clipped.bytes(), s.bytes_in(within));
+            for _ in 0..taken {
+                clipped.next();
+            }
+            let rest: u64 = clipped.clone().map(|(s, e)| e - s).sum();
+            prop_assert_eq!(clipped.bytes(), rest);
         }
     }
 }
