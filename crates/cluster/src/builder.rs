@@ -356,7 +356,6 @@ mod tests {
                 file: f,
                 regions: FileRegion::new(off, 64 * 1024).into(),
                 collective: false,
-                predicted: None,
             })
         };
         ProgramScript {

@@ -368,12 +368,26 @@ impl Cluster {
         let name = spec.script.name.clone();
         let first_proc = self.procs.len();
         let mut files = FxHashSet::default();
+        // Scripts touch few files, in long runs of calls to one file: hash
+        // a call's file only when it differs from the previous call's.
+        let mut last_file = None;
         for (rank, script) in spec.script.ranks.into_iter().enumerate() {
             for op in &script.ops {
                 if let dualpar_mpiio::Op::Io(call) = op {
-                    files.insert(call.file);
+                    if last_file != Some(call.file) {
+                        last_file = Some(call.file);
+                        files.insert(call.file);
+                    }
                 }
             }
+            dualpar_sim::strict_assert!(
+                script.predicted.windows(2).all(|w| w[0].0 < w[1].0)
+                    && script
+                        .predicted
+                        .iter()
+                        .all(|&(i, _)| matches!(script.ops.get(i), Some(dualpar_mpiio::Op::Io(_)))),
+                "program {name} rank {rank}: predictions must name I/O ops in ascending order"
+            );
             let node = (rank as u32) % self.cfg.num_compute_nodes;
             let ctx = IoCtx(self.next_ctx);
             self.next_ctx += 1;
@@ -1069,6 +1083,25 @@ impl Cluster {
 mod tests {
     use super::*;
     use dualpar_disk::{DiskRequest, StartOutcome};
+    use dualpar_mpiio::{IoCall, Op, ProgramScript};
+
+    #[test]
+    #[should_panic(expected = "never created")]
+    fn add_program_rejects_an_unknown_file_after_known_ones() {
+        let mut c = Cluster::new(ClusterConfig::default());
+        let known = c.create_file("known", 1 << 20);
+        let read = |file| Op::Io(IoCall::read(file, FileRegion::new(0, 4096)));
+        // The unknown file follows runs of calls to a known one, within a
+        // rank and across ranks.
+        let script = ProgramScript {
+            name: "p".into(),
+            ranks: vec![
+                ProcessScript::new(vec![read(known), read(known)]),
+                ProcessScript::new(vec![read(known), read(FileId(known.0 + 1))]),
+            ],
+        };
+        c.add_program(ProgramSpec::new(script, IoStrategy::Vanilla));
+    }
 
     #[test]
     fn emc_tick_sample_excludes_a_disk_completion_at_its_instant() {

@@ -61,7 +61,8 @@ pub fn ghost_walk(script: &ProcessScript, start: usize, quota: u64) -> GhostRun 
             Op::Compute(d) => compute += *d,
             Op::Barrier(_) => {}
             Op::Io(call) => {
-                let call_bytes = call.ghost_regions().bytes();
+                let ghost = script.ghost_regions(pos).expect("op is an I/O call");
+                let call_bytes = ghost.bytes();
                 if space + call_bytes > quota && space > 0 {
                     // Recording this call would overflow the quota: pause
                     // *before* it so the phase stays within the cache.
@@ -75,7 +76,7 @@ pub fn ghost_walk(script: &ProcessScript, start: usize, quota: u64) -> GhostRun 
                 }
                 space += call_bytes;
                 if call.kind == IoKind::Read {
-                    prefetch.extend(call.ghost_regions().iter().map(|r| (call.file, r)));
+                    prefetch.extend(ghost.iter().map(|r| (call.file, r)));
                 }
                 if space >= quota {
                     return GhostRun {
@@ -245,9 +246,10 @@ mod tests {
 
     #[test]
     fn ghost_uses_predictions_for_dependent_io() {
-        let call = IoCall::read(FileId(1), vec![FileRegion::new(0, 100)])
-            .with_prediction(vec![FileRegion::new(7777, 100)]);
-        let script = ProcessScript::new(vec![Op::Io(call)]);
+        let script = ProcessScript {
+            ops: vec![read_op(1, 0, 100)],
+            predicted: vec![(0, FileRegion::new(7777, 100).into())],
+        };
         let run = ghost_walk(&script, 0, 1 << 20);
         assert_eq!(run.prefetch, vec![(FileId(1), FileRegion::new(7777, 100))]);
     }

@@ -5,10 +5,12 @@
 //! walks the same script ahead of the blocked main process, *recording* the
 //! I/O it encounters instead of issuing it.
 //!
-//! Data-dependent I/O (Table III) is modelled by attaching to an op the
-//! regions a ghost would *predict*: for ordinary I/O prediction is perfect
-//! (pre-execution re-runs the real computation), for dependent I/O the
-//! prediction is wrong and the prefetched data goes unused.
+//! Data-dependent I/O (Table III) is modelled by a script's side table of
+//! the regions a ghost would *predict* for some of its calls: for ordinary
+//! I/O prediction is perfect (pre-execution re-runs the real computation),
+//! for dependent I/O the prediction is wrong and the prefetched data goes
+//! unused. Few calls have one, so the table sits beside the ops instead of
+//! costing every op a field: an `Op` is 32 bytes.
 
 use crate::datatype::Datatype;
 use crate::regions::Regions;
@@ -29,11 +31,6 @@ pub struct IoCall {
     /// Whether this call is a collective MPI-IO call (all ranks must arrive
     /// before any proceeds).
     pub collective: bool,
-    /// For data-dependent accesses: what a ghost pre-execution would fetch
-    /// instead (it cannot know the true addresses because the data they
-    /// depend on has not been read yet). `None` means prediction is exact.
-    /// Boxed: few calls have one, and every op pays for the field.
-    pub predicted: Option<Box<Regions>>,
 }
 
 impl IoCall {
@@ -44,7 +41,6 @@ impl IoCall {
             file,
             regions: regions.into(),
             collective: false,
-            predicted: None,
         }
     }
 
@@ -55,7 +51,6 @@ impl IoCall {
             file,
             regions: regions.into(),
             collective: false,
-            predicted: None,
         }
     }
 
@@ -66,7 +61,6 @@ impl IoCall {
             file,
             regions: dt.lower(base),
             collective: false,
-            predicted: None,
         }
     }
 
@@ -74,17 +68,6 @@ impl IoCall {
     pub fn collective(mut self) -> Self {
         self.collective = true;
         self
-    }
-
-    /// Mark as data-dependent with the given (wrong) ghost prediction.
-    pub fn with_prediction(mut self, predicted: impl Into<Regions>) -> Self {
-        self.predicted = Some(Box::new(predicted.into()));
-        self
-    }
-
-    /// The regions a ghost pre-execution would request.
-    pub fn ghost_regions(&self) -> &Regions {
-        self.predicted.as_deref().unwrap_or(&self.regions)
     }
 
     /// Total bytes the call moves.
@@ -110,12 +93,37 @@ pub enum Op {
 pub struct ProcessScript {
     /// The steps, executed in order.
     pub ops: Vec<Op>,
+    /// Data-dependent calls: `(op index, regions)` of what a ghost
+    /// pre-execution would fetch instead of the call's actual regions (it
+    /// cannot know the true addresses because the data they depend on has
+    /// not been read yet). Strictly ascending by op index, and each index
+    /// names an [`Op::Io`]; a call absent from the table is predicted
+    /// exactly. Read it through [`ProcessScript::ghost_regions`].
+    pub predicted: Vec<(usize, Regions)>,
 }
 
 impl ProcessScript {
-    /// Wrap an op list.
+    /// Wrap an op list whose every call is predicted exactly.
     pub fn new(ops: Vec<Op>) -> Self {
-        ProcessScript { ops }
+        ProcessScript {
+            ops,
+            predicted: Vec::new(),
+        }
+    }
+
+    /// The regions a ghost pre-execution would request for the I/O call at
+    /// op `pos`: its prediction when it has one, else the regions it
+    /// accesses. `None` when op `pos` is not an I/O call.
+    pub fn ghost_regions(&self, pos: usize) -> Option<&Regions> {
+        let Some(Op::Io(call)) = self.ops.get(pos) else {
+            return None;
+        };
+        Some(
+            match self.predicted.binary_search_by_key(&pos, |&(i, _)| i) {
+                Ok(k) => &self.predicted[k].1,
+                Err(_) => &call.regions,
+            },
+        )
     }
 
     /// Number of ops.
@@ -173,20 +181,16 @@ impl ProgramScript {
 
     /// Sanity check: all ranks see the same barrier sequence.
     pub fn barriers_consistent(&self) -> bool {
-        let seq = |s: &ProcessScript| -> Vec<u64> {
-            s.ops
-                .iter()
-                .filter_map(|o| match o {
-                    Op::Barrier(id) => Some(*id),
-                    _ => None,
-                })
-                .collect()
-        };
-        let Some(first) = self.ranks.first() else {
+        fn seq(s: &ProcessScript) -> impl Iterator<Item = u64> + '_ {
+            s.ops.iter().filter_map(|o| match o {
+                Op::Barrier(id) => Some(*id),
+                _ => None,
+            })
+        }
+        let Some((first, rest)) = self.ranks.split_first() else {
             return true;
         };
-        let reference = seq(first);
-        self.ranks.iter().all(|r| seq(r) == reference)
+        rest.iter().all(|r| seq(r).eq(seq(first)))
     }
 
     /// Total bytes moved by all ranks.
@@ -202,33 +206,59 @@ mod tests {
 
     #[test]
     fn ghost_regions_default_to_actual() {
-        let call = IoCall::read(FileId(1), vec![FileRegion::new(0, 100)]);
+        let script = ProcessScript::new(vec![Op::Io(IoCall::read(
+            FileId(1),
+            vec![FileRegion::new(0, 100)],
+        ))]);
         assert_eq!(
-            call.ghost_regions(),
-            &Regions::from(FileRegion::new(0, 100))
+            script.ghost_regions(0),
+            Some(&Regions::from(FileRegion::new(0, 100)))
         );
     }
 
     #[test]
     fn ghost_regions_use_prediction_when_dependent() {
-        let call = IoCall::read(FileId(1), vec![FileRegion::new(0, 100)])
-            .with_prediction(vec![FileRegion::new(5000, 100)]);
+        let script = ProcessScript {
+            ops: vec![
+                Op::Compute(SimDuration::from_millis(1)),
+                Op::Io(IoCall::read(FileId(1), vec![FileRegion::new(0, 100)])),
+                Op::Io(IoCall::read(FileId(1), vec![FileRegion::new(100, 100)])),
+                Op::Io(IoCall::read(FileId(1), vec![FileRegion::new(200, 100)])),
+            ],
+            predicted: vec![
+                (1, FileRegion::new(5000, 100).into()),
+                (3, FileRegion::new(9000, 100).into()),
+            ],
+        };
         assert_eq!(
-            call.ghost_regions(),
-            &Regions::from(FileRegion::new(5000, 100))
+            script.ghost_regions(1),
+            Some(&Regions::from(FileRegion::new(5000, 100)))
         );
-        assert_eq!(call.regions, Regions::from(FileRegion::new(0, 100)));
+        assert!(matches!(
+            &script.ops[1],
+            Op::Io(c) if c.regions == Regions::from(FileRegion::new(0, 100))
+        ));
+        // A call between two predicted ones is predicted exactly.
+        assert_eq!(
+            script.ghost_regions(2),
+            Some(&Regions::from(FileRegion::new(100, 100)))
+        );
+        assert_eq!(
+            script.ghost_regions(3),
+            Some(&Regions::from(FileRegion::new(9000, 100)))
+        );
+        // Only I/O calls have ghost regions.
+        assert_eq!(script.ghost_regions(0), None);
+        assert_eq!(script.ghost_regions(4), None);
     }
 
     #[test]
     fn ops_stay_small() {
-        // Scripts hold millions of ops: a strided run and a prediction each
-        // live behind one pointer, and a single region is stored inline.
-        assert!(
-            std::mem::size_of::<Op>() <= 56,
-            "Op is {} bytes",
-            std::mem::size_of::<Op>()
-        );
+        // Scripts hold millions of ops: a strided run lives behind one
+        // pointer, a single region is stored inline, and predictions sit in
+        // the script's side table.
+        assert_eq!(std::mem::size_of::<Op>(), 32);
+        assert_eq!(std::mem::size_of::<IoCall>(), 32);
         let op = Op::Io(IoCall::read(FileId(1), FileRegion::new(0, 4096)));
         assert!(matches!(&op, Op::Io(c) if !c.regions.is_strided() && c.regions.len() == 1));
     }

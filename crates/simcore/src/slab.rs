@@ -1,8 +1,8 @@
 //! Generational slab: dense, index-addressed storage with stale-handle
 //! detection.
 //!
-//! The engine's hot path allocates short-lived bookkeeping records (request
-//! completion groups, per-sub-request response info) at a very high rate.
+//! The engine's hot path allocates short-lived records (I/O completion
+//! groups, the future-event list's pending events) at a very high rate.
 //! Keying them by monotonically growing ids in an `FxHashMap` puts a hash
 //! probe (and, amortised, a rehash) on every simulated I/O event. A slab
 //! stores the records in a plain `Vec` and hands out [`SlabKey`] handles
@@ -10,23 +10,24 @@
 //! bounds-checked index plus one integer compare, and freed slots are
 //! reused through a free list without ever aliasing an old handle.
 //!
-//! Stale handles are a real hazard here, not a theoretical one: with
-//! write-back data servers a sub-request id is retired when the server
-//! acknowledges the write, but the id lives on inside the buffered
-//! [`DiskRequest`]'s merge list and surfaces again when the flush completes.
-//! Under a naive reuse scheme that ghost id could alias a *new* request and
-//! credit the wrong completion group. The generation check makes such a
-//! lookup miss deterministically: [`Slab::get`]/[`Slab::remove`] on a stale
-//! key return `None`, and a key whose generation is *ahead* of its slot —
-//! impossible unless the key was forged or the slab corrupted — panics
-//! under `strict-invariants` (and in tests) via [`strict_assert!`].
+//! Stale handles are a real hazard here, not a theoretical one: a cancelled
+//! event leaves its key behind in the event heap, and a later insert may
+//! reuse the slot. Under a naive reuse scheme that leftover key would alias
+//! the *new* payload and deliver it early or twice. (Sub-request ids are not
+//! slab keys: they come from a monotonic counter and are looked up in each
+//! data server's `pending` map, which buffered write-back writes never
+//! enter, so a flush that replays such an id misses there.) The generation
+//! check makes a stale lookup miss deterministically:
+//! [`Slab::get`]/[`Slab::remove`] on a stale key return `None`, and a key
+//! whose generation is *ahead* of its slot — impossible unless the key was
+//! forged or the slab corrupted — panics under `strict-invariants` (and in
+//! tests) via [`strict_assert!`].
 //!
 //! Determinism: key assignment is a pure function of the insert/remove
 //! sequence (LIFO free-list reuse), so identical runs hand out identical
 //! keys — the engine's byte-identical-replay guarantee is preserved.
 //!
 //! [`strict_assert!`]: crate::strict_assert
-//! [`DiskRequest`]: https://docs.rs/ (the disk crate's queued-request type)
 
 use core::fmt;
 

@@ -31,7 +31,6 @@ pub fn io_region(kind: IoKind, file: FileId, offset: u64, len: u64, collective: 
             Regions::default()
         },
         collective,
-        predicted: None,
     })
 }
 

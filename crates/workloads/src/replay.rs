@@ -121,7 +121,6 @@ impl TraceReplay {
                         file: files[e.file_index as usize],
                         regions: FileRegion::new(e.offset, e.len).into(),
                         collective: false,
-                        predicted: None,
                     }));
                 }
             }

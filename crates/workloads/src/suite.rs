@@ -3,7 +3,7 @@
 //! implements.
 
 use crate::common::{build_program, compute, io_region};
-use dualpar_mpiio::{Datatype, IoCall, IoKind, Op, ProgramScript};
+use dualpar_mpiio::{Datatype, IoCall, IoKind, Op, ProcessScript, ProgramScript};
 use dualpar_pfs::{FileId, FileRegion};
 use dualpar_sim::{DetRng, SimDuration};
 use serde::{Deserialize, Serialize};
@@ -587,9 +587,10 @@ impl DependentReader {
         let per_proc = self.total_bytes / self.nprocs as u64;
         let calls = per_proc / self.request_size;
         let slots = self.total_bytes / self.request_size;
-        build_program("dependent", self.nprocs, |rank| {
+        let rank_script = |rank: usize| {
             let mut rng = rng_root.substream(rank as u64);
             let mut ops = Vec::new();
+            let mut predicted = Vec::new();
             for _ in 0..calls {
                 if self.compute_per_call > SimDuration::ZERO {
                     ops.push(compute(self.compute_per_call));
@@ -600,16 +601,19 @@ impl DependentReader {
                 // slot. With probability `predictability`, the pointer was
                 // unchanged and the ghost's guess is right.
                 let actual = rng.uniform_u64(0, slots) * self.request_size;
-                let call_region = FileRegion::new(actual, self.request_size);
-                let mut call = IoCall::read(file, vec![call_region]);
+                let call = IoCall::read(file, FileRegion::new(actual, self.request_size));
                 if !rng.chance(self.predictability) {
-                    let predicted = rng.uniform_u64(0, slots) * self.request_size;
-                    call = call.with_prediction(vec![FileRegion::new(predicted, self.request_size)]);
+                    let guess = rng.uniform_u64(0, slots) * self.request_size;
+                    predicted.push((ops.len(), FileRegion::new(guess, self.request_size).into()));
                 }
                 ops.push(Op::Io(call));
             }
-            ops
-        })
+            ProcessScript { ops, predicted }
+        };
+        ProgramScript {
+            name: "dependent".to_string(),
+            ranks: (0..self.nprocs).map(rank_script).collect(),
+        }
     }
 }
 
@@ -803,14 +807,8 @@ mod tests {
             let prog = w.build(FileId(1));
             let (mut wrong, mut total) = (0usize, 0usize);
             for r in &prog.ranks {
-                for op in &r.ops {
-                    if let Op::Io(c) = op {
-                        total += 1;
-                        if c.predicted.is_some() {
-                            wrong += 1;
-                        }
-                    }
-                }
+                total += r.num_io_calls();
+                wrong += r.predicted.len();
             }
             wrong as f64 / total as f64
         };
@@ -831,10 +829,10 @@ mod tests {
         let mut mismatches = 0;
         let mut total = 0;
         for script in &p.ranks {
-            for op in &script.ops {
+            for (pos, op) in script.ops.iter().enumerate() {
                 if let Op::Io(c) = op {
                     total += 1;
-                    if c.predicted.as_deref() != Some(&c.regions) {
+                    if script.ghost_regions(pos) != Some(&c.regions) {
                         mismatches += 1;
                     }
                 }

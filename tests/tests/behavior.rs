@@ -316,7 +316,6 @@ fn collective_mixed_read_write() {
                     file: f,
                     regions: regions.into_iter().filter(|r| r.len > 0).collect(),
                     collective: true,
-                    predicted: None,
                 })
             };
             let nprocs = 4usize;
