@@ -150,7 +150,7 @@ impl Cluster {
         for r in call.regions.iter() {
             self.cache.read(call.file, r, now);
         }
-        self.complete_io_op(now, p, call);
+        self.complete_io_op(now, p, call.kind, call.bytes());
     }
 
     // ----- suspension & ghost pre-execution -------------------------------
@@ -687,7 +687,7 @@ impl Cluster {
                     for r in call.regions.iter() {
                         self.cache.read(call.file, r, now);
                     }
-                    self.complete_io_op(now, w, call);
+                    self.complete_io_op(now, w, call.kind, call.bytes());
                 }
             }
         }

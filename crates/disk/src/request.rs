@@ -28,17 +28,20 @@ impl IoKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct IoCtx(pub u32);
 
-/// How many merged sub-request ids fit without touching the heap. Queue
+/// How many merged caller tags fit without touching the heap. Queue
 /// merging rarely coalesces more than a handful of requests (the sector
 /// cap bites first), so the common case is allocation-free.
 const MERGED_INLINE: usize = 4;
 
-/// The ids of every sub-request coalesced into one dispatch. Semantically
-/// a `Vec<u64>`, but the first [`MERGED_INLINE`] ids live inline in the
-/// request itself: `DiskRequest::new` used to `vec![id]` — one heap
-/// allocation per request on the busiest path in the simulator — whereas
-/// an inline `MergedIds` costs nothing until a merge chain grows past the
-/// inline capacity.
+/// The caller tags of every request coalesced into one dispatch, in merge
+/// order. A tag is opaque to the disk: [`DiskRequest::new`] tags a request
+/// with its id, and [`DiskRequest::with_tag`] lets the issuing layer carry
+/// its own handle instead (the data server's pending-slab key), so the
+/// completion needs no id lookup. Semantically a `Vec<u64>`, but the first
+/// [`MERGED_INLINE`] tags live inline in the request itself:
+/// `DiskRequest::new` used to `vec![id]` — one heap allocation per request
+/// on the busiest path in the simulator — whereas an inline `MergedIds`
+/// costs nothing until a merge chain grows past the inline capacity.
 #[derive(Debug, Clone)]
 pub enum MergedIds {
     /// Up to [`MERGED_INLINE`] ids stored in place; `len` counts the
@@ -135,13 +138,14 @@ pub struct DiskRequest {
     pub sectors: u64,
     /// When the request reached the scheduler.
     pub arrival: SimTime,
-    /// Ids of requests coalesced into this one by queue merging (always
-    /// contains `id` itself). The server completes all of them at once.
+    /// Caller tags of the requests coalesced into this one by queue
+    /// merging, this request's own tag first. The server completes all of
+    /// them at once.
     pub merged: MergedIds,
 }
 
 impl DiskRequest {
-    /// Build an unmerged request.
+    /// Build an unmerged request, tagged with its `id`.
     pub fn new(id: u64, ctx: IoCtx, kind: IoKind, lbn: Lbn, sectors: u64, arrival: SimTime) -> Self {
         debug_assert!(sectors > 0, "zero-length disk request");
         DiskRequest {
@@ -155,11 +159,21 @@ impl DiskRequest {
         }
     }
 
-    /// Ids of every sub-request this dispatch services — the request's own
-    /// id plus everything queue merging absorbed. Final once the request
-    /// starts at the media (merging only happens while queued or at
-    /// dispatch), so span/trace layers can fan service intervals out over
-    /// it at start time.
+    /// Replace an unmerged request's tag. `id` still orders the request in
+    /// the scheduler and names it in traces; the tag is only handed back
+    /// in [`DiskRequest::merged_ids`].
+    #[inline]
+    pub fn with_tag(mut self, tag: u64) -> Self {
+        debug_assert_eq!(self.merged.as_slice().len(), 1, "tagging a merged request");
+        self.merged = MergedIds::one(tag);
+        self
+    }
+
+    /// Caller tags of every request this dispatch services — the request's
+    /// own tag plus everything queue merging absorbed, in merge order.
+    /// Final once the request starts at the media (merging only happens
+    /// while queued or at dispatch), so span/trace layers can fan service
+    /// intervals out over it at start time.
     #[inline]
     pub fn merged_ids(&self) -> &[u64] {
         self.merged.as_slice()
@@ -236,6 +250,15 @@ mod tests {
         assert_eq!(a.sectors, 24);
         assert_eq!(a.merged, vec![1, 2, 3]);
         assert_eq!(a.end(), 24);
+    }
+
+    #[test]
+    fn tags_travel_through_merges_in_place_of_ids() {
+        let mut a = req(7, 0, 8).with_tag(70);
+        a.back_merge(req(8, 8, 8).with_tag(80));
+        a.back_merge(req(9, 16, 8));
+        assert_eq!(a.id, 7, "the id is untouched");
+        assert_eq!(a.merged_ids(), &[70, 80, 9]);
     }
 
     #[test]

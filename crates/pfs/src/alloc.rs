@@ -10,7 +10,6 @@
 use crate::layout::FileId;
 use dualpar_disk::{bytes_to_sectors, Lbn};
 use serde::{Deserialize, Serialize};
-use dualpar_sim::FxHashMap;
 
 /// A contiguous run of sectors on one disk backing part of a local object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,7 +51,10 @@ pub struct ExtentAllocator {
     cfg: AllocConfig,
     capacity_sectors: u64,
     next_lbn: Lbn,
-    objects: FxHashMap<FileId, Vec<Extent>>,
+    /// Each file's extents, indexed by `FileId`: `Pvfs` mints ids densely
+    /// from 1, so a lookup is an array load. `None` marks a file with no
+    /// object on this server.
+    objects: Vec<Option<Vec<Extent>>>,
 }
 
 impl ExtentAllocator {
@@ -63,7 +65,7 @@ impl ExtentAllocator {
             capacity_sectors,
             // Leave a superblock-ish region at the front.
             next_lbn: 2048,
-            objects: FxHashMap::default(),
+            objects: Vec::new(),
         }
     }
 
@@ -74,7 +76,7 @@ impl ExtentAllocator {
     /// both are setup bugs in an experiment definition.
     pub fn allocate(&mut self, file: FileId, bytes: u64) {
         assert!(
-            !self.objects.contains_key(&file),
+            self.extents(file).is_none(),
             "file {file:?} allocated twice on this server"
         );
         let mut extents = Vec::new();
@@ -107,7 +109,15 @@ impl ExtentAllocator {
         self.next_lbn = self
             .next_lbn
             .saturating_add(bytes_to_sectors(self.cfg.inter_file_gap));
-        self.objects.insert(file, extents);
+        let i = file.0 as usize;
+        if self.objects.len() <= i {
+            self.objects.resize_with(i + 1, || None);
+        }
+        self.objects[i] = Some(extents);
+    }
+
+    fn extents(&self, file: FileId) -> Option<&[Extent]> {
+        self.objects.get(file.0 as usize)?.as_deref()
     }
 
     /// Translate `(object_offset, len)` into disk LBN runs `(lbn,
@@ -127,8 +137,7 @@ impl ExtentAllocator {
         len: u64,
     ) -> impl Iterator<Item = (Lbn, u64)> + '_ {
         let extents = self
-            .objects
-            .get(&file)
+            .extents(file)
             .unwrap_or_else(|| panic!("file {file:?} not allocated on this server"));
         let end = object_offset + len;
         // Extents tile the object from offset 0, so the last one ends it.
@@ -151,7 +160,7 @@ impl ExtentAllocator {
 
     /// LBN of the first extent, if allocated (for locality assertions).
     pub fn base_lbn(&self, file: FileId) -> Option<Lbn> {
-        self.objects.get(&file).and_then(|e| e.first()).map(|e| e.lbn)
+        self.extents(file).and_then(|e| e.first()).map(|e| e.lbn)
     }
 }
 

@@ -111,23 +111,38 @@ impl StripeLayout {
     /// Consecutive pieces on the same server (i.e. a region no wider than
     /// one stripe row) are NOT merged here; see `Pvfs::resolve` for LBN-run
     /// merging.
+    ///
+    /// The first piece's unit, server and local offset come from one
+    /// division of the offset by the stripe unit and one of the unit by the
+    /// server count; each later piece starts a unit, so it steps to the
+    /// next server (and row) without dividing.
     pub fn split(&self, region: FileRegion) -> impl Iterator<Item = StripePiece> {
-        let layout = *self;
+        let (stripe, n) = (self.stripe_size, self.num_servers as u64);
         let end = region.end();
         let mut off = region.offset;
+        let unit = off / stripe;
+        let mut within = off % stripe;
+        let (mut row, mut server) = (unit / n, unit % n);
+        let mut unit_end = (unit + 1) * stripe;
         std::iter::from_fn(move || {
             if off >= end {
                 return None;
             }
-            let unit_end = (off / layout.stripe_size + 1) * layout.stripe_size;
             let len = unit_end.min(end) - off;
             let piece = StripePiece {
-                server: layout.server_of(off),
+                server: ServerId(server as u32),
                 file_offset: off,
-                local_offset: layout.local_offset_of(off),
+                local_offset: row * stripe + within,
                 len,
             };
             off += len;
+            unit_end += stripe;
+            within = 0;
+            server += 1;
+            if server == n {
+                server = 0;
+                row += 1;
+            }
             Some(piece)
         })
     }
@@ -200,6 +215,36 @@ mod tests {
         assert_eq!(pieces.len(), 1);
         assert_eq!(pieces[0].server, ServerId(0));
         assert_eq!(pieces[0].local_offset, 10);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// The division-free stepping of `split` lands every piece where
+        /// `server_of`/`local_offset_of` put its first byte, and the pieces
+        /// tile the region one unit at a time.
+        #[test]
+        fn split_matches_the_per_offset_mapping(
+            stripe in proptest::prop_oneof![1u64..=8, 1u64..=1 << 20, proptest::Just(64 * 1024)],
+            servers in 1u32..=17,
+            offset in proptest::prop_oneof![0u64..1 << 20, 0u64..1 << 40],
+            len in 0u64..1 << 20,
+        ) {
+            let l = StripeLayout::new(stripe, servers);
+            let region = FileRegion::new(offset, len);
+            let mut next = offset;
+            for p in l.split(region).take(4096) {
+                proptest::prop_assert_eq!(p.file_offset, next);
+                proptest::prop_assert_eq!(p.server, l.server_of(p.file_offset));
+                proptest::prop_assert_eq!(p.local_offset, l.local_offset_of(p.file_offset));
+                let unit_end = (p.file_offset / stripe + 1) * stripe;
+                proptest::prop_assert_eq!(p.len, unit_end.min(region.end()) - p.file_offset);
+                next += p.len;
+            }
+            if len / stripe < 4000 {
+                proptest::prop_assert_eq!(next, region.end());
+            }
+        }
     }
 
     #[test]

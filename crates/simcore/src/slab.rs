@@ -14,9 +14,10 @@
 //! event leaves its key behind in the event heap, and a later insert may
 //! reuse the slot. Under a naive reuse scheme that leftover key would alias
 //! the *new* payload and deliver it early or twice. (Sub-request ids are not
-//! slab keys: they come from a monotonic counter and are looked up in each
-//! data server's `pending` map, which buffered write-back writes never
-//! enter, so a flush that replays such an id misses there.) The generation
+//! slab keys: they come from a monotonic counter. Each data server keeps
+//! its in-flight sub-requests in a slab of its own and hands the key to the
+//! disk as the request's tag; buffered write-back writes carry a tag past
+//! any slot, so a flush that replays one misses there.) The generation
 //! check makes a stale lookup miss deterministically:
 //! [`Slab::get`]/[`Slab::remove`] on a stale key return `None`, and a key
 //! whose generation is *ahead* of its slot — impossible unless the key was
@@ -139,6 +140,7 @@ impl<T> Slab<T> {
     /// Store `value`, returning its key. Reuses the most recently freed
     /// slot if one exists (its generation already differs from every key
     /// handed out before), otherwise appends a fresh slot at generation 0.
+    #[inline]
     pub fn insert(&mut self, value: T) -> SlabKey {
         match self.free_head {
             Some(idx) => {
