@@ -18,9 +18,9 @@
 //!   merge probes (`absorb_contiguous`, `absorb_ending_at`) and misses, as
 //!   every vanilla sub-request does; `dispatch` drives the scheduler alone
 //!   and never reaches them.
-//! * `event_queue` — schedule/cancel/pop churn through the future-event
-//!   list ([`dualpar_sim::EventQueue`], a binary heap over a slab) at
-//!   steady pending populations from 10³ to 10⁶. Every simulation event in
+//! * `event_queue` — pop/schedule churn through the future-event list
+//!   ([`dualpar_sim::EventQueue`], one binary heap with the payloads
+//!   inline) at steady pending populations from 10³ to 10⁶. Every simulation event in
 //!   the workspace funnels through this structure, so this group is the
 //!   engine-throughput guard.
 
@@ -29,7 +29,7 @@ use dualpar_disk::{
     AnticipatoryConfig, AnticipatoryScheduler, CfqConfig, CfqScheduler, Decision, Disk, DiskParams,
     DiskRequest, IoCtx, IoKind, Scheduler, SchedulerKind, StartOutcome,
 };
-use dualpar_sim::{EventId, EventQueue, FxHashMap, SimDuration, SimTime, Slab, SlabKey};
+use dualpar_sim::{EventQueue, FxHashMap, SimDuration, SimTime, Slab, SlabKey};
 use std::hint::black_box;
 
 /// Stand-in for the engine's `Group` record: big enough that moves are not
@@ -243,18 +243,17 @@ fn xorshift(x: &mut u64) -> u64 {
     *x
 }
 
-fn queue_prefill(pending: usize) -> (EventQueue<u64>, Vec<EventId>) {
+fn queue_prefill(pending: usize) -> EventQueue<u64> {
     let mut q: EventQueue<u64> = EventQueue::new();
-    let mut ids = Vec::with_capacity(pending);
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     for i in 0..pending as u64 {
         let delta = SimDuration(1 + xorshift(&mut x) % EQ_HORIZON_NS);
-        ids.push(q.schedule(q.now().saturating_add(delta), i));
+        q.schedule(q.now().saturating_add(delta), i);
     }
-    (q, ids)
+    q
 }
 
-fn queue_churn((mut q, mut ids): (EventQueue<u64>, Vec<EventId>)) -> u64 {
+fn queue_churn(mut q: EventQueue<u64>) -> u64 {
     let mut x = 0x2545_F491_4F6C_DD1Du64;
     let mut acc = 0u64;
     for i in 0..EQ_CHURN {
@@ -262,15 +261,7 @@ fn queue_churn((mut q, mut ids): (EventQueue<u64>, Vec<EventId>)) -> u64 {
             acc = acc.wrapping_add(t.0).wrapping_add(payload);
         }
         let delta = SimDuration(1 + xorshift(&mut x) % EQ_HORIZON_NS);
-        ids.push(q.schedule(q.now().saturating_add(delta), i));
-        // Every fourth round, cancel a uniformly chosen remembered id.
-        // Some of them have already fired — exercising the stale-id
-        // rejection alongside live cancellation, like the engine does.
-        if i % 4 == 0 {
-            let pick = xorshift(&mut x) as usize % ids.len();
-            let id = ids.swap_remove(pick);
-            acc = acc.wrapping_add(u64::from(q.cancel(id)));
-        }
+        q.schedule(q.now().saturating_add(delta), i);
     }
     acc.wrapping_add(q.len() as u64)
 }

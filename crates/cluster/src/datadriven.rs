@@ -7,7 +7,7 @@ use dualpar_core::{expected_fill_time, ghost_walk, plan_prefetch, plan_writeback
 use dualpar_disk::{IoCtx, IoKind};
 use dualpar_mpiio::IoCall;
 use dualpar_pfs::{FileId, FileRegion};
-use dualpar_sim::{SimTime};
+use dualpar_sim::SimTime;
 
 /// Key identifying a region in the in-flight prefetch table.
 fn region_key(file: FileId, r: FileRegion) -> (u32, u64, u64) {
@@ -33,48 +33,47 @@ impl Cluster {
 
     fn dd_read(&mut self, now: SimTime, p: usize, call: &IoCall) {
         // Probe the global cache (consuming on hit).
-        let node = self.procs[p].node;
         let all_present = call
             .regions
             .iter()
             .all(|r| self.cache.contains(call.file, r));
         if all_present {
-            let mut homes = std::mem::take(&mut self.homes_scratch);
-            homes.clear();
-            for r in call.regions.iter() {
-                let res = self.cache.read(call.file, r, now);
-                homes.extend(res.homes);
-            }
-            let latency = self.cache_access_time(node, &homes);
-            self.homes_scratch = homes;
-            let done = now.saturating_add(latency);
-            self.procs[p].state = PState::Computing;
-            // Account the op at its completion instant.
-            let bytes = call.bytes();
-            let dur = done.since(self.procs[p].op_start);
-            self.procs[p].clock.record_io(dur, bytes);
-            self.procs[p].last_io_end = done;
-            self.procs[p].pos += 1;
-            let prog = self.procs[p].prog;
-            self.programs[prog].io_time = self.programs[prog].io_time.saturating_add(dur);
-            self.programs[prog].bytes_read += bytes;
-            self.tele.count("io.bytes_read", bytes);
-            self.timeline.record(done, bytes as f64);
-            self.proc_blocked_span(p, now, done);
-            self.queue.schedule(done, Ev::ProcReady(p));
+            self.read_cached(now, p, call);
             return;
         }
         // Miss. If this op already triggered a phase, the prefetched data
         // was wrong (data-dependent access): fetch directly from the
         // servers, as the real system does once the normal process detects
         // the miss.
-        if self.procs[p].miss_trigger_op == Some(self.procs[p].pos) {
-            self.dd_direct_fetch(now, p, call);
+        let pos = self.procs[p].pos;
+        if self.procs[p].miss_trigger_op == Some(pos) {
+            self.procs[p].state = PState::S2Wait { op: pos };
+            self.sync_proc_span(p, now);
+            self.direct_fetch(now, p, call.file, call.regions.iter());
             return;
         }
-        let pos = self.procs[p].pos;
         self.procs[p].miss_trigger_op = Some(pos);
         self.dd_suspend(now, p, true);
+    }
+
+    /// Serve a read whose regions are all cached: consume them and finish
+    /// the op after the cache access time.
+    fn read_cached(&mut self, now: SimTime, p: usize, call: &IoCall) {
+        let node = self.procs[p].node;
+        let mut homes = std::mem::take(&mut self.homes_scratch);
+        homes.clear();
+        for r in call.regions.iter() {
+            let res = self.cache.read(call.file, r, now);
+            homes.extend(res.homes);
+        }
+        let latency = self.cache_access_time(node, &homes);
+        self.homes_scratch = homes;
+        let done = now.saturating_add(latency);
+        self.procs[p].state = PState::Computing;
+        // Account the op at its completion instant.
+        self.account_io(p, done, IoKind::Read, call.bytes());
+        self.proc_blocked_span(p, now, done);
+        self.queue.schedule(done, Ev::ProcReady(p));
     }
 
     fn dd_write(&mut self, now: SimTime, p: usize, call: &IoCall) {
@@ -89,18 +88,9 @@ impl Cluster {
         let latency = self.cache_access_time(node, &homes);
         self.homes_scratch = homes;
         let done = now.saturating_add(latency);
-        let bytes = call.bytes();
-        let dur = done.since(self.procs[p].op_start);
-        self.procs[p].clock.record_io(dur, bytes);
-        self.procs[p].last_io_end = done;
-        self.procs[p].pos += 1;
-        let prog = self.procs[p].prog;
-        self.programs[prog].io_time = self.programs[prog].io_time.saturating_add(dur);
-        self.programs[prog].bytes_written += bytes;
-        self.tele.count("io.bytes_written", bytes);
+        self.account_io(p, done, IoKind::Write, call.bytes());
         self.tele
             .gauge_max("cache.dirty_bytes_max", self.cache.dirty_bytes() as f64);
-        self.timeline.record(done, bytes as f64);
         // The write blocks `[now, done]`; a quota suspension below then
         // replaces the (zero-length) compute span this opens at `done`.
         self.proc_blocked_span(p, now, done);
@@ -115,17 +105,19 @@ impl Cluster {
         }
     }
 
-    /// Fetch the call's *actual* regions directly (mis-prediction escape).
-    fn dd_direct_fetch(&mut self, now: SimTime, p: usize, call: &IoCall) {
+    /// Fetch `regions` of `file` for process `p` straight from the servers:
+    /// the escape from a mis-predicted read.
+    fn direct_fetch(
+        &mut self,
+        now: SimTime,
+        p: usize,
+        file: FileId,
+        regions: impl IntoIterator<Item = FileRegion>,
+    ) {
         let node = self.procs[p].node;
         let ctx = self.effective_ctx(self.procs[p].prog, self.procs[p].ctx);
-        let covers: Vec<(FileId, FileRegion)> =
-            call.regions.iter().map(|r| (call.file, r)).collect();
+        let covers: Vec<(FileId, FileRegion)> = regions.into_iter().map(|r| (file, r)).collect();
         self.procs[p].direct_pending = true;
-        self.procs[p].state = PState::S2Wait {
-            op: self.procs[p].pos,
-        };
-        self.sync_proc_span(p, now);
         let group = self.new_group(Purpose::DirectFetch { proc: p });
         self.issue_covers(now, group, node, ctx, IoKind::Read, &covers);
         self.finish_if_empty(now, group);
@@ -140,13 +132,17 @@ impl Cluster {
             PState::S2Wait { op } => op,
             ref other => unreachable!("direct fetch done in state {other:?}"),
         };
+        self.complete_fetched(now, p, op);
+    }
+
+    /// Complete op `op` of process `p` once all its data has arrived. Its
+    /// cached parts are marked consumed (prefetch-usage bookkeeping); the
+    /// directly fetched parts bypass the cache.
+    fn complete_fetched(&mut self, now: SimTime, p: usize, op: usize) {
         let script = std::sync::Arc::clone(&self.procs[p].script);
-        let call = match &script.ops[op] {
-            dualpar_mpiio::Op::Io(c) => c,
-            _ => unreachable!(),
+        let dualpar_mpiio::Op::Io(call) = &script.ops[op] else {
+            unreachable!("op {op} is not an I/O call")
         };
-        // Mark any cached parts of the call consumed (prefetch-usage
-        // bookkeeping); the directly fetched parts bypass the cache.
         for r in call.regions.iter() {
             self.cache.read(call.file, r, now);
         }
@@ -188,10 +184,9 @@ impl Cluster {
                 let rate = self.procs[p].clock.io_bytes_per_sec();
                 let bound = expected_fill_time(&self.cfg.dualpar, rate);
                 let seq = self.programs[prog].phase_seq;
-                let ev = self
-                    .queue
+                self.queue
                     .schedule(at + bound, Ev::PhaseTimeout { prog, seq });
-                self.programs[prog].phase_timeout = Some(ev);
+                self.programs[prog].timeout_due = true;
             }
             Phase::PreExec { .. } => {
                 self.start_ghost(at, p);
@@ -232,45 +227,44 @@ impl Cluster {
         } else {
             run.compute
         };
-        let ev = self
-            .queue
-            .schedule(at.saturating_add(ghost_time), Ev::GhostDone { prog, proc: p });
-        self.procs[p].ghost_ev = Some(ev);
+        let (done, seq) = (at.saturating_add(ghost_time), self.programs[prog].phase_seq);
+        self.queue.schedule(done, Ev::GhostDone { proc: p, seq });
+        self.procs[p].ghost_due = true;
     }
 
-    pub(crate) fn on_ghost_done(&mut self, now: SimTime, prog: usize, p: usize) {
-        self.procs[p].ghost_ev = None;
+    /// Stop process `p`'s ghost at `now` and hand what it recorded to its
+    /// program.
+    fn harvest_ghost(&mut self, now: SimTime, p: usize) {
+        self.procs[p].ghost_due = false;
         self.close_ghost_span(p, now);
-        let owner = self.procs[p].owner;
-        let recorded: Vec<_> = self.procs[p].pending_ghost.drain(..).collect();
+        let (prog, owner) = (self.procs[p].prog, self.procs[p].owner);
+        let recorded = self.procs[p].pending_ghost.drain(..);
         self.programs[prog]
             .recordings
-            .extend(recorded.into_iter().map(|(f, r)| (owner, f, r)));
+            .extend(recorded.map(|(f, r)| (owner, f, r)));
+    }
+
+    pub(crate) fn on_ghost_done(&mut self, now: SimTime, p: usize) {
+        self.harvest_ghost(now, p);
+        let prog = self.procs[p].prog;
         if let Phase::PreExec { waiting_ghosts } = &mut self.programs[prog].phase {
             *waiting_ghosts -= 1;
         }
         self.check_phase_ready(now, prog);
     }
 
-    pub(crate) fn on_phase_timeout(&mut self, now: SimTime, prog: usize, seq: u64) {
-        if self.programs[prog].phase_seq != seq {
-            return; // stale timer
-        }
-        if !matches!(self.programs[prog].phase, Phase::PreExec { .. }) {
-            return;
-        }
+    /// The open phase of `prog` hit its bound: `Cluster::run` dropped the
+    /// timeout of every phase that issued its batch first.
+    pub(crate) fn on_phase_timeout(&mut self, now: SimTime, prog: usize) {
+        dualpar_sim::strict_assert!(matches!(self.programs[prog].phase, Phase::PreExec { .. }));
+        self.programs[prog].timeout_due = false;
         // Stop unfinished ghosts, harvesting what they recorded (§IV-C:
         // "when the time period expires, all unfinished pre-executions are
-        // stopped").
+        // stopped"). Their GhostDone stays queued, superseded by the batch.
         for p in self.programs[prog].procs.clone() {
-            if let Some(ev) = self.procs[p].ghost_ev.take() {
-                self.queue.cancel(ev);
-                self.close_ghost_span(p, now);
-                let owner = self.procs[p].owner;
-                let recorded: Vec<_> = self.procs[p].pending_ghost.drain(..).collect();
-                self.programs[prog]
-                    .recordings
-                    .extend(recorded.into_iter().map(|(f, r)| (owner, f, r)));
+            if self.procs[p].ghost_due {
+                self.harvest_ghost(now, p);
+                self.superseded += 1;
             }
         }
         self.issue_phase_batch(now, prog);
@@ -303,10 +297,10 @@ impl Cluster {
     // ----- the batch ------------------------------------------------------
 
     fn issue_phase_batch(&mut self, now: SimTime, prog: usize) {
-        // Close the phase bookkeeping.
+        // Close the phase bookkeeping; a timeout still due is superseded.
         self.programs[prog].phase_seq += 1;
-        if let Some(ev) = self.programs[prog].phase_timeout.take() {
-            self.queue.cancel(ev);
+        if std::mem::take(&mut self.programs[prog].timeout_due) {
+            self.superseded += 1;
         }
         self.programs[prog].phases += 1;
 
@@ -514,7 +508,6 @@ impl Cluster {
     // ----- Strategy 2: prefetch-overlap -----------------------------------
 
     pub(crate) fn s2_read(&mut self, now: SimTime, p: usize, call: &IoCall) {
-        let node = self.procs[p].node;
         // Which regions are already cached?
         let missing: Vec<FileRegion> = call
             .regions
@@ -522,28 +515,7 @@ impl Cluster {
             .filter(|r| !self.cache.contains(call.file, *r))
             .collect();
         if missing.is_empty() {
-            let mut homes = std::mem::take(&mut self.homes_scratch);
-            homes.clear();
-            for r in call.regions.iter() {
-                let res = self.cache.read(call.file, r, now);
-                homes.extend(res.homes);
-            }
-            let latency = self.cache_access_time(node, &homes);
-            self.homes_scratch = homes;
-            let done = now.saturating_add(latency);
-            self.procs[p].state = PState::Computing;
-            let bytes = call.bytes();
-            let dur = done.since(self.procs[p].op_start);
-            self.procs[p].clock.record_io(dur, bytes);
-            self.procs[p].last_io_end = done;
-            self.procs[p].pos += 1;
-            let prog = self.procs[p].prog;
-            self.programs[prog].io_time = self.programs[prog].io_time.saturating_add(dur);
-            self.programs[prog].bytes_read += bytes;
-            self.tele.count("io.bytes_read", bytes);
-            self.timeline.record(done, bytes as f64);
-            self.proc_blocked_span(p, now, done);
-            self.queue.schedule(done, Ev::ProcReady(p));
+            self.read_cached(now, p, call);
             return;
         }
         // Wait on in-flight prefetches covering missing regions; launch a
@@ -562,7 +534,7 @@ impl Cluster {
         if !not_inflight.is_empty() {
             if self.procs[p].miss_trigger_op == Some(pos) {
                 // Prediction failed earlier: fetch the leftovers directly.
-                self.s2_direct(now, p, call.file, &not_inflight, call.bytes());
+                self.direct_fetch(now, p, call.file, not_inflight);
             } else {
                 self.procs[p].miss_trigger_op = Some(pos);
                 self.s2_launch_prefetch(now, p);
@@ -579,7 +551,7 @@ impl Cluster {
                     }
                 }
                 if !leftover.is_empty() {
-                    self.s2_direct(now, p, call.file, &leftover, call.bytes());
+                    self.direct_fetch(now, p, call.file, leftover);
                 }
             }
         }
@@ -594,16 +566,6 @@ impl Cluster {
             self.sync_proc_span(p, now);
             self.queue.schedule(now, Ev::ProcReady(p));
         }
-    }
-
-    fn s2_direct(&mut self, now: SimTime, p: usize, file: FileId, regions: &[FileRegion], _bytes: u64) {
-        let node = self.procs[p].node;
-        let ctx = self.effective_ctx(self.procs[p].prog, self.procs[p].ctx);
-        let covers: Vec<(FileId, FileRegion)> = regions.iter().map(|r| (file, *r)).collect();
-        self.procs[p].direct_pending = true;
-        let group = self.new_group(Purpose::DirectFetch { proc: p });
-        self.issue_covers(now, group, node, ctx, IoKind::Read, &covers);
-        self.finish_if_empty(now, group);
     }
 
     /// Strategy 2's pre-execution: computation is sliced out (Chen et al.'s
@@ -678,16 +640,7 @@ impl Cluster {
             self.procs[w].s2_waiting.remove(&key);
             if self.procs[w].s2_waiting.is_empty() && !self.procs[w].direct_pending {
                 if let PState::S2Wait { op } = self.procs[w].state {
-                    let script = std::sync::Arc::clone(&self.procs[w].script);
-                    let call = match &script.ops[op] {
-                        dualpar_mpiio::Op::Io(c) => c,
-                        _ => unreachable!(),
-                    };
-                    // Consume from cache (mark used).
-                    for r in call.regions.iter() {
-                        self.cache.read(call.file, r, now);
-                    }
-                    self.complete_io_op(now, w, call.kind, call.bytes());
+                    self.complete_fetched(now, w, op);
                 }
             }
         }

@@ -13,7 +13,7 @@ use dualpar_core::{Emc, ExecMode, IoClock, ProgramId, ReqDistTracker};
 use dualpar_disk::{Disk, IoCtx, IoKind};
 use dualpar_mpiio::{CoalescedIo, Op, ProcessScript, Regions};
 use dualpar_pfs::{FileId, FileRegion, Pvfs, ResolvedIo};
-use dualpar_sim::{EventId, Link, SimDuration, SimTime, Slab, SlabKey, TimeSeries};
+use dualpar_sim::{Link, SimDuration, SimTime, Slab, SlabKey, TimeSeries};
 use dualpar_telemetry::{SpanId, SpanProfile, Telemetry};
 use dualpar_sim::{FxHashMap, FxHashSet};
 
@@ -30,9 +30,10 @@ pub(crate) enum Ev {
     ProcReady(usize),
     /// A response was delivered back; one sub-request of a group is done.
     SubDone { group: SlabKey },
-    /// A ghost pre-execution finished its walk.
-    GhostDone { prog: usize, proc: usize },
-    /// A pre-execution phase hit its fill-time bound.
+    /// A ghost pre-execution finished its walk, in the phase `seq` of the
+    /// process's program.
+    GhostDone { proc: usize, seq: u64 },
+    /// Pre-execution phase `seq` hit its fill-time bound.
     PhaseTimeout { prog: usize, seq: u64 },
     /// EMC sampling slot boundary.
     EmcTick,
@@ -143,8 +144,8 @@ pub(crate) struct Proc {
     pub s2_outstanding: usize,
     /// Pending ghost recording (applied at GhostDone).
     pub pending_ghost: Vec<(FileId, FileRegion)>,
-    /// Event id of the scheduled GhostDone (cancellable at phase timeout).
-    pub ghost_ev: Option<EventId>,
+    /// Whether this process's ghost is walking: its GhostDone is due.
+    pub ghost_due: bool,
     /// Covers being issued for the current sieved vanilla op.
     pub cur_covers: Vec<FileRegion>,
     /// Whether a direct-fetch group for the current op is outstanding.
@@ -207,8 +208,11 @@ pub(crate) struct Program {
     pub files: FxHashSet<FileId>,
     pub mode: ExecMode,
     pub phase: Phase,
+    /// Phases that issued their batch. A GhostDone or PhaseTimeout of an
+    /// earlier phase is superseded: `Cluster::run` drops it unhandled.
     pub phase_seq: u64,
-    pub phase_timeout: Option<EventId>,
+    /// Whether the open phase's PhaseTimeout is due.
+    pub timeout_due: bool,
     pub recordings: Vec<(OwnerId, FileId, FileRegion)>,
     /// Writes planned for after the fill stage.
     pub staged_writes: Vec<CoalescedIo>,
@@ -260,6 +264,8 @@ pub struct Cluster {
     pub(crate) mode_events: Vec<ModeEvent>,
     pub(crate) emc_improvement: Vec<(f64, f64)>,
     pub(crate) events_processed: u64,
+    /// Superseded events still queued (see `Program::phase_seq`).
+    pub(crate) superseded: usize,
     /// Time of the most recently handled event (monotonicity invariant).
     pub(crate) last_event_time: SimTime,
     pub(crate) finished_programs: usize,
@@ -334,6 +340,7 @@ impl Cluster {
             mode_events: Vec::new(),
             emc_improvement: Vec::new(),
             events_processed: 0,
+            superseded: 0,
             last_event_time: SimTime::ZERO,
             finished_programs: 0,
             emc_active: false,
@@ -461,7 +468,7 @@ impl Cluster {
                 s2_queue: std::collections::VecDeque::new(),
                 s2_outstanding: 0,
                 pending_ghost: Vec::new(),
-                ghost_ev: None,
+                ghost_due: false,
                 cur_covers: Vec::new(),
                 direct_pending: false,
                 state_span: SpanId::INVALID,
@@ -486,7 +493,7 @@ impl Cluster {
             mode,
             phase: Phase::Normal,
             phase_seq: 0,
-            phase_timeout: None,
+            timeout_due: false,
             recordings: Vec::new(),
             staged_writes: Vec::new(),
             staged_prefetch: Vec::new(),
@@ -695,7 +702,8 @@ impl Cluster {
                 stage = self.tele.span_open(stamp, at, "req.issue", life, id);
             }
             let deliver = self.node_links[node as usize].send(now, req_msg);
-            let sub = SubReq {
+            let server = run.server.0;
+            let key = self.servers[server as usize].admit(SubReq {
                 id,
                 lbn: run.lbn,
                 sectors: run.sectors,
@@ -705,9 +713,8 @@ impl Cluster {
                 resp_bytes,
                 life,
                 stage,
-            };
-            self.queue
-                .schedule(deliver, Event::Server(run.server.0, SEv::Recv(sub)));
+            });
+            self.queue.schedule(deliver, SEv::Recv { server, key });
         }
         self.resolved_scratch = runs;
         n
@@ -727,7 +734,8 @@ impl Cluster {
     /// Run until every program has finished. Returns the report.
     ///
     /// Events pop from the one [`EventList`] in `(time, lane, seq)` order
-    /// (`crate::events`).
+    /// (`crate::events`). A superseded event is dropped as it pops, before
+    /// any counter or clock of the engine sees it.
     pub fn run(&mut self) -> RunReport {
         if self.tele.tracing() {
             // Lead the trace with the thresholds this run decides against,
@@ -750,6 +758,10 @@ impl Cluster {
             self.queue.schedule(SimTime::ZERO + slot, Ev::EmcTick);
         }
         while let Some((now, event)) = self.queue.pop() {
+            if self.is_superseded(&event) {
+                self.superseded -= 1;
+                continue;
+            }
             self.dispatch(now, event);
             if self.all_finished() {
                 break;
@@ -769,6 +781,16 @@ impl Cluster {
     /// Every program has finished (and there was at least one).
     fn all_finished(&self) -> bool {
         self.finished_programs == self.programs.len() && !self.programs.is_empty()
+    }
+
+    /// A GhostDone or PhaseTimeout of a phase that has issued its batch.
+    fn is_superseded(&self, event: &Event) -> bool {
+        let (prog, seq) = match *event {
+            Event::Client(Ev::GhostDone { proc, seq }) => (self.procs[proc].prog, seq),
+            Event::Client(Ev::PhaseTimeout { prog, seq }) => (prog, seq),
+            _ => return false,
+        };
+        seq != self.programs[prog].phase_seq
     }
 
     /// Static counter name for an event kind (dispatch accounting).
@@ -796,16 +818,17 @@ impl Cluster {
             self.events_processed < MAX_EVENTS,
             "event budget exceeded — runaway simulation"
         );
-        self.tele
-            .gauge_max("engine.queue_depth_max", self.queue.len() as f64);
+        let live = self.queue.len() - self.superseded;
+        self.tele.gauge_max("engine.queue_depth_max", live as f64);
         match event {
             Event::Client(ev) => {
                 self.tele.count(Self::ev_counter(&ev), 1);
                 self.handle(now, ev);
             }
-            Event::Server(s, ev) => {
+            Event::Server(ev) => {
                 self.tele.count(Server::ev_counter(&ev), 1);
-                self.servers[s as usize].handle(now, ev, &mut self.queue, &mut self.tele);
+                let server = &mut self.servers[ev.server() as usize];
+                server.handle(now, ev, &mut self.queue, &mut self.tele);
             }
         }
     }
@@ -829,8 +852,8 @@ impl Cluster {
                     self.dispatch_group(now, g);
                 }
             }
-            Ev::GhostDone { prog, proc } => self.on_ghost_done(now, prog, proc),
-            Ev::PhaseTimeout { prog, seq } => self.on_phase_timeout(now, prog, seq),
+            Ev::GhostDone { proc, .. } => self.on_ghost_done(now, proc),
+            Ev::PhaseTimeout { prog, .. } => self.on_phase_timeout(now, prog),
             Ev::EmcTick => self.on_emc_tick(now),
         }
     }
@@ -1278,6 +1301,75 @@ mod tests {
         assert_eq!(sectors, vec![1600], "the replays merged into one dispatch");
     }
 
+    /// Run a forced-DualPar program of two ranks, each `read, compute,
+    /// read, compute, read`, and return `(events_processed,
+    /// engine.ev.phase_timeout, engine.ev.ghost_done,
+    /// engine.queue_depth_max, phases)`.
+    fn run_ghost_program(compute: SimDuration) -> (u64, u64, u64, f64, u64) {
+        use crate::builder::Experiment;
+        use dualpar_telemetry::TelemetryLevel;
+        let read = |file, off| Op::Io(IoCall::read(file, FileRegion::new(off, 64 << 10)));
+        let report = Experiment::darwin()
+            .servers(2)
+            .telemetry(TelemetryLevel::Counters)
+            .file("data", 8 << 20)
+            .program(IoStrategy::DualParForced, move |files| {
+                let f = files[0];
+                let rank = |base: u64| {
+                    ProcessScript::new(vec![
+                        read(f, base),
+                        Op::Compute(compute),
+                        read(f, base + (1 << 20)),
+                        Op::Compute(compute),
+                        read(f, base + (2 << 20)),
+                    ])
+                };
+                ProgramScript {
+                    name: "ghosts".into(),
+                    ranks: vec![rank(0), rank(4 << 20)],
+                }
+            })
+            .run()
+            .expect("valid experiment");
+        let tele = report.telemetry.expect("counters on");
+        let counter = |name: &str| tele.counters.get(name).copied().unwrap_or(0);
+        (
+            report.events_processed,
+            counter("engine.ev.phase_timeout"),
+            counter("engine.ev.ghost_done"),
+            tele.gauges["engine.queue_depth_max"],
+            report.programs[0].phases,
+        )
+    }
+
+    #[test]
+    fn a_batch_issued_before_its_timeout_leaves_the_timeout_unprocessed() {
+        // Short computes: both ghosts record every read and finish inside
+        // the one-second fill-time bound, so the phase's batch issues
+        // before its timeout is due.
+        let (events, timeouts, ghosts, depth, phases) =
+            run_ghost_program(SimDuration::from_millis(1));
+        assert_eq!(phases, 1);
+        assert_eq!(timeouts, 0, "the timeout never runs");
+        assert_eq!(ghosts, 2);
+        assert_eq!(events, 35);
+        assert_eq!(depth, 5.0);
+    }
+
+    #[test]
+    fn a_timeout_with_ghosts_unfinished_leaves_their_ghost_done_unprocessed() {
+        // Five-second computes: each ghost walks past the one-second
+        // fill-time bound, whose timeout stops both unfinished ghosts. The
+        // run goes on past the instant their walks would have ended.
+        let (events, timeouts, ghosts, depth, phases) =
+            run_ghost_program(SimDuration::from_secs(5));
+        assert_eq!(phases, 1);
+        assert_eq!(timeouts, 1);
+        assert_eq!(ghosts, 0, "neither stopped ghost's completion runs");
+        assert_eq!(events, 35);
+        assert_eq!(depth, 5.0);
+    }
+
     #[test]
     fn emc_tick_sample_excludes_a_disk_completion_at_its_instant() {
         let cfg = ClusterConfig {
@@ -1294,7 +1386,7 @@ mod tests {
         let StartOutcome::Started { finish: done } = disk.try_start(SimTime::ZERO) else {
             panic!("an idle disk with queued work starts one request")
         };
-        c.queue.schedule(done, Event::Server(0, SEv::DiskDone));
+        c.queue.schedule(done, SEv::DiskDone(0));
         // One EMC tick, at exactly that completion's instant.
         c.cfg.dualpar.sample_slot = done.since(SimTime::ZERO);
         c.emc_active = true;

@@ -16,20 +16,29 @@
 
 use crate::engine::Ev;
 use crate::server::SEv;
-use dualpar_sim::{EventId, EventQueue, SimTime};
+use dualpar_sim::{EventQueue, SimTime};
 
-/// One engine event, tagged with its lane.
+/// One engine event; a server event names its server, and so its lane.
 #[derive(Debug, Clone)]
 pub(crate) enum Event {
     /// An event in the client lane.
     Client(Ev),
-    /// An event of data server `.0`.
-    Server(u32, SEv),
+    /// An event in a data server's lane.
+    Server(SEv),
 }
+
+// Every event is stored inline in the heap and moved on each sift.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 
 impl From<Ev> for Event {
     fn from(ev: Ev) -> Self {
         Event::Client(ev)
+    }
+}
+
+impl From<SEv> for Event {
+    fn from(ev: SEv) -> Self {
+        Event::Server(ev)
     }
 }
 
@@ -46,24 +55,19 @@ impl EventList {
         self.queue.now()
     }
 
-    /// Events pending in every lane.
+    /// Events pending in every lane, superseded ones included.
     pub fn len(&self) -> usize {
         self.queue.len()
     }
 
     /// Schedule `event` at `at` in its lane.
-    pub fn schedule(&mut self, at: SimTime, event: impl Into<Event>) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, event: impl Into<Event>) {
         let event = event.into();
-        let lane = match event {
+        let lane = match &event {
             Event::Client(_) => 0,
-            Event::Server(server, _) => u64::from(server) + 1,
+            Event::Server(ev) => u64::from(ev.server()) + 1,
         };
-        self.queue.schedule_ranked(at, lane, event)
-    }
-
-    /// Cancel a pending event.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
+        self.queue.schedule_ranked(at, lane, event);
     }
 
     /// Pop the next event in key order.

@@ -198,27 +198,34 @@ impl Cluster {
     /// advancing its script.
     pub(crate) fn complete_io_op(&mut self, now: SimTime, p: usize, kind: IoKind, bytes: u64) {
         let dur = now.since(self.procs[p].op_start);
-        self.procs[p].clock.record_io(dur, bytes);
-        self.procs[p].last_io_end = now;
-        self.procs[p].pos += 1;
+        self.account_io(p, now, kind, bytes);
         self.procs[p].cur_covers.clear();
-        let prog = self.procs[p].prog;
-        let program = &mut self.programs[prog];
-        program.io_time = program.io_time.saturating_add(dur);
-        match kind {
-            IoKind::Read => program.bytes_read += bytes,
-            IoKind::Write => program.bytes_written += bytes,
-        }
-        self.tele.count(
-            match kind {
-                IoKind::Read => "io.bytes_read",
-                IoKind::Write => "io.bytes_written",
-            },
-            bytes,
-        );
         self.tele.observe("io.op_secs", dur.as_secs_f64());
-        self.timeline.record(now, bytes as f64);
         self.advance(now, p);
+    }
+
+    /// Account the current I/O op of process `p` as done at `end`, moving
+    /// it past the op: its clock, its program's totals and the throughput
+    /// timeline.
+    pub(crate) fn account_io(&mut self, p: usize, end: SimTime, kind: IoKind, bytes: u64) {
+        let dur = end.since(self.procs[p].op_start);
+        self.procs[p].clock.record_io(dur, bytes);
+        self.procs[p].last_io_end = end;
+        self.procs[p].pos += 1;
+        let program = &mut self.programs[self.procs[p].prog];
+        program.io_time = program.io_time.saturating_add(dur);
+        let counter = match kind {
+            IoKind::Read => {
+                program.bytes_read += bytes;
+                "io.bytes_read"
+            }
+            IoKind::Write => {
+                program.bytes_written += bytes;
+                "io.bytes_written"
+            }
+        };
+        self.tele.count(counter, bytes);
+        self.timeline.record(end, bytes as f64);
     }
 
     // ----- collective ----------------------------------------------------

@@ -1,23 +1,28 @@
 //! One PVFS2 data server: its disk, response link, write-back buffer and
-//! the sub-requests it has in the disk path. Its events ride the cluster's
+//! the sub-requests sent to it. Its events ride the cluster's
 //! one event list in the server's own lane (see `crate::events`); the
 //! handlers here are the only code that touches this state, apart from the
 //! EMC tick's seek-window sample and the end-of-run report.
 
 use crate::config::{ClusterConfig, CtxMode, ServerWriteMode};
 use crate::engine::Ev;
-use crate::events::{Event, EventList};
+use crate::events::EventList;
 use dualpar_disk::{Disk, DiskRequest, IoCtx, IoKind, Lbn, StartOutcome};
 use dualpar_sim::{Link, SimDuration, SimTime, Slab, SlabKey};
 use dualpar_telemetry::{SpanId, Telemetry};
 
-/// One disk-bound sub-request (a resolved LBN run on one server), carried
-/// over the wire from the client. The client mints `id`s from a monotonic
-/// counter and attaches everything the server needs to complete the
-/// request autonomously: the completion group to acknowledge, the response
-/// size, and the open client-side spans (`life`/`stage`) whose lifecycle
-/// the server continues.
-#[derive(Debug, Clone)]
+/// One disk-bound sub-request (a resolved LBN run on one server). The
+/// client mints `id`s from a monotonic counter, which key its spans, and
+/// hands the record to its server at send ([`Server::admit`]): it holds
+/// everything the server needs to complete the request autonomously — the
+/// completion group to acknowledge, the response size, and the open
+/// client-side spans (`life`/`stage`) whose lifecycle the server continues.
+/// The record stays in `Server::pending` until its completion is acked,
+/// and its slab key rides the disk request as the caller tag, so a
+/// completion finds it by index. A write-back write is acknowledged at
+/// receipt and leaves the slab there: it carries [`UNTRACKED`], so a
+/// flush-daemon replay of it is a clean miss.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct SubReq {
     pub id: u64,
     pub lbn: Lbn,
@@ -30,42 +35,39 @@ pub(crate) struct SubReq {
     pub resp_bytes: u64,
     /// The sub-request's `req.life` span (INVALID when spans are off).
     pub life: SpanId,
-    /// The open `req.issue` stage span the server closes on receipt.
+    /// The open lifecycle stage: `req.issue` until receipt, then
+    /// `server.queue` and `disk.service`.
     pub stage: SpanId,
-}
-
-/// Server-side record of a sub-request that is in the disk path (queued or
-/// in service), kept in `Server::pending`. Its slab key rides the disk
-/// request as the caller tag, so a completion finds it by index.
-/// Write-back writes are acknowledged at receipt and never enter the slab:
-/// they carry [`UNTRACKED`], so a flush-daemon replay of them is a clean
-/// miss.
-#[derive(Debug, Clone, Copy)]
-struct PendingSub {
-    /// The sub-request's id, which keys its spans.
-    id: u64,
-    group: SlabKey,
-    resp_bytes: u64,
-    life: SpanId,
-    /// The currently-open lifecycle stage (`server.queue` → `disk.service`).
-    stage: SpanId,
 }
 
 /// The disk tag of a buffered write-back write: slot `u32::MAX` of a slab,
 /// which no slab grows to, so it resolves to nothing.
 const UNTRACKED: u64 = u64::MAX;
 
-/// Events in a data server's lane.
+/// Events in a data server's lane; each names its server.
 #[derive(Debug, Clone)]
 pub(crate) enum SEv {
-    /// A request message arrived at this server.
-    Recv(SubReq),
+    /// A request message arrived; `key` names its record in the server's
+    /// `pending` slab.
+    Recv { server: u32, key: SlabKey },
     /// Poke the disk (idle-anticipation timer expired).
-    DiskKick,
+    DiskKick(u32),
     /// The disk finished its in-flight request.
-    DiskDone,
+    DiskDone(u32),
     /// The write-back daemon flushes the dirty buffer.
-    Flush,
+    Flush(u32),
+}
+
+impl SEv {
+    /// The data server whose lane the event is in.
+    pub fn server(&self) -> u32 {
+        match *self {
+            SEv::Recv { server, .. }
+            | SEv::DiskKick(server)
+            | SEv::DiskDone(server)
+            | SEv::Flush(server) => server,
+        }
+    }
 }
 
 /// One data server's simulation state.
@@ -77,7 +79,7 @@ pub(crate) struct Server {
     /// Buffered (acknowledged, unflushed) writes in WriteBack mode.
     dirty: Vec<DiskRequest>,
     flush_scheduled: bool,
-    pending: Slab<PendingSub>,
+    pending: Slab<SubReq>,
     write_mode: ServerWriteMode,
     msg_header: u64,
     flush_interval: SimDuration,
@@ -109,33 +111,40 @@ impl Server {
         }
     }
 
+    /// Hold a sub-request sent to this server; the returned key names it
+    /// in the `SEv::Recv` that delivers it.
+    pub fn admit(&mut self, sub: SubReq) -> SlabKey {
+        self.pending.insert(sub)
+    }
+
     /// Static counter name for an event kind (dispatch accounting).
     pub fn ev_counter(ev: &SEv) -> &'static str {
         match ev {
-            SEv::Recv(_) => "engine.ev.server_recv",
-            SEv::DiskKick => "engine.ev.disk_kick",
-            SEv::DiskDone => "engine.ev.disk_done",
-            SEv::Flush => "engine.ev.server_flush",
+            SEv::Recv { .. } => "engine.ev.server_recv",
+            SEv::DiskKick(_) => "engine.ev.disk_kick",
+            SEv::DiskDone(_) => "engine.ev.disk_done",
+            SEv::Flush(_) => "engine.ev.server_flush",
         }
     }
 
     pub fn handle(&mut self, now: SimTime, ev: SEv, queue: &mut EventList, tele: &mut Telemetry) {
         match ev {
-            SEv::Recv(sub) => self.on_recv(now, sub, queue, tele),
-            SEv::DiskKick => {
+            SEv::Recv { key, .. } => self.on_recv(now, key, queue, tele),
+            SEv::DiskKick(_) => {
                 if !self.disk.is_busy() {
                     self.kick_disk(now, queue, tele);
                 }
             }
-            SEv::DiskDone => self.on_disk_done(now, queue, tele),
-            SEv::Flush => self.on_flush(now, queue, tele),
+            SEv::DiskDone(_) => self.on_disk_done(now, queue, tele),
+            SEv::Flush(_) => self.on_flush(now, queue, tele),
         }
     }
 
-    fn on_recv(&mut self, now: SimTime, sub: SubReq, queue: &mut EventList, tele: &mut Telemetry) {
+    fn on_recv(&mut self, now: SimTime, key: SlabKey, queue: &mut EventList, tele: &mut Telemetry) {
+        let sub = self.pending.get(key).expect("admitted at send");
         let req = DiskRequest::new(sub.id, sub.ctx, sub.kind, sub.lbn, sub.sectors, now);
-        let buffer_write = sub.kind == IoKind::Write && self.write_mode == ServerWriteMode::WriteBack;
-        if buffer_write {
+        if req.kind == IoKind::Write && self.write_mode == ServerWriteMode::WriteBack {
+            let sub = self.pending.remove(key).expect("checked");
             let req = req.with_tag(UNTRACKED);
             // Acknowledge immediately; the flush daemon owns the disk
             // write from here.
@@ -157,22 +166,15 @@ impl Server {
             if !self.flush_scheduled {
                 self.flush_scheduled = true;
                 let at = now.saturating_add(self.flush_interval);
-                queue.schedule(at, Event::Server(self.id, SEv::Flush));
+                queue.schedule(at, SEv::Flush(self.id));
             }
         } else {
-            let mut stage = SpanId::INVALID;
             if tele.spans_enabled() {
+                let sub = self.pending.get_mut(key).expect("checked");
                 let stamp = now.as_secs_f64();
                 tele.span_close(stamp, sub.stage, stamp);
-                stage = tele.span_open(stamp, stamp, "server.queue", sub.life, sub.id);
+                sub.stage = tele.span_open(stamp, stamp, "server.queue", sub.life, sub.id);
             }
-            let key = self.pending.insert(PendingSub {
-                id: sub.id,
-                group: sub.group,
-                resp_bytes: sub.resp_bytes,
-                life: sub.life,
-                stage,
-            });
             self.disk.enqueue(req.with_tag(key.raw()));
             if tele.enabled() {
                 tele.gauge_max("disk.queue_depth_max", self.disk.queued() as f64);
@@ -266,10 +268,10 @@ impl Server {
                         });
                     }
                 }
-                queue.schedule(finish, Event::Server(self.id, SEv::DiskDone));
+                queue.schedule(finish, SEv::DiskDone(self.id));
             }
             StartOutcome::Idle { until } => {
-                queue.schedule(until, Event::Server(self.id, SEv::DiskKick));
+                queue.schedule(until, SEv::DiskKick(self.id));
             }
             StartOutcome::Quiescent => {}
         }
@@ -279,6 +281,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::Event;
 
     /// A read of 8 sectors at `lbn`, acknowledged to group `id`.
     fn read(id: u64, ctx: u32, lbn: Lbn) -> SubReq {
@@ -313,12 +316,14 @@ mod tests {
             read(2, 2, 116),
             read(3, 3, 100),
         ] {
-            server.handle(SimTime::ZERO, SEv::Recv(sub), &mut queue, &mut tele);
+            let key = server.admit(sub);
+            let recv = SEv::Recv { server: 0, key };
+            server.handle(SimTime::ZERO, recv, &mut queue, &mut tele);
         }
         let mut acks = Vec::new();
         while let Some((now, ev)) = queue.pop() {
             match ev {
-                Event::Server(_, sev) => server.handle(now, sev, &mut queue, &mut tele),
+                Event::Server(sev) => server.handle(now, sev, &mut queue, &mut tele),
                 Event::Client(Ev::SubDone { group }) => acks.push(group.raw()),
                 Event::Client(other) => panic!("unexpected client event {other:?}"),
             }

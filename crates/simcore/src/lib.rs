@@ -4,8 +4,8 @@
 //! reproduction. Provides:
 //!
 //! * [`time`] — integer-nanosecond simulated clock types;
-//! * [`fel`] — a stable-FIFO future-event list with eager generational
-//!   cancellation (binary heap over a slab);
+//! * [`fel`] — a stable-FIFO future-event list (one binary heap with the
+//!   payloads inline);
 //! * [`rng`] — labelled deterministic random streams;
 //! * [`stats`] — time series and exact percentiles;
 //! * [`resource`] — FIFO resources and latency/bandwidth links;
@@ -19,8 +19,6 @@
 //! hard guarantee (same seed ⇒ bit-identical run), which the property tests
 //! in `tests/` enforce.
 
-#[cfg(test)]
-pub(crate) mod event;
 pub mod fel;
 pub mod hash;
 pub mod pool;
@@ -57,7 +55,7 @@ macro_rules! strict_assert_eq {
     };
 }
 
-pub use fel::{EventId, EventQueue};
+pub use fel::EventQueue;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use pool::{
     default_jobs, parallel_map, parallel_map_prioritized, run_with_deadline, DeadlineError,

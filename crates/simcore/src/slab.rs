@@ -2,7 +2,7 @@
 //! detection.
 //!
 //! The engine's hot path allocates short-lived records (I/O completion
-//! groups, the future-event list's pending events) at a very high rate.
+//! groups, the sub-requests each data server holds) at a very high rate.
 //! Keying them by monotonically growing ids in an `FxHashMap` puts a hash
 //! probe (and, amortised, a rehash) on every simulated I/O event. A slab
 //! stores the records in a plain `Vec` and hands out [`SlabKey`] handles
@@ -10,15 +10,14 @@
 //! bounds-checked index plus one integer compare, and freed slots are
 //! reused through a free list without ever aliasing an old handle.
 //!
-//! Stale handles are a real hazard here, not a theoretical one: a cancelled
-//! event leaves its key behind in the event heap, and a later insert may
-//! reuse the slot. Under a naive reuse scheme that leftover key would alias
-//! the *new* payload and deliver it early or twice. (Sub-request ids are not
-//! slab keys: they come from a monotonic counter. Each data server keeps
-//! its in-flight sub-requests in a slab of its own and hands the key to the
-//! disk as the request's tag; buffered write-back writes carry a tag past
-//! any slot, so a flush that replays one misses there.) The generation
-//! check makes a stale lookup miss deterministically:
+//! A key outlives its record wherever a layer keeps it after the slab let
+//! go, and a later insert may reuse the slot; under a naive reuse scheme
+//! that leftover key would alias the *new* record. (Sub-request ids are not
+//! slab keys: they come from a monotonic counter. A data server keeps each
+//! sub-request in a slab of its own from send to completion and hands the
+//! key to the disk as the request's tag; buffered write-back writes carry
+//! a tag past any slot, so a flush that replays one misses there.) The
+//! generation check makes a stale lookup miss deterministically:
 //! [`Slab::get`]/[`Slab::remove`] on a stale key return `None`, and a key
 //! whose generation is *ahead* of its slot — impossible unless the key was
 //! forged or the slab corrupted — panics under `strict-invariants` (and in
@@ -129,12 +128,6 @@ impl<T> Slab<T> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total slots allocated (live + free-listed).
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Store `value`, returning its key. Reuses the most recently freed

@@ -24,30 +24,6 @@ proptest! {
         prop_assert_eq!(popped, (0..times.len()).collect::<Vec<_>>());
     }
 
-    /// Cancelled events are never delivered; everything else is.
-    #[test]
-    fn event_queue_cancellation(
-        times in proptest::collection::vec(0u64..1000, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times.iter().enumerate()
-            .map(|(i, &t)| (i, q.schedule(SimTime(t), i)))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, id) in &ids {
-            if cancel_mask.get(*i).copied().unwrap_or(false) {
-                q.cancel(*id);
-            } else {
-                expected.push(*i);
-            }
-        }
-        let mut seen: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|(_, i)| i).collect();
-        seen.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(seen, expected);
-    }
-
     /// A FIFO resource is work-conserving and never overlaps service
     /// intervals; total busy time equals the sum of service demands.
     #[test]
