@@ -203,7 +203,9 @@ fn latency_metrics(report: &Value) -> Vec<(String, f64)> {
     let Some(profile) = profile else { return out };
     if let Some(stages) = map_at(profile, &["stage_latency"]) {
         for (stage, summary) in stages {
-            let Some(fields) = summary.as_map() else { continue };
+            let Some(fields) = summary.as_map() else {
+                continue;
+            };
             for q in ["p50", "p99"] {
                 if let Some(v) = find_field(fields, q).and_then(as_f64) {
                     out.push((format!("stage.{stage}.{q}"), v));
@@ -211,10 +213,15 @@ fn latency_metrics(report: &Value) -> Vec<(String, f64)> {
             }
         }
     }
-    if let Some(rows) = profile.as_map().and_then(|m| find_field(m, "time_in_state")) {
+    if let Some(rows) = profile
+        .as_map()
+        .and_then(|m| find_field(m, "time_in_state"))
+    {
         let mut by_state: Vec<(String, f64)> = Vec::new();
         for row in rows.as_seq().into_iter().flatten() {
-            let Some(states) = map_at(row, &["seconds"]) else { continue };
+            let Some(states) = map_at(row, &["seconds"]) else {
+                continue;
+            };
             for (state, secs) in states {
                 if state == "proc.compute" {
                     continue;
@@ -364,9 +371,7 @@ pub struct SuiteRunDelta {
 impl SuiteRunDelta {
     /// Did this entry preserve determinism (and complete) in the new run?
     pub fn ok(&self) -> bool {
-        self.new_error.is_none()
-            && self.old_events == self.new_events
-            && self.fingerprint_match
+        self.new_error.is_none() && self.old_events == self.new_events && self.fingerprint_match
     }
 }
 
@@ -416,7 +421,11 @@ impl SuiteDiff {
             out.push_str("\",\"ok\":");
             out.push_str(if r.ok() { "true" } else { "false" });
             out.push_str(",\"events_match\":");
-            out.push_str(if r.old_events == r.new_events { "true" } else { "false" });
+            out.push_str(if r.old_events == r.new_events {
+                "true"
+            } else {
+                "false"
+            });
             out.push_str(",\"fingerprint_match\":");
             out.push_str(if r.fingerprint_match { "true" } else { "false" });
             out.push_str(",\"old_rate\":");

@@ -66,8 +66,8 @@ pub fn audited_kinds() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-use dualpar_telemetry::{FieldValue, TraceBuffer};
 use dualpar_sim::{FxHashMap as HashMap, FxHashSet as HashSet};
+use dualpar_telemetry::{FieldValue, TraceBuffer};
 use std::fmt;
 
 /// One dynamically-typed field of a parsed trace event.
@@ -179,7 +179,10 @@ struct JsonParser<'a> {
 
 impl<'a> JsonParser<'a> {
     fn new(s: &'a str) -> Self {
-        JsonParser { s: s.as_bytes(), i: 0 }
+        JsonParser {
+            s: s.as_bytes(),
+            i: 0,
+        }
     }
 
     fn ws(&mut self) {
@@ -198,10 +201,7 @@ impl<'a> JsonParser<'a> {
             self.i += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                b as char, self.i
-            ))
+            Err(format!("expected '{}' at byte {}", b as char, self.i))
         }
     }
 
@@ -624,7 +624,10 @@ impl Auditor {
             self.flag(
                 ev.t,
                 "monotone-time",
-                format!("timestamp {} precedes previous event at {}", ev.t, self.last_t),
+                format!(
+                    "timestamp {} precedes previous event at {}",
+                    ev.t, self.last_t
+                ),
             );
         } else {
             self.last_t = ev.t;
@@ -896,12 +899,9 @@ impl Auditor {
     }
 
     fn on_span_open(&mut self, ev: &AuditEvent) {
-        let (Some(id), Some(name), Some(key), Some(at)) = (
-            ev.u64("id"),
-            ev.str("name"),
-            ev.u64("key"),
-            ev.num("at"),
-        ) else {
+        let (Some(id), Some(name), Some(key), Some(at)) =
+            (ev.u64("id"), ev.str("name"), ev.u64("key"), ev.num("at"))
+        else {
             self.flag(ev.t, "malformed", "span/open missing fields".to_string());
             return;
         };
@@ -976,11 +976,7 @@ impl Auditor {
         };
         let Some(span) = self.open_spans.remove(&id) else {
             if self.closed_spans.contains_key(&id) {
-                self.flag(
-                    ev.t,
-                    "span-pairing",
-                    format!("span id {id} closed twice"),
-                );
+                self.flag(ev.t, "span-pairing", format!("span id {id} closed twice"));
             } else if self.cfg.tolerate_truncation {
                 // Its open may be in the dropped prefix.
                 self.warnings += 1;
@@ -1071,7 +1067,9 @@ impl Auditor {
                 index: at,
                 t: self.last_t,
                 check: "pec-pairing",
-                message: format!("proc {proc} still suspended at end of trace (suspend at event {at})"),
+                message: format!(
+                    "proc {proc} still suspended at end of trace (suspend at event {at})"
+                ),
             });
         }
         let mut open: Vec<(u64, OpenSpan)> = self.open_spans.drain().collect();
@@ -1201,7 +1199,8 @@ mod tests {
     #[test]
     fn flags_span_pairing_and_order_errors() {
         // Close without open.
-        let r = audit("{\"t\":0.1,\"component\":\"span\",\"kind\":\"close\",\"id\":9,\"at\":0.1}\n");
+        let r =
+            audit("{\"t\":0.1,\"component\":\"span\",\"kind\":\"close\",\"id\":9,\"at\":0.1}\n");
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].check, "span-pairing");
         // …downgraded to a warning under truncation tolerance.
@@ -1406,9 +1405,9 @@ mod tests {
              {\"t\":1.0,\"component\":\"emc\",\"kind\":\"config\"}\n",
         );
         let json = r.to_json();
-        assert!(
-            json.starts_with("{\"events\":2,\"warnings\":0,\"ok\":false,\"violations\":[{\"index\":1,")
-        );
+        assert!(json.starts_with(
+            "{\"events\":2,\"warnings\":0,\"ok\":false,\"violations\":[{\"index\":1,"
+        ));
         // The summary itself must parse with our own parser (it is flat
         // except for the violations array, so check the key bits).
         assert!(json.contains("\"check\":\"monotone-time\""));

@@ -62,14 +62,10 @@ fn cmd_trace(args: &[String]) -> Result<bool, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => {
-                json_out = Some(PathBuf::from(
-                    it.next().ok_or("--json needs a path")?,
-                ));
+                json_out = Some(PathBuf::from(it.next().ok_or("--json needs a path")?));
             }
             "--baseline" => {
-                baseline_path = Some(PathBuf::from(
-                    it.next().ok_or("--baseline needs a path")?,
-                ));
+                baseline_path = Some(PathBuf::from(it.next().ok_or("--baseline needs a path")?));
             }
             "--max-regress-pct" => {
                 max_regress_pct = it
@@ -92,8 +88,8 @@ fn cmd_trace(args: &[String]) -> Result<bool, String> {
     }
     let text = fs::read_to_string(&trace_path)
         .map_err(|e| format!("reading {}: {e}", trace_path.display()))?;
-    let report = audit_jsonl_str(&text, cfg)
-        .map_err(|e| format!("{}: {e}", trace_path.display()))?;
+    let report =
+        audit_jsonl_str(&text, cfg).map_err(|e| format!("{}: {e}", trace_path.display()))?;
     for v in &report.violations {
         println!(
             "violation at event {} (t={}): [{}] {}",
@@ -126,10 +122,10 @@ fn cmd_baseline(
     max_regress_pct: f64,
     json_out: Option<&std::path::Path>,
 ) -> Result<bool, String> {
-    let old = fs::read_to_string(old_path)
-        .map_err(|e| format!("reading {}: {e}", old_path.display()))?;
-    let new = fs::read_to_string(new_path)
-        .map_err(|e| format!("reading {}: {e}", new_path.display()))?;
+    let old =
+        fs::read_to_string(old_path).map_err(|e| format!("reading {}: {e}", old_path.display()))?;
+    let new =
+        fs::read_to_string(new_path).map_err(|e| format!("reading {}: {e}", new_path.display()))?;
     let diff = baseline::diff_strs_auto(&old, &new, max_regress_pct)?;
     print!("{}", diff.render_text());
     let json = diff.to_json();

@@ -80,11 +80,11 @@
 //! `suite --spec` also accepts a whole-suite document,
 //! `{"entries": [{"name": ..., "spec": {...}}, ...]}`.
 
+use dualpar_bench::figures::FigureRun;
 use dualpar_bench::suite::{
     builtin_suite, entries_from_spec_json, filter_entries, run_entry, run_suite_entries,
     summarize_results, Scale,
 };
-use dualpar_bench::figures::FigureRun;
 use dualpar_bench::{build_cluster, ExperimentSpec};
 use dualpar_cluster::TelemetryLevel;
 use std::time::{Duration, Instant};
@@ -342,7 +342,10 @@ fn run_suite_command(mut args: Vec<String>) {
             let Ok(pooled) = pooled else { continue };
             let serial = run_entry(entry);
             if serial.report_json != pooled.report_json {
-                eprintln!("DETERMINISM VIOLATION: {} differs from its serial twin", entry.name);
+                eprintln!(
+                    "DETERMINISM VIOLATION: {} differs from its serial twin",
+                    entry.name
+                );
                 mismatches += 1;
             }
             walls.push(serial.wall_secs);

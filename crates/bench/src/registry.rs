@@ -199,15 +199,42 @@ fn de<T: Deserialize + Workload + 'static>(v: &Value) -> Result<Box<dyn Workload
 /// Every registered preset. Linear scan is fine: specs are parsed once and
 /// the table has single digits of rows.
 pub static PRESETS: &[PresetEntry] = &[
-    PresetEntry { tag: "mpi_io_test", de: de::<MpiIoTest> },
-    PresetEntry { tag: "hpio", de: de::<Hpio> },
-    PresetEntry { tag: "ior_mpi_io", de: de::<IorMpiIo> },
-    PresetEntry { tag: "noncontig", de: de::<Noncontig> },
-    PresetEntry { tag: "s3asim", de: de::<S3asim> },
-    PresetEntry { tag: "btio", de: de::<Btio> },
-    PresetEntry { tag: "demo", de: de::<Demo> },
-    PresetEntry { tag: "dependent_reader", de: de::<DependentReader> },
-    PresetEntry { tag: "trace_replay", de: de::<TraceReplay> },
+    PresetEntry {
+        tag: "mpi_io_test",
+        de: de::<MpiIoTest>,
+    },
+    PresetEntry {
+        tag: "hpio",
+        de: de::<Hpio>,
+    },
+    PresetEntry {
+        tag: "ior_mpi_io",
+        de: de::<IorMpiIo>,
+    },
+    PresetEntry {
+        tag: "noncontig",
+        de: de::<Noncontig>,
+    },
+    PresetEntry {
+        tag: "s3asim",
+        de: de::<S3asim>,
+    },
+    PresetEntry {
+        tag: "btio",
+        de: de::<Btio>,
+    },
+    PresetEntry {
+        tag: "demo",
+        de: de::<Demo>,
+    },
+    PresetEntry {
+        tag: "dependent_reader",
+        de: de::<DependentReader>,
+    },
+    PresetEntry {
+        tag: "trace_replay",
+        de: de::<TraceReplay>,
+    },
 ];
 
 /// All registered tags, for error messages and docs.

@@ -81,11 +81,7 @@ impl WorkloadSpec {
 
     /// Create the workload's backing files on `cluster` (suffixed with
     /// `label`) and compile its program script.
-    pub fn materialize(
-        &self,
-        cluster: &mut Cluster,
-        label: &str,
-    ) -> dualpar_mpiio::ProgramScript {
+    pub fn materialize(&self, cluster: &mut Cluster, label: &str) -> dualpar_mpiio::ProgramScript {
         match self {
             WorkloadSpec::Named(w) => w.materialize(cluster, label),
             WorkloadSpec::Dsl(d) => {
@@ -304,8 +300,7 @@ pub fn build_cluster(spec: &ExperimentSpec) -> Cluster {
             let workload = stream.workload.reseeded(inst as u64);
             let script = workload.materialize(&mut cluster, &format!("a{ai}-{inst}"));
             cluster.add_program(
-                ProgramSpec::new(script, stream.strategy)
-                    .starting_at(SimTime::from_secs_f64(t)),
+                ProgramSpec::new(script, stream.strategy).starting_at(SimTime::from_secs_f64(t)),
             );
         }
     }
@@ -315,9 +310,7 @@ pub fn build_cluster(spec: &ExperimentSpec) -> Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dualpar_workloads::{
-        AccessPattern, ArrivalProcess, Demo, OffsetDistr, WorkloadExpr,
-    };
+    use dualpar_workloads::{AccessPattern, ArrivalProcess, Demo, OffsetDistr, WorkloadExpr};
 
     #[test]
     fn default_spec_round_trips_through_json() {

@@ -25,8 +25,8 @@
 use crate::spec::{build_cluster, expected_cost, ExperimentSpec, ProgramEntry, WorkloadSpec};
 use dualpar_cluster::prelude::IoKind;
 use dualpar_cluster::{IoStrategy, RunReport, TelemetryLevel};
-use dualpar_sim::{run_with_deadline, DeadlineError, FxHasher};
 pub use dualpar_sim::{parallel_map, parallel_map_prioritized};
+use dualpar_sim::{run_with_deadline, DeadlineError, FxHasher};
 use dualpar_workloads::{Btio, Hpio, IorMpiIo, MpiIoTest, Noncontig, S3asim};
 use serde::{Deserialize, Serialize};
 use std::hash::Hasher;
@@ -125,7 +125,10 @@ pub fn run_parallel(entries: &[SuiteEntry], jobs: usize) -> Vec<SuiteRun> {
         .into_iter()
         .map(|r| match r {
             Ok(run) => run,
-            Err(f) => unreachable!("{}: failure without a deadline configured: {}", f.name, f.error),
+            Err(f) => unreachable!(
+                "{}: failure without a deadline configured: {}",
+                f.name, f.error
+            ),
         })
         .collect()
 }
@@ -233,10 +236,7 @@ pub fn filter_entries(entries: Vec<SuiteEntry>, filter: &str, exact: bool) -> Ve
 /// (`{"entries": [{"name": ..., "spec": {...}}, ...]}`) or a bare
 /// [`ExperimentSpec`], which becomes a single entry named `fallback_name`.
 /// Every spec is schema-migrated and validated on the way in.
-pub fn entries_from_spec_json(
-    json: &str,
-    fallback_name: &str,
-) -> Result<Vec<SuiteEntry>, String> {
+pub fn entries_from_spec_json(json: &str, fallback_name: &str) -> Result<Vec<SuiteEntry>, String> {
     let doc: serde::Value =
         serde_json::from_str(json).map_err(|e| format!("invalid spec JSON: {e}"))?;
     let suite_entries = doc
@@ -685,7 +685,10 @@ mod tests {
         assert_eq!(summary.runs.len(), 2);
         let failed = &summary.runs[0];
         assert_eq!(failed.name, "hung_entry");
-        assert_eq!(failed.error.as_deref(), Some("timed out after 1.0s wall-clock"));
+        assert_eq!(
+            failed.error.as_deref(),
+            Some("timed out after 1.0s wall-clock")
+        );
         assert_eq!(failed.sim_events, 0);
         assert!(failed.report_fingerprint.is_empty());
         let ok = &summary.runs[1];

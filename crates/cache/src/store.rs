@@ -223,7 +223,10 @@ impl PrefetchLedger {
     )]
     pub fn balanced(&self) -> bool {
         self.inserted
-            == self.consumed + self.overwritten + self.evicted + self.misprefetched
+            == self.consumed
+                + self.overwritten
+                + self.evicted
+                + self.misprefetched
                 + self.unused_now
     }
 }
@@ -927,7 +930,10 @@ mod tests {
         c.put_write(OwnerId(1), f(2), FileRegion::new(0, 1000), SimTime::ZERO);
         let evicted = c.evict_idle(SimTime::from_secs(60));
         assert_eq!(evicted, 1000); // only the clean chunk
-        assert!(!c.read(f(1), FileRegion::new(0, 1000), SimTime::from_secs(60)).hit);
+        assert!(
+            !c.read(f(1), FileRegion::new(0, 1000), SimTime::from_secs(60))
+                .hit
+        );
         assert_eq!(c.dirty_bytes(), 1000);
         assert_eq!(c.usage(OwnerId(1)), 1000);
     }
@@ -975,8 +981,18 @@ mod tests {
             );
         }
         assert!(c.node_bytes(NodeId(0)) <= 2 * CHUNK);
-        assert!(!c.read(f(1), FileRegion::new(0, CHUNK), SimTime::from_secs(9)).hit);
-        assert!(c.read(f(1), FileRegion::new(2 * CHUNK, CHUNK), SimTime::from_secs(9)).hit);
+        assert!(
+            !c.read(f(1), FileRegion::new(0, CHUNK), SimTime::from_secs(9))
+                .hit
+        );
+        assert!(
+            c.read(
+                f(1),
+                FileRegion::new(2 * CHUNK, CHUNK),
+                SimTime::from_secs(9)
+            )
+            .hit
+        );
         assert_eq!(c.usage(OwnerId(1)), 2 * CHUNK);
     }
 
@@ -989,7 +1005,12 @@ mod tests {
             node_capacity: CHUNK,
         });
         c.put_write(OwnerId(1), f(1), FileRegion::new(0, CHUNK), SimTime::ZERO);
-        c.put_write(OwnerId(1), f(1), FileRegion::new(CHUNK, CHUNK), SimTime::from_secs(1));
+        c.put_write(
+            OwnerId(1),
+            f(1),
+            FileRegion::new(CHUNK, CHUNK),
+            SimTime::from_secs(1),
+        );
         // Over capacity, but both chunks are dirty: nothing may be lost.
         assert_eq!(c.dirty_bytes(), 2 * CHUNK);
         assert!(c.node_bytes(NodeId(0)) > CHUNK);
@@ -1044,11 +1065,7 @@ mod tests {
     #[test]
     fn owner_charges_stay_sorted_and_unique() {
         let shuffled = [5u64, 2, 7, 0, 3, 6, 1, 4];
-        let orders: [Vec<u64>; 3] = [
-            (0..8).rev().collect(),
-            (0..8).collect(),
-            shuffled.to_vec(),
-        ];
+        let orders: [Vec<u64>; 3] = [(0..8).rev().collect(), (0..8).collect(), shuffled.to_vec()];
         for order in orders {
             let mut c = cache(1);
             let mut homes = Vec::new();

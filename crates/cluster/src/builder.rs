@@ -31,9 +31,9 @@ use crate::metrics::RunReport;
 use dualpar_disk::SchedulerKind;
 use dualpar_mpiio::ProgramScript;
 use dualpar_pfs::FileId;
+use dualpar_sim::FxHashSet;
 use dualpar_sim::SimTime;
 use dualpar_telemetry::{TelemetryConfig, TelemetryLevel};
-use dualpar_sim::FxHashSet;
 
 /// Why an [`Experiment`] could not be assembled.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -411,11 +411,7 @@ mod tests {
 
     #[test]
     fn program_instances_admits_one_program_per_start() {
-        let starts = [
-            SimTime::ZERO,
-            SimTime::from_secs(1),
-            SimTime::from_secs(2),
-        ];
+        let starts = [SimTime::ZERO, SimTime::from_secs(1), SimTime::from_secs(2)];
         let report = Experiment::darwin()
             .servers(3)
             .file("a", 1 << 20)
@@ -431,7 +427,10 @@ mod tests {
         assert_eq!(report.programs.len(), 3);
         for (i, p) in report.programs.iter().enumerate() {
             assert_eq!(p.name, format!("inst-{i}"));
-            assert!(p.start >= starts[i], "instance {i} started before its arrival");
+            assert!(
+                p.start >= starts[i],
+                "instance {i} started before its arrival"
+            );
         }
     }
 

@@ -83,7 +83,8 @@ impl Cluster {
         homes.clear();
         // One cache insert per (run, chunk): a strided call is one run.
         for run in call.regions.runs() {
-            self.cache.put_write_strided(owner, call.file, run, now, &mut homes);
+            self.cache
+                .put_write_strided(owner, call.file, run, now, &mut homes);
         }
         let latency = self.cache_access_time(node, &homes);
         self.homes_scratch = homes;
@@ -329,8 +330,7 @@ impl Cluster {
         // Prefetch plan from the ghost recordings.
         let recordings = std::mem::take(&mut self.programs[prog].recordings);
         // Re-insert attribution later: build the plan from bare regions.
-        let bare: Vec<(FileId, FileRegion)> =
-            recordings.iter().map(|&(_, f, r)| (f, r)).collect();
+        let bare: Vec<(FileId, FileRegion)> = recordings.iter().map(|&(_, f, r)| (f, r)).collect();
         let recorded_n = bare.len() as u64;
         let pf = plan_prefetch(&self.cfg.dualpar, bare);
         // Phase + coalescing telemetry: pre-execution duration, staged batch
@@ -575,11 +575,7 @@ impl Cluster {
     /// scheduler struggles to reorder.
     fn s2_launch_prefetch(&mut self, now: SimTime, p: usize) {
         let start = self.procs[p].ghost_pos.max(self.procs[p].pos);
-        let run = ghost_walk(
-            &self.procs[p].script,
-            start,
-            self.cfg.dualpar.cache_quota,
-        );
+        let run = ghost_walk(&self.procs[p].script, start, self.cfg.dualpar.cache_quota);
         self.procs[p].ghost_pos = run.end_pos;
         // Every recorded region becomes "in flight" immediately (readers
         // can wait on it), but actual issuance is flow-controlled by the

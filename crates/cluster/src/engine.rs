@@ -5,17 +5,17 @@
 
 use crate::builder::ExperimentError;
 use crate::config::{ClusterConfig, CtxMode, IoStrategy, ProgramSpec};
-use crate::metrics::{ModeEvent, ProgramReport, RunReport};
 use crate::events::{Event, EventList};
+use crate::metrics::{ModeEvent, ProgramReport, RunReport};
 use crate::server::{SEv, Server, SubReq};
 use dualpar_cache::{CacheConfig, GlobalCache, NodeId, OwnerId};
 use dualpar_core::{Emc, ExecMode, IoClock, ProgramId, ReqDistTracker};
 use dualpar_disk::{Disk, IoCtx, IoKind};
 use dualpar_mpiio::{CoalescedIo, Op, ProcessScript, Regions};
 use dualpar_pfs::{FileId, FileRegion, Pvfs, ResolvedIo};
+use dualpar_sim::{FxHashMap, FxHashSet};
 use dualpar_sim::{Link, SimDuration, SimTime, Slab, SlabKey, TimeSeries};
 use dualpar_telemetry::{SpanId, SpanProfile, Telemetry};
-use dualpar_sim::{FxHashMap, FxHashSet};
 
 /// Safety valve: a single experiment should never need more events.
 const MAX_EVENTS: u64 = 2_000_000_000;
@@ -44,7 +44,9 @@ pub(crate) enum Ev {
 #[derive(Debug, Clone)]
 pub(crate) enum Purpose {
     /// One region of a vanilla (independent, synchronous) call.
-    VanillaRegion { proc: usize },
+    VanillaRegion {
+        proc: usize,
+    },
     /// A Strategy-2 prefetch of a single predicted region.
     S2Prefetch {
         proc: usize,
@@ -52,17 +54,32 @@ pub(crate) enum Purpose {
         region: FileRegion,
     },
     /// Direct fetch issued after a mis-predicted region was detected.
-    DirectFetch { proc: usize },
+    DirectFetch {
+        proc: usize,
+    },
     /// All aggregator accesses of one collective call.
-    CollIo { prog: usize },
+    CollIo {
+        prog: usize,
+    },
     /// Collective shuffle phase finished (modelled as a delay event).
-    CollResume { prog: usize },
+    CollResume {
+        prog: usize,
+    },
     /// DualPar phase stages, in order.
-    PhaseFill { prog: usize },
-    PhaseWriteback { prog: usize },
-    PhasePrefetch { prog: usize },
+    PhaseFill {
+        prog: usize,
+    },
+    PhaseWriteback {
+        prog: usize,
+    },
+    PhasePrefetch {
+        prog: usize,
+    },
     /// Stand-alone write-back (program completion or mode revert).
-    FlushWriteback { prog: usize, finalize: bool },
+    FlushWriteback {
+        prog: usize,
+        finalize: bool,
+    },
 }
 
 impl Purpose {
@@ -107,9 +124,13 @@ pub(crate) enum PState {
     /// Suspended in a data-driven phase. `retry_op` says whether the
     /// current op must be re-executed on resume (read miss) or was already
     /// applied (write that filled the cache).
-    Suspended { retry_op: bool },
+    Suspended {
+        retry_op: bool,
+    },
     /// Strategy 2: waiting for in-flight prefetches covering the op.
-    S2Wait { op: usize },
+    S2Wait {
+        op: usize,
+    },
     Done,
 }
 
@@ -187,7 +208,9 @@ fn pstate_span_name(state: &PState) -> Option<&'static str> {
 pub(crate) enum Phase {
     Normal,
     /// Ghosts running; waiting for every live process to block and record.
-    PreExec { waiting_ghosts: usize },
+    PreExec {
+        waiting_ghosts: usize,
+    },
     /// Batch stages in flight.
     Fill,
     Writeback,
@@ -561,7 +584,6 @@ impl Cluster {
         }
     }
 
-
     /// Time to move the listed `(home, bytes)` chunks between this compute
     /// node and the cache. Accesses are batched per home node (a Memcached
     /// multi-get/multi-set): one round trip per distinct remote node plus
@@ -639,13 +661,21 @@ impl Cluster {
         let key = proc_span_key(self.procs[p].prog, self.procs[p].rank);
         self.tele
             .span_close(stamp, self.procs[p].state_span, from.as_secs_f64());
-        let blocked = self
-            .tele
-            .span_open(stamp, from.as_secs_f64(), "proc.blocked_io", SpanId::INVALID, key);
+        let blocked = self.tele.span_open(
+            stamp,
+            from.as_secs_f64(),
+            "proc.blocked_io",
+            SpanId::INVALID,
+            key,
+        );
         self.tele.span_close(stamp, blocked, until.as_secs_f64());
-        self.procs[p].state_span =
-            self.tele
-                .span_open(stamp, until.as_secs_f64(), "proc.compute", SpanId::INVALID, key);
+        self.procs[p].state_span = self.tele.span_open(
+            stamp,
+            until.as_secs_f64(),
+            "proc.compute",
+            SpanId::INVALID,
+            key,
+        );
         self.procs[p].state_span_name = Some("proc.compute");
     }
 
@@ -698,7 +728,9 @@ impl Cluster {
                 // issue at jittered future instants); stamp with the clock.
                 let stamp = self.queue.now().as_secs_f64();
                 let at = now.as_secs_f64();
-                life = self.tele.span_open(stamp, at, "req.life", SpanId::INVALID, id);
+                life = self
+                    .tele
+                    .span_open(stamp, at, "req.life", SpanId::INVALID, id);
                 stage = self.tele.span_open(stamp, at, "req.issue", life, id);
             }
             let deliver = self.node_links[node as usize].send(now, req_msg);
@@ -1021,7 +1053,8 @@ impl Cluster {
         self.tele.count("cache.read_hits", cs.read_hits);
         self.tele
             .count("cache.read_misses", cs.read_probes - cs.read_hits);
-        self.tele.count("cache.bytes_prefetched", cs.bytes_prefetched);
+        self.tele
+            .count("cache.bytes_prefetched", cs.bytes_prefetched);
         self.tele.count("cache.bytes_written", cs.bytes_written);
         self.tele.count("cache.bytes_evicted", cs.bytes_evicted);
         self.tele.gauge_set("cache.dirty_hwm", cs.dirty_hwm as f64);
@@ -1127,7 +1160,10 @@ impl Cluster {
     }
 
     /// Drain dirty cache data belonging to the given files only.
-    pub(crate) fn drain_dirty_for(&mut self, files: &FxHashSet<FileId>) -> Vec<(FileId, FileRegion)> {
+    pub(crate) fn drain_dirty_for(
+        &mut self,
+        files: &FxHashSet<FileId>,
+    ) -> Vec<(FileId, FileRegion)> {
         // The cache drains everything; re-buffer what belongs to others.
         // (Programs touch disjoint files in all experiments, so the
         // re-buffer path is rare; correctness is what matters.)
@@ -1381,8 +1417,22 @@ mod tests {
         // Two reads far apart on the one disk: the first is dispatched at
         // 0, the second when the first completes, at `done`.
         let disk = &mut c.servers[0].disk;
-        disk.enqueue(DiskRequest::new(1, IoCtx(0), IoKind::Read, 1 << 20, 8, SimTime::ZERO));
-        disk.enqueue(DiskRequest::new(2, IoCtx(0), IoKind::Read, 1 << 26, 8, SimTime::ZERO));
+        disk.enqueue(DiskRequest::new(
+            1,
+            IoCtx(0),
+            IoKind::Read,
+            1 << 20,
+            8,
+            SimTime::ZERO,
+        ));
+        disk.enqueue(DiskRequest::new(
+            2,
+            IoCtx(0),
+            IoKind::Read,
+            1 << 26,
+            8,
+            SimTime::ZERO,
+        ));
         let StartOutcome::Started { finish: done } = disk.try_start(SimTime::ZERO) else {
             panic!("an idle disk with queued work starts one request")
         };

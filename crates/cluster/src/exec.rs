@@ -308,7 +308,8 @@ impl Cluster {
             + SimDuration::for_transfer(per_node, self.cfg.net_bandwidth);
         let group = self.new_group(Purpose::CollResume { prog });
         self.groups.get_mut(group).expect("new group").remaining = 1;
-        self.queue.schedule(now.saturating_add(exchange), Ev::SubDone { group });
+        self.queue
+            .schedule(now.saturating_add(exchange), Ev::SubDone { group });
     }
 
     pub(crate) fn coll_resume(&mut self, now: SimTime, prog: usize) {
@@ -370,9 +371,7 @@ impl Cluster {
             Purpose::PhaseFill { prog } => self.phase_fill_done(now, prog),
             Purpose::PhaseWriteback { prog } => self.phase_writeback_done(now, prog),
             Purpose::PhasePrefetch { prog } => self.phase_prefetch_done(now, prog),
-            Purpose::FlushWriteback { prog, finalize } => {
-                self.flush_done(now, prog, finalize)
-            }
+            Purpose::FlushWriteback { prog, finalize } => self.flush_done(now, prog, finalize),
         }
     }
 }

@@ -19,11 +19,11 @@ pub mod metrics;
 
 pub use builder::{Experiment, ExperimentError};
 pub use config::{ClusterConfig, CtxMode, IoStrategy, ProgramSpec, ServerWriteMode};
-pub use engine::Cluster;
-pub use metrics::{ModeEvent, ProgramReport, RunReport};
 pub use dualpar_telemetry::{
     folded, SpanProfile, Telemetry, TelemetryConfig, TelemetryLevel, TelemetrySnapshot,
 };
+pub use engine::Cluster;
+pub use metrics::{ModeEvent, ProgramReport, RunReport};
 
 /// One-line import for experiment scripts: `use dualpar_cluster::prelude::*;`.
 pub mod prelude {

@@ -84,7 +84,11 @@ pub fn plan_writeback(cfg: &DualParConfig, dirty: Vec<(FileId, FileRegion)>) -> 
             }
             cursor = u.end();
         }
-        debug_assert_eq!(cursor, w.cover.end(), "useful regions must tile the cover ends");
+        debug_assert_eq!(
+            cursor,
+            w.cover.end(),
+            "useful regions must tile the cover ends"
+        );
     }
     let packs = pack_list_io(&writes, cfg.list_io_pack).len();
     WritebackPlan {
@@ -168,10 +172,7 @@ mod tests {
 
     #[test]
     fn distant_writes_stay_separate() {
-        let dirty = vec![
-            (FileId(1), r(0, 1000)),
-            (FileId(1), r(100 << 20, 1000)),
-        ];
+        let dirty = vec![(FileId(1), r(0, 1000)), (FileId(1), r(100 << 20, 1000))];
         let plan = plan_writeback(&cfg(), dirty);
         assert_eq!(plan.writes.len(), 2);
         assert!(plan.fill_reads.is_empty());

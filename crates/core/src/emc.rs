@@ -20,8 +20,8 @@
 
 use crate::config::{DualParConfig, ProgramId};
 use dualpar_disk::SECTOR_BYTES;
-use serde::Serialize;
 use dualpar_sim::FxHashMap;
+use serde::Serialize;
 
 /// The execution mode of a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -170,7 +170,11 @@ impl Emc {
         // pressure; a tiny ReqDist with a large SeekDist is the strongest
         // signal.
         let improvement = match (ave_seek, ave_req) {
-            (Some(s), Some(r)) => Some(if r <= f64::EPSILON { f64::INFINITY } else { s / r }),
+            (Some(s), Some(r)) => Some(if r <= f64::EPSILON {
+                f64::INFINITY
+            } else {
+                s / r
+            }),
             _ => None,
         };
         self.last_improvement = improvement;

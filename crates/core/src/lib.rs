@@ -22,6 +22,9 @@ pub mod emc;
 pub mod pec;
 
 pub use config::{DualParConfig, ProgramId};
-pub use crm::{plan_prefetch, plan_writeback, prefetch_stats, writeback_stats, BatchStats, PrefetchPlan, WritebackPlan};
+pub use crm::{
+    plan_prefetch, plan_writeback, prefetch_stats, writeback_stats, BatchStats, PrefetchPlan,
+    WritebackPlan,
+};
 pub use emc::{Emc, ExecMode, ModeChange, ReqDistTracker};
 pub use pec::{expected_fill_time, ghost_walk, GhostRun, GhostStop, IoClock};

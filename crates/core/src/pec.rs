@@ -103,10 +103,7 @@ pub fn ghost_walk(script: &ProcessScript, start: usize, quota: u64) -> GhostRun 
 /// Expected time for a process to fill its cache quota, from its recent
 /// average I/O throughput (§IV-C): ghosts still running past
 /// `expected × ghost_timeout_factor` are stopped by the phase coordinator.
-pub fn expected_fill_time(
-    cfg: &DualParConfig,
-    recent_bytes_per_sec: f64,
-) -> SimDuration {
+pub fn expected_fill_time(cfg: &DualParConfig, recent_bytes_per_sec: f64) -> SimDuration {
     if recent_bytes_per_sec <= 0.0 {
         // No throughput estimate yet: fall back to one sampling slot.
         return cfg.sample_slot;
@@ -186,11 +183,7 @@ mod tests {
 
     #[test]
     fn ghost_records_reads_until_quota() {
-        let script = ProcessScript::new(
-            (0..10)
-                .map(|i| read_op(1, i * 1000, 1000))
-                .collect(),
-        );
+        let script = ProcessScript::new((0..10).map(|i| read_op(1, i * 1000, 1000)).collect());
         let run = ghost_walk(&script, 0, 3500);
         // 3 reads fit (3000); the 4th would overflow.
         assert_eq!(run.prefetch.len(), 3);
@@ -228,9 +221,7 @@ mod tests {
 
     #[test]
     fn ghost_resumes_mid_script() {
-        let script = ProcessScript::new(
-            (0..4).map(|i| read_op(1, i * 100, 100)).collect(),
-        );
+        let script = ProcessScript::new((0..4).map(|i| read_op(1, i * 100, 100)).collect());
         let first = ghost_walk(&script, 0, 250);
         assert_eq!(first.end_pos, 2);
         let second = ghost_walk(&script, first.end_pos, 250);
@@ -266,11 +257,7 @@ mod tests {
 
     #[test]
     fn barriers_cost_nothing() {
-        let script = ProcessScript::new(vec![
-            Op::Barrier(0),
-            read_op(1, 0, 100),
-            Op::Barrier(1),
-        ]);
+        let script = ProcessScript::new(vec![Op::Barrier(0), read_op(1, 0, 100), Op::Barrier(1)]);
         let run = ghost_walk(&script, 0, 1 << 20);
         assert_eq!(run.compute, SimDuration::ZERO);
         assert_eq!(run.end_pos, 3);

@@ -22,7 +22,8 @@ pub use disk::{Disk, StartOutcome};
 pub use model::{bytes_to_sectors, DiskParams, Lbn, SECTOR_BYTES};
 pub use request::{DiskRequest, IoCtx, IoKind, MergedIds};
 pub use sched::{
-    AnticipatoryConfig, AnticipatoryScheduler, CfqConfig, CfqScheduler, Decision, DeadlineConfig, DeadlineScheduler, NoopScheduler,
-    ScanScheduler, Scheduler, SchedulerKind, SstfScheduler, DEFAULT_MAX_MERGE_SECTORS,
+    AnticipatoryConfig, AnticipatoryScheduler, CfqConfig, CfqScheduler, DeadlineConfig,
+    DeadlineScheduler, Decision, NoopScheduler, ScanScheduler, Scheduler, SchedulerKind,
+    SstfScheduler, DEFAULT_MAX_MERGE_SECTORS,
 };
 pub use trace::{BlockTrace, TraceRecord};

@@ -125,7 +125,9 @@ impl DiskParams {
         let distance = head.abs_diff(lbn);
         let mut t = SimDuration(self.overhead_ns);
         if distance != 0 {
-            let reposition = self.seek_time(distance).saturating_add(SimDuration(self.rotational_ns));
+            let reposition = self
+                .seek_time(distance)
+                .saturating_add(SimDuration(self.rotational_ns));
             if lbn > head {
                 t = t.saturating_add(reposition.min(self.transfer_time_at(head, distance)));
             } else {

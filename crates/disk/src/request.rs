@@ -146,7 +146,14 @@ pub struct DiskRequest {
 
 impl DiskRequest {
     /// Build an unmerged request, tagged with its `id`.
-    pub fn new(id: u64, ctx: IoCtx, kind: IoKind, lbn: Lbn, sectors: u64, arrival: SimTime) -> Self {
+    pub fn new(
+        id: u64,
+        ctx: IoCtx,
+        kind: IoKind,
+        lbn: Lbn,
+        sectors: u64,
+        arrival: SimTime,
+    ) -> Self {
         debug_assert!(sectors > 0, "zero-length disk request");
         DiskRequest {
             id,

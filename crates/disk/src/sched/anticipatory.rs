@@ -185,7 +185,7 @@ mod tests {
         s.enqueue(req(1, 1, 100));
         let _ = s.decide(SimTime::ZERO, 0); // serves ctx 1
         s.enqueue(req(2, 2, 900_000)); // far-away work from someone else
-        // AS idles, hoping ctx 1 comes back with something nearby.
+                                       // AS idles, hoping ctx 1 comes back with something nearby.
         match s.decide(SimTime::from_millis(1), 108) {
             Decision::IdleUntil(t) => assert_eq!(t, SimTime::from_millis(7)),
             other => panic!("expected idle, got {other:?}"),

@@ -130,7 +130,10 @@ impl Scheduler for DeadlineScheduler {
     }
 
     fn absorb_contiguous(&mut self, end: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        let idx = self.sorted.iter().position(|r| r.lbn == end && r.kind == kind)?;
+        let idx = self
+            .sorted
+            .iter()
+            .position(|r| r.lbn == end && r.kind == kind)?;
         let req = self.sorted.remove(idx);
         // Its FIFO entry is purged lazily by purge_stale_fifo.
         Some(req)

@@ -57,8 +57,7 @@ pub trait Scheduler: Send {
     /// layer's dispatch-time elevator merge. The disk calls this in a loop
     /// after each dispatch to chain contiguous requests into one media
     /// access (subject to the merge-size cap it enforces).
-    fn absorb_contiguous(&mut self, end: Lbn, kind: crate::request::IoKind)
-        -> Option<DiskRequest>;
+    fn absorb_contiguous(&mut self, end: Lbn, kind: crate::request::IoKind) -> Option<DiskRequest>;
 
     /// Remove and return a queued request that *ends* exactly at `start`
     /// with the given kind — the front-merge counterpart of

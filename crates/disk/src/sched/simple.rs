@@ -106,7 +106,6 @@ impl Scheduler for SstfScheduler {
         Decision::Dispatch(self.queue.swap_remove(idx))
     }
 
-
     fn absorb_contiguous(&mut self, end: Lbn, kind: IoKind) -> Option<DiskRequest> {
         let idx = self
             .queue
@@ -168,12 +167,16 @@ impl Scheduler for ScanScheduler {
             .enumerate()
             .filter(|(_, r)| r.lbn >= head)
             .min_by_key(|(i, r)| (r.lbn, *i))
-            .or_else(|| self.queue.iter().enumerate().min_by_key(|(i, r)| (r.lbn, *i)))
+            .or_else(|| {
+                self.queue
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(i, r)| (r.lbn, *i))
+            })
             .map(|(i, _)| i)
             .expect("non-empty");
         Decision::Dispatch(self.queue.swap_remove(pick))
     }
-
 
     fn absorb_contiguous(&mut self, end: Lbn, kind: IoKind) -> Option<DiskRequest> {
         let idx = self

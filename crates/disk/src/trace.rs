@@ -76,7 +76,9 @@ impl BlockTrace {
 
     /// Records whose dispatch time lies in `[from, to)` — a Blktrace window.
     pub fn window(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter().filter(move |r| r.at >= from && r.at < to)
+        self.records
+            .iter()
+            .filter(move |r| r.at >= from && r.at < to)
     }
 
     /// Lifetime average seek distance (sectors per serviced request).

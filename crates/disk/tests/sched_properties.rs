@@ -11,10 +11,7 @@ use std::collections::BTreeSet;
 
 /// Arbitrary request workload: (ctx, lbn_block, sectors, is_read).
 fn workload() -> impl Strategy<Value = Vec<(u32, u64, u64, bool)>> {
-    proptest::collection::vec(
-        (0u32..4, 0u64..10_000, 1u64..64, any::<bool>()),
-        1..120,
-    )
+    proptest::collection::vec((0u32..4, 0u64..10_000, 1u64..64, any::<bool>()), 1..120)
 }
 
 fn drain_all(sched: &mut dyn Scheduler, mut now: SimTime) -> Vec<DiskRequest> {
@@ -69,7 +66,10 @@ fn run_conservation(kind: SchedulerKind, reqs: Vec<(u32, u64, u64, bool)>) {
             assert!(seen_ids.insert(id), "request id {id} serviced twice");
         }
     }
-    assert_eq!(seen_ids, expected_ids, "scheduler lost or invented requests");
+    assert_eq!(
+        seen_ids, expected_ids,
+        "scheduler lost or invented requests"
+    );
     assert_eq!(
         seen_sectors, expected_sectors,
         "merging changed total sector count"

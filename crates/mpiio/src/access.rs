@@ -101,10 +101,7 @@ pub fn coalesce_with_holes(
 
 /// Full CRM pipeline over a mixed multi-file request batch: sort, merge,
 /// then coalesce per file with the given hole threshold.
-pub fn build_batch(
-    items: Vec<(FileId, FileRegion)>,
-    max_hole: u64,
-) -> Vec<CoalescedIo> {
+pub fn build_batch(items: Vec<(FileId, FileRegion)>, max_hole: u64) -> Vec<CoalescedIo> {
     let merged = sort_and_merge(items);
     let mut out = Vec::new();
     let mut i = 0;
@@ -157,10 +154,7 @@ mod tests {
             (FileId(1), r(50, 50)), // adjacent to previous: merge
         ];
         let out = sort_and_merge(items);
-        assert_eq!(
-            out,
-            vec![(FileId(1), r(0, 150)), (FileId(2), r(0, 10))]
-        );
+        assert_eq!(out, vec![(FileId(1), r(0, 150)), (FileId(2), r(0, 10))]);
     }
 
     #[test]

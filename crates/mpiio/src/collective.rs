@@ -227,8 +227,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let plan =
-                plan(&per_rank, usize::MAX).unwrap();
+            let plan = plan(&per_rank, usize::MAX).unwrap();
             plan.exchange_msgs
         };
         assert!(msgs(64) > msgs(16));

@@ -92,11 +92,7 @@ impl Datatype {
                     (count - 1) * stride_bytes + block_bytes
                 }
             }
-            Datatype::Indexed { blocks } => blocks
-                .iter()
-                .map(|&(o, l)| o + l)
-                .max()
-                .unwrap_or(0),
+            Datatype::Indexed { blocks } => blocks.iter().map(|&(o, l)| o + l).max().unwrap_or(0),
             Datatype::Subarray2 {
                 cols,
                 elem_bytes,
@@ -175,9 +171,7 @@ impl Datatype {
             Datatype::Indexed { blocks } => {
                 let mut sorted: Vec<_> = blocks.iter().filter(|&&(_, l)| l > 0).collect();
                 sorted.sort_by_key(|&&(o, _)| o);
-                sorted
-                    .windows(2)
-                    .all(|w| w[0].0 + w[0].1 == w[1].0)
+                sorted.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0)
             }
             Datatype::Subarray2 {
                 cols,

@@ -13,7 +13,9 @@ pub mod ops;
 pub mod regions;
 pub mod sieve;
 
-pub use access::{avg_cover_bytes, build_batch, coalesce_with_holes, pack_list_io, sort_and_merge, CoalescedIo};
+pub use access::{
+    avg_cover_bytes, build_batch, coalesce_with_holes, pack_list_io, sort_and_merge, CoalescedIo,
+};
 pub use collective::{plan_collective, AggregatorIo, CollectiveConfig, CollectivePlan};
 pub use datatype::Datatype;
 pub use ops::{IoCall, IoKind, Op, ProcessScript, ProgramScript};

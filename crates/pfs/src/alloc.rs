@@ -153,7 +153,10 @@ impl ExtentAllocator {
             (seg_start < seg_end).then(|| {
                 // Sector-granular: sub-sector offsets round the run outward.
                 let within = (seg_start - e.object_offset) / dualpar_disk::SECTOR_BYTES;
-                (e.lbn.saturating_add(within), bytes_to_sectors(seg_end - seg_start))
+                (
+                    e.lbn.saturating_add(within),
+                    bytes_to_sectors(seg_end - seg_start),
+                )
             })
         })
     }
@@ -217,7 +220,10 @@ mod tests {
         let cross: Vec<_> = a.translate(FileId(1), 200 * 1024, 100 * 1024).collect();
         assert_eq!(cross.len(), 2);
         let total: u64 = cross.iter().map(|r| r.1).sum();
-        assert_eq!(total, bytes_to_sectors(56 * 1024) + bytes_to_sectors(44 * 1024));
+        assert_eq!(
+            total,
+            bytes_to_sectors(56 * 1024) + bytes_to_sectors(44 * 1024)
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 use crate::alloc::{AllocConfig, ExtentAllocator};
 use crate::layout::{FileId, FileRegion, ServerId, StripeLayout};
 use dualpar_disk::Lbn;
-use serde::{Deserialize, Serialize};
 use dualpar_sim::FxHashMap;
+use serde::{Deserialize, Serialize};
 
 /// A file-region fragment resolved all the way to a disk address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +49,12 @@ pub struct Pvfs {
 
 impl Pvfs {
     /// Build a file system over `num_servers` disks of the given capacity.
-    pub fn new(num_servers: u32, stripe_size: u64, capacity_sectors: u64, alloc: AllocConfig) -> Self {
+    pub fn new(
+        num_servers: u32,
+        stripe_size: u64,
+        capacity_sectors: u64,
+        alloc: AllocConfig,
+    ) -> Self {
         Pvfs {
             layout: StripeLayout::new(stripe_size, num_servers),
             allocators: (0..num_servers)

@@ -251,9 +251,7 @@ mod tests {
     fn local_object_size_sums_to_file_size() {
         let l = StripeLayout::new(64 * 1024, 9);
         for size in [0u64, 1, 64 * 1024, 64 * 1024 + 1, 10_000_000, 1 << 30] {
-            let total: u64 = (0..9)
-                .map(|s| l.local_object_size(ServerId(s), size))
-                .sum();
+            let total: u64 = (0..9).map(|s| l.local_object_size(ServerId(s), size)).sum();
             assert_eq!(total, size, "size {size}");
         }
     }

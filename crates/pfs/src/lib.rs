@@ -7,13 +7,13 @@
 //! represented by the file table here plus the EMC logic in `dualpar-core`.
 
 pub mod alloc;
-pub mod ranges;
 pub mod fs;
 pub mod layout;
+pub mod ranges;
 pub mod strided;
 
 pub use alloc::{AllocConfig, Extent, ExtentAllocator};
-pub use ranges::RangeSet;
 pub use fs::{FileMeta, Pvfs, ResolvedIo};
 pub use layout::{FileId, FileRegion, ServerId, StripeLayout, StripePiece};
+pub use ranges::RangeSet;
 pub use strided::{Clipped, Strided};

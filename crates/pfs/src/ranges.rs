@@ -576,7 +576,10 @@ mod tests {
         let window = FileRegion::new(0, 256);
         // A window that cuts the first block keeps the explicit form.
         let mut cut = RangeSet::new();
-        assert_eq!(cut.insert_strided(rank(0).clipped(FileRegion::new(8, 248))), 56);
+        assert_eq!(
+            cut.insert_strided(rank(0).clipped(FileRegion::new(8, 248))),
+            56
+        );
         assert!(matches!(cut.repr, Repr::Runs(_)));
         // A run whose blocks do not abut the periodic ones expands them.
         let mut apart = RangeSet::new();

@@ -195,8 +195,9 @@ mod tests {
         let mut expect: Vec<(u64, usize)> =
             times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
         expect.sort();
-        let got: Vec<(u64, usize)> =
-            std::iter::from_fn(|| q.pop()).map(|(t, e)| (t.nanos(), e)).collect();
+        let got: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| (t.nanos(), e))
+            .collect();
         assert_eq!(got, expect);
     }
 

@@ -176,7 +176,11 @@ mod tests {
         let items: Vec<u64> = (0..100).collect();
         for jobs in [1, 2, 4, 16] {
             let out = parallel_map(&items, jobs, |i, &x| x * 2 + i as u64);
-            let expect: Vec<u64> = items.iter().enumerate().map(|(i, x)| x * 2 + i as u64).collect();
+            let expect: Vec<u64> = items
+                .iter()
+                .enumerate()
+                .map(|(i, x)| x * 2 + i as u64)
+                .collect();
             assert_eq!(out, expect, "jobs={jobs}");
         }
     }
@@ -207,8 +211,7 @@ mod tests {
             Duration::from_millis(20),
         );
         assert_eq!(hung, Err(DeadlineError::TimedOut));
-        let boom: Result<u32, _> =
-            run_with_deadline(|| panic!("boom"), Duration::from_secs(10));
+        let boom: Result<u32, _> = run_with_deadline(|| panic!("boom"), Duration::from_secs(10));
         assert_eq!(boom, Err(DeadlineError::Panicked));
     }
 }

@@ -693,8 +693,11 @@ impl Telemetry {
         }
         self.spans.close(id, at);
         if self.level == TelemetryLevel::Trace {
-            self.trace
-                .push(TraceEvent::new(stamp, "span", "close").u64("id", id.0).f64("at", at));
+            self.trace.push(
+                TraceEvent::new(stamp, "span", "close")
+                    .u64("id", id.0)
+                    .f64("at", at),
+            );
         }
     }
 

@@ -118,7 +118,10 @@ impl SpanProfile {
             spans_total: log.len() as u64,
             spans_open: log.open_count(),
             time_in_state,
-            stage_latency: stages.iter().map(|(k, h)| (k.clone(), h.summary())).collect(),
+            stage_latency: stages
+                .iter()
+                .map(|(k, h)| (k.clone(), h.summary()))
+                .collect(),
             critical_path: critical_path(log),
         }
     }

@@ -33,17 +33,61 @@ pub struct KindSpec {
 /// Every `(component, kind)` pair the simulator may emit, with the audit
 /// check that consumes it. Kept sorted by `(component, kind)`.
 pub const TRACE_SCHEMA: &[KindSpec] = &[
-    KindSpec { component: "cache", kind: "conservation", audit_check: "cache-conservation" },
-    KindSpec { component: "crm", kind: "phase", audit_check: "crm-sequence" },
-    KindSpec { component: "disk", kind: "done", audit_check: "disk-pairing" },
-    KindSpec { component: "disk", kind: "start", audit_check: "disk-exclusivity" },
-    KindSpec { component: "emc", kind: "config", audit_check: "emc-legality" },
-    KindSpec { component: "emc", kind: "mode", audit_check: "emc-legality" },
-    KindSpec { component: "emc", kind: "tick", audit_check: "emc-veto-sticky" },
-    KindSpec { component: "pec", kind: "resume", audit_check: "pec-pairing" },
-    KindSpec { component: "pec", kind: "suspend", audit_check: "pec-pairing" },
-    KindSpec { component: "span", kind: "close", audit_check: "span-pairing" },
-    KindSpec { component: "span", kind: "open", audit_check: "span-pairing" },
+    KindSpec {
+        component: "cache",
+        kind: "conservation",
+        audit_check: "cache-conservation",
+    },
+    KindSpec {
+        component: "crm",
+        kind: "phase",
+        audit_check: "crm-sequence",
+    },
+    KindSpec {
+        component: "disk",
+        kind: "done",
+        audit_check: "disk-pairing",
+    },
+    KindSpec {
+        component: "disk",
+        kind: "start",
+        audit_check: "disk-exclusivity",
+    },
+    KindSpec {
+        component: "emc",
+        kind: "config",
+        audit_check: "emc-legality",
+    },
+    KindSpec {
+        component: "emc",
+        kind: "mode",
+        audit_check: "emc-legality",
+    },
+    KindSpec {
+        component: "emc",
+        kind: "tick",
+        audit_check: "emc-veto-sticky",
+    },
+    KindSpec {
+        component: "pec",
+        kind: "resume",
+        audit_check: "pec-pairing",
+    },
+    KindSpec {
+        component: "pec",
+        kind: "suspend",
+        audit_check: "pec-pairing",
+    },
+    KindSpec {
+        component: "span",
+        kind: "close",
+        audit_check: "span-pairing",
+    },
+    KindSpec {
+        component: "span",
+        kind: "open",
+        audit_check: "span-pairing",
+    },
 ];
 
 /// Is `(component, kind)` a registered pair?

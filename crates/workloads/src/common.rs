@@ -71,7 +71,13 @@ mod tests {
     #[test]
     fn build_program_ranks() {
         let p = build_program("t", 4, |r| {
-            vec![io_region(IoKind::Read, FileId(1), r as u64 * 100, 100, false)]
+            vec![io_region(
+                IoKind::Read,
+                FileId(1),
+                r as u64 * 100,
+                100,
+                false,
+            )]
         });
         assert_eq!(p.nprocs(), 4);
         assert_eq!(p.ranks[2].total_io_bytes(), 100);

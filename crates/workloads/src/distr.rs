@@ -158,7 +158,6 @@ pub enum OffsetDistr {
     },
 }
 
-
 impl OffsetDistr {
     /// Reject impossible parameterisations.
     pub fn validate(&self) -> Result<(), String> {

@@ -176,9 +176,11 @@ impl WorkloadExpr {
                 let fanout = p.size.mean_bytes().div_ceil(STRIPE_BYTES).max(1);
                 scaled_ops(p.ops, scale).saturating_mul(fanout)
             }
-            WorkloadExpr::Seq(xs) | WorkloadExpr::Interleave(xs) => xs
-                .iter()
-                .fold(0u64, |acc, x| acc.saturating_add(x.estimated_requests(scale))),
+            WorkloadExpr::Seq(xs) | WorkloadExpr::Interleave(xs) => {
+                xs.iter().fold(0u64, |acc, x| {
+                    acc.saturating_add(x.estimated_requests(scale))
+                })
+            }
             WorkloadExpr::Repeat { times, body } => {
                 body.estimated_requests(scale).saturating_mul(*times)
             }
@@ -254,7 +256,9 @@ impl WorkloadExpr {
             }
             WorkloadExpr::Scaled { factor, body } => {
                 if *factor <= 0.0 || !factor.is_finite() {
-                    return Err(format!("scaled: factor must be finite and > 0, got {factor}"));
+                    return Err(format!(
+                        "scaled: factor must be finite and > 0, got {factor}"
+                    ));
                 }
                 body.validate()
             }
@@ -356,7 +360,11 @@ fn emit_pattern(
             ops.push(compute(SimDuration::from_secs_f64(p.compute_secs_per_op)));
         }
         let is_write = p.write_fraction > 0.0 && rng.chance(p.write_fraction);
-        let kind = if is_write { IoKind::Write } else { IoKind::Read };
+        let kind = if is_write {
+            IoKind::Write
+        } else {
+            IoKind::Read
+        };
         let len = p.size.sample(rng).min(ctx.slab.max(1));
         let offset = match p.offsets {
             OffsetDistr::Sequential => {
@@ -377,7 +385,12 @@ fn emit_pattern(
             }
             OffsetDistr::Random => {
                 let span = ctx.slab - len;
-                ctx.base + if span == 0 { 0 } else { rng.uniform_u64(0, span + 1) }
+                ctx.base
+                    + if span == 0 {
+                        0
+                    } else {
+                        rng.uniform_u64(0, span + 1)
+                    }
             }
             OffsetDistr::ZipfHotspot { theta } => {
                 if is_write {
@@ -489,7 +502,8 @@ impl DslWorkload {
             };
             let mut ops = Vec::new();
             let mut next_barrier = 0u64;
-            self.expr.emit(&ctx, &mut rng, 1.0, &mut next_barrier, &mut ops);
+            self.expr
+                .emit(&ctx, &mut rng, 1.0, &mut next_barrier, &mut ops);
             ops
         })
     }

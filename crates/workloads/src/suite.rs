@@ -348,25 +348,37 @@ impl S3asim {
                 }
                 for f in 0..self.fragments {
                     let len = rng
-                .uniform_u64(self.min_seq, self.max_seq.saturating_add(1))
-                .min(slice);
+                        .uniform_u64(self.min_seq, self.max_seq.saturating_add(1))
+                        .min(slice);
                     let jitter = if slice > len {
                         rng.uniform_u64(0, (slice - len).saturating_add(1))
                     } else {
                         0
                     };
                     let off = f
-                .saturating_mul(frag_size)
-                .saturating_add((rank as u64).saturating_mul(slice))
-                .saturating_add(jitter);
-                    ops.push(io_region(IoKind::Read, db, off, len.max(1), self.collective));
+                        .saturating_mul(frag_size)
+                        .saturating_add((rank as u64).saturating_mul(slice))
+                        .saturating_add(jitter);
+                    ops.push(io_region(
+                        IoKind::Read,
+                        db,
+                        off,
+                        len.max(1),
+                        self.collective,
+                    ));
                 }
                 // Write merged results for this query.
                 let wlen = rng
                     .uniform_u64(self.min_seq, self.max_seq + 1)
                     .min(result_end.saturating_sub(result_off));
                 if wlen > 0 {
-                    ops.push(io_region(IoKind::Write, results, result_off, wlen, self.collective));
+                    ops.push(io_region(
+                        IoKind::Write,
+                        results,
+                        result_off,
+                        wlen,
+                        self.collective,
+                    ));
                     result_off += wlen;
                 }
             }
@@ -697,9 +709,18 @@ mod tests {
     #[test]
     fn btio_cell_shrinks_with_procs() {
         let base = Btio::default();
-        let b16 = Btio { nprocs: 16, ..base.clone() };
-        let b64 = Btio { nprocs: 64, ..base.clone() };
-        let b256 = Btio { nprocs: 256, ..base };
+        let b16 = Btio {
+            nprocs: 16,
+            ..base.clone()
+        };
+        let b64 = Btio {
+            nprocs: 64,
+            ..base.clone()
+        };
+        let b256 = Btio {
+            nprocs: 256,
+            ..base
+        };
         assert_eq!(b16.cell_bytes(), 64);
         assert_eq!(b64.cell_bytes(), 16);
         assert_eq!(b256.cell_bytes(), 4);

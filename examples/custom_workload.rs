@@ -89,6 +89,10 @@ fn main() {
             report.mode_events.len(),
         );
     }
-    println!("\nEach rank's block is {} noncontiguous row-strips of {} bytes —", GRID / BLOCKS, (GRID / BLOCKS) * ELEM);
+    println!(
+        "\nEach rank's block is {} noncontiguous row-strips of {} bytes —",
+        GRID / BLOCKS,
+        (GRID / BLOCKS) * ELEM
+    );
     println!("exactly the access shape the data-driven mode was built to repair.");
 }

@@ -68,7 +68,10 @@ fn main() {
         .run()
         .expect("valid experiment");
 
-    println!("{:<16} {:>9} {:>9} {:>8}", "program", "start s", "MB/s", "time s");
+    println!(
+        "{:<16} {:>9} {:>9} {:>8}",
+        "program", "start s", "MB/s", "time s"
+    );
     for p in &report.programs {
         println!(
             "{:<16} {:>9.2} {:>9.1} {:>8.2}",

@@ -39,11 +39,7 @@ fn main() {
                 });
         }
         let report = exp.run().expect("valid experiment");
-        let total_io: f64 = report
-            .programs
-            .iter()
-            .map(|p| p.mean_io_time_secs())
-            .sum();
+        let total_io: f64 = report.programs.iter().map(|p| p.mean_io_time_secs()).sum();
         println!(
             "{:<16} total I/O time {:>7.1} s   makespan {:>6.1} s   aggregate {:>6.1} MB/s",
             strategy.label(),

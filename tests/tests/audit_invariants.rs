@@ -272,7 +272,11 @@ fn corrupted_trace_is_rejected() {
 
     // Sanity: the pristine trace audits clean.
     let clean = audit_jsonl_str(&text, AuditConfig::default()).expect("pristine trace parses");
-    assert!(clean.ok(), "pristine trace has violations: {}", clean.to_json());
+    assert!(
+        clean.ok(),
+        "pristine trace has violations: {}",
+        clean.to_json()
+    );
 
     // Corruption 1: duplicate a disk/start line — two requests in flight on
     // one server violates scheduler exclusivity.
@@ -287,7 +291,10 @@ fn corrupted_trace_is_rejected() {
         .expect("corrupted trace still parses");
     assert!(!report.ok(), "duplicated disk/start not detected");
     assert!(
-        report.violations.iter().any(|v| v.check == "disk-exclusivity"),
+        report
+            .violations
+            .iter()
+            .any(|v| v.check == "disk-exclusivity"),
         "expected a disk-exclusivity finding, got: {}",
         report.to_json()
     );

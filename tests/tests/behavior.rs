@@ -58,8 +58,7 @@ fn s2_survives_total_misprediction() {
     let v = run(IoStrategy::Vanilla);
     let s2 = run(IoStrategy::PrefetchOverlap);
     assert_eq!(s2.programs[0].bytes_read, 8 << 20);
-    let slowdown =
-        s2.programs[0].elapsed().as_secs_f64() / v.programs[0].elapsed().as_secs_f64();
+    let slowdown = s2.programs[0].elapsed().as_secs_f64() / v.programs[0].elapsed().as_secs_f64();
     assert!(
         slowdown < 3.0,
         "S2 with useless predictions should degrade gracefully, got {slowdown:.1}x"

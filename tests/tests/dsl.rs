@@ -5,9 +5,7 @@
 
 use dualpar_bench::{build_cluster, run_parallel, ExperimentSpec, SuiteEntry, SPEC_VERSION};
 use dualpar_cluster::{IoStrategy, TelemetryLevel};
-use dualpar_workloads::{
-    AccessPattern, DslWorkload, OffsetDistr, SizeDistr, WorkloadExpr,
-};
+use dualpar_workloads::{AccessPattern, DslWorkload, OffsetDistr, SizeDistr, WorkloadExpr};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -157,21 +155,30 @@ fn committed_specs_round_trip() {
     let mut checked = 0;
     let mut names: Vec<_> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("read {dir:?}: {e}"))
-        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8 name")
+        })
         .filter(|n| n.ends_with(".json"))
         .collect();
     names.sort();
     for name in names {
-        let spec = ExperimentSpec::from_json(&read_spec(&name))
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let spec =
+            ExperimentSpec::from_json(&read_spec(&name)).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(spec.version, SPEC_VERSION, "{name}: upgrade must stamp");
         let json = serde_json::to_string_pretty(&spec).expect("serialise");
-        let back = ExperimentSpec::from_json(&json).unwrap_or_else(|e| panic!("{name} reparse: {e}"));
+        let back =
+            ExperimentSpec::from_json(&json).unwrap_or_else(|e| panic!("{name} reparse: {e}"));
         let json2 = serde_json::to_string_pretty(&back).expect("serialise");
         assert_eq!(json, json2, "{name}: round trip must be a fixed point");
         checked += 1;
     }
-    assert!(checked >= 3, "expected the committed example specs, found {checked}");
+    assert!(
+        checked >= 3,
+        "expected the committed example specs, found {checked}"
+    );
 }
 
 /// The v0-format specs (no `version` field, closed-enum-era tags) load,
@@ -190,7 +197,11 @@ fn v0_specs_migrate_and_run() {
         let report = build_cluster(&spec).run();
         assert_eq!(report.programs.len(), spec.programs.len());
         for p in &report.programs {
-            assert!(p.bytes_read + p.bytes_written > 0, "{name}: {} moved no bytes", p.name);
+            assert!(
+                p.bytes_read + p.bytes_written > 0,
+                "{name}: {} moved no bytes",
+                p.name
+            );
         }
     }
 }
@@ -229,5 +240,8 @@ fn multitenant_golden_reproduces() {
     assert!(report.programs.len() >= 4);
     let mut names: Vec<&str> = report.programs.iter().map(|p| p.name.as_str()).collect();
     names.dedup();
-    assert!(names.len() >= 3, "expected >=3 tenant classes, got {names:?}");
+    assert!(
+        names.len() >= 3,
+        "expected >=3 tenant classes, got {names:?}"
+    );
 }

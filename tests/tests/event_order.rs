@@ -112,7 +112,10 @@ fn an_ack_from_an_earlier_window_runs_before_a_wake_up_at_its_instant() {
             let f = files[0];
             program(
                 "y",
-                vec![vec![], vec![read(f, 1 << 16, 8 << 10), read(f, 5 << 16, 8 << 10)]],
+                vec![
+                    vec![],
+                    vec![read(f, 1 << 16, 8 << 10), read(f, 5 << 16, 8 << 10)],
+                ],
             )
         })
         .run()
@@ -167,12 +170,18 @@ fn acks_at_one_instant_run_in_scheduling_order() {
         .file("f", 4 << 20)
         .program(IoStrategy::Vanilla, |files| {
             let f = files[0];
-            program("j", vec![vec![read(f, 1 << 16, 10 << 10), read(f, 3 << 16, 8 << 10)]])
+            program(
+                "j",
+                vec![vec![read(f, 1 << 16, 10 << 10), read(f, 3 << 16, 8 << 10)]],
+            )
         })
         .program(IoStrategy::Vanilla, |files| {
             let f = files[0];
             let wait = Op::Compute(SimDuration(16_388));
-            program("i", vec![vec![wait, read(f, 0, 8 << 10), read(f, 2 << 16, 8 << 10)]])
+            program(
+                "i",
+                vec![vec![wait, read(f, 0, 8 << 10), read(f, 2 << 16, 8 << 10)]],
+            )
         })
         .run()
         .expect("valid experiment");

@@ -116,11 +116,7 @@ fn truncated_ring_trace_passes_audit_with_tolerance() {
         .map(|(i, _)| i)
         .last()
         .expect("trace contains a disk completion");
-    let trace: String = full
-        .lines()
-        .skip(cut)
-        .map(|l| format!("{l}\n"))
-        .collect();
+    let trace: String = full.lines().skip(cut).map(|l| format!("{l}\n")).collect();
     let strict = audit_jsonl_str(&trace, AuditConfig::default()).expect("trace parses");
     assert!(
         !strict.ok(),

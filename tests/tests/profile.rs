@@ -72,7 +72,13 @@ fn check_profile(name: &str, report: &RunReport) -> SpanProfile {
         }
     }
     // The full read lifecycle shows up, and quantiles are ordered.
-    for stage in ["req.life", "req.issue", "server.queue", "disk.service", "req.ack"] {
+    for stage in [
+        "req.life",
+        "req.issue",
+        "server.queue",
+        "disk.service",
+        "req.ack",
+    ] {
         let h = profile
             .stage_latency
             .get(stage)
@@ -92,7 +98,10 @@ fn check_profile(name: &str, report: &RunReport) -> SpanProfile {
         path.len()
     );
     for hop in path.windows(2) {
-        assert!(hop[1].close <= hop[0].open + 1e-12, "{name}: path not decreasing");
+        assert!(
+            hop[1].close <= hop[0].open + 1e-12,
+            "{name}: path not decreasing"
+        );
     }
     profile
 }
@@ -120,7 +129,10 @@ fn folded_output_renders_collapsed_stacks() {
         // inferno consume.
         let (stack, weight) = line.rsplit_once(' ').expect("stack and weight");
         assert!(weight.parse::<u64>().is_ok(), "bad weight in {line:?}");
-        assert!(weight.parse::<u64>().unwrap() > 0, "zero-weight line {line:?}");
+        assert!(
+            weight.parse::<u64>().unwrap() > 0,
+            "zero-weight line {line:?}"
+        );
         assert!(!stack.is_empty());
         for frame in stack.split(';') {
             assert!(!frame.is_empty(), "empty frame in {line:?}");

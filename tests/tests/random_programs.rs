@@ -10,8 +10,8 @@ const FILE_SIZE: u64 = 8 << 20;
 /// A compact op description the generator shrinks well on.
 #[derive(Debug, Clone)]
 enum GenOp {
-    Compute(u32),          // microseconds
-    Read(u32, u16),        // (offset bucket, length in 512B units)
+    Compute(u32),   // microseconds
+    Read(u32, u16), // (offset bucket, length in 512B units)
     Write(u32, u16),
     Barrier,
 }

@@ -113,7 +113,10 @@ fn demo_segment_size_sensitivity() {
         small > large,
         "S3's edge at 4 KB ({small:.2}x) must exceed its edge at 128 KB ({large:.2}x)"
     );
-    assert!(small > 1.0, "S3 must win at 4 KB segments (got {small:.2}x)");
+    assert!(
+        small > 1.0,
+        "S3 must win at 4 KB segments (got {small:.2}x)"
+    );
 }
 
 /// Table II shape: two concurrent mpi-io-test instances interfere; DualPar
@@ -145,8 +148,7 @@ fn interference_removed_by_dualpar() {
         // services divided by bytes moved — the trace-level measure of
         // Fig. 6's "reduced average seek distance".
         let disk = c.disk(0);
-        let seek_per_mb = disk.trace().avg_seek_distance()
-            * disk.trace().serviced() as f64
+        let seek_per_mb = disk.trace().avg_seek_distance() * disk.trace().serviced() as f64
             / (disk.bytes_serviced() as f64 / 1e6);
         (report, seek_per_mb)
     };
@@ -189,9 +191,7 @@ fn adaptive_mode_switches_on_under_interference() {
     }
     let r = exp.run().expect("valid experiment");
     assert!(
-        r.mode_events
-            .iter()
-            .any(|e| e.mode == ExecMode::DataDriven),
+        r.mode_events.iter().any(|e| e.mode == ExecMode::DataDriven),
         "EMC should have switched at least one program to data-driven; events: {:?}",
         r.mode_events
     );
