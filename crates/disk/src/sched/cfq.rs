@@ -479,6 +479,59 @@ mod tests {
     }
 
     #[test]
+    fn an_expired_slice_restarts_with_service_from_the_head() {
+        let cfg = CfqConfig {
+            slice: SimDuration::from_millis(10),
+            ..CfqConfig::default()
+        };
+        let mut s = CfqScheduler::new(cfg);
+        for (id, lbn) in [(1, 100), (2, 500), (3, 900), (4, 1300)] {
+            s.enqueue(req(id, 1, lbn, SimTime::ZERO));
+        }
+        let mut serve = |ms: u64, head: Lbn| match s.decide(SimTime::from_millis(ms), head) {
+            Decision::Dispatch(r) => r.lbn,
+            other => panic!("expected a dispatch at {ms} ms, got {other:?}"),
+        };
+        assert_eq!(serve(0, 0), 100);
+        // The slice ended at 10 ms with three requests queued: a new one
+        // starts at 11 ms, and the elevator goes on from the head, wrapping.
+        assert_eq!(serve(11, 700), 900);
+        assert_eq!(serve(12, 908), 1300);
+        assert_eq!(serve(13, 1308), 500);
+        // The idle window after the queue drains ends with the new slice
+        // (11 + 10 ms), not 8 ms after 19 ms.
+        assert_eq!(
+            s.decide(SimTime::from_millis(19), 508),
+            Decision::IdleUntil(SimTime::from_millis(21))
+        );
+        assert_eq!(s.decide(SimTime::from_millis(21), 508), Decision::Empty);
+    }
+
+    #[test]
+    fn one_unrewarded_idle_window_ends_idling_for_good() {
+        let mut s = CfqScheduler::new(CfqConfig::default());
+        s.enqueue(req(1, 1, 100, SimTime::ZERO));
+        assert!(matches!(s.decide(SimTime::ZERO, 0), Decision::Dispatch(_)));
+        assert_eq!(
+            s.decide(SimTime::from_millis(1), 108),
+            Decision::IdleUntil(SimTime::from_millis(9))
+        );
+        // Nothing arrives in the window.
+        assert_eq!(s.decide(SimTime::from_millis(9), 108), Decision::Empty);
+        // From now on a drained queue is reported empty at once, within a
+        // slice and across new ones.
+        for (i, ms) in [10u64, 12, 200, 201].into_iter().enumerate() {
+            let id = 2 + i as u64;
+            s.enqueue(req(id, 1, 108 + 8 * i as u64, SimTime::from_millis(ms)));
+            match s.decide(SimTime::from_millis(ms), 108) {
+                Decision::Dispatch(r) => assert_eq!(r.id, id),
+                other => panic!("{other:?}"),
+            }
+            assert_eq!(s.decide(SimTime::from_millis(ms + 1), 116), Decision::Empty);
+        }
+    }
+
+    #[test]
     fn slice_expiry_rotates_contexts() {
         let cfg = CfqConfig {
             slice: SimDuration::from_millis(10),
