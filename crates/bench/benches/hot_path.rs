@@ -6,13 +6,14 @@
 //!   workload mirrors the engine's lifecycle: insert a record per I/O
 //!   group, hit it a few times from sub-request completions, remove it.
 //! * `dispatch` — sorted-queue churn in the CFQ and anticipatory disk
-//!   schedulers with arrivals interleaved into dispatch. This is the bench
+//!   schedulers with arrivals interleaved into dispatch, the queue holding
+//!   2,048 requests at first. This is the bench
 //!   guard for the `Vec::remove` in their dispatch paths: selection relies
 //!   on `partition_point` over a queue kept sorted by `(lbn, id)`, so
 //!   removal must shift (a `swap_remove` would corrupt the order). If the
 //!   O(n) shift ever dominates, this group is where it shows.
 //! * `disk_path` — one disk's enqueue → `try_start` → `complete` cycle on
-//!   a single CFQ context held at 34 queued requests, the
+//!   a CFQ queue held at 34 queued requests, the
 //!   `disk.queue_depth_max` of perfbench's `hpio-read-vanilla`, with no
 //!   request contiguous to another. Each dispatch runs both dispatch-time
 //!   merge probes (`absorb_contiguous`, `absorb_ending_at`) and misses, as
@@ -27,7 +28,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use dualpar_disk::{
     AnticipatoryConfig, AnticipatoryScheduler, CfqConfig, CfqScheduler, Decision, Disk, DiskParams,
-    DiskRequest, IoCtx, IoKind, Scheduler, SchedulerKind, StartOutcome,
+    DiskRequest, IoKind, Scheduler, SchedulerKind, StartOutcome,
 };
 use dualpar_sim::{EventQueue, FxHashMap, SimDuration, SimTime, Slab, SlabKey};
 use std::hint::black_box;
@@ -124,7 +125,6 @@ fn churn_scheduler<S: Scheduler>(mut s: S, n: u64) -> u64 {
     let enqueue = |s: &mut S, id: u64| {
         s.enqueue(DiskRequest::new(
             id,
-            IoCtx((id % 8) as u32),
             IoKind::Read,
             (id.wrapping_mul(48271) % 100_000) * 64,
             32,
@@ -184,21 +184,14 @@ const DISK_CHURN: u64 = 4_096;
 /// `disk.queue_depth_max`.
 const DISK_DEPTH: u64 = 34;
 
-/// Run `n` dispatches through one CFQ disk whose single context stays at
+/// Run `n` dispatches through one CFQ disk whose queue stays at
 /// [`DISK_DEPTH`] queued 8-sector reads, 64 sectors apart so none merges.
 fn churn_disk(n: u64) -> u64 {
     let mut d = Disk::new(DiskParams::hdd_7200rpm(), SchedulerKind::Cfq, false);
     let enqueue = |d: &mut Disk, id: u64| {
         // 48271 is coprime with 100 000, so the LBNs are distinct.
         let lbn = 2048 + (id.wrapping_mul(48271) % 100_000) * 64;
-        d.enqueue(DiskRequest::new(
-            id,
-            IoCtx(0),
-            IoKind::Read,
-            lbn,
-            8,
-            SimTime::ZERO,
-        ));
+        d.enqueue(DiskRequest::new(id, IoKind::Read, lbn, 8, SimTime::ZERO));
     };
     for id in 0..DISK_DEPTH {
         enqueue(&mut d, id);

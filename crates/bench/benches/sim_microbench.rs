@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use dualpar_bench::small_cluster;
 use dualpar_cache::{CacheConfig, GlobalCache, OwnerId};
 use dualpar_cluster::{Cluster, IoStrategy, ProgramSpec};
-use dualpar_disk::{CfqConfig, CfqScheduler, Decision, DiskRequest, IoCtx, IoKind, Scheduler};
+use dualpar_disk::{CfqConfig, CfqScheduler, Decision, DiskRequest, IoKind, Scheduler};
 use dualpar_mpiio::build_batch;
 use dualpar_pfs::{FileId, FileRegion, RangeSet, Strided};
 use dualpar_sim::{EventQueue, SimDuration, SimTime};
@@ -45,7 +45,6 @@ fn bench_cfq(c: &mut Criterion) {
                 for i in 0..n {
                     s.enqueue(DiskRequest::new(
                         i,
-                        IoCtx((i % 8) as u32),
                         IoKind::Read,
                         (i.wrapping_mul(48271) % 100_000) * 64,
                         32,

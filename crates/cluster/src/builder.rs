@@ -25,7 +25,7 @@
 //! one-shot convenience. The underlying `ClusterConfig`/`ProgramSpec` types
 //! remain public — the builder is sugar, not a new abstraction layer.
 
-use crate::config::{ClusterConfig, CtxMode, IoStrategy, ProgramSpec, ServerWriteMode};
+use crate::config::{ClusterConfig, IoStrategy, ProgramSpec, ServerWriteMode};
 use crate::engine::Cluster;
 use crate::metrics::RunReport;
 use dualpar_disk::SchedulerKind;
@@ -155,12 +155,6 @@ impl Experiment {
     /// Disk scheduler at every server.
     pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
         self.cfg.scheduler = kind;
-        self
-    }
-
-    /// Disk-scheduler context granularity.
-    pub fn ctx_mode(mut self, mode: CtxMode) -> Self {
-        self.cfg.ctx_mode = mode;
         self
     }
 

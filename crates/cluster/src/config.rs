@@ -46,24 +46,6 @@ impl IoStrategy {
     }
 }
 
-/// How requests map to disk-scheduler I/O contexts at the data servers.
-///
-/// On the paper's platform every data server runs one PVFS2 server process,
-/// so the kernel's CFQ sees a single I/O context per disk regardless of
-/// which MPI process originated a request (`PerServer`, the default). The
-/// alternatives exist for the scheduler ablation: `PerClient` keys contexts
-/// by the originating process/daemon (as if clients did direct I/O), and
-/// `PerProgram` by program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CtxMode {
-    /// One context per data server (PVFS2 reality; default).
-    PerServer,
-    /// One context per originating process/daemon.
-    PerClient,
-    /// One context per program.
-    PerProgram,
-}
-
 /// How data servers handle write requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ServerWriteMode {
@@ -111,8 +93,6 @@ pub struct ClusterConfig {
     pub collective: CollectiveConfig,
     /// Record full per-request disk traces (needed for the LBN figures).
     pub trace_disks: bool,
-    /// Disk-scheduler context granularity (see [`CtxMode`]).
-    pub ctx_mode: CtxMode,
     /// Server write handling (see [`ServerWriteMode`]).
     pub server_write_mode: ServerWriteMode,
     /// Flush period for [`ServerWriteMode::WriteBack`].
@@ -152,7 +132,6 @@ impl Default for ClusterConfig {
             sieve: SieveConfig::default(),
             collective: CollectiveConfig::default(),
             trace_disks: false,
-            ctx_mode: CtxMode::PerServer,
             server_write_mode: ServerWriteMode::WriteThrough,
             server_flush_interval: SimDuration::from_secs(1),
             s2_issue_gap: SimDuration::from_micros(50),

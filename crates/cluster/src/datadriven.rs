@@ -4,7 +4,7 @@
 use crate::config::IoStrategy;
 use crate::engine::{Cluster, Ev, PState, Phase, Purpose};
 use dualpar_core::{expected_fill_time, ghost_walk, plan_prefetch, plan_writeback, ProgramId};
-use dualpar_disk::{IoCtx, IoKind};
+use dualpar_disk::IoKind;
 use dualpar_mpiio::IoCall;
 use dualpar_pfs::{FileId, FileRegion};
 use dualpar_sim::SimTime;
@@ -15,13 +15,6 @@ fn region_key(file: FileId, r: FileRegion) -> (u32, u64, u64) {
 }
 
 impl Cluster {
-    /// The CRM daemon context for a (program, node) pair — the disk-level
-    /// issuing identity of batched requests (one per node, like the paper's
-    /// per-node CRM).
-    fn crm_ctx(&self, prog: usize, node: u32) -> IoCtx {
-        IoCtx(0x8000_0000 | ((prog as u32) << 8) | node)
-    }
-
     // ----- data-driven I/O entry -----------------------------------------
 
     pub(crate) fn dd_io(&mut self, now: SimTime, p: usize, call: &IoCall) {
@@ -116,11 +109,10 @@ impl Cluster {
         regions: impl IntoIterator<Item = FileRegion>,
     ) {
         let node = self.procs[p].node;
-        let ctx = self.effective_ctx(self.procs[p].prog, self.procs[p].ctx);
         let covers: Vec<(FileId, FileRegion)> = regions.into_iter().map(|r| (file, r)).collect();
         self.procs[p].direct_pending = true;
         let group = self.new_group(Purpose::DirectFetch { proc: p });
-        self.issue_covers(now, group, node, ctx, IoKind::Read, &covers);
+        self.issue_covers(now, group, node, IoKind::Read, &covers);
         self.finish_if_empty(now, group);
     }
 
@@ -362,7 +354,7 @@ impl Cluster {
             self.programs[prog].phase = Phase::Fill;
             let group = self.new_group(Purpose::PhaseFill { prog });
             let covers = wb.fill_reads;
-            self.issue_batch_covers(now, prog, group, IoKind::Read, &covers);
+            self.issue_batch_covers(now, group, IoKind::Read, &covers);
             self.finish_if_empty(now, group);
         } else {
             self.phase_fill_done(now, prog);
@@ -380,7 +372,6 @@ impl Cluster {
     fn issue_batch_covers(
         &mut self,
         now: SimTime,
-        prog: usize,
         group: dualpar_sim::SlabKey,
         kind: IoKind,
         covers: &[(FileId, FileRegion)],
@@ -403,8 +394,7 @@ impl Cluster {
             }
         }
         for (node, pieces) in per_node {
-            let ctx = self.effective_ctx(prog, self.crm_ctx(prog, node));
-            let n = self.issue_covers(now, group, node, ctx, kind, &pieces);
+            let n = self.issue_covers(now, group, node, kind, &pieces);
             self.tele.count("crm.subrequests", n as u64);
         }
     }
@@ -419,7 +409,7 @@ impl Cluster {
         let covers: Vec<(FileId, FileRegion)> =
             writes.iter().map(|io| (io.file, io.cover)).collect();
         let group = self.new_group(Purpose::PhaseWriteback { prog });
-        self.issue_batch_covers(now, prog, group, IoKind::Write, &covers);
+        self.issue_batch_covers(now, group, IoKind::Write, &covers);
         self.finish_if_empty(now, group);
     }
 
@@ -433,7 +423,7 @@ impl Cluster {
         let covers: Vec<(FileId, FileRegion)> =
             reads.iter().map(|io| (io.file, io.cover)).collect();
         let group = self.new_group(Purpose::PhasePrefetch { prog });
-        self.issue_batch_covers(now, prog, group, IoKind::Read, &covers);
+        self.issue_batch_covers(now, group, IoKind::Read, &covers);
         self.finish_if_empty(now, group);
     }
 
@@ -491,11 +481,11 @@ impl Cluster {
         let group = self.new_group(Purpose::FlushWriteback { prog, finalize });
         if !plan.fill_reads.is_empty() {
             let covers = plan.fill_reads.clone();
-            self.issue_batch_covers(now, prog, group, IoKind::Read, &covers);
+            self.issue_batch_covers(now, group, IoKind::Read, &covers);
         }
         let covers: Vec<(FileId, FileRegion)> =
             plan.writes.iter().map(|io| (io.file, io.cover)).collect();
-        self.issue_batch_covers(now, prog, group, IoKind::Write, &covers);
+        self.issue_batch_covers(now, group, IoKind::Write, &covers);
         self.finish_if_empty(now, group);
     }
 
@@ -597,7 +587,6 @@ impl Cluster {
     /// consecutive requests issued during the pre-execution".
     fn s2_pump(&mut self, now: SimTime, p: usize) {
         let node = self.procs[p].node;
-        let ctx = self.effective_ctx(self.procs[p].prog, self.procs[p].ctx);
         let mut at = now;
         while self.procs[p].s2_outstanding < self.cfg.s2_window {
             let Some((file, region)) = self.procs[p].s2_queue.pop_front() else {
@@ -614,7 +603,7 @@ impl Cluster {
                 file,
                 region,
             });
-            self.issue_covers(at, group, node, ctx, IoKind::Read, &[(file, region)]);
+            self.issue_covers(at, group, node, IoKind::Read, &[(file, region)]);
             self.finish_if_empty(at, group);
         }
     }

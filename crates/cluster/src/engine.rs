@@ -4,13 +4,13 @@
 //! Strategy-2 prefetching).
 
 use crate::builder::ExperimentError;
-use crate::config::{ClusterConfig, CtxMode, IoStrategy, ProgramSpec};
+use crate::config::{ClusterConfig, IoStrategy, ProgramSpec};
 use crate::events::{Event, EventList};
 use crate::metrics::{ModeEvent, ProgramReport, RunReport};
 use crate::server::{SEv, Server, SubReq};
 use dualpar_cache::{CacheConfig, GlobalCache, NodeId, OwnerId};
 use dualpar_core::{Emc, ExecMode, IoClock, ProgramId, ReqDistTracker};
-use dualpar_disk::{Disk, IoCtx, IoKind};
+use dualpar_disk::{Disk, IoKind};
 use dualpar_mpiio::{CoalescedIo, Op, ProcessScript, Regions};
 use dualpar_pfs::{FileId, FileRegion, Pvfs, ResolvedIo};
 use dualpar_sim::{FxHashMap, FxHashSet};
@@ -138,7 +138,6 @@ pub(crate) struct Proc {
     pub prog: usize,
     pub rank: usize,
     pub node: u32,
-    pub ctx: IoCtx,
     /// Shared, immutable per-rank script. Behind an `Arc` so the hot
     /// execution paths can detach a cheap handle and borrow ops out of it
     /// while mutating the rest of the cluster — no per-op deep clones.
@@ -293,7 +292,6 @@ pub struct Cluster {
     pub(crate) last_event_time: SimTime,
     pub(crate) finished_programs: usize,
     pub(crate) emc_active: bool,
-    pub(crate) next_ctx: u32,
     pub(crate) tele: Telemetry,
     /// Epoch-stamped scratch for [`Cluster::cache_access_time`]: per-node
     /// byte accumulators that survive across calls so the hot path never
@@ -367,7 +365,6 @@ impl Cluster {
             last_event_time: SimTime::ZERO,
             finished_programs: 0,
             emc_active: false,
-            next_ctx: 1,
             tele,
             cat_bytes: vec![0; nnodes],
             cat_stamp: vec![0; nnodes],
@@ -470,13 +467,10 @@ impl Cluster {
                 "program {name} rank {rank}: predictions must name I/O ops in ascending order"
             );
             let node = (rank as u32) % self.cfg.num_compute_nodes;
-            let ctx = IoCtx(self.next_ctx);
-            self.next_ctx += 1;
             self.procs.push(Proc {
                 prog: idx,
                 rank,
                 node,
-                ctx,
                 script: std::sync::Arc::new(script),
                 pos: 0,
                 state: PState::Computing,
@@ -573,16 +567,6 @@ impl Cluster {
     }
 
     // ----- network + disk plumbing ------------------------------------
-
-    /// Translate a fine-grained issuing identity into the disk-scheduler
-    /// context the data server's kernel would actually see.
-    pub(crate) fn effective_ctx(&self, prog: usize, fine: IoCtx) -> IoCtx {
-        match self.cfg.ctx_mode {
-            CtxMode::PerServer => IoCtx(0),
-            CtxMode::PerClient => fine,
-            CtxMode::PerProgram => IoCtx(prog as u32 + 1),
-        }
-    }
 
     /// Time to move the listed `(home, bytes)` chunks between this compute
     /// node and the cache. Accesses are batched per home node (a Memcached
@@ -697,14 +681,13 @@ impl Cluster {
     }
 
     /// Issue the accesses of `ios` (already coalesced covers) to the data
-    /// servers, attached to `group`. Requests leave through `node`'s NIC
-    /// with context `ctx`. Returns the number of sub-requests issued.
+    /// servers, attached to `group`. Requests leave through `node`'s NIC.
+    /// Returns the number of sub-requests issued.
     pub(crate) fn issue_covers(
         &mut self,
         now: SimTime,
         group: SlabKey,
         node: u32,
-        ctx: IoCtx,
         kind: IoKind,
         ios: &[(FileId, FileRegion)],
     ) -> usize {
@@ -740,7 +723,6 @@ impl Cluster {
                 lbn: run.lbn,
                 sectors: run.sectors,
                 kind,
-                ctx,
                 group,
                 resp_bytes,
                 life,
@@ -1063,17 +1045,13 @@ impl Cluster {
             let disk = &self.servers[i].disk;
             let seek = disk.total_seek_distance();
             let busy = disk.total_busy().as_secs_f64();
-            let per_ctx: Vec<f64> = disk
-                .per_ctx_service()
-                .into_iter()
-                .map(|(_, d)| d.as_secs_f64())
-                .collect();
+            let serviced = disk.trace().serviced() > 0;
             seek_total += seek;
             self.tele
                 .gauge_set(&format!("disk.d{i}.seek_sectors"), seek as f64);
             self.tele.gauge_set(&format!("disk.d{i}.busy_secs"), busy);
-            for secs in per_ctx {
-                self.tele.observe("disk.ctx_service_secs", secs);
+            if serviced {
+                self.tele.observe("disk.ctx_service_secs", busy);
             }
         }
         self.tele.count("disk.seek_sectors_total", seek_total);
@@ -1417,22 +1395,8 @@ mod tests {
         // Two reads far apart on the one disk: the first is dispatched at
         // 0, the second when the first completes, at `done`.
         let disk = &mut c.servers[0].disk;
-        disk.enqueue(DiskRequest::new(
-            1,
-            IoCtx(0),
-            IoKind::Read,
-            1 << 20,
-            8,
-            SimTime::ZERO,
-        ));
-        disk.enqueue(DiskRequest::new(
-            2,
-            IoCtx(0),
-            IoKind::Read,
-            1 << 26,
-            8,
-            SimTime::ZERO,
-        ));
+        disk.enqueue(DiskRequest::new(1, IoKind::Read, 1 << 20, 8, SimTime::ZERO));
+        disk.enqueue(DiskRequest::new(2, IoKind::Read, 1 << 26, 8, SimTime::ZERO));
         let StartOutcome::Started { finish: done } = disk.try_start(SimTime::ZERO) else {
             panic!("an idle disk with queued work starts one request")
         };

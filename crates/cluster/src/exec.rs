@@ -187,10 +187,8 @@ impl Cluster {
             sieved,
         };
         let node = self.procs[p].node;
-        let prog = self.procs[p].prog;
-        let ctx = self.effective_ctx(prog, self.procs[p].ctx);
         let group = self.new_group(Purpose::VanillaRegion { proc: p });
-        self.issue_covers(now, group, node, ctx, kind, &[(file, cover)]);
+        self.issue_covers(now, group, node, kind, &[(file, cover)]);
         self.finish_if_empty(now, group);
     }
 
@@ -289,10 +287,9 @@ impl Cluster {
         for agg in &plan.aggregators {
             let agg_proc = proc_base + agg.agg_rank;
             let node = self.procs[agg_proc].node;
-            let ctx = self.effective_ctx(prog, self.procs[agg_proc].ctx);
             let covers: Vec<(FileId, FileRegion)> =
                 agg.ios.iter().map(|io| (io.file, io.cover)).collect();
-            self.issue_covers(now, group, node, ctx, kind, &covers);
+            self.issue_covers(now, group, node, kind, &covers);
         }
         self.finish_if_empty(now, group);
     }

@@ -18,7 +18,7 @@ pub mod config;
 pub mod metrics;
 
 pub use builder::{Experiment, ExperimentError};
-pub use config::{ClusterConfig, CtxMode, IoStrategy, ProgramSpec, ServerWriteMode};
+pub use config::{ClusterConfig, IoStrategy, ProgramSpec, ServerWriteMode};
 pub use dualpar_telemetry::{
     folded, SpanProfile, Telemetry, TelemetryConfig, TelemetryLevel, TelemetrySnapshot,
 };
@@ -28,7 +28,7 @@ pub use metrics::{ModeEvent, ProgramReport, RunReport};
 /// One-line import for experiment scripts: `use dualpar_cluster::prelude::*;`.
 pub mod prelude {
     pub use crate::builder::{Experiment, ExperimentError};
-    pub use crate::config::{ClusterConfig, CtxMode, IoStrategy, ProgramSpec, ServerWriteMode};
+    pub use crate::config::{ClusterConfig, IoStrategy, ProgramSpec, ServerWriteMode};
     pub use crate::engine::Cluster;
     pub use crate::metrics::{ModeEvent, ProgramReport, RunReport};
     pub use dualpar_disk::{IoKind, SchedulerKind};

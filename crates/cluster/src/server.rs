@@ -4,10 +4,10 @@
 //! handlers here are the only code that touches this state, apart from the
 //! EMC tick's seek-window sample and the end-of-run report.
 
-use crate::config::{ClusterConfig, CtxMode, ServerWriteMode};
+use crate::config::{ClusterConfig, ServerWriteMode};
 use crate::engine::Ev;
 use crate::events::EventList;
-use dualpar_disk::{Disk, DiskRequest, IoCtx, IoKind, Lbn, StartOutcome};
+use dualpar_disk::{Disk, DiskRequest, IoKind, Lbn, StartOutcome};
 use dualpar_sim::{Link, SimDuration, SimTime, Slab, SlabKey};
 use dualpar_telemetry::{SpanId, Telemetry};
 
@@ -28,7 +28,6 @@ pub(crate) struct SubReq {
     pub lbn: Lbn,
     pub sectors: u64,
     pub kind: IoKind,
-    pub ctx: IoCtx,
     /// Completion group the ack resolves against (client-side slab key).
     pub group: SlabKey,
     /// Response payload size (data for reads, zero for writes).
@@ -83,20 +82,10 @@ pub(crate) struct Server {
     write_mode: ServerWriteMode,
     msg_header: u64,
     flush_interval: SimDuration,
-    /// The flush daemon's effective disk context, fixed by `ctx_mode`.
-    flush_ctx: IoCtx,
 }
 
 impl Server {
     pub fn new(id: u32, cfg: &ClusterConfig) -> Self {
-        // The daemon is one kernel context; what the disk scheduler sees
-        // depends on the context mode (mirrors `Cluster::effective_ctx`
-        // for program 0 and the daemon's fine identity).
-        let flush_ctx = match cfg.ctx_mode {
-            CtxMode::PerServer => IoCtx(0),
-            CtxMode::PerClient => IoCtx(0xFFFF_FFFF),
-            CtxMode::PerProgram => IoCtx(1),
-        };
         Server {
             id,
             disk: Disk::new(cfg.disk.clone(), cfg.scheduler, cfg.trace_disks),
@@ -107,7 +96,6 @@ impl Server {
             write_mode: cfg.server_write_mode,
             msg_header: cfg.msg_header,
             flush_interval: cfg.server_flush_interval,
-            flush_ctx,
         }
     }
 
@@ -142,7 +130,7 @@ impl Server {
 
     fn on_recv(&mut self, now: SimTime, key: SlabKey, queue: &mut EventList, tele: &mut Telemetry) {
         let sub = self.pending.get(key).expect("admitted at send");
-        let req = DiskRequest::new(sub.id, sub.ctx, sub.kind, sub.lbn, sub.sectors, now);
+        let req = DiskRequest::new(sub.id, sub.kind, sub.lbn, sub.sectors, now);
         if req.kind == IoKind::Write && self.write_mode == ServerWriteMode::WriteBack {
             let sub = self.pending.remove(key).expect("checked");
             let req = req.with_tag(UNTRACKED);
@@ -191,11 +179,9 @@ impl Server {
         if dirty.is_empty() {
             return;
         }
-        // The flush daemon is one kernel context issuing in LBN order —
-        // pdflush behaviour.
+        // The flush daemon issues in LBN order — pdflush behaviour.
         dirty.sort_by_key(|r| r.lbn);
-        for mut r in dirty {
-            r.ctx = self.flush_ctx;
+        for r in dirty {
             self.disk.enqueue(r);
         }
         if !self.disk.is_busy() {
@@ -284,13 +270,12 @@ mod tests {
     use crate::events::Event;
 
     /// A read of 8 sectors at `lbn`, acknowledged to group `id`.
-    fn read(id: u64, ctx: u32, lbn: Lbn) -> SubReq {
+    fn read(id: u64, lbn: Lbn) -> SubReq {
         SubReq {
             id,
             lbn,
             sectors: 8,
             kind: IoKind::Read,
-            ctx: IoCtx(ctx),
             group: SlabKey::from_raw(id),
             resp_bytes: 4096,
             life: SpanId::INVALID,
@@ -307,15 +292,12 @@ mod tests {
         let mut server = Server::new(0, &cfg);
         let mut queue = EventList::default();
         let mut tele = Telemetry::disabled();
-        // Read 0 occupies the disk. Reads 1-3 queue behind it in three
-        // contexts, so none merges at enqueue: at dispatch, read 1 absorbs
-        // read 2 (which continues it) and read 3 (which it continues).
-        for sub in [
-            read(0, 0, 1 << 20),
-            read(1, 1, 108),
-            read(2, 2, 116),
-            read(3, 3, 100),
-        ] {
+        // Read 0 occupies the disk and leaves its head at 108. Reads 1-3
+        // queue behind it; each arrives before the read it continues, so
+        // none merges at enqueue. At dispatch, read 1 (next from the head)
+        // absorbs read 2 (which continues it) and read 3 (which it
+        // continues).
+        for sub in [read(0, 100), read(2, 116), read(1, 108), read(3, 100)] {
             let key = server.admit(sub);
             let recv = SEv::Recv { server: 0, key };
             server.handle(SimTime::ZERO, recv, &mut queue, &mut tele);

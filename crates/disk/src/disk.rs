@@ -1,9 +1,8 @@
 //! The disk device: mechanical model + scheduler + trace, with an explicit
 //! start/complete protocol driven by the owning event loop.
 
-use crate::ctxmap::CtxMap;
 use crate::model::{DiskParams, Lbn};
-use crate::request::{DiskRequest, IoCtx};
+use crate::request::DiskRequest;
 use crate::sched::{Decision, Scheduler, SchedulerKind};
 use crate::trace::{BlockTrace, TraceRecord};
 use dualpar_sim::{SimDuration, SimTime};
@@ -36,9 +35,6 @@ pub struct Disk {
     total_busy: SimDuration,
     bytes_serviced: u64,
     total_seek: u64,
-    /// Service time per issuing context: an array slot per dispatch where
-    /// a tree map took a search and, for a new context, an allocation.
-    per_ctx_busy: CtxMap<SimDuration>,
 }
 
 impl Disk {
@@ -53,7 +49,6 @@ impl Disk {
             total_busy: SimDuration::ZERO,
             bytes_serviced: 0,
             total_seek: 0,
-            per_ctx_busy: CtxMap::new(),
         }
     }
 
@@ -107,12 +102,6 @@ impl Disk {
         self.total_seek
     }
 
-    /// Cumulative service time attributed to each issuing context, in
-    /// ascending context order.
-    pub fn per_ctx_service(&self) -> Vec<(IoCtx, SimDuration)> {
-        self.per_ctx_busy.sorted()
-    }
-
     /// Queue a request. The caller should then call [`Disk::try_start`] and
     /// act on the outcome (unless the disk is already busy).
     pub fn enqueue(&mut self, req: DiskRequest) {
@@ -140,8 +129,7 @@ impl Disk {
         match self.sched.decide(now, self.head) {
             Decision::Dispatch(mut req) => {
                 // Dispatch-time elevator merge: chain any queued requests
-                // that continue this one, regardless of issuing context,
-                // up to the block layer's merge cap.
+                // that continue this one, up to the block layer's merge cap.
                 while req.sectors < crate::sched::DEFAULT_MAX_MERGE_SECTORS {
                     match self.sched.absorb_contiguous(req.end(), req.kind) {
                         Some(next) => req.back_merge(next),
@@ -163,7 +151,6 @@ impl Disk {
                     lbn: req.lbn,
                     sectors: req.sectors,
                     kind: req.kind,
-                    ctx: req.ctx,
                     seek_distance: dist,
                 });
                 dualpar_sim::strict_assert!(
@@ -176,7 +163,6 @@ impl Disk {
                 let finish = now.saturating_add(service);
                 self.total_busy += service;
                 self.total_seek += dist;
-                *self.per_ctx_busy.get_or_insert_default(req.ctx) += service;
                 self.bytes_serviced += req.sectors.saturating_mul(crate::model::SECTOR_BYTES);
                 self.head = req.end();
                 self.in_flight = Some(req);
@@ -203,14 +189,14 @@ impl Disk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{IoCtx, IoKind};
+    use crate::request::IoKind;
 
     fn disk(kind: SchedulerKind) -> Disk {
         Disk::new(DiskParams::hdd_7200rpm(), kind, true)
     }
 
     fn req(id: u64, lbn: Lbn, sectors: u64) -> DiskRequest {
-        DiskRequest::new(id, IoCtx(0), IoKind::Read, lbn, sectors, SimTime::ZERO)
+        DiskRequest::new(id, IoKind::Read, lbn, sectors, SimTime::ZERO)
     }
 
     #[test]
@@ -310,32 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn per_ctx_service_is_in_ascending_context_order() {
-        let mut d = disk(SchedulerKind::Noop);
-        for (i, ctx) in [u32::MAX, 5, 0xFFFF, 2, 4096].into_iter().enumerate() {
-            let i = i as u64;
-            d.enqueue(DiskRequest::new(
-                i,
-                IoCtx(ctx),
-                IoKind::Read,
-                i * 1000,
-                8 * (i + 1),
-                SimTime::ZERO,
-            ));
-        }
-        let mut now = SimTime::ZERO;
-        while let StartOutcome::Started { finish } = d.try_start(now) {
-            now = finish;
-            d.complete();
-        }
-        let per_ctx = d.per_ctx_service();
-        let ctxs: Vec<u32> = per_ctx.iter().map(|(c, _)| c.0).collect();
-        assert_eq!(ctxs, vec![2, 5, 4096, 0xFFFF, u32::MAX]);
-        let total: SimDuration = per_ctx.iter().map(|&(_, t)| t).sum();
-        assert_eq!(total, d.total_busy());
-    }
-
-    #[test]
     fn cfq_idle_outcome_propagates() {
         let mut d = disk(SchedulerKind::Cfq);
         d.enqueue(req(1, 0, 8));
@@ -344,7 +304,7 @@ mod tests {
             o => panic!("{o:?}"),
         };
         d.complete();
-        // Queue empty but CFQ anticipates the same context.
+        // Queue empty but CFQ anticipates another request.
         match d.try_start(finish) {
             StartOutcome::Idle { until } => assert!(until > finish),
             o => panic!("expected idle anticipation, got {o:?}"),

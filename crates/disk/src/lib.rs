@@ -11,7 +11,6 @@
 // Hot path: LBNs and sector counts must not wrap or truncate.
 #![warn(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)]
 
-pub mod ctxmap;
 pub mod disk;
 pub mod model;
 pub mod request;
@@ -20,7 +19,7 @@ pub mod trace;
 
 pub use disk::{Disk, StartOutcome};
 pub use model::{bytes_to_sectors, DiskParams, Lbn, SECTOR_BYTES};
-pub use request::{DiskRequest, IoCtx, IoKind, MergedIds};
+pub use request::{DiskRequest, IoKind, MergedIds};
 pub use sched::{
     AnticipatoryConfig, AnticipatoryScheduler, CfqConfig, CfqScheduler, DeadlineConfig,
     DeadlineScheduler, Decision, NoopScheduler, ScanScheduler, Scheduler, SchedulerKind,

@@ -13,21 +13,6 @@ pub enum IoKind {
     Write,
 }
 
-impl IoKind {
-    /// True for [`IoKind::Read`].
-    pub fn is_read(self) -> bool {
-        matches!(self, IoKind::Read)
-    }
-}
-
-/// Identifier of the *issuing context* as seen by the disk scheduler — the
-/// analogue of the process/io-context CFQ keys its per-context queues on.
-/// Under vanilla MPI-IO each MPI process is its own context; under collective
-/// I/O the aggregator is; under DualPar the per-node CRM daemon is. This
-/// difference is precisely what changes the scheduler's view of the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct IoCtx(pub u32);
-
 /// How many merged caller tags fit without touching the heap. Queue
 /// merging rarely coalesces more than a handful of requests (the sector
 /// cap bites first), so the common case is allocation-free.
@@ -128,8 +113,6 @@ impl<'a> IntoIterator for &'a MergedIds {
 pub struct DiskRequest {
     /// Unique id assigned by the issuing layer.
     pub id: u64,
-    /// Issuing context the scheduler keys fairness on.
-    pub ctx: IoCtx,
     /// Read or write.
     pub kind: IoKind,
     /// First sector accessed.
@@ -146,18 +129,10 @@ pub struct DiskRequest {
 
 impl DiskRequest {
     /// Build an unmerged request, tagged with its `id`.
-    pub fn new(
-        id: u64,
-        ctx: IoCtx,
-        kind: IoKind,
-        lbn: Lbn,
-        sectors: u64,
-        arrival: SimTime,
-    ) -> Self {
+    pub fn new(id: u64, kind: IoKind, lbn: Lbn, sectors: u64, arrival: SimTime) -> Self {
         debug_assert!(sectors > 0, "zero-length disk request");
         DiskRequest {
             id,
-            ctx,
             kind,
             lbn,
             sectors,
@@ -224,7 +199,7 @@ mod tests {
     use super::*;
 
     fn req(id: u64, lbn: Lbn, sectors: u64) -> DiskRequest {
-        DiskRequest::new(id, IoCtx(1), IoKind::Read, lbn, sectors, SimTime::ZERO)
+        DiskRequest::new(id, IoKind::Read, lbn, sectors, SimTime::ZERO)
     }
 
     #[test]

@@ -2,16 +2,16 @@
 //! reference [17], and Linux's `as` elevator of the same era).
 //!
 //! A seek-minimising elevator with one twist: after serving a request, if
-//! the *same context* is likely to issue a nearby request imminently, the
-//! disk idles briefly instead of moving the head away — defeating the
-//! "deceptive idleness" of synchronous I/O. Unlike CFQ there are no
-//! per-context queues or time slices; anticipation is the only
-//! context-aware mechanism.
+//! nothing else is queued, the disk idles briefly instead of moving the
+//! head away, expecting the issuer's next nearby request — defeating the
+//! "deceptive idleness" of synchronous I/O. Each data server issues all of
+//! its disk I/O from one process (DESIGN.md §7), so every queued request
+//! is that issuer's, and anticipation arms only on an empty queue. Unlike
+//! CFQ there are no time slices.
 
 use super::{Decision, Scheduler, DEFAULT_MAX_MERGE_SECTORS};
-use crate::ctxmap::CtxMap;
 use crate::model::Lbn;
-use crate::request::{DiskRequest, IoCtx, IoKind};
+use crate::request::{DiskRequest, IoKind};
 use dualpar_sim::{SimDuration, SimTime};
 
 /// Anticipatory-scheduler tunables.
@@ -38,14 +38,15 @@ pub struct AnticipatoryScheduler {
     cfg: AnticipatoryConfig,
     /// Global LBN-sorted queue.
     sorted: Vec<DiskRequest>,
-    /// Context whose follow-up we are (or would be) anticipating.
-    last_ctx: Option<IoCtx>,
+    /// Set by a dispatch, cleared when the disk goes empty: a follow-up to
+    /// the last dispatched request may still be on its way.
+    dispatched: bool,
     /// Armed anticipation deadline.
     antic_until: Option<SimTime>,
-    /// Per-context verdict: did the last armed anticipation pay off?
-    /// Dense-indexed by context id ([`CtxMap`]) — the decide hot path
-    /// reads this on every empty-queue check.
-    antic_ok: CtxMap<bool>,
+    /// Whether anticipation is worth arming. A one-way latch: the first
+    /// armed window that expires unrewarded ends anticipation on this disk
+    /// for good.
+    antic_ok: bool,
 }
 
 impl AnticipatoryScheduler {
@@ -54,9 +55,9 @@ impl AnticipatoryScheduler {
         AnticipatoryScheduler {
             cfg,
             sorted: Vec::new(),
-            last_ctx: None,
+            dispatched: false,
             antic_until: None,
-            antic_ok: CtxMap::new(),
+            antic_ok: true,
         }
     }
 
@@ -82,11 +83,9 @@ impl Scheduler for AnticipatoryScheduler {
                 return;
             }
         }
-        // An arrival from the anticipated context rewards the wait.
-        if self.antic_until.is_some() && self.last_ctx == Some(req.ctx) {
-            self.antic_ok.set(req.ctx, true);
-            self.antic_until = None;
-        }
+        // An arrival ends the anticipation wait. A window is armed only on
+        // an empty queue, so no request merges while one is armed.
+        self.antic_until = None;
         let pos = self
             .sorted
             .partition_point(|r| (r.lbn, r.id) < (req.lbn, req.id));
@@ -94,37 +93,30 @@ impl Scheduler for AnticipatoryScheduler {
     }
 
     fn decide(&mut self, now: SimTime, head: Lbn) -> Decision {
-        // Anticipation: the last context's queue-relevant request may still
+        // Anticipation: the last dispatched request's follow-up may still
         // be on its way.
-        if let Some(ctx) = self.last_ctx {
-            let has_from_ctx = self.sorted.iter().any(|r| r.ctx == ctx);
-            if !has_from_ctx {
-                let ok = self.antic_ok.get(ctx).copied().unwrap_or(true);
-                match self.antic_until {
-                    None if ok => {
-                        let until = now.saturating_add(self.cfg.antic_window);
-                        self.antic_until = Some(until);
-                        return Decision::IdleUntil(until);
-                    }
-                    Some(until) if now < until => return Decision::IdleUntil(until),
-                    Some(_) => {
-                        // Expired unrewarded.
-                        self.antic_ok.set(ctx, false);
-                        self.antic_until = None;
-                        self.last_ctx = None;
-                    }
-                    None => {}
+        if self.dispatched && self.sorted.is_empty() {
+            match self.antic_until {
+                None if self.antic_ok => {
+                    let until = now.saturating_add(self.cfg.antic_window);
+                    self.antic_until = Some(until);
+                    return Decision::IdleUntil(until);
                 }
-            } else {
-                self.antic_until = None;
+                Some(until) if now < until => return Decision::IdleUntil(until),
+                Some(_) => {
+                    // Expired unrewarded.
+                    self.antic_ok = false;
+                    self.antic_until = None;
+                }
+                None => {}
             }
         }
         if self.sorted.is_empty() {
-            self.last_ctx = None;
+            self.dispatched = false;
             return Decision::Empty;
         }
         let req = self.pop_elevator(head);
-        self.last_ctx = Some(req.ctx);
+        self.dispatched = true;
         Decision::Dispatch(req)
     }
 
@@ -153,15 +145,15 @@ impl Scheduler for AnticipatoryScheduler {
 mod tests {
     use super::*;
 
-    fn req(id: u64, ctx: u32, lbn: Lbn) -> DiskRequest {
-        DiskRequest::new(id, IoCtx(ctx), IoKind::Read, lbn, 8, SimTime::ZERO)
+    fn req(id: u64, lbn: Lbn) -> DiskRequest {
+        DiskRequest::new(id, IoKind::Read, lbn, 8, SimTime::ZERO)
     }
 
     #[test]
     fn serves_in_elevator_order() {
         let mut s = AnticipatoryScheduler::new(AnticipatoryConfig::default());
         for (id, lbn) in [(1, 9000), (2, 1000), (3, 5000)] {
-            s.enqueue(req(id, 1, lbn));
+            s.enqueue(req(id, lbn));
         }
         let mut order = Vec::new();
         let mut head = 0;
@@ -180,51 +172,34 @@ mod tests {
     }
 
     #[test]
-    fn anticipates_last_context_over_other_work() {
-        let mut s = AnticipatoryScheduler::new(AnticipatoryConfig::default());
-        s.enqueue(req(1, 1, 100));
-        let _ = s.decide(SimTime::ZERO, 0); // serves ctx 1
-        s.enqueue(req(2, 2, 900_000)); // far-away work from someone else
-                                       // AS idles, hoping ctx 1 comes back with something nearby.
-        match s.decide(SimTime::from_millis(1), 108) {
-            Decision::IdleUntil(t) => assert_eq!(t, SimTime::from_millis(7)),
-            other => panic!("expected idle, got {other:?}"),
-        }
-        // It does: the nearby request is serviced before the far one.
-        s.enqueue(req(3, 1, 108));
-        match s.decide(SimTime::from_millis(2), 108) {
-            Decision::Dispatch(r) => assert_eq!(r.id, 3),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn failed_anticipation_disables_itself() {
         let mut s = AnticipatoryScheduler::new(AnticipatoryConfig::default());
-        s.enqueue(req(1, 1, 100));
-        let _ = s.decide(SimTime::ZERO, 0);
-        s.enqueue(req(2, 2, 900_000));
-        let until = match s.decide(SimTime::from_millis(1), 108) {
-            Decision::IdleUntil(t) => t,
-            other => panic!("{other:?}"),
+        let dispatch = |s: &mut AnticipatoryScheduler, ms: u64, head: Lbn| match s
+            .decide(SimTime::from_millis(ms), head)
+        {
+            Decision::Dispatch(r) => r.id,
+            other => panic!("expected a dispatch at {ms} ms, got {other:?}"),
         };
-        // ctx 1's window expires unrewarded; the far request is served.
-        match s.decide(until, 108) {
-            Decision::Dispatch(r) => assert_eq!(r.id, 2),
-            other => panic!("{other:?}"),
-        }
-        // ctx 2 gets (and wastes) its own anticipation window.
-        s.enqueue(req(3, 1, 200));
-        let until2 = match s.decide(until, 108) {
-            Decision::IdleUntil(t) => t,
-            other => panic!("expected idle for ctx2, got {other:?}"),
-        };
-        match s.decide(until2, 108) {
-            Decision::Dispatch(r) => assert_eq!(r.id, 3),
-            other => panic!("{other:?}"),
-        }
-        // ctx 1 burned its credit earlier: after serving it, no idle.
-        assert_eq!(s.decide(until2, 208), Decision::Empty);
+        s.enqueue(req(1, 100));
+        assert_eq!(dispatch(&mut s, 0, 0), 1);
+        // The queue is empty: AS idles, hoping for a nearby follow-up.
+        assert_eq!(
+            s.decide(SimTime::from_millis(1), 108),
+            Decision::IdleUntil(SimTime::from_millis(7))
+        );
+        // It comes, and the wait was worth it.
+        s.enqueue(req(2, 108));
+        assert_eq!(dispatch(&mut s, 2, 108), 2);
+        assert_eq!(
+            s.decide(SimTime::from_millis(3), 116),
+            Decision::IdleUntil(SimTime::from_millis(9))
+        );
+        // This window expires unrewarded.
+        assert_eq!(s.decide(SimTime::from_millis(9), 116), Decision::Empty);
+        // From now on a drained queue is reported empty at once.
+        s.enqueue(req(3, 116));
+        assert_eq!(dispatch(&mut s, 10, 116), 3);
+        assert_eq!(s.decide(SimTime::from_millis(11), 124), Decision::Empty);
     }
 
     #[test]

@@ -1,37 +1,39 @@
 //! A behavioural model of Linux CFQ (Completely Fair Queuing), the paper's
 //! disk scheduler.
 //!
+//! Each data server does its disk I/O from one server process, so CFQ sees
+//! one I/O context per disk (DESIGN.md §7) and this model keeps one queue.
 //! The properties that matter for reproducing the paper:
 //!
-//! 1. **Per-context queues served round-robin in time slices.** Requests from
-//!    different processes (or programs) are *not* globally sorted; the head
-//!    moves to wherever the next context's data lives when a slice expires.
-//!    With two `mpi-io-test` instances on one disk this is exactly the
-//!    long-distance head thrashing of Fig. 6(a).
-//! 2. **Sorting only within a context's current queue.** CFQ can create a
-//!    good order only among the requests it can *see*. A trickle of prefetch
+//! 1. **Sorting only among the requests it can see.** The queue is served
+//!    by a circular elevator from the head, so CFQ can create a good order
+//!    only among the requests queued at the moment. A trickle of prefetch
 //!    requests (Strategy 2) gives it one or two outstanding requests at a
-//!    time — service order ≈ arrival order (Fig. 1c). A pre-sorted batch
-//!    from DualPar's CRM arrives together and sweeps cleanly (Fig. 1d).
-//! 3. **Idle anticipation** (`slice_idle`): after serving a context's last
+//!    time — service order ≈ arrival order (Fig. 1c). Two `mpi-io-test`
+//!    instances on one disk interleave their requests in that one queue,
+//!    and the head moves between their regions — the long-distance
+//!    thrashing of Fig. 6(a). A pre-sorted batch from DualPar's CRM arrives
+//!    together and sweeps cleanly (Fig. 1d).
+//! 2. **Time slices.** Service runs in slices of `slice`; one that expires
+//!    with requests queued is followed at once by a new one, and the
+//!    elevator goes on from the head.
+//! 3. **Idle anticipation** (`slice_idle`): after serving the last queued
 //!    request CFQ keeps the disk idle briefly, expecting another nearby
-//!    request from the same context — good for per-process sequential
-//!    streams, wasted time for interleaved ones.
+//!    request — good for sequential streams, wasted time for interleaved
+//!    ones.
 
 use super::{Decision, Scheduler, DEFAULT_MAX_MERGE_SECTORS};
-use crate::ctxmap::CtxMap;
 use crate::model::Lbn;
-use crate::request::{DiskRequest, IoCtx, IoKind};
+use crate::request::{DiskRequest, IoKind};
 use dualpar_sim::{SimDuration, SimTime};
-use std::collections::VecDeque;
 
 /// CFQ tunables (Linux defaults).
 #[derive(Debug, Clone)]
 pub struct CfqConfig {
-    /// Length of a context's service slice — Linux `slice_sync` default.
+    /// Length of a service slice — Linux `slice_sync` default.
     pub slice: SimDuration,
-    /// Anticipatory idle window after a context's queue empties —
-    /// Linux `slice_idle` default.
+    /// Anticipatory idle window after the queue empties — Linux
+    /// `slice_idle` default.
     pub slice_idle: SimDuration,
     /// Cap on merged request size.
     pub max_merge_sectors: u64,
@@ -47,9 +49,9 @@ impl Default for CfqConfig {
     }
 }
 
-/// The per-context queue operations CFQ is built from. [`CtxQueue`] is
-/// the one the simulator runs; the tests check it against a linear-scan
-/// oracle of the same operations.
+/// The queue operations CFQ is built from. [`SortedQueue`] is the one the
+/// simulator runs; the tests check it against a linear-scan oracle of the
+/// same operations.
 trait Queue: Default {
     /// Add `req`, back-merging it into the first request (in `(lbn, id)`
     /// order) it continues within `max_merge` sectors.
@@ -63,9 +65,9 @@ trait Queue: Default {
     fn len(&self) -> usize;
 }
 
-/// One context's sorted queue.
+/// The disk's sorted queue.
 #[derive(Debug, Default)]
-struct CtxQueue {
+struct SortedQueue {
     /// `(lbn, slot)` of every queued request, sorted by the requests'
     /// `(lbn, id)`. Every search runs over these 16-byte keys, and an
     /// insert or a remove shifts them, not the 80-byte requests.
@@ -80,7 +82,7 @@ struct CtxQueue {
     longest: u64,
 }
 
-impl CtxQueue {
+impl SortedQueue {
     /// The request at position `i` of `order`.
     fn at(&self, i: usize) -> Option<&DiskRequest> {
         let &(_, slot) = self.order.get(i)?;
@@ -97,8 +99,7 @@ impl CtxQueue {
 
     fn remove(&mut self, i: usize) -> DiskRequest {
         // Must be the shifting `remove`, not `swap_remove`: every search
-        // assumes `order` stays sorted. Per-context queues are short (the
-        // slice quantum bounds them), so the shift is a small memmove; the
+        // assumes `order` stays sorted. The shift moves 16-byte keys; the
         // `dispatch` and `disk_path` criterion groups in
         // `crates/bench/benches/hot_path.rs` are the regression guard.
         let (_, slot) = self.order.remove(i);
@@ -109,7 +110,7 @@ impl CtxQueue {
     }
 }
 
-impl Queue for CtxQueue {
+impl Queue for SortedQueue {
     fn insert(&mut self, req: DiskRequest, max_merge: u64) {
         let mut pos = self.order.partition_point(|&(l, _)| l < req.lbn);
         // A back-merge target ends at `req.lbn` and leaves `req` room under
@@ -183,49 +184,24 @@ impl Queue for CtxQueue {
     }
 }
 
-/// A context's queue and its anticipation verdict.
-#[derive(Debug)]
-struct CtxState<Q> {
-    queue: Q,
-    /// Whether anticipation is worth arming for this context. Real CFQ
-    /// tracks per-queue think time and stops idling for queues whose next
-    /// request does not arrive promptly; we keep the boolean distillation:
-    /// an idle window that expires unrewarded disables idling for the
-    /// context until an armed idle is rewarded again.
-    idle_ok: bool,
-}
-
-impl<Q: Default> Default for CtxState<Q> {
-    fn default() -> Self {
-        CtxState {
-            queue: Q::default(),
-            idle_ok: true,
-        }
-    }
-}
-
 /// The CFQ scheduler state.
 #[derive(Debug)]
-pub struct CfqScheduler(Cfq<CtxQueue>);
+pub struct CfqScheduler(Cfq<SortedQueue>);
 
-/// CFQ over per-context queues of type `Q`.
+/// CFQ over a queue of type `Q`.
 #[derive(Debug)]
 struct Cfq<Q> {
     cfg: CfqConfig,
-    /// Per-context queues, dense-indexed by context id ([`CtxMap`]): the
-    /// enqueue/decide hot paths do an array load instead of a hash probe,
-    /// and the merge-absorption scans iterate in context-id order — a
-    /// deterministic-by-construction order, unlike the retired hash map's
-    /// table order.
-    queues: CtxMap<CtxState<Q>>,
-    /// Round-robin order of contexts that have (or recently had) requests.
-    rr: VecDeque<IoCtx>,
-    /// The context currently holding the slice.
-    active: Option<IoCtx>,
+    queue: Q,
+    /// End of the running slice; at or before `now` when none runs.
     slice_end: SimTime,
     /// Deadline of the current anticipation window, if idling.
     idle_until: Option<SimTime>,
-    total_queued: usize,
+    /// Whether anticipation is worth arming. Real CFQ tracks the queue's
+    /// think time and stops idling while the next request does not arrive
+    /// promptly; this keeps a one-way latch: the first idle window that
+    /// expires unrewarded ends idling on this disk for good.
+    idle_ok: bool,
 }
 
 impl CfqScheduler {
@@ -245,15 +221,15 @@ impl Scheduler for CfqScheduler {
     }
 
     fn absorb_contiguous(&mut self, end: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        self.0.absorb_contiguous(end, kind)
+        self.0.queue.take_starting_at(end, kind)
     }
 
     fn absorb_ending_at(&mut self, start: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        self.0.absorb_ending_at(start, kind)
+        self.0.queue.take_ending_at(start, kind)
     }
 
     fn queued(&self) -> usize {
-        self.0.total_queued
+        self.0.queue.len()
     }
 }
 
@@ -261,162 +237,58 @@ impl<Q: Queue> Cfq<Q> {
     fn new(cfg: CfqConfig) -> Self {
         Cfq {
             cfg,
-            queues: CtxMap::new(),
-            rr: VecDeque::new(),
-            active: None,
+            queue: Q::default(),
             slice_end: SimTime::ZERO,
             idle_until: None,
-            total_queued: 0,
+            idle_ok: true,
         }
     }
 
-    fn queue_len(&self, ctx: IoCtx) -> usize {
-        self.queues.get(ctx).map_or(0, |s| s.queue.len())
-    }
-
-    /// Select the next context with queued requests, starting a new slice.
-    fn switch_context(&mut self, now: SimTime) -> Option<IoCtx> {
-        self.idle_until = None;
-        let rounds = self.rr.len();
-        for _ in 0..rounds {
-            let ctx = self.rr.pop_front().expect("rr nonempty within rounds");
-            if self.queue_len(ctx) > 0 {
-                self.rr.push_back(ctx);
-                self.active = Some(ctx);
-                self.slice_end = now.saturating_add(self.cfg.slice);
-                return Some(ctx);
-            }
-            // Context idle: drop it from the RR ring; it re-registers on
-            // its next request. The queue entry (and its anticipation
-            // verdict) is kept.
-        }
-        self.active = None;
-        None
-    }
-
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "total_queued counts the requests held in the queues"
-    )]
     fn enqueue(&mut self, req: DiskRequest) {
-        let ctx = req.ctx;
-        let before;
-        {
-            let q = &mut self.queues.get_or_insert_default(ctx).queue;
-            before = q.len();
-            q.insert(req, self.cfg.max_merge_sectors);
-            let after = q.len();
-            if after > before {
-                self.total_queued += 1;
-            }
-        }
-        if before == 0 && !self.rr.contains(&ctx) {
-            self.rr.push_back(ctx);
-        }
-        // A new request for the anticipated context cancels the idle wait —
-        // the caller re-decides on enqueue, so just clear the deadline.
-        // An armed idle that gets its request is a success: anticipation
-        // stays enabled for this context.
-        if self.active == Some(ctx) {
-            if self.idle_until.is_some() {
-                if let Some(s) = self.queues.get_mut(ctx) {
-                    s.idle_ok = true;
-                }
-            }
-            self.idle_until = None;
-        }
+        self.queue.insert(req, self.cfg.max_merge_sectors);
+        // A new request cancels the idle wait — the caller re-decides on
+        // enqueue, so just clear the deadline.
+        self.idle_until = None;
     }
 
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "total_queued counts the requests held in the queues"
-    )]
     fn decide(&mut self, now: SimTime, head: Lbn) -> Decision {
-        // Serve within the active slice while it lasts. Note anticipation
+        // Serve within the running slice while it lasts. Note anticipation
         // must run even when nothing at all is queued — that is the point
         // of `slice_idle`.
-        if let Some(ctx) = self.active {
-            if now < self.slice_end {
-                if let Some(s) = self.queues.get_mut(ctx) {
-                    if let Some(r) = s.queue.pop_elevator(head) {
-                        self.total_queued -= 1;
-                        self.idle_until = None;
-                        return Decision::Dispatch(r);
-                    }
-                }
-                // Active context has nothing queued: anticipate briefly,
-                // unless anticipation last failed for this context.
-                let idle_ok = self.queues.get(ctx).is_none_or(|s| s.idle_ok);
-                match self.idle_until {
-                    None if idle_ok => {
-                        let until = now
-                            .saturating_add(self.cfg.slice_idle)
-                            .min_of(self.slice_end);
-                        if until > now {
-                            self.idle_until = Some(until);
-                            return Decision::IdleUntil(until);
-                        }
-                    }
-                    Some(until) if now < until => {
+        if now < self.slice_end {
+            if let Some(r) = self.queue.pop_elevator(head) {
+                self.idle_until = None;
+                return Decision::Dispatch(r);
+            }
+            // Nothing queued: anticipate briefly, unless anticipation has
+            // failed on this disk.
+            match self.idle_until {
+                None if self.idle_ok => {
+                    let until = now
+                        .saturating_add(self.cfg.slice_idle)
+                        .min_of(self.slice_end);
+                    if until > now {
+                        self.idle_until = Some(until);
                         return Decision::IdleUntil(until);
                     }
-                    Some(_) => {
-                        // The idle window expired unrewarded: disable
-                        // anticipation for this context until it earns it
-                        // back.
-                        if let Some(s) = self.queues.get_mut(ctx) {
-                            s.idle_ok = false;
-                        }
-                    }
-                    _ => {}
                 }
+                Some(until) if now < until => {
+                    return Decision::IdleUntil(until);
+                }
+                // The idle window expired unrewarded.
+                Some(_) => self.idle_ok = false,
+                _ => {}
             }
         }
-        if self.total_queued == 0 {
-            self.active = None;
-            self.idle_until = None;
+        // Slice expired or idle window elapsed: start a new slice if there
+        // is work.
+        self.idle_until = None;
+        let Some(r) = self.queue.pop_elevator(head) else {
+            self.slice_end = now;
             return Decision::Empty;
-        }
-        // Slice expired or idle window elapsed: move to the next context.
-        match self.switch_context(now) {
-            Some(ctx) => {
-                let s = self.queues.get_mut(ctx).expect("selected ctx has queue");
-                let r = s.queue.pop_elevator(head).expect("selected ctx nonempty");
-                self.total_queued -= 1;
-                Decision::Dispatch(r)
-            }
-            None => Decision::Empty,
-        }
-    }
-
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "total_queued counts the requests held in the queues"
-    )]
-    fn absorb_contiguous(&mut self, end: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        // Context-id iteration order: when several contexts hold a
-        // mergeable request at the same LBN, the lowest context id wins —
-        // a documented rule, where the hash map's table order was
-        // arbitrary (though seed-stable).
-        let r = self
-            .queues
-            .values_mut()
-            .find_map(|s| s.queue.take_starting_at(end, kind))?;
-        self.total_queued -= 1;
-        Some(r)
-    }
-
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "total_queued counts the requests held in the queues"
-    )]
-    fn absorb_ending_at(&mut self, start: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        let r = self
-            .queues
-            .values_mut()
-            .find_map(|s| s.queue.take_ending_at(start, kind))?;
-        self.total_queued -= 1;
-        Some(r)
+        };
+        self.slice_end = now.saturating_add(self.cfg.slice);
+        Decision::Dispatch(r)
     }
 }
 
@@ -425,15 +297,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn req(id: u64, ctx: u32, lbn: Lbn, t: SimTime) -> DiskRequest {
-        DiskRequest::new(id, IoCtx(ctx), IoKind::Read, lbn, 8, t)
+    fn req(id: u64, lbn: Lbn, t: SimTime) -> DiskRequest {
+        DiskRequest::new(id, IoKind::Read, lbn, 8, t)
     }
 
     #[test]
     fn single_context_served_in_elevator_order() {
         let mut s = CfqScheduler::new(CfqConfig::default());
         for (id, lbn) in [(1, 900), (2, 100), (3, 500)] {
-            s.enqueue(req(id, 1, lbn, SimTime::ZERO));
+            s.enqueue(req(id, lbn, SimTime::ZERO));
         }
         let mut order = Vec::new();
         let mut head = 0;
@@ -447,18 +319,17 @@ mod tests {
     #[test]
     fn anticipation_idles_after_context_drains() {
         let mut s = CfqScheduler::new(CfqConfig::default());
-        s.enqueue(req(1, 1, 100, SimTime::ZERO));
+        s.enqueue(req(1, 100, SimTime::ZERO));
         match s.decide(SimTime::ZERO, 0) {
             Decision::Dispatch(r) => assert_eq!(r.id, 1),
             other => panic!("{other:?}"),
         }
-        // Context 1's queue is now empty but its slice is live: CFQ idles.
+        // The queue is now empty but the slice is live: CFQ idles.
         match s.decide(SimTime::from_millis(1), 108) {
             Decision::IdleUntil(t) => assert_eq!(t, SimTime::from_millis(9)),
             other => panic!("expected idle, got {other:?}"),
         }
-        // Queue stays empty overall though — with no other context, after the
-        // idle window it reports Empty.
+        // The queue stays empty, so after the idle window it reports Empty.
         match s.decide(SimTime::from_millis(9), 108) {
             Decision::Empty => {}
             other => panic!("{other:?}"),
@@ -468,10 +339,10 @@ mod tests {
     #[test]
     fn new_request_from_active_context_breaks_idle() {
         let mut s = CfqScheduler::new(CfqConfig::default());
-        s.enqueue(req(1, 1, 100, SimTime::ZERO));
+        s.enqueue(req(1, 100, SimTime::ZERO));
         let _ = s.decide(SimTime::ZERO, 0);
         let _ = s.decide(SimTime::from_millis(1), 108); // starts idling
-        s.enqueue(req(2, 1, 108, SimTime::from_millis(2)));
+        s.enqueue(req(2, 108, SimTime::from_millis(2)));
         match s.decide(SimTime::from_millis(2), 108) {
             Decision::Dispatch(r) => assert_eq!(r.id, 2),
             other => panic!("{other:?}"),
@@ -486,7 +357,7 @@ mod tests {
         };
         let mut s = CfqScheduler::new(cfg);
         for (id, lbn) in [(1, 100), (2, 500), (3, 900), (4, 1300)] {
-            s.enqueue(req(id, 1, lbn, SimTime::ZERO));
+            s.enqueue(req(id, lbn, SimTime::ZERO));
         }
         let mut serve = |ms: u64, head: Lbn| match s.decide(SimTime::from_millis(ms), head) {
             Decision::Dispatch(r) => r.lbn,
@@ -510,7 +381,7 @@ mod tests {
     #[test]
     fn one_unrewarded_idle_window_ends_idling_for_good() {
         let mut s = CfqScheduler::new(CfqConfig::default());
-        s.enqueue(req(1, 1, 100, SimTime::ZERO));
+        s.enqueue(req(1, 100, SimTime::ZERO));
         assert!(matches!(s.decide(SimTime::ZERO, 0), Decision::Dispatch(_)));
         assert_eq!(
             s.decide(SimTime::from_millis(1), 108),
@@ -522,7 +393,7 @@ mod tests {
         // slice and across new ones.
         for (i, ms) in [10u64, 12, 200, 201].into_iter().enumerate() {
             let id = 2 + i as u64;
-            s.enqueue(req(id, 1, 108 + 8 * i as u64, SimTime::from_millis(ms)));
+            s.enqueue(req(id, 108 + 8 * i as u64, SimTime::from_millis(ms)));
             match s.decide(SimTime::from_millis(ms), 108) {
                 Decision::Dispatch(r) => assert_eq!(r.id, id),
                 other => panic!("{other:?}"),
@@ -532,84 +403,11 @@ mod tests {
     }
 
     #[test]
-    fn slice_expiry_rotates_contexts() {
-        let cfg = CfqConfig {
-            slice: SimDuration::from_millis(10),
-            slice_idle: SimDuration::from_millis(2),
-            ..CfqConfig::default()
-        };
-        let mut s = CfqScheduler::new(cfg);
-        // Two contexts, each with requests in a distinct disk region.
-        for i in 0..3 {
-            s.enqueue(req(i, 1, 1000 + i * 1000, SimTime::ZERO));
-            s.enqueue(req(100 + i, 2, 900_000 + i * 1000, SimTime::ZERO));
-        }
-        // First slice: context 1.
-        let mut served_ctx1 = 0;
-        let mut now = SimTime::ZERO;
-        let mut head = 0;
-        loop {
-            match s.decide(now, head) {
-                Decision::Dispatch(r) => {
-                    if r.ctx == IoCtx(1) {
-                        served_ctx1 += 1;
-                        head = r.end();
-                    } else {
-                        // Rotation happened.
-                        break;
-                    }
-                }
-                Decision::IdleUntil(t) => now = t,
-                Decision::Empty => break,
-            }
-            // Advance time past the slice midway to force expiry.
-            if served_ctx1 == 2 {
-                now = SimTime::from_millis(11);
-            }
-        }
-        assert_eq!(served_ctx1, 2, "slice expiry should preempt context 1");
-    }
-
-    #[test]
-    fn round_robin_alternates_between_contexts() {
-        let cfg = CfqConfig {
-            slice: SimDuration::from_millis(10),
-            slice_idle: SimDuration::ZERO,
-            ..CfqConfig::default()
-        };
-        let mut s = CfqScheduler::new(cfg);
-        for i in 0..2u64 {
-            s.enqueue(req(i, 1, 100 + i * 1000, SimTime::ZERO));
-            s.enqueue(req(10 + i, 2, 50_000 + i * 1000, SimTime::ZERO));
-        }
-        let mut ctx_sequence = Vec::new();
-        let mut now = SimTime::ZERO;
-        while let Decision::Dispatch(r) = {
-            // Each service takes 20 ms (longer than the slice), so every
-            // dispatch exhausts the slice and rotation occurs.
-            let d = s.decide(now, 0);
-            now += SimDuration::from_millis(20);
-            d
-        } {
-            ctx_sequence.push(r.ctx.0);
-        }
-        assert_eq!(ctx_sequence, vec![1, 2, 1, 2]);
-    }
-
-    #[test]
     fn merges_within_context() {
         let mut s = CfqScheduler::new(CfqConfig::default());
-        s.enqueue(req(1, 1, 100, SimTime::ZERO));
-        s.enqueue(req(2, 1, 108, SimTime::ZERO));
+        s.enqueue(req(1, 100, SimTime::ZERO));
+        s.enqueue(req(2, 108, SimTime::ZERO));
         assert_eq!(s.queued(), 1);
-    }
-
-    #[test]
-    fn does_not_merge_across_contexts() {
-        let mut s = CfqScheduler::new(CfqConfig::default());
-        s.enqueue(req(1, 1, 100, SimTime::ZERO));
-        s.enqueue(req(2, 2, 108, SimTime::ZERO));
-        assert_eq!(s.queued(), 2);
     }
 
     #[test]
@@ -619,9 +417,9 @@ mod tests {
         assert!(s.is_empty());
     }
 
-    /// The per-context queue as it was before the key array and windowed
-    /// searches: every merge probe is a linear scan of the whole queue.
-    /// The oracle [`CtxQueue`] must agree with.
+    /// The queue as it was before the key array and windowed searches:
+    /// every merge probe is a linear scan of the whole queue. The oracle
+    /// [`SortedQueue`] must agree with.
     #[derive(Debug, Default)]
     struct LinearQueue {
         sorted: Vec<DiskRequest>,
@@ -675,7 +473,6 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Step {
         Enqueue {
-            ctx: u32,
             write: bool,
             lbn: Lbn,
             sectors: u64,
@@ -704,22 +501,18 @@ mod tests {
     )]
     fn step() -> impl Strategy<Value = Step> {
         let enqueue = || {
-            // Contexts 0-3 plus the flush daemon's sentinel (the CtxMap
-            // spill).
-            let ctx = prop_oneof![0u32..4, Just(0xFFFF_FFFF)];
             // Mostly short requests, so merges outgrow every request a
             // queue was handed; one in eight reaches near or past the cap.
             let sectors =
                 (0u64..64).prop_map(|x| if x < 56 { 1 + x % 6 } else { CAP - 4 + x % 13 });
-            (ctx, any::<bool>(), 0u64..128, sectors, 0u64..4).prop_map(
-                |(ctx, write, lbn, sectors, id_hi)| Step::Enqueue {
-                    ctx,
+            (any::<bool>(), 0u64..128, sectors, 0u64..4).prop_map(|(write, lbn, sectors, id_hi)| {
+                Step::Enqueue {
                     write,
                     lbn,
                     sectors,
                     id_hi,
-                },
-            )
+                }
+            })
         };
         prop_oneof![
             enqueue(),
@@ -743,7 +536,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The windowed `CtxQueue` makes exactly the linear oracle's
+        /// The windowed `SortedQueue` makes exactly the linear oracle's
         /// decisions: the same dispatches and absorbed requests, with the
         /// same merged tag lists, through random interleavings.
         #[test]
@@ -755,17 +548,17 @@ mod tests {
                 slice_idle: SimDuration::from_micros(500),
                 max_merge_sectors: CAP,
             };
-            let mut fast: Cfq<CtxQueue> = Cfq::new(cfg.clone());
+            let mut fast: Cfq<SortedQueue> = Cfq::new(cfg.clone());
             let mut slow: Cfq<LinearQueue> = Cfq::new(cfg);
             let (mut now, mut head, mut seq) = (SimTime::ZERO, 0, 0u64);
             for step in steps {
                 match step {
-                    Step::Enqueue { ctx, write, lbn, sectors, id_hi } => {
+                    Step::Enqueue { write, lbn, sectors, id_hi } => {
                         // Ids are unique but not in arrival order, and
                         // equal LBNs are common.
                         seq = seq.wrapping_add(1);
                         let id = (id_hi << 32) | seq;
-                        let req = DiskRequest::new(id, IoCtx(ctx), kind(write), lbn, sectors, now);
+                        let req = DiskRequest::new(id, kind(write), lbn, sectors, now);
                         fast.enqueue(req.clone());
                         slow.enqueue(req);
                     }
@@ -777,14 +570,14 @@ mod tests {
                             // Chain merges onto the dispatch as
                             // `Disk::try_start` does.
                             while r.sectors < CAP {
-                                let next = fast.absorb_contiguous(r.end(), r.kind);
-                                prop_assert_eq!(&next, &slow.absorb_contiguous(r.end(), r.kind));
+                                let next = fast.queue.take_starting_at(r.end(), r.kind);
+                                prop_assert_eq!(&next, &slow.queue.take_starting_at(r.end(), r.kind));
                                 let Some(next) = next else { break };
                                 r.back_merge(next);
                             }
                             while r.sectors < CAP {
-                                let prev = fast.absorb_ending_at(r.lbn, r.kind);
-                                prop_assert_eq!(&prev, &slow.absorb_ending_at(r.lbn, r.kind));
+                                let prev = fast.queue.take_ending_at(r.lbn, r.kind);
+                                prop_assert_eq!(&prev, &slow.queue.take_ending_at(r.lbn, r.kind));
                                 let Some(mut prev) = prev else { break };
                                 prev.back_merge(r);
                                 r = prev;
@@ -793,15 +586,15 @@ mod tests {
                         }
                     }
                     Step::AbsorbContiguous { end, write } => {
-                        let got = fast.absorb_contiguous(end, kind(write));
-                        prop_assert_eq!(got, slow.absorb_contiguous(end, kind(write)));
+                        let got = fast.queue.take_starting_at(end, kind(write));
+                        prop_assert_eq!(got, slow.queue.take_starting_at(end, kind(write)));
                     }
                     Step::AbsorbEndingAt { start, write } => {
-                        let got = fast.absorb_ending_at(start, kind(write));
-                        prop_assert_eq!(got, slow.absorb_ending_at(start, kind(write)));
+                        let got = fast.queue.take_ending_at(start, kind(write));
+                        prop_assert_eq!(got, slow.queue.take_ending_at(start, kind(write)));
                     }
                 }
-                prop_assert_eq!(fast.total_queued, slow.total_queued);
+                prop_assert_eq!(fast.queue.len(), slow.queue.len());
             }
             // Drain: the rest comes out in the same order too.
             loop {

@@ -155,10 +155,9 @@ impl Scheduler for DeadlineScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::IoCtx;
 
     fn req_at(id: u64, lbn: Lbn, t: SimTime) -> DiskRequest {
-        DiskRequest::new(id, IoCtx(0), IoKind::Read, lbn, 8, t)
+        DiskRequest::new(id, IoKind::Read, lbn, 8, t)
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! the requests it can currently see; all the application-level machinery of
 //! DualPar exists to make that visible window large and pre-sorted. To show
 //! that effect (and for the `ablation_sched` bench) we implement the Linux
-//! schedulers of the era:
+//! schedulers of the era. Each data server does all of its disk I/O from
+//! one server process, so the kernel sees one I/O context per disk
+//! (DESIGN.md §7) and no scheduler here keeps per-context state:
 //!
-//! * [`CfqScheduler`] — the paper's default: per-context queues served
-//!   round-robin in time slices, sorted within a context, with idle
-//!   anticipation on the active context;
+//! * [`CfqScheduler`] — the paper's default: one sorted queue served by a
+//!   circular elevator in time slices, with idle anticipation after the
+//!   queue drains;
 //! * [`NoopScheduler`] — FIFO with back-merging only;
 //! * [`DeadlineScheduler`] — one sorted sweep plus per-request expiry;
 //! * [`SstfScheduler`] — shortest-seek-time-first (greedy);
@@ -34,8 +36,8 @@ use dualpar_sim::SimTime;
 pub enum Decision {
     /// Start servicing this request now.
     Dispatch(DiskRequest),
-    /// Keep the disk idle until the given time, anticipating more requests
-    /// from the active context (CFQ's `slice_idle`). If a request arrives
+    /// Keep the disk idle until the given time, anticipating another
+    /// nearby request (CFQ's `slice_idle`). If a request arrives
     /// earlier the caller will ask again and get a `Dispatch`.
     IdleUntil(SimTime),
     /// Nothing queued.
@@ -53,8 +55,8 @@ pub trait Scheduler: Send {
     fn decide(&mut self, now: SimTime, head: Lbn) -> Decision;
 
     /// Remove and return a queued request that starts exactly at `end`
-    /// with the given kind, regardless of issuing context — the block
-    /// layer's dispatch-time elevator merge. The disk calls this in a loop
+    /// with the given kind — the block layer's dispatch-time elevator
+    /// merge. The disk calls this in a loop
     /// after each dispatch to chain contiguous requests into one media
     /// access (subject to the merge-size cap it enforces).
     fn absorb_contiguous(&mut self, end: Lbn, kind: crate::request::IoKind) -> Option<DiskRequest>;

@@ -202,10 +202,10 @@ impl Scheduler for ScanScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{IoCtx, IoKind};
+    use crate::request::IoKind;
 
     fn req(id: u64, lbn: Lbn, sectors: u64) -> DiskRequest {
-        DiskRequest::new(id, IoCtx(0), IoKind::Read, lbn, sectors, SimTime::ZERO)
+        DiskRequest::new(id, IoKind::Read, lbn, sectors, SimTime::ZERO)
     }
 
     fn drain(s: &mut dyn Scheduler, head: Lbn) -> Vec<Lbn> {

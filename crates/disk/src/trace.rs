@@ -1,6 +1,6 @@
 //! Block-level tracing — the simulator's Blktrace.
 //!
-//! Records every serviced request (dispatch time, LBN, length, context) plus
+//! Records every serviced request (dispatch time, LBN, length, kind) plus
 //! the head seek distance incurred, so the figures can regenerate the LBN
 //! scatter plots of Figs. 1(c,d) and 6(a,b) and the seek-distance timeline of
 //! Fig. 7(b), and so EMC can sample `aveSeekDist` exactly as the paper's
@@ -13,7 +13,7 @@
 )]
 
 use crate::model::Lbn;
-use crate::request::{IoCtx, IoKind};
+use crate::request::IoKind;
 use dualpar_sim::{SimDuration, SimTime};
 use serde::Serialize;
 
@@ -28,8 +28,6 @@ pub struct TraceRecord {
     pub sectors: u64,
     /// Read or write.
     pub kind: IoKind,
-    /// Issuing context.
-    pub ctx: IoCtx,
     /// |head - lbn| at dispatch.
     pub seek_distance: u64,
 }
@@ -107,27 +105,6 @@ impl BlockTrace {
         self.seek_count
     }
 
-    /// Mean absolute LBN step between *consecutive* serviced requests in a
-    /// time window — a direct measure of how sequential the service order
-    /// was (small = smooth sweep, large = thrashing).
-    pub fn window_mean_lbn_step(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let mut prev_end: Option<Lbn> = None;
-        let mut sum = 0u64;
-        let mut n = 0u64;
-        for r in self.window(from, to) {
-            if let Some(pe) = prev_end {
-                sum += pe.abs_diff(r.lbn);
-                n += 1;
-            }
-            prev_end = Some(r.lbn.saturating_add(r.sectors));
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum as f64 / n as f64)
-        }
-    }
-
     /// Seek-distance averages in fixed time bins across `[0, horizon)` —
     /// feeds Fig. 7(b).
     pub fn seek_distance_bins(&self, bin: SimDuration, horizon: SimTime) -> Vec<f64> {
@@ -158,7 +135,6 @@ mod tests {
             lbn,
             sectors: 8,
             kind: IoKind::Read,
-            ctx: IoCtx(0),
             seek_distance: seek,
         }
     }
@@ -192,19 +168,6 @@ mod tests {
         assert_eq!(t.take_window_avg_seek(), None);
         t.record(rec(1, 0, 50));
         assert_eq!(t.take_window_avg_seek(), Some(50.0));
-    }
-
-    #[test]
-    fn mean_lbn_step_measures_sequentiality() {
-        let mut t = BlockTrace::new(true);
-        // Perfectly sequential: 0..8, 8..16, 16..24 — zero step.
-        for i in 0..3 {
-            t.record(rec(i, i * 8, 0));
-        }
-        let step = t
-            .window_mean_lbn_step(SimTime::ZERO, SimTime::from_secs(1))
-            .unwrap();
-        assert_eq!(step, 0.0);
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! disk drains any queue to completion (no starvation / livelock).
 
 use dualpar_disk::{
-    bytes_to_sectors, Decision, DiskParams, DiskRequest, IoCtx, IoKind, Scheduler, SchedulerKind,
+    bytes_to_sectors, Decision, DiskParams, DiskRequest, IoKind, Scheduler, SchedulerKind,
 };
 use dualpar_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-/// Arbitrary request workload: (ctx, lbn_block, sectors, is_read).
-fn workload() -> impl Strategy<Value = Vec<(u32, u64, u64, bool)>> {
-    proptest::collection::vec((0u32..4, 0u64..10_000, 1u64..64, any::<bool>()), 1..120)
+/// Arbitrary request workload: (lbn_block, sectors, is_read).
+fn workload() -> impl Strategy<Value = Vec<(u64, u64, bool)>> {
+    proptest::collection::vec((0u64..10_000, 1u64..64, any::<bool>()), 1..120)
 }
 
 fn drain_all(sched: &mut dyn Scheduler, mut now: SimTime) -> Vec<DiskRequest> {
@@ -39,18 +39,17 @@ fn drain_all(sched: &mut dyn Scheduler, mut now: SimTime) -> Vec<DiskRequest> {
     out
 }
 
-fn run_conservation(kind: SchedulerKind, reqs: Vec<(u32, u64, u64, bool)>) {
+fn run_conservation(kind: SchedulerKind, reqs: Vec<(u64, u64, bool)>) {
     let mut sched = kind.build();
     let mut expected_ids = BTreeSet::new();
     let mut expected_sectors = 0u64;
-    for (i, &(ctx, blk, sectors, is_read)) in reqs.iter().enumerate() {
+    for (i, &(blk, sectors, is_read)) in reqs.iter().enumerate() {
         let id = i as u64;
         expected_ids.insert(id);
         expected_sectors += sectors;
         let kind = if is_read { IoKind::Read } else { IoKind::Write };
         sched.enqueue(DiskRequest::new(
             id,
-            IoCtx(ctx),
             kind,
             blk * 64, // spread out, but collisions/contiguity still occur
             sectors,

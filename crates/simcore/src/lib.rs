@@ -7,7 +7,7 @@
 //! * [`fel`] — a stable-FIFO future-event list (one binary heap with the
 //!   payloads inline);
 //! * [`rng`] — labelled deterministic random streams;
-//! * [`stats`] — time series and exact percentiles;
+//! * [`stats`] — time series;
 //! * [`resource`] — FIFO resources and latency/bandwidth links;
 //! * [`slab`] — generational slab storage with stale-handle detection;
 //! * [`pool`] — order-preserving scoped worker pool (determinism-safe
@@ -63,5 +63,5 @@ pub use pool::{
 pub use resource::{FifoResource, Link};
 pub use rng::DetRng;
 pub use slab::{Slab, SlabKey};
-pub use stats::{Samples, TimeSeries};
+pub use stats::TimeSeries;
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};

@@ -11,7 +11,7 @@ use crate::time::{SimDuration, SimTime};
 pub struct FifoResource {
     /// Time the resource becomes free of all currently accepted work.
     free_at: SimTime,
-    /// Total busy time accepted, for utilisation accounting.
+    /// Total busy time accepted.
     busy: SimDuration,
 }
 
@@ -35,21 +35,8 @@ impl FifoResource {
         self.free_at
     }
 
-    /// Queueing delay a job arriving `now` would experience before service.
-    pub fn backlog(&self, now: SimTime) -> SimDuration {
-        self.free_at.since(now)
-    }
-
     pub fn total_busy(&self) -> SimDuration {
         self.busy
-    }
-
-    /// Fraction of `[0, horizon]` spent busy.
-    pub fn utilisation(&self, horizon: SimTime) -> f64 {
-        if horizon.nanos() == 0 {
-            return 0.0;
-        }
-        (self.busy.nanos() as f64 / horizon.nanos() as f64).min(1.0)
     }
 }
 
@@ -72,11 +59,6 @@ impl Link {
         }
     }
 
-    /// Time to push `bytes` through an unloaded link (excluding queueing).
-    pub fn unloaded_transfer(&self, bytes: u64) -> SimDuration {
-        self.latency + SimDuration::for_transfer(bytes, self.bytes_per_sec)
-    }
-
     /// Send a message of `bytes` entering the link at `now`; returns delivery
     /// time at the far end. The wire occupancy (serialisation) queues behind
     /// earlier messages; the propagation latency is added after transmission.
@@ -84,14 +66,6 @@ impl Link {
         let serialisation = SimDuration::for_transfer(bytes, self.bytes_per_sec);
         let (_, tx_done) = self.resource.accept(now, serialisation);
         tx_done + self.latency
-    }
-
-    pub fn utilisation(&self, horizon: SimTime) -> f64 {
-        self.resource.utilisation(horizon)
-    }
-
-    pub fn total_busy(&self) -> SimDuration {
-        self.resource.total_busy()
     }
 }
 
@@ -115,15 +89,6 @@ mod tests {
         r.accept(SimTime(1000), SimDuration(100));
         assert_eq!(r.total_busy(), SimDuration(200));
         assert_eq!(r.free_at(), SimTime(1100));
-        assert!((r.utilisation(SimTime(2000)) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn backlog_reflects_queue() {
-        let mut r = FifoResource::new();
-        r.accept(SimTime(0), SimDuration(100));
-        assert_eq!(r.backlog(SimTime(30)), SimDuration(70));
-        assert_eq!(r.backlog(SimTime(200)), SimDuration::ZERO);
     }
 
     #[test]
@@ -135,12 +100,5 @@ mod tests {
         // Second message queues behind the first's serialisation only.
         let d2 = l.send(SimTime::ZERO, 1000);
         assert_eq!(d2, SimTime(2_010_000_000));
-    }
-
-    #[test]
-    fn link_unloaded_estimate() {
-        let l = Link::new(SimDuration::from_micros(50), 125_000_000);
-        let d = l.unloaded_transfer(125_000); // 1 ms at 125 MB/s
-        assert_eq!(d, SimDuration::from_micros(1050));
     }
 }

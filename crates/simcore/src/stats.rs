@@ -1,4 +1,4 @@
-//! Time-series and exact-percentile recorders used by the metric collectors.
+//! The time-series recorder used by the metric collectors.
 
 use crate::time::{SimDuration, SimTime};
 use serde::Serialize;
@@ -68,65 +68,12 @@ impl TimeSeries {
     }
 }
 
-/// An exact-percentile reservoir: stores all samples. Experiments in this
-/// repo produce at most a few million samples, so exactness is affordable and
-/// avoids quantile-sketch approximation error in reproduced tables.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct Samples {
-    values: Vec<f64>,
-    sorted: bool,
-}
-
-impl Samples {
-    pub fn new() -> Self {
-        Samples::default()
-    }
-
-    pub fn push(&mut self, v: f64) {
-        self.values.push(v);
-        self.sorted = false;
-    }
-
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().sum::<f64>() / self.values.len() as f64
-    }
-
-    /// Exact percentile by nearest-rank; `p` in `[0, 100]`.
-    pub fn percentile(&mut self, p: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        if !self.sorted {
-            self.values
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            self.sorted = true;
-        }
-        let rank = ((p / 100.0) * (self.values.len() - 1) as f64).round() as usize;
-        self.values[rank.min(self.values.len() - 1)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn empty_stats_are_zero() {
-        let mut s = Samples::new();
-        assert!(s.is_empty());
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.percentile(50.0), 0.0);
         let ts = TimeSeries::new(SimDuration::from_secs(1));
         assert_eq!(ts.total(), 0.0);
         assert_eq!(ts.rate_per_sec(0), 0.0);
@@ -150,17 +97,5 @@ mod tests {
         let mut ts = TimeSeries::new(SimDuration::from_secs(1));
         ts.record(SimTime::from_secs(2), 6.0);
         assert_eq!(ts.averages(), vec![0.0, 0.0, 6.0]);
-    }
-
-    #[test]
-    fn percentiles_exact() {
-        let mut s = Samples::new();
-        for v in (1..=100).rev() {
-            s.push(v as f64);
-        }
-        assert_eq!(s.percentile(0.0), 1.0);
-        assert_eq!(s.percentile(100.0), 100.0);
-        assert_eq!(s.percentile(50.0), 51.0); // nearest-rank on 0..=99 index
-        assert!((s.mean() - 50.5).abs() < 1e-12);
     }
 }

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Repo gate: build, test, clippy, audit. Run before every commit.
+# Repo gate: format, build, test, clippy, audit. Run before every commit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Formatting: every workspace member as `cargo fmt` leaves it.
+cargo fmt --all --check
 cargo build --release --offline
 # The tests crate turns the strict-invariants feature on for the whole
 # graph, so `cargo test` compiles every inline invariant check.
