@@ -7,18 +7,18 @@
 //!   group, hit it a few times from sub-request completions, remove it.
 //! * `dispatch` — sorted-queue churn in the CFQ and anticipatory disk
 //!   schedulers with arrivals interleaved into dispatch, the queue holding
-//!   2,048 requests at first. This is the bench
-//!   guard for the `Vec::remove` in their dispatch paths: selection relies
-//!   on `partition_point` over a queue kept sorted by `(lbn, id)`, so
-//!   removal must shift (a `swap_remove` would corrupt the order). If the
-//!   O(n) shift ever dominates, this group is where it shows.
+//!   2,048 requests at first. This is the bench guard for the
+//!   `Vec::remove` in their dispatch paths: selection relies on
+//!   `partition_point` over a queue kept sorted by `(lbn, id)`, so removal
+//!   must shift (a `swap_remove` would corrupt the order). If the O(n)
+//!   shift ever dominates, this group is where it shows.
 //! * `disk_path` — one disk's enqueue → `try_start` → `complete` cycle on
-//!   a CFQ queue held at 34 queued requests, the
-//!   `disk.queue_depth_max` of perfbench's `hpio-read-vanilla`, with no
-//!   request contiguous to another. Each dispatch runs both dispatch-time
-//!   merge probes (`absorb_contiguous`, `absorb_ending_at`) and misses, as
-//!   every vanilla sub-request does; `dispatch` drives the scheduler alone
-//!   and never reaches them.
+//!   a CFQ queue held at 34 queued requests, the `disk.queue_depth_max` of
+//!   perfbench's `hpio-read-vanilla`, with no request contiguous to
+//!   another. Each dispatch runs both dispatch-time merge probes
+//!   (`absorb_contiguous`, `absorb_ending_at`) and misses, as every
+//!   vanilla sub-request does; `dispatch` drives the scheduler alone and
+//!   never reaches them.
 //! * `event_queue` — pop/schedule churn through the future-event list
 //!   ([`dualpar_sim::EventQueue`], one binary heap with the payloads
 //!   inline) at steady pending populations from 10³ to 10⁶. Every simulation event in

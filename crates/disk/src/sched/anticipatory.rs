@@ -93,25 +93,25 @@ impl Scheduler for AnticipatoryScheduler {
     }
 
     fn decide(&mut self, now: SimTime, head: Lbn) -> Decision {
-        // Anticipation: the last dispatched request's follow-up may still
-        // be on its way.
-        if self.dispatched && self.sorted.is_empty() {
-            match self.antic_until {
-                None if self.antic_ok => {
-                    let until = now.saturating_add(self.cfg.antic_window);
-                    self.antic_until = Some(until);
-                    return Decision::IdleUntil(until);
-                }
-                Some(until) if now < until => return Decision::IdleUntil(until),
-                Some(_) => {
-                    // Expired unrewarded.
-                    self.antic_ok = false;
-                    self.antic_until = None;
-                }
-                None => {}
-            }
-        }
         if self.sorted.is_empty() {
+            // Anticipation: the last dispatched request's follow-up may
+            // still be on its way.
+            if self.dispatched {
+                match self.antic_until {
+                    None if self.antic_ok => {
+                        let until = now.saturating_add(self.cfg.antic_window);
+                        self.antic_until = Some(until);
+                        return Decision::IdleUntil(until);
+                    }
+                    Some(until) if now < until => return Decision::IdleUntil(until),
+                    Some(_) => {
+                        // Expired unrewarded.
+                        self.antic_ok = false;
+                        self.antic_until = None;
+                    }
+                    None => {}
+                }
+            }
             self.dispatched = false;
             return Decision::Empty;
         }

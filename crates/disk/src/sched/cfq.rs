@@ -257,11 +257,11 @@ impl<Q: Queue> Cfq<Q> {
         // of `slice_idle`.
         if now < self.slice_end {
             if let Some(r) = self.queue.pop_elevator(head) {
-                self.idle_until = None;
                 return Decision::Dispatch(r);
             }
             // Nothing queued: anticipate briefly, unless anticipation has
-            // failed on this disk.
+            // failed on this disk. A window is armed only on an empty
+            // queue, and an enqueue clears it.
             match self.idle_until {
                 None if self.idle_ok => {
                     let until = now
