@@ -1,10 +1,11 @@
 //! # dualpar-bench
 //!
-//! The experiment layer over the simulator: JSON experiment specs and the
-//! open workload registry, the parallel suite runner, and every table and
-//! figure of the paper's evaluation (see DESIGN.md §5 for the index) as a
-//! registered entry of the [`figures`] table, plus criterion
-//! micro-benchmarks of the simulator itself.
+//! The experiment layer over the simulator: JSON experiment specs over a
+//! closed set of workloads (the paper's benchmarks plus the workload DSL),
+//! the parallel suite runner, and every table and figure of the paper's
+//! evaluation (see DESIGN.md §5 for the index) as a registered entry of
+//! the [`figures`] table, plus criterion micro-benchmarks of the simulator
+//! itself.
 //!
 //! `dualpar figure [NAME...] [--out DIR] [--jobs N]` runs the figures: each
 //! prints its paper-style rows and writes machine-readable JSON (and
@@ -13,15 +14,13 @@
 use dualpar_cluster::ClusterConfig;
 
 pub mod figures;
-pub mod registry;
 pub mod spec;
 pub mod suite;
 
 pub use dualpar_sim::default_jobs;
-pub use registry::{known_tags, PresetEntry, Workload, PRESETS};
 pub use spec::{
-    add_workload, build_cluster, expected_cost, workload_cost, ArrivalEntry, ExperimentSpec,
-    ProgramEntry, WorkloadSpec, SPEC_VERSION,
+    build_cluster, expected_cost, ArrivalEntry, ExperimentSpec, ProgramEntry, WorkloadSpec,
+    SPEC_VERSION,
 };
 pub use suite::{
     builtin_suite, entries_from_spec_json, filter_entries, parallel_map, parallel_map_prioritized,

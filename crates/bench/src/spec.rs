@@ -8,38 +8,70 @@
 //! ## Schema versions
 //!
 //! `version` 0 (implicit — the field was introduced together with the
-//! `arrivals` section) is the original closed-enum schema: `cluster` +
-//! `programs` only. Version 1 adds `version` itself and `arrivals`.
+//! `arrivals` section) is the original schema: `cluster` + `programs`
+//! only. Version 1 adds `version` itself and `arrivals`.
 //! [`ExperimentSpec::upgrade`] migrates v0 documents in place — workload
-//! tags are unchanged between the closed enum and the preset registry, so
-//! the upgrade is purely a version stamp — and rejects versions newer than
-//! [`SPEC_VERSION`]. Always parse user JSON through
-//! [`ExperimentSpec::from_json`], which upgrades and validates.
+//! tags are the same in both versions, so the upgrade is purely a version
+//! stamp — and rejects versions newer than [`SPEC_VERSION`]. Always parse
+//! user JSON through [`ExperimentSpec::from_json`], which upgrades and
+//! validates. Unknown keys are rejected, so a misspelt or retired field
+//! fails the load instead of silently running with the default.
 
-use crate::registry::{deserialize_preset, Workload};
 use dualpar_cluster::{Cluster, ClusterConfig, IoStrategy, ProgramSpec};
+use dualpar_mpiio::ProgramScript;
 use dualpar_sim::SimTime;
-use dualpar_workloads::{Arrivals, DslWorkload, MpiIoTest};
-use serde::{Deserialize, Serialize, Value};
+use dualpar_workloads::{
+    instance_seed, Arrivals, Btio, Demo, DependentReader, DslWorkload, Hpio, IorMpiIo, MpiIoTest,
+    Noncontig, S3asim,
+};
+use serde::{Deserialize, Serialize};
 
 /// The newest spec schema this binary reads and the version it writes.
 pub const SPEC_VERSION: u32 = 1;
 
-/// A workload choice: a named benchmark preset from the
-/// [registry](crate::registry), or a compositional
-/// [DSL](dualpar_workloads::dsl) expression under the `dsl` tag.
-#[derive(Debug)]
+/// A workload choice: one of the paper's benchmarks (§V-A), the §II
+/// `Demo` synthetic, the Table III `DependentReader`, or a compositional
+/// [DSL](dualpar_workloads::dsl) expression. Externally tagged by the
+/// snake_case variant name: `{"mpi_io_test": {...}}`, `{"dsl": {...}}`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum WorkloadSpec {
-    /// A registered benchmark preset (tagged by its registry name).
-    Named(Box<dyn Workload>),
-    /// A DSL workload (tagged `dsl`).
+    MpiIoTest(MpiIoTest),
+    Hpio(Hpio),
+    IorMpiIo(IorMpiIo),
+    Noncontig(Noncontig),
+    S3asim(S3asim),
+    Btio(Btio),
+    Demo(Demo),
+    DependentReader(DependentReader),
     Dsl(DslWorkload),
 }
 
+macro_rules! from_preset {
+    ($($preset:ident),*) => {$(
+        impl From<$preset> for WorkloadSpec {
+            fn from(w: $preset) -> Self {
+                WorkloadSpec::$preset(w)
+            }
+        }
+    )*};
+}
+
+from_preset!(
+    MpiIoTest,
+    Hpio,
+    IorMpiIo,
+    Noncontig,
+    S3asim,
+    Btio,
+    Demo,
+    DependentReader
+);
+
 impl WorkloadSpec {
     /// Wrap a preset workload.
-    pub fn named(w: impl Workload + 'static) -> Self {
-        WorkloadSpec::Named(Box::new(w))
+    pub fn named(w: impl Into<WorkloadSpec>) -> Self {
+        w.into()
     }
 
     /// Wrap a DSL workload.
@@ -47,89 +79,88 @@ impl WorkloadSpec {
         WorkloadSpec::Dsl(w)
     }
 
-    /// The serde tag this workload serializes under.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            WorkloadSpec::Named(w) => w.tag(),
-            WorkloadSpec::Dsl(_) => "dsl",
-        }
-    }
-
-    /// Estimated file requests generated (suite scheduling cost proxy).
+    /// Estimated file requests generated — the suite scheduler's cost
+    /// proxy. Only the ordering matters; the estimates are deliberately
+    /// crude (no caching/merging/contention modelling).
     pub fn cost(&self) -> u64 {
         match self {
-            WorkloadSpec::Named(w) => w.cost(),
-            WorkloadSpec::Dsl(d) => d.cost(),
+            Self::MpiIoTest(w) => w.file_size / w.request_size.max(1),
+            Self::Hpio(w) => w.nprocs as u64 * w.region_count,
+            Self::IorMpiIo(w) => w.file_size / w.request_size.max(1),
+            Self::Noncontig(w) => w.rows * w.nprocs as u64,
+            Self::S3asim(w) => w.queries * w.fragments.max(1) * w.nprocs as u64,
+            Self::Btio(w) => {
+                // BTIO's cell shrinks with the process count, so request
+                // count (dataset / cell) is what explodes — the suite's
+                // dominant run.
+                let passes = if w.verify { 2 } else { 1 };
+                passes * w.dataset / w.cell_bytes().max(1)
+            }
+            Self::Demo(w) => w.file_size / w.segment_size.max(1),
+            Self::DependentReader(w) => w.total_bytes / w.request_size.max(1),
+            Self::Dsl(d) => d.cost(),
         }
     }
 
-    /// Reject impossible parameterisations.
+    /// Reject impossible parameterisations. Only DSL expressions can be
+    /// malformed; the presets' parameters are always runnable.
     pub fn validate(&self) -> Result<(), String> {
         match self {
-            WorkloadSpec::Named(w) => w.validate(),
-            WorkloadSpec::Dsl(d) => d.validate(),
+            Self::Dsl(d) => d.validate(),
+            _ => Ok(()),
         }
     }
 
     /// A decorrelated copy for open-loop arrival instance `instance`.
+    /// Workloads without internal randomness return a plain clone.
     pub fn reseeded(&self, instance: u64) -> Self {
         match self {
-            WorkloadSpec::Named(w) => WorkloadSpec::Named(w.reseeded(instance)),
-            WorkloadSpec::Dsl(d) => WorkloadSpec::Dsl(d.reseeded(instance)),
+            Self::S3asim(w) => Self::S3asim(S3asim {
+                seed: instance_seed(w.seed, instance),
+                ..w.clone()
+            }),
+            Self::DependentReader(w) => Self::DependentReader(DependentReader {
+                seed: instance_seed(w.seed, instance),
+                ..w.clone()
+            }),
+            Self::Dsl(d) => Self::Dsl(d.reseeded(instance)),
+            other => other.clone(),
         }
     }
 
-    /// Create the workload's backing files on `cluster` (suffixed with
-    /// `label`) and compile its program script.
-    pub fn materialize(&self, cluster: &mut Cluster, label: &str) -> dualpar_mpiio::ProgramScript {
+    /// Create the workload's backing files on `cluster` (names suffixed
+    /// with `label` so concurrent instances stay disjoint) and compile its
+    /// program script.
+    pub fn materialize(&self, cluster: &mut Cluster, label: &str) -> ProgramScript {
         match self {
-            WorkloadSpec::Named(w) => w.materialize(cluster, label),
-            WorkloadSpec::Dsl(d) => {
-                let f = cluster.create_file(&format!("{}-{label}", d.name), d.file_size);
-                d.build(f)
+            Self::MpiIoTest(w) => {
+                w.build(cluster.create_file(&format!("mpiio-{label}"), w.file_size))
+            }
+            Self::Hpio(w) => w.build(cluster.create_file(&format!("hpio-{label}"), w.file_size())),
+            Self::IorMpiIo(w) => w.build(cluster.create_file(&format!("ior-{label}"), w.file_size)),
+            Self::Noncontig(w) => {
+                w.build(cluster.create_file(&format!("noncontig-{label}"), w.file_size()))
+            }
+            Self::S3asim(w) => {
+                let db = cluster.create_file(&format!("s3db-{label}"), w.db_size);
+                let res = cluster.create_file(&format!("s3res-{label}"), w.result_size);
+                w.build(db, res)
+            }
+            Self::Btio(w) => w.build(cluster.create_file(&format!("btio-{label}"), w.file_size())),
+            Self::Demo(w) => w.build(cluster.create_file(&format!("demo-{label}"), w.file_size)),
+            Self::DependentReader(w) => {
+                w.build(cluster.create_file(&format!("dep-{label}"), w.file_size()))
+            }
+            Self::Dsl(d) => {
+                d.build(cluster.create_file(&format!("{}-{label}", d.name), d.file_size))
             }
         }
     }
 }
 
-impl Clone for WorkloadSpec {
-    fn clone(&self) -> Self {
-        match self {
-            WorkloadSpec::Named(w) => WorkloadSpec::Named(w.clone_box()),
-            WorkloadSpec::Dsl(d) => WorkloadSpec::Dsl(d.clone()),
-        }
-    }
-}
-
-// Externally tagged, exactly like the old closed enum: `{"<tag>": {...}}`.
-// Manual impls because the payload type behind a registry tag is only known
-// at runtime.
-impl Serialize for WorkloadSpec {
-    fn to_value(&self) -> Value {
-        let payload = match self {
-            WorkloadSpec::Named(w) => w.payload(),
-            WorkloadSpec::Dsl(d) => d.to_value(),
-        };
-        Value::Map(vec![(self.tag().to_string(), payload)])
-    }
-}
-
-impl Deserialize for WorkloadSpec {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .filter(|m| m.len() == 1)
-            .ok_or_else(|| serde::Error::custom("workload: expected a single-key tagged map"))?;
-        let (tag, payload) = &map[0];
-        if tag == "dsl" {
-            return DslWorkload::from_value(payload).map(WorkloadSpec::Dsl);
-        }
-        deserialize_preset(tag, payload).map(WorkloadSpec::Named)
-    }
-}
-
 /// One closed-loop program of an experiment: what to run, how, and when.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ProgramEntry {
     pub workload: WorkloadSpec,
     pub strategy: IoStrategy,
@@ -140,6 +171,7 @@ pub struct ProgramEntry {
 /// One open-loop arrival stream: every arrival of `arrivals` spawns a
 /// fresh, decorrelated instance of `workload` under `strategy`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ArrivalEntry {
     pub workload: WorkloadSpec,
     pub strategy: IoStrategy,
@@ -149,6 +181,7 @@ pub struct ArrivalEntry {
 /// A complete experiment: the cluster, its closed-loop programs, and its
 /// open-loop arrival streams.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ExperimentSpec {
     /// Schema version; see the [module docs](self). Absent (0) in v0 JSON.
     #[serde(default)]
@@ -237,21 +270,6 @@ impl ExperimentSpec {
     }
 }
 
-/// Create the workload's files on `cluster` and submit the program.
-pub fn add_workload(cluster: &mut Cluster, idx: usize, entry: &ProgramEntry) {
-    let script = entry.workload.materialize(cluster, &idx.to_string());
-    cluster.add_program(
-        ProgramSpec::new(script, entry.strategy)
-            .starting_at(SimTime::from_secs_f64(entry.start_secs)),
-    );
-}
-
-/// Rough relative cost of simulating one workload — see
-/// [`Workload::cost`].
-pub fn workload_cost(w: &WorkloadSpec) -> u64 {
-    w.cost()
-}
-
 /// Relative event-count weight of an I/O strategy. Vanilla issues every
 /// region synchronously (one network + disk round trip each); DualPar
 /// aggregates whole phases into a few large batches, collapsing the event
@@ -293,7 +311,11 @@ pub fn expected_cost(spec: &ExperimentSpec) -> u64 {
 pub fn build_cluster(spec: &ExperimentSpec) -> Cluster {
     let mut cluster = Cluster::new(spec.cluster.clone());
     for (i, entry) in spec.programs.iter().enumerate() {
-        add_workload(&mut cluster, i, entry);
+        let script = entry.workload.materialize(&mut cluster, &i.to_string());
+        cluster.add_program(
+            ProgramSpec::new(script, entry.strategy)
+                .starting_at(SimTime::from_secs_f64(entry.start_secs)),
+        );
     }
     for (ai, stream) in spec.arrivals.iter().enumerate() {
         for (inst, t) in stream.arrivals.times().into_iter().enumerate() {
@@ -310,7 +332,7 @@ pub fn build_cluster(spec: &ExperimentSpec) -> Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dualpar_workloads::{AccessPattern, ArrivalProcess, Demo, OffsetDistr, WorkloadExpr};
+    use dualpar_workloads::{AccessPattern, ArrivalProcess, OffsetDistr, WorkloadExpr};
 
     #[test]
     fn default_spec_round_trips_through_json() {
@@ -335,7 +357,10 @@ mod tests {
         let spec = ExperimentSpec::from_json(v0).expect("v0 loads");
         assert_eq!(spec.version, SPEC_VERSION, "upgrade stamps the version");
         assert_eq!(spec.programs.len(), 1);
-        assert_eq!(spec.programs[0].workload.tag(), "mpi_io_test");
+        assert!(matches!(
+            spec.programs[0].workload,
+            WorkloadSpec::MpiIoTest(_)
+        ));
         assert!(spec.arrivals.is_empty());
         // And it still builds and runs.
         let report = build_cluster(&spec).run();
@@ -354,6 +379,75 @@ mod tests {
         let json = r#"{"programs": [{"workload": {"bogus": {}}, "strategy": "Vanilla"}]}"#;
         let err = ExperimentSpec::from_json(json).expect_err("unknown tag");
         assert!(err.contains("bogus") && err.contains("hpio"), "{err}");
+        assert!(err.contains("dsl"), "{err}");
+    }
+
+    #[test]
+    fn misspelt_strategies_list_the_variants() {
+        let json = r#"{"programs": [{"workload": {"demo": {}}, "strategy": "Dualpar"}]}"#;
+        let err = ExperimentSpec::from_json(json).expect_err("unknown strategy");
+        assert!(
+            err.contains("unknown variant `Dualpar`") && err.contains("`DualPar`"),
+            "{err}"
+        );
+        assert!(err.contains("`Vanilla`"), "{err}");
+    }
+
+    #[test]
+    fn retired_cluster_keys_are_rejected() {
+        let json = r#"{"cluster": {"ctx_mode": "PerDisk"},
+            "programs": [{"workload": {"demo": {}}, "strategy": "Vanilla"}]}"#;
+        let err = ExperimentSpec::from_json(json).expect_err("unknown cluster key");
+        assert!(err.contains("unknown field `ctx_mode`"), "{err}");
+    }
+
+    #[test]
+    fn misspelt_workload_fields_are_rejected() {
+        let json = r#"{"programs": [{"workload": {"hpio": {"region_cnt": 8}},
+            "strategy": "Vanilla"}]}"#;
+        let err = ExperimentSpec::from_json(json).expect_err("unknown hpio key");
+        assert!(err.contains("unknown field `region_cnt`"), "{err}");
+        assert!(err.contains("`region_count`"), "{err}");
+    }
+
+    fn every_workload() -> Vec<WorkloadSpec> {
+        vec![
+            WorkloadSpec::named(MpiIoTest::default()),
+            WorkloadSpec::named(Hpio::default()),
+            WorkloadSpec::named(IorMpiIo::default()),
+            WorkloadSpec::named(Noncontig::default()),
+            WorkloadSpec::named(S3asim::default()),
+            WorkloadSpec::named(Btio::default()),
+            WorkloadSpec::named(Demo::default()),
+            WorkloadSpec::named(DependentReader::default()),
+            WorkloadSpec::dsl(zipf_dsl(5)),
+        ]
+    }
+
+    fn to_json(w: &WorkloadSpec) -> String {
+        serde_json::to_string(w).expect("serialise workload")
+    }
+
+    #[test]
+    fn every_workload_round_trips_through_json() {
+        for w in every_workload() {
+            let json = to_json(&w);
+            let back: WorkloadSpec = serde_json::from_str(&json).expect("parse workload");
+            assert_eq!(to_json(&back), json, "payload drifted");
+            assert_eq!(back.cost(), w.cost(), "{json}");
+        }
+    }
+
+    #[test]
+    fn reseeding_touches_only_seeded_workloads() {
+        for w in every_workload() {
+            let seeded = matches!(
+                w,
+                WorkloadSpec::S3asim(_) | WorkloadSpec::DependentReader(_) | WorkloadSpec::Dsl(_)
+            );
+            let json = to_json(&w);
+            assert_eq!(to_json(&w.reseeded(3)) != json, seeded, "{json}");
+        }
     }
 
     #[test]

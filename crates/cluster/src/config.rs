@@ -63,7 +63,7 @@ pub enum ServerWriteMode {
 /// Static description of the simulated cluster (paper §V: Darwin with nine
 /// PVFS2 data servers, 64 KB striping, CFQ, Gigabit Ethernet).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct ClusterConfig {
     /// Data servers (each with one disk).
     pub num_data_servers: u32,

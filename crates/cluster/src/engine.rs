@@ -259,13 +259,13 @@ pub(crate) struct Program {
 }
 
 impl Program {
-    pub fn nprocs(&self) -> usize {
+    pub(crate) fn nprocs(&self) -> usize {
         self.procs.len()
     }
 }
 
 /// The assembled cluster simulator: the client (programs, processes,
-/// cache, EMC) plus one [`Server`] per data server, on one event list.
+/// cache, EMC) plus one `Server` per data server, on one event list.
 pub struct Cluster {
     pub(crate) cfg: ClusterConfig,
     pub(crate) queue: EventList,
@@ -747,7 +747,7 @@ impl Cluster {
 
     /// Run until every program has finished. Returns the report.
     ///
-    /// Events pop from the one [`EventList`] in `(time, lane, seq)` order
+    /// Events pop from the one `EventList` in `(time, lane, seq)` order
     /// (`crate::events`). A superseded event is dropped as it pops, before
     /// any counter or clock of the engine sees it.
     pub fn run(&mut self) -> RunReport {

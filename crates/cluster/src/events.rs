@@ -51,17 +51,17 @@ pub(crate) struct EventList {
 
 impl EventList {
     /// The time of the last popped event.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.queue.now()
     }
 
     /// Events pending in every lane, superseded ones included.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queue.len()
     }
 
     /// Schedule `event` at `at` in its lane.
-    pub fn schedule(&mut self, at: SimTime, event: impl Into<Event>) {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: impl Into<Event>) {
         let event = event.into();
         let lane = match &event {
             Event::Client(_) => 0,
@@ -71,7 +71,7 @@ impl EventList {
     }
 
     /// Pop the next event in key order.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.queue.pop()
     }
 }

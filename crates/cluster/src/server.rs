@@ -59,7 +59,7 @@ pub(crate) enum SEv {
 
 impl SEv {
     /// The data server whose lane the event is in.
-    pub fn server(&self) -> u32 {
+    pub(crate) fn server(&self) -> u32 {
         match *self {
             SEv::Recv { server, .. }
             | SEv::DiskKick(server)
@@ -85,7 +85,7 @@ pub(crate) struct Server {
 }
 
 impl Server {
-    pub fn new(id: u32, cfg: &ClusterConfig) -> Self {
+    pub(crate) fn new(id: u32, cfg: &ClusterConfig) -> Self {
         Server {
             id,
             disk: Disk::new(cfg.disk.clone(), cfg.scheduler, cfg.trace_disks),
@@ -101,12 +101,12 @@ impl Server {
 
     /// Hold a sub-request sent to this server; the returned key names it
     /// in the `SEv::Recv` that delivers it.
-    pub fn admit(&mut self, sub: SubReq) -> SlabKey {
+    pub(crate) fn admit(&mut self, sub: SubReq) -> SlabKey {
         self.pending.insert(sub)
     }
 
     /// Static counter name for an event kind (dispatch accounting).
-    pub fn ev_counter(ev: &SEv) -> &'static str {
+    pub(crate) fn ev_counter(ev: &SEv) -> &'static str {
         match ev {
             SEv::Recv { .. } => "engine.ev.server_recv",
             SEv::DiskKick(_) => "engine.ev.disk_kick",
@@ -115,7 +115,13 @@ impl Server {
         }
     }
 
-    pub fn handle(&mut self, now: SimTime, ev: SEv, queue: &mut EventList, tele: &mut Telemetry) {
+    pub(crate) fn handle(
+        &mut self,
+        now: SimTime,
+        ev: SEv,
+        queue: &mut EventList,
+        tele: &mut Telemetry,
+    ) {
         match ev {
             SEv::Recv { key, .. } => self.on_recv(now, key, queue, tele),
             SEv::DiskKick(_) => {

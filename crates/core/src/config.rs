@@ -12,6 +12,7 @@ pub struct ProgramId(
 
 /// DualPar's tunables (paper defaults in [`Default`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DualParConfig {
     /// Per-process cache quota — 1 MB default (§V).
     pub cache_quota: u64,

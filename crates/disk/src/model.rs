@@ -32,6 +32,7 @@ pub fn bytes_to_sectors(bytes: u64) -> u64 {
 
 /// Static parameters of the mechanical model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DiskParams {
     /// Total addressable sectors.
     pub capacity_sectors: u64,

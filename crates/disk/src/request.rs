@@ -23,13 +23,13 @@ const MERGED_INLINE: usize = 4;
 /// with its id, and [`DiskRequest::with_tag`] lets the issuing layer carry
 /// its own handle instead (the data server's pending-slab key), so the
 /// completion needs no id lookup. Semantically a `Vec<u64>`, but the first
-/// [`MERGED_INLINE`] tags live inline in the request itself:
+/// `MERGED_INLINE` tags live inline in the request itself:
 /// `DiskRequest::new` used to `vec![id]` — one heap allocation per request
 /// on the busiest path in the simulator — whereas an inline `MergedIds`
 /// costs nothing until a merge chain grows past the inline capacity.
 #[derive(Debug, Clone)]
 pub enum MergedIds {
-    /// Up to [`MERGED_INLINE`] ids stored in place; `len` counts the
+    /// Up to `MERGED_INLINE` ids stored in place; `len` counts the
     /// occupied prefix of `buf`.
     Inline { len: u8, buf: [u64; MERGED_INLINE] },
     /// Overflow representation once a merge chain outgrows the buffer.

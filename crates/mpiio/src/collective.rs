@@ -44,6 +44,7 @@ pub struct CollectivePlan {
 
 /// Configuration of the collective planner.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CollectiveConfig {
     /// Number of aggregator ranks (ROMIO `cb_nodes`); clamped to nprocs.
     pub num_aggregators: usize,

@@ -15,6 +15,7 @@ use std::borrow::Borrow;
 
 /// Data-sieving policy.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SieveConfig {
     /// Apply sieving at all.
     pub enabled: bool,

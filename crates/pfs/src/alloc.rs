@@ -24,6 +24,7 @@ pub struct Extent {
 
 /// Allocation policy knobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AllocConfig {
     /// Gap left between consecutive files, in bytes (creates inter-file
     /// seek distance).

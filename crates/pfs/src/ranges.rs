@@ -234,7 +234,7 @@ impl RangeSet {
     ///
     /// Two cases take O(1): uncut blocks into an empty set, which become
     /// its periodic run, and uncut blocks that abut a periodic set's
-    /// blocks ([`Strided::joined`]), which widen them. Everything else is
+    /// blocks (`Strided::joined`), which widen them. Everything else is
     /// one merge pass over the runs the blocks touch.
     pub fn insert_strided(&mut self, blocks: Clipped) -> u64 {
         let Some((first, last)) = blocks.span() else {

@@ -56,7 +56,7 @@ impl Default for TelemetryLevel {
 
 /// Configuration for a [`Telemetry`] instance.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct TelemetryConfig {
     /// Recording level.
     pub level: TelemetryLevel,

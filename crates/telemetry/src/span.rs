@@ -34,7 +34,7 @@ impl SpanId {
     }
 }
 
-/// Interned span-name handle; index into [`SpanLog::names`].
+/// Interned span-name handle, resolved by [`SpanLog::name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct NameId(pub u32);
 

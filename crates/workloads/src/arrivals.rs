@@ -52,6 +52,7 @@ pub enum ArrivalProcess {
 
 /// A complete arrival spec: process, observation window, seed, and cap.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Arrivals {
     /// The stochastic process generating arrival times.
     pub process: ArrivalProcess,

@@ -45,7 +45,7 @@ pub const MAX_OPS_PER_RANK: u64 = 4 << 20;
 /// One leaf access pattern: `ops` I/O calls per rank, each with a size drawn
 /// from `size` and an offset drawn from `offsets`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct AccessPattern {
     /// I/O calls issued per rank.
     pub ops: u64,
@@ -415,7 +415,7 @@ fn emit_pattern(
 /// A complete DSL workload: an expression plus its run parameters. The
 /// DSL-side counterpart of the named benchmark structs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct DslWorkload {
     /// Program label (also the stem of the backing file's name).
     pub name: String,

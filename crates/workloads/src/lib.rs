@@ -14,12 +14,10 @@ pub mod arrivals;
 pub mod common;
 pub mod distr;
 pub mod dsl;
-pub mod replay;
 pub mod suite;
 
 pub use arrivals::{instance_seed, ArrivalProcess, Arrivals};
 pub use common::{build_program, compute, compute_for_io_ratio, io_region};
 pub use distr::{OffsetDistr, SizeDistr};
 pub use dsl::{AccessPattern, DslWorkload, OpenLoopExt, WorkloadExpr};
-pub use replay::{TraceEntry, TraceReplay};
 pub use suite::{Btio, Demo, DependentReader, Hpio, IorMpiIo, MpiIoTest, Noncontig, S3asim};

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// at call j — the benchmark generates a fully sequential access pattern",
 /// with "a barrier routine frequently called in its execution".
 #[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct MpiIoTest {
     /// Number of MPI processes.
     pub nprocs: usize,
@@ -81,7 +81,7 @@ impl MpiIoTest {
 /// a partition of the file and walks it with 32 KB requests separated by
 /// 1 KB of space.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct Hpio {
     /// Number of MPI processes.
     pub nprocs: usize,
@@ -148,7 +148,7 @@ impl Hpio {
 /// process's access scope — the access pattern presented to the storage
 /// system is random."
 #[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct IorMpiIo {
     /// Number of MPI processes (each owns 1/nprocs of the file).
     pub nprocs: usize,
@@ -207,7 +207,7 @@ impl IorMpiIo {
 /// a vector-derived datatype; in each row of a column there are `elmtcount`
 /// MPI_INT elements. With collective I/O, each call moves 4 MB in total."
 #[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct Noncontig {
     /// Number of MPI processes (= columns of the 2-D array).
     pub nprocs: usize,
@@ -287,7 +287,7 @@ impl Noncontig {
 /// set of database fragments of mixed sizes and writes result data of mixed
 /// sizes; sizes are drawn between configured min and max.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct S3asim {
     /// Number of worker processes.
     pub nprocs: usize,
@@ -393,7 +393,7 @@ impl S3asim {
 /// size of the benchmark is only a few bytes when many processes are used"
 /// (§V-C): cell bytes shrink as the process count grows.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct Btio {
     /// Number of MPI processes.
     pub nprocs: usize,
@@ -491,7 +491,7 @@ impl Btio {
 /// with a vector datatype; segment size 4–128 KB; compute time between
 /// calls sets the I/O ratio.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct Demo {
     /// Number of MPI processes (8 in §II).
     pub nprocs: usize,
@@ -556,7 +556,7 @@ impl Demo {
 /// the requested data addresses depend on the data read in the previous
 /// I/O call" — every prefetch is wrong by construction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct DependentReader {
     /// Number of MPI processes.
     pub nprocs: usize,
