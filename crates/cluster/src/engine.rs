@@ -1045,14 +1045,10 @@ impl Cluster {
             let disk = &self.servers[i].disk;
             let seek = disk.total_seek_distance();
             let busy = disk.total_busy().as_secs_f64();
-            let serviced = disk.trace().serviced() > 0;
             seek_total += seek;
             self.tele
                 .gauge_set(&format!("disk.d{i}.seek_sectors"), seek as f64);
             self.tele.gauge_set(&format!("disk.d{i}.busy_secs"), busy);
-            if serviced {
-                self.tele.observe("disk.ctx_service_secs", busy);
-            }
         }
         self.tele.count("disk.seek_sectors_total", seek_total);
         self.tele
