@@ -7,9 +7,11 @@
 //!   group, hit it a few times from sub-request completions, remove it.
 //! * `dispatch` — sorted-queue churn in the CFQ and anticipatory disk
 //!   schedulers with arrivals interleaved into dispatch, the queue holding
-//!   2,048 requests at first. This is the bench guard for the
-//!   `Vec::remove` in their dispatch paths: selection relies on
-//!   `partition_point` over a queue kept sorted by `(lbn, id)`, so removal
+//!   2,048 requests at first. Both serve from the one sorted queue that
+//!   every scheduler but NOOP shares, so the two bodies churn the same
+//!   code under CFQ's slices and AS's anticipation. This is the bench
+//!   guard for the shifting `Vec::remove` in that queue: selection relies
+//!   on `partition_point` over keys kept sorted by `(lbn, id)`, so removal
 //!   must shift (a `swap_remove` would corrupt the order). If the O(n)
 //!   shift ever dominates, this group is where it shows.
 //! * `disk_path` — one disk's enqueue → `try_start` → `complete` cycle on
@@ -27,8 +29,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use dualpar_disk::{
-    AnticipatoryConfig, AnticipatoryScheduler, CfqConfig, CfqScheduler, Decision, Disk, DiskParams,
-    DiskRequest, IoKind, Scheduler, SchedulerKind, StartOutcome,
+    AnticipatoryScheduler, CfqScheduler, Decision, Disk, DiskParams, DiskRequest, IoKind,
+    Scheduler, SchedulerKind, StartOutcome,
 };
 use dualpar_sim::{EventQueue, FxHashMap, SimDuration, SimTime, Slab, SlabKey};
 use std::hint::black_box;
@@ -161,7 +163,7 @@ fn bench_dispatch(c: &mut Criterion) {
 
     g.bench_function("cfq_interleaved_4k", |b| {
         b.iter_batched(
-            || CfqScheduler::new(CfqConfig::default()),
+            CfqScheduler::new,
             |s| black_box(churn_scheduler(s, n)),
             BatchSize::SmallInput,
         )
@@ -169,7 +171,7 @@ fn bench_dispatch(c: &mut Criterion) {
 
     g.bench_function("anticipatory_interleaved_4k", |b| {
         b.iter_batched(
-            || AnticipatoryScheduler::new(AnticipatoryConfig::default()),
+            AnticipatoryScheduler::new,
             |s| black_box(churn_scheduler(s, n)),
             BatchSize::SmallInput,
         )

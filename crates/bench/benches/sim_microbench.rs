@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use dualpar_bench::small_cluster;
 use dualpar_cache::{CacheConfig, GlobalCache, OwnerId};
 use dualpar_cluster::{Cluster, IoStrategy, ProgramSpec};
-use dualpar_disk::{CfqConfig, CfqScheduler, Decision, DiskRequest, IoKind, Scheduler};
+use dualpar_disk::{CfqScheduler, Decision, DiskRequest, IoKind, Scheduler};
 use dualpar_mpiio::build_batch;
 use dualpar_pfs::{FileId, FileRegion, RangeSet, Strided};
 use dualpar_sim::{EventQueue, SimDuration, SimTime};
@@ -41,7 +41,7 @@ fn bench_cfq(c: &mut Criterion) {
     g.bench_function("enqueue_drain_4k", |b| {
         b.iter_batched(
             || {
-                let mut s = CfqScheduler::new(CfqConfig::default());
+                let mut s = CfqScheduler::new();
                 for i in 0..n {
                     s.enqueue(DiskRequest::new(
                         i,

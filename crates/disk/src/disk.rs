@@ -130,13 +130,13 @@ impl Disk {
             Decision::Dispatch(mut req) => {
                 // Dispatch-time elevator merge: chain any queued requests
                 // that continue this one, up to the block layer's merge cap.
-                while req.sectors < crate::sched::DEFAULT_MAX_MERGE_SECTORS {
+                while req.sectors < crate::sched::MAX_MERGE_SECTORS {
                     match self.sched.absorb_contiguous(req.end(), req.kind) {
                         Some(next) => req.back_merge(next),
                         None => break,
                     }
                 }
-                while req.sectors < crate::sched::DEFAULT_MAX_MERGE_SECTORS {
+                while req.sectors < crate::sched::MAX_MERGE_SECTORS {
                     match self.sched.absorb_ending_at(req.lbn, req.kind) {
                         Some(mut prev) => {
                             prev.back_merge(req);

@@ -21,8 +21,7 @@ pub use disk::{Disk, StartOutcome};
 pub use model::{bytes_to_sectors, DiskParams, Lbn, SECTOR_BYTES};
 pub use request::{DiskRequest, IoKind, MergedIds};
 pub use sched::{
-    AnticipatoryConfig, AnticipatoryScheduler, CfqConfig, CfqScheduler, DeadlineConfig,
-    DeadlineScheduler, Decision, NoopScheduler, ScanScheduler, Scheduler, SchedulerKind,
-    SstfScheduler, DEFAULT_MAX_MERGE_SECTORS,
+    AnticipatoryScheduler, CfqScheduler, DeadlineScheduler, Decision, NoopScheduler, ScanScheduler,
+    Scheduler, SchedulerKind, SstfScheduler, MAX_MERGE_SECTORS,
 };
 pub use trace::{BlockTrace, TraceRecord};

@@ -1,5 +1,5 @@
 //! The anticipatory scheduler (Iyer & Druschel, SOSP '01 — the paper's
-//! reference [17], and Linux's `as` elevator of the same era).
+//! reference \[17\], and Linux's `as` elevator of the same era).
 //!
 //! A seek-minimising elevator with one twist: after serving a request, if
 //! nothing else is queued, the disk idles briefly instead of moving the
@@ -9,135 +9,81 @@
 //! is that issuer's, and anticipation arms only on an empty queue. Unlike
 //! CFQ there are no time slices.
 
-use super::{Decision, Scheduler, DEFAULT_MAX_MERGE_SECTORS};
+use super::queue::SortedQueue;
+use super::{Decision, Scheduler, MAX_MERGE_SECTORS};
 use crate::model::Lbn;
 use crate::request::{DiskRequest, IoKind};
 use dualpar_sim::{SimDuration, SimTime};
 
-/// Anticipatory-scheduler tunables.
-#[derive(Debug, Clone)]
-pub struct AnticipatoryConfig {
-    /// Maximum anticipation wait (Linux `antic_expire` default 6 ms).
-    pub antic_window: SimDuration,
-    /// Cap on merged request size.
-    pub max_merge_sectors: u64,
-}
-
-impl Default for AnticipatoryConfig {
-    fn default() -> Self {
-        AnticipatoryConfig {
-            antic_window: SimDuration::from_millis(6),
-            max_merge_sectors: DEFAULT_MAX_MERGE_SECTORS,
-        }
-    }
-}
+/// Maximum anticipation wait — Linux `antic_expire` default.
+const ANTIC_WINDOW: SimDuration = SimDuration::from_millis(6);
 
 /// The anticipatory scheduler state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AnticipatoryScheduler {
-    cfg: AnticipatoryConfig,
-    /// Global LBN-sorted queue.
-    sorted: Vec<DiskRequest>,
+    queue: SortedQueue,
     /// Set by a dispatch, cleared when the disk goes empty: a follow-up to
     /// the last dispatched request may still be on its way.
     dispatched: bool,
     /// Armed anticipation deadline.
     antic_until: Option<SimTime>,
-    /// Whether anticipation is worth arming. A one-way latch: the first
+    /// Whether anticipation has stopped paying. A one-way latch: the first
     /// armed window that expires unrewarded ends anticipation on this disk
     /// for good.
-    antic_ok: bool,
+    antic_failed: bool,
 }
 
 impl AnticipatoryScheduler {
     /// Build an instance.
-    pub fn new(cfg: AnticipatoryConfig) -> Self {
-        AnticipatoryScheduler {
-            cfg,
-            sorted: Vec::new(),
-            dispatched: false,
-            antic_until: None,
-            antic_ok: true,
-        }
-    }
-
-    fn pop_elevator(&mut self, head: Lbn) -> DiskRequest {
-        let idx = self.sorted.partition_point(|r| r.lbn < head);
-        let idx = if idx == self.sorted.len() { 0 } else { idx };
-        // The shifting `remove` is load-bearing: `partition_point` here and
-        // in `absorb_contiguous` requires `sorted` to stay ordered by
-        // `(lbn, id)`, so a `swap_remove` would corrupt C-SCAN selection
-        // and merge lookups. At realistic depths (tens of requests) the
-        // shift is a short memmove; the `dispatch` criterion group in
-        // `crates/bench/benches/hot_path.rs` guards against it regressing.
-        self.sorted.remove(idx)
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
 impl Scheduler for AnticipatoryScheduler {
     fn enqueue(&mut self, req: DiskRequest) {
-        // Back-merge against any queued request.
-        for q in &mut self.sorted {
-            if q.can_back_merge(&req, self.cfg.max_merge_sectors) {
-                q.back_merge(req);
-                return;
-            }
-        }
-        // An arrival ends the anticipation wait. A window is armed only on
-        // an empty queue, so no request merges while one is armed.
+        self.queue.insert(req, MAX_MERGE_SECTORS);
+        // An arrival ends the anticipation wait.
         self.antic_until = None;
-        let pos = self
-            .sorted
-            .partition_point(|r| (r.lbn, r.id) < (req.lbn, req.id));
-        self.sorted.insert(pos, req);
     }
 
     fn decide(&mut self, now: SimTime, head: Lbn) -> Decision {
-        if self.sorted.is_empty() {
-            // Anticipation: the last dispatched request's follow-up may
-            // still be on its way.
-            if self.dispatched {
-                match self.antic_until {
-                    None if self.antic_ok => {
-                        let until = now.saturating_add(self.cfg.antic_window);
-                        self.antic_until = Some(until);
-                        return Decision::IdleUntil(until);
-                    }
-                    Some(until) if now < until => return Decision::IdleUntil(until),
-                    Some(_) => {
-                        // Expired unrewarded.
-                        self.antic_ok = false;
-                        self.antic_until = None;
-                    }
-                    None => {}
-                }
-            }
-            self.dispatched = false;
-            return Decision::Empty;
+        if let Some(req) = self.queue.pop_elevator(head) {
+            self.dispatched = true;
+            return Decision::Dispatch(req);
         }
-        let req = self.pop_elevator(head);
-        self.dispatched = true;
-        Decision::Dispatch(req)
+        // Anticipation: the last dispatched request's follow-up may still
+        // be on its way.
+        if self.dispatched {
+            match self.antic_until {
+                None if !self.antic_failed => {
+                    let until = now.saturating_add(ANTIC_WINDOW);
+                    self.antic_until = Some(until);
+                    return Decision::IdleUntil(until);
+                }
+                Some(until) if now < until => return Decision::IdleUntil(until),
+                Some(_) => {
+                    // Expired unrewarded.
+                    self.antic_failed = true;
+                    self.antic_until = None;
+                }
+                None => {}
+            }
+        }
+        self.dispatched = false;
+        Decision::Empty
     }
 
     fn absorb_contiguous(&mut self, end: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        let idx = self
-            .sorted
-            .iter()
-            .position(|r| r.lbn == end && r.kind == kind)?;
-        Some(self.sorted.remove(idx))
+        self.queue.take_starting_at(end, kind)
     }
 
     fn absorb_ending_at(&mut self, start: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        let idx = self
-            .sorted
-            .iter()
-            .position(|r| r.end() == start && r.kind == kind)?;
-        Some(self.sorted.remove(idx))
+        self.queue.take_ending_at(start, kind)
     }
 
     fn queued(&self) -> usize {
-        self.sorted.len()
+        self.queue.len()
     }
 }
 
@@ -151,7 +97,7 @@ mod tests {
 
     #[test]
     fn serves_in_elevator_order() {
-        let mut s = AnticipatoryScheduler::new(AnticipatoryConfig::default());
+        let mut s = AnticipatoryScheduler::new();
         for (id, lbn) in [(1, 9000), (2, 1000), (3, 5000)] {
             s.enqueue(req(id, lbn));
         }
@@ -173,7 +119,7 @@ mod tests {
 
     #[test]
     fn failed_anticipation_disables_itself() {
-        let mut s = AnticipatoryScheduler::new(AnticipatoryConfig::default());
+        let mut s = AnticipatoryScheduler::new();
         let dispatch = |s: &mut AnticipatoryScheduler, ms: u64, head: Lbn| match s
             .decide(SimTime::from_millis(ms), head)
         {
@@ -204,7 +150,7 @@ mod tests {
 
     #[test]
     fn empty_is_empty() {
-        let mut s = AnticipatoryScheduler::new(AnticipatoryConfig::default());
+        let mut s = AnticipatoryScheduler::new();
         assert_eq!(s.decide(SimTime::ZERO, 0), Decision::Empty);
     }
 }

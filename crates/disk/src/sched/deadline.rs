@@ -1,154 +1,82 @@
 //! The deadline scheduler: one LBN-sorted dispatch sweep, with per-request
 //! expiry times that force service of starving requests.
 
-use super::{Decision, Scheduler, DEFAULT_MAX_MERGE_SECTORS};
+use super::queue::SortedQueue;
+use super::{Decision, Scheduler, MAX_MERGE_SECTORS};
 use crate::model::Lbn;
 use crate::request::{DiskRequest, IoKind};
 use dualpar_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// Deadline-scheduler tunables (Linux defaults).
-#[derive(Debug, Clone)]
-pub struct DeadlineConfig {
-    /// Read expiry — Linux default 500 ms.
-    pub read_expire: SimDuration,
-    /// Write expiry — Linux default 5 s.
-    pub write_expire: SimDuration,
-    /// Cap on merged request size.
-    pub max_merge_sectors: u64,
-}
+/// Read expiry — Linux default.
+const READ_EXPIRE: SimDuration = SimDuration::from_millis(500);
+/// Write expiry — Linux default.
+const WRITE_EXPIRE: SimDuration = SimDuration::from_secs(5);
 
-impl Default for DeadlineConfig {
-    fn default() -> Self {
-        DeadlineConfig {
-            read_expire: SimDuration::from_millis(500),
-            write_expire: SimDuration::from_secs(5),
-            max_merge_sectors: DEFAULT_MAX_MERGE_SECTORS,
-        }
-    }
-}
-
-/// Simplified mq-deadline: a sorted list for the elevator sweep plus FIFO
+/// Simplified mq-deadline: a sorted queue for the elevator sweep plus FIFO
 /// queues carrying deadlines. When the head-of-FIFO deadline has passed, the
 /// sweep jumps to that request; otherwise it continues in ascending LBN.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DeadlineScheduler {
-    cfg: DeadlineConfig,
-    /// All queued requests, kept sorted by (lbn, insertion order is
-    /// irrelevant because lbns of live requests are distinct per merge).
-    sorted: Vec<DiskRequest>,
-    /// FIFO of (deadline, request id) per direction.
-    read_fifo: VecDeque<(SimTime, u64)>,
-    write_fifo: VecDeque<(SimTime, u64)>,
+    queue: SortedQueue,
+    /// `(deadline, lbn, id)` of each arrival, per direction. An entry whose
+    /// request has left the queue (dispatched, absorbed, or merged into
+    /// another on arrival) is stale and dropped when it reaches the front.
+    read_fifo: VecDeque<(SimTime, Lbn, u64)>,
+    write_fifo: VecDeque<(SimTime, Lbn, u64)>,
 }
 
 impl DeadlineScheduler {
     /// Build a deadline instance.
-    pub fn new(cfg: DeadlineConfig) -> Self {
-        DeadlineScheduler {
-            cfg,
-            sorted: Vec::new(),
-            read_fifo: VecDeque::new(),
-            write_fifo: VecDeque::new(),
-        }
-    }
-
-    fn fifo_for(&mut self, kind: IoKind) -> &mut VecDeque<(SimTime, u64)> {
-        match kind {
-            IoKind::Read => &mut self.read_fifo,
-            IoKind::Write => &mut self.write_fifo,
-        }
-    }
-
-    fn take_by_id(&mut self, id: u64) -> Option<DiskRequest> {
-        let idx = self.sorted.iter().position(|r| r.id == id)?;
-        Some(self.sorted.remove(idx))
-    }
-
-    /// First expired request id at `now`, if any (reads take priority).
-    /// Callers must purge stale FIFO entries first.
-    fn expired(&mut self, now: SimTime) -> Option<u64> {
-        for fifo in [&mut self.read_fifo, &mut self.write_fifo] {
-            if let Some(&(dl, id)) = fifo.front() {
-                if dl <= now {
-                    fifo.pop_front();
-                    return Some(id);
-                }
-            }
-        }
-        None
-    }
-
-    fn purge_stale_fifo(&mut self) {
-        let live: dualpar_sim::FxHashSet<u64> = self.sorted.iter().map(|r| r.id).collect();
-        self.read_fifo.retain(|(_, id)| live.contains(id));
-        self.write_fifo.retain(|(_, id)| live.contains(id));
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
 impl Scheduler for DeadlineScheduler {
     fn enqueue(&mut self, req: DiskRequest) {
-        // Back-merge against an existing request; the merged request keeps
-        // the *earlier* deadline (its own FIFO entry).
-        for q in &mut self.sorted {
-            if q.can_back_merge(&req, self.cfg.max_merge_sectors) {
-                q.back_merge(req);
-                return;
-            }
-        }
-        let expire = match req.kind {
-            IoKind::Read => self.cfg.read_expire,
-            IoKind::Write => self.cfg.write_expire,
+        // A request that back-merges on arrival leaves the merged request
+        // with the *earlier* deadline (its own FIFO entry).
+        let (fifo, expire) = match req.kind {
+            IoKind::Read => (&mut self.read_fifo, READ_EXPIRE),
+            IoKind::Write => (&mut self.write_fifo, WRITE_EXPIRE),
         };
-        let deadline = req.arrival.saturating_add(expire);
-        let id = req.id;
-        let kind = req.kind;
-        let pos = self
-            .sorted
-            .partition_point(|r| (r.lbn, r.id) < (req.lbn, req.id));
-        self.sorted.insert(pos, req);
-        self.fifo_for(kind).push_back((deadline, id));
+        fifo.push_back((req.arrival.saturating_add(expire), req.lbn, req.id));
+        self.queue.insert(req, MAX_MERGE_SECTORS);
     }
 
     fn decide(&mut self, now: SimTime, head: Lbn) -> Decision {
-        if self.sorted.is_empty() {
-            return Decision::Empty;
-        }
-        self.purge_stale_fifo();
-        if let Some(id) = self.expired(now) {
-            if let Some(r) = self.take_by_id(id) {
-                return Decision::Dispatch(r);
+        // The first expired request, reads before writes.
+        for fifo in [&mut self.read_fifo, &mut self.write_fifo] {
+            while let Some(&(deadline, lbn, id)) = fifo.front() {
+                if self.queue.find(lbn, id).is_none() {
+                    fifo.pop_front();
+                    continue;
+                }
+                if deadline <= now {
+                    fifo.pop_front();
+                    let r = self.queue.take(lbn, id).expect("found above");
+                    return Decision::Dispatch(r);
+                }
+                break;
             }
         }
         // Elevator: first request at or above head, else wrap to lowest.
-        let idx = self
-            .sorted
-            .partition_point(|r| r.lbn < head)
-            .min(self.sorted.len());
-        let idx = if idx == self.sorted.len() { 0 } else { idx };
-        Decision::Dispatch(self.sorted.remove(idx))
+        self.queue
+            .pop_elevator(head)
+            .map_or(Decision::Empty, Decision::Dispatch)
     }
 
     fn absorb_contiguous(&mut self, end: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        let idx = self
-            .sorted
-            .iter()
-            .position(|r| r.lbn == end && r.kind == kind)?;
-        let req = self.sorted.remove(idx);
-        // Its FIFO entry is purged lazily by purge_stale_fifo.
-        Some(req)
+        self.queue.take_starting_at(end, kind)
     }
 
     fn absorb_ending_at(&mut self, start: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        let idx = self
-            .sorted
-            .iter()
-            .position(|r| r.end() == start && r.kind == kind)?;
-        Some(self.sorted.remove(idx))
+        self.queue.take_ending_at(start, kind)
     }
 
     fn queued(&self) -> usize {
-        self.sorted.len()
+        self.queue.len()
     }
 }
 
@@ -162,7 +90,7 @@ mod tests {
 
     #[test]
     fn sweeps_in_lbn_order_when_no_expiry() {
-        let mut s = DeadlineScheduler::new(DeadlineConfig::default());
+        let mut s = DeadlineScheduler::new();
         for (id, lbn) in [(1, 900), (2, 100), (3, 500)] {
             s.enqueue(req_at(id, lbn, SimTime::ZERO));
         }
@@ -177,7 +105,7 @@ mod tests {
 
     #[test]
     fn expired_read_jumps_the_sweep() {
-        let mut s = DeadlineScheduler::new(DeadlineConfig::default());
+        let mut s = DeadlineScheduler::new();
         s.enqueue(req_at(1, 1_000_000, SimTime::ZERO)); // old, far away
         s.enqueue(req_at(2, 10, SimTime::from_millis(600)));
         // At t=600ms the first request (deadline 500ms) has expired, so it is
@@ -190,8 +118,7 @@ mod tests {
 
     #[test]
     fn writes_expire_later_than_reads() {
-        let cfg = DeadlineConfig::default();
-        let mut s = DeadlineScheduler::new(cfg);
+        let mut s = DeadlineScheduler::new();
         let mut w = req_at(1, 1_000_000, SimTime::ZERO);
         w.kind = IoKind::Write;
         s.enqueue(w);
@@ -210,7 +137,7 @@ mod tests {
 
     #[test]
     fn wraps_to_lowest_lbn() {
-        let mut s = DeadlineScheduler::new(DeadlineConfig::default());
+        let mut s = DeadlineScheduler::new();
         s.enqueue(req_at(1, 100, SimTime::ZERO));
         match s.decide(SimTime::ZERO, 500) {
             Decision::Dispatch(r) => assert_eq!(r.lbn, 100),
@@ -220,7 +147,7 @@ mod tests {
 
     #[test]
     fn merge_keeps_single_queue_entry() {
-        let mut s = DeadlineScheduler::new(DeadlineConfig::default());
+        let mut s = DeadlineScheduler::new();
         s.enqueue(req_at(1, 100, SimTime::ZERO));
         s.enqueue(req_at(2, 108, SimTime::ZERO));
         assert_eq!(s.queued(), 1);

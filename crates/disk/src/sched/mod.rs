@@ -5,26 +5,31 @@
 //! the requests it can currently see; all the application-level machinery of
 //! DualPar exists to make that visible window large and pre-sorted. To show
 //! that effect (and for the `ablation_sched` bench) we implement the Linux
-//! schedulers of the era. Each data server does all of its disk I/O from
-//! one server process, so the kernel sees one I/O context per disk
-//! (DESIGN.md §7) and no scheduler here keeps per-context state:
+//! schedulers of the era, each with the Linux defaults of its tunables as
+//! constants. Each data server does all of its disk I/O from one server
+//! process, so the kernel sees one I/O context per disk (DESIGN.md §7) and
+//! no scheduler here keeps per-context state. Every scheduler but NOOP
+//! serves one LBN-sorted queue with back-merging on arrival
+//! (`queue.rs`) and differs only in what it picks:
 //!
-//! * [`CfqScheduler`] — the paper's default: one sorted queue served by a
-//!   circular elevator in time slices, with idle anticipation after the
-//!   queue drains;
-//! * [`NoopScheduler`] — FIFO with back-merging only;
-//! * [`DeadlineScheduler`] — one sorted sweep plus per-request expiry;
+//! * [`CfqScheduler`] — the paper's default: a circular elevator in time
+//!   slices, with idle anticipation after the queue drains;
+//! * [`AnticipatoryScheduler`] — a circular elevator that idles briefly
+//!   after the queue drains;
+//! * [`DeadlineScheduler`] — a circular elevator plus per-request expiry;
 //! * [`SstfScheduler`] — shortest-seek-time-first (greedy);
-//! * [`ScanScheduler`] — the classic elevator.
+//! * [`ScanScheduler`] — the classic circular elevator;
+//! * [`NoopScheduler`] — FIFO with back-merging only.
 
 mod anticipatory;
 mod cfq;
 mod deadline;
+mod queue;
 mod simple;
 
-pub use anticipatory::{AnticipatoryConfig, AnticipatoryScheduler};
-pub use cfq::{CfqConfig, CfqScheduler};
-pub use deadline::{DeadlineConfig, DeadlineScheduler};
+pub use anticipatory::AnticipatoryScheduler;
+pub use cfq::CfqScheduler;
+pub use deadline::DeadlineScheduler;
 pub use simple::{NoopScheduler, ScanScheduler, SstfScheduler};
 
 use crate::model::Lbn;
@@ -77,9 +82,9 @@ pub trait Scheduler: Send {
     }
 }
 
-/// Default cap on merged request size: 1024 sectors = 512 KB, matching the
-/// Linux block layer's historical `max_sectors_kb` default.
-pub const DEFAULT_MAX_MERGE_SECTORS: u64 = 1024;
+/// Cap on merged request size: 1024 sectors = 512 KB, matching the Linux
+/// block layer's historical `max_sectors_kb` default.
+pub const MAX_MERGE_SECTORS: u64 = 1024;
 
 /// Which scheduler to instantiate — convenient for configs and benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -99,15 +104,13 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Instantiate the scheduler with its default configuration.
+    /// Instantiate the scheduler.
     pub fn build(self) -> Box<dyn Scheduler> {
         match self {
-            SchedulerKind::Cfq => Box::new(CfqScheduler::new(CfqConfig::default())),
-            SchedulerKind::Anticipatory => {
-                Box::new(AnticipatoryScheduler::new(AnticipatoryConfig::default()))
-            }
+            SchedulerKind::Cfq => Box::new(CfqScheduler::new()),
+            SchedulerKind::Anticipatory => Box::new(AnticipatoryScheduler::new()),
             SchedulerKind::Noop => Box::new(NoopScheduler::new()),
-            SchedulerKind::Deadline => Box::new(DeadlineScheduler::new(DeadlineConfig::default())),
+            SchedulerKind::Deadline => Box::new(DeadlineScheduler::new()),
             SchedulerKind::Sstf => Box::new(SstfScheduler::new()),
             SchedulerKind::Scan => Box::new(ScanScheduler::new()),
         }

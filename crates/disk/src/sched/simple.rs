@@ -1,6 +1,7 @@
 //! NOOP, SSTF and SCAN schedulers.
 
-use super::{Decision, Scheduler, DEFAULT_MAX_MERGE_SECTORS};
+use super::queue::SortedQueue;
+use super::{Decision, Scheduler, MAX_MERGE_SECTORS};
 use crate::model::Lbn;
 use crate::request::{DiskRequest, IoKind};
 use dualpar_sim::SimTime;
@@ -10,23 +11,19 @@ use std::collections::VecDeque;
 #[derive(Debug, Default)]
 pub struct NoopScheduler {
     queue: VecDeque<DiskRequest>,
-    max_merge: u64,
 }
 
 impl NoopScheduler {
     /// Build a NOOP instance.
     pub fn new() -> Self {
-        NoopScheduler {
-            queue: VecDeque::new(),
-            max_merge: DEFAULT_MAX_MERGE_SECTORS,
-        }
+        Self::default()
     }
 }
 
 impl Scheduler for NoopScheduler {
     fn enqueue(&mut self, req: DiskRequest) {
         if let Some(tail) = self.queue.back_mut() {
-            if tail.can_back_merge(&req, self.max_merge) {
+            if tail.can_back_merge(&req, MAX_MERGE_SECTORS) {
                 tail.back_merge(req);
                 return;
             }
@@ -66,138 +63,59 @@ impl Scheduler for NoopScheduler {
 /// short-term efficiency but can starve distant requests — included for the
 /// scheduler ablation.
 #[derive(Debug, Default)]
-pub struct SstfScheduler {
-    queue: Vec<DiskRequest>,
-    max_merge: u64,
-}
+pub struct SstfScheduler(SortedQueue);
 
 impl SstfScheduler {
     /// Build an SSTF instance.
     pub fn new() -> Self {
-        SstfScheduler {
-            queue: Vec::new(),
-            max_merge: DEFAULT_MAX_MERGE_SECTORS,
-        }
-    }
-}
-
-impl Scheduler for SstfScheduler {
-    fn enqueue(&mut self, req: DiskRequest) {
-        // Try a back merge against any queued request ending at req.lbn.
-        for q in &mut self.queue {
-            if q.can_back_merge(&req, self.max_merge) {
-                q.back_merge(req);
-                return;
-            }
-        }
-        self.queue.push(req);
-    }
-
-    fn decide(&mut self, _now: SimTime, head: Lbn) -> Decision {
-        if self.queue.is_empty() {
-            return Decision::Empty;
-        }
-        let (idx, _) = self
-            .queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, r)| (r.lbn.abs_diff(head), r.lbn, *i))
-            .expect("non-empty");
-        Decision::Dispatch(self.queue.swap_remove(idx))
-    }
-
-    fn absorb_contiguous(&mut self, end: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        let idx = self
-            .queue
-            .iter()
-            .position(|r| r.lbn == end && r.kind == kind)?;
-        Some(self.queue.swap_remove(idx))
-    }
-
-    fn absorb_ending_at(&mut self, start: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        let idx = self
-            .queue
-            .iter()
-            .position(|r| r.end() == start && r.kind == kind)?;
-        Some(self.queue.swap_remove(idx))
-    }
-
-    fn queued(&self) -> usize {
-        self.queue.len()
+        Self::default()
     }
 }
 
 /// Circular SCAN (elevator): sweep upward from the head, wrapping to the
 /// lowest queued LBN when the top is reached.
 #[derive(Debug, Default)]
-pub struct ScanScheduler {
-    queue: Vec<DiskRequest>,
-    max_merge: u64,
-}
+pub struct ScanScheduler(SortedQueue);
 
 impl ScanScheduler {
     /// Build a SCAN instance.
     pub fn new() -> Self {
-        ScanScheduler {
-            queue: Vec::new(),
-            max_merge: DEFAULT_MAX_MERGE_SECTORS,
-        }
+        Self::default()
     }
 }
 
-impl Scheduler for ScanScheduler {
-    fn enqueue(&mut self, req: DiskRequest) {
-        for q in &mut self.queue {
-            if q.can_back_merge(&req, self.max_merge) {
-                q.back_merge(req);
-                return;
+/// The [`Scheduler`] impl of a newtype over [`SortedQueue`] that picks
+/// with `$pop`.
+macro_rules! sorted_scheduler {
+    ($ty:ty, $pop:ident) => {
+        impl Scheduler for $ty {
+            fn enqueue(&mut self, req: DiskRequest) {
+                self.0.insert(req, MAX_MERGE_SECTORS);
+            }
+
+            fn decide(&mut self, _now: SimTime, head: Lbn) -> Decision {
+                self.0
+                    .$pop(head)
+                    .map_or(Decision::Empty, Decision::Dispatch)
+            }
+
+            fn absorb_contiguous(&mut self, end: Lbn, kind: IoKind) -> Option<DiskRequest> {
+                self.0.take_starting_at(end, kind)
+            }
+
+            fn absorb_ending_at(&mut self, start: Lbn, kind: IoKind) -> Option<DiskRequest> {
+                self.0.take_ending_at(start, kind)
+            }
+
+            fn queued(&self) -> usize {
+                self.0.len()
             }
         }
-        self.queue.push(req);
-    }
-
-    fn decide(&mut self, _now: SimTime, head: Lbn) -> Decision {
-        if self.queue.is_empty() {
-            return Decision::Empty;
-        }
-        // Smallest LBN at or above the head, else the global smallest.
-        let pick = self
-            .queue
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.lbn >= head)
-            .min_by_key(|(i, r)| (r.lbn, *i))
-            .or_else(|| {
-                self.queue
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(i, r)| (r.lbn, *i))
-            })
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        Decision::Dispatch(self.queue.swap_remove(pick))
-    }
-
-    fn absorb_contiguous(&mut self, end: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        let idx = self
-            .queue
-            .iter()
-            .position(|r| r.lbn == end && r.kind == kind)?;
-        Some(self.queue.swap_remove(idx))
-    }
-
-    fn absorb_ending_at(&mut self, start: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        let idx = self
-            .queue
-            .iter()
-            .position(|r| r.end() == start && r.kind == kind)?;
-        Some(self.queue.swap_remove(idx))
-    }
-
-    fn queued(&self) -> usize {
-        self.queue.len()
-    }
+    };
 }
+
+sorted_scheduler!(SstfScheduler, pop_nearest);
+sorted_scheduler!(ScanScheduler, pop_elevator);
 
 #[cfg(test)]
 mod tests {

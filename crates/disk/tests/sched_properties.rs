@@ -1,17 +1,29 @@
 //! Property tests: every scheduler conserves requests — nothing lost,
-//! nothing duplicated, byte coverage preserved through merging — and the
-//! disk drains any queue to completion (no starvation / livelock).
+//! nothing duplicated, byte coverage preserved through merging at enqueue
+//! and at dispatch — and the disk drains any queue to completion (no
+//! starvation / livelock).
 
 use dualpar_disk::{
     bytes_to_sectors, Decision, DiskParams, DiskRequest, IoKind, Scheduler, SchedulerKind,
+    MAX_MERGE_SECTORS,
 };
 use dualpar_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-/// Arbitrary request workload: (lbn_block, sectors, is_read).
+/// Arbitrary request workload: (lbn, sectors, is_read), spread out, but
+/// collisions and contiguity still occur.
 fn workload() -> impl Strategy<Value = Vec<(u64, u64, bool)>> {
-    proptest::collection::vec((0u64..10_000, 1u64..64, any::<bool>()), 1..120)
+    proptest::collection::vec(
+        (0u64..10_000, 1u64..64, any::<bool>()).prop_map(|(blk, s, r)| (blk * 64, s, r)),
+        1..120,
+    )
+}
+
+/// Dense request workload in a 256-sector band: equal LBNs, overlaps and
+/// contiguous runs of both kinds are common, so dispatch-time merges fire.
+fn dense_workload() -> impl Strategy<Value = Vec<(u64, u64, bool)>> {
+    proptest::collection::vec((0u64..256, 1u64..16, any::<bool>()), 1..120)
 }
 
 fn drain_all(sched: &mut dyn Scheduler, mut now: SimTime) -> Vec<DiskRequest> {
@@ -20,7 +32,21 @@ fn drain_all(sched: &mut dyn Scheduler, mut now: SimTime) -> Vec<DiskRequest> {
     let mut idles = 0;
     loop {
         match sched.decide(now, head) {
-            Decision::Dispatch(r) => {
+            Decision::Dispatch(mut r) => {
+                // Chain dispatch-time merges as `Disk::try_start` does.
+                while r.sectors < MAX_MERGE_SECTORS {
+                    let Some(next) = sched.absorb_contiguous(r.end(), r.kind) else {
+                        break;
+                    };
+                    r.back_merge(next);
+                }
+                while r.sectors < MAX_MERGE_SECTORS {
+                    let Some(mut prev) = sched.absorb_ending_at(r.lbn, r.kind) else {
+                        break;
+                    };
+                    prev.back_merge(r);
+                    r = prev;
+                }
                 head = r.end();
                 // model a service time so slices/deadlines advance
                 now += SimDuration::from_millis(3);
@@ -43,18 +69,12 @@ fn run_conservation(kind: SchedulerKind, reqs: Vec<(u64, u64, bool)>) {
     let mut sched = kind.build();
     let mut expected_ids = BTreeSet::new();
     let mut expected_sectors = 0u64;
-    for (i, &(blk, sectors, is_read)) in reqs.iter().enumerate() {
+    for (i, &(lbn, sectors, is_read)) in reqs.iter().enumerate() {
         let id = i as u64;
         expected_ids.insert(id);
         expected_sectors += sectors;
         let kind = if is_read { IoKind::Read } else { IoKind::Write };
-        sched.enqueue(DiskRequest::new(
-            id,
-            kind,
-            blk * 64, // spread out, but collisions/contiguity still occur
-            sectors,
-            SimTime::ZERO,
-        ));
+        sched.enqueue(DiskRequest::new(id, kind, lbn, sectors, SimTime::ZERO));
     }
     let serviced = drain_all(sched.as_mut(), SimTime::ZERO);
     let mut seen_ids = BTreeSet::new();
@@ -80,33 +100,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn cfq_conserves(reqs in workload()) {
+    fn cfq_conserves(reqs in workload(), dense in dense_workload()) {
         run_conservation(SchedulerKind::Cfq, reqs);
+        run_conservation(SchedulerKind::Cfq, dense);
     }
 
     #[test]
-    fn anticipatory_conserves(reqs in workload()) {
+    fn anticipatory_conserves(reqs in workload(), dense in dense_workload()) {
         run_conservation(SchedulerKind::Anticipatory, reqs);
+        run_conservation(SchedulerKind::Anticipatory, dense);
     }
 
     #[test]
-    fn noop_conserves(reqs in workload()) {
+    fn noop_conserves(reqs in workload(), dense in dense_workload()) {
         run_conservation(SchedulerKind::Noop, reqs);
+        run_conservation(SchedulerKind::Noop, dense);
     }
 
     #[test]
-    fn deadline_conserves(reqs in workload()) {
+    fn deadline_conserves(reqs in workload(), dense in dense_workload()) {
         run_conservation(SchedulerKind::Deadline, reqs);
+        run_conservation(SchedulerKind::Deadline, dense);
     }
 
     #[test]
-    fn sstf_conserves(reqs in workload()) {
+    fn sstf_conserves(reqs in workload(), dense in dense_workload()) {
         run_conservation(SchedulerKind::Sstf, reqs);
+        run_conservation(SchedulerKind::Sstf, dense);
     }
 
     #[test]
-    fn scan_conserves(reqs in workload()) {
+    fn scan_conserves(reqs in workload(), dense in dense_workload()) {
         run_conservation(SchedulerKind::Scan, reqs);
+        run_conservation(SchedulerKind::Scan, dense);
     }
 
     /// Service time is monotone in request size and seek distance.

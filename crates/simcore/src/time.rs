@@ -46,17 +46,17 @@ impl SimTime {
     }
 
     #[inline]
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimTime(s * NANOS_PER_SEC)
     }
 
     #[inline]
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * NANOS_PER_MILLI)
     }
 
     #[inline]
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimTime(us * NANOS_PER_MICRO)
     }
 
@@ -113,17 +113,17 @@ impl SimDuration {
     }
 
     #[inline]
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * NANOS_PER_SEC)
     }
 
     #[inline]
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * NANOS_PER_MILLI)
     }
 
     #[inline]
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * NANOS_PER_MICRO)
     }
 
