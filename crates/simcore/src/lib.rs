@@ -60,7 +60,7 @@ pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use pool::{
     default_jobs, parallel_map, parallel_map_prioritized, run_with_deadline, DeadlineError,
 };
-pub use resource::{FifoResource, Link};
+pub use resource::Link;
 pub use rng::DetRng;
 pub use slab::{Slab, SlabKey};
 pub use stats::TimeSeries;

@@ -1,6 +1,6 @@
 //! Property tests for the DES engine invariants promised in DESIGN.md §7.
 
-use dualpar_sim::{DetRng, EventQueue, FifoResource, SimDuration, SimTime, Slab};
+use dualpar_sim::{DetRng, EventQueue, Link, SimDuration, SimTime, Slab};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -24,24 +24,27 @@ proptest! {
         prop_assert_eq!(popped, (0..times.len()).collect::<Vec<_>>());
     }
 
-    /// A FIFO resource is work-conserving and never overlaps service
-    /// intervals; total busy time equals the sum of service demands.
+    /// A link is a work-conserving FIFO wire: each message is delivered
+    /// at max(send, wire free) + serialisation + latency, where the wire
+    /// frees when the previous message's serialisation ends.
     #[test]
-    fn fifo_no_overlap(jobs in proptest::collection::vec((0u64..10_000, 1u64..500), 1..100)) {
-        let mut sorted = jobs.clone();
-        sorted.sort_by_key(|&(arr, _)| arr);
-        let mut r = FifoResource::new();
-        let mut prev_end = SimTime::ZERO;
-        let mut total = 0u64;
-        for &(arr, svc) in &sorted {
-            let (start, end) = r.accept(SimTime(arr), SimDuration(svc));
-            prop_assert!(start >= SimTime(arr));
-            prop_assert!(start >= prev_end);
-            prop_assert_eq!(end, start + SimDuration(svc));
-            prev_end = end;
-            total += svc;
+    fn link_serialises_fifo(
+        latency in 0u64..1_000,
+        rate in 1u64..5_000,
+        msgs in proptest::collection::vec((0u64..10_000, 0u64..500), 1..100),
+    ) {
+        let mut sorted = msgs.clone();
+        sorted.sort_by_key(|&(at, _)| at);
+        let mut link = Link::new(SimDuration(latency), rate);
+        let mut wire_free = SimTime::ZERO;
+        for &(at, bytes) in &sorted {
+            let ser = SimDuration::for_transfer(bytes, rate);
+            let start = SimTime(at).max(wire_free);
+            wire_free = start + ser;
+            let delivered = link.send(SimTime(at), bytes);
+            prop_assert_eq!(delivered, wire_free + SimDuration(latency));
+            prop_assert!(delivered >= SimTime(at) + ser + SimDuration(latency));
         }
-        prop_assert_eq!(r.total_busy(), SimDuration(total));
     }
 
     /// Deterministic RNG streams replay identically.
