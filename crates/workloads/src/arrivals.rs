@@ -22,7 +22,7 @@ pub const DEFAULT_MAX_INSTANCES: u64 = 4096;
 
 /// The stochastic shape of an arrival stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[serde(rename_all = "snake_case", deny_unknown_fields)]
 pub enum ArrivalProcess {
     /// Homogeneous Poisson process.
     Poisson {

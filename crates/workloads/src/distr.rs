@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 
 /// Distribution of per-request sizes, in bytes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[serde(rename_all = "snake_case", deny_unknown_fields)]
 pub enum SizeDistr {
     /// Every request moves exactly `bytes`.
     Fixed {
@@ -133,7 +133,7 @@ impl SizeDistr {
 
 /// Distribution of file offsets for a leaf access pattern.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[serde(rename_all = "snake_case", deny_unknown_fields)]
 pub enum OffsetDistr {
     /// Each rank walks its own slab front to back (IOR-style segmented
     /// layout), wrapping if the pattern is longer than the slab.

@@ -80,7 +80,7 @@ impl Default for AccessPattern {
 /// A recursive, serializable workload expression — see the
 /// [module docs](self) for the grammar.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[serde(rename_all = "snake_case", deny_unknown_fields)]
 pub enum WorkloadExpr {
     /// Leaf: one access pattern.
     Pattern(AccessPattern),

@@ -181,6 +181,26 @@ fn committed_specs_round_trip() {
     );
 }
 
+/// A stray key inside a struct variant of a spec enum fails the load, as
+/// it does in a spec struct: here `burst_size` in the multi-tenant spec's
+/// first Poisson arrival process.
+#[test]
+fn unknown_keys_in_enum_struct_variants_are_rejected() {
+    let raw = read_spec("multitenant.json");
+    let poisson = "\"poisson\": {\n            \"rate_per_sec\": 0.5\n          }";
+    assert!(raw.contains(poisson), "multitenant.json layout changed");
+    let bad = raw.replacen(
+        poisson,
+        "\"poisson\": {\"rate_per_sec\": 0.5, \"burst_size\": 9}",
+        1,
+    );
+    let err = ExperimentSpec::from_json(&bad).expect_err("unknown poisson key");
+    assert!(
+        err.contains("unknown field `burst_size`, expected `rate_per_sec`"),
+        "{err}"
+    );
+}
+
 /// The v0-format specs (no `version` field, closed-enum-era tags) load,
 /// migrate, and still build runnable clusters — the paper figures rerun
 /// unchanged through the redesigned WorkloadSpec.
