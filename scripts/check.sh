@@ -11,9 +11,10 @@ cargo build --release --offline
 cargo test -q --offline
 # Enforces the determinism rules in clippy.toml (see docs/AUDIT.md).
 cargo clippy --offline --all-targets -- -D warnings
-# Rustdoc: every intra-doc link must resolve, and no public doc may link
-# to a private item (a link left behind by a deleted item fails here).
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+# Rustdoc: every intra-doc link must resolve, private items' docs
+# included, and no public doc may link to a private item (a link left
+# behind by a deleted item fails here).
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --document-private-items
 
 # Trace audit: replay the paper's interference scenario (scaled down),
 # record the adaptive run's event trace, and check every simulation

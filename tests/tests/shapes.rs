@@ -260,3 +260,41 @@ fn dualpar_write_batching_wins() {
         "DualPar writes ({dp:.1} MB/s) must clearly beat vanilla ({v:.1} MB/s)"
     );
 }
+
+/// One row of the committed `bench_results/ablation_sched.json`.
+#[derive(serde::Deserialize)]
+struct SchedRow {
+    scheduler: String,
+    gain: f64,
+}
+
+/// EXPERIMENTS.md, `ablation_sched`: "DualPar's gain over vanilla is
+/// scheduler-robust: 9.6–11.0× under CFQ/anticipatory/NOOP/DEADLINE/SSTF/
+/// SCAN", row by row against the committed artifact, which
+/// `scripts/check.sh` regenerates and compares byte for byte.
+#[test]
+fn scheduler_ablation_gain_is_scheduler_robust() {
+    let json = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../bench_results/ablation_sched.json"
+    ))
+    .expect("committed ablation_sched.json is readable");
+    let rows: Vec<SchedRow> = serde_json::from_str(&json).expect("ablation rows parse");
+    let names: Vec<&str> = rows.iter().map(|r| r.scheduler.as_str()).collect();
+    let all: Vec<String> = dualpar_disk::SchedulerKind::ALL
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    assert_eq!(
+        names, all,
+        "one row per scheduler, in SchedulerKind::ALL order"
+    );
+    for r in &rows {
+        assert!(
+            (9.6..=11.0).contains(&r.gain),
+            "{}: DualPar gain {:.2}x is outside 9.6-11.0x",
+            r.scheduler,
+            r.gain
+        );
+    }
+}
