@@ -48,14 +48,21 @@ mod tests {
     }
 
     #[test]
-    fn an_idle_wire_serves_a_late_message_at_once() {
+    fn fifo_serialises_jobs() {
         // 100 B at 1 GB/s = 100 ns serialisation, plus 5 ns latency.
         let mut l = Link::new(SimDuration(5), 1_000_000_000);
         assert_eq!(l.send(SimTime(0), 100), SimTime(105));
         // Sent while the wire is busy: queues behind the first message.
         assert_eq!(l.send(SimTime(10), 50), SimTime(155));
+    }
+
+    #[test]
+    fn fifo_idle_gap_not_counted_busy() {
+        let mut l = Link::new(SimDuration(5), 1_000_000_000);
+        assert_eq!(l.send(SimTime(0), 100), SimTime(105));
         // Sent after an idle gap: starts on arrival, the gap is not
-        // carried forward.
+        // carried forward as wire occupancy.
         assert_eq!(l.send(SimTime(1000), 100), SimTime(1105));
+        assert_eq!(l.send(SimTime(1000), 100), SimTime(1205));
     }
 }
