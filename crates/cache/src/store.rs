@@ -137,6 +137,15 @@ fn home_node(chunk_idx: u64, num_nodes: u32) -> NodeId {
     NodeId(node)
 }
 
+/// Release an evicted chunk's quota `charges` from each owner's `usage`.
+fn release(usage: &mut FxHashMap<OwnerId, u64>, charges: &[(OwnerId, u64)]) {
+    for (ow, bytes) in charges {
+        if let Some(u) = usage.get_mut(ow) {
+            *u = u.saturating_sub(*bytes);
+        }
+    }
+}
+
 /// The `(home node, bytes)` pairs of a region inserted by
 /// [`GlobalCache::put_write`] or [`GlobalCache::put_prefetch`]: one per
 /// chunk the region touches, in ascending offset order, for charging the
@@ -539,11 +548,7 @@ impl GlobalCache {
             }
             if let Some(chunk) = self.chunks.remove(&key) {
                 self.ledger_remove(chunk.prefetched_unused.covered(), |l| &mut l.evicted);
-                for (ow, charged) in chunk.charges {
-                    if let Some(u) = self.usage.get_mut(&ow) {
-                        *u = u.saturating_sub(charged);
-                    }
-                }
+                release(&mut self.usage, &chunk.charges);
                 self.stats.bytes_evicted += bytes;
                 used = used.saturating_sub(bytes);
             }
@@ -611,22 +616,17 @@ impl GlobalCache {
     pub fn evict_clean_for(&mut self, files: &FxHashSet<FileId>) -> u64 {
         let mut evicted = 0u64;
         let mut pf_evicted = 0u64;
-        let mut freed: Vec<(OwnerId, u64)> = Vec::new();
+        let usage = &mut self.usage;
         self.chunks.retain(|&(f, _), chunk| {
             if !files.contains(&f) || !chunk.dirty.is_empty() {
                 return true;
             }
             evicted += chunk.present.covered();
             pf_evicted += chunk.prefetched_unused.covered();
-            freed.extend(chunk.charges.iter().copied());
+            release(usage, &chunk.charges);
             false
         });
         self.ledger_remove(pf_evicted, |l| &mut l.evicted);
-        for (ow, bytes) in freed {
-            if let Some(u) = self.usage.get_mut(&ow) {
-                *u = u.saturating_sub(bytes);
-            }
-        }
         self.stats.bytes_evicted += evicted;
         evicted
     }
@@ -725,24 +725,19 @@ impl GlobalCache {
         let ttl = self.cfg.idle_ttl;
         let mut evicted = 0u64;
         let mut pf_evicted = 0u64;
-        let mut freed: Vec<(OwnerId, u64)> = Vec::new();
+        let usage = &mut self.usage;
         self.chunks.retain(|_, chunk| {
             let idle = now.since(chunk.last_ref) >= ttl;
             if idle && chunk.dirty.is_empty() {
                 evicted += chunk.present.covered();
                 pf_evicted += chunk.prefetched_unused.covered();
-                freed.extend(chunk.charges.iter().copied());
+                release(usage, &chunk.charges);
                 false
             } else {
                 true
             }
         });
         self.ledger_remove(pf_evicted, |l| &mut l.evicted);
-        for (ow, bytes) in freed {
-            if let Some(u) = self.usage.get_mut(&ow) {
-                *u = u.saturating_sub(bytes);
-            }
-        }
         self.stats.bytes_evicted += evicted;
         evicted
     }
@@ -757,8 +752,8 @@ impl GlobalCache {
         reason = "sums of bytes that were cached"
     )]
     pub fn invalidate(&mut self, file: FileId) {
-        let mut freed: Vec<(OwnerId, u64)> = Vec::new();
         let mut pf_evicted = 0u64;
+        let usage = &mut self.usage;
         self.chunks.retain(|&(f, _), chunk| {
             if f != file {
                 return true;
@@ -768,15 +763,10 @@ impl GlobalCache {
                 "invalidating {file:?} with dirty data"
             );
             pf_evicted += chunk.prefetched_unused.covered();
-            freed.extend(chunk.charges.iter().copied());
+            release(usage, &chunk.charges);
             false
         });
         self.ledger_remove(pf_evicted, |l| &mut l.evicted);
-        for (ow, bytes) in freed {
-            if let Some(u) = self.usage.get_mut(&ow) {
-                *u = u.saturating_sub(bytes);
-            }
-        }
     }
 }
 

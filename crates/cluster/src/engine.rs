@@ -22,7 +22,7 @@ const MAX_EVENTS: u64 = 2_000_000_000;
 
 /// Events in the client lane (programs, processes, the cache, EMC).
 /// Everything server-side is a [`crate::server::SEv`] in its server's lane.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
     /// A program begins.
     Start(usize),

@@ -19,7 +19,7 @@ use crate::server::SEv;
 use dualpar_sim::{EventQueue, SimTime};
 
 /// One engine event; a server event names its server, and so its lane.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
     /// An event in the client lane.
     Client(Ev),

@@ -44,7 +44,7 @@ pub(crate) struct SubReq {
 const UNTRACKED: u64 = u64::MAX;
 
 /// Events in a data server's lane; each names its server.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum SEv {
     /// A request message arrived; `key` names its record in the server's
     /// `pending` slab.

@@ -1,4 +1,4 @@
-//! Future-event list: one binary heap of `(time, rank, seq, payload)`
+//! Future-event list: a binary min-heap of `(time, rank, seq, payload)`
 //! entries, the payload stored inline.
 //!
 //! Pop order is exactly ascending `(time, rank, seq)`: `rank` is a
@@ -6,38 +6,30 @@
 //! plain [`EventQueue::schedule`] uses 0) and `seq` the scheduling order, so
 //! equal `(time, rank)` pops FIFO. The payload never takes part in a
 //! comparison.
+//!
+//! Most event handlers schedule an event right after the pop that woke
+//! them, so the heap fuses the two. [`EventQueue::pop`] copies the root out
+//! and leaves its slot *vacant*; the next schedule writes its entry into
+//! that slot and sifts it down once. A pop that finds the root still vacant
+//! (the handler scheduled nothing) first refills it from the last entry.
+//! [`EventQueue::len`] never counts the vacant slot.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
+/// One queued event; only `key` takes part in the order.
+#[derive(Clone, Copy)]
 struct Entry<E> {
     key: (SimTime, u64, u64),
     payload: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        other.key.cmp(&self.key)
-    }
-}
-
 /// A deterministic future-event list; [`EventQueue::schedule_ranked`]
 /// adds a tie-break between equal times.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// A binary min-heap on `key`; `heap[0]` is stale while `vacant`.
+    heap: Vec<Entry<E>>,
+    /// The root was popped and has not been refilled yet.
+    vacant: bool,
     next_seq: u64,
     now: SimTime,
 }
@@ -51,7 +43,8 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
+            vacant: false,
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -66,13 +59,15 @@ impl<E> EventQueue<E> {
     /// Number of events scheduled and not yet popped.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.vacant)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
+}
 
+impl<E: Copy> EventQueue<E> {
     /// Schedule `payload` at absolute time `at`, rank 0.
     ///
     /// # Panics
@@ -96,20 +91,74 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
+        let entry = Entry {
             key: (at, rank, seq),
             payload,
-        });
+        };
+        if self.vacant {
+            self.vacant = false;
+            sift_down(&mut self.heap, entry);
+        } else {
+            self.heap.push(entry);
+            let last = self.heap.len() - 1;
+            sift_up(&mut self.heap, last, entry);
+        }
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        let t = entry.key.0;
+        if self.vacant {
+            self.vacant = false;
+            match self.heap.pop() {
+                Some(last) if !self.heap.is_empty() => sift_down(&mut self.heap, last),
+                // The vacant root was the only slot.
+                _ => return None,
+            }
+        }
+        let root = *self.heap.first()?;
+        self.vacant = true;
+        let t = root.key.0;
         debug_assert!(t >= self.now, "event queue time inversion");
         self.now = t;
-        Some((t, entry.payload))
+        Some((t, root.payload))
     }
+}
+
+/// Write `entry` into the root slot of `heap` and sift it down to its
+/// place.
+fn sift_down<E: Copy>(heap: &mut [Entry<E>], entry: Entry<E>) {
+    let len = heap.len();
+    let mut hole = 0;
+    let mut child = 1;
+    while child + 1 < len {
+        // The lesser of the two children.
+        child += usize::from(heap[child + 1].key < heap[child].key);
+        if entry.key < heap[child].key {
+            break;
+        }
+        heap[hole] = heap[child];
+        hole = child;
+        child = 2 * hole + 1;
+    }
+    // A last parent with one child, reached only if the loop ran out.
+    if child + 1 == len && heap[child].key < entry.key {
+        heap[hole] = heap[child];
+        hole = child;
+    }
+    heap[hole] = entry;
+}
+
+/// Sift `entry` up from the empty slot `hole` of `heap` to its place.
+fn sift_up<E: Copy>(heap: &mut [Entry<E>], mut hole: usize, entry: Entry<E>) {
+    while hole > 0 {
+        let parent = (hole - 1) / 2;
+        if heap[parent].key < entry.key {
+            break;
+        }
+        heap[hole] = heap[parent];
+        hole = parent;
+    }
+    heap[hole] = entry;
 }
 
 #[cfg(test)]
@@ -211,6 +260,73 @@ mod tests {
         q.schedule(SimTime(5), "r0");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["r0", "r1-first", "r1-second", "r2", "later"]);
+    }
+
+    #[test]
+    fn len_and_is_empty_do_not_count_the_vacant_root() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(1), 'a');
+        q.schedule(SimTime(2), 'b');
+        q.pop();
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        q.pop();
+        assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn two_pops_without_a_schedule_refill_the_root() {
+        let mut q = EventQueue::new();
+        for (t, e) in [(30, 'c'), (10, 'a'), (40, 'd'), (20, 'b')] {
+            q.schedule(SimTime(t), e);
+        }
+        assert_eq!(q.pop(), Some((SimTime(10), 'a')));
+        assert_eq!(q.pop(), Some((SimTime(20), 'b')));
+        assert_eq!(q.len(), 2);
+        q.schedule(SimTime(25), 'x');
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!['x', 'c', 'd']);
+    }
+
+    #[test]
+    fn a_lower_rank_scheduled_into_the_vacant_root_at_now_pops_first() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(5), "wake");
+        q.schedule_ranked(SimTime(5), 2, "queued");
+        assert_eq!(q.pop(), Some((SimTime(5), "wake")));
+        q.schedule_ranked(q.now(), 1, "rank1");
+        assert_eq!(q.pop(), Some((SimTime(5), "rank1")));
+        assert_eq!(q.pop(), Some((SimTime(5), "queued")));
+    }
+
+    #[test]
+    fn a_late_schedule_into_the_vacant_root_sinks_below_queued_events() {
+        let mut q = EventQueue::new();
+        for t in [10, 20, 30, 50, 60] {
+            q.schedule(SimTime(t), t);
+        }
+        assert_eq!(q.pop(), Some((SimTime(10), 10)));
+        q.schedule(SimTime(40), 40);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![20, 30, 40, 50, 60]);
+    }
+
+    #[test]
+    fn a_pop_that_empties_the_queue_then_a_schedule() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(3), 'a');
+        assert_eq!(q.pop(), Some((SimTime(3), 'a')));
+        assert!(q.is_empty());
+        q.schedule(SimTime(7), 'b');
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime(7), 'b')));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+        assert_eq!(q.now(), SimTime(7));
+        q.schedule(SimTime(9), 'c');
+        assert_eq!(q.pop(), Some((SimTime(9), 'c')));
     }
 
     /// One scripted operation on the queue and its model.
