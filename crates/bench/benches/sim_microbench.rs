@@ -1,7 +1,8 @@
-//! Criterion micro-benchmarks of the simulator's hot paths: the event
-//! queue, the CFQ scheduler, the CRM request algebra, the cache store's
-//! chunk index, the byte-range algebra, and a complete small cluster run
-//! (events per second end to end).
+//! Criterion micro-benchmarks of the simulator's hot paths: the CFQ
+//! scheduler, the CRM request algebra, the cache store's chunk index and
+//! phase-boundary passes, the byte-range algebra, and a complete small
+//! cluster run (events per second end to end). The event queue's bench is
+//! `hot_path`'s `event_queue` group.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use dualpar_bench::small_cluster;
@@ -10,29 +11,9 @@ use dualpar_cluster::{Cluster, IoStrategy, ProgramSpec};
 use dualpar_disk::{CfqScheduler, Decision, DiskRequest, IoKind, Scheduler};
 use dualpar_mpiio::build_batch;
 use dualpar_pfs::{FileId, FileRegion, RangeSet, Strided};
-use dualpar_sim::{EventQueue, SimDuration, SimTime};
+use dualpar_sim::{FxHashSet, SimDuration, SimTime};
 use dualpar_workloads::MpiIoTest;
 use std::hint::black_box;
-
-fn bench_event_queue(c: &mut Criterion) {
-    let mut g = c.benchmark_group("event_queue");
-    let n = 10_000u64;
-    g.throughput(Throughput::Elements(n));
-    g.bench_function("schedule_pop_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..n {
-                q.schedule(SimTime(i.wrapping_mul(2654435761) % 1_000_000), i);
-            }
-            let mut sum = 0u64;
-            while let Some((_, v)) = q.pop() {
-                sum = sum.wrapping_add(v);
-            }
-            black_box(sum)
-        })
-    });
-    g.finish();
-}
 
 fn bench_cfq(c: &mut Criterion) {
     let mut g = c.benchmark_group("cfq");
@@ -193,6 +174,51 @@ fn bench_cache_store(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // One small program crossing a phase boundary in a cache that holds
+    // many other files' clean chunks: its processes end their prefetch
+    // epochs, its dirty data drains, and its clean chunks go. Each pass
+    // should cost what it finds, not what the cache holds.
+    let (others, per_file, procs) = (32u32, 1_024u64, 8u64);
+    g.throughput(Throughput::Elements(procs));
+    g.bench_function("phase_boundary_among_32k_chunks", |b| {
+        b.iter_batched(
+            || {
+                let mut cache = GlobalCache::new(cfg.clone());
+                for file in 1..=others {
+                    let region = FileRegion::new(0, per_file * chunk);
+                    cache.put_prefetch(OwnerId(1_000), FileId(file), region, SimTime::ZERO);
+                    cache.read(FileId(file), region, SimTime::ZERO);
+                }
+                // Each process prefetches two chunks, reads one, and
+                // buffers a write into a third.
+                let f = FileId(0);
+                for p in 0..procs {
+                    let at = 3 * p * chunk;
+                    cache.put_prefetch(
+                        OwnerId(p),
+                        f,
+                        FileRegion::new(at, 2 * chunk),
+                        SimTime::ZERO,
+                    );
+                    cache.read(f, FileRegion::new(at, chunk), SimTime::ZERO);
+                    let write = FileRegion::new(at + 2 * chunk, 4096);
+                    cache.put_write(OwnerId(p), f, write, SimTime::ZERO);
+                }
+                cache
+            },
+            |mut cache| {
+                let mut ratio = 0.0;
+                for p in 0..procs {
+                    ratio += cache.end_prefetch_epoch(OwnerId(p)).unwrap_or(0.0);
+                }
+                let files: FxHashSet<FileId> = [FileId(0)].into_iter().collect();
+                let dirty = cache.drain_dirty();
+                let evicted = cache.evict_clean_for(&files);
+                black_box((ratio, dirty, evicted, cache))
+            },
+            BatchSize::LargeInput,
+        )
+    });
     g.finish();
 }
 
@@ -242,7 +268,6 @@ fn bench_full_run(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_event_queue,
     bench_cfq,
     bench_batch_algebra,
     bench_cache_store,

@@ -59,9 +59,11 @@ impl Chunk {
         clippy::arithmetic_side_effects,
         reason = "a chunk's quota charges sum the bytes inserted into it"
     )]
-    fn charge(&mut self, owner: OwnerId, added: u64) {
+    /// Charge `added` bytes to `owner`. True iff this is the owner's first
+    /// charge in the chunk.
+    fn charge(&mut self, owner: OwnerId, added: u64) -> bool {
         if added == 0 {
-            return;
+            return false;
         }
         // Owners that write a chunk in ascending order (BTIO's ranks) only
         // ever add to or push onto the back.
@@ -69,10 +71,17 @@ impl Chunk {
             Some((o, c)) if *o == owner => *c += added,
             Some((o, _)) if *o > owner => match self.charge_index(owner) {
                 Ok(i) => self.charges[i].1 += added,
-                Err(i) => self.charges.insert(i, (owner, added)),
+                Err(i) => {
+                    self.charges.insert(i, (owner, added));
+                    return true;
+                }
             },
-            _ => self.charges.push((owner, added)),
+            _ => {
+                self.charges.push((owner, added));
+                return true;
+            }
         }
+        false
     }
 
     /// Where `owner`'s charge is (`Ok`) or would go (`Err`) in `charges`.
@@ -136,6 +145,36 @@ fn home_node(chunk_idx: u64, num_nodes: u32) -> NodeId {
         .expect("residue of a u32 modulus fits in u32");
     NodeId(node)
 }
+
+/// Sort drained dirty regions by `(file, offset)` and merge adjacent
+/// regions of the same file (chunk boundaries split logically contiguous
+/// writes).
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "merged runs are adjacent pieces of one file"
+)]
+fn sort_and_merge(mut out: Vec<(FileId, FileRegion)>) -> Vec<(FileId, FileRegion)> {
+    out.sort_by_key(|&(f, r)| (f, r.offset));
+    let mut merged: Vec<(FileId, FileRegion)> = Vec::with_capacity(out.len());
+    for (f, r) in out {
+        if let Some(last) = merged.last_mut() {
+            if last.0 == f && last.1.end() == r.offset {
+                last.1.len += r.len;
+                continue;
+            }
+        }
+        merged.push((f, r));
+    }
+    merged
+}
+
+/// Is a read that found `found` bytes of `region` a full hit?
+fn full_hit(region: FileRegion, found: u64) -> bool {
+    found == region.len && region.len > 0
+}
+
+/// One file's cached chunks, by chunk index.
+type FileChunks = FxHashMap<u64, Chunk>;
 
 /// Release an evicted chunk's quota `charges` from each owner's `usage`.
 fn release(usage: &mut FxHashMap<OwnerId, u64>, charges: &[(OwnerId, u64)]) {
@@ -241,9 +280,17 @@ impl PrefetchLedger {
 }
 
 /// The distributed cache (metadata model).
+///
+/// Chunks are kept per file, so every insert, read and probe does one
+/// file lookup, and the phase-boundary passes ([`GlobalCache::drain_dirty`],
+/// [`GlobalCache::evict_clean_for`] and
+/// [`GlobalCache::end_prefetch_epoch`]) visit only the files or chunks
+/// they can change, not the whole cache.
 pub struct GlobalCache {
     cfg: CacheConfig,
-    chunks: FxHashMap<(FileId, u64), Chunk>,
+    /// Cached chunks by file, then by chunk index. A file's map is dropped
+    /// once its last chunk is evicted, so emptied maps keep no capacity.
+    chunks: FxHashMap<FileId, FileChunks>,
     /// Bytes charged per owner.
     usage: FxHashMap<OwnerId, u64>,
     /// Bytes prefetched per owner in the current epoch (for the
@@ -256,6 +303,20 @@ pub struct GlobalCache {
     /// changes in `put_write` and `drain_dirty` (evictions skip dirty
     /// chunks), so a running total avoids the O(chunks) scan per update.
     dirty_now: u64,
+    /// The files with dirty chunks: `write_run` adds a file whenever it
+    /// adds dirty bytes, and `drain_dirty`, the only path that cleans a
+    /// chunk, empties it. Kept per file, not per chunk: a drain walks each
+    /// dirty file's map instead of looking up each dirty chunk.
+    dirty_files: FxHashSet<FileId>,
+    /// Per owner, the chunks it is charged in that may hold unused
+    /// prefetched bytes: every chunk that holds some is listed under each
+    /// owner charged in it. A key is pushed for every charged owner when a
+    /// chunk's unused bytes go from none to some (only `put_prefetch` adds
+    /// them), and for one owner when it is first charged in a chunk that
+    /// holds some. `end_prefetch_epoch` takes the owner's list; a key
+    /// listed twice, or whose chunk is gone or holds none, adds 0 there.
+    /// Every list goes once the ledger's `unused_now` is 0.
+    unused_chunks: FxHashMap<OwnerId, Vec<(FileId, u64)>>,
 }
 
 impl GlobalCache {
@@ -270,6 +331,8 @@ impl GlobalCache {
             stats: CacheStats::default(),
             ledger: PrefetchLedger::default(),
             dirty_now: 0,
+            dirty_files: FxHashSet::default(),
+            unused_chunks: FxHashMap::default(),
         }
     }
 
@@ -288,10 +351,14 @@ impl GlobalCache {
         self.ledger
     }
 
+    /// Every cached chunk, file by file.
+    fn all_chunks(&self) -> impl Iterator<Item = &Chunk> {
+        self.chunks.values().flat_map(|fc| fc.values())
+    }
+
     /// Recount the speculative bytes actually present in the chunks.
     fn scan_unused(&self) -> u64 {
-        self.chunks
-            .values()
+        self.all_chunks()
             .map(|c| c.prefetched_unused.covered())
             .sum()
     }
@@ -380,12 +447,26 @@ impl GlobalCache {
     ) -> ChunkHomes {
         let mut added = 0u64;
         let mut pf_added = 0u64;
-        for (idx, sub) in self.pieces(Strided::one(region)) {
-            let chunk = self.chunks.entry((file, idx)).or_default();
+        let pieces = self.pieces(Strided::one(region));
+        let file_chunks = self.chunks.entry(file).or_default();
+        for (idx, sub) in pieces {
+            let chunk = file_chunks.entry(idx).or_default();
             let new = chunk.present.insert(sub.offset, sub.len);
-            pf_added += chunk.prefetched_unused.insert(sub.offset, sub.len);
+            let was_unused = !chunk.prefetched_unused.is_empty();
+            let speculative = chunk.prefetched_unused.insert(sub.offset, sub.len);
+            pf_added += speculative;
             chunk.last_ref = now;
-            chunk.charge(owner, new);
+            let first_charge = chunk.charge(owner, new);
+            if speculative > 0 && !was_unused {
+                for &(o, _) in &chunk.charges {
+                    self.unused_chunks.entry(o).or_default().push((file, idx));
+                }
+            } else if first_charge && was_unused {
+                self.unused_chunks
+                    .entry(owner)
+                    .or_default()
+                    .push((file, idx));
+            }
             added += new;
         }
         self.charge_usage(owner, added);
@@ -467,8 +548,10 @@ impl GlobalCache {
         let mut added = 0u64;
         let mut dirty_added = 0u64;
         let mut overwritten = 0u64;
-        for (idx, span) in self.pieces(run) {
-            let chunk = self.chunks.entry((file, idx)).or_default();
+        let pieces = self.pieces(run);
+        let file_chunks = self.chunks.entry(file).or_default();
+        for (idx, span) in pieces {
+            let chunk = file_chunks.entry(idx).or_default();
             // Written bytes are live data, not speculative. A one-block
             // run's piece is the block's part in the chunk, so it takes the
             // plain range ops and skips setting up a strided merge. A longer
@@ -495,10 +578,18 @@ impl GlobalCache {
             dirty_added += dirty;
             overwritten += unspeculated;
             chunk.last_ref = now;
-            chunk.charge(owner, new);
+            if chunk.charge(owner, new) && !chunk.prefetched_unused.is_empty() {
+                self.unused_chunks
+                    .entry(owner)
+                    .or_default()
+                    .push((file, idx));
+            }
             added += new;
         }
         self.charge_usage(owner, added);
+        if dirty_added > 0 {
+            self.dirty_files.insert(file);
+        }
         self.dirty_now = self.dirty_now.saturating_add(dirty_added);
         self.ledger_remove(overwritten, |l| &mut l.overwritten);
         dualpar_sim::strict_assert!(self.ledger.balanced(), "ledger after put_write");
@@ -515,8 +606,9 @@ impl GlobalCache {
     pub fn node_bytes(&self, node: NodeId) -> u64 {
         self.chunks
             .iter()
-            .filter(|(&(f, idx), _)| self.home_of(f, idx) == node)
-            .map(|(_, c)| c.present.covered())
+            .flat_map(|(&f, fc)| fc.iter().map(move |(&idx, c)| (f, idx, c)))
+            .filter(|&(f, idx, _)| self.home_of(f, idx) == node)
+            .map(|(_, _, c)| c.present.covered())
             .sum()
     }
 
@@ -538,15 +630,22 @@ impl GlobalCache {
         let mut victims: Vec<((FileId, u64), SimTime, u64)> = self
             .chunks
             .iter()
-            .filter(|(&(f, idx), c)| self.home_of(f, idx) == node && c.dirty.is_empty())
-            .map(|(&k, c)| (k, c.last_ref, c.present.covered()))
+            .flat_map(|(&f, fc)| fc.iter().map(move |(&idx, c)| ((f, idx), c)))
+            .filter(|&((f, idx), c)| self.home_of(f, idx) == node && c.dirty.is_empty())
+            .map(|(k, c)| (k, c.last_ref, c.present.covered()))
             .collect();
         victims.sort_by_key(|&(k, t, _)| (t, k));
-        for (key, _, bytes) in victims {
+        for ((file, idx), _, bytes) in victims {
             if used <= self.cfg.node_capacity {
                 break;
             }
-            if let Some(chunk) = self.chunks.remove(&key) {
+            let Some(file_chunks) = self.chunks.get_mut(&file) else {
+                continue;
+            };
+            if let Some(chunk) = file_chunks.remove(&idx) {
+                if file_chunks.is_empty() {
+                    self.chunks.remove(&file);
+                }
                 self.ledger_remove(chunk.prefetched_unused.covered(), |l| &mut l.evicted);
                 release(&mut self.usage, &chunk.charges);
                 self.stats.bytes_evicted += bytes;
@@ -561,45 +660,64 @@ impl GlobalCache {
     }
 
     /// Probe (and consume) a read. Full hits mark the bytes as used and
-    /// refresh the time tag.
+    /// refresh the time tag. [`GlobalCache::read_into`] without the
+    /// caller's buffer.
+    pub fn read(&mut self, file: FileId, region: FileRegion, now: SimTime) -> ReadResult {
+        let mut homes = Vec::new();
+        let bytes_found = self.read_into(file, region, now, &mut homes);
+        ReadResult {
+            hit: full_hit(region, bytes_found),
+            bytes_found,
+            homes,
+        }
+    }
+
+    /// Probe (and consume) a read, appending to `homes` the `(home, bytes)`
+    /// pair of every chunk that holds some of it, in ascending offset
+    /// order. Returns the bytes of `region` found; the read is a hit iff
+    /// that is all of a non-empty region.
     #[expect(
         clippy::arithmetic_side_effects,
         reason = "sums of bytes found or removed are bounded by the request length"
     )]
-    pub fn read(&mut self, file: FileId, region: FileRegion, now: SimTime) -> ReadResult {
+    pub fn read_into(
+        &mut self,
+        file: FileId,
+        region: FileRegion,
+        now: SimTime,
+        homes: &mut Vec<(NodeId, u64)>,
+    ) -> u64 {
         self.stats.read_probes += 1;
         let mut found = 0u64;
         let mut consumed = 0u64;
-        let mut homes = Vec::new();
-        for (idx, sub) in self.pieces(Strided::one(region)) {
-            if let Some(chunk) = self.chunks.get_mut(&(file, idx)) {
-                let n = chunk.present.intersect_len(sub.offset, sub.len);
-                if n > 0 {
-                    found += n;
-                    consumed += chunk.prefetched_unused.remove(sub.offset, sub.len);
-                    chunk.last_ref = now;
-                    homes.push((self.home_of(file, idx), n));
+        let pieces = self.pieces(Strided::one(region));
+        if let Some(file_chunks) = self.chunks.get_mut(&file) {
+            for (idx, sub) in pieces {
+                if let Some(chunk) = file_chunks.get_mut(&idx) {
+                    let n = chunk.present.intersect_len(sub.offset, sub.len);
+                    if n > 0 {
+                        found += n;
+                        consumed += chunk.prefetched_unused.remove(sub.offset, sub.len);
+                        chunk.last_ref = now;
+                        homes.push((home_node(idx, self.cfg.num_nodes), n));
+                    }
                 }
             }
         }
         self.ledger_remove(consumed, |l| &mut l.consumed);
-        let hit = found == region.len && region.len > 0;
-        if hit {
+        if full_hit(region, found) {
             self.stats.read_hits += 1;
         }
-        ReadResult {
-            hit,
-            bytes_found: found,
-            homes,
-        }
+        found
     }
 
     /// Non-consuming probe: is every byte of `region` present? Does not
     /// touch reference times or prefetch-usage markers.
     pub fn contains(&self, file: FileId, region: FileRegion) -> bool {
+        let file_chunks = self.chunks.get(&file);
         self.pieces(Strided::one(region)).all(|(idx, sub)| {
-            self.chunks
-                .get(&(file, idx))
+            file_chunks
+                .and_then(|fc| fc.get(&idx))
                 .is_some_and(|c| c.present.contains_range(sub.offset, sub.len))
         })
     }
@@ -616,16 +734,23 @@ impl GlobalCache {
     pub fn evict_clean_for(&mut self, files: &FxHashSet<FileId>) -> u64 {
         let mut evicted = 0u64;
         let mut pf_evicted = 0u64;
-        let usage = &mut self.usage;
-        self.chunks.retain(|&(f, _), chunk| {
-            if !files.contains(&f) || !chunk.dirty.is_empty() {
-                return true;
+        for file in files {
+            let Some(file_chunks) = self.chunks.get_mut(file) else {
+                continue;
+            };
+            file_chunks.retain(|_, chunk| {
+                if !chunk.dirty.is_empty() {
+                    return true;
+                }
+                evicted += chunk.present.covered();
+                pf_evicted += chunk.prefetched_unused.covered();
+                release(&mut self.usage, &chunk.charges);
+                false
+            });
+            if file_chunks.is_empty() {
+                self.chunks.remove(file);
             }
-            evicted += chunk.present.covered();
-            pf_evicted += chunk.prefetched_unused.covered();
-            release(usage, &chunk.charges);
-            false
-        });
+        }
         self.ledger_remove(pf_evicted, |l| &mut l.evicted);
         self.stats.bytes_evicted += evicted;
         evicted
@@ -633,41 +758,32 @@ impl GlobalCache {
 
     /// Collect all dirty ranges for write-back, clearing dirty state but
     /// keeping the data cached. Output is sorted by (file, offset) — the
-    /// order the CRM wants anyway.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "dirty runs are non-empty, and merged runs are adjacent pieces of one file"
-    )]
+    /// order the CRM wants anyway. Walks only the files that hold dirty
+    /// data.
+    #[expect(clippy::arithmetic_side_effects, reason = "dirty runs are non-empty")]
     pub fn drain_dirty(&mut self) -> Vec<(FileId, FileRegion)> {
         let mut out = Vec::new();
-        for (&(file, _), chunk) in self.chunks.iter_mut() {
-            for (s, e) in chunk.dirty.iter() {
-                out.push((file, FileRegion::new(s, e - s)));
+        for file in self.dirty_files.drain() {
+            // Dirty chunks are never evicted, so a dirty file has its map.
+            let Some(file_chunks) = self.chunks.get_mut(&file) else {
+                continue;
+            };
+            for chunk in file_chunks.values_mut() {
+                for (s, e) in chunk.dirty.iter() {
+                    out.push((file, FileRegion::new(s, e - s)));
+                }
+                chunk.dirty.clear();
             }
-            chunk.dirty.clear();
         }
         self.dirty_now = 0;
-        out.sort_by_key(|&(f, r)| (f, r.offset));
-        // Merge adjacent regions of the same file (chunk boundaries split
-        // logically contiguous writes).
-        let mut merged: Vec<(FileId, FileRegion)> = Vec::with_capacity(out.len());
-        for (f, r) in out {
-            if let Some(last) = merged.last_mut() {
-                if last.0 == f && last.1.end() == r.offset {
-                    last.1.len += r.len;
-                    continue;
-                }
-            }
-            merged.push((f, r));
-        }
-        merged
+        sort_and_merge(out)
     }
 
     /// Total dirty bytes currently buffered.
     pub fn dirty_bytes(&self) -> u64 {
         debug_assert_eq!(
             self.dirty_now,
-            self.chunks.values().map(|c| c.dirty.covered()).sum::<u64>(),
+            self.all_chunks().map(|c| c.dirty.covered()).sum::<u64>(),
             "incremental dirty counter out of sync"
         );
         self.dirty_now
@@ -680,12 +796,14 @@ impl GlobalCache {
 
     /// Total bytes cached across all nodes.
     pub fn total_bytes(&self) -> u64 {
-        self.chunks.values().map(|c| c.present.covered()).sum()
+        self.all_chunks().map(|c| c.present.covered()).sum()
     }
 
     /// End the prefetch epoch for `owner`: return the mis-prefetch ratio
     /// (unused prefetched bytes / prefetched bytes) and reset the epoch.
-    /// Returns `None` if nothing was prefetched this epoch.
+    /// Returns `None` if nothing was prefetched this epoch. Visits only the
+    /// chunks listed for `owner` as ones that may hold unused prefetched
+    /// bytes.
     #[expect(
         clippy::arithmetic_side_effects,
         reason = "sums of bytes that were cached"
@@ -696,17 +814,23 @@ impl GlobalCache {
             return None;
         }
         let mut unused = 0u64;
-        // With no unused prefetched bytes anywhere, the scan could only
+        let listed = self.unused_chunks.remove(&owner).unwrap_or_default();
+        // With no unused prefetched bytes anywhere, the visit could only
         // find 0 and clear nothing; the strict rescan below still checks.
         if self.ledger.unused_now > 0 {
-            for chunk in self.chunks.values_mut() {
-                if chunk.charge_index(owner).is_ok() {
+            for (file, idx) in listed {
+                let chunk = self.chunks.get_mut(&file).and_then(|fc| fc.get_mut(&idx));
+                // A recreated chunk may no longer charge the owner.
+                if let Some(chunk) = chunk.filter(|c| c.charge_index(owner).is_ok()) {
                     unused += chunk.prefetched_unused.covered();
                     chunk.prefetched_unused.clear();
                 }
             }
         }
         self.ledger_remove(unused, |l| &mut l.misprefetched);
+        if self.ledger.unused_now == 0 {
+            self.unused_chunks.clear();
+        }
         dualpar_sim::strict_assert_eq!(
             self.ledger.unused_now,
             self.scan_unused(),
@@ -726,16 +850,19 @@ impl GlobalCache {
         let mut evicted = 0u64;
         let mut pf_evicted = 0u64;
         let usage = &mut self.usage;
-        self.chunks.retain(|_, chunk| {
-            let idle = now.since(chunk.last_ref) >= ttl;
-            if idle && chunk.dirty.is_empty() {
-                evicted += chunk.present.covered();
-                pf_evicted += chunk.prefetched_unused.covered();
-                release(usage, &chunk.charges);
-                false
-            } else {
-                true
-            }
+        self.chunks.retain(|_, file_chunks| {
+            file_chunks.retain(|_, chunk| {
+                let idle = now.since(chunk.last_ref) >= ttl;
+                if idle && chunk.dirty.is_empty() {
+                    evicted += chunk.present.covered();
+                    pf_evicted += chunk.prefetched_unused.covered();
+                    release(usage, &chunk.charges);
+                    false
+                } else {
+                    true
+                }
+            });
+            !file_chunks.is_empty()
         });
         self.ledger_remove(pf_evicted, |l| &mut l.evicted);
         self.stats.bytes_evicted += evicted;
@@ -753,19 +880,14 @@ impl GlobalCache {
     )]
     pub fn invalidate(&mut self, file: FileId) {
         let mut pf_evicted = 0u64;
-        let usage = &mut self.usage;
-        self.chunks.retain(|&(f, _), chunk| {
-            if f != file {
-                return true;
-            }
+        for chunk in self.chunks.remove(&file).unwrap_or_default().values() {
             assert!(
                 chunk.dirty.is_empty(),
                 "invalidating {file:?} with dirty data"
             );
             pf_evicted += chunk.prefetched_unused.covered();
-            release(usage, &chunk.charges);
-            false
-        });
+            release(&mut self.usage, &chunk.charges);
+        }
         self.ledger_remove(pf_evicted, |l| &mut l.evicted);
     }
 }
@@ -1072,7 +1194,7 @@ mod tests {
                     }
                 }
             }
-            let charges = &c.chunks[&(f(1), 0)].charges;
+            let charges = &c.chunks[&f(1)][&0].charges;
             let want: Vec<(OwnerId, u64)> = (0..8).map(|o| (OwnerId(o), 64)).collect();
             assert_eq!(charges, &want, "order {order:?}");
             assert!((0..8).all(|o| c.usage(OwnerId(o)) == 64));
@@ -1087,6 +1209,248 @@ mod tests {
                 (0..8).all(|o| c.usage(OwnerId(o)) == 0),
                 "usage left after eviction, order {order:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_file_map_goes_with_its_last_chunk() {
+        let mut c = cache(1);
+        c.put_prefetch(
+            OwnerId(1),
+            f(1),
+            FileRegion::new(0, 3 * CHUNK),
+            SimTime::ZERO,
+        );
+        c.put_write(OwnerId(1), f(2), FileRegion::new(0, 10), SimTime::ZERO);
+        let files: FxHashSet<FileId> = [f(1), f(2)].into_iter().collect();
+        assert_eq!(c.evict_clean_for(&files), 3 * CHUNK);
+        assert!(
+            !c.chunks.contains_key(&f(1)),
+            "an emptied file keeps its map"
+        );
+        assert!(c.chunks.contains_key(&f(2)), "the dirty chunk must stay");
+        c.drain_dirty();
+        assert!(c.dirty_files.is_empty());
+        c.evict_idle(SimTime::from_secs(60));
+        assert!(c.chunks.is_empty());
+    }
+
+    #[test]
+    fn unused_prefetch_is_listed_per_charged_owner() {
+        let mut c = cache(1);
+        let listed = |c: &GlobalCache, o: u64| c.unused_chunks.get(&OwnerId(o)).map_or(0, Vec::len);
+        for o in 1..=3u64 {
+            let region = FileRegion::new(o * CHUNK, 100);
+            c.put_prefetch(OwnerId(o), f(1), region, SimTime::ZERO);
+        }
+        // Owner 4 writes into owner 3's chunk and so shares its unused
+        // bytes; owner 1's chunk is consumed.
+        c.put_write(
+            OwnerId(4),
+            f(1),
+            FileRegion::new(3 * CHUNK + 200, 10),
+            SimTime::ZERO,
+        );
+        c.read(f(1), FileRegion::new(CHUNK, 100), SimTime::ZERO);
+        assert_eq!([1, 2, 3, 4].map(|o| listed(&c, o)), [1, 1, 1, 1]);
+        // An epoch end visits only its owner's list, and takes it.
+        assert_eq!(c.end_prefetch_epoch(OwnerId(2)), Some(1.0));
+        assert_eq!([1, 2, 3, 4].map(|o| listed(&c, o)), [1, 0, 1, 1]);
+        c.put_prefetch(OwnerId(4), f(2), FileRegion::new(0, 100), SimTime::ZERO);
+        assert_eq!(
+            c.end_prefetch_epoch(OwnerId(4)),
+            Some(1.0),
+            "owner 3's bytes count for 4"
+        );
+        assert_eq!(c.end_prefetch_epoch(OwnerId(3)), Some(0.0));
+        // With nothing unused anywhere, every list goes.
+        assert!(c.unused_chunks.is_empty());
+        c.assert_conservation();
+    }
+
+    /// The phase-boundary passes as first written, each scanning every
+    /// chunk of the cache. Run on a twin cache they pin the indexed passes
+    /// to the same results.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "sums of bytes that were cached, as in the passes they mirror"
+    )]
+    mod scan_twin {
+        use super::super::*;
+
+        pub(super) fn end_prefetch_epoch(c: &mut GlobalCache, owner: OwnerId) -> Option<f64> {
+            let total = c.epoch_prefetched.remove(&owner)?;
+            if total == 0 {
+                return None;
+            }
+            let mut unused = 0u64;
+            for chunk in c.chunks.values_mut().flat_map(|fc| fc.values_mut()) {
+                if chunk.charge_index(owner).is_ok() {
+                    unused += chunk.prefetched_unused.covered();
+                    chunk.prefetched_unused.clear();
+                }
+            }
+            c.ledger_remove(unused, |l| &mut l.misprefetched);
+            Some((unused.min(total)) as f64 / total as f64)
+        }
+
+        pub(super) fn drain_dirty(c: &mut GlobalCache) -> Vec<(FileId, FileRegion)> {
+            let mut out = Vec::new();
+            for (&file, fc) in c.chunks.iter_mut() {
+                for chunk in fc.values_mut() {
+                    for (s, e) in chunk.dirty.iter() {
+                        out.push((file, FileRegion::new(s, e - s)));
+                    }
+                    chunk.dirty.clear();
+                }
+            }
+            c.dirty_now = 0;
+            sort_and_merge(out)
+        }
+
+        pub(super) fn evict_clean_for(c: &mut GlobalCache, files: &FxHashSet<FileId>) -> u64 {
+            let (mut evicted, mut pf_evicted) = (0u64, 0u64);
+            for (file, fc) in c.chunks.iter_mut() {
+                fc.retain(|_, chunk| {
+                    if !files.contains(file) || !chunk.dirty.is_empty() {
+                        return true;
+                    }
+                    evicted += chunk.present.covered();
+                    pf_evicted += chunk.prefetched_unused.covered();
+                    release(&mut c.usage, &chunk.charges);
+                    false
+                });
+            }
+            c.ledger_remove(pf_evicted, |l| &mut l.evicted);
+            c.stats.bytes_evicted += evicted;
+            evicted
+        }
+    }
+
+    /// Every chunk's byte sets, time tag and charges, in key order.
+    type ChunkDump = (
+        FileId,
+        u64,
+        Vec<(u64, u64)>,
+        Vec<(u64, u64)>,
+        Vec<(u64, u64)>,
+        SimTime,
+    );
+
+    fn dump(c: &GlobalCache) -> Vec<(ChunkDump, Vec<(OwnerId, u64)>)> {
+        let mut all: Vec<_> = c
+            .chunks
+            .iter()
+            .flat_map(|(&file, fc)| {
+                fc.iter().map(move |(&idx, ch)| {
+                    let sets = (
+                        file,
+                        idx,
+                        ch.present.iter().collect(),
+                        ch.dirty.iter().collect(),
+                        ch.prefetched_unused.iter().collect(),
+                        ch.last_ref,
+                    );
+                    (sets, ch.charges.clone())
+                })
+            })
+            .collect();
+        all.sort_by_key(|(d, _)| (d.0, d.1));
+        all
+    }
+
+    /// The indexes name every chunk that the passes must visit.
+    fn indexes_cover(c: &GlobalCache) {
+        for (&file, fc) in &c.chunks {
+            for (&idx, ch) in fc {
+                assert!(ch.dirty.is_empty() || c.dirty_files.contains(&file));
+                for &(o, _) in &ch.charges {
+                    let listed = c
+                        .unused_chunks
+                        .get(&o)
+                        .is_some_and(|l| l.contains(&(file, idx)));
+                    assert!(
+                        ch.prefetched_unused.is_empty() || listed,
+                        "chunk {idx} of {file:?} holds unused prefetch not listed for {o:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random operation sequences over three files and three owners on
+        /// two identical caches, one running the indexed phase-boundary
+        /// passes and one the scan-every-chunk twins: every pass returns
+        /// the same result, and after every operation the chunks, usage,
+        /// stats, ledger and dirty bytes agree.
+        #[test]
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "times, offsets and strides from small generated inputs"
+        )]
+        fn indexed_passes_match_full_scans(
+            ops in proptest::collection::vec(
+                (0u8..10, 0u64..3, 0u32..3, (0u64..60_000, 1u64..9_000), (1u64..400, 1u64..30)),
+                1..80),
+        ) {
+            let cfg = CacheConfig {
+                chunk_size: 4096,
+                num_nodes: 3,
+                idle_ttl: SimDuration::from_secs(10),
+                node_capacity: u64::MAX,
+            };
+            let (mut idx, mut twin) = (GlobalCache::new(cfg.clone()), GlobalCache::new(cfg));
+            let mut homes = Vec::new();
+            for (i, &(kind, o, file, (off, len), (block, count))) in ops.iter().enumerate() {
+                let (owner, file, now) = (OwnerId(o), FileId(file), SimTime::from_millis(700 * i as u64));
+                let region = FileRegion::new(off, len);
+                // A file set of one to three files, from the low bits of `off`.
+                let files: FxHashSet<FileId> =
+                    (0..3).filter(|b| (off >> b) & 1 == 1 || *b == file.0).map(FileId).collect();
+                for c in [&mut idx, &mut twin] {
+                    match kind {
+                        0 | 1 => {
+                            c.put_prefetch(owner, file, region, now);
+                        }
+                        2 => {
+                            c.put_write(owner, file, region, now);
+                        }
+                        3 => {
+                            let run = Strided::new(off, block, block + len % 500, count);
+                            c.put_write_strided(owner, file, run, now, &mut homes);
+                        }
+                        4 | 5 => {
+                            c.read(file, region, now);
+                        }
+                        _ => {}
+                    }
+                }
+                match kind {
+                    6 => assert_eq!(idx.evict_idle(now), twin.evict_idle(now)),
+                    7 => assert_eq!(idx.drain_dirty(), scan_twin::drain_dirty(&mut twin)),
+                    8 => assert_eq!(
+                        idx.evict_clean_for(&files),
+                        scan_twin::evict_clean_for(&mut twin, &files)
+                    ),
+                    9 => assert_eq!(
+                        idx.end_prefetch_epoch(owner),
+                        scan_twin::end_prefetch_epoch(&mut twin, owner)
+                    ),
+                    _ => {}
+                }
+                assert_eq!(dump(&idx), dump(&twin), "op {i}");
+                for o in 0..3 {
+                    assert_eq!(idx.usage(OwnerId(o)), twin.usage(OwnerId(o)));
+                }
+                assert_eq!(format!("{:?}", idx.stats()), format!("{:?}", twin.stats()));
+                assert_eq!(idx.prefetch_ledger(), twin.prefetch_ledger());
+                assert_eq!(idx.dirty_bytes(), twin.dirty_bytes());
+                indexes_cover(&idx);
+                idx.assert_conservation();
+            }
         }
     }
 

@@ -56,8 +56,7 @@ impl Cluster {
         let mut homes = std::mem::take(&mut self.homes_scratch);
         homes.clear();
         for r in call.regions.iter() {
-            let res = self.cache.read(call.file, r, now);
-            homes.extend(res.homes);
+            self.cache.read_into(call.file, r, now, &mut homes);
         }
         let latency = self.cache_access_time(node, &homes);
         self.homes_scratch = homes;
@@ -136,9 +135,12 @@ impl Cluster {
         let dualpar_mpiio::Op::Io(call) = &script.ops[op] else {
             unreachable!("op {op} is not an I/O call")
         };
+        let mut homes = std::mem::take(&mut self.homes_scratch);
         for r in call.regions.iter() {
-            self.cache.read(call.file, r, now);
+            homes.clear();
+            self.cache.read_into(call.file, r, now, &mut homes);
         }
+        self.homes_scratch = homes;
         self.complete_io_op(now, p, call.kind, call.bytes());
     }
 

@@ -300,7 +300,8 @@ pub struct Cluster {
     cat_stamp: Vec<u64>,
     cat_epoch: u64,
     /// Reusable buffer for the `(home, bytes)` lists the data-driven paths
-    /// feed into `cache_access_time` (taken and returned around each use).
+    /// get from the cache (taken and returned around each use); cached
+    /// reads and buffered writes feed it into `cache_access_time`.
     pub(crate) homes_scratch: Vec<(NodeId, u64)>,
     /// Reusable buffer for the disk runs `issue_covers` resolves.
     resolved_scratch: Vec<ResolvedIo>,
@@ -1138,9 +1139,11 @@ impl Cluster {
         &mut self,
         files: &FxHashSet<FileId>,
     ) -> Vec<(FileId, FileRegion)> {
-        // The cache drains everything; re-buffer what belongs to others.
-        // (Programs touch disjoint files in all experiments, so the
-        // re-buffer path is rare; correctness is what matters.)
+        // The cache drains every program's dirty data; re-buffer what
+        // belongs to others. This is not rare: whenever programs with
+        // buffered writes run concurrently, each drain re-buffers the
+        // others' regions, and `put_write` then refreshes their `last_ref`
+        // and counts their bytes in `CacheStats::bytes_written` again.
         let drained = self.cache.drain_dirty();
         let mut ours = Vec::new();
         let now = self.queue.now();

@@ -261,7 +261,9 @@ fn mean(xs: &[f64]) -> Option<f64> {
 /// between adjacent requests.
 #[derive(Debug, Default)]
 pub struct ReqDistTracker {
-    requests: Vec<(u32, u64, u64)>, // (file, offset, len)
+    /// `(file << 64 | offset, len)` per observed request: one `u128`
+    /// compare orders two requests by file, then offset.
+    requests: Vec<(u128, u64)>,
 }
 
 impl ReqDistTracker {
@@ -272,26 +274,40 @@ impl ReqDistTracker {
 
     /// Record one observed request.
     pub fn observe(&mut self, file: u32, offset: u64, len: u64) {
-        self.requests.push((file, offset, len));
+        self.requests
+            .push(((u128::from(file) << 64) | u128::from(offset), len));
     }
 
     /// Average adjacent distance (bytes) of this slot's requests, then
     /// reset. `None` with fewer than two requests.
+    ///
+    /// Requests are sorted by `(file, offset)` and each adjacent pair of
+    /// one file adds the gap from the first's end to the second's start
+    /// (0 if they overlap). Requests at the same `(file, offset)` form a
+    /// group: pairs inside it add 0, and the gap after it runs from the
+    /// end of its longest request, as it would after a sort that breaks
+    /// the tie by length.
     pub fn take_avg_req_dist(&mut self) -> Option<f64> {
         if self.requests.len() < 2 {
             self.requests.clear();
             return None;
         }
-        self.requests.sort_unstable();
+        self.requests.sort_unstable_by_key(|&(key, _)| key);
         let mut sum = 0u64;
         let mut n = 0u64;
-        for w in self.requests.windows(2) {
-            let (f0, o0, l0) = w[0];
-            let (f1, o1, _) = w[1];
-            if f0 == f1 {
-                sum += o1.saturating_sub(o0 + l0);
+        let (mut key0, len0) = self.requests[0];
+        let mut end0 = key0 as u64 + len0;
+        for &(key, len) in &self.requests[1..] {
+            let offset = key as u64; // the low 64 bits
+            if key >> 64 == key0 >> 64 {
+                sum += offset.saturating_sub(end0);
                 n += 1;
             }
+            // Inside a group the gap above is 0, and the group ends at its
+            // longest request.
+            let end = offset + len;
+            end0 = if key == key0 { end0.max(end) } else { end };
+            key0 = key;
         }
         self.requests.clear();
         if n == 0 {
@@ -305,6 +321,7 @@ impl ReqDistTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn emc() -> Emc {
         Emc::new(DualParConfig::default())
@@ -463,5 +480,56 @@ mod tests {
         t.observe(1, 0, 4096);
         t.observe(1, 1000, 4096);
         assert_eq!(t.take_avg_req_dist(), Some(0.0));
+    }
+
+    /// The statistic as first written: sort the `(file, offset, len)`
+    /// tuples, then sum the gaps of adjacent same-file pairs.
+    fn tuple_sort_avg(mut reqs: Vec<(u32, u64, u64)>) -> Option<f64> {
+        if reqs.len() < 2 {
+            return None;
+        }
+        reqs.sort_unstable();
+        let (mut sum, mut n) = (0u64, 0u64);
+        for w in reqs.windows(2) {
+            let (f0, o0, l0) = w[0];
+            let (f1, o1, _) = w[1];
+            if f0 == f1 {
+                sum += o1.saturating_sub(o0 + l0);
+                n += 1;
+            }
+        }
+        (n > 0).then(|| sum as f64 / n as f64)
+    }
+
+    #[test]
+    fn gap_after_equal_offsets_starts_at_the_longest() {
+        let mut t = ReqDistTracker::new();
+        // Three requests at one offset, the longest in the middle of the
+        // arrivals, then one 10,000 bytes past the longest's end.
+        for (off, len) in [(0u64, 100u64), (0, 5000), (15_000, 10), (0, 300)] {
+            t.observe(1, off, len);
+        }
+        // Pairs: two inside the group (0 each), then 15,000 - 5,000.
+        assert_eq!(t.take_avg_req_dist(), Some(10_000.0 / 3.0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// The packed-key statistic equals the tuple sort's exactly, with
+        /// many ties in file and offset and overlapping lengths.
+        #[test]
+        fn packed_sort_matches_tuple_sort(
+            reqs in proptest::collection::vec((0u32..3, 0u64..40, 0u64..30), 0..60),
+            scale in prop_oneof![Just(1u64), Just(4096u64)],
+        ) {
+            let reqs: Vec<(u32, u64, u64)> =
+                reqs.into_iter().map(|(f, o, l)| (f, o * scale, l * scale)).collect();
+            let mut t = ReqDistTracker::new();
+            for &(f, o, l) in &reqs {
+                t.observe(f, o, l);
+            }
+            prop_assert_eq!(t.take_avg_req_dist(), tuple_sort_avg(reqs));
+        }
     }
 }

@@ -298,3 +298,66 @@ fn scheduler_ablation_gain_is_scheduler_robust() {
         );
     }
 }
+
+/// The committed `bench_results/fig7_adaptive.json`.
+#[derive(serde::Deserialize)]
+struct Fig7 {
+    vanilla_timeline: Vec<f64>,
+    dualpar_timeline: Vec<f64>,
+    vanilla_seek: Vec<f64>,
+    dualpar_seek: Vec<f64>,
+    mode_events: Vec<(f64, usize, String)>,
+    join_at_secs: f64,
+}
+
+/// EXPERIMENTS.md, Fig. 7, against the committed artifact (which
+/// `scripts/check.sh` regenerates and compares byte for byte): 67 MB/s
+/// under both systems while the stream runs alone, no mode event before
+/// hpio joins at 10 s, and both programs switch to the data-driven mode
+/// one slot later, at 11 s; from the join to the end of
+/// each run, 55 MB/s (vanilla) against 105 MB/s (DualPar, +91 %) and an
+/// average seek distance on server 1 of 124 525 against 22 565 sectors;
+/// the runs last 56 and 34 one-second samples.
+#[test]
+fn fig7_adaptive_switch_recovers_throughput_and_seek() {
+    let json = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../bench_results/fig7_adaptive.json"
+    ))
+    .expect("committed fig7_adaptive.json is readable");
+    let fig: Fig7 = serde_json::from_str(&json).expect("fig7 artifact parses");
+    assert_eq!(fig.join_at_secs, 10.0);
+    assert!(
+        fig.mode_events.iter().all(|e| e.0 > fig.join_at_secs),
+        "a mode event before the join: {:?}",
+        fig.mode_events
+    );
+    let switched: Vec<(f64, usize)> = fig
+        .mode_events
+        .iter()
+        .filter(|e| e.2 == "DataDriven")
+        .map(|e| (e.0, e.1))
+        .collect();
+    assert_eq!(switched, vec![(11.0, 0), (11.0, 1)]);
+
+    assert_eq!(fig.vanilla_timeline.len(), 56);
+    assert_eq!(fig.dualpar_timeline.len(), 34);
+    assert_eq!(fig.vanilla_seek.len(), fig.vanilla_timeline.len());
+    assert_eq!(fig.dualpar_seek.len(), fig.dualpar_timeline.len());
+    // Solo (from 2 s, past the start-up ramp) and join-to-end means, as
+    // the figure prints them.
+    let join = fig.join_at_secs as usize;
+    for solo in [&fig.vanilla_timeline, &fig.dualpar_timeline] {
+        let m = solo[2..join].iter().sum::<f64>() / (join - 2) as f64;
+        assert_eq!(m.round(), 67.0, "solo window {m:.2} MB/s");
+    }
+    let mean = |xs: &[f64]| xs[join..].iter().sum::<f64>() / (xs.len() - join) as f64;
+    let (v, d) = (mean(&fig.vanilla_timeline), mean(&fig.dualpar_timeline));
+    assert_eq!((v * 10.0).round(), 547.0, "vanilla overlap {v:.2} MB/s");
+    assert_eq!((d * 10.0).round(), 1049.0, "DualPar overlap {d:.2} MB/s");
+    let gain = (d / v - 1.0) * 100.0;
+    assert!((91.0..92.0).contains(&gain), "overlap gain {gain:.2} %");
+    let (vs, ds) = (mean(&fig.vanilla_seek), mean(&fig.dualpar_seek));
+    assert_eq!(vs.round(), 124_525.0, "vanilla overlap seek {vs:.1}");
+    assert_eq!(ds.round(), 22_565.0, "DualPar overlap seek {ds:.1}");
+}
