@@ -2,6 +2,10 @@
 # Repo gate: format, build, test, clippy, audit. Run before every commit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# The artifact recipes, shared with scripts/regen.sh: each gate below
+# writes its artifact into a temp dir with the recipe that regenerates the
+# committed copy, so a gate and its recipe cannot drift.
+source scripts/artifacts.sh
 
 # Formatting: every workspace member as `cargo fmt` leaves it.
 cargo fmt --all --check
@@ -24,22 +28,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --document-
 # change of event order fails even when every invariant still holds.
 traces="$(mktemp -d /tmp/dualpar-traces.XXXXXX)"
 trap 'rm -rf "$traces"' EXIT
-cargo run --release --offline -q -p dualpar-bench --example interference -- \
-    --small --trace "$traces/interference_small.jsonl"
+interference_trace "$traces/interference_small.jsonl"
 ./target/release/dualpar-audit trace "$traces/interference_small.jsonl"
 
 # Profile smoke: run the profiler on the quickstart fixture, audit the
 # span stream (pairing/nesting/stage order), and baseline-diff the report
 # against the committed golden profile — any simulated-time drift (new
-# costs, reordered service, changed makespan) fails the gate. Regenerate
-# the golden on intentional changes (--trace matters: it sets the trace
-# counters embedded in the report):
-#   cargo run --release -p dualpar-bench --bin dualpar -- profile quickstart \
-#       --json --trace /dev/null > bench_results/PROFILE_quickstart_golden.json
+# costs, reordered service, changed makespan) fails the gate. Every
+# committed artifact is regenerated on an intentional change with
+# scripts/regen.sh.
 prof="$(mktemp -d /tmp/dualpar-prof.XXXXXX)"
 trap 'rm -rf "$traces" "$prof"' EXIT
-cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
-    profile quickstart --json --trace "$prof/spans.jsonl" > "$prof/profile.json"
+profile_golden "$prof/profile.json" "$prof/spans.jsonl"
 ./target/release/dualpar-audit trace "$prof/spans.jsonl"
 ./target/release/dualpar-audit trace --baseline \
     bench_results/PROFILE_quickstart_golden.json "$prof/profile.json" \
@@ -49,15 +49,10 @@ cmp bench_results/PROFILE_quickstart_golden.json "$prof/profile.json"
 # DSL smoke: build the committed 3-tenant mixed scenario (workload DSL +
 # Poisson arrivals, see docs/WORKLOADS.md) from JSON, run it with a trace,
 # audit every simulation invariant over the trace, and baseline-diff +
-# byte-compare the report against the committed golden. Regenerate the
-# golden on intentional changes:
-#   cargo run --release -p dualpar-bench --bin dualpar -- \
-#       examples/specs/multitenant.json --trace /dev/null \
-#       > bench_results/GOLDEN_dsl_multitenant.json
+# byte-compare the report against the committed golden.
 dsl="$(mktemp -d /tmp/dualpar-dsl.XXXXXX)"
 trap 'rm -rf "$traces" "$prof" "$dsl"' EXIT
-cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
-    examples/specs/multitenant.json --trace "$traces/multitenant.jsonl" > "$dsl/report.json"
+dsl_golden "$dsl/report.json" "$traces/multitenant.jsonl"
 ./target/release/dualpar-audit trace "$traces/multitenant.jsonl"
 ./target/release/dualpar-audit trace --baseline \
     bench_results/GOLDEN_dsl_multitenant.json "$dsl/report.json" \
@@ -66,10 +61,8 @@ cmp bench_results/GOLDEN_dsl_multitenant.json "$dsl/report.json"
 
 # Trace pin: the two traces above must match the committed sha256 sums,
 # so any drift in event order or trace content fails the gate, not only
-# an invariant violation. Regenerate on intentional changes with the two
-# commands above and `sha256sum interference_small.jsonl multitenant.jsonl`
-# in the output directory, written to bench_results/TRACES.sha256.
-(cd "$traces" && sha256sum -c) < bench_results/TRACES.sha256
+# an invariant violation.
+diff bench_results/TRACES.sha256 <(trace_sums "$traces")
 # The same scenario through the parallel suite runner: reports must be
 # byte-identical between --jobs 4 and the serial twin.
 cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
@@ -103,18 +96,14 @@ python3 perfbench/run.py --smoke
 # numbers timed into the log (see docs/BENCH.md).
 suite_out="$(mktemp -d /tmp/dualpar-suite.XXXXXX)"
 trap 'rm -rf "$traces" "$prof" "$dsl" "$suite_out"' EXIT
-time cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
-    suite --jobs "$(nproc)" --scale small --verify-serial \
-    --timeout-secs 300 --retry 1 --out "$suite_out/BENCH_suite.json"
+time small_suite "$suite_out/BENCH_suite.json" --jobs "$(nproc)" --verify-serial \
+    --timeout-secs 300 --retry 1
 
 # Suite gate: diff the artifact the smoke run just produced against the
 # committed BENCH_suite.json. Per-run sim_events and report fingerprints
 # must match exactly (they are simulation-determined, machine-independent);
 # the events-per-second delta is reported for the log but never gated —
-# wall clocks are this machine's business. Regenerate the committed
-# artifact on intentional simulation changes:
-#   cargo run --release -p dualpar-bench --bin dualpar -- \
-#       suite --jobs 1 --scale small --out bench_results/BENCH_suite.json
+# wall clocks are this machine's business.
 ./target/release/dualpar-audit trace --baseline \
     bench_results/BENCH_suite.json "$suite_out/BENCH_suite.json"
 
@@ -123,12 +112,10 @@ time cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
 # committed figure files back exactly: a file whose bytes differ, a
 # committed figure file that is not written, or a written file that is not
 # committed all fail. The other committed artifacts (BENCH_*, GOLDEN_*,
-# PROFILE_*, TRACES.sha256) are gated above and below. Regenerate on an
-# intentional change with `./target/release/dualpar figure [NAME...]`,
-# which writes into bench_results/, and commit the files it writes.
+# PROFILE_*, TRACES.sha256) are gated above and below.
 figs="$(mktemp -d /tmp/dualpar-figs.XXXXXX)"
 trap 'rm -rf "$traces" "$prof" "$dsl" "$suite_out" "$figs"' EXIT
-./target/release/dualpar figure --out "$figs" --jobs "$(nproc)" > /dev/null
+figures "$figs" "$(nproc)"
 committed_figs="$(git ls-files bench_results \
     | sed 's|^bench_results/||' | grep -v -e '^BENCH_' -e '^GOLDEN_' -e '^PROFILE_' -e '^TRACES\.')"
 diff <(echo "$committed_figs") <(LC_ALL=C ls "$figs")
@@ -138,19 +125,11 @@ done
 
 # Paper-scale memory bound: BTIO's checkpoint under forced DualPar at the
 # paper's size (445 M cells) must complete inside 4 GB of address space,
-# where flattened datatypes once aborted it. Calls the built binary
-# directly so the limit applies to the simulator, not to cargo.
-(
-    ulimit -v 4000000
-    time ./target/release/dualpar suite --scale paper --jobs 1 \
-        --filter-exact btio_dualpar --out "$suite_out/BENCH_paper_btio.json"
-)
+# where flattened datatypes once aborted it.
+time paper_btio "$suite_out/BENCH_paper_btio.json"
 # Paper-scale order gate: the same run's sim_events and fingerprint are
 # diffed against the committed artifact, as for the small suite above, so
 # an event-order drift that only shows at paper scale fails here too.
-# Regenerate on intentional simulation changes:
-#   ./target/release/dualpar suite --scale paper --jobs 1 \
-#       --filter-exact btio_dualpar --out bench_results/BENCH_paper_btio.json
 ./target/release/dualpar-audit trace --baseline \
     bench_results/BENCH_paper_btio.json "$suite_out/BENCH_paper_btio.json"
 
