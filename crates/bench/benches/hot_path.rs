@@ -5,11 +5,11 @@
 //!   by monotonically growing ids it replaced in the cluster engine. The
 //!   workload mirrors the engine's lifecycle: insert a record per I/O
 //!   group, hit it a few times from sub-request completions, remove it.
-//! * `dispatch` — sorted-queue churn in the CFQ and anticipatory disk
-//!   schedulers with arrivals interleaved into dispatch, the queue holding
-//!   2,048 requests at first. Both serve from the one sorted queue that
-//!   every scheduler but NOOP shares, so the two bodies churn the same
-//!   code under CFQ's slices and AS's anticipation. This is the bench
+//! * `dispatch` — sorted-queue churn in the CFQ and SSTF disk schedulers
+//!   with arrivals interleaved into dispatch, the queue holding 2,048
+//!   requests at first. Both serve from the one sorted queue that every
+//!   scheduler but NOOP shares, one through the elevator's pick and one
+//!   through the nearest-request pick. This is the bench
 //!   guard for the shifting `Vec::remove` in that queue: selection relies
 //!   on `partition_point` over keys kept sorted by `(lbn, id)`, so removal
 //!   must shift (a `swap_remove` would corrupt the order). If the O(n)
@@ -32,8 +32,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use dualpar_disk::{
-    AnticipatoryScheduler, CfqScheduler, Decision, Disk, DiskParams, DiskRequest, IoKind,
-    Scheduler, SchedulerKind, StartOutcome,
+    CfqScheduler, Disk, DiskParams, DiskRequest, IoKind, Scheduler, SchedulerKind, SstfScheduler,
 };
 use dualpar_sim::{EventQueue, FxHashMap, SimDuration, SimTime, Slab, SlabKey};
 use std::hint::black_box;
@@ -141,19 +140,12 @@ fn churn_scheduler<S: Scheduler>(mut s: S, n: u64) -> u64 {
         enqueue(&mut s, next_id);
         next_id += 1;
     }
-    let mut now = SimTime::ZERO;
     let mut head = 0;
-    loop {
-        match s.decide(now, head) {
-            Decision::Dispatch(r) => {
-                head = r.end();
-                if next_id < n {
-                    enqueue(&mut s, next_id);
-                    next_id += 1;
-                }
-            }
-            Decision::IdleUntil(t) => now = t,
-            Decision::Empty => break,
+    while let Some(r) = s.decide(head) {
+        head = r.end();
+        if next_id < n {
+            enqueue(&mut s, next_id);
+            next_id += 1;
         }
     }
     head
@@ -172,9 +164,9 @@ fn bench_dispatch(c: &mut Criterion) {
         )
     });
 
-    g.bench_function("anticipatory_interleaved_4k", |b| {
+    g.bench_function("sstf_interleaved_4k", |b| {
         b.iter_batched(
-            AnticipatoryScheduler::new,
+            SstfScheduler::new,
             |s| black_box(churn_scheduler(s, n)),
             BatchSize::SmallInput,
         )
@@ -205,17 +197,11 @@ fn churn_disk(n: u64) -> u64 {
     let mut next_id = DISK_DEPTH;
     let mut done = 0;
     while done < n {
-        match d.try_start(now) {
-            StartOutcome::Started { finish } => {
-                now = finish;
-                d.complete();
-                enqueue(&mut d, next_id);
-                next_id += 1;
-                done += 1;
-            }
-            StartOutcome::Idle { until } => now = until,
-            StartOutcome::Quiescent => unreachable!("the queue never drains"),
-        }
+        now = d.try_start(now).expect("the queue never drains");
+        d.complete();
+        enqueue(&mut d, next_id);
+        next_id += 1;
+        done += 1;
     }
     d.head()
 }

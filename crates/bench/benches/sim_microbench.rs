@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use dualpar_bench::small_cluster;
 use dualpar_cache::{CacheConfig, GlobalCache, OwnerId};
 use dualpar_cluster::{Cluster, IoStrategy, ProgramSpec};
-use dualpar_disk::{CfqScheduler, Decision, DiskRequest, IoKind, Scheduler};
+use dualpar_disk::{CfqScheduler, DiskRequest, IoKind, Scheduler};
 use dualpar_mpiio::build_batch;
 use dualpar_pfs::{FileId, FileRegion, RangeSet, Strided};
 use dualpar_sim::{FxHashSet, SimDuration, SimTime};
@@ -35,14 +35,9 @@ fn bench_cfq(c: &mut Criterion) {
                 s
             },
             |mut s| {
-                let mut now = SimTime::ZERO;
                 let mut head = 0;
-                loop {
-                    match s.decide(now, head) {
-                        Decision::Dispatch(r) => head = r.end(),
-                        Decision::IdleUntil(t) => now = t,
-                        Decision::Empty => break,
-                    }
+                while let Some(r) = s.decide(head) {
+                    head = r.end();
                 }
                 black_box(head)
             },

@@ -1,7 +1,9 @@
 //! Ablation: disk scheduler choice under the Table II workload (two
 //! concurrent mpi-io-test readers).
 //!
-//! Question: how much of DualPar's win depends on CFQ specifically?
+//! Question: how much of DualPar's win depends on CFQ specifically? One
+//! row per `SchedulerKind`, each a distinct service order: CFQ's circular
+//! elevator, NOOP's FIFO and SSTF's nearest-first.
 //! Expectation: vanilla suffers under any scheduler (too few outstanding
 //! requests to sort); DualPar's pre-sorted batches are near-optimal under
 //! every scheduler, so its advantage is scheduler-robust.

@@ -7,7 +7,7 @@
 use crate::config::{ClusterConfig, ServerWriteMode};
 use crate::engine::Ev;
 use crate::events::EventList;
-use dualpar_disk::{Disk, DiskRequest, IoKind, Lbn, StartOutcome};
+use dualpar_disk::{Disk, DiskRequest, IoKind, Lbn};
 use dualpar_sim::{Link, SimDuration, SimTime, Slab, SlabKey};
 use dualpar_telemetry::{SpanId, Telemetry};
 
@@ -49,8 +49,6 @@ pub(crate) enum SEv {
     /// A request message arrived; `key` names its record in the server's
     /// `pending` slab.
     Recv { server: u32, key: SlabKey },
-    /// Poke the disk (idle-anticipation timer expired).
-    DiskKick(u32),
     /// The disk finished its in-flight request.
     DiskDone(u32),
     /// The write-back daemon flushes the dirty buffer.
@@ -61,10 +59,7 @@ impl SEv {
     /// The data server whose lane the event is in.
     pub(crate) fn server(&self) -> u32 {
         match *self {
-            SEv::Recv { server, .. }
-            | SEv::DiskKick(server)
-            | SEv::DiskDone(server)
-            | SEv::Flush(server) => server,
+            SEv::Recv { server, .. } | SEv::DiskDone(server) | SEv::Flush(server) => server,
         }
     }
 }
@@ -109,7 +104,6 @@ impl Server {
     pub(crate) fn ev_counter(ev: &SEv) -> &'static str {
         match ev {
             SEv::Recv { .. } => "engine.ev.server_recv",
-            SEv::DiskKick(_) => "engine.ev.disk_kick",
             SEv::DiskDone(_) => "engine.ev.disk_done",
             SEv::Flush(_) => "engine.ev.server_flush",
         }
@@ -124,11 +118,6 @@ impl Server {
     ) {
         match ev {
             SEv::Recv { key, .. } => self.on_recv(now, key, queue, tele),
-            SEv::DiskKick(_) => {
-                if !self.disk.is_busy() {
-                    self.kick_disk(now, queue, tele);
-                }
-            }
             SEv::DiskDone(_) => self.on_disk_done(now, queue, tele),
             SEv::Flush(_) => self.on_flush(now, queue, tele),
         }
@@ -226,47 +215,42 @@ impl Server {
     }
 
     fn kick_disk(&mut self, now: SimTime, queue: &mut EventList, tele: &mut Telemetry) {
-        match self.disk.try_start(now) {
-            StartOutcome::Started { finish } => {
-                if tele.spans_enabled() {
-                    // Queue merging is final once dispatch starts, so every
-                    // absorbed sub-request enters service here. Flush-daemon
-                    // replays carry `UNTRACKED` and miss the pending slab.
-                    if let Some(req) = self.disk.in_flight() {
-                        let stamp = now.as_secs_f64();
-                        for &tag in req.merged_ids() {
-                            if let Some(p) = self.pending.get_mut(SlabKey::from_raw(tag)) {
-                                let (id, life, stage) = (p.id, p.life, p.stage);
-                                tele.span_close(stamp, stage, stamp);
-                                p.stage = tele.span_open(stamp, stamp, "disk.service", life, id);
-                            }
-                        }
+        let Some(finish) = self.disk.try_start(now) else {
+            return;
+        };
+        if tele.spans_enabled() {
+            // Queue merging is final once dispatch starts, so every
+            // absorbed sub-request enters service here. Flush-daemon
+            // replays carry `UNTRACKED` and miss the pending slab.
+            if let Some(req) = self.disk.in_flight() {
+                let stamp = now.as_secs_f64();
+                for &tag in req.merged_ids() {
+                    if let Some(p) = self.pending.get_mut(SlabKey::from_raw(tag)) {
+                        let (id, life, stage) = (p.id, p.life, p.stage);
+                        tele.span_close(stamp, stage, stamp);
+                        p.stage = tele.span_open(stamp, stamp, "disk.service", life, id);
                     }
                 }
-                if tele.tracing() {
-                    if let Some(req) = self.disk.in_flight() {
-                        let (id, lbn, sectors) = (req.id, req.lbn, req.sectors);
-                        let op = match req.kind {
-                            IoKind::Read => "read",
-                            IoKind::Write => "write",
-                        };
-                        let sid = self.id as u64;
-                        tele.event(now.as_secs_f64(), "disk", "start", |e| {
-                            e.u64("server", sid)
-                                .u64("id", id)
-                                .u64("lbn", lbn)
-                                .u64("sectors", sectors)
-                                .str("op", op)
-                        });
-                    }
-                }
-                queue.schedule(finish, SEv::DiskDone(self.id));
             }
-            StartOutcome::Idle { until } => {
-                queue.schedule(until, SEv::DiskKick(self.id));
-            }
-            StartOutcome::Quiescent => {}
         }
+        if tele.tracing() {
+            if let Some(req) = self.disk.in_flight() {
+                let (id, lbn, sectors) = (req.id, req.lbn, req.sectors);
+                let op = match req.kind {
+                    IoKind::Read => "read",
+                    IoKind::Write => "write",
+                };
+                let sid = self.id as u64;
+                tele.event(now.as_secs_f64(), "disk", "start", |e| {
+                    e.u64("server", sid)
+                        .u64("id", id)
+                        .u64("lbn", lbn)
+                        .u64("sectors", sectors)
+                        .str("op", op)
+                });
+            }
+        }
+        queue.schedule(finish, SEv::DiskDone(self.id));
     }
 }
 

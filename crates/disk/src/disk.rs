@@ -3,27 +3,9 @@
 
 use crate::model::{DiskParams, Lbn};
 use crate::request::DiskRequest;
-use crate::sched::{Decision, Scheduler, SchedulerKind};
+use crate::sched::{Scheduler, SchedulerKind};
 use crate::trace::{BlockTrace, TraceRecord};
 use dualpar_sim::{SimDuration, SimTime};
-
-/// Outcome of asking the disk to start its next piece of work.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StartOutcome {
-    /// Service began; a completion should be delivered at `finish`.
-    Started {
-        /// When the in-flight request completes.
-        finish: SimTime,
-    },
-    /// Scheduler wants anticipation; poke the disk again at `until`
-    /// (or earlier, if a request arrives).
-    Idle {
-        /// End of the anticipation window.
-        until: SimTime,
-    },
-    /// Nothing to do.
-    Quiescent,
-}
 
 /// A single simulated disk.
 pub struct Disk {
@@ -102,8 +84,8 @@ impl Disk {
         self.total_seek
     }
 
-    /// Queue a request. The caller should then call [`Disk::try_start`] and
-    /// act on the outcome (unless the disk is already busy).
+    /// Queue a request. The caller should then call [`Disk::try_start`]
+    /// (unless the disk is already busy).
     pub fn enqueue(&mut self, req: DiskRequest) {
         dualpar_sim::strict_assert!(req.sectors > 0, "zero-length disk request id={}", req.id);
         debug_assert!(
@@ -116,61 +98,57 @@ impl Disk {
         self.sched.enqueue(req);
     }
 
-    /// If idle, pick the next request (or anticipation window). The caller
-    /// must schedule the completion / poke event it is told about.
+    /// If idle and a request is queued, start serving the next one and
+    /// return when it completes; the caller must deliver that completion.
+    /// `None` when the disk is busy or nothing is queued.
     #[expect(
         clippy::arithmetic_side_effects,
         reason = "lifetime statistics: seek sectors and bytes summed over serviced requests"
     )]
-    pub fn try_start(&mut self, now: SimTime) -> StartOutcome {
+    pub fn try_start(&mut self, now: SimTime) -> Option<SimTime> {
         if self.in_flight.is_some() {
-            return StartOutcome::Quiescent; // busy; completion will re-poke
+            return None; // busy; completion will re-poke
         }
-        match self.sched.decide(now, self.head) {
-            Decision::Dispatch(mut req) => {
-                // Dispatch-time elevator merge: chain any queued requests
-                // that continue this one, up to the block layer's merge cap.
-                while req.sectors < crate::sched::MAX_MERGE_SECTORS {
-                    match self.sched.absorb_contiguous(req.end(), req.kind) {
-                        Some(next) => req.back_merge(next),
-                        None => break,
-                    }
-                }
-                while req.sectors < crate::sched::MAX_MERGE_SECTORS {
-                    match self.sched.absorb_ending_at(req.lbn, req.kind) {
-                        Some(mut prev) => {
-                            prev.back_merge(req);
-                            req = prev;
-                        }
-                        None => break,
-                    }
-                }
-                let (dist, service) = self.params.service_time(self.head, req.lbn, req.sectors);
-                self.trace.record(TraceRecord {
-                    at: now,
-                    lbn: req.lbn,
-                    sectors: req.sectors,
-                    kind: req.kind,
-                    seek_distance: dist,
-                });
-                dualpar_sim::strict_assert!(
-                    req.end() <= self.params.capacity_sectors,
-                    "post-merge request beyond end of disk: lbn={} sectors={} cap={}",
-                    req.lbn,
-                    req.sectors,
-                    self.params.capacity_sectors
-                );
-                let finish = now.saturating_add(service);
-                self.total_busy += service;
-                self.total_seek += dist;
-                self.bytes_serviced += req.sectors.saturating_mul(crate::model::SECTOR_BYTES);
-                self.head = req.end();
-                self.in_flight = Some(req);
-                StartOutcome::Started { finish }
+        let mut req = self.sched.decide(self.head)?;
+        // Dispatch-time elevator merge: chain any queued requests that
+        // continue this one, up to the block layer's merge cap.
+        while req.sectors < crate::sched::MAX_MERGE_SECTORS {
+            match self.sched.absorb_contiguous(req.end(), req.kind) {
+                Some(next) => req.back_merge(next),
+                None => break,
             }
-            Decision::IdleUntil(until) => StartOutcome::Idle { until },
-            Decision::Empty => StartOutcome::Quiescent,
         }
+        while req.sectors < crate::sched::MAX_MERGE_SECTORS {
+            match self.sched.absorb_ending_at(req.lbn, req.kind) {
+                Some(mut prev) => {
+                    prev.back_merge(req);
+                    req = prev;
+                }
+                None => break,
+            }
+        }
+        let (dist, service) = self.params.service_time(self.head, req.lbn, req.sectors);
+        self.trace.record(TraceRecord {
+            at: now,
+            lbn: req.lbn,
+            sectors: req.sectors,
+            kind: req.kind,
+            seek_distance: dist,
+        });
+        dualpar_sim::strict_assert!(
+            req.end() <= self.params.capacity_sectors,
+            "post-merge request beyond end of disk: lbn={} sectors={} cap={}",
+            req.lbn,
+            req.sectors,
+            self.params.capacity_sectors
+        );
+        let finish = now.saturating_add(service);
+        self.total_busy += service;
+        self.total_seek += dist;
+        self.bytes_serviced += req.sectors.saturating_mul(crate::model::SECTOR_BYTES);
+        self.head = req.end();
+        self.in_flight = Some(req);
+        Some(finish)
     }
 
     /// Complete the in-flight request, returning it (with all merged ids).
@@ -178,7 +156,7 @@ impl Disk {
     ///
     /// # Panics
     /// Panics if no request is in flight — calling this without a matching
-    /// `Started` outcome is an event-loop bug.
+    /// start is an event-loop bug.
     pub fn complete(&mut self) -> DiskRequest {
         self.in_flight
             .take()
@@ -203,17 +181,14 @@ mod tests {
     fn start_complete_cycle() {
         let mut d = disk(SchedulerKind::Noop);
         d.enqueue(req(1, 1000, 8));
-        let finish = match d.try_start(SimTime::ZERO) {
-            StartOutcome::Started { finish } => finish,
-            other => panic!("{other:?}"),
-        };
+        let finish = d.try_start(SimTime::ZERO).expect("a queued request starts");
         assert!(d.is_busy());
         assert!(finish > SimTime::ZERO);
         let done = d.complete();
         assert_eq!(done.id, 1);
         assert!(!d.is_busy());
         assert_eq!(d.head(), 1008);
-        assert_eq!(d.try_start(finish), StartOutcome::Quiescent);
+        assert_eq!(d.try_start(finish), None);
     }
 
     #[test]
@@ -222,12 +197,9 @@ mod tests {
         d.enqueue(req(1, 0, 8));
         d.enqueue(req(2, 100, 8));
         let _ = d.try_start(SimTime::ZERO);
-        assert_eq!(d.try_start(SimTime::ZERO), StartOutcome::Quiescent);
+        assert_eq!(d.try_start(SimTime::ZERO), None);
         let _ = d.complete();
-        assert!(matches!(
-            d.try_start(SimTime::from_millis(1)),
-            StartOutcome::Started { .. }
-        ));
+        assert!(d.try_start(SimTime::from_millis(1)).is_some());
     }
 
     #[test]
@@ -239,7 +211,7 @@ mod tests {
             d.enqueue(req(i, i * sectors, sectors));
         }
         let mut now = SimTime::ZERO;
-        while let StartOutcome::Started { finish } = d.try_start(now) {
+        while let Some(finish) = d.try_start(now) {
             now = finish;
             d.complete();
         }
@@ -259,7 +231,7 @@ mod tests {
                 d.enqueue(req(i as u64, l * 1_000_000, 8));
             }
             let mut now = SimTime::ZERO;
-            while let StartOutcome::Started { finish } = d.try_start(now) {
+            while let Some(finish) = d.try_start(now) {
                 now = finish;
                 d.complete();
             }
@@ -280,7 +252,7 @@ mod tests {
             d.enqueue(req(i, i * 1000, 8));
         }
         let mut now = SimTime::ZERO;
-        while let StartOutcome::Started { finish } = d.try_start(now) {
+        while let Some(finish) = d.try_start(now) {
             now = finish;
             d.complete();
         }
@@ -293,21 +265,5 @@ mod tests {
     fn complete_without_start_panics() {
         let mut d = disk(SchedulerKind::Noop);
         let _ = d.complete();
-    }
-
-    #[test]
-    fn cfq_idle_outcome_propagates() {
-        let mut d = disk(SchedulerKind::Cfq);
-        d.enqueue(req(1, 0, 8));
-        let finish = match d.try_start(SimTime::ZERO) {
-            StartOutcome::Started { finish } => finish,
-            o => panic!("{o:?}"),
-        };
-        d.complete();
-        // Queue empty but CFQ anticipates another request.
-        match d.try_start(finish) {
-            StartOutcome::Idle { until } => assert!(until > finish),
-            o => panic!("expected idle anticipation, got {o:?}"),
-        }
     }
 }

@@ -17,11 +17,10 @@ pub mod request;
 pub mod sched;
 pub mod trace;
 
-pub use disk::{Disk, StartOutcome};
+pub use disk::Disk;
 pub use model::{bytes_to_sectors, DiskParams, Lbn, SECTOR_BYTES};
 pub use request::{DiskRequest, IoKind, MergedIds};
 pub use sched::{
-    AnticipatoryScheduler, CfqScheduler, DeadlineScheduler, Decision, NoopScheduler, ScanScheduler,
-    Scheduler, SchedulerKind, SstfScheduler, MAX_MERGE_SECTORS,
+    CfqScheduler, NoopScheduler, Scheduler, SchedulerKind, SstfScheduler, MAX_MERGE_SECTORS,
 };
 pub use trace::{BlockTrace, TraceRecord};

@@ -1,8 +1,7 @@
-//! The LBN-sorted request queue that CFQ, AS, DEADLINE, SCAN and SSTF all
-//! serve from. Each differs only in how it picks the next request: the
-//! elevator ([`SortedQueue::pop_elevator`]), the nearest request
-//! ([`SortedQueue::pop_nearest`]) or a named expired one
-//! ([`SortedQueue::take`]).
+//! The LBN-sorted request queue that CFQ and SSTF serve from. They differ
+//! only in how they pick the next request: the elevator
+//! ([`SortedQueue::pop_elevator`]) or the nearest request
+//! ([`SortedQueue::pop_nearest`]).
 
 use crate::model::Lbn;
 use crate::request::{DiskRequest, IoKind};
@@ -150,19 +149,6 @@ impl SortedQueue {
         Some(self.remove(i))
     }
 
-    /// The position of request `id`, starting at `lbn`, if it is queued.
-    pub(super) fn find(&self, lbn: Lbn, id: u64) -> Option<usize> {
-        (self.lower_bound(lbn)..self.order.len())
-            .take_while(|&i| self.order[i].0 == lbn)
-            .find(|&i| self.at(i).is_some_and(|r| r.id == id))
-    }
-
-    /// Remove the request `id`, starting at `lbn`, if it is queued.
-    pub(super) fn take(&mut self, lbn: Lbn, id: u64) -> Option<DiskRequest> {
-        let i = self.find(lbn, id)?;
-        Some(self.remove(i))
-    }
-
     pub(super) fn len(&self) -> usize {
         self.order.len()
     }
@@ -174,10 +160,9 @@ mod tests {
     use dualpar_sim::SimTime;
     use proptest::prelude::*;
 
-    /// The queue as the anticipatory and deadline schedulers kept it before
-    /// the key array and windowed searches, with SSTF's nearest-request
-    /// scan: every probe is a linear scan of one sorted `Vec`. The oracle
-    /// [`SortedQueue`] must agree with.
+    /// The queue without the key array and windowed searches: every probe
+    /// is a linear scan of one sorted `Vec`. The oracle [`SortedQueue`]
+    /// must agree with.
     #[derive(Debug, Default)]
     struct LinearQueue {
         sorted: Vec<DiskRequest>,
@@ -222,10 +207,6 @@ mod tests {
             Some(self.sorted.remove(idx))
         }
 
-        fn take(&mut self, lbn: Lbn, id: u64) -> Option<DiskRequest> {
-            self.remove_first(|r| r.lbn == lbn && r.id == id)
-        }
-
         fn take_starting_at(&mut self, end: Lbn, kind: IoKind) -> Option<DiskRequest> {
             self.remove_first(|r| r.lbn == end && r.kind == kind)
         }
@@ -249,11 +230,6 @@ mod tests {
         Pop {
             head: Lbn,
             nearest: bool,
-        },
-        /// Take the `nth` inserted request by `(lbn, id)`, whether or not
-        /// it is still queued on its own.
-        Take {
-            nth: usize,
         },
         TakeStartingAt {
             end: Lbn,
@@ -304,7 +280,6 @@ mod tests {
             insert(),
             insert(),
             (lbn.clone(), any::<bool>()).prop_map(|(head, nearest)| Step::Pop { head, nearest }),
-            (0usize..64).prop_map(|nth| Step::Take { nth }),
             (lbn.clone(), any::<bool>())
                 .prop_map(|(end, write)| Step::TakeStartingAt { end, write }),
             (lbn, any::<bool>()).prop_map(|(start, write)| Step::TakeEndingAt { start, write }),
@@ -332,7 +307,6 @@ mod tests {
         ) {
             let mut fast = SortedQueue::default();
             let mut slow = LinearQueue::default();
-            let mut inserted = Vec::new();
             for (seq, step) in (0u64..).zip(steps) {
                 match step {
                     Step::Insert { write, lbn, sectors, id_hi } => {
@@ -340,7 +314,6 @@ mod tests {
                         // equal LBNs are common.
                         let id = (id_hi << 32) | seq;
                         let req = DiskRequest::new(id, kind(write), lbn, sectors, SimTime::ZERO);
-                        inserted.push((lbn, id));
                         fast.insert(req.clone(), CAP);
                         slow.insert(req, CAP);
                     }
@@ -367,12 +340,6 @@ mod tests {
                             let Some(mut prev) = prev else { break };
                             prev.back_merge(r);
                             r = prev;
-                        }
-                    }
-                    Step::Take { nth } => {
-                        if let Some(&(lbn, id)) = inserted.get(nth) {
-                            prop_assert_eq!(fast.find(lbn, id).is_some(), slow.sorted.iter().any(|r| r.id == id));
-                            prop_assert_eq!(fast.take(lbn, id), slow.take(lbn, id));
                         }
                     }
                     Step::TakeStartingAt { end, write } => {

@@ -123,15 +123,6 @@ fn traced_run(script: &ProgramScript, strategy: IoStrategy, sched: SchedulerKind
     cluster
 }
 
-const ALL_SCHEDULERS: [SchedulerKind; 6] = [
-    SchedulerKind::Cfq,
-    SchedulerKind::Anticipatory,
-    SchedulerKind::Noop,
-    SchedulerKind::Deadline,
-    SchedulerKind::Sstf,
-    SchedulerKind::Scan,
-];
-
 /// Random cache traffic for the ledger-conservation property.
 #[derive(Debug, Clone)]
 enum CacheOp {
@@ -167,7 +158,7 @@ proptest! {
     fn random_workloads_audit_clean((_nprocs, bodies) in gen_program()) {
         let rank_region = FILE_SIZE / bodies.len() as u64;
         let script = build_script(&bodies, rank_region);
-        for sched in ALL_SCHEDULERS {
+        for sched in SchedulerKind::ALL {
             let cluster = traced_run(&script, IoStrategy::DualPar, sched);
             // The span property must not pass vacuously: state spans are
             // recorded for every run (request spans need actual I/O).

@@ -68,7 +68,7 @@ fn tie_heavy() -> Experiment {
 #[test]
 fn tie_heavy_run_keeps_its_report_and_trace() {
     let report = tie_heavy().run().expect("valid experiment");
-    assert_eq!(fingerprint(&report), "844f106949543fc1");
+    assert_eq!(fingerprint(&report), "5e0f3db532a7cd01");
     // The trace records events in pop order: equal-time records come
     // client first, then server by server, each lane in scheduling order.
     let mut cluster = tie_heavy()

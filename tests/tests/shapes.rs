@@ -261,6 +261,84 @@ fn dualpar_write_batching_wins() {
     );
 }
 
+/// One row of the committed `bench_results/fig4_btio_concurrent.json`.
+#[derive(serde::Deserialize)]
+struct Fig4Row {
+    nprocs: u32,
+    vanilla_mbps: f64,
+    collective_mbps: f64,
+    dualpar_mbps: f64,
+}
+
+/// `x` rounded to `places` decimals, scaled to an integer: `scaled(23.56,
+/// 1)` is 236.0, so a typed cell compares exactly.
+fn scaled(x: f64, places: i32) -> f64 {
+    (x * 10f64.powi(places)).round()
+}
+
+/// EXPERIMENTS.md, Fig. 4, against the committed artifact (which
+/// `scripts/check.sh` regenerates and compares byte for byte): every typed
+/// cell of the table to its printed precision, and the "Shape ✓" sentence
+/// — collective decays 23.6 → 20.4 → 11.9 as processes grow, DualPar is
+/// flat at 34.9, DualPar/collective widens from 1.5× to 2.9× — with the
+/// stated deviation held as a band: DualPar/vanilla spans 107–196×, against
+/// the paper's 35×.
+#[test]
+fn fig4_btio_collective_decays_while_dualpar_stays_flat() {
+    let json = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../bench_results/fig4_btio_concurrent.json"
+    ))
+    .expect("committed fig4_btio_concurrent.json is readable");
+    let rows: Vec<Fig4Row> = serde_json::from_str(&json).expect("fig4 rows parse");
+    // procs, vanilla (2 decimals), collective (1 decimal) and its gain
+    // over vanilla, DualPar (1 decimal) and its gain, as typed.
+    let table = [
+        (16, 33.0, 236.0, 72.0, 349.0, 107.0),
+        (64, 20.0, 204.0, 105.0, 349.0, 179.0),
+        (256, 18.0, 119.0, 67.0, 349.0, 196.0),
+    ];
+    assert_eq!(rows.len(), table.len());
+    for (r, &(procs, v, co, co_x, dp, dp_x)) in rows.iter().zip(&table) {
+        assert_eq!(r.nprocs, procs);
+        let cells = [
+            scaled(r.vanilla_mbps, 2),
+            scaled(r.collective_mbps, 1),
+            scaled(r.collective_mbps / r.vanilla_mbps, 0),
+            scaled(r.dualpar_mbps, 1),
+            scaled(r.dualpar_mbps / r.vanilla_mbps, 0),
+        ];
+        assert_eq!(cells, [v, co, co_x, dp, dp_x], "{procs} procs");
+    }
+    assert!(
+        rows.windows(2)
+            .all(|w| w[1].collective_mbps < w[0].collective_mbps),
+        "collective falls as processes grow"
+    );
+    let over_vanilla: Vec<f64> = rows
+        .iter()
+        .map(|r| r.dualpar_mbps / r.vanilla_mbps)
+        .collect();
+    let (lo, hi) = over_vanilla
+        .iter()
+        .fold((f64::MAX, f64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+    assert_eq!(
+        (scaled(lo, 0), scaled(hi, 0)),
+        (107.0, 196.0),
+        "DualPar/vanilla band"
+    );
+    let over_collective: Vec<f64> = rows
+        .iter()
+        .map(|r| r.dualpar_mbps / r.collective_mbps)
+        .collect();
+    assert!(
+        over_collective.windows(2).all(|w| w[1] > w[0]),
+        "DualPar/collective widens: {over_collective:?}"
+    );
+    assert_eq!(scaled(over_collective[0], 1), 15.0);
+    assert_eq!(scaled(over_collective[2], 1), 29.0);
+}
+
 /// One row of the committed `bench_results/ablation_sched.json`.
 #[derive(serde::Deserialize)]
 struct SchedRow {
@@ -269,8 +347,8 @@ struct SchedRow {
 }
 
 /// EXPERIMENTS.md, `ablation_sched`: "DualPar's gain over vanilla is
-/// scheduler-robust: 9.6–11.0× under CFQ/anticipatory/NOOP/DEADLINE/SSTF/
-/// SCAN", row by row against the committed artifact, which
+/// scheduler-robust: 9.6–11.0× under each of the three service orders",
+/// row by row against the committed artifact, which
 /// `scripts/check.sh` regenerates and compares byte for byte.
 #[test]
 fn scheduler_ablation_gain_is_scheduler_robust() {
