@@ -48,8 +48,6 @@
 //!     --spec scenario.json            # entries from a JSON spec file
 //! cargo run --release -p dualpar-bench --bin dualpar -- suite \
 //!     --timeout-secs 300              # fail (not hang) runs over 5 min
-//! cargo run --release -p dualpar-bench --bin dualpar -- suite \
-//!     --timeout-secs 300 --retry 2    # re-run failed entries up to twice
 //! ```
 //!
 //! A specification names the cluster configuration (all fields optional —
@@ -82,7 +80,7 @@
 
 use dualpar_bench::figures::FigureRun;
 use dualpar_bench::suite::{
-    builtin_suite, entries_from_spec_json, filter_entries, run_entry, run_suite_entries,
+    builtin_suite, entries_from_spec_json, filter_entries, run_entry, run_parallel_with_timeout,
     summarize_results, Scale,
 };
 use dualpar_bench::{build_cluster, ExperimentSpec};
@@ -173,7 +171,7 @@ fn main() {
             "usage: dualpar <spec.json> [--telemetry off|counters|trace] [--trace <out.jsonl>]"
         );
         eprintln!("       dualpar figure [NAME...] [--out <dir>] [--jobs N]");
-        eprintln!("       dualpar suite [--jobs N] [--scale small|paper] [--spec <path>] [--out <path>] [--filter <substr>] [--filter-exact <name>] [--timeout-secs S] [--retry N] [--verify-serial]");
+        eprintln!("       dualpar suite [--jobs N] [--scale small|paper] [--spec <path>] [--out <path>] [--filter <substr>] [--filter-exact <name>] [--timeout-secs S] [--verify-serial]");
         eprintln!("       (or --example to print a spec template)");
         std::process::exit(2);
     };
@@ -246,16 +244,6 @@ fn run_suite_command(mut args: Vec<String>) {
             std::process::exit(2);
         }
     };
-    let retries = match take_flag(&mut args, "--retry") {
-        None => 0,
-        Some(v) => match v.parse::<u32>() {
-            Ok(n) => n,
-            _ => {
-                eprintln!("--retry requires a non-negative integer, got {v:?}");
-                std::process::exit(2);
-            }
-        },
-    };
     let out_path = std::path::PathBuf::from(
         take_flag(&mut args, "--out").unwrap_or_else(|| "bench_results/BENCH_suite.json".into()),
     );
@@ -275,7 +263,7 @@ fn run_suite_command(mut args: Vec<String>) {
     };
     reject_unknown_flags(
         &args,
-        "--jobs, --scale, --spec, --out, --filter, --filter-exact, --timeout-secs, --retry or --verify-serial",
+        "--jobs, --scale, --spec, --out, --filter, --filter-exact, --timeout-secs or --verify-serial",
     );
     if args.len() > 1 {
         eprintln!("unexpected argument {:?}", args[1]);
@@ -326,7 +314,7 @@ fn run_suite_command(mut args: Vec<String>) {
         reason = "host wall time for the suite summary and CLI footer; nothing simulated reads it"
     )]
     let t0 = Instant::now();
-    let results = run_suite_entries(&entries, jobs, timeout, retries);
+    let results = run_parallel_with_timeout(&entries, jobs, timeout);
     let total_wall = t0.elapsed().as_secs_f64();
     let failed = results.iter().filter(|r| r.is_err()).count();
 

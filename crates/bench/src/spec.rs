@@ -234,6 +234,9 @@ impl ExperimentSpec {
 
     /// Reject specs that parse but cannot run.
     pub fn validate(&self) -> Result<(), String> {
+        self.cluster
+            .validate()
+            .map_err(|e| format!("cluster: {e}"))?;
         if self.programs.is_empty() && self.arrivals.is_empty() {
             return Err("spec has neither programs nor arrivals".into());
         }
@@ -395,10 +398,33 @@ mod tests {
 
     #[test]
     fn retired_cluster_keys_are_rejected() {
-        let json = r#"{"cluster": {"ctx_mode": "PerDisk"},
-            "programs": [{"workload": {"demo": {}}, "strategy": "Vanilla"}]}"#;
-        let err = ExperimentSpec::from_json(json).expect_err("unknown cluster key");
-        assert!(err.contains("unknown field `ctx_mode`"), "{err}");
+        // A retired knob and values that became model constants.
+        for (cluster, key) in [
+            (r#"{"ctx_mode": "PerDisk"}"#, "ctx_mode"),
+            (r#"{"s2_window": 4}"#, "s2_window"),
+            (r#"{"alloc": {}}"#, "alloc"),
+            (r#"{"collective": {}}"#, "collective"),
+            (r#"{"dualpar": {"list_io_pack": 64}}"#, "list_io_pack"),
+        ] {
+            let json = format!(
+                r#"{{"cluster": {cluster},
+                "programs": [{{"workload": {{"demo": {{}}}}, "strategy": "Vanilla"}}]}}"#
+            );
+            let err = ExperimentSpec::from_json(&json).expect_err("unknown cluster key");
+            assert!(err.contains(&format!("unknown field `{key}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn zero_cluster_shapes_are_rejected_naming_the_field() {
+        for field in ["num_data_servers", "num_compute_nodes", "stripe_size"] {
+            let json = format!(
+                r#"{{"cluster": {{"{field}": 0}},
+                "programs": [{{"workload": {{"demo": {{}}}}, "strategy": "Vanilla"}}]}}"#
+            );
+            let err = ExperimentSpec::from_json(&json).expect_err("zero cluster field");
+            assert!(err.starts_with("cluster: ") && err.contains(field), "{err}");
+        }
     }
 
     #[test]

@@ -133,23 +133,19 @@ pub fn run_parallel(entries: &[SuiteEntry], jobs: usize) -> Vec<SuiteRun> {
         .collect()
 }
 
-/// [`run_parallel`] with an optional per-run wall-clock deadline: an entry
-/// that overruns `timeout` fails with a reported error instead of hanging
-/// the whole suite. The hung simulation's thread is abandoned, not killed
-/// (see [`run_with_deadline`]), so a timed-out suite should exit soon
-/// after reporting. Without a timeout, entries run directly on the pool
-/// workers and a panic propagates as before.
+/// The suite runner behind `dualpar suite`: [`run_parallel`] with an
+/// optional per-run wall-clock deadline. Under a deadline, an entry that
+/// overruns it or whose worker panics fails with a reported error and
+/// keeps its slot, instead of hanging or aborting the whole suite. The
+/// hung simulation's thread is abandoned, not killed (see
+/// [`run_with_deadline`]), so a timed-out suite should exit soon after
+/// reporting. Without a timeout, entries run directly on the pool workers
+/// and a panic propagates.
 pub fn run_parallel_with_timeout(
     entries: &[SuiteEntry],
     jobs: usize,
     timeout: Option<Duration>,
 ) -> Vec<SuiteRunResult> {
-    run_suite_entries(entries, jobs, timeout, 0)
-}
-
-/// One pooled pass over the entries: the building block under
-/// [`run_suite_entries`]' retry loop.
-fn run_pass(entries: &[SuiteEntry], jobs: usize, timeout: Option<Duration>) -> Vec<SuiteRunResult> {
     let costs: Vec<u64> = entries.iter().map(|e| expected_cost(&e.spec)).collect();
     parallel_map_prioritized(entries, jobs, &costs, |_, e| {
         let Some(limit) = timeout else {
@@ -170,46 +166,6 @@ fn run_pass(entries: &[SuiteEntry], jobs: usize, timeout: Option<Duration>) -> V
             }),
         }
     })
-}
-
-/// The full suite runner behind `dualpar suite`: a pooled pass plus up to
-/// `retries` follow-up passes over whichever entries failed (timed out or
-/// panicked). Retries change nothing about a run's simulation — a retried
-/// entry that completes produces the same byte-identical report it would
-/// have produced the first time — they only give transiently overloaded
-/// machines another chance before the suite is declared failed. An entry
-/// that still fails after every retry keeps its slot, with the attempt
-/// count recorded in the error.
-pub fn run_suite_entries(
-    entries: &[SuiteEntry],
-    jobs: usize,
-    timeout: Option<Duration>,
-    retries: u32,
-) -> Vec<SuiteRunResult> {
-    let mut results = run_pass(entries, jobs, timeout);
-    for _ in 0..retries {
-        let failed: Vec<usize> = results
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_err())
-            .map(|(i, _)| i)
-            .collect();
-        if failed.is_empty() {
-            break;
-        }
-        let again: Vec<SuiteEntry> = failed.iter().map(|&i| entries[i].clone()).collect();
-        for (slot, outcome) in failed.into_iter().zip(run_pass(&again, jobs, timeout)) {
-            results[slot] = outcome;
-        }
-    }
-    if retries > 0 {
-        for r in &mut results {
-            if let Err(f) = r {
-                f.error = format!("{} (after {} attempts)", f.error, retries + 1);
-            }
-        }
-    }
-    results
 }
 
 /// Keep the entries whose name matches `filter`, in their original order:

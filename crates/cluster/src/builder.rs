@@ -73,9 +73,9 @@ impl std::fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExperimentError::NoPrograms => write!(f, "experiment has no programs"),
-            ExperimentError::NoServers => write!(f, "experiment has zero data servers"),
-            ExperimentError::NoComputeNodes => write!(f, "experiment has zero compute nodes"),
-            ExperimentError::ZeroStripe => write!(f, "stripe size must be non-zero"),
+            ExperimentError::NoServers => write!(f, "num_data_servers must be at least 1"),
+            ExperimentError::NoComputeNodes => write!(f, "num_compute_nodes must be at least 1"),
+            ExperimentError::ZeroStripe => write!(f, "stripe_size must be non-zero"),
             ExperimentError::DuplicateFile(name) => {
                 write!(f, "file {name:?} declared more than once")
             }
@@ -274,15 +274,7 @@ impl Experiment {
         if self.programs.is_empty() {
             return Err(ExperimentError::NoPrograms);
         }
-        if self.cfg.num_data_servers == 0 {
-            return Err(ExperimentError::NoServers);
-        }
-        if self.cfg.num_compute_nodes == 0 {
-            return Err(ExperimentError::NoComputeNodes);
-        }
-        if self.cfg.stripe_size == 0 {
-            return Err(ExperimentError::ZeroStripe);
-        }
+        self.cfg.validate()?;
         let mut names = FxHashSet::default();
         for (name, size) in &self.files {
             if !names.insert(name.clone()) {

@@ -1,8 +1,9 @@
 //! Cluster and experiment configuration.
 
+use crate::builder::ExperimentError;
 use dualpar_core::DualParConfig;
 use dualpar_disk::{DiskParams, SchedulerKind};
-use dualpar_mpiio::{CollectiveConfig, ProgramScript, SieveConfig};
+use dualpar_mpiio::{ProgramScript, SieveConfig};
 use dualpar_sim::{SimDuration, SimTime};
 use dualpar_telemetry::TelemetryConfig;
 use serde::{Deserialize, Serialize};
@@ -60,6 +61,28 @@ pub enum ServerWriteMode {
     WriteBack,
 }
 
+/// One-way network latency.
+pub(crate) const NET_LATENCY: SimDuration = SimDuration::from_micros(50);
+/// Per-NIC bandwidth, bytes/sec (GigE ≈ 125 MB/s).
+pub(crate) const NET_BANDWIDTH: u64 = 125_000_000;
+/// Request/response header size charged per message.
+pub(crate) const MSG_HEADER: u64 = 256;
+/// Memory copy bandwidth for local cache hits, bytes/sec.
+pub(crate) const MEM_BANDWIDTH: u64 = 8_000_000_000;
+/// Flush period for [`ServerWriteMode::WriteBack`]: the paper's "every
+/// one second".
+pub(crate) const SERVER_FLUSH_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Mean per-request client-side issue overhead for Strategy-2
+/// pre-execution prefetching (library call + posting cost); jittered
+/// ±50%. This is the "time gaps between consecutive requests issued
+/// during the pre-execution" of §II.
+pub(crate) const S2_ISSUE_GAP: SimDuration = SimDuration::from_micros(50);
+/// Maximum outstanding Strategy-2 prefetch requests per process (the
+/// async-I/O window the client library allows). Keeping this small is
+/// what leaves the disk scheduler "a limited number of outstanding
+/// requests" to sort (§II).
+pub(crate) const S2_WINDOW: usize = 4;
+
 /// Static description of the simulated cluster (paper §V: Darwin with nine
 /// PVFS2 data servers, 64 KB striping, CFQ, Gigabit Ethernet).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -75,38 +98,14 @@ pub struct ClusterConfig {
     pub disk: DiskParams,
     /// Disk scheduler at every server.
     pub scheduler: SchedulerKind,
-    /// One-way network latency.
-    pub net_latency: SimDuration,
-    /// Per-NIC bandwidth, bytes/sec (GigE ≈ 125 MB/s).
-    pub net_bandwidth: u64,
-    /// Request/response header size charged per message.
-    pub msg_header: u64,
-    /// Memory copy bandwidth for local cache hits.
-    pub mem_bandwidth: u64,
-    /// Extent-allocation policy.
-    pub alloc: dualpar_pfs::AllocConfig,
     /// DualPar thresholds and quotas.
     pub dualpar: DualParConfig,
     /// Data-sieving policy for independent I/O.
     pub sieve: SieveConfig,
-    /// Two-phase collective-I/O planner settings.
-    pub collective: CollectiveConfig,
     /// Record full per-request disk traces (needed for the LBN figures).
     pub trace_disks: bool,
     /// Server write handling (see [`ServerWriteMode`]).
     pub server_write_mode: ServerWriteMode,
-    /// Flush period for [`ServerWriteMode::WriteBack`].
-    pub server_flush_interval: SimDuration,
-    /// Mean per-request client-side issue overhead for Strategy-2
-    /// pre-execution prefetching (library call + posting cost); jittered
-    /// ±50%. This is the "time gaps between consecutive requests issued
-    /// during the pre-execution" of §II.
-    pub s2_issue_gap: SimDuration,
-    /// Maximum outstanding Strategy-2 prefetch requests per process (the
-    /// async-I/O window the client library allows). Keeping this small is
-    /// what leaves the disk scheduler "a limited number of outstanding
-    /// requests" to sort (§II).
-    pub s2_window: usize,
     /// Master seed for every deterministic random stream.
     pub seed: u64,
     /// Instrumentation level and trace capacity (off by default; absent
@@ -123,22 +122,32 @@ impl Default for ClusterConfig {
             stripe_size: 64 * 1024,
             disk: DiskParams::hdd_7200rpm(),
             scheduler: SchedulerKind::Cfq,
-            net_latency: SimDuration::from_micros(50),
-            net_bandwidth: 125_000_000,
-            msg_header: 256,
-            mem_bandwidth: 8_000_000_000,
-            alloc: dualpar_pfs::AllocConfig::default(),
             dualpar: DualParConfig::default(),
             sieve: SieveConfig::default(),
-            collective: CollectiveConfig::default(),
             trace_disks: false,
             server_write_mode: ServerWriteMode::WriteThrough,
-            server_flush_interval: SimDuration::from_secs(1),
-            s2_issue_gap: SimDuration::from_micros(50),
-            s2_window: 4,
             seed: 42,
             telemetry: TelemetryConfig::default(),
         }
+    }
+}
+
+impl ClusterConfig {
+    /// Reject a cluster that cannot run: zero data servers, compute nodes
+    /// or stripe size. Shared by [`Experiment::build`](crate::Experiment::build)
+    /// and the spec loader, so neither path can reach the simulator with
+    /// a degenerate shape.
+    pub fn validate(&self) -> Result<(), ExperimentError> {
+        if self.num_data_servers == 0 {
+            return Err(ExperimentError::NoServers);
+        }
+        if self.num_compute_nodes == 0 {
+            return Err(ExperimentError::NoComputeNodes);
+        }
+        if self.stripe_size == 0 {
+            return Err(ExperimentError::ZeroStripe);
+        }
+        Ok(())
     }
 }
 
@@ -180,7 +189,13 @@ mod tests {
         assert_eq!(c.num_data_servers, 9);
         assert_eq!(c.stripe_size, 64 * 1024);
         assert_eq!(c.scheduler, SchedulerKind::Cfq);
-        assert_eq!(c.net_bandwidth, 125_000_000);
+        assert_eq!(NET_LATENCY, SimDuration::from_micros(50));
+        assert_eq!(NET_BANDWIDTH, 125_000_000);
+        assert_eq!(MSG_HEADER, 256);
+        assert_eq!(MEM_BANDWIDTH, 8_000_000_000);
+        assert_eq!(SERVER_FLUSH_INTERVAL, SimDuration::from_secs(1));
+        assert_eq!(S2_ISSUE_GAP, SimDuration::from_micros(50));
+        assert_eq!(S2_WINDOW, 4);
     }
 
     #[test]

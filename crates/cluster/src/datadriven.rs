@@ -1,7 +1,7 @@
 //! The data-driven execution machinery (DualPar phases) and Strategy-2
 //! application-level prefetching.
 
-use crate::config::IoStrategy;
+use crate::config::{IoStrategy, S2_ISSUE_GAP, S2_WINDOW};
 use crate::engine::{Cluster, Ev, PState, Phase, Purpose};
 use dualpar_core::{expected_fill_time, ghost_walk, plan_prefetch, plan_writeback, ProgramId};
 use dualpar_disk::IoKind;
@@ -571,7 +571,7 @@ impl Cluster {
         self.procs[p].ghost_pos = run.end_pos;
         // Every recorded region becomes "in flight" immediately (readers
         // can wait on it), but actual issuance is flow-controlled by the
-        // per-process async window — only `s2_window` prefetches are ever
+        // per-process async window — only `S2_WINDOW` prefetches are ever
         // outstanding, so the disk scheduler sees the shallow queue of §II.
         for (file, region) in run.prefetch {
             let key = region_key(file, region);
@@ -590,15 +590,12 @@ impl Cluster {
     fn s2_pump(&mut self, now: SimTime, p: usize) {
         let node = self.procs[p].node;
         let mut at = now;
-        while self.procs[p].s2_outstanding < self.cfg.s2_window {
+        while self.procs[p].s2_outstanding < S2_WINDOW {
             let Some((file, region)) = self.procs[p].s2_queue.pop_front() else {
                 break;
             };
-            let gap = self.cfg.s2_issue_gap.nanos();
-            if gap > 0 {
-                let jitter = self.rng.uniform_u64(gap / 2, gap + gap / 2 + 1);
-                at += dualpar_sim::SimDuration(jitter);
-            }
+            let gap = S2_ISSUE_GAP.nanos();
+            at += dualpar_sim::SimDuration(self.rng.uniform_u64(gap / 2, gap + gap / 2 + 1));
             self.procs[p].s2_outstanding += 1;
             let group = self.new_group(Purpose::S2Prefetch {
                 proc: p,

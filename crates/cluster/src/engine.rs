@@ -4,12 +4,14 @@
 //! Strategy-2 prefetching).
 
 use crate::builder::ExperimentError;
-use crate::config::{ClusterConfig, IoStrategy, ProgramSpec};
+use crate::config::{
+    ClusterConfig, IoStrategy, ProgramSpec, MEM_BANDWIDTH, MSG_HEADER, NET_BANDWIDTH, NET_LATENCY,
+};
 use crate::events::{Event, EventList};
 use crate::metrics::{ModeEvent, ProgramReport, RunReport};
 use crate::server::{SEv, Server, SubReq};
 use dualpar_cache::{CacheConfig, GlobalCache, NodeId, OwnerId};
-use dualpar_core::{Emc, ExecMode, IoClock, ProgramId, ReqDistTracker};
+use dualpar_core::{Emc, ExecMode, IoClock, ProgramId, ReqDistTracker, MISPREFETCH_THRESHOLD};
 use dualpar_disk::{Disk, IoKind};
 use dualpar_mpiio::{CoalescedIo, Op, ProcessScript, Regions};
 use dualpar_pfs::{FileId, FileRegion, Pvfs, ResolvedIo};
@@ -321,7 +323,6 @@ impl Cluster {
             cfg.num_data_servers,
             cfg.stripe_size,
             cfg.disk.capacity_sectors,
-            cfg.alloc.clone(),
         );
         let cache = GlobalCache::new(CacheConfig {
             chunk_size: cfg.stripe_size,
@@ -334,7 +335,7 @@ impl Cluster {
             .map(|id| Server::new(id, &cfg))
             .collect();
         let node_links = (0..cfg.num_compute_nodes)
-            .map(|_| Link::new(cfg.net_latency, cfg.net_bandwidth))
+            .map(|_| Link::new(NET_LATENCY, NET_BANDWIDTH))
             .collect();
         let req_dist = (0..cfg.num_compute_nodes)
             .map(|_| ReqDistTracker::new())
@@ -596,11 +597,10 @@ impl Cluster {
                 self.cat_bytes[i] += bytes;
             }
         }
-        t += SimDuration::for_transfer(local, self.cfg.mem_bandwidth);
+        t += SimDuration::for_transfer(local, MEM_BANDWIDTH);
         for i in 0..self.cat_stamp.len() {
             if self.cat_stamp[i] == epoch {
-                t += self.cfg.net_latency
-                    + SimDuration::for_transfer(self.cat_bytes[i], self.cfg.net_bandwidth);
+                t += NET_LATENCY + SimDuration::for_transfer(self.cat_bytes[i], NET_BANDWIDTH);
             }
         }
         t
@@ -701,8 +701,8 @@ impl Cluster {
         self.groups.get_mut(group).expect("group exists").remaining += n;
         for run in &runs {
             let (req_msg, resp_bytes) = match kind {
-                IoKind::Read => (self.cfg.msg_header, run.bytes),
-                IoKind::Write => (self.cfg.msg_header + run.bytes, 0),
+                IoKind::Read => (MSG_HEADER, run.bytes),
+                IoKind::Write => (MSG_HEADER + run.bytes, 0),
             };
             let id = self.next_sub_id;
             self.next_sub_id += 1;
@@ -757,15 +757,11 @@ impl Cluster {
             // so the offline auditor validates EMC transitions with the
             // actual (possibly tuned) configuration.
             let dp = &self.cfg.dualpar;
-            let (ratio, imp, mis) = (
-                dp.io_ratio_threshold,
-                dp.t_improvement,
-                dp.misprefetch_threshold,
-            );
+            let (ratio, imp) = (dp.io_ratio_threshold, dp.t_improvement);
             self.tele.event(0.0, "emc", "config", |e| {
                 e.f64("io_ratio_threshold", ratio)
                     .f64("t_improvement", imp)
-                    .f64("misprefetch_threshold", mis)
+                    .f64("misprefetch_threshold", MISPREFETCH_THRESHOLD)
             });
         }
         if self.emc_active {

@@ -1,7 +1,7 @@
 //! Script advancement and the vanilla / barrier / collective execution
 //! paths, plus completion-group dispatch.
 
-use crate::config::IoStrategy;
+use crate::config::{IoStrategy, NET_BANDWIDTH, NET_LATENCY};
 use crate::engine::{Cluster, Ev, Group, PState, Purpose};
 use dualpar_core::ExecMode;
 use dualpar_disk::IoKind;
@@ -274,7 +274,9 @@ impl Cluster {
                 per_rank,
             )
         };
-        let plan = plan_collective(file, &per_rank, &self.cfg.collective);
+        // Every rank aggregates (ROMIO's `cb_nodes` set to the rank count).
+        let naggs = self.programs[prog].nprocs();
+        let plan = plan_collective(file, &per_rank, naggs);
         let Some(plan) = plan else {
             // Nothing requested — resume everyone immediately.
             self.programs[prog].coll_exchange = (0, 0);
@@ -301,8 +303,8 @@ impl Cluster {
         let nprocs = self.programs[prog].nprocs() as u64;
         let rounds = msgs.div_ceil(nprocs.max(1));
         let per_node = bytes / self.cfg.num_compute_nodes.max(1) as u64;
-        let exchange = SimDuration(self.cfg.net_latency.nanos() * rounds)
-            + SimDuration::for_transfer(per_node, self.cfg.net_bandwidth);
+        let exchange = SimDuration(NET_LATENCY.nanos() * rounds)
+            + SimDuration::for_transfer(per_node, NET_BANDWIDTH);
         let group = self.new_group(Purpose::CollResume { prog });
         self.groups.get_mut(group).expect("new group").remaining = 1;
         self.queue

@@ -4,11 +4,13 @@
 //! handlers here are the only code that touches this state, apart from the
 //! EMC tick's seek-window sample and the end-of-run report.
 
-use crate::config::{ClusterConfig, ServerWriteMode};
+use crate::config::{
+    ClusterConfig, ServerWriteMode, MSG_HEADER, NET_BANDWIDTH, NET_LATENCY, SERVER_FLUSH_INTERVAL,
+};
 use crate::engine::Ev;
 use crate::events::EventList;
 use dualpar_disk::{Disk, DiskRequest, IoKind, Lbn};
-use dualpar_sim::{Link, SimDuration, SimTime, Slab, SlabKey};
+use dualpar_sim::{Link, SimTime, Slab, SlabKey};
 use dualpar_telemetry::{SpanId, Telemetry};
 
 /// One disk-bound sub-request (a resolved LBN run on one server). The
@@ -75,8 +77,6 @@ pub(crate) struct Server {
     flush_scheduled: bool,
     pending: Slab<SubReq>,
     write_mode: ServerWriteMode,
-    msg_header: u64,
-    flush_interval: SimDuration,
 }
 
 impl Server {
@@ -84,13 +84,11 @@ impl Server {
         Server {
             id,
             disk: Disk::new(cfg.disk.clone(), cfg.scheduler, cfg.trace_disks),
-            link: Link::new(cfg.net_latency, cfg.net_bandwidth),
+            link: Link::new(NET_LATENCY, NET_BANDWIDTH),
             dirty: Vec::new(),
             flush_scheduled: false,
             pending: Slab::new(),
             write_mode: cfg.server_write_mode,
-            msg_header: cfg.msg_header,
-            flush_interval: cfg.server_flush_interval,
         }
     }
 
@@ -133,7 +131,7 @@ impl Server {
             // write from here.
             let deliver = self
                 .link
-                .send(now, self.msg_header.saturating_add(sub.resp_bytes));
+                .send(now, MSG_HEADER.saturating_add(sub.resp_bytes));
             queue.schedule(deliver, Ev::SubDone { group: sub.group });
             if tele.spans_enabled() {
                 // Buffered ack: the queue/disk stages are owned by the
@@ -148,7 +146,7 @@ impl Server {
             self.dirty.push(req);
             if !self.flush_scheduled {
                 self.flush_scheduled = true;
-                let at = now.saturating_add(self.flush_interval);
+                let at = now.saturating_add(SERVER_FLUSH_INTERVAL);
                 queue.schedule(at, SEv::Flush(self.id));
             }
         } else {
@@ -198,9 +196,7 @@ impl Server {
             // receipt; their tag is `UNTRACKED`, so the lookup is a clean
             // miss.
             if let Some(p) = self.pending.remove(SlabKey::from_raw(tag)) {
-                let deliver = self
-                    .link
-                    .send(now, self.msg_header.saturating_add(p.resp_bytes));
+                let deliver = self.link.send(now, MSG_HEADER.saturating_add(p.resp_bytes));
                 queue.schedule(deliver, Ev::SubDone { group: p.group });
                 if tele.spans_enabled() {
                     let stamp = now.as_secs_f64();

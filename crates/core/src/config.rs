@@ -10,6 +10,17 @@ pub struct ProgramId(
     pub u32,
 );
 
+/// Disable the data-driven mode when a program's average mis-prefetch
+/// ratio exceeds this — 20 % (§IV-C).
+pub const MISPREFETCH_THRESHOLD: f64 = 0.2;
+
+/// Ghost pre-executions that exceed `expected fill time × this factor` are
+/// stopped so one slow rank cannot stall the phase (§IV-C).
+pub const GHOST_TIMEOUT_FACTOR: f64 = 2.0;
+
+/// List-I/O packing factor: small requests packed per message (§IV-D).
+pub const LIST_IO_PACK: usize = 64;
+
 /// DualPar's tunables (paper defaults in [`Default`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
@@ -22,20 +33,12 @@ pub struct DualParConfig {
     /// `T_improvement`: switch when `aveSeekDist / aveReqDist` exceeds
     /// this — 3 by default (§IV-B).
     pub t_improvement: f64,
-    /// Disable the data-driven mode when the average mis-prefetch ratio
-    /// exceeds this — 20 % (§IV-C).
-    pub misprefetch_threshold: f64,
     /// EMC sampling slot ("constant time slots", §IV-B) — 1 s.
     pub sample_slot: SimDuration,
     /// Maximum hole absorbed when CRM merges requests (§IV-D): holes
     /// smaller than this are filled (reads) or read-modify-written
     /// (writes). One stripe unit by default.
     pub max_hole: u64,
-    /// List-I/O packing factor: small requests packed per message (§IV-D).
-    pub list_io_pack: usize,
-    /// Ghost pre-executions that exceed `expected fill time × this factor`
-    /// are stopped so one slow rank cannot stall the phase (§IV-C).
-    pub ghost_timeout_factor: f64,
     /// Slice computation out of ghost pre-execution (the Strategy-2 /
     /// Chen-et-al. approach). The paper retains computation for prediction
     /// accuracy and source independence; this knob exists for the
@@ -49,11 +52,8 @@ impl Default for DualParConfig {
             cache_quota: 1 << 20,
             io_ratio_threshold: 0.8,
             t_improvement: 3.0,
-            misprefetch_threshold: 0.2,
             sample_slot: SimDuration::from_secs(1),
             max_hole: 64 * 1024,
-            list_io_pack: 64,
-            ghost_timeout_factor: 2.0,
             ghost_slice_compute: false,
         }
     }
@@ -69,7 +69,9 @@ mod tests {
         assert_eq!(c.cache_quota, 1 << 20);
         assert_eq!(c.io_ratio_threshold, 0.8);
         assert_eq!(c.t_improvement, 3.0);
-        assert_eq!(c.misprefetch_threshold, 0.2);
         assert_eq!(c.sample_slot, SimDuration::from_secs(1));
+        assert_eq!(MISPREFETCH_THRESHOLD, 0.2);
+        assert_eq!(GHOST_TIMEOUT_FACTOR, 2.0);
+        assert_eq!(LIST_IO_PACK, 64);
     }
 }

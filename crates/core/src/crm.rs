@@ -7,7 +7,7 @@
 //! holes with reads first to avoid clobbering unwritten bytes — and small
 //! survivors packed with list I/O in ascending offset order.
 
-use crate::config::DualParConfig;
+use crate::config::{DualParConfig, LIST_IO_PACK};
 use dualpar_mpiio::{build_batch, pack_list_io, CoalescedIo};
 use dualpar_pfs::{FileId, FileRegion};
 use serde::Serialize;
@@ -66,7 +66,7 @@ fn stats_of(ios: &[CoalescedIo]) -> BatchStats {
 /// (or coordinated by) this node.
 pub fn plan_prefetch(cfg: &DualParConfig, recorded: Vec<(FileId, FileRegion)>) -> PrefetchPlan {
     let reads = build_batch(recorded, cfg.max_hole);
-    let packs = pack_list_io(&reads, cfg.list_io_pack).len();
+    let packs = pack_list_io(&reads, LIST_IO_PACK).len();
     PrefetchPlan { reads, packs }
 }
 
@@ -90,7 +90,7 @@ pub fn plan_writeback(cfg: &DualParConfig, dirty: Vec<(FileId, FileRegion)>) -> 
             "useful regions must tile the cover ends"
         );
     }
-    let packs = pack_list_io(&writes, cfg.list_io_pack).len();
+    let packs = pack_list_io(&writes, LIST_IO_PACK).len();
     WritebackPlan {
         writes,
         fill_reads,
@@ -181,14 +181,14 @@ mod tests {
     #[test]
     fn pack_count_respects_config() {
         let mut c = cfg();
-        c.list_io_pack = 4;
         c.max_hole = 0;
         let recorded: Vec<_> = (0..10u64)
             .map(|i| (FileId(1), r(i * 1_000_000, 100)))
             .collect();
         let plan = plan_prefetch(&c, recorded);
         assert_eq!(plan.reads.len(), 10);
-        assert_eq!(plan.packs, 3); // ceil(10/4)
+        assert_eq!(plan.packs, 1); // all ten fit one LIST_IO_PACK message
+        assert_eq!(pack_list_io(&plan.reads, 4).len(), 3); // ceil(10/4)
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! threshold has the mode disabled outright (sticky — the paper calls the
 //! resulting cost a "one-time overhead").
 
-use crate::config::{DualParConfig, ProgramId};
+use crate::config::{DualParConfig, ProgramId, MISPREFETCH_THRESHOLD};
 use dualpar_disk::SECTOR_BYTES;
 use dualpar_sim::FxHashMap;
 use serde::Serialize;
@@ -187,7 +187,7 @@ impl Emc {
                 let avg = st.misprefetch_sum / st.misprefetch_n as f64;
                 st.misprefetch_sum = 0.0;
                 st.misprefetch_n = 0;
-                if avg > self.cfg.misprefetch_threshold {
+                if avg > MISPREFETCH_THRESHOLD {
                     st.disabled_by_misprefetch = true;
                 }
             }

@@ -21,7 +21,7 @@ pub mod crm;
 pub mod emc;
 pub mod pec;
 
-pub use config::{DualParConfig, ProgramId};
+pub use config::{DualParConfig, ProgramId, MISPREFETCH_THRESHOLD};
 pub use crm::{
     plan_prefetch, plan_writeback, prefetch_stats, writeback_stats, BatchStats, PrefetchPlan,
     WritebackPlan,

@@ -12,7 +12,7 @@
 //! script plus the per-program phase bookkeeping; the cluster's event loop
 //! supplies timing and actually moves the data.
 
-use crate::config::DualParConfig;
+use crate::config::{DualParConfig, GHOST_TIMEOUT_FACTOR};
 use dualpar_mpiio::{IoKind, Op, ProcessScript};
 use dualpar_pfs::{FileId, FileRegion};
 use dualpar_sim::SimDuration;
@@ -102,13 +102,13 @@ pub fn ghost_walk(script: &ProcessScript, start: usize, quota: u64) -> GhostRun 
 
 /// Expected time for a process to fill its cache quota, from its recent
 /// average I/O throughput (§IV-C): ghosts still running past
-/// `expected × ghost_timeout_factor` are stopped by the phase coordinator.
+/// `expected ×` [`GHOST_TIMEOUT_FACTOR`] are stopped by the phase coordinator.
 pub fn expected_fill_time(cfg: &DualParConfig, recent_bytes_per_sec: f64) -> SimDuration {
     if recent_bytes_per_sec <= 0.0 {
         // No throughput estimate yet: fall back to one sampling slot.
         return cfg.sample_slot;
     }
-    let secs = cfg.cache_quota as f64 / recent_bytes_per_sec * cfg.ghost_timeout_factor;
+    let secs = cfg.cache_quota as f64 / recent_bytes_per_sec * GHOST_TIMEOUT_FACTOR;
     SimDuration::from_secs_f64(secs.max(1e-6))
 }
 

@@ -48,10 +48,6 @@ pub struct DiskParams {
     pub rotational_ns: u64,
     /// Fixed per-request controller/command overhead, nanoseconds.
     pub overhead_ns: u64,
-    /// Zoned-bit-recording factor: the innermost track's media rate as a
-    /// fraction of `transfer_bytes_per_sec` (outermost). 1.0 disables
-    /// zoning. Real 3.5" drives are ~0.5.
-    pub inner_rate_fraction: f64,
 }
 
 impl DiskParams {
@@ -73,7 +69,6 @@ impl DiskParams {
             seek_max_ns: 16 * NANOS_PER_MILLI,
             rotational_ns: 4_170_000,
             overhead_ns: 50_000, // 50 µs command overhead
-            inner_rate_fraction: 1.0,
         }
     }
 
@@ -91,27 +86,13 @@ impl DiskParams {
         SimDuration((t as u64).min(self.seek_max_ns))
     }
 
-    /// Media rate at a given LBN under zoned bit recording: outer tracks
-    /// (low LBNs) stream at the full rate, the innermost at
-    /// `inner_rate_fraction` of it, linearly interpolated in between.
+    /// Transfer time for `sectors` at the flat media rate.
     #[inline]
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "float-to-int `as` saturates; the result is at most transfer_bytes_per_sec"
-    )]
-    pub fn rate_at(&self, lbn: Lbn) -> u64 {
-        if self.inner_rate_fraction >= 1.0 {
-            return self.transfer_bytes_per_sec;
-        }
-        let frac = (lbn as f64 / self.capacity_sectors.max(1) as f64).clamp(0.0, 1.0);
-        let scale = 1.0 - frac * (1.0 - self.inner_rate_fraction);
-        (self.transfer_bytes_per_sec as f64 * scale) as u64
-    }
-
-    /// Transfer time for `sectors` starting at `lbn`, honouring zoning.
-    #[inline]
-    pub fn transfer_time_at(&self, lbn: Lbn, sectors: u64) -> SimDuration {
-        SimDuration::for_transfer(sectors.saturating_mul(SECTOR_BYTES), self.rate_at(lbn))
+    fn transfer_time(&self, sectors: u64) -> SimDuration {
+        SimDuration::for_transfer(
+            sectors.saturating_mul(SECTOR_BYTES),
+            self.transfer_bytes_per_sec,
+        )
     }
 
     /// Full service time for a request starting at `lbn` of `sectors`
@@ -130,12 +111,12 @@ impl DiskParams {
                 .seek_time(distance)
                 .saturating_add(SimDuration(self.rotational_ns));
             if lbn > head {
-                t = t.saturating_add(reposition.min(self.transfer_time_at(head, distance)));
+                t = t.saturating_add(reposition.min(self.transfer_time(distance)));
             } else {
                 t += reposition;
             }
         }
-        t = t.saturating_add(self.transfer_time_at(lbn, sectors));
+        t = t.saturating_add(self.transfer_time(sectors));
         (distance, t)
     }
 }
@@ -198,29 +179,6 @@ mod tests {
             (0.2..1.5).contains(&mbps),
             "random 4 KB should be sub-MB/s territory, got {mbps:.2} MB/s"
         );
-    }
-
-    #[test]
-    fn zoning_slows_inner_tracks() {
-        let mut p = DiskParams::hdd_7200rpm();
-        p.inner_rate_fraction = 0.5;
-        assert_eq!(p.rate_at(0), p.transfer_bytes_per_sec);
-        let mid = p.rate_at(p.capacity_sectors / 2);
-        let inner = p.rate_at(p.capacity_sectors);
-        assert!(mid < p.transfer_bytes_per_sec && mid > inner);
-        assert!((inner as f64 - p.transfer_bytes_per_sec as f64 * 0.5).abs() < 2.0);
-        // Sequential service at the inner edge is ~2x slower.
-        let (_, outer_t) = p.service_time(0, 0, 1024);
-        let lbn = p.capacity_sectors - 2048;
-        let (_, inner_t) = p.service_time(lbn, lbn, 1024);
-        let ratio = inner_t.nanos() as f64 / outer_t.nanos() as f64;
-        assert!(ratio > 1.6, "expected ~2x, got {ratio:.2}");
-    }
-
-    #[test]
-    fn zoning_disabled_by_default() {
-        let p = DiskParams::hdd_7200rpm();
-        assert_eq!(p.rate_at(0), p.rate_at(p.capacity_sectors));
     }
 
     #[test]

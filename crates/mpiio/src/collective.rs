@@ -42,41 +42,23 @@ pub struct CollectivePlan {
     pub useful_bytes: u64,
 }
 
-/// Configuration of the collective planner.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct CollectiveConfig {
-    /// Number of aggregator ranks (ROMIO `cb_nodes`); clamped to nprocs.
-    pub num_aggregators: usize,
-    /// Maximum hole absorbed inside an aggregator's domain when coalescing
-    /// (ROMIO reads the full extent between the first and last requested
-    /// byte of its domain; holes beyond this threshold split the access).
-    pub max_hole: u64,
-}
-
-impl Default for CollectiveConfig {
-    fn default() -> Self {
-        CollectiveConfig {
-            // ROMIO's default is one aggregator per node; experiments in
-            // this repo typically run co-located ranks, so default to "all
-            // ranks aggregate" and let the cluster config override.
-            num_aggregators: usize::MAX,
-            max_hole: 4 << 20,
-        }
-    }
-}
+/// Maximum hole absorbed inside an aggregator's domain when coalescing
+/// (ROMIO reads the full extent between the first and last requested byte
+/// of its domain; holes beyond this threshold split the access).
+const MAX_HOLE: u64 = 4 << 20;
 
 /// Plan a collective call given each rank's requested regions.
 ///
 /// `per_rank[r]` holds rank `r`'s regions. All regions refer to `file`.
+/// `num_aggregators` is ROMIO's `cb_nodes`, clamped to `1..=nprocs`.
 /// Returns `None` when nobody requested anything.
 pub fn plan_collective(
     file: FileId,
     per_rank: &[Regions],
-    cfg: &CollectiveConfig,
+    num_aggregators: usize,
 ) -> Option<CollectivePlan> {
     let nprocs = per_rank.len();
-    let naggs = cfg.num_aggregators.clamp(1, nprocs.max(1));
+    let naggs = num_aggregators.clamp(1, nprocs.max(1));
     let mut lo = u64::MAX;
     let mut hi = 0u64;
     let mut useful_bytes = 0u64;
@@ -127,7 +109,7 @@ pub fn plan_collective(
         }
         let merged = sort_and_merge(items);
         let regions: Vec<FileRegion> = merged.into_iter().map(|(_, r)| r).collect();
-        let ios = coalesce_with_holes(file, &regions, cfg.max_hole);
+        let ios = coalesce_with_holes(file, &regions, MAX_HOLE);
         aggregators.push(AggregatorIo {
             agg_rank: d * nprocs / naggs,
             ios,
@@ -152,11 +134,7 @@ mod tests {
     /// Plan over `naggs` aggregators from plain per-rank region lists.
     fn plan(per_rank: &[Vec<FileRegion>], naggs: usize) -> Option<CollectivePlan> {
         let per_rank: Vec<Regions> = per_rank.iter().cloned().map(Regions::from).collect();
-        let cfg = CollectiveConfig {
-            num_aggregators: naggs,
-            max_hole: 4 << 20,
-        };
-        plan_collective(FileId(1), &per_rank, &cfg)
+        plan_collective(FileId(1), &per_rank, naggs)
     }
 
     #[test]

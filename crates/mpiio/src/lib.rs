@@ -16,7 +16,7 @@ pub mod sieve;
 pub use access::{
     avg_cover_bytes, build_batch, coalesce_with_holes, pack_list_io, sort_and_merge, CoalescedIo,
 };
-pub use collective::{plan_collective, AggregatorIo, CollectiveConfig, CollectivePlan};
+pub use collective::{plan_collective, AggregatorIo, CollectivePlan};
 pub use datatype::Datatype;
 pub use ops::{IoCall, IoKind, Op, ProcessScript, ProgramScript};
 pub use regions::Regions;

@@ -3,8 +3,7 @@
 //! asked for.
 
 use dualpar_mpiio::{
-    build_batch, plan_collective, plan_strided, sort_and_merge, CollectiveConfig, Regions,
-    SieveConfig,
+    build_batch, plan_collective, plan_strided, sort_and_merge, Regions, SieveConfig,
 };
 use dualpar_pfs::{FileId, FileRegion, RangeSet};
 use proptest::prelude::*;
@@ -109,10 +108,7 @@ proptest! {
             .iter()
             .map(|items| items.iter().map(|&(o, l)| FileRegion::new(o, l)).collect())
             .collect();
-        let plan = plan_collective(FileId(1), &per_rank, &CollectiveConfig {
-            num_aggregators: naggs,
-            max_hole: 1 << 20,
-        }).unwrap();
+        let plan = plan_collective(FileId(1), &per_rank, naggs).unwrap();
         let mut expect = RangeSet::new();
         let mut total_requested = 0u64;
         for items in &rank_items {

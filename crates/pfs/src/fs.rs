@@ -2,7 +2,7 @@
 //! extent maps, with the end-to-end `file region → (server, LBN run)`
 //! resolution used by every I/O path in the simulator.
 
-use crate::alloc::{AllocConfig, ExtentAllocator};
+use crate::alloc::ExtentAllocator;
 use crate::layout::{FileId, FileRegion, ServerId, StripeLayout};
 use dualpar_disk::Lbn;
 use dualpar_sim::FxHashMap;
@@ -49,16 +49,11 @@ pub struct Pvfs {
 
 impl Pvfs {
     /// Build a file system over `num_servers` disks of the given capacity.
-    pub fn new(
-        num_servers: u32,
-        stripe_size: u64,
-        capacity_sectors: u64,
-        alloc: AllocConfig,
-    ) -> Self {
+    pub fn new(num_servers: u32, stripe_size: u64, capacity_sectors: u64) -> Self {
         Pvfs {
             layout: StripeLayout::new(stripe_size, num_servers),
             allocators: (0..num_servers)
-                .map(|_| ExtentAllocator::new(capacity_sectors, alloc.clone()))
+                .map(|_| ExtentAllocator::new(capacity_sectors))
                 .collect(),
             files: FxHashMap::default(),
             by_name: FxHashMap::default(),
@@ -121,7 +116,8 @@ impl Pvfs {
     /// Resolve a file region to per-server disk runs, in file order, and
     /// append them to `out` (runs already in `out` are left alone).
     /// Adjacent stripe pieces that are contiguous both on the same server's
-    /// local object *and* on disk are merged into a single run.
+    /// local object *and* on disk (consecutive units on a one-server file
+    /// system) are merged into a single run.
     pub fn resolve(&self, file: FileId, region: FileRegion, out: &mut Vec<ResolvedIo>) {
         debug_assert!(
             region.end() <= self.size(file),
@@ -131,32 +127,28 @@ impl Pvfs {
         let first = out.len();
         for piece in self.layout.split(region) {
             let alloc = &self.allocators[piece.server.0 as usize];
-            let mut covered = 0u64;
-            for (lbn, sectors) in alloc.translate(file, piece.local_offset, piece.len) {
-                let run_bytes =
-                    (sectors.saturating_mul(dualpar_disk::SECTOR_BYTES)).min(piece.len - covered);
-                // Merge with the previous run if it continues it on disk.
-                if let Some(last) = out[first..].last_mut() {
-                    if last.server == piece.server
-                        && last.lbn.saturating_add(last.sectors) == lbn
-                        && last.file_offset + last.bytes == piece.file_offset + covered
-                    {
-                        last.sectors = last.sectors.saturating_add(sectors);
-                        last.bytes += run_bytes;
-                        covered += run_bytes;
-                        continue;
-                    }
+            let Some((lbn, sectors)) = alloc.translate(file, piece.local_offset, piece.len) else {
+                continue;
+            };
+            // Merge with the previous run if it continues it on disk.
+            if let Some(last) = out[first..].last_mut() {
+                if last.server == piece.server
+                    && last.lbn.saturating_add(last.sectors) == lbn
+                    && last.file_offset + last.bytes == piece.file_offset
+                {
+                    last.sectors = last.sectors.saturating_add(sectors);
+                    last.bytes += piece.len;
+                    continue;
                 }
-                out.push(ResolvedIo {
-                    server: piece.server,
-                    file,
-                    file_offset: piece.file_offset + covered,
-                    bytes: run_bytes,
-                    lbn,
-                    sectors,
-                });
-                covered += run_bytes;
             }
+            out.push(ResolvedIo {
+                server: piece.server,
+                file,
+                file_offset: piece.file_offset,
+                bytes: piece.len,
+                lbn,
+                sectors,
+            });
         }
     }
 
@@ -172,7 +164,7 @@ mod tests {
 
     fn fs() -> Pvfs {
         // 4 servers, 64 KB stripes, 300 GB disks, default gaps.
-        Pvfs::new(4, 64 * 1024, 300 * (1 << 30) / 512, AllocConfig::default())
+        Pvfs::new(4, 64 * 1024, 300 * (1 << 30) / 512)
     }
 
     fn resolved(p: &Pvfs, file: FileId, region: FileRegion) -> Vec<ResolvedIo> {
@@ -182,21 +174,15 @@ mod tests {
     }
 
     #[test]
-    fn resolve_merges_fragments_contiguous_on_disk() {
-        // 16 KB fragments with no gap between them: one 64 KB stripe unit
-        // spans four extents but one run of disk sectors.
-        let cfg = AllocConfig {
-            inter_file_gap: 0,
-            fragment_bytes: 16 << 10,
-            fragment_gap: 0,
-        };
-        let mut p = Pvfs::new(4, 64 * 1024, 1 << 32, cfg);
-        let f = p.create("frag", 1 << 20);
-        let runs = resolved(&p, f, FileRegion::new(1000, 60_000));
+    fn one_server_merges_consecutive_units_into_one_run() {
+        // With one server, consecutive stripe units are adjacent in its
+        // local object, hence on disk: they resolve to one run.
+        let mut p = Pvfs::new(1, 64 * 1024, 1 << 32);
+        let f = p.create("one", 1 << 20);
+        let runs = resolved(&p, f, FileRegion::new(1000, 200_000));
         assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].bytes, 60_000);
+        assert_eq!(runs[0].bytes, 200_000);
         assert_eq!(runs[0].lbn, p.base_lbn(ServerId(0), f).unwrap() + 1);
-        assert_eq!(runs[0].sectors, 119);
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub mod layout;
 pub mod ranges;
 pub mod strided;
 
-pub use alloc::{AllocConfig, Extent, ExtentAllocator};
+pub use alloc::ExtentAllocator;
 pub use fs::{FileMeta, Pvfs, ResolvedIo};
 pub use layout::{FileId, FileRegion, ServerId, StripeLayout, StripePiece};
 pub use ranges::RangeSet;

@@ -1,6 +1,6 @@
 //! Property tests for the striping bijection and resolution coverage.
 
-use dualpar_pfs::{AllocConfig, FileRegion, Pvfs, ServerId, StripeLayout};
+use dualpar_pfs::{FileRegion, Pvfs, ServerId, StripeLayout};
 use proptest::prelude::*;
 
 proptest! {
@@ -62,7 +62,7 @@ proptest! {
         offset in 0u64..(8u64 << 20),
         len in 1u64..(4u64 << 20),
     ) {
-        let mut p = Pvfs::new(servers, 64 * 1024, 1 << 32, AllocConfig::default());
+        let mut p = Pvfs::new(servers, 64 * 1024, 1 << 32);
         let f = p.create("f", 16 << 20);
         let region = FileRegion::new(offset, len);
         let mut runs = Vec::new();
@@ -82,7 +82,7 @@ proptest! {
     /// file-level sorting effective at the disk).
     #[test]
     fn per_server_lbn_monotone(servers in 1u32..10, step_kb in 1u64..512) {
-        let mut p = Pvfs::new(servers, 64 * 1024, 1 << 32, AllocConfig::default());
+        let mut p = Pvfs::new(servers, 64 * 1024, 1 << 32);
         let f = p.create("f", 32 << 20);
         let step = step_kb * 1024;
         let mut last: std::collections::BTreeMap<u32, u64> = Default::default();

@@ -92,12 +92,12 @@ python3 perfbench/run.py --smoke
 # the serial-twin determinism check (exits non-zero on any byte-level
 # report divergence between --jobs N and serial), a per-run wall-clock
 # timeout so a hung simulation fails its entry instead of wedging the
-# gate (one retry before an entry is declared failed), and engine-speed
+# gate, and engine-speed
 # numbers timed into the log (see docs/BENCH.md).
 suite_out="$(mktemp -d /tmp/dualpar-suite.XXXXXX)"
 trap 'rm -rf "$traces" "$prof" "$dsl" "$suite_out"' EXIT
 time small_suite "$suite_out/BENCH_suite.json" --jobs "$(nproc)" --verify-serial \
-    --timeout-secs 300 --retry 1
+    --timeout-secs 300
 
 # Suite gate: diff the artifact the smoke run just produced against the
 # committed BENCH_suite.json. Per-run sim_events and report fingerprints
@@ -118,10 +118,29 @@ trap 'rm -rf "$traces" "$prof" "$dsl" "$suite_out" "$figs"' EXIT
 figures "$figs" "$(nproc)"
 committed_figs="$(git ls-files bench_results \
     | sed 's|^bench_results/||' | grep -v -e '^BENCH_' -e '^GOLDEN_' -e '^PROFILE_' -e '^TRACES\.')"
-diff <(echo "$committed_figs") <(LC_ALL=C ls "$figs")
-for f in $committed_figs; do
-    cmp "bench_results/$f" "$figs/$f"
+# Every file is compared, and each differing, missing or extra one is
+# named, before the gate fails once.
+written_figs="$(LC_ALL=C ls "$figs")"
+committed_figs="$(echo "$committed_figs" | LC_ALL=C sort)"
+fig_drift=0
+for f in $(LC_ALL=C comm -23 <(echo "$committed_figs") <(echo "$written_figs")); do
+    echo "figure gate: committed $f was not written" >&2
+    fig_drift=1
 done
+for f in $(LC_ALL=C comm -13 <(echo "$committed_figs") <(echo "$written_figs")); do
+    echo "figure gate: written $f is not committed" >&2
+    fig_drift=1
+done
+for f in $(LC_ALL=C comm -12 <(echo "$committed_figs") <(echo "$written_figs")); do
+    if ! cmp -s "bench_results/$f" "$figs/$f"; then
+        echo "figure gate: $f differs from the committed copy" >&2
+        fig_drift=1
+    fi
+done
+if [ "$fig_drift" -ne 0 ]; then
+    echo "figure gate: figure artifacts drifted (files named above)" >&2
+    exit 1
+fi
 
 # Paper-scale memory bound: BTIO's checkpoint under forced DualPar at the
 # paper's size (445 M cells) must complete inside 4 GB of address space,

@@ -1,9 +1,8 @@
 //! Behavioural and failure-injection tests for the full system: final
-//! flushes, mode reversion, cache pressure, fragmented allocation,
-//! degenerate cluster shapes, and collective edge cases.
+//! flushes, mode reversion, cache pressure, degenerate cluster shapes,
+//! and collective edge cases.
 
 use dualpar_cluster::prelude::*;
-use dualpar_pfs::AllocConfig;
 use dualpar_workloads::{DependentReader, MpiIoTest, Noncontig};
 
 fn small() -> Experiment {
@@ -84,40 +83,6 @@ fn dualpar_correct_under_cache_pressure() {
         .run()
         .expect("valid experiment");
     assert_eq!(r.programs[0].bytes_read, 4 << 20);
-}
-
-/// A fragmented (aged) file system: objects split into scattered extents.
-/// Everything still completes and DualPar still wins.
-#[test]
-fn fragmented_allocation_still_works() {
-    let run = |strategy: IoStrategy| {
-        let w = Noncontig {
-            nprocs: 4,
-            elmt_count: 128,
-            bytes_per_call: 256 * 1024,
-            rows: 2048,
-            ..Default::default()
-        };
-        small()
-            .tune(|cfg| {
-                cfg.alloc = AllocConfig {
-                    inter_file_gap: 1 << 20,
-                    fragment_bytes: 256 * 1024,
-                    fragment_gap: 2 << 20,
-                }
-            })
-            .file("frag", w.file_size())
-            .program(strategy, move |files| w.build(files[0]))
-            .run()
-            .expect("valid experiment")
-    };
-    let v = run(IoStrategy::Vanilla);
-    let d = run(IoStrategy::DualParForced);
-    assert_eq!(v.programs[0].bytes_read, d.programs[0].bytes_read);
-    assert!(
-        d.programs[0].throughput_mbps() > v.programs[0].throughput_mbps(),
-        "DualPar should still win on a fragmented disk"
-    );
 }
 
 /// Degenerate cluster: one server, one compute node.
@@ -201,45 +166,6 @@ fn collective_all_empty_does_not_deadlock() {
     assert_eq!(r.programs[0].bytes_read, 8192);
 }
 
-/// Zoned disks: runs complete and the zoning slows an inner-track file
-/// relative to an outer-track file.
-#[test]
-fn zoned_disks_slow_inner_files() {
-    let run = |with_pad: bool| {
-        let w = MpiIoTest {
-            nprocs: 4,
-            file_size: 8 << 20,
-            barrier_every: 0,
-            ..Default::default()
-        };
-        let mut exp = small().tune(|cfg| {
-            cfg.disk.inner_rate_fraction = 0.4;
-            cfg.alloc.inter_file_gap = 0;
-        });
-        if with_pad {
-            // Fill ~80% of every disk so the test file lands near the
-            // inner edge.
-            let cfg = ClusterConfig::default();
-            let pad = cfg.disk.capacity_sectors * 512 * 3 * 8 / 10;
-            exp = exp.file("pad", pad);
-        }
-        exp.file("data", w.file_size)
-            .program(IoStrategy::Vanilla, move |files| {
-                w.build(*files.last().unwrap())
-            })
-            .run()
-            .expect("valid experiment")
-            .programs[0]
-            .elapsed()
-    };
-    let outer = run(false);
-    let inner = run(true);
-    assert!(
-        inner > outer,
-        "inner-track file ({inner}) should be slower than outer ({outer})"
-    );
-}
-
 /// Server-side write-back (the paper's literal "force dirty pages being
 /// written back every one second"): writes are acknowledged at arrival,
 /// so a bursty writer finishes earlier than under write-through, while
@@ -255,7 +181,6 @@ fn server_writeback_acks_early_and_flushes() {
         };
         let mut c = small()
             .server_write_mode(mode)
-            .tune(|cfg| cfg.server_flush_interval = SimDuration::from_millis(100))
             .file("wb", w.file_size)
             .program(IoStrategy::Vanilla, move |files| w.build(files[0]))
             .build()

@@ -261,6 +261,13 @@ fn dualpar_write_batching_wins() {
     );
 }
 
+/// Read a committed figure artifact from `bench_results/`.
+fn committed<T: serde::Deserialize>(file: &str) -> T {
+    let path = format!("{}/../bench_results/{file}", env!("CARGO_MANIFEST_DIR"));
+    let json = std::fs::read_to_string(&path).expect("committed artifact is readable");
+    serde_json::from_str(&json).expect("committed artifact parses")
+}
+
 /// One row of the committed `bench_results/fig4_btio_concurrent.json`.
 #[derive(serde::Deserialize)]
 struct Fig4Row {
@@ -285,12 +292,7 @@ fn scaled(x: f64, places: i32) -> f64 {
 /// the paper's 35×.
 #[test]
 fn fig4_btio_collective_decays_while_dualpar_stays_flat() {
-    let json = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../bench_results/fig4_btio_concurrent.json"
-    ))
-    .expect("committed fig4_btio_concurrent.json is readable");
-    let rows: Vec<Fig4Row> = serde_json::from_str(&json).expect("fig4 rows parse");
+    let rows: Vec<Fig4Row> = committed("fig4_btio_concurrent.json");
     // procs, vanilla (2 decimals), collective (1 decimal) and its gain
     // over vanilla, DualPar (1 decimal) and its gain, as typed.
     let table = [
@@ -352,12 +354,7 @@ struct SchedRow {
 /// `scripts/check.sh` regenerates and compares byte for byte.
 #[test]
 fn scheduler_ablation_gain_is_scheduler_robust() {
-    let json = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../bench_results/ablation_sched.json"
-    ))
-    .expect("committed ablation_sched.json is readable");
-    let rows: Vec<SchedRow> = serde_json::from_str(&json).expect("ablation rows parse");
+    let rows: Vec<SchedRow> = committed("ablation_sched.json");
     let names: Vec<&str> = rows.iter().map(|r| r.scheduler.as_str()).collect();
     let all: Vec<String> = dualpar_disk::SchedulerKind::ALL
         .iter()
@@ -398,12 +395,7 @@ struct Fig7 {
 /// the runs last 56 and 34 one-second samples.
 #[test]
 fn fig7_adaptive_switch_recovers_throughput_and_seek() {
-    let json = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../bench_results/fig7_adaptive.json"
-    ))
-    .expect("committed fig7_adaptive.json is readable");
-    let fig: Fig7 = serde_json::from_str(&json).expect("fig7 artifact parses");
+    let fig: Fig7 = committed("fig7_adaptive.json");
     assert_eq!(fig.join_at_secs, 10.0);
     assert!(
         fig.mode_events.iter().all(|e| e.0 > fig.join_at_secs),
@@ -438,4 +430,168 @@ fn fig7_adaptive_switch_recovers_throughput_and_seek() {
     let (vs, ds) = (mean(&fig.vanilla_seek), mean(&fig.dualpar_seek));
     assert_eq!(vs.round(), 124_525.0, "vanilla overlap seek {vs:.1}");
     assert_eq!(ds.round(), 22_565.0, "DualPar overlap seek {ds:.1}");
+}
+
+/// One row of the committed `bench_results/fig5_s3asim.json`.
+#[derive(serde::Deserialize)]
+struct Fig5Row {
+    queries: u32,
+    vanilla_io_secs: f64,
+    collective_io_secs: f64,
+    dualpar_io_secs: f64,
+}
+
+/// One row of the committed `bench_results/fig3_single_app.json`.
+#[derive(serde::Deserialize)]
+struct Fig3Row {
+    benchmark: String,
+    kind: String,
+    collective_mbps: f64,
+    dualpar_mbps: f64,
+}
+
+/// The throughput rows of the committed
+/// `bench_results/table2_mpiio_interference.json`.
+#[derive(serde::Deserialize)]
+struct Table2 {
+    throughput: Vec<Table2Row>,
+}
+
+#[derive(serde::Deserialize)]
+struct Table2Row {
+    vanilla_mbps: f64,
+    collective_mbps: f64,
+    dualpar_mbps: f64,
+}
+
+/// EXPERIMENTS.md, Fig. 5, against the committed artifact (which
+/// `scripts/check.sh` regenerates and compares byte for byte): every typed
+/// cell of the table to its printed precision; I/O time linear in the
+/// query count; the 34 % saving over the best other strategy held as a
+/// band against the paper's ≤ 25 %; and DualPar's 1.51–1.52× margin set
+/// against the other committed figures: below every margin of Table II,
+/// above Fig. 3's mpi-io-test write and Fig. 4 at 16 processes, so it is
+/// not the smallest win of the suite.
+#[test]
+fn fig5_s3asim_saving_is_flat_and_modest() {
+    let rows: Vec<Fig5Row> = committed("fig5_s3asim.json");
+    // queries, vanilla, collective, DualPar (1 decimal), saving (whole %).
+    let table = [
+        (16, 1291.0, 922.0, 607.0, 34.0),
+        (24, 1965.0, 1381.0, 917.0, 34.0),
+        (32, 2640.0, 1849.0, 1220.0, 34.0),
+    ];
+    assert_eq!(rows.len(), table.len());
+    let saving =
+        |r: &Fig5Row| 1.0 - r.dualpar_io_secs / r.collective_io_secs.min(r.vanilla_io_secs);
+    for (r, &(q, v, co, dp, save)) in rows.iter().zip(&table) {
+        assert_eq!(r.queries, q);
+        let cells = [
+            scaled(r.vanilla_io_secs, 1),
+            scaled(r.collective_io_secs, 1),
+            scaled(r.dualpar_io_secs, 1),
+            scaled(saving(r) * 100.0, 0),
+        ];
+        assert_eq!(cells, [v, co, dp, save], "{q} queries");
+        // The deviation: a third saved, against the paper's ≤ 25 %.
+        assert!((0.33..0.35).contains(&saving(r)), "{q} queries");
+    }
+    // Linear: each strategy's I/O time per query stays within 3 %.
+    let per_query: [fn(&Fig5Row) -> f64; 3] = [
+        |r| r.vanilla_io_secs,
+        |r| r.collective_io_secs,
+        |r| r.dualpar_io_secs,
+    ];
+    for secs in per_query {
+        let rates: Vec<f64> = rows.iter().map(|r| secs(r) / r.queries as f64).collect();
+        let (lo, hi) = rates
+            .iter()
+            .fold((f64::MAX, f64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        assert!(hi / lo < 1.03, "I/O time per query spreads: {rates:?}");
+    }
+    // DualPar's margin over the best other strategy, against the others'.
+    let margins: Vec<f64> = rows
+        .iter()
+        .map(|r| r.collective_io_secs.min(r.vanilla_io_secs) / r.dualpar_io_secs)
+        .collect();
+    let (lo, hi) = margins
+        .iter()
+        .fold((f64::MAX, f64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+    assert_eq!((scaled(lo, 2), scaled(hi, 2)), (151.0, 152.0));
+    let table2: Table2 = committed("table2_mpiio_interference.json");
+    for t in &table2.throughput {
+        let margin = t.dualpar_mbps / t.collective_mbps.max(t.vanilla_mbps);
+        assert!(margin > 3.5 && margin > hi, "Table II margin {margin:.2}");
+    }
+    let fig3: Vec<Fig3Row> = committed("fig3_single_app.json");
+    let mpiio_write = fig3
+        .iter()
+        .find(|r| r.benchmark == "mpi-io-test" && r.kind == "write")
+        .expect("fig3 has the mpi-io-test write row");
+    let fig3_margin = mpiio_write.dualpar_mbps / mpiio_write.collective_mbps;
+    assert_eq!(scaled(fig3_margin, 2), 103.0);
+    let fig4: Vec<Fig4Row> = committed("fig4_btio_concurrent.json");
+    let fig4_margin = fig4[0].dualpar_mbps / fig4[0].collective_mbps;
+    assert_eq!((fig4[0].nprocs, scaled(fig4_margin, 2)), (16, 148.0));
+    assert!(fig3_margin < lo && fig4_margin < lo);
+}
+
+/// One row of the committed `bench_results/table3_misprefetch.json`.
+#[derive(serde::Deserialize)]
+struct Table3Row {
+    cache_kb: u64,
+    no_dualpar_secs: f64,
+    dualpar_secs: f64,
+    overhead_pct: f64,
+    misprefetch_ratio: f64,
+    phases: u64,
+}
+
+/// EXPERIMENTS.md, Table III, against the committed artifact (which
+/// `scripts/check.sh` regenerates and compares byte for byte): every typed
+/// cell to its printed precision; a mis-prefetch ratio of at least 0.9;
+/// phase counts that stop at 3–10; the +14.0–17.6 % overhead band, about
+/// twice the paper's 7.2 %; and its non-monotone shape, flat at about
+/// +14 % up to 2 MB and highest at 4 MB.
+#[test]
+fn table3_misprefetch_overhead_is_bounded_and_peaks_at_4mb() {
+    let rows: Vec<Table3Row> = committed("table3_misprefetch.json");
+    // cache KB, no DualPar and DualPar (1 decimal), overhead (1 decimal),
+    // mis-ratio (2 decimals).
+    let table = [
+        (512, 63.0, 72.0, 140.0, 99.0),
+        (1024, 63.0, 72.0, 145.0, 98.0),
+        (2048, 63.0, 72.0, 140.0, 96.0),
+        (4096, 63.0, 74.0, 176.0, 93.0),
+    ];
+    assert_eq!(rows.len(), table.len());
+    for (r, &(kb, v, dp, over, mis)) in rows.iter().zip(&table) {
+        assert_eq!(r.cache_kb, kb);
+        let cells = [
+            scaled(r.no_dualpar_secs, 1),
+            scaled(r.dualpar_secs, 1),
+            scaled(r.overhead_pct, 1),
+            scaled(r.misprefetch_ratio, 2),
+        ];
+        assert_eq!(cells, [v, dp, over, mis], "{kb} KB");
+        assert!(r.misprefetch_ratio >= 0.9, "{kb} KB");
+        assert!((3..=10).contains(&r.phases), "{kb} KB: {} phases", r.phases);
+    }
+    let phases: Vec<u64> = rows.iter().map(|r| r.phases).collect();
+    assert_eq!(
+        (phases.iter().min(), phases.iter().max()),
+        (Some(&3), Some(&10))
+    );
+    let overheads: Vec<f64> = rows.iter().map(|r| r.overhead_pct).collect();
+    let (lo, hi) = overheads
+        .iter()
+        .fold((f64::MAX, f64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+    assert_eq!((scaled(lo, 1), scaled(hi, 1)), (140.0, 176.0));
+    assert!(lo > 7.2 * 1.9, "about twice the paper's 7.2 %: {lo:.2}");
+    // Not monotone in the quota: flat up to 2 MB, highest at 4 MB.
+    assert!(
+        overheads[..3].iter().all(|x| (x - 14.0).abs() < 1.0),
+        "{overheads:?}"
+    );
+    assert_eq!(hi, overheads[3]);
 }
