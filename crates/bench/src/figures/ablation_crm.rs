@@ -41,7 +41,6 @@ pub(super) fn run(fx: &FigureRun) {
         let hpio = Hpio {
             nprocs: 64,
             region_count: 512,
-            ..Default::default()
         };
         let r = build_cluster(&spec(
             cfg,

@@ -58,7 +58,6 @@ pub(super) fn run(fx: &FigureRun) {
                 file_size: 4 << 30,
                 kind,
                 collective,
-                ..Default::default()
             }),
         };
         build_cluster(&spec(paper_cluster(), s, vec![workload]))

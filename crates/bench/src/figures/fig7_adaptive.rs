@@ -48,7 +48,6 @@ pub(super) fn run(fx: &FigureRun) {
             // Size hpio to roughly half the stream so the overlap window is
             // long enough for EMC to react and the effect to be visible.
             region_count: (size / (33 * 1024) / 16 / 2).max(64),
-            ..Default::default()
         };
         let mut cell = spec(
             cfg,

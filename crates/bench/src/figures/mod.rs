@@ -247,7 +247,7 @@ fn demo_spec(
         ..Default::default()
     };
     let calls =
-        (pilot.file_size / (pilot.segs_per_call * pilot.nprocs as u64 * segment_size)).max(1);
+        (pilot.file_size / (Demo::SEGS_PER_CALL * Demo::NPROCS as u64 * segment_size)).max(1);
     let r = build_cluster(&spec(
         cluster.clone(),
         IoStrategy::Vanilla,
@@ -261,7 +261,6 @@ fn demo_spec(
         file_size,
         compute_per_call: compute_for_io_ratio(io_per_call, io_ratio),
         collective: collective(strategy),
-        ..Default::default()
     };
     spec(cluster, strategy, vec![WorkloadSpec::named(demo)])
 }

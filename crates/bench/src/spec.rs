@@ -84,31 +84,39 @@ impl WorkloadSpec {
     /// crude (no caching/merging/contention modelling).
     pub fn cost(&self) -> u64 {
         match self {
-            Self::MpiIoTest(w) => w.file_size / w.request_size.max(1),
+            Self::MpiIoTest(w) => w.file_size / MpiIoTest::REQUEST_SIZE,
             Self::Hpio(w) => w.nprocs as u64 * w.region_count,
-            Self::IorMpiIo(w) => w.file_size / w.request_size.max(1),
+            Self::IorMpiIo(w) => w.file_size / IorMpiIo::REQUEST_SIZE,
             Self::Noncontig(w) => w.rows * w.nprocs as u64,
-            Self::S3asim(w) => w.queries * w.fragments.max(1) * w.nprocs as u64,
-            Self::Btio(w) => {
-                // BTIO's cell shrinks with the process count, so request
-                // count (dataset / cell) is what explodes — the suite's
-                // dominant run.
-                let passes = if w.verify { 2 } else { 1 };
-                passes * w.dataset / w.cell_bytes().max(1)
-            }
+            Self::S3asim(w) => w.queries * S3asim::FRAGMENTS * w.nprocs as u64,
+            // BTIO's cell shrinks with the process count, so request count
+            // (dataset / cell) is what explodes — the suite's dominant run.
+            Self::Btio(w) => w.dataset / w.cell_bytes(),
             Self::Demo(w) => w.file_size / w.segment_size.max(1),
-            Self::DependentReader(w) => w.total_bytes / w.request_size.max(1),
+            Self::DependentReader(w) => w.total_bytes / DependentReader::REQUEST_SIZE,
             Self::Dsl(d) => d.cost(),
         }
     }
 
-    /// Reject impossible parameterisations. Only DSL expressions can be
-    /// malformed; the presets' parameters are always runnable.
+    /// Reject impossible parameterisations: a malformed DSL expression, or
+    /// a preset field that a generator divides by set to zero. The error
+    /// names the field as `<preset>.<field>`.
     pub fn validate(&self) -> Result<(), String> {
-        match self {
-            Self::Dsl(d) => d.validate(),
-            _ => Ok(()),
-        }
+        let (preset, field) = match self {
+            Self::Dsl(d) => return d.validate(),
+            Self::MpiIoTest(w) if w.nprocs == 0 => ("mpi_io_test", "nprocs"),
+            Self::Hpio(w) if w.nprocs == 0 => ("hpio", "nprocs"),
+            Self::IorMpiIo(w) if w.nprocs == 0 => ("ior_mpi_io", "nprocs"),
+            Self::Noncontig(w) if w.nprocs == 0 => ("noncontig", "nprocs"),
+            Self::Noncontig(w) if w.elmt_count == 0 => ("noncontig", "elmt_count"),
+            Self::S3asim(w) if w.nprocs == 0 => ("s3asim", "nprocs"),
+            Self::Btio(w) if w.nprocs == 0 => ("btio", "nprocs"),
+            Self::Btio(w) if w.steps == 0 => ("btio", "steps"),
+            Self::Demo(w) if w.segment_size == 0 => ("demo", "segment_size"),
+            Self::DependentReader(w) if w.nprocs == 0 => ("dependent_reader", "nprocs"),
+            _ => return Ok(()),
+        };
+        Err(format!("{preset}.{field} must be at least 1"))
     }
 
     /// A decorrelated copy for open-loop arrival instance `instance`.
@@ -424,6 +432,35 @@ mod tests {
             );
             let err = ExperimentSpec::from_json(&json).expect_err("zero cluster field");
             assert!(err.starts_with("cluster: ") && err.contains(field), "{err}");
+        }
+    }
+
+    #[test]
+    fn zero_preset_divisors_are_rejected_naming_the_field() {
+        // Unchecked, each of these divides by zero in its generator, or
+        // (hpio) builds a program of no ranks.
+        for (preset, field) in [
+            ("mpi_io_test", "nprocs"),
+            ("hpio", "nprocs"),
+            ("ior_mpi_io", "nprocs"),
+            ("noncontig", "nprocs"),
+            ("noncontig", "elmt_count"),
+            ("s3asim", "nprocs"),
+            ("btio", "nprocs"),
+            ("btio", "steps"),
+            ("demo", "segment_size"),
+            ("dependent_reader", "nprocs"),
+        ] {
+            let json = format!(
+                r#"{{"programs": [{{"workload": {{"{preset}": {{"{field}": 0}}}},
+                "strategy": "Vanilla"}}]}}"#
+            );
+            let err = ExperimentSpec::from_json(&json).expect_err("zero divisor");
+            assert_eq!(
+                err,
+                format!("programs[0]: {preset}.{field} must be at least 1"),
+                "{json}"
+            );
         }
     }
 

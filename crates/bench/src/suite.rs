@@ -403,7 +403,6 @@ pub fn builtin_suite(scale: Scale) -> Vec<SuiteEntry> {
             WorkloadSpec::named(Hpio {
                 nprocs,
                 region_count: shrink(4096, 256),
-                ..Default::default()
             }),
         ),
         (

@@ -1,25 +1,19 @@
-//! MPI derived datatypes — the subset the paper's benchmarks use.
+//! MPI derived datatypes — the two the workloads build.
 //!
 //! `demo`, `noncontig` and `btio` build file views from *vector* datatypes
-//! (`count` blocks of `blocklen` elements separated by `stride` elements);
-//! the rest use contiguous types. One instance of a datatype at a base file
-//! offset lowers to the call's [`Regions`] without being flattened:
-//! contiguous, vector and 2-D subarray types become a single [`Strided`]
-//! run (one region stored inline when the run has one block), and only an
-//! indexed type is an explicit region list.
+//! (`count` blocks of `blocklen` elements separated by `stride` elements),
+//! and `examples/custom_workload.rs` builds a BT-style 2-D *subarray*; the
+//! other benchmarks issue contiguous regions directly. One instance of a
+//! datatype at a base file offset lowers to the call's [`Regions`] without
+//! being flattened: a single [`Strided`] run (one region stored inline when
+//! the run has one block).
 
 use crate::regions::Regions;
-use dualpar_pfs::{FileRegion, Strided};
-use serde::{Deserialize, Serialize};
+use dualpar_pfs::Strided;
 
 /// A file-access datatype.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Datatype {
-    /// `len` contiguous bytes.
-    Contiguous {
-        /// Bytes selected.
-        len: u64,
-    },
     /// MPI_Type_vector: `count` blocks of `block_bytes`, with consecutive
     /// block starts `stride_bytes` apart. `stride_bytes >= block_bytes`:
     /// lowering a vector whose blocks overlap panics.
@@ -30,12 +24,6 @@ pub enum Datatype {
         block_bytes: u64,
         /// Distance between consecutive block starts, in bytes.
         stride_bytes: u64,
-    },
-    /// Explicit region list (MPI_Type_indexed / hindexed), offsets relative
-    /// to the view base.
-    Indexed {
-        /// `(offset, len)` pairs relative to the view base.
-        blocks: Vec<(u64, u64)>,
     },
     /// MPI_Type_create_subarray in two dimensions (row-major): a
     /// `sub_rows × sub_cols` window at `(row_off, col_off)` inside a
@@ -60,60 +48,6 @@ pub enum Datatype {
 }
 
 impl Datatype {
-    /// Total bytes of data selected by one instance of the type.
-    pub fn extent_data(&self) -> u64 {
-        match self {
-            Datatype::Contiguous { len } => *len,
-            Datatype::Vector {
-                count, block_bytes, ..
-            } => count * block_bytes,
-            Datatype::Indexed { blocks } => blocks.iter().map(|&(_, l)| l).sum(),
-            Datatype::Subarray2 {
-                elem_bytes,
-                sub_rows,
-                sub_cols,
-                ..
-            } => sub_rows * sub_cols * elem_bytes,
-        }
-    }
-
-    /// Span from the first selected byte to one past the last.
-    pub fn extent_span(&self) -> u64 {
-        match self {
-            Datatype::Contiguous { len } => *len,
-            Datatype::Vector {
-                count,
-                block_bytes,
-                stride_bytes,
-            } => {
-                if *count == 0 {
-                    0
-                } else {
-                    (count - 1) * stride_bytes + block_bytes
-                }
-            }
-            Datatype::Indexed { blocks } => blocks.iter().map(|&(o, l)| o + l).max().unwrap_or(0),
-            Datatype::Subarray2 {
-                cols,
-                elem_bytes,
-                row_off,
-                col_off,
-                sub_rows,
-                sub_cols,
-                ..
-            } => {
-                if *sub_rows == 0 || *sub_cols == 0 {
-                    0
-                } else {
-                    let first = (row_off * cols + col_off) * elem_bytes;
-                    let last_end =
-                        ((row_off + sub_rows - 1) * cols + col_off + sub_cols) * elem_bytes;
-                    last_end - first
-                }
-            }
-        }
-    }
-
     /// Lower one instance of the type at `base` into the regions it
     /// selects, in ascending offset order, without flattening a strided
     /// pattern.
@@ -123,21 +57,11 @@ impl Datatype {
     /// more blocks), in release builds too: its blocks would overlap.
     pub fn lower(&self, base: u64) -> Regions {
         match self {
-            Datatype::Contiguous { len } => Regions::strided(Strided::new(base, *len, *len, 1)),
             Datatype::Vector {
                 count,
                 block_bytes,
                 stride_bytes,
             } => Regions::strided(Strided::new(base, *block_bytes, *stride_bytes, *count)),
-            Datatype::Indexed { blocks } => {
-                let mut v: Vec<FileRegion> = blocks
-                    .iter()
-                    .filter(|&&(_, l)| l > 0)
-                    .map(|&(o, l)| FileRegion::new(base + o, l))
-                    .collect();
-                v.sort_by_key(|r| r.offset);
-                Regions::from(v)
-            }
             Datatype::Subarray2 {
                 rows,
                 cols,
@@ -158,47 +82,16 @@ impl Datatype {
             }
         }
     }
-
-    /// Is one instance a single contiguous run?
-    pub fn is_contiguous(&self) -> bool {
-        match self {
-            Datatype::Contiguous { .. } => true,
-            Datatype::Vector {
-                count,
-                block_bytes,
-                stride_bytes,
-            } => *count <= 1 || block_bytes == stride_bytes,
-            Datatype::Indexed { blocks } => {
-                let mut sorted: Vec<_> = blocks.iter().filter(|&&(_, l)| l > 0).collect();
-                sorted.sort_by_key(|&&(o, _)| o);
-                sorted.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0)
-            }
-            Datatype::Subarray2 {
-                cols,
-                sub_rows,
-                sub_cols,
-                ..
-            } => *sub_rows <= 1 || sub_cols == cols,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dualpar_pfs::FileRegion;
 
     /// One instance at `base`, flattened.
     fn flat(t: &Datatype, base: u64) -> Vec<FileRegion> {
         t.lower(base).iter().collect()
-    }
-
-    #[test]
-    fn contiguous_lowering() {
-        let t = Datatype::Contiguous { len: 4096 };
-        assert_eq!(flat(&t, 100), vec![FileRegion::new(100, 4096)]);
-        assert_eq!(t.extent_data(), 4096);
-        assert_eq!(t.extent_span(), 4096);
-        assert!(t.is_contiguous());
     }
 
     #[test]
@@ -217,9 +110,6 @@ mod tests {
                 FileRegion::new(1128, 16)
             ]
         );
-        assert_eq!(t.extent_data(), 48);
-        assert_eq!(t.extent_span(), 2 * 64 + 16);
-        assert!(!t.is_contiguous());
     }
 
     #[test]
@@ -232,7 +122,7 @@ mod tests {
         let regions = t.lower(64);
         assert!(regions.is_strided());
         assert_eq!(regions.len(), 1 << 20);
-        assert_eq!(regions.bytes(), t.extent_data());
+        assert_eq!(regions.bytes(), 16 << 20);
         assert_eq!(regions.get(3), Some(FileRegion::new(64 + 3 * 1024, 16)));
         assert!(!regions.is_flattened());
     }
@@ -246,41 +136,6 @@ mod tests {
             stride_bytes: 16,
         };
         t.lower(0);
-    }
-
-    #[test]
-    fn dense_vector_is_contiguous() {
-        let t = Datatype::Vector {
-            count: 4,
-            block_bytes: 32,
-            stride_bytes: 32,
-        };
-        assert!(t.is_contiguous());
-    }
-
-    #[test]
-    fn indexed_lowering_sorts() {
-        let t = Datatype::Indexed {
-            blocks: vec![(100, 10), (0, 10), (50, 10)],
-        };
-        let rs = flat(&t, 0);
-        assert_eq!(rs[0].offset, 0);
-        assert_eq!(rs[1].offset, 50);
-        assert_eq!(rs[2].offset, 100);
-        assert_eq!(t.extent_data(), 30);
-        assert_eq!(t.extent_span(), 110);
-    }
-
-    #[test]
-    fn indexed_contiguity() {
-        let t = Datatype::Indexed {
-            blocks: vec![(10, 10), (0, 10)],
-        };
-        assert!(t.is_contiguous());
-        let t2 = Datatype::Indexed {
-            blocks: vec![(0, 10), (20, 10)],
-        };
-        assert!(!t2.is_contiguous());
     }
 
     #[test]
@@ -299,8 +154,6 @@ mod tests {
             flat(&t, 0),
             vec![FileRegion::new(40, 12), FileRegion::new(72, 12)]
         );
-        assert_eq!(t.extent_data(), 24);
-        assert!(!t.is_contiguous());
     }
 
     #[test]
@@ -314,7 +167,6 @@ mod tests {
             sub_rows: 2,
             sub_cols: 4,
         };
-        assert!(t.is_contiguous());
         let rs = flat(&t, 100);
         assert_eq!(rs.len(), 2);
         assert_eq!(rs[0].end(), rs[1].offset);
@@ -334,7 +186,7 @@ mod tests {
         let rs = flat(&t, 1000);
         assert_eq!(rs[0].offset, 1005);
         assert_eq!(rs[2].end(), 1000 + 2 * 10 + 5 + 5);
-        assert_eq!(t.extent_span(), 25);
+        assert_eq!(rs[2].end() - rs[0].offset, 25);
     }
 
     #[test]
@@ -345,8 +197,15 @@ mod tests {
             stride_bytes: 64,
         };
         assert!(flat(&t, 0).is_empty());
-        assert_eq!(t.extent_span(), 0);
-        let t2 = Datatype::Contiguous { len: 0 };
+        let t2 = Datatype::Subarray2 {
+            rows: 4,
+            cols: 4,
+            elem_bytes: 8,
+            row_off: 0,
+            col_off: 0,
+            sub_rows: 0,
+            sub_cols: 4,
+        };
         assert!(flat(&t2, 5).is_empty());
     }
 }

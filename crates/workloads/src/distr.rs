@@ -2,12 +2,13 @@
 //!
 //! Both distributions are serializable spec fragments sampled through the
 //! workspace's deterministic [`DetRng`] streams, so a spec plus a seed fully
-//! determines every byte a generated workload touches. Offsets come in two
-//! flavours: *partitioned* patterns (sequential, strided, uniform random)
-//! confine each rank to its own disjoint slab of the file, which keeps
-//! writes race-free; the *shared* Zipf hotspot pattern deliberately lets
-//! read offsets collide across ranks to model contended hot data (its
-//! writes still land in the rank's own slab).
+//! determines every byte a generated workload touches. Sizes are fixed or
+//! uniform over a range. Offsets come in two flavours: *partitioned*
+//! patterns (sequential, strided, uniform random) confine each rank to its
+//! own disjoint slab of the file, which keeps writes race-free; the
+//! *shared* Zipf hotspot pattern deliberately lets read offsets collide
+//! across ranks to model contended hot data (its writes still land in the
+//! rank's own slab).
 
 use dualpar_sim::DetRng;
 use serde::{Deserialize, Serialize};
@@ -28,16 +29,6 @@ pub enum SizeDistr {
         /// Largest request, bytes.
         max: u64,
     },
-    /// Mostly `small` requests with an occasional `large` one — the classic
-    /// metadata-plus-checkpoint mix.
-    Bimodal {
-        /// The common request size, bytes.
-        small: u64,
-        /// The rare request size, bytes.
-        large: u64,
-        /// Probability of drawing `large`, in `[0, 1]`.
-        large_fraction: f64,
-    },
 }
 
 impl Default for SizeDistr {
@@ -52,7 +43,6 @@ impl SizeDistr {
         match *self {
             SizeDistr::Fixed { bytes } => bytes,
             SizeDistr::Uniform { min, max } => max.max(min),
-            SizeDistr::Bimodal { small, large, .. } => small.max(large),
         }
     }
 
@@ -61,14 +51,6 @@ impl SizeDistr {
         match *self {
             SizeDistr::Fixed { bytes } => bytes,
             SizeDistr::Uniform { min, max } => (min + max.max(min)) / 2,
-            SizeDistr::Bimodal {
-                small,
-                large,
-                large_fraction,
-            } => {
-                let p = large_fraction.clamp(0.0, 1.0);
-                (small as f64 * (1.0 - p) + large as f64 * p) as u64
-            }
         }
     }
 
@@ -82,17 +64,6 @@ impl SizeDistr {
                 // but never below the requested minimum.
                 let raw = rng.uniform_u64(lo, hi + 1);
                 (raw / 512 * 512).max(lo)
-            }
-            SizeDistr::Bimodal {
-                small,
-                large,
-                large_fraction,
-            } => {
-                if rng.chance(large_fraction.clamp(0.0, 1.0)) {
-                    large.max(1)
-                } else {
-                    small.max(1)
-                }
             }
         }
     }
@@ -112,20 +83,6 @@ impl SizeDistr {
                     ));
                 }
             }
-            SizeDistr::Bimodal {
-                small,
-                large,
-                large_fraction,
-            } => {
-                if small == 0 || large == 0 {
-                    return Err("size.bimodal: sizes must be non-zero".into());
-                }
-                if !(0.0..=1.0).contains(&large_fraction) {
-                    return Err(format!(
-                        "size.bimodal: large_fraction must be in [0,1], got {large_fraction}"
-                    ));
-                }
-            }
         }
         Ok(())
     }
@@ -136,7 +93,8 @@ impl SizeDistr {
 #[serde(rename_all = "snake_case", deny_unknown_fields)]
 pub enum OffsetDistr {
     /// Each rank walks its own slab front to back (IOR-style segmented
-    /// layout), wrapping if the pattern is longer than the slab.
+    /// layout), wrapping if the pattern is longer than the slab: the walk
+    /// of [`OffsetDistr::Strided`] with no gap, and the default.
     #[default]
     Sequential,
     /// Like [`OffsetDistr::Sequential`] but with a fixed gap of `stride`
@@ -199,24 +157,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixed_and_bimodal_sample_their_support() {
+    fn fixed_samples_its_size() {
         let mut rng = DetRng::for_stream(1, "distr-test");
         let fixed = SizeDistr::Fixed { bytes: 4096 };
         assert_eq!(fixed.sample(&mut rng), 4096);
-        let bi = SizeDistr::Bimodal {
-            small: 512,
-            large: 1 << 20,
-            large_fraction: 0.25,
-        };
-        let mut saw = [false, false];
-        for _ in 0..256 {
-            match bi.sample(&mut rng) {
-                512 => saw[0] = true,
-                1048576 => saw[1] = true,
-                other => panic!("bimodal produced {other}"),
-            }
-        }
-        assert!(saw[0] && saw[1], "both modes should appear in 256 draws");
     }
 
     #[test]
@@ -271,13 +215,6 @@ mod tests {
     fn validation_catches_bad_params() {
         assert!(SizeDistr::Fixed { bytes: 0 }.validate().is_err());
         assert!(SizeDistr::Uniform { min: 9, max: 4 }.validate().is_err());
-        assert!(SizeDistr::Bimodal {
-            small: 1,
-            large: 2,
-            large_fraction: 1.5
-        }
-        .validate()
-        .is_err());
         assert!(OffsetDistr::ZipfHotspot { theta: 0.0 }.validate().is_err());
         assert!(OffsetDistr::ZipfHotspot { theta: f64::NAN }
             .validate()
@@ -291,11 +228,6 @@ mod tests {
             SizeDistr::Uniform {
                 min: 512,
                 max: 4096,
-            },
-            SizeDistr::Bimodal {
-                small: 512,
-                large: 1 << 20,
-                large_fraction: 0.1,
             },
         ] {
             let json = serde_json::to_string(&d).expect("serialize");

@@ -9,8 +9,7 @@
 //! - [`WorkloadExpr::Seq`] — run sub-workloads back to back;
 //! - [`WorkloadExpr::Interleave`] — round-robin their operations;
 //! - [`WorkloadExpr::Repeat`] — iterate a body N times;
-//! - [`WorkloadExpr::Phased`] — BSP phases: compute, body, barrier;
-//! - [`WorkloadExpr::Scaled`] — multiply leaf op counts by a factor.
+//! - [`WorkloadExpr::Phased`] — BSP phases: compute, body, barrier.
 //!
 //! A [`DslWorkload`] wraps an expression with the run parameters (ranks,
 //! file size, seed, name) and compiles it to a [`ProgramScript`].
@@ -39,7 +38,7 @@ use serde::{Deserialize, Serialize};
 pub const MAX_DEPTH: u32 = 16;
 
 /// Maximum estimated operations per rank accepted by
-/// [`DslWorkload::validate`] — a guard against `Repeat`/`Scaled` blow-ups.
+/// [`DslWorkload::validate`] — a guard against `Repeat`/`Phased` blow-ups.
 pub const MAX_OPS_PER_RANK: u64 = 4 << 20;
 
 /// One leaf access pattern: `ops` I/O calls per rank, each with a size drawn
@@ -105,14 +104,6 @@ pub enum WorkloadExpr {
         /// The per-phase sub-expression.
         body: Box<WorkloadExpr>,
     },
-    /// Multiply every leaf's op count by `factor` (composes
-    /// multiplicatively; results round to at least one op).
-    Scaled {
-        /// Op-count multiplier (> 0).
-        factor: f64,
-        /// The scaled sub-expression.
-        body: Box<WorkloadExpr>,
-    },
 }
 
 impl Default for WorkloadExpr {
@@ -139,55 +130,40 @@ impl WorkloadExpr {
             WorkloadExpr::Seq(xs) | WorkloadExpr::Interleave(xs) => {
                 1 + xs.iter().map(WorkloadExpr::depth).max().unwrap_or(0)
             }
-            WorkloadExpr::Repeat { body, .. }
-            | WorkloadExpr::Phased { body, .. }
-            | WorkloadExpr::Scaled { body, .. } => 1 + body.depth(),
+            WorkloadExpr::Repeat { body, .. } | WorkloadExpr::Phased { body, .. } => {
+                1 + body.depth()
+            }
         }
     }
 
-    /// Estimated I/O calls per rank under op-count multiplier `scale`
-    /// (saturating; feeds validation and cost estimation).
-    pub fn estimated_ops(&self, scale: f64) -> u64 {
-        match self {
-            WorkloadExpr::Pattern(p) => scaled_ops(p.ops, scale),
-            WorkloadExpr::Seq(xs) | WorkloadExpr::Interleave(xs) => xs
-                .iter()
-                .fold(0u64, |acc, x| acc.saturating_add(x.estimated_ops(scale))),
-            WorkloadExpr::Repeat { times, body } => {
-                body.estimated_ops(scale).saturating_mul(*times)
-            }
-            WorkloadExpr::Phased { phases, body, .. } => {
-                body.estimated_ops(scale).saturating_mul(*phases)
-            }
-            WorkloadExpr::Scaled { factor, body } => body.estimated_ops(scale * factor),
-        }
+    /// Estimated I/O calls per rank (saturating; feeds validation and cost
+    /// estimation).
+    pub fn estimated_ops(&self) -> u64 {
+        self.weighted_ops(&|_| 1)
     }
 
-    /// Estimated engine file requests per rank under op-count multiplier
-    /// `scale`: each leaf op fans out into roughly `mean_size / 64 KiB`
-    /// stripe-sized requests once the I/O layer splits it, so a pattern of
-    /// few huge calls costs what it actually costs to simulate, not what
-    /// its op count suggests.
-    pub fn estimated_requests(&self, scale: f64) -> u64 {
+    /// Estimated engine file requests per rank: each leaf op fans out into
+    /// roughly `mean_size / 64 KiB` stripe-sized requests once the I/O
+    /// layer splits it, so a pattern of few huge calls costs what it
+    /// actually costs to simulate, not what its op count suggests.
+    pub fn estimated_requests(&self) -> u64 {
         /// The engine's striping unit; requests are split to this size.
         const STRIPE_BYTES: u64 = 64 << 10;
+        self.weighted_ops(&|p| p.size.mean_bytes().div_ceil(STRIPE_BYTES).max(1))
+    }
+
+    /// Leaf op counts, each multiplied by `weight(leaf)`, summed over the
+    /// tree with repeats and phases expanded (saturating).
+    fn weighted_ops(&self, weight: &dyn Fn(&AccessPattern) -> u64) -> u64 {
         match self {
-            WorkloadExpr::Pattern(p) => {
-                let fanout = p.size.mean_bytes().div_ceil(STRIPE_BYTES).max(1);
-                scaled_ops(p.ops, scale).saturating_mul(fanout)
-            }
-            WorkloadExpr::Seq(xs) | WorkloadExpr::Interleave(xs) => {
-                xs.iter().fold(0u64, |acc, x| {
-                    acc.saturating_add(x.estimated_requests(scale))
-                })
-            }
-            WorkloadExpr::Repeat { times, body } => {
-                body.estimated_requests(scale).saturating_mul(*times)
-            }
-            WorkloadExpr::Phased { phases, body, .. } => {
-                body.estimated_requests(scale).saturating_mul(*phases)
-            }
-            WorkloadExpr::Scaled { factor, body } => body.estimated_requests(scale * factor),
+            WorkloadExpr::Pattern(p) => p.ops.saturating_mul(weight(p)),
+            WorkloadExpr::Seq(xs) | WorkloadExpr::Interleave(xs) => xs
+                .iter()
+                .fold(0u64, |acc, x| acc.saturating_add(x.weighted_ops(weight))),
+            WorkloadExpr::Repeat { times: n, body }
+            | WorkloadExpr::Phased {
+                phases: n, body, ..
+            } => body.weighted_ops(weight).saturating_mul(*n),
         }
     }
 
@@ -198,9 +174,9 @@ impl WorkloadExpr {
             WorkloadExpr::Seq(xs) | WorkloadExpr::Interleave(xs) => {
                 xs.iter().map(WorkloadExpr::max_request).max().unwrap_or(0)
             }
-            WorkloadExpr::Repeat { body, .. }
-            | WorkloadExpr::Phased { body, .. }
-            | WorkloadExpr::Scaled { body, .. } => body.max_request(),
+            WorkloadExpr::Repeat { body, .. } | WorkloadExpr::Phased { body, .. } => {
+                body.max_request()
+            }
         }
     }
 
@@ -254,33 +230,18 @@ impl WorkloadExpr {
                 }
                 body.validate()
             }
-            WorkloadExpr::Scaled { factor, body } => {
-                if *factor <= 0.0 || !factor.is_finite() {
-                    return Err(format!(
-                        "scaled: factor must be finite and > 0, got {factor}"
-                    ));
-                }
-                body.validate()
-            }
         }
     }
 
     /// Generate this expression's operations for one rank. All ranks call
     /// this over the same tree, so barrier emission (structural, never
     /// random) stays rank-consistent.
-    fn emit(
-        &self,
-        ctx: &EmitCtx,
-        rng: &mut DetRng,
-        scale: f64,
-        next_barrier: &mut u64,
-        ops: &mut Vec<Op>,
-    ) {
+    fn emit(&self, ctx: &EmitCtx, rng: &mut DetRng, next_barrier: &mut u64, ops: &mut Vec<Op>) {
         match self {
-            WorkloadExpr::Pattern(p) => emit_pattern(p, ctx, rng, scale, next_barrier, ops),
+            WorkloadExpr::Pattern(p) => emit_pattern(p, ctx, rng, next_barrier, ops),
             WorkloadExpr::Seq(xs) => {
                 for x in xs {
-                    x.emit(ctx, rng, scale, next_barrier, ops);
+                    x.emit(ctx, rng, next_barrier, ops);
                 }
             }
             WorkloadExpr::Interleave(xs) => {
@@ -289,7 +250,7 @@ impl WorkloadExpr {
                 let mut lanes: Vec<Vec<Op>> = Vec::with_capacity(xs.len());
                 for x in xs {
                     let mut lane = Vec::new();
-                    x.emit(ctx, rng, scale, next_barrier, &mut lane);
+                    x.emit(ctx, rng, next_barrier, &mut lane);
                     lanes.push(lane);
                 }
                 let mut cursors: Vec<std::vec::IntoIter<Op>> =
@@ -309,7 +270,7 @@ impl WorkloadExpr {
             }
             WorkloadExpr::Repeat { times, body } => {
                 for _ in 0..*times {
-                    body.emit(ctx, rng, scale, next_barrier, ops);
+                    body.emit(ctx, rng, next_barrier, ops);
                 }
             }
             WorkloadExpr::Phased {
@@ -321,25 +282,12 @@ impl WorkloadExpr {
                     if *compute_secs > 0.0 {
                         ops.push(compute(SimDuration::from_secs_f64(*compute_secs)));
                     }
-                    body.emit(ctx, rng, scale, next_barrier, ops);
+                    body.emit(ctx, rng, next_barrier, ops);
                     ops.push(Op::Barrier(*next_barrier));
                     *next_barrier += 1;
                 }
             }
-            WorkloadExpr::Scaled { factor, body } => {
-                body.emit(ctx, rng, scale * factor, next_barrier, ops);
-            }
         }
-    }
-}
-
-/// `ops * scale`, rounded, at least 1, saturating.
-fn scaled_ops(ops: u64, scale: f64) -> u64 {
-    let scaled = ops as f64 * scale;
-    if scaled >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        (scaled.round() as u64).max(1)
     }
 }
 
@@ -347,15 +295,18 @@ fn emit_pattern(
     p: &AccessPattern,
     ctx: &EmitCtx,
     rng: &mut DetRng,
-    scale: f64,
     next_barrier: &mut u64,
     ops: &mut Vec<Op>,
 ) {
-    let n = scaled_ops(p.ops, scale);
     // Sequential/strided walks keep a cursor local to this leaf instance:
     // repeating a leaf re-walks the same slab (a re-read / overwrite pass).
+    // A sequential walk is a strided one without a gap.
     let mut cursor = 0u64;
-    for k in 0..n {
+    let gap = match p.offsets {
+        OffsetDistr::Strided { stride } => stride,
+        _ => 0,
+    };
+    for k in 0..p.ops {
         if p.compute_secs_per_op > 0.0 {
             ops.push(compute(SimDuration::from_secs_f64(p.compute_secs_per_op)));
         }
@@ -367,20 +318,14 @@ fn emit_pattern(
         };
         let len = p.size.sample(rng).min(ctx.slab.max(1));
         let offset = match p.offsets {
-            OffsetDistr::Sequential => {
-                if cursor + len > ctx.slab {
+            OffsetDistr::Sequential | OffsetDistr::Strided { .. } => {
+                // Restart at the slab head when the request would pass the
+                // slab end (`len <= slab`, so the test cannot overflow).
+                if cursor > ctx.slab - len {
                     cursor = 0;
                 }
                 let off = ctx.base + cursor;
-                cursor += len;
-                off
-            }
-            OffsetDistr::Strided { stride } => {
-                if cursor + len > ctx.slab {
-                    cursor = 0;
-                }
-                let off = ctx.base + cursor;
-                cursor = cursor.saturating_add(len).saturating_add(stride);
+                cursor = cursor.saturating_add(len).saturating_add(gap);
                 off
             }
             OffsetDistr::Random => {
@@ -459,7 +404,7 @@ impl DslWorkload {
             return Err(format!("dsl: expression depth {depth} exceeds {MAX_DEPTH}"));
         }
         self.expr.validate()?;
-        let ops = self.expr.estimated_ops(1.0);
+        let ops = self.expr.estimated_ops();
         if ops > MAX_OPS_PER_RANK {
             return Err(format!(
                 "dsl: ~{ops} ops per rank exceeds the {MAX_OPS_PER_RANK} guard"
@@ -483,7 +428,7 @@ impl DslWorkload {
     /// lands instead of at the bottom of the longest-first schedule.
     pub fn cost(&self) -> u64 {
         self.expr
-            .estimated_requests(1.0)
+            .estimated_requests()
             .saturating_mul(self.nprocs as u64)
     }
 
@@ -502,8 +447,7 @@ impl DslWorkload {
             };
             let mut ops = Vec::new();
             let mut next_barrier = 0u64;
-            self.expr
-                .emit(&ctx, &mut rng, 1.0, &mut next_barrier, &mut ops);
+            self.expr.emit(&ctx, &mut rng, &mut next_barrier, &mut ops);
             ops
         })
     }
@@ -598,7 +542,7 @@ mod tests {
             times: 3,
             body: Box::new(WorkloadExpr::Seq(vec![leaf(4), leaf(2)])),
         };
-        assert_eq!(expr.estimated_ops(1.0), 18);
+        assert_eq!(expr.estimated_ops(), 18);
         let w = DslWorkload {
             expr,
             nprocs: 2,
@@ -637,18 +581,17 @@ mod tests {
         // Sub-stripe requests still count one request per op.
         assert_eq!(small.cost(), 64 * 4);
         assert!(big.cost() > small.cost());
-        // The fan-out follows the distribution mean, not the max.
+        // The fan-out follows the distribution mean, not the max: a mean of
+        // 8 MiB + 32 KiB is 129 stripes, where the 16 MiB max is 256.
         let mixed = WorkloadExpr::Pattern(AccessPattern {
             ops: 10,
-            size: SizeDistr::Bimodal {
-                small: 64 << 10,
-                large: 16 << 20,
-                large_fraction: 0.25,
+            size: SizeDistr::Uniform {
+                min: 64 << 10,
+                max: 16 << 20,
             },
             ..AccessPattern::default()
         });
-        let mean = (64u64 << 10) * 3 / 4 + (16u64 << 20) / 4;
-        assert_eq!(mixed.estimated_requests(1.0), 10 * mean.div_ceil(64 << 10));
+        assert_eq!(mixed.estimated_requests(), 10 * 129);
     }
 
     #[test]
@@ -707,21 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_multiplies_leaf_ops() {
-        let expr = WorkloadExpr::Scaled {
-            factor: 2.5,
-            body: Box::new(leaf(4)),
-        };
-        assert_eq!(expr.estimated_ops(1.0), 10);
-        let w = DslWorkload {
-            nprocs: 1,
-            expr,
-            ..DslWorkload::default()
-        };
-        assert_eq!(io_count(&w.build(FileId(1)), 0), 10);
-    }
-
-    #[test]
     fn builds_are_deterministic_and_reseeding_decorrelates() {
         let w = DslWorkload {
             expr: WorkloadExpr::Pattern(AccessPattern {
@@ -739,6 +667,43 @@ mod tests {
         assert_ne!(w.build(FileId(1)), r.build(FileId(1)));
         // Reseeding is itself deterministic.
         assert_eq!(r.build(FileId(1)), w.reseeded(1).build(FileId(1)));
+    }
+
+    #[test]
+    fn sequential_is_strided_without_a_gap() {
+        // One walk serves both forms: with the same seed, sizes that vary
+        // and enough ops to wrap the slab, the scripts are equal.
+        let with = |offsets| DslWorkload {
+            nprocs: 2,
+            file_size: 1 << 20,
+            expr: WorkloadExpr::Pattern(AccessPattern {
+                ops: 64,
+                size: SizeDistr::Uniform {
+                    min: 4096,
+                    max: 65536,
+                },
+                offsets,
+                write_fraction: 0.5,
+                ..AccessPattern::default()
+            }),
+            ..DslWorkload::default()
+        };
+        let sequential = with(OffsetDistr::Sequential).build(FileId(1));
+        assert_eq!(
+            sequential,
+            with(OffsetDistr::Strided { stride: 0 }).build(FileId(1))
+        );
+        // The walk wrapped: some request starts back at a slab head.
+        let heads = sequential.ranks[1]
+            .ops
+            .iter()
+            .filter_map(|o| match o {
+                Op::Io(c) => c.regions.get(0),
+                _ => None,
+            })
+            .filter(|r| r.offset == 512 << 10)
+            .count();
+        assert!(heads > 1, "64 ops of ~34 KiB must wrap a 512 KiB slab");
     }
 
     #[test]
@@ -846,8 +811,8 @@ mod tests {
                         offsets: OffsetDistr::ZipfHotspot { theta: 0.9 },
                         ..AccessPattern::default()
                     }),
-                    WorkloadExpr::Scaled {
-                        factor: 0.5,
+                    WorkloadExpr::Repeat {
+                        times: 2,
                         body: Box::new(leaf(8)),
                     },
                 ])),

@@ -1,6 +1,7 @@
 //! The paper's benchmark suite (§V-A), expressed as access-pattern-faithful
 //! script generators. Each generator documents the sentence of the paper it
-//! implements.
+//! implements. A parameter no experiment varies is a constant holding the
+//! paper's value, so a spec sets only what an experiment changes.
 
 use crate::common::{build_program, compute, io_region};
 use dualpar_mpiio::{Datatype, IoCall, IoKind, Op, ProcessScript, ProgramScript};
@@ -11,7 +12,8 @@ use serde::{Deserialize, Serialize};
 /// `mpi-io-test` (PVFS2 distribution): "read or write a 2 GB file with
 /// request size of 16 KB. Process p_i accesses the (i+64j)-th 16 KB segment
 /// at call j — the benchmark generates a fully sequential access pattern",
-/// with "a barrier routine frequently called in its execution".
+/// with "a barrier routine frequently called in its execution". Requests
+/// are [`MpiIoTest::REQUEST_SIZE`], the paper's 16 KB.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct MpiIoTest {
@@ -19,8 +21,6 @@ pub struct MpiIoTest {
     pub nprocs: usize,
     /// Total file bytes accessed (2 GB in the paper).
     pub file_size: u64,
-    /// Bytes per request (16 KB in the paper).
-    pub request_size: u64,
     /// Read or write run.
     pub kind: IoKind,
     /// Mark I/O calls collective (for the collective-I/O strategy).
@@ -37,7 +37,6 @@ impl Default for MpiIoTest {
         MpiIoTest {
             nprocs: 64,
             file_size: 2 << 30,
-            request_size: 16 * 1024,
             kind: IoKind::Read,
             collective: false,
             barrier_every: 1,
@@ -47,9 +46,12 @@ impl Default for MpiIoTest {
 }
 
 impl MpiIoTest {
+    /// Bytes per request (16 KB in the paper).
+    pub const REQUEST_SIZE: u64 = 16 * 1024;
+
     /// Generate the per-rank scripts against `file`.
     pub fn build(&self, file: FileId) -> ProgramScript {
-        let segs = self.file_size / self.request_size;
+        let segs = self.file_size / Self::REQUEST_SIZE;
         let calls = segs / self.nprocs as u64;
         build_program("mpi-io-test", self.nprocs, |rank| {
             let mut ops = Vec::new();
@@ -62,8 +64,8 @@ impl MpiIoTest {
                 ops.push(io_region(
                     self.kind,
                     file,
-                    seg * self.request_size,
-                    self.request_size,
+                    seg * Self::REQUEST_SIZE,
+                    Self::REQUEST_SIZE,
                     self.collective,
                 ));
                 if self.barrier_every > 0 && (j + 1) % self.barrier_every as u64 == 0 {
@@ -78,8 +80,9 @@ impl MpiIoTest {
 
 /// `hpio` (Northwestern/Sandia): contiguous-ish accesses built from "region
 /// count 4096, region spacing 1024 B, region size 32 KB". Each process owns
-/// a partition of the file and walks it with 32 KB requests separated by
-/// 1 KB of space.
+/// a partition of the file and independently reads it with
+/// [`Hpio::REGION_SIZE`] (32 KB) requests separated by
+/// [`Hpio::REGION_SPACING`] (1 KB) of space.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct Hpio {
@@ -87,16 +90,6 @@ pub struct Hpio {
     pub nprocs: usize,
     /// Regions accessed per process.
     pub region_count: u64,
-    /// Bytes of unused space between consecutive regions (1 KB).
-    pub region_spacing: u64,
-    /// Bytes per region (32 KB).
-    pub region_size: u64,
-    /// Read or write run.
-    pub kind: IoKind,
-    /// Mark I/O calls collective.
-    pub collective: bool,
-    /// Injected computation between calls.
-    pub compute_per_call: SimDuration,
 }
 
 impl Default for Hpio {
@@ -104,40 +97,38 @@ impl Default for Hpio {
         Hpio {
             nprocs: 64,
             region_count: 4096,
-            region_spacing: 1024,
-            region_size: 32 * 1024,
-            kind: IoKind::Read,
-            collective: false,
-            compute_per_call: SimDuration::ZERO,
         }
     }
 }
 
 impl Hpio {
+    /// Bytes of unused space between consecutive regions (1 KB).
+    pub const REGION_SPACING: u64 = 1024;
+    /// Bytes per region (32 KB).
+    pub const REGION_SIZE: u64 = 32 * 1024;
+
     /// File size needed for this configuration.
     pub fn file_size(&self) -> u64 {
-        self.nprocs as u64 * self.region_count * (self.region_size + self.region_spacing)
+        self.nprocs as u64 * self.region_count * (Self::REGION_SIZE + Self::REGION_SPACING)
     }
 
     /// Generate the per-rank scripts against `file`.
     pub fn build(&self, file: FileId) -> ProgramScript {
-        let per_proc = self.region_count * (self.region_size + self.region_spacing);
+        let pitch = Self::REGION_SIZE + Self::REGION_SPACING;
+        let per_proc = self.region_count * pitch;
         build_program("hpio", self.nprocs, |rank| {
             let base = rank as u64 * per_proc;
-            let mut ops = Vec::new();
-            for i in 0..self.region_count {
-                if self.compute_per_call > SimDuration::ZERO {
-                    ops.push(compute(self.compute_per_call));
-                }
-                ops.push(io_region(
-                    self.kind,
-                    file,
-                    base + i * (self.region_size + self.region_spacing),
-                    self.region_size,
-                    self.collective,
-                ));
-            }
-            ops
+            (0..self.region_count)
+                .map(|i| {
+                    io_region(
+                        IoKind::Read,
+                        file,
+                        base + i * pitch,
+                        Self::REGION_SIZE,
+                        false,
+                    )
+                })
+                .collect()
         })
     }
 }
@@ -146,7 +137,8 @@ impl Hpio {
 /// its own 1/64 of a 16 GB file ... sequential requests, each for a 32 KB
 /// segment. The processes' requests are at the same relative offset in each
 /// process's access scope — the access pattern presented to the storage
-/// system is random."
+/// system is random." Requests are [`IorMpiIo::REQUEST_SIZE`], the paper's
+/// 32 KB.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct IorMpiIo {
@@ -154,14 +146,10 @@ pub struct IorMpiIo {
     pub nprocs: usize,
     /// Total file bytes (16 GB in the paper).
     pub file_size: u64,
-    /// Bytes per request (32 KB in the paper).
-    pub request_size: u64,
     /// Read or write run.
     pub kind: IoKind,
     /// Mark I/O calls collective.
     pub collective: bool,
-    /// Injected computation between calls.
-    pub compute_per_call: SimDuration,
 }
 
 impl Default for IorMpiIo {
@@ -169,35 +157,33 @@ impl Default for IorMpiIo {
         IorMpiIo {
             nprocs: 64,
             file_size: 16 << 30,
-            request_size: 32 * 1024,
             kind: IoKind::Read,
             collective: false,
-            compute_per_call: SimDuration::ZERO,
         }
     }
 }
 
 impl IorMpiIo {
+    /// Bytes per request (32 KB in the paper).
+    pub const REQUEST_SIZE: u64 = 32 * 1024;
+
     /// Generate the per-rank scripts against `file`.
     pub fn build(&self, file: FileId) -> ProgramScript {
         let scope = self.file_size / self.nprocs as u64;
-        let calls = scope / self.request_size;
+        let calls = scope / Self::REQUEST_SIZE;
         build_program("ior-mpi-io", self.nprocs, |rank| {
             let base = rank as u64 * scope;
-            let mut ops = Vec::new();
-            for i in 0..calls {
-                if self.compute_per_call > SimDuration::ZERO {
-                    ops.push(compute(self.compute_per_call));
-                }
-                ops.push(io_region(
-                    self.kind,
-                    file,
-                    base + i * self.request_size,
-                    self.request_size,
-                    self.collective,
-                ));
-            }
-            ops
+            (0..calls)
+                .map(|i| {
+                    io_region(
+                        self.kind,
+                        file,
+                        base + i * Self::REQUEST_SIZE,
+                        Self::REQUEST_SIZE,
+                        self.collective,
+                    )
+                })
+                .collect()
         })
     }
 }
@@ -221,8 +207,6 @@ pub struct Noncontig {
     pub kind: IoKind,
     /// Mark I/O calls collective.
     pub collective: bool,
-    /// Injected computation between calls.
-    pub compute_per_call: SimDuration,
 }
 
 impl Default for Noncontig {
@@ -234,7 +218,6 @@ impl Default for Noncontig {
             rows: 8192,
             kind: IoKind::Read,
             collective: false,
-            compute_per_call: SimDuration::ZERO,
         }
     }
 }
@@ -263,29 +246,28 @@ impl Noncontig {
         let rows_per_call = (self.bytes_per_call / (cell * self.nprocs as u64)).max(1);
         let calls = self.rows / rows_per_call;
         build_program("noncontig", self.nprocs, |rank| {
-            let mut ops = Vec::new();
-            for c in 0..calls {
-                if self.compute_per_call > SimDuration::ZERO {
-                    ops.push(compute(self.compute_per_call));
-                }
-                let dt = Datatype::Vector {
-                    count: rows_per_call,
-                    block_bytes: cell,
-                    stride_bytes: row,
-                };
-                let base = c * rows_per_call * row + rank as u64 * cell;
-                let mut call = IoCall::from_datatype(self.kind, file, &dt, base);
-                call.collective = self.collective;
-                ops.push(Op::Io(call));
-            }
-            ops
+            (0..calls)
+                .map(|c| {
+                    let dt = Datatype::Vector {
+                        count: rows_per_call,
+                        block_bytes: cell,
+                        stride_bytes: row,
+                    };
+                    let base = c * rows_per_call * row + rank as u64 * cell;
+                    let mut call = IoCall::from_datatype(self.kind, file, &dt, base);
+                    call.collective = self.collective;
+                    Op::Io(call)
+                })
+                .collect()
         })
     }
 }
 
 /// `S3asim` (sequence-similarity search): per query, each worker reads a
-/// set of database fragments of mixed sizes and writes result data of mixed
-/// sizes; sizes are drawn between configured min and max.
+/// slice of each of the database's [`S3asim::FRAGMENTS`] (16) fragments and
+/// writes its merged results; read and write sizes are drawn between
+/// [`S3asim::MIN_SEQ`] and [`S3asim::MAX_SEQ`] (1 KB to 100 KB), after
+/// [`S3asim::COMPUTE_PER_QUERY`] (20 ms) of search computation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct S3asim {
@@ -293,18 +275,10 @@ pub struct S3asim {
     pub nprocs: usize,
     /// Sequence-search queries to run.
     pub queries: u64,
-    /// Database fragments (16 in the paper).
-    pub fragments: u64,
-    /// Minimum sequence read/write size in bytes.
-    pub min_seq: u64,
-    /// Maximum sequence read/write size in bytes.
-    pub max_seq: u64,
     /// Database file bytes.
     pub db_size: u64,
     /// Result file bytes (upper bound on written data).
     pub result_size: u64,
-    /// Search computation per query.
-    pub compute_per_query: SimDuration,
     /// Mark I/O calls collective.
     pub collective: bool,
     /// Deterministic seed for the size/offset draws.
@@ -316,12 +290,8 @@ impl Default for S3asim {
         S3asim {
             nprocs: 64,
             queries: 16,
-            fragments: 16,
-            min_seq: 1024,
-            max_seq: 100 * 1024,
             db_size: 1 << 30,
             result_size: 256 << 20,
-            compute_per_query: SimDuration::from_millis(20),
             collective: false,
             seed: 7,
         }
@@ -329,6 +299,15 @@ impl Default for S3asim {
 }
 
 impl S3asim {
+    /// Database fragments (16 in the paper).
+    pub const FRAGMENTS: u64 = 16;
+    /// Minimum sequence read/write size in bytes.
+    pub const MIN_SEQ: u64 = 1024;
+    /// Maximum sequence read/write size in bytes.
+    pub const MAX_SEQ: u64 = 100 * 1024;
+    /// Search computation per query.
+    pub const COMPUTE_PER_QUERY: SimDuration = SimDuration::from_millis(20);
+
     /// Generate the per-rank scripts against the database and result files.
     pub fn build(&self, db: FileId, results: FileId) -> ProgramScript {
         let rng_root = DetRng::for_stream(self.seed, "s3asim");
@@ -340,16 +319,12 @@ impl S3asim {
             let mut result_off = rank as u64 * result_scope;
             let result_end = (rank as u64 + 1) * result_scope;
             // Each worker searches a slice of each database fragment.
-            let frag_size = self.db_size / self.fragments;
+            let frag_size = self.db_size / Self::FRAGMENTS;
             let slice = frag_size / self.nprocs as u64;
             for _q in 0..self.queries {
-                if self.compute_per_query > SimDuration::ZERO {
-                    ops.push(compute(self.compute_per_query));
-                }
-                for f in 0..self.fragments {
-                    let len = rng
-                        .uniform_u64(self.min_seq, self.max_seq.saturating_add(1))
-                        .min(slice);
+                ops.push(compute(Self::COMPUTE_PER_QUERY));
+                for f in 0..Self::FRAGMENTS {
+                    let len = rng.uniform_u64(Self::MIN_SEQ, Self::MAX_SEQ + 1).min(slice);
                     let jitter = if slice > len {
                         rng.uniform_u64(0, (slice - len).saturating_add(1))
                     } else {
@@ -369,7 +344,7 @@ impl S3asim {
                 }
                 // Write merged results for this query.
                 let wlen = rng
-                    .uniform_u64(self.min_seq, self.max_seq + 1)
+                    .uniform_u64(Self::MIN_SEQ, Self::MAX_SEQ + 1)
                     .min(result_end.saturating_sub(result_off));
                 if wlen > 0 {
                     ops.push(io_region(
@@ -389,9 +364,11 @@ impl S3asim {
 
 /// `BTIO` (NAS BT): the 3-D Navier-Stokes solver writing its solution with
 /// MPI-IO. Each process owns an interleaved share of each solution row; per
-/// step it appends `rows_per_step` vector accesses of tiny cells — "request
-/// size of the benchmark is only a few bytes when many processes are used"
-/// (§V-C): cell bytes shrink as the process count grows.
+/// step, after [`Btio::COMPUTE_PER_STEP`] (50 ms) of solver computation, it
+/// appends `rows_per_step` vector accesses of tiny cells — "request size of
+/// the benchmark is only a few bytes when many processes are used" (§V-C):
+/// cells are [`Btio::CELL_AT_64`] (16 B) at 64 processes and shrink as the
+/// process count grows.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct Btio {
@@ -399,20 +376,12 @@ pub struct Btio {
     pub nprocs: usize,
     /// Total solution bytes written over the whole run.
     pub dataset: u64,
-    /// Cell granularity for 64 processes; actual cell = this × 64 / nprocs,
-    /// floored at 4 bytes (mirrors BTIO's shrinking requests).
-    pub cell_at_64: u64,
     /// Solver timesteps that perform I/O.
     pub steps: u64,
     /// Write (checkpoint) or read (verification) run.
     pub kind: IoKind,
     /// Mark I/O calls collective.
     pub collective: bool,
-    /// Solver computation per timestep.
-    pub compute_per_step: SimDuration,
-    /// Append BTIO's verification pass: after the solution is written, all
-    /// ranks barrier and read their data back with the same access pattern.
-    pub verify: bool,
 }
 
 impl Default for Btio {
@@ -420,20 +389,23 @@ impl Default for Btio {
         Btio {
             nprocs: 64,
             dataset: 6800 << 20,
-            cell_at_64: 16,
             steps: 40,
             kind: IoKind::Write,
             collective: false,
-            compute_per_step: SimDuration::from_millis(50),
-            verify: false,
         }
     }
 }
 
 impl Btio {
+    /// Cell granularity for 64 processes; the actual cell is this × 64 /
+    /// nprocs, floored at 4 bytes (mirrors BTIO's shrinking requests).
+    pub const CELL_AT_64: u64 = 16;
+    /// Solver computation per timestep.
+    pub const COMPUTE_PER_STEP: SimDuration = SimDuration::from_millis(50);
+
     /// Effective cell size at this process count.
     pub fn cell_bytes(&self) -> u64 {
-        (self.cell_at_64 * 64 / self.nprocs as u64).max(4)
+        (Self::CELL_AT_64 * 64 / self.nprocs as u64).max(4)
     }
 
     /// Total file bytes for this configuration.
@@ -453,58 +425,42 @@ impl Btio {
         build_program("btio", self.nprocs, |rank| {
             let mut ops = Vec::new();
             let mut row_cursor = 0u64;
-            let emit_pass = |ops: &mut Vec<Op>, kind: IoKind, row_cursor: &mut u64| {
-                for _step in 0..self.steps {
-                    if self.compute_per_step > SimDuration::ZERO {
-                        ops.push(compute(self.compute_per_step));
-                    }
-                    let mut remaining = rows_per_step;
-                    while remaining > 0 {
-                        let n = remaining.min(rows_per_call);
-                        let dt = Datatype::Vector {
-                            count: n,
-                            block_bytes: cell,
-                            stride_bytes: row,
-                        };
-                        let base = *row_cursor * row + rank as u64 * cell;
-                        let mut call = IoCall::from_datatype(kind, file, &dt, base);
-                        call.collective = self.collective;
-                        ops.push(Op::Io(call));
-                        *row_cursor += n;
-                        remaining -= n;
-                    }
+            for _step in 0..self.steps {
+                ops.push(compute(Self::COMPUTE_PER_STEP));
+                let mut remaining = rows_per_step;
+                while remaining > 0 {
+                    let n = remaining.min(rows_per_call);
+                    let dt = Datatype::Vector {
+                        count: n,
+                        block_bytes: cell,
+                        stride_bytes: row,
+                    };
+                    let base = row_cursor * row + rank as u64 * cell;
+                    let mut call = IoCall::from_datatype(self.kind, file, &dt, base);
+                    call.collective = self.collective;
+                    ops.push(Op::Io(call));
+                    row_cursor += n;
+                    remaining -= n;
                 }
-            };
-            emit_pass(&mut ops, self.kind, &mut row_cursor);
-            if self.verify {
-                ops.push(Op::Barrier(0));
-                row_cursor = 0;
-                emit_pass(&mut ops, IoKind::Read, &mut row_cursor);
             }
             ops
         })
     }
 }
 
-/// The motivating synthetic program of §II: 8 processes read a 1 GB file
-/// front to back; each call reads 16 segments at indices `k·N + myrank`
-/// with a vector datatype; segment size 4–128 KB; compute time between
-/// calls sets the I/O ratio.
+/// The motivating synthetic program of §II: [`Demo::NPROCS`] (8) processes
+/// read a 1 GB file front to back; each call reads [`Demo::SEGS_PER_CALL`]
+/// (16) segments at indices `k·N + myrank` with a vector datatype; segment
+/// size 4–128 KB; compute time between calls sets the I/O ratio.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct Demo {
-    /// Number of MPI processes (8 in §II).
-    pub nprocs: usize,
     /// Total file bytes (1 GB in §II).
     pub file_size: u64,
     /// Segment bytes (4–128 KB in §II).
     pub segment_size: u64,
-    /// Segments per MPI-IO call (16 in §II).
-    pub segs_per_call: u64,
     /// Injected computation per call (sets the I/O ratio).
     pub compute_per_call: SimDuration,
-    /// Read or write run.
-    pub kind: IoKind,
     /// Mark I/O calls collective.
     pub collective: bool,
 }
@@ -512,38 +468,40 @@ pub struct Demo {
 impl Default for Demo {
     fn default() -> Self {
         Demo {
-            nprocs: 8,
             file_size: 1 << 30,
             segment_size: 4 * 1024,
-            segs_per_call: 16,
             compute_per_call: SimDuration::ZERO,
-            kind: IoKind::Read,
             collective: false,
         }
     }
 }
 
 impl Demo {
+    /// Number of MPI processes (8 in §II).
+    pub const NPROCS: usize = 8;
+    /// Segments per MPI-IO call (16 in §II).
+    pub const SEGS_PER_CALL: u64 = 16;
+
     /// Generate the per-rank scripts against `file`.
     pub fn build(&self, file: FileId) -> ProgramScript {
-        let n = self.nprocs as u64;
+        let n = Self::NPROCS as u64;
         let seg = self.segment_size;
         let segs_total = self.file_size / seg;
-        let segs_per_round = self.segs_per_call * n;
+        let segs_per_round = Self::SEGS_PER_CALL * n;
         let calls = segs_total / segs_per_round;
-        build_program("demo", self.nprocs, |rank| {
+        build_program("demo", Self::NPROCS, |rank| {
             let mut ops = Vec::new();
             for c in 0..calls {
                 if self.compute_per_call > SimDuration::ZERO {
                     ops.push(compute(self.compute_per_call));
                 }
                 let dt = Datatype::Vector {
-                    count: self.segs_per_call,
+                    count: Self::SEGS_PER_CALL,
                     block_bytes: seg,
                     stride_bytes: n * seg,
                 };
                 let base = (c * segs_per_round + rank as u64) * seg;
-                let mut call = IoCall::from_datatype(self.kind, file, &dt, base);
+                let mut call = IoCall::from_datatype(IoKind::Read, file, &dt, base);
                 call.collective = self.collective;
                 ops.push(Op::Io(call));
             }
@@ -554,7 +512,8 @@ impl Demo {
 
 /// The Table III adversary: "an MPI program that reads 2 GB of data, and
 /// the requested data addresses depend on the data read in the previous
-/// I/O call" — every prefetch is wrong by construction.
+/// I/O call" — every prefetch is wrong by construction. Each call chases
+/// one [`DependentReader::REQUEST_SIZE`] (64 KB) pointer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct DependentReader {
@@ -562,10 +521,6 @@ pub struct DependentReader {
     pub nprocs: usize,
     /// Total bytes read across all processes.
     pub total_bytes: u64,
-    /// Bytes per (pointer-chased) request.
-    pub request_size: u64,
-    /// Injected computation per call.
-    pub compute_per_call: SimDuration,
     /// Fraction of calls a ghost predicts correctly (0.0 = the Table III
     /// adversary where every prefetch is wasted; 1.0 = fully predictable).
     /// Sweeping this crosses EMC's 20 % mis-prefetch veto threshold.
@@ -579,8 +534,6 @@ impl Default for DependentReader {
         DependentReader {
             nprocs: 64,
             total_bytes: 2 << 30,
-            request_size: 64 * 1024,
-            compute_per_call: SimDuration::ZERO,
             predictability: 0.0,
             seed: 11,
         }
@@ -588,6 +541,9 @@ impl Default for DependentReader {
 }
 
 impl DependentReader {
+    /// Bytes per (pointer-chased) request.
+    pub const REQUEST_SIZE: u64 = 64 * 1024;
+
     /// Total file bytes for this configuration.
     pub fn file_size(&self) -> u64 {
         self.total_bytes
@@ -595,28 +551,26 @@ impl DependentReader {
 
     /// Generate the per-rank scripts against `file`.
     pub fn build(&self, file: FileId) -> ProgramScript {
+        const REQ: u64 = DependentReader::REQUEST_SIZE;
         let rng_root = DetRng::for_stream(self.seed, "dependent");
         let per_proc = self.total_bytes / self.nprocs as u64;
-        let calls = per_proc / self.request_size;
-        let slots = self.total_bytes / self.request_size;
+        let calls = per_proc / REQ;
+        let slots = self.total_bytes / REQ;
         let rank_script = |rank: usize| {
             let mut rng = rng_root.substream(rank as u64);
             let mut ops = Vec::new();
             let mut predicted = Vec::new();
             for _ in 0..calls {
-                if self.compute_per_call > SimDuration::ZERO {
-                    ops.push(compute(self.compute_per_call));
-                }
                 // Actual target: a pointer chase to a random slot. A ghost
                 // cannot know it: it would predict the slot that the *stale*
                 // (unread) pointer names — model that as a different random
                 // slot. With probability `predictability`, the pointer was
                 // unchanged and the ghost's guess is right.
-                let actual = rng.uniform_u64(0, slots) * self.request_size;
-                let call = IoCall::read(file, FileRegion::new(actual, self.request_size));
+                let actual = rng.uniform_u64(0, slots) * REQ;
+                let call = IoCall::read(file, FileRegion::new(actual, REQ));
                 if !rng.chance(self.predictability) {
-                    let guess = rng.uniform_u64(0, slots) * self.request_size;
-                    predicted.push((ops.len(), FileRegion::new(guess, self.request_size).into()));
+                    let guess = rng.uniform_u64(0, slots) * REQ;
+                    predicted.push((ops.len(), FileRegion::new(guess, REQ).into()));
                 }
                 ops.push(Op::Io(call));
             }
@@ -638,7 +592,6 @@ mod tests {
         let w = MpiIoTest {
             nprocs: 4,
             file_size: 1 << 20,
-            request_size: 16 * 1024,
             ..Default::default()
         };
         let p = w.build(FileId(1));
@@ -739,31 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn btio_verify_doubles_traffic_with_read_back() {
-        let w = Btio {
-            nprocs: 8,
-            dataset: 1 << 20,
-            steps: 4,
-            verify: true,
-            ..Default::default()
-        };
-        let p = w.build(FileId(1));
-        assert_eq!(p.total_io_bytes(), 2 << 20);
-        assert!(p.barriers_consistent());
-        // The read pass covers exactly the written bytes.
-        let reads: u64 = p
-            .ranks
-            .iter()
-            .flat_map(|r| &r.ops)
-            .filter_map(|o| match o {
-                Op::Io(c) if c.kind == IoKind::Read => Some(c.bytes()),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(reads, 1 << 20);
-    }
-
-    #[test]
     fn demo_reads_file_front_to_back() {
         let w = Demo {
             file_size: 8 << 20,
@@ -772,7 +700,7 @@ mod tests {
         let p = w.build(FileId(1));
         assert_eq!(p.total_io_bytes(), 8 << 20);
         // All ranks' first-call accesses fall within the first round.
-        let round = w.segs_per_call * w.nprocs as u64 * w.segment_size;
+        let round = Demo::SEGS_PER_CALL * Demo::NPROCS as u64 * w.segment_size;
         for script in &p.ranks {
             if let Some(Op::Io(c)) = script.ops.first() {
                 assert!(c.regions.iter().all(|r| r.end() <= round));
@@ -870,9 +798,6 @@ mod tests {
         let w = Hpio {
             nprocs: 2,
             region_count: 3,
-            region_spacing: 1024,
-            region_size: 32 * 1024,
-            ..Default::default()
         };
         let p = w.build(FileId(1));
         let r: Vec<_> = p.ranks[0]

@@ -47,7 +47,6 @@ fn run(adaptive: bool, scenario: &Scenario) {
     let hpio = Hpio {
         nprocs: 16,
         region_count: if scenario.small { 64 } else { 1024 },
-        ..Default::default()
     };
     let hpio_start = if scenario.small { 1 } else { 10 };
     let mut experiment = Experiment::darwin()

@@ -25,7 +25,6 @@ fn main() {
                 result_size: 64 << 20,
                 collective: strategy == IoStrategy::Collective,
                 seed: 7 + i,
-                ..Default::default()
             };
             exp = exp
                 .file(format!("db{i}"), workload.db_size)

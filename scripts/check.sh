@@ -76,6 +76,13 @@ cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
 cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
     examples/specs/interference_v0.json > /dev/null
 
+# Example smoke: run every example once, so an example that panics or
+# exits non-zero fails the gate instead of only compiling (about 1 s).
+for ex in examples/*.rs; do
+    cargo run --release --offline -q -p dualpar-bench --example "$(basename "$ex" .rs)" \
+        > /dev/null
+done
+
 # Criterion smoke: run each hot-path benchmark body once (`--test` mode of
 # the vendored criterion stub) so a bench-only compile break or panic fails
 # the gate without paying for timed samples.

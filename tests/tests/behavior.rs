@@ -45,7 +45,6 @@ fn s2_survives_total_misprediction() {
         let w = DependentReader {
             nprocs: 4,
             total_bytes: 8 << 20,
-            request_size: 64 * 1024,
             ..Default::default()
         };
         small()

@@ -35,11 +35,6 @@ fn gen_pattern() -> impl Strategy<Value = WorkloadExpr> {
                 min: 4096,
                 max: 32768,
             }),
-            Just(SizeDistr::Bimodal {
-                small: 4096,
-                large: 65536,
-                large_fraction: 0.25,
-            }),
         ],
         prop_oneof![
             Just(OffsetDistr::Sequential),
@@ -67,7 +62,6 @@ fn gen_expr(depth: u32) -> BoxedStrategy<WorkloadExpr> {
     if depth <= 1 {
         return gen_pattern().boxed();
     }
-    let child = gen_expr(depth - 1);
     prop_oneof![
         gen_pattern(),
         proptest::collection::vec(gen_expr(depth - 1), 1..3).prop_map(WorkloadExpr::Seq),
@@ -79,10 +73,6 @@ fn gen_expr(depth: u32) -> BoxedStrategy<WorkloadExpr> {
         (1u64..3, gen_expr(depth - 1)).prop_map(|(phases, body)| WorkloadExpr::Phased {
             phases,
             compute_secs: 0.001,
-            body: Box::new(body),
-        }),
-        child.prop_map(|body| WorkloadExpr::Scaled {
-            factor: 1.5,
             body: Box::new(body),
         }),
     ]
@@ -199,6 +189,46 @@ fn unknown_keys_in_enum_struct_variants_are_rejected() {
         err.contains("unknown field `burst_size`, expected `rate_per_sec`"),
         "{err}"
     );
+}
+
+/// A spec naming a retired DSL form, arrival process or preset field fails
+/// the load with serde's message naming it, instead of running something
+/// else. Each case edits `multitenant.json`; renaming a tag is enough, as
+/// the tag fails before its payload is read.
+#[test]
+fn deleted_vocabulary_fails_to_load_by_name() {
+    let raw = read_spec("multitenant.json");
+    let load_err = |json: &str| ExperimentSpec::from_json(json).expect_err("retired name");
+    for (tag, retired, expected) in [
+        ("poisson", "on_off", "expected `poisson`"),
+        ("poisson", "ramp", "expected `poisson`"),
+        ("fixed", "bimodal", "expected `fixed` or `uniform`"),
+        ("phased", "scaled", "`repeat`, `phased`"),
+    ] {
+        let from = format!("\"{tag}\": {{");
+        assert!(raw.contains(&from), "multitenant.json has no {tag}");
+        let err = load_err(&raw.replacen(&from, &format!("\"{retired}\": {{"), 1));
+        assert!(
+            err.contains(&format!("unknown variant `{retired}`")) && err.contains(expected),
+            "{err}"
+        );
+    }
+    // The closed-loop program's workload, swapped for a preset that sets
+    // a retired field.
+    let start = raw.find("\"workload\"").expect("a program workload");
+    let end = raw.find("\"strategy\"").expect("a program strategy");
+    for (workload, field) in [
+        (r#"{"btio": {"verify": true}}"#, "verify"),
+        (r#"{"hpio": {"region_size": 32768}}"#, "region_size"),
+    ] {
+        let json = format!(
+            "{}\"workload\": {workload},\n      {}",
+            &raw[..start],
+            &raw[end..]
+        );
+        let err = load_err(&json);
+        assert!(err.contains(&format!("unknown field `{field}`")), "{err}");
+    }
 }
 
 /// The v0-format specs (no `version` field, closed-enum-era tags) load,

@@ -49,12 +49,11 @@ fn run_demo(strategy: IoStrategy, io_ratio: f64, seg: u64) -> RunReport {
     // the vanilla system).
     let pilot = {
         let w = Demo {
-            nprocs: 8,
             file_size: 16 << 20,
             segment_size: seg,
             ..Default::default()
         };
-        let calls = (w.file_size / (w.segs_per_call * 8 * seg)).max(1);
+        let calls = (w.file_size / (Demo::SEGS_PER_CALL * 8 * seg)).max(1);
         let file_size = w.file_size;
         let r = small()
             .file("demo", file_size)
@@ -64,7 +63,6 @@ fn run_demo(strategy: IoStrategy, io_ratio: f64, seg: u64) -> RunReport {
         SimDuration::from_secs_f64(r.programs[0].elapsed().as_secs_f64() / calls as f64)
     };
     let w = Demo {
-        nprocs: 8,
         file_size: 64 << 20,
         segment_size: seg,
         compute_per_call: compute_for_io_ratio(pilot, io_ratio),
@@ -130,7 +128,6 @@ fn interference_removed_by_dualpar() {
             let w = MpiIoTest {
                 nprocs: 8,
                 file_size: 32 << 20,
-                request_size: 16 * 1024,
                 barrier_every: 1,
                 ..Default::default()
             };
@@ -175,7 +172,6 @@ fn adaptive_mode_switches_on_under_interference() {
         let w = MpiIoTest {
             nprocs: 8,
             file_size: 48 << 20,
-            request_size: 16 * 1024,
             // Sparse barriers keep the per-process I/O ratio above EMC's
             // 80% trigger (barrier waits count as computation, §IV-B).
             barrier_every: 8,
@@ -207,7 +203,6 @@ fn misprefetch_disables_mode_with_bounded_overhead() {
         let w = DependentReader {
             nprocs: 8,
             total_bytes: 16 << 20,
-            request_size: 64 * 1024,
             ..Default::default()
         };
         small()
@@ -245,7 +240,6 @@ fn dualpar_write_batching_wins() {
             rows: 4096, // 16 MB
             kind: IoKind::Write,
             collective: strategy == IoStrategy::Collective,
-            ..Default::default()
         };
         small()
             .file("ncw", w.file_size())

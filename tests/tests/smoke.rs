@@ -8,7 +8,6 @@ fn run_one(strategy: IoStrategy, kind: IoKind) -> RunReport {
     let w = MpiIoTest {
         nprocs: 4,
         file_size: 8 << 20,
-        request_size: 16 * 1024,
         kind,
         collective: strategy == IoStrategy::Collective,
         barrier_every: 4,

@@ -201,7 +201,6 @@ fn interference_trace_emits_exactly_the_schema() {
     let hpio = Hpio {
         nprocs: 16,
         region_count: 64,
-        ..Default::default()
     };
     let mut c = Experiment::darwin()
         .telemetry_config(TelemetryConfig {
