@@ -36,6 +36,18 @@ trace_sums() {
     (cd "$1" && sha256sum interference_small.jsonl multitenant.jsonl)
 }
 
+# GOLDEN_examples.sha256: the sums of every example's stdout, one line per
+# example in examples/*.rs order, named <example>.out. Args: directory the
+# outputs are written into.
+example_sums() {
+    local ex name
+    for ex in examples/*.rs; do
+        name="$(basename "$ex" .rs)"
+        cargo run --release --offline -q -p dualpar-bench --example "$name" > "$1/$name.out"
+        (cd "$1" && sha256sum "$name.out")
+    done
+}
+
 # BENCH_suite.json: the small figure-set suite. Args: artifact file, then
 # any further `suite` flags (the committed file is written with --jobs 1).
 small_suite() {

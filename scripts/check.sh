@@ -76,12 +76,12 @@ cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
 cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
     examples/specs/interference_v0.json > /dev/null
 
-# Example smoke: run every example once, so an example that panics or
-# exits non-zero fails the gate instead of only compiling (about 1 s).
-for ex in examples/*.rs; do
-    cargo run --release --offline -q -p dualpar-bench --example "$(basename "$ex" .rs)" \
-        > /dev/null
-done
+# Example pin: run every example once and diff the sums of their stdout
+# against the committed GOLDEN_examples.sha256, so an example that panics,
+# exits non-zero or prints anything different fails the gate (about 1.5 s).
+exs="$(mktemp -d /tmp/dualpar-examples.XXXXXX)"
+trap 'rm -rf "$traces" "$prof" "$dsl" "$exs"' EXIT
+diff bench_results/GOLDEN_examples.sha256 <(example_sums "$exs")
 
 # Criterion smoke: run each hot-path benchmark body once (`--test` mode of
 # the vendored criterion stub) so a bench-only compile break or panic fails
@@ -102,7 +102,7 @@ python3 perfbench/run.py --smoke
 # gate, and engine-speed
 # numbers timed into the log (see docs/BENCH.md).
 suite_out="$(mktemp -d /tmp/dualpar-suite.XXXXXX)"
-trap 'rm -rf "$traces" "$prof" "$dsl" "$suite_out"' EXIT
+trap 'rm -rf "$traces" "$prof" "$dsl" "$exs" "$suite_out"' EXIT
 time small_suite "$suite_out/BENCH_suite.json" --jobs "$(nproc)" --verify-serial \
     --timeout-secs 300
 
@@ -121,7 +121,7 @@ time small_suite "$suite_out/BENCH_suite.json" --jobs "$(nproc)" --verify-serial
 # committed all fail. The other committed artifacts (BENCH_*, GOLDEN_*,
 # PROFILE_*, TRACES.sha256) are gated above and below.
 figs="$(mktemp -d /tmp/dualpar-figs.XXXXXX)"
-trap 'rm -rf "$traces" "$prof" "$dsl" "$suite_out" "$figs"' EXIT
+trap 'rm -rf "$traces" "$prof" "$dsl" "$exs" "$suite_out" "$figs"' EXIT
 figures "$figs" "$(nproc)"
 committed_figs="$(git ls-files bench_results \
     | sed 's|^bench_results/||' | grep -v -e '^BENCH_' -e '^GOLDEN_' -e '^PROFILE_' -e '^TRACES\.')"
