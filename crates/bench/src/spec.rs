@@ -98,8 +98,9 @@ impl WorkloadSpec {
         }
     }
 
-    /// Reject impossible parameterisations: a malformed DSL expression, or
-    /// a preset field that a generator divides by set to zero. The error
+    /// Reject impossible parameterisations: a malformed DSL expression, a
+    /// preset field that a generator divides by set to zero, or a preset
+    /// file that would be empty though the generator reads it. The error
     /// names the field as `<preset>.<field>`.
     pub fn validate(&self) -> Result<(), String> {
         let (preset, field) = match self {
@@ -110,8 +111,10 @@ impl WorkloadSpec {
             Self::Noncontig(w) if w.nprocs == 0 => ("noncontig", "nprocs"),
             Self::Noncontig(w) if w.elmt_count == 0 => ("noncontig", "elmt_count"),
             Self::S3asim(w) if w.nprocs == 0 => ("s3asim", "nprocs"),
+            Self::S3asim(w) if w.db_size == 0 => ("s3asim", "db_size"),
             Self::Btio(w) if w.nprocs == 0 => ("btio", "nprocs"),
             Self::Btio(w) if w.steps == 0 => ("btio", "steps"),
+            Self::Btio(w) if w.dataset == 0 => ("btio", "dataset"),
             Self::Demo(w) if w.segment_size == 0 => ("demo", "segment_size"),
             Self::DependentReader(w) if w.nprocs == 0 => ("dependent_reader", "nprocs"),
             _ => return Ok(()),
@@ -413,6 +416,11 @@ mod tests {
             (r#"{"alloc": {}}"#, "alloc"),
             (r#"{"collective": {}}"#, "collective"),
             (r#"{"dualpar": {"list_io_pack": 64}}"#, "list_io_pack"),
+            (r#"{"sieve": {"buffer_bytes": 1024}}"#, "buffer_bytes"),
+            (
+                r#"{"sieve": {"min_useful_fraction": 0.0}}"#,
+                "min_useful_fraction",
+            ),
         ] {
             let json = format!(
                 r#"{{"cluster": {cluster},
@@ -425,10 +433,20 @@ mod tests {
 
     #[test]
     fn zero_cluster_shapes_are_rejected_naming_the_field() {
-        for field in ["num_data_servers", "num_compute_nodes", "stripe_size"] {
+        let mut cluster = ClusterConfig::default();
+        cluster.dualpar.sample_slot = dualpar_sim::SimDuration::ZERO;
+        let zero_slot = serde_json::to_string(&cluster).expect("serialise cluster");
+        for (cluster, field) in [
+            (r#"{"num_data_servers": 0}"#, "num_data_servers"),
+            (r#"{"num_compute_nodes": 0}"#, "num_compute_nodes"),
+            (r#"{"stripe_size": 0}"#, "stripe_size"),
+            // Unchecked, EMC's sampling tick reschedules itself at the
+            // same instant forever.
+            (zero_slot.as_str(), "dualpar.sample_slot"),
+        ] {
             let json = format!(
-                r#"{{"cluster": {{"{field}": 0}},
-                "programs": [{{"workload": {{"demo": {{}}}}, "strategy": "Vanilla"}}]}}"#
+                r#"{{"cluster": {cluster},
+                "programs": [{{"workload": {{"demo": {{}}}}, "strategy": "DualPar"}}]}}"#
             );
             let err = ExperimentSpec::from_json(&json).expect_err("zero cluster field");
             assert!(err.starts_with("cluster: ") && err.contains(field), "{err}");
@@ -437,8 +455,9 @@ mod tests {
 
     #[test]
     fn zero_preset_divisors_are_rejected_naming_the_field() {
-        // Unchecked, each of these divides by zero in its generator, or
-        // (hpio) builds a program of no ranks.
+        // Unchecked, each of these divides by zero in its generator,
+        // (hpio) builds a program of no ranks, or (btio.dataset,
+        // s3asim.db_size) reads a file that was never allocated.
         for (preset, field) in [
             ("mpi_io_test", "nprocs"),
             ("hpio", "nprocs"),
@@ -446,8 +465,10 @@ mod tests {
             ("noncontig", "nprocs"),
             ("noncontig", "elmt_count"),
             ("s3asim", "nprocs"),
+            ("s3asim", "db_size"),
             ("btio", "nprocs"),
             ("btio", "steps"),
+            ("btio", "dataset"),
             ("demo", "segment_size"),
             ("dependent_reader", "nprocs"),
         ] {

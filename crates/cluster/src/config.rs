@@ -1,6 +1,5 @@
 //! Cluster and experiment configuration.
 
-use crate::builder::ExperimentError;
 use dualpar_core::DualParConfig;
 use dualpar_disk::{DiskParams, SchedulerKind};
 use dualpar_mpiio::{ProgramScript, SieveConfig};
@@ -132,11 +131,68 @@ impl Default for ClusterConfig {
     }
 }
 
+/// Why a cluster or a program cannot be assembled: a [`ClusterConfig`]
+/// that [`ClusterConfig::validate`] rejects, or a script that
+/// [`Cluster::try_add_program`](crate::Cluster::try_add_program) rejects.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExperimentError {
+    /// `num_data_servers` is zero: the file system needs a data server.
+    NoServers,
+    /// `num_compute_nodes` is zero: processes need somewhere to run.
+    NoComputeNodes,
+    /// `stripe_size` is zero.
+    ZeroStripe,
+    /// `dualpar.sample_slot` is zero: EMC's sampling tick would never
+    /// advance simulated time.
+    ZeroSampleSlot,
+    /// A program's script has no ranks.
+    NoRanks {
+        /// The program's label.
+        program: String,
+    },
+    /// A program's ranks disagree on their barrier sequence.
+    InconsistentBarriers {
+        /// The program's label.
+        program: String,
+    },
+    /// A program references a file that was never created.
+    UnknownFile {
+        /// The program's label.
+        program: String,
+        /// The raw file id the script referenced.
+        file: u32,
+    },
+}
+
+impl std::fmt::Display for ExperimentError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExperimentError::NoServers => write!(f, "num_data_servers must be at least 1"),
+            ExperimentError::NoComputeNodes => write!(f, "num_compute_nodes must be at least 1"),
+            ExperimentError::ZeroStripe => write!(f, "stripe_size must be non-zero"),
+            ExperimentError::ZeroSampleSlot => write!(f, "dualpar.sample_slot must be non-zero"),
+            ExperimentError::NoRanks { program } => {
+                write!(f, "program {program:?} has no ranks")
+            }
+            ExperimentError::InconsistentBarriers { program } => {
+                write!(f, "program {program:?} has inconsistent barrier sequences")
+            }
+            ExperimentError::UnknownFile { program, file } => {
+                write!(
+                    f,
+                    "program {program:?} references file id {file} that was never created"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for ExperimentError {}
+
 impl ClusterConfig {
-    /// Reject a cluster that cannot run: zero data servers, compute nodes
-    /// or stripe size. Shared by [`Experiment::build`](crate::Experiment::build)
-    /// and the spec loader, so neither path can reach the simulator with
-    /// a degenerate shape.
+    /// Reject a cluster that cannot run: zero data servers, compute nodes,
+    /// stripe size or EMC sampling slot. The spec loader calls this, so no
+    /// spec reaches the simulator with a degenerate shape.
     pub fn validate(&self) -> Result<(), ExperimentError> {
         if self.num_data_servers == 0 {
             return Err(ExperimentError::NoServers);
@@ -146,6 +202,9 @@ impl ClusterConfig {
         }
         if self.stripe_size == 0 {
             return Err(ExperimentError::ZeroStripe);
+        }
+        if self.dualpar.sample_slot == SimDuration::ZERO {
+            return Err(ExperimentError::ZeroSampleSlot);
         }
         Ok(())
     }

@@ -3,9 +3,9 @@
 //! barriers, collective I/O) and `datadriven.rs` (DualPar phases and
 //! Strategy-2 prefetching).
 
-use crate::builder::ExperimentError;
 use crate::config::{
-    ClusterConfig, IoStrategy, ProgramSpec, MEM_BANDWIDTH, MSG_HEADER, NET_BANDWIDTH, NET_LATENCY,
+    ClusterConfig, ExperimentError, IoStrategy, ProgramSpec, MEM_BANDWIDTH, MSG_HEADER,
+    NET_BANDWIDTH, NET_LATENCY,
 };
 use crate::events::{Event, EventList};
 use crate::metrics::{ModeEvent, ProgramReport, RunReport};
@@ -397,6 +397,7 @@ impl Cluster {
     pub fn add_program(&mut self, spec: ProgramSpec) -> usize {
         match self.try_add_program(spec) {
             Ok(idx) => idx,
+            Err(ExperimentError::NoRanks { program }) => panic!("program {program} has no ranks"),
             Err(ExperimentError::InconsistentBarriers { program }) => {
                 panic!("program {program} has inconsistent barrier sequences")
             }
@@ -408,13 +409,19 @@ impl Cluster {
         }
     }
 
-    /// Register a program for execution and return its index, or return
-    /// the first fault of its script in rank, then op, order: a barrier
-    /// that departs from rank 0's sequence
+    /// Register a program for execution and return its index. A script of
+    /// no ranks is rejected ([`ExperimentError::NoRanks`]); otherwise the
+    /// first fault of the script in rank, then op, order is returned: a
+    /// barrier that departs from rank 0's sequence
     /// ([`ExperimentError::InconsistentBarriers`]) or a call to a file that
     /// was never created ([`ExperimentError::UnknownFile`]). One walk over
     /// the ops checks both; nothing is registered on error.
     pub fn try_add_program(&mut self, spec: ProgramSpec) -> Result<usize, ExperimentError> {
+        if spec.script.ranks.is_empty() {
+            return Err(ExperimentError::NoRanks {
+                program: spec.script.name,
+            });
+        }
         let mut files = FxHashSet::default();
         {
             let inconsistent = || ExperimentError::InconsistentBarriers {
@@ -1236,6 +1243,22 @@ mod tests {
     }
 
     #[test]
+    fn try_add_program_rejects_a_script_of_no_ranks() {
+        let mut c = Cluster::new(ClusterConfig::default());
+        let script = ProgramScript {
+            name: "empty".into(),
+            ranks: vec![],
+        };
+        assert_eq!(
+            c.try_add_program(ProgramSpec::new(script, IoStrategy::Vanilla)),
+            Err(ExperimentError::NoRanks {
+                program: "empty".into()
+            })
+        );
+        assert!(c.programs.is_empty(), "nothing registered on error");
+    }
+
+    #[test]
     #[should_panic(expected = "program p has inconsistent barrier sequences")]
     fn add_program_panics_on_inconsistent_barriers() {
         let mut c = Cluster::new(ClusterConfig::default());
@@ -1251,7 +1274,6 @@ mod tests {
 
     #[test]
     fn write_back_flush_replays_that_merge_at_dispatch_ack_nothing_twice() {
-        use crate::builder::Experiment;
         use crate::config::ServerWriteMode;
         use dualpar_telemetry::{TelemetryConfig, TelemetryLevel};
         // One server: each 400 KB write resolves to one 800-sector run, and
@@ -1261,34 +1283,32 @@ mod tests {
         // so the pending slab is live while the replays complete.
         let write = |file, off| Op::Io(IoCall::write(file, FileRegion::new(off, 400 << 10)));
         let read = |file, off| Op::Io(IoCall::read(file, FileRegion::new(off, 64 << 10)));
-        let mut c = Experiment::darwin()
-            .servers(1)
-            .server_write_mode(ServerWriteMode::WriteBack)
-            .trace_disks(true)
-            .telemetry_config(TelemetryConfig {
+        let mut c = Cluster::new(ClusterConfig {
+            num_data_servers: 1,
+            server_write_mode: ServerWriteMode::WriteBack,
+            trace_disks: true,
+            telemetry: TelemetryConfig {
                 level: TelemetryLevel::Counters,
                 spans: true,
                 ..TelemetryConfig::default()
-            })
-            .file("data", 8 << 20)
-            .program(IoStrategy::Vanilla, move |files| {
-                let f = files[0];
-                let mut reads = vec![Op::Compute(SimDuration::from_millis(990))];
-                reads.extend((0..40).map(|i| read(f, (4 << 20) + i * (64 << 10))));
-                ProgramScript {
-                    name: "wb".into(),
-                    ranks: vec![
-                        ProcessScript::new(vec![
-                            write(f, 0),
-                            write(f, 400 << 10),
-                            Op::Compute(SimDuration::from_secs(2)),
-                        ]),
-                        ProcessScript::new(reads),
-                    ],
-                }
-            })
-            .build()
-            .expect("valid experiment");
+            },
+            ..ClusterConfig::default()
+        });
+        let f = c.create_file("data", 8 << 20);
+        let mut reads = vec![Op::Compute(SimDuration::from_millis(990))];
+        reads.extend((0..40).map(|i| read(f, (4 << 20) + i * (64 << 10))));
+        let script = ProgramScript {
+            name: "wb".into(),
+            ranks: vec![
+                ProcessScript::new(vec![
+                    write(f, 0),
+                    write(f, 400 << 10),
+                    Op::Compute(SimDuration::from_secs(2)),
+                ]),
+                ProcessScript::new(reads),
+            ],
+        };
+        c.add_program(ProgramSpec::new(script, IoStrategy::Vanilla));
         let report = c.run();
         let counters = report.telemetry.expect("counters on").counters;
         let issued = c.next_sub_id;
@@ -1315,31 +1335,29 @@ mod tests {
     /// engine.ev.phase_timeout, engine.ev.ghost_done,
     /// engine.queue_depth_max, phases)`.
     fn run_ghost_program(compute: SimDuration) -> (u64, u64, u64, f64, u64) {
-        use crate::builder::Experiment;
-        use dualpar_telemetry::TelemetryLevel;
+        use dualpar_telemetry::{TelemetryConfig, TelemetryLevel};
         let read = |file, off| Op::Io(IoCall::read(file, FileRegion::new(off, 64 << 10)));
-        let report = Experiment::darwin()
-            .servers(2)
-            .telemetry(TelemetryLevel::Counters)
-            .file("data", 8 << 20)
-            .program(IoStrategy::DualParForced, move |files| {
-                let f = files[0];
-                let rank = |base: u64| {
-                    ProcessScript::new(vec![
-                        read(f, base),
-                        Op::Compute(compute),
-                        read(f, base + (1 << 20)),
-                        Op::Compute(compute),
-                        read(f, base + (2 << 20)),
-                    ])
-                };
-                ProgramScript {
-                    name: "ghosts".into(),
-                    ranks: vec![rank(0), rank(4 << 20)],
-                }
-            })
-            .run()
-            .expect("valid experiment");
+        let mut c = Cluster::new(ClusterConfig {
+            num_data_servers: 2,
+            telemetry: TelemetryConfig::at(TelemetryLevel::Counters),
+            ..ClusterConfig::default()
+        });
+        let f = c.create_file("data", 8 << 20);
+        let rank = |base: u64| {
+            ProcessScript::new(vec![
+                read(f, base),
+                Op::Compute(compute),
+                read(f, base + (1 << 20)),
+                Op::Compute(compute),
+                read(f, base + (2 << 20)),
+            ])
+        };
+        let script = ProgramScript {
+            name: "ghosts".into(),
+            ranks: vec![rank(0), rank(4 << 20)],
+        };
+        c.add_program(ProgramSpec::new(script, IoStrategy::DualParForced));
+        let report = c.run();
         let tele = report.telemetry.expect("counters on");
         let counter = |name: &str| tele.counters.get(name).copied().unwrap_or(0);
         (

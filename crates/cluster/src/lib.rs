@@ -6,6 +6,14 @@
 //! global cache, and the DualPar policy modules — executing programs under
 //! any of the five I/O strategies (vanilla, collective, prefetch-overlap,
 //! forced data-driven, adaptive DualPar).
+//!
+//! A cluster is assembled with [`Cluster::new`] from a [`ClusterConfig`],
+//! [`Cluster::create_file`] for each file, [`Cluster::add_program`] (or
+//! [`Cluster::try_add_program`], which returns an [`ExperimentError`]
+//! instead of panicking) for each program once the files it names exist,
+//! and [`Cluster::run`]. The preset and DSL workloads are assembled this
+//! way from a JSON-serializable experiment spec by the `dualpar-bench`
+//! crate (`ExperimentSpec` and `build_cluster`).
 
 mod datadriven;
 mod engine;
@@ -13,12 +21,10 @@ mod events;
 mod exec;
 mod server;
 
-pub mod builder;
 pub mod config;
 pub mod metrics;
 
-pub use builder::{Experiment, ExperimentError};
-pub use config::{ClusterConfig, IoStrategy, ProgramSpec, ServerWriteMode};
+pub use config::{ClusterConfig, ExperimentError, IoStrategy, ProgramSpec, ServerWriteMode};
 pub use dualpar_telemetry::{
     folded, SpanProfile, Telemetry, TelemetryConfig, TelemetryLevel, TelemetrySnapshot,
 };
@@ -27,8 +33,9 @@ pub use metrics::{ModeEvent, ProgramReport, RunReport};
 
 /// One-line import for experiment scripts: `use dualpar_cluster::prelude::*;`.
 pub mod prelude {
-    pub use crate::builder::{Experiment, ExperimentError};
-    pub use crate::config::{ClusterConfig, IoStrategy, ProgramSpec, ServerWriteMode};
+    pub use crate::config::{
+        ClusterConfig, ExperimentError, IoStrategy, ProgramSpec, ServerWriteMode,
+    };
     pub use crate::engine::Cluster;
     pub use crate::metrics::{ModeEvent, ProgramReport, RunReport};
     pub use dualpar_disk::{IoKind, SchedulerKind};

@@ -13,30 +13,24 @@ use dualpar_pfs::{FileId, FileRegion};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 
-/// Data-sieving policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Data-sieving policy: off by default.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct SieveConfig {
     /// Apply sieving at all.
     pub enabled: bool,
-    /// Maximum extent read at once (ROMIO `ind_rd_buffer_size`, 4 MB
-    /// default).
-    pub buffer_bytes: u64,
-    /// Do not sieve unless the useful fraction of the extent is at least
-    /// this much (pure overhead guard; ROMIO always sieves reads, but a
-    /// threshold keeps the model honest for pathological strides).
-    pub min_useful_fraction: f64,
 }
 
-impl Default for SieveConfig {
-    fn default() -> Self {
-        SieveConfig {
-            enabled: false,
-            buffer_bytes: 4 << 20,
-            min_useful_fraction: 0.0625, // 1/16th useful is still a win on disk
-        }
-    }
+impl SieveConfig {
+    /// Maximum extent read at once: ROMIO's default `ind_rd_buffer_size`.
+    pub const BUFFER_BYTES: u64 = 4 << 20;
 }
+
+/// Do not sieve unless the useful fraction of the extent is at least this
+/// much: a pure overhead guard (ROMIO always sieves reads, but a threshold
+/// keeps the model honest for pathological strides; 1/16th useful is still
+/// a win on disk).
+const MIN_USEFUL_FRACTION: f64 = 0.0625;
 
 /// Plan the accesses for one independent strided call.
 ///
@@ -61,7 +55,7 @@ pub fn plan_strided<R: Borrow<FileRegion>>(
     if !cfg.enabled {
         return regions.map(single).collect();
     }
-    // Greedily grow sieve windows bounded by buffer_bytes. A window of one
+    // Greedily grow sieve windows bounded by BUFFER_BYTES. A window of one
     // region is issued as it is.
     let mut out = Vec::new();
     let mut window: Vec<FileRegion> = Vec::new();
@@ -72,7 +66,7 @@ pub fn plan_strided<R: Borrow<FileRegion>>(
         let last_end = window.last().expect("window checked non-empty").end();
         let cover = FileRegion::new(window[0].offset, last_end - window[0].offset);
         let useful: u64 = window.iter().map(|r| r.len).sum();
-        if window.len() >= 2 && (useful as f64) >= cfg.min_useful_fraction * cover.len as f64 {
+        if window.len() >= 2 && (useful as f64) >= MIN_USEFUL_FRACTION * cover.len as f64 {
             out.push(CoalescedIo {
                 file,
                 cover,
@@ -91,7 +85,7 @@ pub fn plan_strided<R: Borrow<FileRegion>>(
             Some(first) => r.end() - first.offset,
             None => r.len,
         };
-        if !window.is_empty() && would_span > cfg.buffer_bytes {
+        if !window.is_empty() && would_span > SieveConfig::BUFFER_BYTES {
             flush(&mut window, &mut out);
         }
         window.push(r);
@@ -109,10 +103,7 @@ mod tests {
     }
 
     fn on() -> SieveConfig {
-        SieveConfig {
-            enabled: true,
-            ..SieveConfig::default()
-        }
+        SieveConfig { enabled: true }
     }
 
     #[test]
@@ -144,17 +135,16 @@ mod tests {
 
     #[test]
     fn buffer_bound_splits_windows() {
-        let cfg = SieveConfig {
-            enabled: true,
-            buffer_bytes: 1024,
-            min_useful_fraction: 0.0,
-        };
-        let regions: Vec<FileRegion> = (0..10).map(|i| r(i * 512, 256)).collect();
-        let out = plan_strided(FileId(1), &regions, &cfg);
+        // 256 KB every 512 KB over 5 MB: half useful, spanning more than
+        // the 4 MB buffer.
+        let regions: Vec<FileRegion> = (0..10).map(|i| r(i << 19, 256 << 10)).collect();
+        let out = plan_strided(FileId(1), &regions, &on());
         assert!(out.len() > 1);
-        assert!(out.iter().all(|io| io.cover.len <= 1024));
+        assert!(out
+            .iter()
+            .all(|io| io.cover.len <= SieveConfig::BUFFER_BYTES));
         let useful: u64 = out.iter().map(|io| io.useful_bytes()).sum();
-        assert_eq!(useful, 2560);
+        assert_eq!(useful, 10 * (256 << 10));
     }
 
     #[test]

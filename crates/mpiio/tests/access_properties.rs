@@ -85,11 +85,10 @@ proptest! {
         let merged = sort_and_merge(
             items.iter().map(|&(o, l)| (FileId(1), FileRegion::new(o, l))).collect());
         let rs: Vec<FileRegion> = merged.into_iter().map(|(_, r)| r).collect();
-        let cfg = SieveConfig { enabled, ..SieveConfig::default() };
-        let plan = plan_strided(FileId(1), &rs, &cfg);
+        let plan = plan_strided(FileId(1), &rs, &SieveConfig { enabled });
         let mut got = RangeSet::new();
         for io in &plan {
-            prop_assert!(io.cover.len <= cfg.buffer_bytes.max(io.useful_bytes()));
+            prop_assert!(io.cover.len <= SieveConfig::BUFFER_BYTES.max(io.useful_bytes()));
             for u in &io.useful {
                 got.insert(u.offset, u.len);
             }

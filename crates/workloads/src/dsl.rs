@@ -25,13 +25,12 @@
 //! [`instance_seed`], keeping concurrent tenants decorrelated but
 //! reproducible.
 
-use crate::arrivals::{instance_seed, Arrivals};
+use crate::arrivals::instance_seed;
 use crate::common::{build_program, compute, io_region};
 use crate::distr::{zipf_rank, OffsetDistr, SizeDistr};
-use dualpar_cluster::{Experiment, IoStrategy};
 use dualpar_mpiio::{IoKind, Op, ProgramScript};
 use dualpar_pfs::FileId;
-use dualpar_sim::{DetRng, SimDuration, SimTime};
+use dualpar_sim::{DetRng, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// Maximum expression-tree depth accepted by [`DslWorkload::validate`].
@@ -462,54 +461,9 @@ impl DslWorkload {
     }
 }
 
-/// Extension methods wiring the DSL and arrival layer into the fluent
-/// [`Experiment`] builder. A blanket trait (rather than inherent methods)
-/// keeps the cluster crate free of any workload-layer dependency.
-pub trait OpenLoopExt: Sized {
-    /// Declare the workload's backing file and add one program running the
-    /// expression under `strategy`, starting at time zero.
-    fn workload_expr(self, strategy: IoStrategy, w: &DslWorkload) -> Self;
-
-    /// Open-loop admission: expand `arrivals` into concrete start times and
-    /// add one decorrelated instance of `w` (own file, own seed, label
-    /// `{name}-a{i}`) per arrival. With a zero-arrival process this adds
-    /// nothing — the builder then reports `NoPrograms` unless other
-    /// programs exist.
-    fn arrivals(self, strategy: IoStrategy, w: &DslWorkload, arrivals: &Arrivals) -> Self;
-}
-
-impl OpenLoopExt for Experiment {
-    fn workload_expr(self, strategy: IoStrategy, w: &DslWorkload) -> Self {
-        let idx = self.files_declared();
-        let w = w.clone();
-        self.file(w.name.clone(), w.file_size)
-            .program(strategy, move |files| w.build(files[idx]))
-    }
-
-    fn arrivals(mut self, strategy: IoStrategy, w: &DslWorkload, arrivals: &Arrivals) -> Self {
-        let starts: Vec<SimTime> = arrivals
-            .times()
-            .into_iter()
-            .map(SimTime::from_secs_f64)
-            .collect();
-        let base = self.files_declared();
-        let mut instances = Vec::with_capacity(starts.len());
-        for i in 0..starts.len() {
-            let mut wi = w.reseeded(i as u64);
-            wi.name = format!("{}-a{i}", w.name);
-            self = self.file(wi.name.clone(), wi.file_size);
-            instances.push(wi);
-        }
-        self.program_instances(strategy, &starts, move |i, files| {
-            instances[i].build(files[base + i])
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::ArrivalProcess;
 
     fn leaf(ops: u64) -> WorkloadExpr {
         WorkloadExpr::Pattern(AccessPattern {
@@ -822,32 +776,5 @@ mod tests {
         let back: DslWorkload = serde_json::from_str(&json).expect("parse");
         assert_eq!(back, w);
         assert_eq!(back.build(FileId(1)), w.build(FileId(1)));
-    }
-
-    #[test]
-    fn builder_extension_runs_open_loop_instances() {
-        let w = DslWorkload {
-            name: "tenant".into(),
-            nprocs: 2,
-            file_size: 4 << 20,
-            expr: leaf(8),
-            ..DslWorkload::default()
-        };
-        let arr = Arrivals {
-            process: ArrivalProcess::Poisson { rate_per_sec: 2.0 },
-            horizon_secs: 3.0,
-            seed: 5,
-            max_instances: 4,
-        };
-        let n = arr.times().len();
-        assert!(n >= 1, "expected at least one arrival in 3s at rate 2/s");
-        let report = Experiment::darwin()
-            .servers(3)
-            .compute_nodes(2)
-            .workload_expr(IoStrategy::Vanilla, &w)
-            .arrivals(IoStrategy::DualPar, &w, &arr)
-            .run()
-            .expect("valid experiment");
-        assert_eq!(report.programs.len(), 1 + n);
     }
 }

@@ -19,5 +19,5 @@ pub mod suite;
 pub use arrivals::{instance_seed, ArrivalProcess, Arrivals};
 pub use common::{build_program, compute, compute_for_io_ratio, io_region};
 pub use distr::{OffsetDistr, SizeDistr};
-pub use dsl::{AccessPattern, DslWorkload, OpenLoopExt, WorkloadExpr};
+pub use dsl::{AccessPattern, DslWorkload, WorkloadExpr};
 pub use suite::{Btio, Demo, DependentReader, Hpio, IorMpiIo, MpiIoTest, Noncontig, S3asim};

@@ -9,6 +9,7 @@
 //! cargo run --release -p dualpar-bench --example checkpoint
 //! ```
 
+use dualpar_bench::{build_cluster, ExperimentSpec, ProgramEntry};
 use dualpar_cluster::prelude::*;
 use dualpar_workloads::Btio;
 
@@ -27,11 +28,15 @@ fn main() {
             collective: strategy == IoStrategy::Collective,
             ..Default::default()
         };
-        let report = Experiment::darwin()
-            .file("checkpoint.bt", workload.file_size())
-            .program(strategy, move |files| workload.build(files[0]))
-            .run()
-            .expect("valid experiment");
+        let spec = ExperimentSpec {
+            programs: vec![ProgramEntry {
+                workload: workload.into(),
+                strategy,
+                start_secs: 0.0,
+            }],
+            ..ExperimentSpec::default()
+        };
+        let report = build_cluster(&spec).run();
         let p = &report.programs[0];
         let thr = p.throughput_mbps();
         let speedup = base.map(|b: f64| thr / b).unwrap_or(1.0);

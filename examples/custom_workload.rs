@@ -73,11 +73,10 @@ fn main() {
         BLOCKS * BLOCKS
     );
     for strategy in [IoStrategy::Vanilla, IoStrategy::DualPar] {
-        let report = Experiment::darwin()
-            .file("field.dat", bytes)
-            .program(strategy, |files| build(files[0]))
-            .run()
-            .expect("valid experiment");
+        let mut cluster = Cluster::new(ClusterConfig::default());
+        let file = cluster.create_file("field.dat", bytes);
+        cluster.add_program(ProgramSpec::new(build(file), strategy));
+        let report = cluster.run();
         let p = &report.programs[0];
         println!(
             "{:<10} {:>7.2} s  wrote {:>6.1} MB  read {:>5.1} MB  {} phases  {} mode switches",

@@ -49,25 +49,24 @@ fn run(adaptive: bool, scenario: &Scenario) {
         region_count: if scenario.small { 64 } else { 1024 },
     };
     let hpio_start = if scenario.small { 1 } else { 10 };
-    let mut experiment = Experiment::darwin()
-        .file("stream", stream.file_size)
-        .file("hpio", hpio.file_size())
-        .program(strategy, move |files| stream.build(files[0]))
-        .program_at(strategy, SimTime::from_secs(hpio_start), move |files| {
-            let mut late = hpio.build(files[1]);
-            late.name = "hpio".into();
-            late
-        });
     // Trace only the adaptive run: it is the one exercising EMC/PEC/CRM.
     let tracing = adaptive && scenario.trace.is_some();
+    let mut cfg = ClusterConfig::default();
     if tracing {
-        experiment = experiment.telemetry_config(TelemetryConfig {
+        cfg.telemetry = TelemetryConfig {
             level: TelemetryLevel::Trace,
             trace_capacity: 1 << 22,
             spans: false,
-        });
+        };
     }
-    let mut cluster = experiment.build().expect("valid experiment");
+    let mut cluster = Cluster::new(cfg);
+    let stream_file = cluster.create_file("stream", stream.file_size);
+    let hpio_file = cluster.create_file("hpio", hpio.file_size());
+    cluster.add_program(ProgramSpec::new(stream.build(stream_file), strategy));
+    let mut late = hpio.build(hpio_file);
+    late.name = "hpio".into();
+    cluster
+        .add_program(ProgramSpec::new(late, strategy).starting_at(SimTime::from_secs(hpio_start)));
     let report = cluster.run();
     if tracing {
         let path = scenario.trace.as_deref().expect("checked above");

@@ -12,10 +12,10 @@
 //!
 //! See `docs/WORKLOADS.md` for the DSL grammar and seeding rules.
 
+use dualpar_bench::{build_cluster, ArrivalEntry, ExperimentSpec, ProgramEntry, WorkloadSpec};
 use dualpar_cluster::prelude::*;
 use dualpar_workloads::{
-    AccessPattern, ArrivalProcess, Arrivals, DslWorkload, OffsetDistr, OpenLoopExt, SizeDistr,
-    WorkloadExpr,
+    AccessPattern, ArrivalProcess, Arrivals, DslWorkload, OffsetDistr, SizeDistr, WorkloadExpr,
 };
 
 fn main() {
@@ -62,11 +62,21 @@ fn main() {
         ..Arrivals::default()
     };
 
-    let report = Experiment::darwin()
-        .workload_expr(IoStrategy::DualPar, &checkpointer)
-        .arrivals(IoStrategy::DualPar, &reader, &poisson)
-        .run()
-        .expect("valid experiment");
+    // Every instance of the stream is named after it and gets its own file.
+    let spec = ExperimentSpec {
+        programs: vec![ProgramEntry {
+            workload: WorkloadSpec::dsl(checkpointer),
+            strategy: IoStrategy::DualPar,
+            start_secs: 0.0,
+        }],
+        arrivals: vec![ArrivalEntry {
+            workload: WorkloadSpec::dsl(reader),
+            strategy: IoStrategy::DualPar,
+            arrivals: poisson,
+        }],
+        ..ExperimentSpec::default()
+    };
+    let report = build_cluster(&spec).run();
 
     println!(
         "{:<16} {:>9} {:>9} {:>8}",

@@ -5,6 +5,7 @@
 //! cargo run --release -p dualpar-bench --example quickstart
 //! ```
 
+use dualpar_bench::{build_cluster, ExperimentSpec, ProgramEntry};
 use dualpar_cluster::prelude::*;
 use dualpar_workloads::MpiIoTest;
 
@@ -18,12 +19,19 @@ fn main() {
             file_size: 256 << 20,
             ..Default::default()
         };
-        let report = Experiment::darwin()
-            .telemetry(TelemetryLevel::Counters)
-            .file("dataset.bin", workload.file_size)
-            .program(strategy, move |files| workload.build(files[0]))
-            .run()
-            .expect("valid experiment");
+        let spec = ExperimentSpec {
+            cluster: ClusterConfig {
+                telemetry: TelemetryConfig::at(TelemetryLevel::Counters),
+                ..ClusterConfig::default()
+            },
+            programs: vec![ProgramEntry {
+                workload: workload.into(),
+                strategy,
+                start_secs: 0.0,
+            }],
+            ..ExperimentSpec::default()
+        };
+        let report = build_cluster(&spec).run();
         let p = &report.programs[0];
         let seek = report
             .telemetry

@@ -6,6 +6,7 @@
 //! cargo run --release -p dualpar-bench --example seqsearch
 //! ```
 
+use dualpar_bench::{build_cluster, ExperimentSpec, ProgramEntry};
 use dualpar_cluster::prelude::*;
 use dualpar_workloads::S3asim;
 
@@ -16,28 +17,26 @@ fn main() {
         IoStrategy::Collective,
         IoStrategy::DualParForced,
     ] {
-        let mut exp = Experiment::darwin();
-        for i in 0..3u64 {
-            let workload = S3asim {
-                nprocs: 32,
-                queries: 16,
-                db_size: 256 << 20,
-                result_size: 64 << 20,
-                collective: strategy == IoStrategy::Collective,
-                seed: 7 + i,
-            };
-            exp = exp
-                .file(format!("db{i}"), workload.db_size)
-                .file(format!("results{i}"), workload.result_size)
-                .program(strategy, move |files| {
-                    // Files land in declaration order: (db, results) pairs.
-                    let (db, res) = (files[2 * i as usize], files[2 * i as usize + 1]);
-                    let mut script = workload.build(db, res);
-                    script.name = format!("s3asim{i}");
-                    script
-                });
-        }
-        let report = exp.run().expect("valid experiment");
+        let programs = (0..3u64)
+            .map(|i| ProgramEntry {
+                workload: S3asim {
+                    nprocs: 32,
+                    queries: 16,
+                    db_size: 256 << 20,
+                    result_size: 64 << 20,
+                    collective: strategy == IoStrategy::Collective,
+                    seed: 7 + i,
+                }
+                .into(),
+                strategy,
+                start_secs: 0.0,
+            })
+            .collect();
+        let spec = ExperimentSpec {
+            programs,
+            ..ExperimentSpec::default()
+        };
+        let report = build_cluster(&spec).run();
         let total_io: f64 = report.programs.iter().map(|p| p.mean_io_time_secs()).sum();
         println!(
             "{:<16} total I/O time {:>7.1} s   makespan {:>6.1} s   aggregate {:>6.1} MB/s",

@@ -100,23 +100,17 @@ fn build_script(bodies: &[Vec<GenOp>], rank_region: u64) -> ProgramScript {
 /// Run a script with trace-level telemetry and return the cluster so the
 /// caller can inspect (or export) the in-process ring buffer.
 fn traced_run(script: &ProgramScript, strategy: IoStrategy, sched: SchedulerKind) -> Cluster {
-    let script = script.clone();
-    let mut cluster = Experiment::darwin()
-        .servers(3)
-        .compute_nodes(2)
-        .scheduler(sched)
-        .telemetry_config(TelemetryConfig {
+    let mut cluster = Cluster::new(ClusterConfig {
+        scheduler: sched,
+        telemetry: TelemetryConfig {
             level: TelemetryLevel::Trace,
             trace_capacity: 1 << 20,
             spans: true,
-        })
-        .file("f", FILE_SIZE)
-        .program(strategy, move |files| {
-            assert_eq!(files[0], FileId(1));
-            script
-        })
-        .build()
-        .expect("valid experiment");
+        },
+        ..dualpar_bench::small_cluster()
+    });
+    assert_eq!(cluster.create_file("f", FILE_SIZE), FileId(1));
+    cluster.add_program(ProgramSpec::new(script.clone(), strategy));
     let report = cluster.run();
     let snap = report.telemetry.expect("telemetry is on");
     assert_eq!(snap.trace_dropped, 0, "trace ring overflowed in test");

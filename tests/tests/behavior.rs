@@ -2,12 +2,9 @@
 //! flushes, mode reversion, cache pressure, degenerate cluster shapes,
 //! and collective edge cases.
 
+use dualpar_bench::{build_cluster, small_cluster, ExperimentSpec, ProgramEntry};
 use dualpar_cluster::prelude::*;
 use dualpar_workloads::{DependentReader, MpiIoTest, Noncontig};
-
-fn small() -> Experiment {
-    Experiment::darwin().servers(3).compute_nodes(2)
-}
 
 /// Buffered writes that never fill the quota must still reach the disks
 /// via the final flush when the program completes.
@@ -19,12 +16,18 @@ fn final_flush_writes_buffered_data() {
         kind: IoKind::Write,
         ..Default::default()
     };
-    let r = small()
-        .tune(|cfg| cfg.dualpar.cache_quota = 64 << 20) // far larger than the footprint
-        .file("w", w.file_size)
-        .program(IoStrategy::DualParForced, move |files| w.build(files[0]))
-        .run()
-        .expect("valid experiment");
+    let mut cluster = small_cluster();
+    cluster.dualpar.cache_quota = 64 << 20; // far larger than the footprint
+    let r = build_cluster(&ExperimentSpec {
+        cluster,
+        programs: vec![ProgramEntry {
+            workload: w.into(),
+            strategy: IoStrategy::DualParForced,
+            start_secs: 0.0,
+        }],
+        ..ExperimentSpec::default()
+    })
+    .run();
     assert_eq!(r.programs[0].phases, 0, "quota never fills");
     assert_eq!(r.programs[0].bytes_written, 4 << 20);
     // Every buffered byte must have hit a disk (write-through has no other
@@ -47,11 +50,16 @@ fn s2_survives_total_misprediction() {
             total_bytes: 8 << 20,
             ..Default::default()
         };
-        small()
-            .file("dep", w.file_size())
-            .program(strategy, move |files| w.build(files[0]))
-            .run()
-            .expect("valid experiment")
+        build_cluster(&ExperimentSpec {
+            cluster: small_cluster(),
+            programs: vec![ProgramEntry {
+                workload: w.into(),
+                strategy,
+                start_secs: 0.0,
+            }],
+            ..ExperimentSpec::default()
+        })
+        .run()
     };
     let v = run(IoStrategy::Vanilla);
     let s2 = run(IoStrategy::PrefetchOverlap);
@@ -75,12 +83,18 @@ fn dualpar_correct_under_cache_pressure() {
     };
     // Room for only two chunks per node: almost everything prefetched is
     // evicted before use; the eviction path still runs at phase boundaries.
-    let r = small()
-        .tune(|cfg| cfg.dualpar.cache_quota = 1 << 20)
-        .file("p", w.file_size)
-        .program(IoStrategy::DualParForced, move |files| w.build(files[0]))
-        .run()
-        .expect("valid experiment");
+    let mut cluster = small_cluster();
+    cluster.dualpar.cache_quota = 1 << 20;
+    let r = build_cluster(&ExperimentSpec {
+        cluster,
+        programs: vec![ProgramEntry {
+            workload: w.into(),
+            strategy: IoStrategy::DualParForced,
+            start_secs: 0.0,
+        }],
+        ..ExperimentSpec::default()
+    })
+    .run();
     assert_eq!(r.programs[0].bytes_read, 4 << 20);
 }
 
@@ -99,13 +113,20 @@ fn single_server_single_node() {
             collective: strategy == IoStrategy::Collective,
             ..Default::default()
         };
-        let r = Experiment::darwin()
-            .servers(1)
-            .compute_nodes(1)
-            .file("x", w.file_size)
-            .program(strategy, move |files| w.build(files[0]))
-            .run()
-            .expect("valid experiment");
+        let r = build_cluster(&ExperimentSpec {
+            cluster: ClusterConfig {
+                num_data_servers: 1,
+                num_compute_nodes: 1,
+                ..ClusterConfig::default()
+            },
+            programs: vec![ProgramEntry {
+                workload: w.into(),
+                strategy,
+                start_secs: 0.0,
+            }],
+            ..ExperimentSpec::default()
+        })
+        .run();
         assert_eq!(
             r.programs[0].bytes_read,
             1 << 20,
@@ -118,25 +139,23 @@ fn single_server_single_node() {
 /// A collective call where some ranks contribute nothing.
 #[test]
 fn collective_with_empty_ranks() {
-    let r = small()
-        .file("x", 1 << 20)
-        .program(IoStrategy::Collective, |files| {
-            let mk_call = |regions: Vec<FileRegion>| {
-                let mut call = IoCall::read(files[0], regions);
-                call.collective = true;
-                Op::Io(call)
-            };
-            ProgramScript {
-                name: "lopsided".into(),
-                ranks: vec![
-                    ProcessScript::new(vec![mk_call(vec![FileRegion::new(0, 65536)])]),
-                    ProcessScript::new(vec![mk_call(vec![])]), // nothing to read
-                    ProcessScript::new(vec![mk_call(vec![FileRegion::new(131072, 65536)])]),
-                ],
-            }
-        })
-        .run()
-        .expect("valid experiment");
+    let mut c = Cluster::new(small_cluster());
+    let file = c.create_file("x", 1 << 20);
+    let mk_call = |regions: Vec<FileRegion>| {
+        let mut call = IoCall::read(file, regions);
+        call.collective = true;
+        Op::Io(call)
+    };
+    let script = ProgramScript {
+        name: "lopsided".into(),
+        ranks: vec![
+            ProcessScript::new(vec![mk_call(vec![FileRegion::new(0, 65536)])]),
+            ProcessScript::new(vec![mk_call(vec![])]), // nothing to read
+            ProcessScript::new(vec![mk_call(vec![FileRegion::new(131072, 65536)])]),
+        ],
+    };
+    c.add_program(ProgramSpec::new(script, IoStrategy::Collective));
+    let r = c.run();
     assert_eq!(r.programs[0].bytes_read, 2 * 65536);
 }
 
@@ -144,24 +163,22 @@ fn collective_with_empty_ranks() {
 /// not deadlock.
 #[test]
 fn collective_all_empty_does_not_deadlock() {
-    let r = small()
-        .file("x", 1 << 20)
-        .program(IoStrategy::Collective, |files| {
-            let mk = |regions: Vec<FileRegion>| {
-                let mut call = IoCall::read(files[0], regions);
-                call.collective = true;
-                Op::Io(call)
-            };
-            ProgramScript {
-                name: "empty".into(),
-                ranks: vec![
-                    ProcessScript::new(vec![mk(vec![]), mk(vec![FileRegion::new(0, 4096)])]),
-                    ProcessScript::new(vec![mk(vec![]), mk(vec![FileRegion::new(4096, 4096)])]),
-                ],
-            }
-        })
-        .run()
-        .expect("valid experiment");
+    let mut c = Cluster::new(small_cluster());
+    let file = c.create_file("x", 1 << 20);
+    let mk = |regions: Vec<FileRegion>| {
+        let mut call = IoCall::read(file, regions);
+        call.collective = true;
+        Op::Io(call)
+    };
+    let script = ProgramScript {
+        name: "empty".into(),
+        ranks: vec![
+            ProcessScript::new(vec![mk(vec![]), mk(vec![FileRegion::new(0, 4096)])]),
+            ProcessScript::new(vec![mk(vec![]), mk(vec![FileRegion::new(4096, 4096)])]),
+        ],
+    };
+    c.add_program(ProgramSpec::new(script, IoStrategy::Collective));
+    let r = c.run();
     assert_eq!(r.programs[0].bytes_read, 8192);
 }
 
@@ -178,12 +195,18 @@ fn server_writeback_acks_early_and_flushes() {
             kind: IoKind::Write,
             ..Default::default()
         };
-        let mut c = small()
-            .server_write_mode(mode)
-            .file("wb", w.file_size)
-            .program(IoStrategy::Vanilla, move |files| w.build(files[0]))
-            .build()
-            .expect("valid experiment");
+        let mut c = build_cluster(&ExperimentSpec {
+            cluster: ClusterConfig {
+                server_write_mode: mode,
+                ..small_cluster()
+            },
+            programs: vec![ProgramEntry {
+                workload: w.into(),
+                strategy: IoStrategy::Vanilla,
+                start_secs: 0.0,
+            }],
+            ..ExperimentSpec::default()
+        });
         let r = c.run();
         // Drain any outstanding flush events so disks settle.
         let disk_bytes: u64 = (0..3).map(|s| c.disk(s).bytes_serviced()).sum();
@@ -201,23 +224,23 @@ fn server_writeback_acks_early_and_flushes() {
 /// EMC diagnostics: the improvement signal is recorded for adaptive runs.
 #[test]
 fn emc_improvement_signal_recorded() {
-    let mut exp = small();
-    for i in 0..2usize {
-        let w = MpiIoTest {
-            nprocs: 8,
-            file_size: 24 << 20,
-            barrier_every: 8,
-            ..Default::default()
-        };
-        exp = exp
-            .file(format!("f{i}"), w.file_size)
-            .program(IoStrategy::DualPar, move |files| {
-                let mut s = w.build(files[i]);
-                s.name = format!("i{i}");
-                s
-            });
-    }
-    let r = exp.run().expect("valid experiment");
+    let w = MpiIoTest {
+        nprocs: 8,
+        file_size: 24 << 20,
+        barrier_every: 8,
+        ..Default::default()
+    };
+    let program = ProgramEntry {
+        workload: w.into(),
+        strategy: IoStrategy::DualPar,
+        start_secs: 0.0,
+    };
+    let r = build_cluster(&ExperimentSpec {
+        cluster: small_cluster(),
+        programs: vec![program.clone(), program],
+        ..ExperimentSpec::default()
+    })
+    .run();
     assert!(
         !r.emc_improvement.is_empty(),
         "adaptive runs must record the EMC improvement signal"
@@ -229,35 +252,32 @@ fn emc_improvement_signal_recorded() {
 /// handles both directions and the bytes balance.
 #[test]
 fn collective_mixed_read_write() {
-    let r = small()
-        .file("x", 2 << 20)
-        .program(IoStrategy::Collective, |files| {
-            let f = files[0];
-            let mk = |kind: IoKind, regions: Vec<FileRegion>| {
-                Op::Io(IoCall {
-                    kind,
-                    file: f,
-                    regions: regions.into_iter().filter(|r| r.len > 0).collect(),
-                    collective: true,
-                })
-            };
-            let nprocs = 4usize;
-            let slab = (2 << 20) / nprocs as u64;
-            ProgramScript {
-                name: "rw".into(),
-                ranks: (0..nprocs as u64)
-                    .map(|r| {
-                        ProcessScript::new(vec![
-                            mk(IoKind::Write, vec![FileRegion::new(r * slab, slab)]),
-                            Op::Barrier(0),
-                            mk(IoKind::Read, vec![FileRegion::new(r * slab, slab)]),
-                        ])
-                    })
-                    .collect(),
-            }
+    let mut c = Cluster::new(small_cluster());
+    let f = c.create_file("x", 2 << 20);
+    let mk = |kind: IoKind, regions: Vec<FileRegion>| {
+        Op::Io(IoCall {
+            kind,
+            file: f,
+            regions: regions.into_iter().filter(|r| r.len > 0).collect(),
+            collective: true,
         })
-        .run()
-        .expect("valid experiment");
+    };
+    let nprocs = 4usize;
+    let slab = (2 << 20) / nprocs as u64;
+    let script = ProgramScript {
+        name: "rw".into(),
+        ranks: (0..nprocs as u64)
+            .map(|r| {
+                ProcessScript::new(vec![
+                    mk(IoKind::Write, vec![FileRegion::new(r * slab, slab)]),
+                    Op::Barrier(0),
+                    mk(IoKind::Read, vec![FileRegion::new(r * slab, slab)]),
+                ])
+            })
+            .collect(),
+    };
+    c.add_program(ProgramSpec::new(script, IoStrategy::Collective));
+    let r = c.run();
     assert_eq!(r.programs[0].bytes_written, 2 << 20);
     assert_eq!(r.programs[0].bytes_read, 2 << 20);
 }
@@ -274,12 +294,18 @@ fn sieving_preserves_correctness() {
             rows: 512,
             ..Default::default()
         };
-        small()
-            .tune(|cfg| cfg.sieve.enabled = enabled)
-            .file("sv", w.file_size())
-            .program(IoStrategy::Vanilla, move |files| w.build(files[0]))
-            .run()
-            .expect("valid experiment")
+        let mut cluster = small_cluster();
+        cluster.sieve.enabled = enabled;
+        build_cluster(&ExperimentSpec {
+            cluster,
+            programs: vec![ProgramEntry {
+                workload: w.into(),
+                strategy: IoStrategy::Vanilla,
+                start_secs: 0.0,
+            }],
+            ..ExperimentSpec::default()
+        })
+        .run()
     };
     let off = run(false);
     let on = run(true);
@@ -292,21 +318,21 @@ fn sieving_preserves_correctness() {
 /// adaptive strategy without ever bothering EMC.
 #[test]
 fn compute_only_program() {
-    let r = small()
-        .program(IoStrategy::DualPar, |_| ProgramScript {
-            name: "compute".into(),
-            ranks: (0..4)
-                .map(|_| {
-                    ProcessScript::new(vec![
-                        Op::Compute(SimDuration::from_millis(5)),
-                        Op::Barrier(0),
-                        Op::Compute(SimDuration::from_millis(5)),
-                    ])
-                })
-                .collect(),
-        })
-        .run()
-        .expect("valid experiment");
+    let mut c = Cluster::new(small_cluster());
+    let script = ProgramScript {
+        name: "compute".into(),
+        ranks: (0..4)
+            .map(|_| {
+                ProcessScript::new(vec![
+                    Op::Compute(SimDuration::from_millis(5)),
+                    Op::Barrier(0),
+                    Op::Compute(SimDuration::from_millis(5)),
+                ])
+            })
+            .collect(),
+    };
+    c.add_program(ProgramSpec::new(script, IoStrategy::DualPar));
+    let r = c.run();
     assert_eq!(r.programs[0].bytes_read + r.programs[0].bytes_written, 0);
     assert!(r.programs[0].elapsed() >= SimDuration::from_millis(10));
     assert!(r.mode_events.is_empty());

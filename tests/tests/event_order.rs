@@ -9,6 +9,7 @@
 //! different reports: the one scheduled first must run first.
 
 use dualpar_bench::suite::report_fingerprint;
+use dualpar_bench::{build_cluster, ExperimentSpec, ProgramEntry};
 use dualpar_cluster::prelude::*;
 use dualpar_sim::FxHasher;
 use dualpar_workloads::MpiIoTest;
@@ -51,30 +52,38 @@ fn program(name: &str, ranks: Vec<Vec<Op>>) -> ProgramScript {
 /// flat disks: symmetric stripes finish together, so acks, barrier
 /// releases and disk completions keep landing on the same instant, so
 /// many pops share both time and lane with the pop before them.
-fn tie_heavy() -> Experiment {
+fn tie_heavy() -> ExperimentSpec {
     let w = MpiIoTest {
         nprocs: 8,
         file_size: 4 << 20,
         ..Default::default()
     };
-    Experiment::darwin()
-        .servers(3)
-        .compute_nodes(2)
-        .tune(|cfg| flat_disk(cfg, 51_048, 16_384_000_000))
-        .file("f", w.file_size)
-        .program(IoStrategy::Vanilla, move |files| w.build(files[0]))
+    let mut cluster = ClusterConfig {
+        num_data_servers: 3,
+        num_compute_nodes: 2,
+        ..ClusterConfig::default()
+    };
+    flat_disk(&mut cluster, 51_048, 16_384_000_000);
+    ExperimentSpec {
+        cluster,
+        programs: vec![ProgramEntry {
+            workload: w.into(),
+            strategy: IoStrategy::Vanilla,
+            start_secs: 0.0,
+        }],
+        ..ExperimentSpec::default()
+    }
 }
 
 #[test]
 fn tie_heavy_run_keeps_its_report_and_trace() {
-    let report = tie_heavy().run().expect("valid experiment");
+    let report = build_cluster(&tie_heavy()).run();
     assert_eq!(fingerprint(&report), "5e0f3db532a7cd01");
     // The trace records events in pop order: equal-time records come
     // client first, then server by server, each lane in scheduling order.
-    let mut cluster = tie_heavy()
-        .telemetry(TelemetryLevel::Trace)
-        .build()
-        .expect("valid experiment");
+    let mut spec = tie_heavy();
+    spec.cluster.telemetry = TelemetryConfig::at(TelemetryLevel::Trace);
+    let mut cluster = build_cluster(&spec);
     cluster.run();
     let mut jsonl = Vec::new();
     cluster.export_trace(&mut jsonl).expect("in-memory write");
@@ -93,33 +102,31 @@ fn tie_heavy_run_keeps_its_report_and_trace() {
 /// on node 1, so the order decides who gets the link first.
 #[test]
 fn an_ack_from_an_earlier_window_runs_before_a_wake_up_at_its_instant() {
-    let report = Experiment::darwin()
-        .servers(2)
-        .compute_nodes(2)
-        .tune(|cfg| flat_disk(cfg, OVERHEAD_NS, SECTOR_NS_RATE))
-        .file("f", 4 << 20)
-        .program(IoStrategy::Vanilla, |files| {
-            let f = files[0];
-            program(
-                "x",
-                vec![
-                    vec![read(f, 0, 8 << 10), Op::Barrier(1)],
-                    vec![Op::Barrier(1), read(f, 3 << 16, 8 << 10)],
-                ],
-            )
-        })
-        .program(IoStrategy::Vanilla, |files| {
-            let f = files[0];
-            program(
-                "y",
-                vec![
-                    vec![],
-                    vec![read(f, 1 << 16, 8 << 10), read(f, 5 << 16, 8 << 10)],
-                ],
-            )
-        })
-        .run()
-        .expect("valid experiment");
+    let mut cfg = ClusterConfig {
+        num_data_servers: 2,
+        num_compute_nodes: 2,
+        ..ClusterConfig::default()
+    };
+    flat_disk(&mut cfg, OVERHEAD_NS, SECTOR_NS_RATE);
+    let mut c = Cluster::new(cfg);
+    let f = c.create_file("f", 4 << 20);
+    let x = program(
+        "x",
+        vec![
+            vec![read(f, 0, 8 << 10), Op::Barrier(1)],
+            vec![Op::Barrier(1), read(f, 3 << 16, 8 << 10)],
+        ],
+    );
+    let y = program(
+        "y",
+        vec![
+            vec![],
+            vec![read(f, 1 << 16, 8 << 10), read(f, 5 << 16, 8 << 10)],
+        ],
+    );
+    c.add_program(ProgramSpec::new(x, IoStrategy::Vanilla));
+    c.add_program(ProgramSpec::new(y, IoStrategy::Vanilla));
+    let report = c.run();
     // y's second read left node 1 first.
     assert!(report.programs[1].finish < report.programs[0].finish);
     assert_eq!(fingerprint(&report), "17957d714273a22d");
@@ -134,24 +141,24 @@ fn an_ack_from_an_earlier_window_runs_before_a_wake_up_at_its_instant() {
 /// b's, the nearer, first.
 #[test]
 fn a_request_scheduled_before_a_disk_completion_at_its_instant_runs_first() {
-    let report = Experiment::darwin()
-        .servers(1)
-        .compute_nodes(1)
-        .scheduler(SchedulerKind::Sstf)
-        .tune(|cfg| flat_disk(cfg, OVERHEAD_NS, SECTOR_NS_RATE))
-        .file("f", 4 << 20)
-        .program(IoStrategy::Vanilla, |files| {
-            program("a", vec![vec![read(files[0], 0, 8 << 10)]])
-        })
-        .program(IoStrategy::Vanilla, |files| {
-            program("c", vec![vec![read(files[0], 2 << 20, 8 << 10)]])
-        })
-        .program(IoStrategy::Vanilla, |files| {
-            let wait = Op::Compute(SimDuration(52_048));
-            program("b", vec![vec![wait, read(files[0], 8 << 10, 8 << 10)]])
-        })
-        .run()
-        .expect("valid experiment");
+    let mut cfg = ClusterConfig {
+        num_data_servers: 1,
+        num_compute_nodes: 1,
+        scheduler: SchedulerKind::Sstf,
+        ..ClusterConfig::default()
+    };
+    flat_disk(&mut cfg, OVERHEAD_NS, SECTOR_NS_RATE);
+    let mut c = Cluster::new(cfg);
+    let f = c.create_file("f", 4 << 20);
+    let wait = Op::Compute(SimDuration(52_048));
+    for script in [
+        program("a", vec![vec![read(f, 0, 8 << 10)]]),
+        program("c", vec![vec![read(f, 2 << 20, 8 << 10)]]),
+        program("b", vec![vec![wait, read(f, 8 << 10, 8 << 10)]]),
+    ] {
+        c.add_program(ProgramSpec::new(script, IoStrategy::Vanilla));
+    }
+    let report = c.run();
     assert!(report.programs[2].finish < report.programs[1].finish);
     assert_eq!(fingerprint(&report), "4d401518b3c6b032");
 }
@@ -163,28 +170,28 @@ fn a_request_scheduled_before_a_disk_completion_at_its_instant_runs_first() {
 /// next read leaves the shared node link before i's.
 #[test]
 fn acks_at_one_instant_run_in_scheduling_order() {
-    let report = Experiment::darwin()
-        .servers(2)
-        .compute_nodes(1)
-        .tune(|cfg| flat_disk(cfg, OVERHEAD_NS, SECTOR_NS_RATE))
-        .file("f", 4 << 20)
-        .program(IoStrategy::Vanilla, |files| {
-            let f = files[0];
-            program(
-                "j",
-                vec![vec![read(f, 1 << 16, 10 << 10), read(f, 3 << 16, 8 << 10)]],
-            )
-        })
-        .program(IoStrategy::Vanilla, |files| {
-            let f = files[0];
-            let wait = Op::Compute(SimDuration(16_388));
-            program(
-                "i",
-                vec![vec![wait, read(f, 0, 8 << 10), read(f, 2 << 16, 8 << 10)]],
-            )
-        })
-        .run()
-        .expect("valid experiment");
+    let mut cfg = ClusterConfig {
+        num_data_servers: 2,
+        num_compute_nodes: 1,
+        ..ClusterConfig::default()
+    };
+    flat_disk(&mut cfg, OVERHEAD_NS, SECTOR_NS_RATE);
+    let mut c = Cluster::new(cfg);
+    let f = c.create_file("f", 4 << 20);
+    let wait = Op::Compute(SimDuration(16_388));
+    for script in [
+        program(
+            "j",
+            vec![vec![read(f, 1 << 16, 10 << 10), read(f, 3 << 16, 8 << 10)]],
+        ),
+        program(
+            "i",
+            vec![vec![wait, read(f, 0, 8 << 10), read(f, 2 << 16, 8 << 10)]],
+        ),
+    ] {
+        c.add_program(ProgramSpec::new(script, IoStrategy::Vanilla));
+    }
+    let report = c.run();
     assert!(report.programs[0].finish < report.programs[1].finish);
     assert_eq!(fingerprint(&report), "214fcf4cebb99a7c");
 }

@@ -96,18 +96,11 @@ fn build_script(_nprocs: usize, bodies: &[Vec<GenOp>], rank_region: u64) -> Prog
 }
 
 fn run(script: &ProgramScript, strategy: IoStrategy) -> RunReport {
-    let script = script.clone();
-    Experiment::darwin()
-        .servers(3)
-        .compute_nodes(2)
-        .file("f", FILE_SIZE)
-        .program(strategy, move |files| {
-            // Scripts are generated against FileId(1), the first created file.
-            assert_eq!(files[0], FileId(1));
-            script
-        })
-        .run()
-        .expect("valid experiment")
+    let mut cluster = Cluster::new(dualpar_bench::small_cluster());
+    // Scripts are generated against FileId(1), the first created file.
+    assert_eq!(cluster.create_file("f", FILE_SIZE), FileId(1));
+    cluster.add_program(ProgramSpec::new(script.clone(), strategy));
+    cluster.run()
 }
 
 proptest! {

@@ -2,12 +2,23 @@
 //! the simulator (who wins, in which regime), independent of absolute
 //! numbers.
 
+use dualpar_bench::{build_cluster, small_cluster, ExperimentSpec, ProgramEntry, WorkloadSpec};
 use dualpar_cluster::prelude::*;
 use dualpar_core::ExecMode;
 use dualpar_workloads::{compute_for_io_ratio, Demo, DependentReader, MpiIoTest, Noncontig};
 
-fn small() -> Experiment {
-    Experiment::darwin().servers(3).compute_nodes(2)
+/// The spec of `workload` running alone under `strategy` on the small
+/// cluster.
+fn alone(workload: impl Into<WorkloadSpec>, strategy: IoStrategy) -> ExperimentSpec {
+    ExperimentSpec {
+        cluster: small_cluster(),
+        programs: vec![ProgramEntry {
+            workload: workload.into(),
+            strategy,
+            start_secs: 0.0,
+        }],
+        ..ExperimentSpec::default()
+    }
 }
 
 fn run_noncontig(strategy: IoStrategy) -> RunReport {
@@ -19,11 +30,7 @@ fn run_noncontig(strategy: IoStrategy) -> RunReport {
         collective: strategy == IoStrategy::Collective,
         ..Default::default()
     };
-    small()
-        .file("nc", w.file_size())
-        .program(strategy, move |files| w.build(files[0]))
-        .run()
-        .expect("valid experiment")
+    build_cluster(&alone(w, strategy)).run()
 }
 
 /// Fig. 3 shape (noncontig): DualPar > collective > vanilla on
@@ -54,12 +61,7 @@ fn run_demo(strategy: IoStrategy, io_ratio: f64, seg: u64) -> RunReport {
             ..Default::default()
         };
         let calls = (w.file_size / (Demo::SEGS_PER_CALL * 8 * seg)).max(1);
-        let file_size = w.file_size;
-        let r = small()
-            .file("demo", file_size)
-            .program(IoStrategy::Vanilla, move |files| w.build(files[0]))
-            .run()
-            .expect("valid experiment");
+        let r = build_cluster(&alone(w, IoStrategy::Vanilla)).run();
         SimDuration::from_secs_f64(r.programs[0].elapsed().as_secs_f64() / calls as f64)
     };
     let w = Demo {
@@ -68,11 +70,7 @@ fn run_demo(strategy: IoStrategy, io_ratio: f64, seg: u64) -> RunReport {
         compute_per_call: compute_for_io_ratio(pilot, io_ratio),
         ..Default::default()
     };
-    small()
-        .file("demo", w.file_size)
-        .program(strategy, move |files| w.build(files[0]))
-        .run()
-        .expect("valid experiment")
+    build_cluster(&alone(w, strategy)).run()
 }
 
 /// Fig. 1(a) shape: at ~100% I/O ratio, Strategy 3 (data-driven) beats
@@ -123,23 +121,16 @@ fn demo_segment_size_sensitivity() {
 #[test]
 fn interference_removed_by_dualpar() {
     let run_pair = |strategy: IoStrategy| {
-        let mut exp = small().trace_disks(true);
-        for i in 0..2usize {
-            let w = MpiIoTest {
-                nprocs: 8,
-                file_size: 32 << 20,
-                barrier_every: 1,
-                ..Default::default()
-            };
-            exp = exp
-                .file(format!("file{i}"), w.file_size)
-                .program(strategy, move |files| {
-                    let mut script = w.build(files[i]);
-                    script.name = format!("inst{i}");
-                    script
-                });
-        }
-        let mut c = exp.build().expect("valid experiment");
+        let w = MpiIoTest {
+            nprocs: 8,
+            file_size: 32 << 20,
+            barrier_every: 1,
+            ..Default::default()
+        };
+        let mut spec = alone(w, strategy);
+        spec.cluster.trace_disks = true;
+        spec.programs.push(spec.programs[0].clone());
+        let mut c = build_cluster(&spec);
         let report = c.run();
         // Seek overhead per byte serviced: total seek distance over all
         // services divided by bytes moved — the trace-level measure of
@@ -167,25 +158,17 @@ fn interference_removed_by_dualpar() {
 /// data-driven mode when interference degrades efficiency.
 #[test]
 fn adaptive_mode_switches_on_under_interference() {
-    let mut exp = small();
-    for i in 0..2usize {
-        let w = MpiIoTest {
-            nprocs: 8,
-            file_size: 48 << 20,
-            // Sparse barriers keep the per-process I/O ratio above EMC's
-            // 80% trigger (barrier waits count as computation, §IV-B).
-            barrier_every: 8,
-            ..Default::default()
-        };
-        exp = exp
-            .file(format!("f{i}"), w.file_size)
-            .program(IoStrategy::DualPar, move |files| {
-                let mut script = w.build(files[i]);
-                script.name = format!("inst{i}");
-                script
-            });
-    }
-    let r = exp.run().expect("valid experiment");
+    let w = MpiIoTest {
+        nprocs: 8,
+        file_size: 48 << 20,
+        // Sparse barriers keep the per-process I/O ratio above EMC's
+        // 80% trigger (barrier waits count as computation, §IV-B).
+        barrier_every: 8,
+        ..Default::default()
+    };
+    let mut spec = alone(w, IoStrategy::DualPar);
+    spec.programs.push(spec.programs[0].clone());
+    let r = build_cluster(&spec).run();
     assert!(
         r.mode_events.iter().any(|e| e.mode == ExecMode::DataDriven),
         "EMC should have switched at least one program to data-driven; events: {:?}",
@@ -205,11 +188,7 @@ fn misprefetch_disables_mode_with_bounded_overhead() {
             total_bytes: 16 << 20,
             ..Default::default()
         };
-        small()
-            .file("dep", w.file_size())
-            .program(strategy, move |files| w.build(files[0]))
-            .run()
-            .expect("valid experiment")
+        build_cluster(&alone(w, strategy)).run()
     };
     let v = run(IoStrategy::Vanilla).programs[0].elapsed();
     let dp_report = run(IoStrategy::DualPar);
@@ -241,11 +220,7 @@ fn dualpar_write_batching_wins() {
             kind: IoKind::Write,
             collective: strategy == IoStrategy::Collective,
         };
-        small()
-            .file("ncw", w.file_size())
-            .program(strategy, move |files| w.build(files[0]))
-            .run()
-            .expect("valid experiment")
+        build_cluster(&alone(w, strategy)).run()
     };
     let v = run(IoStrategy::Vanilla).programs[0].throughput_mbps();
     let dp = run(IoStrategy::DualParForced).programs[0].throughput_mbps();

@@ -1,6 +1,7 @@
 //! Engine smoke tests: tiny workloads under every strategy must run to
 //! completion with sane accounting.
 
+use dualpar_bench::{build_cluster, small_cluster, ExperimentSpec, ProgramEntry};
 use dualpar_cluster::prelude::*;
 use dualpar_workloads::MpiIoTest;
 
@@ -13,13 +14,16 @@ fn run_one(strategy: IoStrategy, kind: IoKind) -> RunReport {
         barrier_every: 4,
         compute_per_call: SimDuration::from_micros(100),
     };
-    Experiment::darwin()
-        .servers(3)
-        .compute_nodes(2)
-        .file("data", w.file_size)
-        .program(strategy, move |files| w.build(files[0]))
-        .run()
-        .expect("valid experiment")
+    build_cluster(&ExperimentSpec {
+        cluster: small_cluster(),
+        programs: vec![ProgramEntry {
+            workload: w.into(),
+            strategy,
+            start_secs: 0.0,
+        }],
+        ..ExperimentSpec::default()
+    })
+    .run()
 }
 
 #[test]

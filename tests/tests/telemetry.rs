@@ -1,14 +1,34 @@
 //! Telemetry integration: trace records, counter reconciliation, and
 //! series consistency with the engine's own diagnostics.
 
+use dualpar_bench::{build_cluster, small_cluster, ExperimentSpec, ProgramEntry};
 use dualpar_cluster::prelude::*;
 use dualpar_telemetry::schema::TRACE_SCHEMA;
 use dualpar_telemetry::FieldValue;
 use dualpar_workloads::{Hpio, MpiIoTest};
 use std::collections::BTreeSet;
 
-fn small() -> Experiment {
-    Experiment::darwin().servers(3).compute_nodes(2)
+/// The spec of `copies` copies of `w` under `strategy` on the small
+/// cluster, with telemetry at `level`.
+fn spec(
+    w: MpiIoTest,
+    strategy: IoStrategy,
+    copies: usize,
+    level: TelemetryLevel,
+) -> ExperimentSpec {
+    let program = ProgramEntry {
+        workload: w.into(),
+        strategy,
+        start_secs: 0.0,
+    };
+    ExperimentSpec {
+        cluster: ClusterConfig {
+            telemetry: TelemetryConfig::at(level),
+            ..small_cluster()
+        },
+        programs: vec![program; copies],
+        ..ExperimentSpec::default()
+    }
 }
 
 /// A forced data-driven run must leave its mode decision in the event
@@ -21,12 +41,12 @@ fn forced_mode_is_traced_but_not_a_mode_event() {
         file_size: 8 << 20,
         ..Default::default()
     };
-    let mut c = small()
-        .telemetry(TelemetryLevel::Trace)
-        .file("data", w.file_size)
-        .program(IoStrategy::DualParForced, move |files| w.build(files[0]))
-        .build()
-        .expect("valid experiment");
+    let mut c = build_cluster(&spec(
+        w,
+        IoStrategy::DualParForced,
+        1,
+        TelemetryLevel::Trace,
+    ));
     let r = c.run();
     let forced: Vec<_> = c
         .telemetry()
@@ -55,23 +75,13 @@ fn forced_mode_is_traced_but_not_a_mode_event() {
 /// signal the engine reports in `RunReport::emc_improvement`.
 #[test]
 fn traced_improvement_matches_engine_signal() {
-    let mut exp = small().telemetry(TelemetryLevel::Counters);
-    for i in 0..2usize {
-        let w = MpiIoTest {
-            nprocs: 8,
-            file_size: 24 << 20,
-            barrier_every: 8,
-            ..Default::default()
-        };
-        exp = exp
-            .file(format!("f{i}"), w.file_size)
-            .program(IoStrategy::DualPar, move |files| {
-                let mut s = w.build(files[i]);
-                s.name = format!("i{i}");
-                s
-            });
-    }
-    let r = exp.run().expect("valid experiment");
+    let w = MpiIoTest {
+        nprocs: 8,
+        file_size: 24 << 20,
+        barrier_every: 8,
+        ..Default::default()
+    };
+    let r = build_cluster(&spec(w, IoStrategy::DualPar, 2, TelemetryLevel::Counters)).run();
     assert!(!r.emc_improvement.is_empty());
     let snap = r.telemetry.as_ref().expect("counters enabled");
     let series = snap
@@ -97,12 +107,7 @@ fn byte_counters_reconcile_with_report() {
             barrier_every: 4,
             ..Default::default()
         };
-        let r = small()
-            .telemetry(TelemetryLevel::Counters)
-            .file("data", w.file_size)
-            .program(IoStrategy::DualPar, move |files| w.build(files[0]))
-            .run()
-            .expect("valid experiment");
+        let r = build_cluster(&spec(w, IoStrategy::DualPar, 1, TelemetryLevel::Counters)).run();
         let snap = r.telemetry.as_ref().expect("counters enabled");
         let read: u64 = r.programs.iter().map(|p| p.bytes_read).sum();
         let written: u64 = r.programs.iter().map(|p| p.bytes_written).sum();
@@ -123,23 +128,13 @@ fn byte_counters_reconcile_with_report() {
 /// containing per-tick EMC records.
 #[test]
 fn jsonl_export_contains_emc_ticks() {
-    let mut exp = small().telemetry(TelemetryLevel::Trace);
-    for i in 0..2usize {
-        let w = MpiIoTest {
-            nprocs: 8,
-            file_size: 24 << 20,
-            barrier_every: 8,
-            ..Default::default()
-        };
-        exp = exp
-            .file(format!("f{i}"), w.file_size)
-            .program(IoStrategy::DualPar, move |files| {
-                let mut s = w.build(files[i]);
-                s.name = format!("i{i}");
-                s
-            });
-    }
-    let mut c = exp.build().expect("valid experiment");
+    let w = MpiIoTest {
+        nprocs: 8,
+        file_size: 24 << 20,
+        barrier_every: 8,
+        ..Default::default()
+    };
+    let mut c = build_cluster(&spec(w, IoStrategy::DualPar, 2, TelemetryLevel::Trace));
     let _ = c.run();
     let mut out = Vec::new();
     c.export_trace(&mut out).expect("export succeeds");
@@ -170,12 +165,7 @@ fn levels_gate_what_is_recorded() {
             file_size: 4 << 20,
             ..Default::default()
         };
-        small()
-            .telemetry(level)
-            .file("data", w.file_size)
-            .program(IoStrategy::DualParForced, move |files| w.build(files[0]))
-            .run()
-            .expect("valid experiment")
+        build_cluster(&spec(w, IoStrategy::DualParForced, 1, level)).run()
     };
     assert!(run(TelemetryLevel::Off).telemetry.is_none());
     let counters = run(TelemetryLevel::Counters);
@@ -202,20 +192,29 @@ fn interference_trace_emits_exactly_the_schema() {
         nprocs: 16,
         region_count: 64,
     };
-    let mut c = Experiment::darwin()
-        .telemetry_config(TelemetryConfig {
-            level: TelemetryLevel::Trace,
-            trace_capacity: 1 << 22,
-            spans: true,
-        })
-        .file("stream", stream.file_size)
-        .file("hpio", hpio.file_size())
-        .program(IoStrategy::DualPar, move |files| stream.build(files[0]))
-        .program_at(IoStrategy::DualPar, SimTime::from_secs(1), move |files| {
-            hpio.build(files[1])
-        })
-        .build()
-        .expect("valid experiment");
+    let mut c = build_cluster(&ExperimentSpec {
+        cluster: ClusterConfig {
+            telemetry: TelemetryConfig {
+                level: TelemetryLevel::Trace,
+                trace_capacity: 1 << 22,
+                spans: true,
+            },
+            ..ClusterConfig::default()
+        },
+        programs: vec![
+            ProgramEntry {
+                workload: stream.into(),
+                strategy: IoStrategy::DualPar,
+                start_secs: 0.0,
+            },
+            ProgramEntry {
+                workload: hpio.into(),
+                strategy: IoStrategy::DualPar,
+                start_secs: 1.0,
+            },
+        ],
+        ..ExperimentSpec::default()
+    });
     let report = c.run();
     let snap = report.telemetry.as_ref().expect("telemetry is on");
     assert_eq!(snap.trace_dropped, 0, "trace ring overflowed");
