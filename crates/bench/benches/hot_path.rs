@@ -132,7 +132,6 @@ fn churn_scheduler<S: Scheduler>(mut s: S, n: u64) -> u64 {
             IoKind::Read,
             (id.wrapping_mul(48271) % 100_000) * 64,
             32,
-            SimTime::ZERO,
         ));
     };
     // Pre-fill half so the first dispatches already shift a long queue.
@@ -188,7 +187,7 @@ fn churn_disk(n: u64) -> u64 {
     let enqueue = |d: &mut Disk, id: u64| {
         // 48271 is coprime with 100 000, so the LBNs are distinct.
         let lbn = 2048 + (id.wrapping_mul(48271) % 100_000) * 64;
-        d.enqueue(DiskRequest::new(id, IoKind::Read, lbn, 8, SimTime::ZERO));
+        d.enqueue(DiskRequest::new(id, IoKind::Read, lbn, 8));
     };
     for id in 0..DISK_DEPTH {
         enqueue(&mut d, id);

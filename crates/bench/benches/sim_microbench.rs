@@ -29,7 +29,6 @@ fn bench_cfq(c: &mut Criterion) {
                         IoKind::Read,
                         (i.wrapping_mul(48271) % 100_000) * 64,
                         32,
-                        SimTime::ZERO,
                     ));
                 }
                 s

@@ -436,6 +436,9 @@ mod tests {
         let mut cluster = ClusterConfig::default();
         cluster.dualpar.sample_slot = dualpar_sim::SimDuration::ZERO;
         let zero_slot = serde_json::to_string(&cluster).expect("serialise cluster");
+        let mut cluster = ClusterConfig::default();
+        cluster.disk.transfer_bytes_per_sec = 0;
+        let zero_rate = serde_json::to_string(&cluster).expect("serialise cluster");
         for (cluster, field) in [
             (r#"{"num_data_servers": 0}"#, "num_data_servers"),
             (r#"{"num_compute_nodes": 0}"#, "num_compute_nodes"),
@@ -443,6 +446,8 @@ mod tests {
             // Unchecked, EMC's sampling tick reschedules itself at the
             // same instant forever.
             (zero_slot.as_str(), "dualpar.sample_slot"),
+            // Unchecked, every transfer takes no time.
+            (zero_rate.as_str(), "disk.transfer_bytes_per_sec"),
         ] {
             let json = format!(
                 r#"{{"cluster": {cluster},

@@ -145,6 +145,9 @@ pub enum ExperimentError {
     /// `dualpar.sample_slot` is zero: EMC's sampling tick would never
     /// advance simulated time.
     ZeroSampleSlot,
+    /// `disk.transfer_bytes_per_sec` is zero: a transfer time divides by
+    /// it, and `SimDuration::for_transfer` reads a zero rate as infinite.
+    ZeroDiskRate,
     /// A program's script has no ranks.
     NoRanks {
         /// The program's label.
@@ -171,6 +174,9 @@ impl std::fmt::Display for ExperimentError {
             ExperimentError::NoComputeNodes => write!(f, "num_compute_nodes must be at least 1"),
             ExperimentError::ZeroStripe => write!(f, "stripe_size must be non-zero"),
             ExperimentError::ZeroSampleSlot => write!(f, "dualpar.sample_slot must be non-zero"),
+            ExperimentError::ZeroDiskRate => {
+                write!(f, "disk.transfer_bytes_per_sec must be non-zero")
+            }
             ExperimentError::NoRanks { program } => {
                 write!(f, "program {program:?} has no ranks")
             }
@@ -191,8 +197,9 @@ impl std::error::Error for ExperimentError {}
 
 impl ClusterConfig {
     /// Reject a cluster that cannot run: zero data servers, compute nodes,
-    /// stripe size or EMC sampling slot. The spec loader calls this, so no
-    /// spec reaches the simulator with a degenerate shape.
+    /// stripe size, EMC sampling slot or disk media rate. The spec loader
+    /// calls this, so no spec reaches the simulator with a degenerate
+    /// shape.
     pub fn validate(&self) -> Result<(), ExperimentError> {
         if self.num_data_servers == 0 {
             return Err(ExperimentError::NoServers);
@@ -205,6 +212,9 @@ impl ClusterConfig {
         }
         if self.dualpar.sample_slot == SimDuration::ZERO {
             return Err(ExperimentError::ZeroSampleSlot);
+        }
+        if self.disk.transfer_bytes_per_sec == 0 {
+            return Err(ExperimentError::ZeroDiskRate);
         }
         Ok(())
     }
@@ -255,6 +265,18 @@ mod tests {
         assert_eq!(SERVER_FLUSH_INTERVAL, SimDuration::from_secs(1));
         assert_eq!(S2_ISSUE_GAP, SimDuration::from_micros(50));
         assert_eq!(S2_WINDOW, 4);
+    }
+
+    #[test]
+    fn a_zero_disk_rate_is_rejected() {
+        let mut c = ClusterConfig::default();
+        assert_eq!(c.validate(), Ok(()));
+        c.disk.transfer_bytes_per_sec = 0;
+        assert_eq!(c.validate(), Err(ExperimentError::ZeroDiskRate));
+        assert_eq!(
+            ExperimentError::ZeroDiskRate.to_string(),
+            "disk.transfer_bytes_per_sec must be non-zero"
+        );
     }
 
     #[test]

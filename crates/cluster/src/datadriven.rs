@@ -2,7 +2,7 @@
 //! application-level prefetching.
 
 use crate::config::{IoStrategy, S2_ISSUE_GAP, S2_WINDOW};
-use crate::engine::{Cluster, Ev, PState, Phase, Purpose};
+use crate::engine::{Ack, Cluster, Ev, PState, Phase, Purpose};
 use dualpar_core::{expected_fill_time, ghost_walk, plan_prefetch, plan_writeback, ProgramId};
 use dualpar_disk::IoKind;
 use dualpar_mpiio::IoCall;
@@ -111,7 +111,7 @@ impl Cluster {
         let covers: Vec<(FileId, FileRegion)> = regions.into_iter().map(|r| (file, r)).collect();
         self.procs[p].direct_pending = true;
         let group = self.new_group(Purpose::DirectFetch { proc: p });
-        self.issue_covers(now, group, node, IoKind::Read, &covers);
+        self.issue_covers(now, Ack::Group(group), node, IoKind::Read, &covers);
         self.finish_if_empty(now, group);
     }
 
@@ -396,7 +396,7 @@ impl Cluster {
             }
         }
         for (node, pieces) in per_node {
-            let n = self.issue_covers(now, group, node, kind, &pieces);
+            let n = self.issue_covers(now, Ack::Group(group), node, kind, &pieces);
             self.tele.count("crm.subrequests", n as u64);
         }
     }
@@ -602,7 +602,7 @@ impl Cluster {
                 file,
                 region,
             });
-            self.issue_covers(at, group, node, IoKind::Read, &[(file, region)]);
+            self.issue_covers(at, Ack::Group(group), node, IoKind::Read, &[(file, region)]);
             self.finish_if_empty(at, group);
         }
     }

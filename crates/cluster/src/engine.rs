@@ -30,8 +30,8 @@ pub(crate) enum Ev {
     Start(usize),
     /// A process is ready to advance its script.
     ProcReady(usize),
-    /// A response was delivered back; one sub-request of a group is done.
-    SubDone { group: SlabKey },
+    /// A response was delivered back; one sub-request of `ack` is done.
+    SubDone { ack: Ack },
     /// A ghost pre-execution finished its walk, in the phase `seq` of the
     /// process's program.
     GhostDone { proc: usize, seq: u64 },
@@ -41,14 +41,21 @@ pub(crate) enum Ev {
     EmcTick,
 }
 
+/// Whom a sub-request's completion acknowledges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Ack {
+    /// A completion group in `Cluster::groups`.
+    Group(SlabKey),
+    /// A process blocked on a vanilla (independent, synchronous) call. It
+    /// has one region in flight, so the process itself counts that
+    /// region's outstanding sub-requests (`Proc::region_pending`).
+    Proc(u32),
+}
+
 /// Why a completion group exists — dispatched when its last sub-request
 /// finishes.
 #[derive(Debug, Clone)]
 pub(crate) enum Purpose {
-    /// One region of a vanilla (independent, synchronous) call.
-    VanillaRegion {
-        proc: usize,
-    },
     /// A Strategy-2 prefetch of a single predicted region.
     S2Prefetch {
         proc: usize,
@@ -88,7 +95,6 @@ impl Purpose {
     /// Short label for per-purpose telemetry (group latency histograms).
     pub(crate) fn label(&self) -> &'static str {
         match self {
-            Purpose::VanillaRegion { .. } => "vanilla_region",
             Purpose::S2Prefetch { .. } => "s2_prefetch",
             Purpose::DirectFetch { .. } => "direct_fetch",
             Purpose::CollIo { .. } => "coll_io",
@@ -170,6 +176,10 @@ pub(crate) struct Proc {
     pub ghost_due: bool,
     /// Covers being issued for the current sieved vanilla op.
     pub cur_covers: Vec<FileRegion>,
+    /// Sub-requests outstanding for the vanilla region in flight.
+    pub region_pending: usize,
+    /// When the vanilla region in flight was issued.
+    pub region_opened: SimTime,
     /// Whether a direct-fetch group for the current op is outstanding.
     pub direct_pending: bool,
     /// The open `proc.*` state span (INVALID when spans are off or the
@@ -496,6 +506,8 @@ impl Cluster {
                 pending_ghost: Vec::new(),
                 ghost_due: false,
                 cur_covers: Vec::new(),
+                region_pending: 0,
+                region_opened: SimTime::ZERO,
                 direct_pending: false,
                 state_span: SpanId::INVALID,
                 state_span_name: None,
@@ -689,12 +701,12 @@ impl Cluster {
     }
 
     /// Issue the accesses of `ios` (already coalesced covers) to the data
-    /// servers, attached to `group`. Requests leave through `node`'s NIC.
-    /// Returns the number of sub-requests issued.
+    /// servers, each acknowledging `ack`. Requests leave through `node`'s
+    /// NIC. Returns the number of sub-requests issued.
     pub(crate) fn issue_covers(
         &mut self,
         now: SimTime,
-        group: SlabKey,
+        ack: Ack,
         node: u32,
         kind: IoKind,
         ios: &[(FileId, FileRegion)],
@@ -705,7 +717,12 @@ impl Cluster {
             self.pvfs.resolve(file, region, &mut runs);
         }
         let n = runs.len();
-        self.groups.get_mut(group).expect("group exists").remaining += n;
+        match ack {
+            Ack::Group(group) => {
+                self.groups.get_mut(group).expect("group exists").remaining += n;
+            }
+            Ack::Proc(p) => self.procs[p as usize].region_pending += n,
+        }
         for run in &runs {
             let (req_msg, resp_bytes) = match kind {
                 IoKind::Read => (MSG_HEADER, run.bytes),
@@ -731,7 +748,7 @@ impl Cluster {
                 lbn: run.lbn,
                 sectors: run.sectors,
                 kind,
-                group,
+                ack,
                 resp_bytes,
                 life,
                 stage,
@@ -836,15 +853,18 @@ impl Cluster {
             self.events_processed < MAX_EVENTS,
             "event budget exceeded — runaway simulation"
         );
-        let live = self.queue.len() - self.superseded;
-        self.tele.gauge_max("engine.queue_depth_max", live as f64);
+        if self.tele.enabled() {
+            let live = self.queue.len() - self.superseded;
+            self.tele.gauge_max("engine.queue_depth_max", live as f64);
+            let counter = match &event {
+                Event::Client(ev) => Self::ev_counter(ev),
+                Event::Server(ev) => Server::ev_counter(ev),
+            };
+            self.tele.count(counter, 1);
+        }
         match event {
-            Event::Client(ev) => {
-                self.tele.count(Self::ev_counter(&ev), 1);
-                self.handle(now, ev);
-            }
+            Event::Client(ev) => self.handle(now, ev),
             Event::Server(ev) => {
-                self.tele.count(Server::ev_counter(&ev), 1);
                 let server = &mut self.servers[ev.server() as usize];
                 server.handle(now, ev, &mut self.queue, &mut self.tele);
             }
@@ -855,7 +875,20 @@ impl Cluster {
         match ev {
             Ev::Start(prog) => self.on_start(now, prog),
             Ev::ProcReady(p) => self.advance(now, p),
-            Ev::SubDone { group } => {
+            Ev::SubDone { ack: Ack::Proc(p) } => {
+                let p = p as usize;
+                dualpar_sim::strict_assert!(
+                    self.procs[p].region_pending > 0,
+                    "SubDone for process {p} with no outstanding sub-requests"
+                );
+                self.procs[p].region_pending -= 1;
+                if self.procs[p].region_pending == 0 {
+                    self.vanilla_region_done(now, p);
+                }
+            }
+            Ev::SubDone {
+                ack: Ack::Group(group),
+            } => {
                 let done = {
                     let g = self.groups.get_mut(group).expect("live group");
                     dualpar_sim::strict_assert!(
@@ -1408,8 +1441,8 @@ mod tests {
         // Two reads far apart on the one disk: the first is dispatched at
         // 0, the second when the first completes, at `done`.
         let disk = &mut c.servers[0].disk;
-        disk.enqueue(DiskRequest::new(1, IoKind::Read, 1 << 20, 8, SimTime::ZERO));
-        disk.enqueue(DiskRequest::new(2, IoKind::Read, 1 << 26, 8, SimTime::ZERO));
+        disk.enqueue(DiskRequest::new(1, IoKind::Read, 1 << 20, 8));
+        disk.enqueue(DiskRequest::new(2, IoKind::Read, 1 << 26, 8));
         let done = disk
             .try_start(SimTime::ZERO)
             .expect("an idle disk with queued work starts one request");

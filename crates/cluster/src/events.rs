@@ -29,6 +29,8 @@ pub(crate) enum Event {
 
 // Every event is stored inline in the heap and moved on each sift.
 const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+// Every sub-request waits in its server's pending slab from send to ack.
+const _: () = assert!(std::mem::size_of::<crate::server::SubReq>() <= 64);
 
 impl From<Ev> for Event {
     fn from(ev: Ev) -> Self {

@@ -2,7 +2,7 @@
 //! paths, plus completion-group dispatch.
 
 use crate::config::{IoStrategy, NET_BANDWIDTH, NET_LATENCY};
-use crate::engine::{Cluster, Ev, Group, PState, Purpose};
+use crate::engine::{Ack, Cluster, Ev, Group, PState, Purpose};
 use dualpar_core::ExecMode;
 use dualpar_disk::IoKind;
 use dualpar_mpiio::{plan_collective, plan_strided, IoCall, Op, ProcessScript, Regions};
@@ -187,9 +187,21 @@ impl Cluster {
             sieved,
         };
         let node = self.procs[p].node;
-        let group = self.new_group(Purpose::VanillaRegion { proc: p });
-        self.issue_covers(now, group, node, kind, &[(file, cover)]);
-        self.finish_if_empty(now, group);
+        self.procs[p].region_opened = self.queue.now();
+        let ack = Ack::Proc(u32::try_from(p).expect("under 2^32 processes"));
+        if self.issue_covers(now, ack, node, kind, &[(file, cover)]) == 0 {
+            self.vanilla_region_done(now, p);
+        }
+    }
+
+    /// The last sub-request of process `p`'s vanilla region is done: issue
+    /// its next region.
+    pub(crate) fn vanilla_region_done(&mut self, now: SimTime, p: usize) {
+        if self.tele.enabled() {
+            let secs = now.since(self.procs[p].region_opened).as_secs_f64();
+            self.tele.observe("group.latency_secs.vanilla_region", secs);
+        }
+        self.vanilla_issue_next(now, p);
     }
 
     /// Account and finish the I/O op a process was blocked on, then keep
@@ -291,7 +303,7 @@ impl Cluster {
             let node = self.procs[agg_proc].node;
             let covers: Vec<(FileId, FileRegion)> =
                 agg.ios.iter().map(|io| (io.file, io.cover)).collect();
-            self.issue_covers(now, group, node, kind, &covers);
+            self.issue_covers(now, Ack::Group(group), node, kind, &covers);
         }
         self.finish_if_empty(now, group);
     }
@@ -307,8 +319,12 @@ impl Cluster {
             + SimDuration::for_transfer(per_node, NET_BANDWIDTH);
         let group = self.new_group(Purpose::CollResume { prog });
         self.groups.get_mut(group).expect("new group").remaining = 1;
-        self.queue
-            .schedule(now.saturating_add(exchange), Ev::SubDone { group });
+        self.queue.schedule(
+            now.saturating_add(exchange),
+            Ev::SubDone {
+                ack: Ack::Group(group),
+            },
+        );
     }
 
     pub(crate) fn coll_resume(&mut self, now: SimTime, prog: usize) {
@@ -360,7 +376,6 @@ impl Cluster {
             self.tele.observe(&name, secs);
         }
         match group.purpose {
-            Purpose::VanillaRegion { proc } => self.vanilla_issue_next(now, proc),
             Purpose::DirectFetch { proc } => self.direct_fetch_done(now, proc),
             Purpose::S2Prefetch { proc, file, region } => {
                 self.s2_prefetch_done(now, proc, file, region)

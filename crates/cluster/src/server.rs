@@ -7,7 +7,7 @@
 use crate::config::{
     ClusterConfig, ServerWriteMode, MSG_HEADER, NET_BANDWIDTH, NET_LATENCY, SERVER_FLUSH_INTERVAL,
 };
-use crate::engine::Ev;
+use crate::engine::{Ack, Ev};
 use crate::events::EventList;
 use dualpar_disk::{Disk, DiskRequest, IoKind, Lbn};
 use dualpar_sim::{Link, SimTime, Slab, SlabKey};
@@ -17,7 +17,7 @@ use dualpar_telemetry::{SpanId, Telemetry};
 /// client mints `id`s from a monotonic counter, which key its spans, and
 /// hands the record to its server at send ([`Server::admit`]): it holds
 /// everything the server needs to complete the request autonomously — the
-/// completion group to acknowledge, the response size, and the open
+/// group or process to acknowledge, the response size, and the open
 /// client-side spans (`life`/`stage`) whose lifecycle the server continues.
 /// The record stays in `Server::pending` until its completion is acked,
 /// and its slab key rides the disk request as the caller tag, so a
@@ -30,8 +30,8 @@ pub(crate) struct SubReq {
     pub lbn: Lbn,
     pub sectors: u64,
     pub kind: IoKind,
-    /// Completion group the ack resolves against (client-side slab key).
-    pub group: SlabKey,
+    /// Whom the completion acknowledges.
+    pub ack: Ack,
     /// Response payload size (data for reads, zero for writes).
     pub resp_bytes: u64,
     /// The sub-request's `req.life` span (INVALID when spans are off).
@@ -123,7 +123,7 @@ impl Server {
 
     fn on_recv(&mut self, now: SimTime, key: SlabKey, queue: &mut EventList, tele: &mut Telemetry) {
         let sub = self.pending.get(key).expect("admitted at send");
-        let req = DiskRequest::new(sub.id, sub.kind, sub.lbn, sub.sectors, now);
+        let req = DiskRequest::new(sub.id, sub.kind, sub.lbn, sub.sectors);
         if req.kind == IoKind::Write && self.write_mode == ServerWriteMode::WriteBack {
             let sub = self.pending.remove(key).expect("checked");
             let req = req.with_tag(UNTRACKED);
@@ -132,7 +132,7 @@ impl Server {
             let deliver = self
                 .link
                 .send(now, MSG_HEADER.saturating_add(sub.resp_bytes));
-            queue.schedule(deliver, Ev::SubDone { group: sub.group });
+            queue.schedule(deliver, Ev::SubDone { ack: sub.ack });
             if tele.spans_enabled() {
                 // Buffered ack: the queue/disk stages are owned by the
                 // flush daemon, so the lifecycle skips straight from issue
@@ -197,7 +197,7 @@ impl Server {
             // miss.
             if let Some(p) = self.pending.remove(SlabKey::from_raw(tag)) {
                 let deliver = self.link.send(now, MSG_HEADER.saturating_add(p.resp_bytes));
-                queue.schedule(deliver, Ev::SubDone { group: p.group });
+                queue.schedule(deliver, Ev::SubDone { ack: p.ack });
                 if tele.spans_enabled() {
                     let stamp = now.as_secs_f64();
                     tele.span_close(stamp, p.stage, stamp);
@@ -255,14 +255,14 @@ mod tests {
     use super::*;
     use crate::events::Event;
 
-    /// A read of 8 sectors at `lbn`, acknowledged to group `id`.
+    /// A read of 8 sectors at `lbn`, acknowledged to process `id`.
     fn read(id: u64, lbn: Lbn) -> SubReq {
         SubReq {
             id,
             lbn,
             sectors: 8,
             kind: IoKind::Read,
-            group: SlabKey::from_raw(id),
+            ack: Ack::Proc(u32::try_from(id).expect("a small id")),
             resp_bytes: 4096,
             life: SpanId::INVALID,
             stage: SpanId::INVALID,
@@ -292,7 +292,7 @@ mod tests {
         while let Some((now, ev)) = queue.pop() {
             match ev {
                 Event::Server(sev) => server.handle(now, sev, &mut queue, &mut tele),
-                Event::Client(Ev::SubDone { group }) => acks.push(group.raw()),
+                Event::Client(Ev::SubDone { ack: Ack::Proc(id) }) => acks.push(id),
                 Event::Client(other) => panic!("unexpected client event {other:?}"),
             }
         }

@@ -10,6 +10,8 @@ use dualpar_sim::{SimDuration, SimTime};
 /// A single simulated disk.
 pub struct Disk {
     params: DiskParams,
+    /// `params.read_through_limit()`, derived once.
+    read_through_limit: u64,
     sched: Box<dyn Scheduler>,
     trace: BlockTrace,
     head: Lbn,
@@ -23,6 +25,7 @@ impl Disk {
     /// Build a disk with the given mechanical model and scheduler.
     pub fn new(params: DiskParams, sched_kind: SchedulerKind, trace_enabled: bool) -> Self {
         Disk {
+            read_through_limit: params.read_through_limit(),
             params,
             sched: sched_kind.build(),
             trace: BlockTrace::new(trace_enabled),
@@ -127,7 +130,12 @@ impl Disk {
                 None => break,
             }
         }
-        let (dist, service) = self.params.service_time(self.head, req.lbn, req.sectors);
+        let (dist, service) = self.params.service_time_within(
+            self.head,
+            req.lbn,
+            req.sectors,
+            self.read_through_limit,
+        );
         self.trace.record(TraceRecord {
             at: now,
             lbn: req.lbn,
@@ -174,7 +182,7 @@ mod tests {
     }
 
     fn req(id: u64, lbn: Lbn, sectors: u64) -> DiskRequest {
-        DiskRequest::new(id, IoKind::Read, lbn, sectors, SimTime::ZERO)
+        DiskRequest::new(id, IoKind::Read, lbn, sectors)
     }
 
     #[test]

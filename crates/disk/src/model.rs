@@ -15,7 +15,7 @@
 //! (HP MM0500FAMYT-class): ~130 MB/s streaming, ~8.5 ms average seek,
 //! which yields ~0.45 MB/s on random 4 KB reads — the >10× gap §I cites.
 
-use dualpar_sim::{SimDuration, NANOS_PER_MILLI};
+use dualpar_sim::{SimDuration, NANOS_PER_MILLI, NANOS_PER_SEC};
 use serde::{Deserialize, Serialize};
 
 /// Logical block (sector) number on a disk. Sectors are 512 bytes.
@@ -104,13 +104,53 @@ impl DiskParams {
     /// this is what drive firmware and OS readahead achieve for strided
     /// but nearly-sequential streams; the model takes whichever is faster.
     pub fn service_time(&self, head: Lbn, lbn: Lbn, sectors: u64) -> (u64, SimDuration) {
+        self.service_time_within(head, lbn, sectors, u64::MAX)
+    }
+
+    /// The longest forward distance that reading through can still cover
+    /// in less time than the longest repositioning
+    /// (`seek_max_ns + rotational_ns`). Past it the read-through time is
+    /// never the smaller one, so [`DiskParams::service_time_within`] need
+    /// not compute it. `u64::MAX` when no distance qualifies, as at a zero
+    /// (infinite) media rate.
+    pub(crate) fn read_through_limit(&self) -> u64 {
+        if self.transfer_bytes_per_sec == 0 {
+            return u64::MAX;
+        }
+        let longest = u128::from(self.seek_max_ns.saturating_add(self.rotational_ns));
+        // Reading `d` sectors takes ceil(d·512·10⁹ / rate) ns, at least
+        // `longest` once d·512·10⁹ ≥ longest·rate.
+        const PER_SECTOR: u128 = SECTOR_BYTES as u128 * NANOS_PER_SEC as u128;
+        // Two u64 factors: the product fits a u128.
+        let slow_from = longest
+            .saturating_mul(u128::from(self.transfer_bytes_per_sec))
+            .div_ceil(PER_SECTOR);
+        // Beyond u64::MAX / 512 sectors the byte count saturates and the
+        // bound above no longer holds.
+        match u64::try_from(slow_from) {
+            Ok(d) if d <= u64::MAX / SECTOR_BYTES => d.saturating_sub(1),
+            _ => u64::MAX,
+        }
+    }
+
+    /// [`DiskParams::service_time`], computing the read-through time only
+    /// for forward distances up to `read_through_limit`. Equal to it when
+    /// the limit is [`DiskParams::read_through_limit`] or above.
+    #[inline]
+    pub(crate) fn service_time_within(
+        &self,
+        head: Lbn,
+        lbn: Lbn,
+        sectors: u64,
+        read_through_limit: u64,
+    ) -> (u64, SimDuration) {
         let distance = head.abs_diff(lbn);
         let mut t = SimDuration(self.overhead_ns);
         if distance != 0 {
             let reposition = self
                 .seek_time(distance)
                 .saturating_add(SimDuration(self.rotational_ns));
-            if lbn > head {
+            if lbn > head && distance <= read_through_limit {
                 t = t.saturating_add(reposition.min(self.transfer_time(distance)));
             } else {
                 t += reposition;
@@ -124,6 +164,7 @@ impl DiskParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sequential_has_no_seek() {
@@ -179,6 +220,106 @@ mod tests {
             (0.2..1.5).contains(&mbps),
             "random 4 KB should be sub-MB/s territory, got {mbps:.2} MB/s"
         );
+    }
+
+    /// The service time as it was before the read-through limit: the
+    /// forward read-through time computed at every distance.
+    fn every_distance(p: &DiskParams, head: Lbn, lbn: Lbn, sectors: u64) -> (u64, SimDuration) {
+        let distance = head.abs_diff(lbn);
+        let mut t = SimDuration(p.overhead_ns);
+        if distance != 0 {
+            let reposition = p
+                .seek_time(distance)
+                .saturating_add(SimDuration(p.rotational_ns));
+            if lbn > head {
+                t = t.saturating_add(reposition.min(p.transfer_time(distance)));
+            } else {
+                t += reposition;
+            }
+        }
+        (distance, t.saturating_add(p.transfer_time(sectors)))
+    }
+
+    /// Mechanical parameters with every field drawn at random, the media
+    /// rate included (zero among them).
+    fn params() -> impl Strategy<Value = DiskParams> {
+        let rate = prop_oneof![
+            Just(0u64),
+            1u64..1_000,
+            1u64..1_000_000_000_000,
+            Just(u64::MAX)
+        ];
+        (
+            rate,
+            0u64..1_000_000,
+            prop_oneof![0.0f64..10_000.0, -10_000.0f64..0.0],
+            prop_oneof![0u64..50_000_000, Just(u64::MAX)],
+            0u64..10_000_000,
+            0u64..100_000,
+        )
+            .prop_map(|(rate, base, coef, max, rot, overhead)| DiskParams {
+                capacity_sectors: u64::MAX,
+                transfer_bytes_per_sec: rate,
+                seek_base_ns: base,
+                seek_coef_ns: coef,
+                seek_max_ns: max,
+                rotational_ns: rot,
+                overhead_ns: overhead,
+            })
+    }
+
+    /// A head position and a request near it (within a few read-through
+    /// limits of a 7200-RPM drive), or anywhere.
+    fn positions() -> impl Strategy<Value = (Lbn, Lbn, u64)> {
+        let lbn = || prop_oneof![0u64..20_000, 0u64..1 << 40, Just(u64::MAX)];
+        (lbn(), lbn(), 1u64..4096)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Past the read-through limit the service time is still the
+        /// smaller of repositioning and reading through, on the
+        /// 7200-RPM drive.
+        #[test]
+        fn the_read_through_limit_keeps_the_7200rpm_service_time(
+            (head, lbn, sectors) in positions(),
+        ) {
+            let p = DiskParams::hdd_7200rpm();
+            let limit = p.read_through_limit();
+            prop_assert_eq!(
+                p.service_time_within(head, lbn, sectors, limit),
+                every_distance(&p, head, lbn, sectors)
+            );
+            prop_assert_eq!(p.service_time(head, lbn, sectors), every_distance(&p, head, lbn, sectors));
+        }
+
+        /// The same for random parameters.
+        #[test]
+        fn the_read_through_limit_keeps_every_service_time(
+            p in params(),
+            (head, lbn, sectors) in positions(),
+            near in 0u64..2,
+        ) {
+            let limit = p.read_through_limit();
+            // Also probe the distances just around the limit.
+            let lbn = if near == 1 { head.saturating_add(limit) } else { lbn };
+            for lbn in [lbn, lbn.saturating_add(1), lbn.saturating_sub(1)] {
+                prop_assert_eq!(
+                    p.service_time_within(head, lbn, sectors, limit),
+                    every_distance(&p, head, lbn, sectors)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_7200rpm_read_through_limit_is_tight() {
+        let p = DiskParams::hdd_7200rpm();
+        let limit = p.read_through_limit();
+        let longest = SimDuration(p.seek_max_ns + p.rotational_ns);
+        assert!(p.transfer_time(limit) < longest);
+        assert!(p.transfer_time(limit + 1) >= longest);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Block-level request representation shared by all schedulers.
 
 use crate::model::Lbn;
-use dualpar_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Read or write, at every layer of the stack.
@@ -119,8 +118,6 @@ pub struct DiskRequest {
     pub lbn: Lbn,
     /// Sectors accessed.
     pub sectors: u64,
-    /// When the request reached the scheduler.
-    pub arrival: SimTime,
     /// Caller tags of the requests coalesced into this one by queue
     /// merging, this request's own tag first. The server completes all of
     /// them at once.
@@ -129,14 +126,13 @@ pub struct DiskRequest {
 
 impl DiskRequest {
     /// Build an unmerged request, tagged with its `id`.
-    pub fn new(id: u64, kind: IoKind, lbn: Lbn, sectors: u64, arrival: SimTime) -> Self {
+    pub fn new(id: u64, kind: IoKind, lbn: Lbn, sectors: u64) -> Self {
         debug_assert!(sectors > 0, "zero-length disk request");
         DiskRequest {
             id,
             kind,
             lbn,
             sectors,
-            arrival,
             merged: MergedIds::one(id),
         }
     }
@@ -199,7 +195,7 @@ mod tests {
     use super::*;
 
     fn req(id: u64, lbn: Lbn, sectors: u64) -> DiskRequest {
-        DiskRequest::new(id, IoKind::Read, lbn, sectors, SimTime::ZERO)
+        DiskRequest::new(id, IoKind::Read, lbn, sectors)
     }
 
     #[test]

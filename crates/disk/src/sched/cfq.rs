@@ -40,10 +40,9 @@ sorted_scheduler!(CfqScheduler, pop_elevator);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dualpar_sim::SimTime;
 
     fn req(id: u64, lbn: Lbn) -> DiskRequest {
-        DiskRequest::new(id, IoKind::Read, lbn, 8, SimTime::ZERO)
+        DiskRequest::new(id, IoKind::Read, lbn, 8)
     }
 
     /// Serve the whole queue from `head`, returning the dispatched LBNs.

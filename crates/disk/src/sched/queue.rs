@@ -11,7 +11,7 @@ use crate::request::{DiskRequest, IoKind};
 pub(super) struct SortedQueue {
     /// `(lbn, slot)` of every queued request, sorted by the requests'
     /// `(lbn, id)`. Every search runs over these 16-byte keys, and an
-    /// insert or a remove shifts them, not the 80-byte requests.
+    /// insert or a remove shifts them, not the 72-byte requests.
     order: Vec<(Lbn, u32)>,
     /// The requests, at the slots `order` names; `None` marks a free slot.
     slots: Vec<Option<DiskRequest>>,
@@ -21,6 +21,11 @@ pub(super) struct SortedQueue {
     /// lowered, so a request ending at `start` starts no earlier than
     /// `start - longest`.
     longest: u64,
+    /// The position of the last removal. A dispatch's merge probes look
+    /// for the neighbours of the request just popped, so their search
+    /// usually ends here; [`SortedQueue::lower_bound_near`] checks it
+    /// before searching. Inserts may leave it stale: it is only a hint.
+    last_removed: usize,
 }
 
 impl SortedQueue {
@@ -33,6 +38,23 @@ impl SortedQueue {
     /// The first position of a request starting at or after `lbn`.
     fn lower_bound(&self, lbn: Lbn) -> usize {
         self.order.partition_point(|&(l, _)| l < lbn)
+    }
+
+    /// [`SortedQueue::lower_bound`], answered without a search when the
+    /// last removal's position is the answer: every key before it is below
+    /// `lbn` and the key at it is not.
+    fn lower_bound_near(&self, lbn: Lbn) -> usize {
+        let i = self.last_removed;
+        // Past the end, `i - 1` is no key either, so `below` fails.
+        let below = i
+            .checked_sub(1)
+            .is_none_or(|j| self.order.get(j).is_some_and(|&(l, _)| l < lbn));
+        let above = self.order.get(i).is_none_or(|&(l, _)| l >= lbn);
+        if below && above {
+            i
+        } else {
+            self.lower_bound(lbn)
+        }
     }
 
     /// The first position before `pos` from which every request up to
@@ -49,6 +71,7 @@ impl SortedQueue {
         // `dispatch` and `disk_path` criterion groups in
         // `crates/bench/benches/hot_path.rs` are the regression guard.
         let (_, slot) = self.order.remove(i);
+        self.last_removed = i;
         self.free.push(slot);
         self.slots[slot as usize]
             .take()
@@ -131,7 +154,7 @@ impl SortedQueue {
 
     /// Remove the first request of `kind` starting at `end`.
     pub(super) fn take_starting_at(&mut self, end: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        let first = self.lower_bound(end);
+        let first = self.lower_bound_near(end);
         let i = (first..self.order.len())
             .take_while(|&i| self.order[i].0 == end)
             .find(|&i| self.at(i).is_some_and(|r| r.kind == kind))?;
@@ -140,7 +163,7 @@ impl SortedQueue {
 
     /// Remove the first request of `kind` ending at `start`.
     pub(super) fn take_ending_at(&mut self, start: Lbn, kind: IoKind) -> Option<DiskRequest> {
-        let pos = self.lower_bound(start);
+        let pos = self.lower_bound_near(start);
         let first = self.window_start(pos, start.saturating_sub(self.longest));
         let i = (first..pos).find(|&i| {
             self.at(i)
@@ -157,7 +180,6 @@ impl SortedQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dualpar_sim::SimTime;
     use proptest::prelude::*;
 
     /// The queue without the key array and windowed searches: every probe
@@ -239,6 +261,16 @@ mod tests {
             start: Lbn,
             write: bool,
         },
+        /// Pop in elevator order, insert a request starting `below` sectors
+        /// under the popped one (which moves the keys after it and so
+        /// leaves the remembered position stale), then take the popped
+        /// request's successor (`starting`) or predecessor.
+        PopInsertTake {
+            head: Lbn,
+            below: Lbn,
+            sectors: u64,
+            starting: bool,
+        },
     }
 
     /// The merge cap of the comparison: small, so that sums landing on it
@@ -282,7 +314,16 @@ mod tests {
             (lbn.clone(), any::<bool>()).prop_map(|(head, nearest)| Step::Pop { head, nearest }),
             (lbn.clone(), any::<bool>())
                 .prop_map(|(end, write)| Step::TakeStartingAt { end, write }),
-            (lbn, any::<bool>()).prop_map(|(start, write)| Step::TakeEndingAt { start, write }),
+            (lbn.clone(), any::<bool>())
+                .prop_map(|(start, write)| Step::TakeEndingAt { start, write }),
+            (lbn, 1..span, (0u64..64).prop_map(sectors), any::<bool>()).prop_map(
+                |(head, below, sectors, starting)| Step::PopInsertTake {
+                    head,
+                    below,
+                    sectors,
+                    starting,
+                }
+            ),
         ]
     }
 
@@ -291,6 +332,33 @@ mod tests {
             IoKind::Write
         } else {
             IoKind::Read
+        }
+    }
+
+    /// A take after an insert that shifted the remembered position still
+    /// finds its target by the search the position skips.
+    #[test]
+    fn a_take_after_an_insert_below_the_last_removal_removes_the_right_request() {
+        let read = |id, lbn, sectors| DiskRequest::new(id, IoKind::Read, lbn, sectors);
+        for starting in [true, false] {
+            let mut q = SortedQueue::default();
+            // Positions: 10 (id 1), 20 (id 2, ends at 28), 28 (id 3); the
+            // cap stops any merge on insert.
+            for req in [read(1, 10, 2), read(3, 28, 4), read(2, 20, 8)] {
+                q.insert(req, 1);
+            }
+            let popped = q.pop_elevator(20).expect("a request at 20");
+            assert_eq!((popped.id, q.last_removed), (2, 1));
+            // Below the popped request: position 1 now holds id 1 at 10.
+            q.insert(read(4, 5, 1), 1);
+            let taken = if starting {
+                q.take_starting_at(popped.end(), IoKind::Read)
+            } else {
+                q.take_ending_at(12, IoKind::Read)
+            };
+            let want = if starting { 3 } else { 1 };
+            assert_eq!(taken.map(|r| r.id), Some(want));
+            assert_eq!(q.len(), 2);
         }
     }
 
@@ -313,7 +381,7 @@ mod tests {
                         // Ids are unique but not in arrival order, and
                         // equal LBNs are common.
                         let id = (id_hi << 32) | seq;
-                        let req = DiskRequest::new(id, kind(write), lbn, sectors, SimTime::ZERO);
+                        let req = DiskRequest::new(id, kind(write), lbn, sectors);
                         fast.insert(req.clone(), CAP);
                         slow.insert(req, CAP);
                     }
@@ -349,6 +417,29 @@ mod tests {
                     Step::TakeEndingAt { start, write } => {
                         let got = fast.take_ending_at(start, kind(write));
                         prop_assert_eq!(got, slow.take_ending_at(start, kind(write)));
+                    }
+                    Step::PopInsertTake { head, below, sectors, starting } => {
+                        let got = fast.pop_elevator(head);
+                        prop_assert_eq!(&got, &slow.pop_elevator(head));
+                        let Some(r) = got else { continue };
+                        let req = DiskRequest::new(seq, r.kind, r.lbn.saturating_sub(below), sectors);
+                        fast.insert(req.clone(), CAP);
+                        slow.insert(req, CAP);
+                        let got = if starting {
+                            let got = fast.take_starting_at(r.end(), r.kind);
+                            prop_assert_eq!(&got, &slow.take_starting_at(r.end(), r.kind));
+                            got
+                        } else {
+                            let got = fast.take_ending_at(r.lbn, r.kind);
+                            prop_assert_eq!(&got, &slow.take_ending_at(r.lbn, r.kind));
+                            got
+                        };
+                        // Put the taken request back, so the queue does not
+                        // drain faster than the other steps fill it.
+                        if let Some(t) = got {
+                            fast.insert(t.clone(), CAP);
+                            slow.insert(t, CAP);
+                        }
                     }
                 }
                 prop_assert_eq!(fast.len(), slow.sorted.len());

@@ -73,10 +73,9 @@ sorted_scheduler!(SstfScheduler, pop_nearest);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dualpar_sim::SimTime;
 
     fn req(id: u64, lbn: Lbn, sectors: u64) -> DiskRequest {
-        DiskRequest::new(id, IoKind::Read, lbn, sectors, SimTime::ZERO)
+        DiskRequest::new(id, IoKind::Read, lbn, sectors)
     }
 
     fn drain(s: &mut dyn Scheduler, head: Lbn) -> Vec<Lbn> {

@@ -6,7 +6,7 @@
 use dualpar_disk::{
     bytes_to_sectors, DiskParams, DiskRequest, IoKind, Scheduler, SchedulerKind, MAX_MERGE_SECTORS,
 };
-use dualpar_sim::{SimDuration, SimTime};
+use dualpar_sim::SimDuration;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -58,7 +58,7 @@ fn run_conservation(kind: SchedulerKind, reqs: Vec<(u64, u64, bool)>, start_head
         expected_ids.insert(id);
         expected_sectors += sectors;
         let kind = if is_read { IoKind::Read } else { IoKind::Write };
-        sched.enqueue(DiskRequest::new(id, kind, lbn, sectors, SimTime::ZERO));
+        sched.enqueue(DiskRequest::new(id, kind, lbn, sectors));
     }
     let serviced = drain_all(sched.as_mut(), start_head);
     let mut seen_ids = BTreeSet::new();

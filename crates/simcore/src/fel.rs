@@ -13,14 +13,33 @@
 //! that slot and sifts it down once. A pop that finds the root still vacant
 //! (the handler scheduled nothing) first refills it from the last entry.
 //! [`EventQueue::len`] never counts the vacant slot.
+//!
+//! An entry keeps its key in two words, the time and a tie word packing
+//! `rank` (16 bits) above `seq` (48 bits), and a comparison reads them as
+//! one `u128`.
 
 use crate::time::SimTime;
 
-/// One queued event; only `key` takes part in the order.
+/// Bits of the tie word that hold `rank`: ranks below 2¹⁶.
+const RANK_BITS: u32 = 16;
+/// Bits of the tie word that hold `seq`: 2⁴⁸ schedules per queue.
+const SEQ_BITS: u32 = u64::BITS - RANK_BITS;
+
+/// One queued event; only the key (`at`, `tie`) takes part in the order.
 #[derive(Clone, Copy)]
 struct Entry<E> {
-    key: (SimTime, u64, u64),
+    at: SimTime,
+    /// `rank << SEQ_BITS | seq`.
+    tie: u64,
     payload: E,
+}
+
+impl<E> Entry<E> {
+    /// The order key `(time, rank, seq)` as one integer.
+    #[inline(always)]
+    fn key(&self) -> u128 {
+        (u128::from(self.at.0) << u64::BITS) | u128::from(self.tie)
+    }
 }
 
 /// A deterministic future-event list; [`EventQueue::schedule_ranked`]
@@ -82,17 +101,24 @@ impl<E: Copy> EventQueue<E> {
     /// order.
     ///
     /// # Panics
-    /// As [`EventQueue::schedule`].
+    /// As [`EventQueue::schedule`]; also if `rank` is 2¹⁶ or more, or the
+    /// queue has taken 2⁴⁸ schedules.
     pub fn schedule_ranked(&mut self, at: SimTime, rank: u64, payload: E) {
         assert!(
             at >= self.now,
             "scheduling event in the past: at={at} now={}",
             self.now
         );
+        assert!(
+            rank >> RANK_BITS == 0,
+            "event rank {rank} needs over {RANK_BITS} bits"
+        );
         let seq = self.next_seq;
+        assert!(seq >> SEQ_BITS == 0, "event sequence past {SEQ_BITS} bits");
         self.next_seq += 1;
         let entry = Entry {
-            key: (at, rank, seq),
+            at,
+            tie: (rank << SEQ_BITS) | seq,
             payload,
         };
         if self.vacant {
@@ -117,7 +143,7 @@ impl<E: Copy> EventQueue<E> {
         }
         let root = *self.heap.first()?;
         self.vacant = true;
-        let t = root.key.0;
+        let t = root.at;
         debug_assert!(t >= self.now, "event queue time inversion");
         self.now = t;
         Some((t, root.payload))
@@ -132,8 +158,8 @@ fn sift_down<E: Copy>(heap: &mut [Entry<E>], entry: Entry<E>) {
     let mut child = 1;
     while child + 1 < len {
         // The lesser of the two children.
-        child += usize::from(heap[child + 1].key < heap[child].key);
-        if entry.key < heap[child].key {
+        child += usize::from(heap[child + 1].key() < heap[child].key());
+        if entry.key() < heap[child].key() {
             break;
         }
         heap[hole] = heap[child];
@@ -141,7 +167,7 @@ fn sift_down<E: Copy>(heap: &mut [Entry<E>], entry: Entry<E>) {
         child = 2 * hole + 1;
     }
     // A last parent with one child, reached only if the loop ran out.
-    if child + 1 == len && heap[child].key < entry.key {
+    if child + 1 == len && heap[child].key() < entry.key() {
         heap[hole] = heap[child];
         hole = child;
     }
@@ -152,7 +178,7 @@ fn sift_down<E: Copy>(heap: &mut [Entry<E>], entry: Entry<E>) {
 fn sift_up<E: Copy>(heap: &mut [Entry<E>], mut hole: usize, entry: Entry<E>) {
     while hole > 0 {
         let parent = (hole - 1) / 2;
-        if heap[parent].key < entry.key {
+        if heap[parent].key() < entry.key() {
             break;
         }
         heap[hole] = heap[parent];
@@ -260,6 +286,31 @@ mod tests {
         q.schedule(SimTime(5), "r0");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["r0", "r1-first", "r1-second", "r2", "later"]);
+    }
+
+    #[test]
+    fn the_highest_rank_orders_after_every_lower_one() {
+        let mut q = EventQueue::new();
+        let top = (1 << RANK_BITS) - 1;
+        q.schedule_ranked(SimTime(5), top, "top");
+        q.schedule_ranked(SimTime(5), top - 1, "below");
+        q.schedule_ranked(SimTime(4), top, "earlier");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["earlier", "below", "top"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs over 16 bits")]
+    fn a_rank_past_its_bits_panics() {
+        EventQueue::new().schedule_ranked(SimTime(1), 1 << RANK_BITS, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence past 48 bits")]
+    fn a_sequence_past_its_bits_panics() {
+        let mut q = EventQueue::new();
+        q.next_seq = 1 << SEQ_BITS;
+        q.schedule(SimTime(1), ());
     }
 
     #[test]

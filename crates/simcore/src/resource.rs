@@ -1,6 +1,6 @@
 //! The network link model shared by the client and server NICs.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime, NANOS_PER_SEC};
 
 /// A bandwidth-and-latency pipe: service time is `latency + size/bandwidth`,
 /// serialised FIFO. This is the model used for every NIC in the cluster.
@@ -8,8 +8,12 @@ use crate::time::{SimDuration, SimTime};
 pub struct Link {
     /// When the wire finishes serialising every message sent so far.
     free_at: SimTime,
-    pub latency: SimDuration,
-    pub bytes_per_sec: u64,
+    latency: SimDuration,
+    bytes_per_sec: u64,
+    /// `10⁹ / bytes_per_sec` when the rate divides 10⁹ (125 MB/s is 8 ns
+    /// a byte): a message then serialises in exactly `bytes × ns_per_byte`
+    /// nanoseconds, with no division.
+    ns_per_byte: Option<u64>,
 }
 
 impl Link {
@@ -19,16 +23,30 @@ impl Link {
             free_at: SimTime::ZERO,
             latency,
             bytes_per_sec,
+            ns_per_byte: NANOS_PER_SEC
+                .is_multiple_of(bytes_per_sec)
+                .then(|| NANOS_PER_SEC / bytes_per_sec),
         }
     }
 
     /// Send a message of `bytes` entering the link at `now`; returns delivery
     /// time at the far end. The wire occupancy (serialisation) queues behind
     /// earlier messages; the propagation latency is added after transmission.
+    #[inline]
     pub fn send(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        let serialisation = SimDuration::for_transfer(bytes, self.bytes_per_sec);
-        self.free_at = now.max_of(self.free_at) + serialisation;
+        self.free_at = now.max_of(self.free_at) + self.serialisation(bytes);
         self.free_at + self.latency
+    }
+
+    /// [`SimDuration::for_transfer`] of `bytes` at the link's rate. With an
+    /// integer `ns_per_byte` the quotient is exact, so no rounding is lost,
+    /// and the product saturates where the wide division clamps.
+    #[inline]
+    fn serialisation(&self, bytes: u64) -> SimDuration {
+        match self.ns_per_byte {
+            Some(ns) => SimDuration(bytes.saturating_mul(ns)),
+            None => SimDuration::for_transfer(bytes, self.bytes_per_sec),
+        }
     }
 }
 
@@ -45,6 +63,50 @@ mod tests {
         // Second message queues behind the first's serialisation only.
         let d2 = l.send(SimTime::ZERO, 1000);
         assert_eq!(d2, SimTime(2_010_000_000));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// The serialisation time equals `SimDuration::for_transfer`, on
+        /// the integer path (rates dividing 10⁹) and the dividing one.
+        #[test]
+        fn serialisation_equals_for_transfer(
+            divisor in 0usize..DIVISORS.len(),
+            other in 1u64..u64::MAX,
+            pick in 0u8..4,
+            bytes in proptest::prop_oneof![0u64..1 << 20, 0u64..u64::MAX, proptest::prelude::Just(u64::MAX)],
+        ) {
+            let rate = match pick {
+                0 | 1 => DIVISORS[divisor],
+                2 => other,
+                _ => other % 1_000_000_000 + 1,
+            };
+            let link = Link::new(SimDuration::ZERO, rate);
+            if pick < 2 {
+                assert!(link.ns_per_byte.is_some(), "{rate} divides 10^9");
+            }
+            assert_eq!(link.serialisation(bytes), SimDuration::for_transfer(bytes, rate));
+        }
+    }
+
+    /// Every divisor of 10⁹ = 2⁹·5⁹.
+    const DIVISORS: [u64; 100] = {
+        let mut out = [0u64; 100];
+        let mut i = 0;
+        while i < 100 {
+            out[i] = 2u64.pow((i / 10) as u32) * 5u64.pow((i % 10) as u32);
+            i += 1;
+        }
+        out
+    };
+
+    #[test]
+    fn every_nic_serialises_without_a_division() {
+        // 125 MB/s, the cluster's NIC rate, is 8 ns a byte.
+        let link = Link::new(SimDuration::ZERO, 125_000_000);
+        assert_eq!(link.ns_per_byte, Some(8));
+        assert_eq!(Link::new(SimDuration::ZERO, 3).ns_per_byte, None);
     }
 
     #[test]

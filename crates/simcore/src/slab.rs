@@ -31,40 +31,52 @@
 
 use core::fmt;
 
-/// Handle to a slab slot: slot index in the low 32 bits, the slot's
-/// generation at insert time in the high 32 bits. `Copy`, order-preserving
-/// only per generation — treat it as opaque outside the slab.
+/// Handle to a slab slot: the slot index and the slot's generation at
+/// insert time, ordered by generation, then index. Two `u32`s, so an enum
+/// that holds a key beside a 4-byte alternative stays 12 bytes. `Copy`,
+/// order-preserving only per generation — treat it as opaque outside the
+/// slab.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SlabKey(u64);
+pub struct SlabKey {
+    generation: u32,
+    index: u32,
+}
 
 impl SlabKey {
     /// The raw packed representation (e.g. to thread through layers that
-    /// speak `u64` ids). Round-trips through [`SlabKey::from_raw`].
+    /// speak `u64` ids): the index in the low 32 bits, the generation in
+    /// the high 32. Round-trips through [`SlabKey::from_raw`].
     #[inline]
     pub const fn raw(self) -> u64 {
-        self.0
+        ((self.generation as u64) << 32) | self.index as u64
     }
 
     /// Rebuild a key from its packed representation.
     #[inline]
     pub const fn from_raw(raw: u64) -> Self {
-        SlabKey(raw)
+        SlabKey {
+            generation: (raw >> 32) as u32,
+            index: raw as u32,
+        }
     }
 
     #[inline]
     fn index(self) -> usize {
-        (self.0 & 0xFFFF_FFFF) as usize
+        self.index as usize
     }
 
     #[inline]
     fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
+        self.generation
     }
 
     #[inline]
     fn pack(index: usize, generation: u32) -> Self {
         debug_assert!(index <= u32::MAX as usize, "slab grew past 2^32 slots");
-        SlabKey(((generation as u64) << 32) | index as u64)
+        SlabKey {
+            generation,
+            index: index as u32,
+        }
     }
 }
 

@@ -228,3 +228,44 @@ fn interference_trace_emits_exactly_the_schema() {
         TRACE_SCHEMA.iter().map(|s| (s.component, s.kind)).collect();
     assert_eq!(emitted, registered);
 }
+
+/// A vanilla process counts its region's sub-requests itself, with no
+/// completion group, yet each region still lands one observation in
+/// `group.latency_secs.vanilla_region`.
+#[test]
+fn every_vanilla_region_observes_its_latency_once() {
+    let hpio = Hpio {
+        nprocs: 4,
+        region_count: 16,
+    };
+    let mut c = build_cluster(&ExperimentSpec {
+        cluster: ClusterConfig {
+            telemetry: TelemetryConfig::at(TelemetryLevel::Counters),
+            ..small_cluster()
+        },
+        programs: vec![ProgramEntry {
+            workload: hpio.into(),
+            strategy: IoStrategy::Vanilla,
+            start_secs: 0.0,
+        }],
+        ..ExperimentSpec::default()
+    });
+    assert!(!c.config().sieve.enabled, "unsieved: one region, one issue");
+    let regions: usize = c
+        .scripts()
+        .flat_map(|s| &s.ops)
+        .map(|op| match op {
+            Op::Io(call) => call.regions.len(),
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(regions, 4 * 16);
+    c.run();
+    let latency = c
+        .telemetry()
+        .registry()
+        .histogram("group.latency_secs.vanilla_region")
+        .expect("vanilla regions observed");
+    assert_eq!(latency.count, regions as u64);
+    assert!(latency.min > 0.0, "every region waits for its disk reads");
+}
