@@ -19,6 +19,7 @@
 
 use dualpar_cluster::{Cluster, ClusterConfig, IoStrategy, ProgramSpec};
 use dualpar_mpiio::ProgramScript;
+use dualpar_pfs::Pvfs;
 use dualpar_sim::SimTime;
 use dualpar_workloads::{
     instance_seed, Arrivals, Btio, Demo, DependentReader, DslWorkload, Hpio, IorMpiIo, MpiIoTest,
@@ -120,6 +121,22 @@ impl WorkloadSpec {
             _ => return Ok(()),
         };
         Err(format!("{preset}.{field} must be at least 1"))
+    }
+
+    /// Sizes of the files [`WorkloadSpec::materialize`] creates, in order.
+    fn file_sizes(&self) -> impl Iterator<Item = u64> {
+        let (first, second) = match self {
+            Self::MpiIoTest(w) => (w.file_size, None),
+            Self::Hpio(w) => (w.file_size(), None),
+            Self::IorMpiIo(w) => (w.file_size, None),
+            Self::Noncontig(w) => (w.file_size(), None),
+            Self::S3asim(w) => (w.db_size, Some(w.result_size)),
+            Self::Btio(w) => (w.file_size(), None),
+            Self::Demo(w) => (w.file_size, None),
+            Self::DependentReader(w) => (w.file_size(), None),
+            Self::Dsl(d) => (d.file_size, None),
+        };
+        std::iter::once(first).chain(second)
     }
 
     /// A decorrelated copy for open-loop arrival instance `instance`.
@@ -269,6 +286,28 @@ impl ExperimentSpec {
             a.arrivals
                 .validate()
                 .map_err(|e| format!("arrivals[{i}]: {e}"))?;
+        }
+        // Every file `build_cluster` creates, in its order, must fit each
+        // server's disk: the allocator panics on a full one.
+        let c = &self.cluster;
+        let mut pvfs = Pvfs::new(c.num_data_servers, c.stripe_size, c.disk.capacity_sectors);
+        let programs = self.programs.iter().map(|p| (&p.workload, 1));
+        let arrivals = self
+            .arrivals
+            .iter()
+            .map(|a| (&a.workload, a.arrivals.times().len()));
+        let mut files = 0u64;
+        for (workload, instances) in programs.chain(arrivals) {
+            for size in (0..instances).flat_map(|_| workload.file_sizes()) {
+                if !pvfs.fits(size) {
+                    return Err(format!(
+                        "cluster: disk.capacity_sectors ({}) is too small for the spec's files",
+                        c.disk.capacity_sectors
+                    ));
+                }
+                pvfs.create(&files.to_string(), size);
+                files += 1;
+            }
         }
         Ok(())
     }
@@ -456,6 +495,33 @@ mod tests {
             let err = ExperimentSpec::from_json(&json).expect_err("zero cluster field");
             assert!(err.starts_with("cluster: ") && err.contains(field), "{err}");
         }
+    }
+
+    #[test]
+    fn a_disk_too_small_for_the_files_is_rejected_naming_the_field() {
+        // 4 MiB demo file over 4 servers: 1 MiB (2,048 sectors) each, after
+        // the allocator's 2,048 reserved sectors.
+        let spec = |capacity: u64| {
+            let mut cluster = ClusterConfig {
+                num_data_servers: 4,
+                ..ClusterConfig::default()
+            };
+            cluster.disk.capacity_sectors = capacity;
+            let cluster = serde_json::to_string(&cluster).expect("serialise cluster");
+            format!(
+                r#"{{"cluster": {cluster},
+                "programs": [{{"workload": {{"demo": {{"file_size": 4194304}}}}, "strategy": "DualPar"}}]}}"#
+            )
+        };
+        for capacity in [1, 4095] {
+            let err = ExperimentSpec::from_json(&spec(capacity)).expect_err("disk too small");
+            assert!(
+                err.starts_with("cluster: ") && err.contains("disk.capacity_sectors"),
+                "{err}"
+            );
+        }
+        let fits = ExperimentSpec::from_json(&spec(4096)).expect("the file fits exactly");
+        build_cluster(&fits);
     }
 
     #[test]

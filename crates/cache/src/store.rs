@@ -51,7 +51,30 @@ struct Chunk {
     /// Quota charges against each inserting owner, sorted by owner with
     /// one entry each (usually one or a few entries; interleaved writers
     /// can share a chunk).
-    charges: Vec<(OwnerId, u64)>,
+    charges: Charges,
+}
+
+/// A chunk's quota charges. A chunk charged to one owner keeps the charge
+/// inline; a second owner moves both into the list.
+#[derive(Debug)]
+enum Charges {
+    Many(Vec<(OwnerId, u64)>),
+    One((OwnerId, u64)),
+}
+
+impl Default for Charges {
+    fn default() -> Self {
+        Charges::Many(Vec::new())
+    }
+}
+
+impl Charges {
+    fn as_slice(&self) -> &[(OwnerId, u64)] {
+        match self {
+            Charges::Many(list) => list,
+            Charges::One(charge) => std::slice::from_ref(charge),
+        }
+    }
 }
 
 impl Chunk {
@@ -65,28 +88,52 @@ impl Chunk {
         if added == 0 {
             return false;
         }
+        match &mut self.charges {
+            Charges::Many(list) if list.is_empty() => {
+                self.charges = Charges::One((owner, added));
+                return true;
+            }
+            Charges::One((o, c)) if *o == owner => {
+                *c += added;
+                return false;
+            }
+            // A second owner: list both, with the capacity a list that
+            // grew from empty would have.
+            Charges::One(first) => {
+                let mut list = Vec::with_capacity(4);
+                list.push(*first);
+                self.charges = Charges::Many(list);
+            }
+            Charges::Many(_) => {}
+        }
+        let Charges::Many(charges) = &mut self.charges else {
+            unreachable!("a chunk charged to two owners lists its charges")
+        };
         // Owners that write a chunk in ascending order (BTIO's ranks) only
         // ever add to or push onto the back.
-        match self.charges.last_mut() {
+        match charges.last_mut() {
             Some((o, c)) if *o == owner => *c += added,
-            Some((o, _)) if *o > owner => match self.charge_index(owner) {
-                Ok(i) => self.charges[i].1 += added,
+            Some((o, _)) if *o > owner => match charges.binary_search_by_key(&owner, |&(o, _)| o) {
+                Ok(i) => charges[i].1 += added,
                 Err(i) => {
-                    self.charges.insert(i, (owner, added));
+                    charges.insert(i, (owner, added));
                     return true;
                 }
             },
             _ => {
-                self.charges.push((owner, added));
+                charges.push((owner, added));
                 return true;
             }
         }
         false
     }
 
-    /// Where `owner`'s charge is (`Ok`) or would go (`Err`) in `charges`.
-    fn charge_index(&self, owner: OwnerId) -> Result<usize, usize> {
-        self.charges.binary_search_by_key(&owner, |&(o, _)| o)
+    /// Is `owner` charged in this chunk?
+    fn charges_owner(&self, owner: OwnerId) -> bool {
+        self.charges
+            .as_slice()
+            .binary_search_by_key(&owner, |&(o, _)| o)
+            .is_ok()
     }
 }
 
@@ -155,17 +202,14 @@ fn home_node(chunk_idx: u64, num_nodes: u32) -> NodeId {
 )]
 fn sort_and_merge(mut out: Vec<(FileId, FileRegion)>) -> Vec<(FileId, FileRegion)> {
     out.sort_by_key(|&(f, r)| (f, r.offset));
-    let mut merged: Vec<(FileId, FileRegion)> = Vec::with_capacity(out.len());
-    for (f, r) in out {
-        if let Some(last) = merged.last_mut() {
-            if last.0 == f && last.1.end() == r.offset {
-                last.1.len += r.len;
-                continue;
-            }
+    out.dedup_by(|(f, r), (last_f, last)| {
+        let adjacent = *last_f == *f && last.end() == r.offset;
+        if adjacent {
+            last.len += r.len;
         }
-        merged.push((f, r));
-    }
-    merged
+        adjacent
+    });
+    out
 }
 
 /// Is a read that found `found` bytes of `region` a full hit?
@@ -313,9 +357,10 @@ pub struct GlobalCache {
     /// owner charged in it. A key is pushed for every charged owner when a
     /// chunk's unused bytes go from none to some (only `put_prefetch` adds
     /// them), and for one owner when it is first charged in a chunk that
-    /// holds some. `end_prefetch_epoch` takes the owner's list; a key
-    /// listed twice, or whose chunk is gone or holds none, adds 0 there.
-    /// Every list goes once the ledger's `unused_now` is 0.
+    /// holds some. `end_prefetch_epoch` visits the owner's list and empties
+    /// it, keeping its capacity; a key listed twice, or whose chunk is gone
+    /// or holds none, adds 0 there. Every list goes once the ledger's
+    /// `unused_now` is 0.
     unused_chunks: FxHashMap<OwnerId, Vec<(FileId, u64)>>,
 }
 
@@ -458,7 +503,7 @@ impl GlobalCache {
             chunk.last_ref = now;
             let first_charge = chunk.charge(owner, new);
             if speculative > 0 && !was_unused {
-                for &(o, _) in &chunk.charges {
+                for &(o, _) in chunk.charges.as_slice() {
                     self.unused_chunks.entry(o).or_default().push((file, idx));
                 }
             } else if first_charge && was_unused {
@@ -647,7 +692,7 @@ impl GlobalCache {
                     self.chunks.remove(&file);
                 }
                 self.ledger_remove(chunk.prefetched_unused.covered(), |l| &mut l.evicted);
-                release(&mut self.usage, &chunk.charges);
+                release(&mut self.usage, chunk.charges.as_slice());
                 self.stats.bytes_evicted += bytes;
                 used = used.saturating_sub(bytes);
             }
@@ -744,7 +789,7 @@ impl GlobalCache {
                 }
                 evicted += chunk.present.covered();
                 pf_evicted += chunk.prefetched_unused.covered();
-                release(&mut self.usage, &chunk.charges);
+                release(&mut self.usage, chunk.charges.as_slice());
                 false
             });
             if file_chunks.is_empty() {
@@ -814,20 +859,30 @@ impl GlobalCache {
             return None;
         }
         let mut unused = 0u64;
-        let listed = self.unused_chunks.remove(&owner).unwrap_or_default();
+        // The owner's list is emptied, not dropped: its next epoch lists
+        // about as many chunks.
+        let mut listed = self
+            .unused_chunks
+            .get_mut(&owner)
+            .map(std::mem::take)
+            .unwrap_or_default();
         // With no unused prefetched bytes anywhere, the visit could only
         // find 0 and clear nothing; the strict rescan below still checks.
         if self.ledger.unused_now > 0 {
-            for (file, idx) in listed {
+            for &(file, idx) in &listed {
                 let chunk = self.chunks.get_mut(&file).and_then(|fc| fc.get_mut(&idx));
                 // A recreated chunk may no longer charge the owner.
-                if let Some(chunk) = chunk.filter(|c| c.charge_index(owner).is_ok()) {
+                if let Some(chunk) = chunk.filter(|c| c.charges_owner(owner)) {
                     unused += chunk.prefetched_unused.covered();
                     chunk.prefetched_unused.clear();
                 }
             }
         }
         self.ledger_remove(unused, |l| &mut l.misprefetched);
+        if let Some(list) = self.unused_chunks.get_mut(&owner) {
+            listed.clear();
+            *list = listed;
+        }
         if self.ledger.unused_now == 0 {
             self.unused_chunks.clear();
         }
@@ -856,7 +911,7 @@ impl GlobalCache {
                 if idle && chunk.dirty.is_empty() {
                     evicted += chunk.present.covered();
                     pf_evicted += chunk.prefetched_unused.covered();
-                    release(usage, &chunk.charges);
+                    release(usage, chunk.charges.as_slice());
                     false
                 } else {
                     true
@@ -886,7 +941,7 @@ impl GlobalCache {
                 "invalidating {file:?} with dirty data"
             );
             pf_evicted += chunk.prefetched_unused.covered();
-            release(&mut self.usage, &chunk.charges);
+            release(&mut self.usage, chunk.charges.as_slice());
         }
         self.ledger_remove(pf_evicted, |l| &mut l.evicted);
     }
@@ -1194,9 +1249,9 @@ mod tests {
                     }
                 }
             }
-            let charges = &c.chunks[&f(1)][&0].charges;
+            let charges = c.chunks[&f(1)][&0].charges.as_slice();
             let want: Vec<(OwnerId, u64)> = (0..8).map(|o| (OwnerId(o), 64)).collect();
-            assert_eq!(charges, &want, "order {order:?}");
+            assert_eq!(charges, want, "order {order:?}");
             assert!((0..8).all(|o| c.usage(OwnerId(o)) == 64));
             // A charger in the middle of the list finds its unused
             // prefetch in the shared chunk at its epoch end.
@@ -1285,7 +1340,7 @@ mod tests {
             }
             let mut unused = 0u64;
             for chunk in c.chunks.values_mut().flat_map(|fc| fc.values_mut()) {
-                if chunk.charge_index(owner).is_ok() {
+                if chunk.charges_owner(owner) {
                     unused += chunk.prefetched_unused.covered();
                     chunk.prefetched_unused.clear();
                 }
@@ -1317,7 +1372,7 @@ mod tests {
                     }
                     evicted += chunk.present.covered();
                     pf_evicted += chunk.prefetched_unused.covered();
-                    release(&mut c.usage, &chunk.charges);
+                    release(&mut c.usage, chunk.charges.as_slice());
                     false
                 });
             }
@@ -1351,7 +1406,7 @@ mod tests {
                         ch.prefetched_unused.iter().collect(),
                         ch.last_ref,
                     );
-                    (sets, ch.charges.clone())
+                    (sets, ch.charges.as_slice().to_vec())
                 })
             })
             .collect();
@@ -1364,7 +1419,7 @@ mod tests {
         for (&file, fc) in &c.chunks {
             for (&idx, ch) in fc {
                 assert!(ch.dirty.is_empty() || c.dirty_files.contains(&file));
-                for &(o, _) in &ch.charges {
+                for &(o, _) in ch.charges.as_slice() {
                     let listed = c
                         .unused_chunks
                         .get(&o)

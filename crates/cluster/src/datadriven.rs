@@ -316,9 +316,10 @@ impl Cluster {
 
         // Write-back plan from the dirty cache contents, then release the
         // quota held by the previous phase's (clean) data.
-        let files = self.programs[prog].files.clone();
+        let files = std::mem::take(&mut self.programs[prog].files);
         let dirty = self.drain_dirty_for(&files);
         self.cache.evict_clean_for(&files);
+        self.programs[prog].files = files;
         let wb = plan_writeback(&self.cfg.dualpar, dirty);
 
         // Prefetch plan from the ghost recordings.
@@ -355,8 +356,7 @@ impl Cluster {
         if !wb.fill_reads.is_empty() {
             self.programs[prog].phase = Phase::Fill;
             let group = self.new_group(Purpose::PhaseFill { prog });
-            let covers = wb.fill_reads;
-            self.issue_batch_covers(now, group, IoKind::Read, &covers);
+            self.issue_batch_covers(now, group, IoKind::Read, wb.fill_reads);
             self.finish_if_empty(now, group);
         } else {
             self.phase_fill_done(now, prog);
@@ -376,29 +376,32 @@ impl Cluster {
         now: SimTime,
         group: dualpar_sim::SlabKey,
         kind: IoKind,
-        covers: &[(FileId, FileRegion)],
+        covers: impl IntoIterator<Item = (FileId, FileRegion)>,
     ) {
-        let chunk = self.cache.config().chunk_size;
-        let mut per_node: std::collections::BTreeMap<u32, Vec<(FileId, FileRegion)>> =
-            std::collections::BTreeMap::new();
-        for &(file, region) in covers {
+        let cfg = self.cache.config();
+        let chunk = cfg.chunk_size;
+        let mut per_node = std::mem::take(&mut self.batch_scratch);
+        per_node.resize_with(cfg.num_nodes as usize, Vec::new);
+        for (file, region) in covers {
             let mut off = region.offset;
             let end = region.end();
             while off < end {
                 let idx = off / chunk;
                 let piece_end = ((idx + 1) * chunk).min(end);
                 let home = self.cache.home_of(file, idx).0;
-                per_node
-                    .entry(home)
-                    .or_default()
-                    .push((file, FileRegion::new(off, piece_end - off)));
+                per_node[home as usize].push((file, FileRegion::new(off, piece_end - off)));
                 off = piece_end;
             }
         }
-        for (node, pieces) in per_node {
-            let n = self.issue_covers(now, Ack::Group(group), node, kind, &pieces);
+        for (node, pieces) in per_node.iter_mut().enumerate() {
+            if pieces.is_empty() {
+                continue;
+            }
+            let n = self.issue_covers(now, Ack::Group(group), node as u32, kind, pieces);
             self.tele.count("crm.subrequests", n as u64);
+            pieces.clear();
         }
+        self.batch_scratch = per_node;
     }
 
     pub(crate) fn phase_fill_done(&mut self, now: SimTime, prog: usize) {
@@ -408,10 +411,9 @@ impl Cluster {
             return;
         }
         self.programs[prog].phase = Phase::Writeback;
-        let covers: Vec<(FileId, FileRegion)> =
-            writes.iter().map(|io| (io.file, io.cover)).collect();
         let group = self.new_group(Purpose::PhaseWriteback { prog });
-        self.issue_batch_covers(now, group, IoKind::Write, &covers);
+        let covers = writes.iter().map(|io| (io.file, io.cover));
+        self.issue_batch_covers(now, group, IoKind::Write, covers);
         self.finish_if_empty(now, group);
     }
 
@@ -422,10 +424,9 @@ impl Cluster {
             return;
         }
         self.programs[prog].phase = Phase::Prefetch;
-        let covers: Vec<(FileId, FileRegion)> =
-            reads.iter().map(|io| (io.file, io.cover)).collect();
         let group = self.new_group(Purpose::PhasePrefetch { prog });
-        self.issue_batch_covers(now, group, IoKind::Read, &covers);
+        let covers = reads.iter().map(|io| (io.file, io.cover));
+        self.issue_batch_covers(now, group, IoKind::Read, covers);
         self.finish_if_empty(now, group);
     }
 
@@ -462,9 +463,10 @@ impl Cluster {
     /// mode (the cache is bypassed in computation-driven execution, so
     /// buffered writes must reach the servers first).
     pub(crate) fn flush_on_revert(&mut self, now: SimTime, prog: usize) {
-        let files = self.programs[prog].files.clone();
+        let files = std::mem::take(&mut self.programs[prog].files);
         let dirty = self.drain_dirty_for(&files);
         self.cache.evict_clean_for(&files);
+        self.programs[prog].files = files;
         if !dirty.is_empty() {
             self.issue_flush(now, prog, dirty, false);
         }
@@ -482,12 +484,10 @@ impl Cluster {
         let plan = plan_writeback(&self.cfg.dualpar, dirty);
         let group = self.new_group(Purpose::FlushWriteback { prog, finalize });
         if !plan.fill_reads.is_empty() {
-            let covers = plan.fill_reads.clone();
-            self.issue_batch_covers(now, group, IoKind::Read, &covers);
+            self.issue_batch_covers(now, group, IoKind::Read, plan.fill_reads);
         }
-        let covers: Vec<(FileId, FileRegion)> =
-            plan.writes.iter().map(|io| (io.file, io.cover)).collect();
-        self.issue_batch_covers(now, group, IoKind::Write, &covers);
+        let covers = plan.writes.iter().map(|io| (io.file, io.cover));
+        self.issue_batch_covers(now, group, IoKind::Write, covers);
         self.finish_if_empty(now, group);
     }
 

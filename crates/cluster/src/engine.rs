@@ -251,7 +251,10 @@ pub(crate) struct Program {
     /// Writes planned for after the fill stage.
     pub staged_writes: Vec<CoalescedIo>,
     pub staged_prefetch: Vec<CoalescedIo>,
-    pub barrier_waits: FxHashMap<u64, Vec<usize>>,
+    /// The processes waiting at the open barrier, in arrival order. Every
+    /// rank passes the same barriers in the same order, so at most one is
+    /// open; the list keeps its capacity for the next.
+    pub barrier_waits: Vec<usize>,
     pub coll: CollectState,
     pub started: bool,
     pub start: SimTime,
@@ -317,6 +320,9 @@ pub struct Cluster {
     pub(crate) homes_scratch: Vec<(NodeId, u64)>,
     /// Reusable buffer for the disk runs `issue_covers` resolves.
     resolved_scratch: Vec<ResolvedIo>,
+    /// Reusable per-home-node piece lists of `issue_batch_covers`, indexed
+    /// by cache node.
+    pub(crate) batch_scratch: Vec<Vec<(FileId, FileRegion)>>,
 }
 
 // The parallel suite runner builds and runs whole clusters on scoped worker
@@ -383,6 +389,7 @@ impl Cluster {
             cat_epoch: 0,
             homes_scratch: Vec::new(),
             resolved_scratch: Vec::new(),
+            batch_scratch: Vec::new(),
         }
     }
 
@@ -535,7 +542,7 @@ impl Cluster {
             recordings: Vec::new(),
             staged_writes: Vec::new(),
             staged_prefetch: Vec::new(),
-            barrier_waits: FxHashMap::default(),
+            barrier_waits: Vec::new(),
             coll: CollectState {
                 arrived: vec![None; nprocs],
                 count: 0,

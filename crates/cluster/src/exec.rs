@@ -66,17 +66,22 @@ impl Cluster {
     fn barrier_arrive(&mut self, now: SimTime, p: usize, id: u64) -> bool {
         let prog = self.procs[p].prog;
         let nprocs = self.programs[prog].nprocs();
-        let waiters = self.programs[prog].barrier_waits.entry(id).or_default();
+        let waiters = &mut self.programs[prog].barrier_waits;
+        dualpar_sim::strict_assert!(
+            waiters
+                .first()
+                .is_none_or(|&w| self.procs[w].state == PState::BarrierWait(id)),
+            "two barriers open at once in program {prog}"
+        );
         if waiters.len() + 1 == nprocs {
-            let released = self.programs[prog]
-                .barrier_waits
-                .remove(&id)
-                .unwrap_or_default();
-            for w in released {
+            let mut released = std::mem::take(waiters);
+            for &w in &released {
                 self.procs[w].state = PState::Computing;
                 self.sync_proc_span(w, now);
                 self.queue.schedule(now, Ev::ProcReady(w));
             }
+            released.clear();
+            self.programs[prog].barrier_waits = released;
             true
         } else {
             waiters.push(p);

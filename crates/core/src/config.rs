@@ -18,9 +18,6 @@ pub const MISPREFETCH_THRESHOLD: f64 = 0.2;
 /// stopped so one slow rank cannot stall the phase (§IV-C).
 pub const GHOST_TIMEOUT_FACTOR: f64 = 2.0;
 
-/// List-I/O packing factor: small requests packed per message (§IV-D).
-pub const LIST_IO_PACK: usize = 64;
-
 /// DualPar's tunables (paper defaults in [`Default`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
@@ -72,6 +69,5 @@ mod tests {
         assert_eq!(c.sample_slot, SimDuration::from_secs(1));
         assert_eq!(MISPREFETCH_THRESHOLD, 0.2);
         assert_eq!(GHOST_TIMEOUT_FACTOR, 2.0);
-        assert_eq!(LIST_IO_PACK, 64);
     }
 }

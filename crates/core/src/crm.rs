@@ -4,22 +4,19 @@
 //! dirty contents of the cache at drain time) into the batch the data
 //! servers actually see: sorted by file offset, adjacent requests merged,
 //! small holes absorbed — reads simply widen, writes must *fill* their
-//! holes with reads first to avoid clobbering unwritten bytes — and small
-//! survivors packed with list I/O in ascending offset order.
+//! holes with reads first to avoid clobbering unwritten bytes. The paper
+//! also packs small survivors into list-I/O messages; the simulator charges
+//! each cover on its own and does not model the packing.
 
-use crate::config::{DualParConfig, LIST_IO_PACK};
-use dualpar_mpiio::{build_batch, pack_list_io, CoalescedIo};
+use crate::config::DualParConfig;
+use dualpar_mpiio::{build_batch, CoalescedIo};
 use dualpar_pfs::{FileId, FileRegion};
-use serde::Serialize;
 
 /// A planned prefetch batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefetchPlan {
     /// Coalesced read accesses, sorted by (file, offset).
     pub reads: Vec<CoalescedIo>,
-    /// List-I/O packs (indices into `reads` are implicit: packs partition
-    /// `reads` in order). One network message per pack.
-    pub packs: usize,
 }
 
 /// A planned write-back batch.
@@ -30,44 +27,14 @@ pub struct WritebackPlan {
     /// Holes inside write covers that must be read before the covering
     /// write can be issued (read-modify-write, §IV-D).
     pub fill_reads: Vec<(FileId, FileRegion)>,
-    /// List-I/O packs, as in [`PrefetchPlan::packs`].
-    pub packs: usize,
-}
-
-/// Batch statistics, matching the request-size numbers quoted in §II.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct BatchStats {
-    /// Coalesced requests in the batch.
-    pub requests: usize,
-    /// Bytes the application asked for.
-    pub useful_bytes: u64,
-    /// Bytes actually transferred (holes included).
-    pub transfer_bytes: u64,
-    /// Mean transfer size per request — §II's "average request size".
-    pub avg_request_bytes: f64,
-}
-
-fn stats_of(ios: &[CoalescedIo]) -> BatchStats {
-    let useful: u64 = ios.iter().map(|io| io.useful_bytes()).sum();
-    let transfer: u64 = ios.iter().map(|io| io.cover.len).sum();
-    BatchStats {
-        requests: ios.len(),
-        useful_bytes: useful,
-        transfer_bytes: transfer,
-        avg_request_bytes: if ios.is_empty() {
-            0.0
-        } else {
-            transfer as f64 / ios.len() as f64
-        },
-    }
 }
 
 /// Build the prefetch batch from the ghost recordings of all processes on
 /// (or coordinated by) this node.
 pub fn plan_prefetch(cfg: &DualParConfig, recorded: Vec<(FileId, FileRegion)>) -> PrefetchPlan {
-    let reads = build_batch(recorded, cfg.max_hole);
-    let packs = pack_list_io(&reads, LIST_IO_PACK).len();
-    PrefetchPlan { reads, packs }
+    PrefetchPlan {
+        reads: build_batch(recorded, cfg.max_hole),
+    }
 }
 
 /// Build the write-back batch from drained dirty regions.
@@ -90,22 +57,7 @@ pub fn plan_writeback(cfg: &DualParConfig, dirty: Vec<(FileId, FileRegion)>) -> 
             "useful regions must tile the cover ends"
         );
     }
-    let packs = pack_list_io(&writes, LIST_IO_PACK).len();
-    WritebackPlan {
-        writes,
-        fill_reads,
-        packs,
-    }
-}
-
-/// Statistics for a prefetch plan.
-pub fn prefetch_stats(plan: &PrefetchPlan) -> BatchStats {
-    stats_of(&plan.reads)
-}
-
-/// Statistics for a write-back plan.
-pub fn writeback_stats(plan: &WritebackPlan) -> BatchStats {
-    stats_of(&plan.writes)
+    WritebackPlan { writes, fill_reads }
 }
 
 #[cfg(test)]
@@ -132,9 +84,8 @@ mod tests {
         let plan = plan_prefetch(&cfg(), recorded);
         assert_eq!(plan.reads.len(), 1, "fully interleaved batch fuses");
         assert_eq!(plan.reads[0].cover, r(0, 32 * 4096));
-        let s = prefetch_stats(&plan);
-        assert_eq!(s.useful_bytes, 32 * 4096);
-        assert_eq!(s.transfer_bytes, 32 * 4096);
+        assert_eq!(plan.reads[0].useful_bytes(), 32 * 4096);
+        assert_eq!(plan.reads[0].hole_bytes(), 0);
     }
 
     #[test]
@@ -145,9 +96,9 @@ mod tests {
             .map(|i| (FileId(1), r(i * 16384, 12288))) // 12 KB every 16 KB
             .collect();
         let plan = plan_prefetch(&cfg(), recorded);
-        let s = prefetch_stats(&plan);
-        assert!(s.avg_request_bytes > 100.0 * 1024.0);
-        assert!(s.requests < 8);
+        let transfer: u64 = plan.reads.iter().map(|io| io.cover.len).sum();
+        assert!(transfer as f64 / plan.reads.len() as f64 > 100.0 * 1024.0);
+        assert!(plan.reads.len() < 8);
     }
 
     #[test]
@@ -179,7 +130,7 @@ mod tests {
     }
 
     #[test]
-    fn pack_count_respects_config() {
+    fn zero_max_hole_keeps_every_read_apart() {
         let mut c = cfg();
         c.max_hole = 0;
         let recorded: Vec<_> = (0..10u64)
@@ -187,8 +138,6 @@ mod tests {
             .collect();
         let plan = plan_prefetch(&c, recorded);
         assert_eq!(plan.reads.len(), 10);
-        assert_eq!(plan.packs, 1); // all ten fit one LIST_IO_PACK message
-        assert_eq!(pack_list_io(&plan.reads, 4).len(), 3); // ceil(10/4)
     }
 
     #[test]
@@ -209,7 +158,6 @@ mod tests {
     fn empty_recordings_produce_empty_plans() {
         let plan = plan_prefetch(&cfg(), Vec::new());
         assert!(plan.reads.is_empty());
-        assert_eq!(plan.packs, 0);
         let wb = plan_writeback(&cfg(), Vec::new());
         assert!(wb.writes.is_empty());
         assert!(wb.fill_reads.is_empty());

@@ -261,9 +261,13 @@ fn mean(xs: &[f64]) -> Option<f64> {
 /// between adjacent requests.
 #[derive(Debug, Default)]
 pub struct ReqDistTracker {
-    /// `(file << 64 | offset, len)` per observed request: one `u128`
-    /// compare orders two requests by file, then offset.
-    requests: Vec<(u128, u64)>,
+    /// `(offset, len)` of each request observed this slot, per file. A file
+    /// not observed in a slot is dropped at its end; the others keep their
+    /// capacity for the next slot.
+    files: Vec<(u32, Vec<(u64, u64)>)>,
+    /// Where in `files` the last observed request's file was: a call's
+    /// regions all name one file.
+    last: usize,
 }
 
 impl ReqDistTracker {
@@ -274,42 +278,56 @@ impl ReqDistTracker {
 
     /// Record one observed request.
     pub fn observe(&mut self, file: u32, offset: u64, len: u64) {
-        self.requests
-            .push(((u128::from(file) << 64) | u128::from(offset), len));
+        let i = match self.files.get(self.last) {
+            Some(&(f, _)) if f == file => self.last,
+            _ => match self.files.iter().position(|&(f, _)| f == file) {
+                Some(i) => i,
+                None => {
+                    self.files.push((file, Vec::new()));
+                    self.files.len() - 1
+                }
+            },
+        };
+        self.last = i;
+        self.files[i].1.push((offset, len));
     }
 
     /// Average adjacent distance (bytes) of this slot's requests, then
-    /// reset. `None` with fewer than two requests.
+    /// reset. `None` when no file saw two requests.
     ///
-    /// Requests are sorted by `(file, offset)` and each adjacent pair of
-    /// one file adds the gap from the first's end to the second's start
-    /// (0 if they overlap). Requests at the same `(file, offset)` form a
-    /// group: pairs inside it add 0, and the gap after it runs from the
-    /// end of its longest request, as it would after a sort that breaks
-    /// the tie by length.
+    /// Each file's requests are sorted by offset and each adjacent pair
+    /// adds the gap from the first's end to the second's start (0 if they
+    /// overlap). Requests at the same offset form a group: pairs inside it
+    /// add 0, and the gap after it runs from the end of its longest
+    /// request, as it would after a sort that breaks the tie by length.
     pub fn take_avg_req_dist(&mut self) -> Option<f64> {
-        if self.requests.len() < 2 {
-            self.requests.clear();
-            return None;
-        }
-        self.requests.sort_unstable_by_key(|&(key, _)| key);
         let mut sum = 0u64;
         let mut n = 0u64;
-        let (mut key0, len0) = self.requests[0];
-        let mut end0 = key0 as u64 + len0;
-        for &(key, len) in &self.requests[1..] {
-            let offset = key as u64; // the low 64 bits
-            if key >> 64 == key0 >> 64 {
+        for (_, reqs) in &mut self.files {
+            reqs.sort_unstable_by_key(|&(offset, _)| offset);
+            let Some((&(mut offset0, len0), rest)) = reqs.split_first() else {
+                continue;
+            };
+            let mut end0 = offset0 + len0;
+            for &(offset, len) in rest {
                 sum += offset.saturating_sub(end0);
                 n += 1;
+                // Inside a group the gap above is 0, and the group ends at
+                // its longest request.
+                let end = offset + len;
+                end0 = if offset == offset0 {
+                    end0.max(end)
+                } else {
+                    end
+                };
+                offset0 = offset;
             }
-            // Inside a group the gap above is 0, and the group ends at its
-            // longest request.
-            let end = offset + len;
-            end0 = if key == key0 { end0.max(end) } else { end };
-            key0 = key;
         }
-        self.requests.clear();
+        self.files.retain_mut(|(_, reqs)| {
+            let observed = !reqs.is_empty();
+            reqs.clear();
+            observed
+        });
         if n == 0 {
             None
         } else {
@@ -441,6 +459,35 @@ mod tests {
     }
 
     #[test]
+    fn misprefetch_veto_starts_above_the_threshold() {
+        // An average exactly at the threshold is tolerated; the next f64
+        // above it vetoes.
+        for (ratio, vetoed) in [
+            (MISPREFETCH_THRESHOLD, false),
+            (MISPREFETCH_THRESHOLD.next_up(), true),
+        ] {
+            let mut e = emc();
+            e.register(ProgramId(1));
+            for report in [None, Some(ratio)] {
+                if let Some(r) = report {
+                    e.report_misprefetch(ProgramId(1), r);
+                }
+                e.report_times(ProgramId(1), SLOT_NS, SLOT_NS);
+                e.report_seek_dist(1_000_000.0);
+                e.report_req_dist(1024.0);
+                e.tick();
+            }
+            let want = if vetoed {
+                ExecMode::ComputationDriven
+            } else {
+                ExecMode::DataDriven
+            };
+            assert_eq!(e.mode_of(ProgramId(1)), want, "ratio {ratio}");
+            assert_eq!(e.last_tick_samples()[0].vetoed, vetoed, "ratio {ratio}");
+        }
+    }
+
+    #[test]
     fn decisions_are_per_program() {
         let mut e = emc();
         e.register(ProgramId(1));
@@ -516,20 +563,25 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2_000))]
 
-        /// The packed-key statistic equals the tuple sort's exactly, with
-        /// many ties in file and offset and overlapping lengths.
+        /// The per-file statistic equals the tuple sort's exactly, with
+        /// many ties in file and offset and overlapping lengths, and holds
+        /// across slots that reuse the tracker.
         #[test]
         fn packed_sort_matches_tuple_sort(
             reqs in proptest::collection::vec((0u32..3, 0u64..40, 0u64..30), 0..60),
             scale in prop_oneof![Just(1u64), Just(4096u64)],
+            split in 0usize..60,
         ) {
             let reqs: Vec<(u32, u64, u64)> =
                 reqs.into_iter().map(|(f, o, l)| (f, o * scale, l * scale)).collect();
+            let (first, second) = reqs.split_at(split.min(reqs.len()));
             let mut t = ReqDistTracker::new();
-            for &(f, o, l) in &reqs {
-                t.observe(f, o, l);
+            for slot in [first, second] {
+                for &(f, o, l) in slot {
+                    t.observe(f, o, l);
+                }
+                prop_assert_eq!(t.take_avg_req_dist(), tuple_sort_avg(slot.to_vec()));
             }
-            prop_assert_eq!(t.take_avg_req_dist(), tuple_sort_avg(reqs));
         }
     }
 }

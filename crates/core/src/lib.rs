@@ -10,8 +10,8 @@
 //!   resumes processes, runs ghost pre-executions that record future
 //!   requests, and measures per-process I/O intensity;
 //! * [`crm`] — Cache and Request Management (per-node daemon): sorts,
-//!   merges, hole-fills and list-I/O-packs the recorded requests into the
-//!   batches the data servers service.
+//!   merges and hole-fills the recorded requests into the batches the data
+//!   servers service.
 //!
 //! These are policy components with no event-loop dependencies; the
 //! `dualpar-cluster` crate wires them into the simulated cluster.
@@ -22,9 +22,6 @@ pub mod emc;
 pub mod pec;
 
 pub use config::{DualParConfig, ProgramId, MISPREFETCH_THRESHOLD};
-pub use crm::{
-    plan_prefetch, plan_writeback, prefetch_stats, writeback_stats, BatchStats, PrefetchPlan,
-    WritebackPlan,
-};
+pub use crm::{plan_prefetch, plan_writeback, PrefetchPlan, WritebackPlan};
 pub use emc::{Emc, ExecMode, ModeChange, ReqDistTracker};
 pub use pec::{expected_fill_time, ghost_walk, GhostRun, GhostStop, IoClock};

@@ -52,9 +52,10 @@ pub struct GhostRun {
 /// and buffered — by the normal execution that follows). Barriers cost the
 /// ghost nothing: all ranks' ghosts run the same region concurrently.
 pub fn ghost_walk(script: &ProcessScript, start: usize, quota: u64) -> GhostRun {
-    let mut prefetch = Vec::new();
     let mut compute = SimDuration::ZERO;
     let mut space = 0u64;
+    let mut regions = 0usize;
+    let mut stop = GhostStop::ScriptEnd;
     let mut pos = start;
     while pos < script.ops.len() {
         match &script.ops[pos] {
@@ -66,37 +67,38 @@ pub fn ghost_walk(script: &ProcessScript, start: usize, quota: u64) -> GhostRun 
                 if space + call_bytes > quota && space > 0 {
                     // Recording this call would overflow the quota: pause
                     // *before* it so the phase stays within the cache.
-                    return GhostRun {
-                        prefetch,
-                        compute,
-                        space,
-                        end_pos: pos,
-                        stop: GhostStop::QuotaFull,
-                    };
+                    stop = GhostStop::QuotaFull;
+                    break;
                 }
                 space += call_bytes;
                 if call.kind == IoKind::Read {
-                    prefetch.extend(ghost.iter().map(|r| (call.file, r)));
+                    regions += ghost.len();
                 }
                 if space >= quota {
-                    return GhostRun {
-                        prefetch,
-                        compute,
-                        space,
-                        end_pos: pos + 1,
-                        stop: GhostStop::QuotaFull,
-                    };
+                    pos += 1;
+                    stop = GhostStop::QuotaFull;
+                    break;
                 }
             }
         }
         pos += 1;
+    }
+    // The walk counted the recorded regions, so the list is allocated once.
+    let mut prefetch = Vec::with_capacity(regions);
+    for (i, op) in script.ops[start..pos].iter().enumerate() {
+        if let Op::Io(call) = op {
+            if call.kind == IoKind::Read {
+                let ghost = script.ghost_regions(start + i).expect("op is an I/O call");
+                prefetch.extend(ghost.iter().map(|r| (call.file, r)));
+            }
+        }
     }
     GhostRun {
         prefetch,
         compute,
         space,
         end_pos: pos,
-        stop: GhostStop::ScriptEnd,
+        stop,
     }
 }
 

@@ -1,30 +1,30 @@
-//! Request algebra: sorting, merging, hole-filling coalescing, and list-I/O
-//! packing. This is the machinery CRM applies to the requests recorded by
-//! pre-execution (§IV-D): requests from different processes are sorted,
-//! adjacent ones merged, small holes absorbed ("for reads the data in the
-//! holes are added to the requests; for writes the holes are filled by
-//! additional reads"), and small survivors packed with list I/O in ascending
-//! offset order.
+//! Request algebra: sorting, merging and hole-filling coalescing. This is
+//! the machinery CRM applies to the requests recorded by pre-execution
+//! (§IV-D): requests from different processes are sorted, adjacent ones
+//! merged, and small holes absorbed ("for reads the data in the holes are
+//! added to the requests; for writes the holes are filled by additional
+//! reads").
 
+use crate::regions::Regions;
 use dualpar_pfs::{FileId, FileRegion};
-use serde::{Deserialize, Serialize};
 
 /// A coalesced I/O covering one contiguous file extent, possibly including
 /// small holes between the useful regions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoalescedIo {
     /// File the access targets.
     pub file: FileId,
     /// The contiguous extent actually transferred.
     pub cover: FileRegion,
-    /// The caller-requested regions inside `cover`, sorted, disjoint.
-    pub useful: Vec<FileRegion>,
+    /// The caller-requested regions inside `cover`, sorted, disjoint. A
+    /// cover of one region holds it inline.
+    pub useful: Regions,
 }
 
 impl CoalescedIo {
     /// Bytes the caller actually asked for.
     pub fn useful_bytes(&self) -> u64 {
-        self.useful.iter().map(|r| r.len).sum()
+        self.useful.bytes()
     }
 
     /// Bytes transferred that nobody asked for (hole filling overhead).
@@ -39,18 +39,14 @@ impl CoalescedIo {
 pub fn sort_and_merge(mut items: Vec<(FileId, FileRegion)>) -> Vec<(FileId, FileRegion)> {
     items.retain(|(_, r)| r.len > 0);
     items.sort_by_key(|&(f, r)| (f, r.offset, r.len));
-    let mut out: Vec<(FileId, FileRegion)> = Vec::with_capacity(items.len());
-    for (f, r) in items {
-        if let Some((lf, lr)) = out.last_mut() {
-            if *lf == f && r.offset <= lr.end() {
-                let new_end = lr.end().max(r.end());
-                lr.len = new_end - lr.offset;
-                continue;
-            }
+    items.dedup_by(|(f, r), (lf, lr)| {
+        let fuses = *lf == *f && r.offset <= lr.end();
+        if fuses {
+            lr.len = lr.end().max(r.end()) - lr.offset;
         }
-        out.push((f, r));
-    }
-    out
+        fuses
+    });
+    items
 }
 
 /// Coalesce sorted, disjoint regions of a single file into covering extents,
@@ -60,43 +56,55 @@ pub fn sort_and_merge(mut items: Vec<(FileId, FileRegion)>) -> Vec<(FileId, File
 /// # Panics
 /// Debug-asserts that input is sorted and disjoint (use [`sort_and_merge`]
 /// first).
-pub fn coalesce_with_holes(
+pub fn coalesce_with_holes<'a>(
     file: FileId,
-    regions: &[FileRegion],
+    regions: impl IntoIterator<Item = &'a FileRegion, IntoIter: Clone>,
     max_hole: u64,
 ) -> Vec<CoalescedIo> {
-    debug_assert!(
-        regions.windows(2).all(|w| w[0].end() <= w[1].offset),
-        "coalesce input must be sorted and disjoint"
-    );
     let mut out = Vec::new();
-    let mut iter = regions.iter().filter(|r| r.len > 0).copied();
-    let Some(first) = iter.next() else {
-        return out;
-    };
-    let mut cover = first;
-    let mut useful = vec![first];
-    for r in iter {
-        let gap = r.offset - cover.end();
-        if gap <= max_hole {
-            cover.len = r.end() - cover.offset;
-            useful.push(r);
-        } else {
-            out.push(CoalescedIo {
-                file,
-                cover,
-                useful: std::mem::take(&mut useful),
-            });
-            cover = r;
-            useful.push(r);
-        }
-    }
-    out.push(CoalescedIo {
-        file,
-        cover,
-        useful,
-    });
+    coalesce_into(&mut out, file, regions, max_hole);
     out
+}
+
+/// [`coalesce_with_holes`], appending the covers to `out`. Each cover's
+/// regions are counted before they are copied, so a cover of one region
+/// allocates nothing and a longer `useful` list is allocated once, at its
+/// final size.
+fn coalesce_into<'a>(
+    out: &mut Vec<CoalescedIo>,
+    file: FileId,
+    regions: impl IntoIterator<Item = &'a FileRegion, IntoIter: Clone>,
+    max_hole: u64,
+) {
+    let mut rest = regions.into_iter().filter(|r| r.len > 0).copied();
+    while let Some(first) = rest.next() {
+        let mut cover = first;
+        let mut count = 1;
+        for r in rest.clone() {
+            debug_assert!(
+                cover.end() <= r.offset,
+                "coalesce input must be sorted and disjoint"
+            );
+            if r.offset - cover.end() > max_hole {
+                break;
+            }
+            cover.len = r.end() - cover.offset;
+            count += 1;
+        }
+        let useful = if count == 1 {
+            Regions::from(first)
+        } else {
+            let mut list = Vec::with_capacity(count);
+            list.push(first);
+            list.extend(rest.by_ref().take(count - 1));
+            Regions::from(list)
+        };
+        out.push(CoalescedIo {
+            file,
+            cover,
+            useful,
+        });
+    }
 }
 
 /// Full CRM pipeline over a mixed multi-file request batch: sort, merge,
@@ -104,37 +112,11 @@ pub fn coalesce_with_holes(
 pub fn build_batch(items: Vec<(FileId, FileRegion)>, max_hole: u64) -> Vec<CoalescedIo> {
     let merged = sort_and_merge(items);
     let mut out = Vec::new();
-    let mut i = 0;
-    while i < merged.len() {
-        let file = merged[i].0;
-        let j = merged[i..]
-            .iter()
-            .position(|&(f, _)| f != file)
-            .map_or(merged.len(), |p| i + p);
-        let regions: Vec<FileRegion> = merged[i..j].iter().map(|&(_, r)| r).collect();
-        out.extend(coalesce_with_holes(file, &regions, max_hole));
-        i = j;
+    for same_file in merged.chunk_by(|a, b| a.0 == b.0) {
+        let regions = same_file.iter().map(|(_, r)| r);
+        coalesce_into(&mut out, same_file[0].0, regions, max_hole);
     }
     out
-}
-
-/// List-I/O packing (§IV-D, citing Ching et al.): group up to
-/// `max_per_pack` small requests into one request message, in ascending
-/// offset order. Returns the packs; the network layer charges one message
-/// per pack rather than one per region.
-pub fn pack_list_io(ios: &[CoalescedIo], max_per_pack: usize) -> Vec<Vec<CoalescedIo>> {
-    assert!(max_per_pack > 0);
-    ios.chunks(max_per_pack).map(|c| c.to_vec()).collect()
-}
-
-/// Average size (bytes) of the covers in a batch — the "average request
-/// size" statistic the paper reports (128 KB for Strategy 3 vs 12 KB for
-/// Strategy 2 in §II).
-pub fn avg_cover_bytes(ios: &[CoalescedIo]) -> f64 {
-    if ios.is_empty() {
-        return 0.0;
-    }
-    ios.iter().map(|io| io.cover.len as f64).sum::<f64>() / ios.len() as f64
 }
 
 #[cfg(test)]
@@ -221,38 +203,5 @@ mod tests {
         let batch = build_batch(items, 0);
         let offsets: Vec<u64> = batch.iter().map(|b| b.cover.offset).collect();
         assert_eq!(offsets, vec![0, 2_000_000, 5_000_000]);
-    }
-
-    #[test]
-    fn pack_list_io_groups() {
-        let ios: Vec<CoalescedIo> = (0..7)
-            .map(|i| CoalescedIo {
-                file: FileId(1),
-                cover: r(i * 100, 10),
-                useful: vec![r(i * 100, 10)],
-            })
-            .collect();
-        let packs = pack_list_io(&ios, 3);
-        assert_eq!(packs.len(), 3);
-        assert_eq!(packs[0].len(), 3);
-        assert_eq!(packs[2].len(), 1);
-    }
-
-    #[test]
-    fn avg_cover_matches_paper_statistic() {
-        let ios = vec![
-            CoalescedIo {
-                file: FileId(1),
-                cover: r(0, 128 * 1024),
-                useful: vec![r(0, 128 * 1024)],
-            },
-            CoalescedIo {
-                file: FileId(1),
-                cover: r(1 << 20, 128 * 1024),
-                useful: vec![r(1 << 20, 128 * 1024)],
-            },
-        ];
-        assert_eq!(avg_cover_bytes(&ios), 128.0 * 1024.0);
-        assert_eq!(avg_cover_bytes(&[]), 0.0);
     }
 }

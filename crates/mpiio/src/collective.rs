@@ -17,10 +17,9 @@
 use crate::access::{coalesce_with_holes, sort_and_merge, CoalescedIo};
 use crate::regions::Regions;
 use dualpar_pfs::{FileId, FileRegion};
-use serde::{Deserialize, Serialize};
 
 /// Work assigned to one aggregator by a collective call.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AggregatorIo {
     /// The rank acting as aggregator.
     pub agg_rank: usize,
@@ -29,7 +28,7 @@ pub struct AggregatorIo {
 }
 
 /// The plan for one collective call.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectivePlan {
     /// Per-aggregator work assignments.
     pub aggregators: Vec<AggregatorIo>,
@@ -108,8 +107,7 @@ pub fn plan_collective(
             continue;
         }
         let merged = sort_and_merge(items);
-        let regions: Vec<FileRegion> = merged.into_iter().map(|(_, r)| r).collect();
-        let ios = coalesce_with_holes(file, &regions, MAX_HOLE);
+        let ios = coalesce_with_holes(file, merged.iter().map(|(_, r)| r), MAX_HOLE);
         aggregators.push(AggregatorIo {
             agg_rank: d * nprocs / naggs,
             ios,

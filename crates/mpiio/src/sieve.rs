@@ -50,7 +50,7 @@ pub fn plan_strided<R: Borrow<FileRegion>>(
     let single = |r: FileRegion| CoalescedIo {
         file,
         cover: r,
-        useful: vec![r],
+        useful: r.into(),
     };
     if !cfg.enabled {
         return regions.map(single).collect();
@@ -70,7 +70,7 @@ pub fn plan_strided<R: Borrow<FileRegion>>(
             out.push(CoalescedIo {
                 file,
                 cover,
-                useful: std::mem::take(window),
+                useful: std::mem::take(window).into(),
             });
         } else {
             out.extend(window.drain(..).map(single));

@@ -69,8 +69,9 @@ proptest! {
                 useful_all.insert(u.offset, u.len);
             }
             // Gaps inside a cover never exceed the hole threshold.
-            let mut prev_end = io.useful[0].end();
-            for u in &io.useful[1..] {
+            let useful = io.useful.as_slice();
+            let mut prev_end = useful[0].end();
+            for u in &useful[1..] {
                 prop_assert!(u.offset - prev_end <= max_hole);
                 prev_end = u.end();
             }

@@ -36,6 +36,11 @@ impl ExtentAllocator {
         }
     }
 
+    /// Does the disk have room for the next object of `bytes` length?
+    pub fn fits(&self, bytes: u64) -> bool {
+        self.next_lbn.saturating_add(bytes_to_sectors(bytes)) <= self.capacity_sectors
+    }
+
     /// Allocate the local object for `file` of `bytes` length.
     ///
     /// # Panics
@@ -46,11 +51,8 @@ impl ExtentAllocator {
             self.object(file).is_none(),
             "file {file:?} allocated twice on this server"
         );
+        assert!(self.fits(bytes), "server disk full allocating {file:?}");
         let sectors = bytes_to_sectors(bytes);
-        assert!(
-            self.next_lbn.saturating_add(sectors) <= self.capacity_sectors,
-            "server disk full allocating {file:?}"
-        );
         let i = file.0 as usize;
         if self.objects.len() <= i {
             self.objects.resize_with(i + 1, || None);

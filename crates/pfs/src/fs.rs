@@ -71,8 +71,21 @@ impl Pvfs {
         self.layout.num_servers
     }
 
+    /// Does every server's disk have room for its object of a next file of
+    /// `size` bytes?
+    pub fn fits(&self, size: u64) -> bool {
+        (0..self.layout.num_servers).all(|s| {
+            let local = self.layout.local_object_size(ServerId(s), size);
+            local == 0 || self.allocators[s as usize].fits(local)
+        })
+    }
+
     /// Create (and fully pre-allocate) a file. Pre-allocation matches the
     /// benchmarks, which write/read files of known size.
+    ///
+    /// # Panics
+    /// Panics if the name exists or a server's disk lacks room
+    /// ([`Pvfs::fits`]).
     pub fn create(&mut self, name: &str, size: u64) -> FileId {
         assert!(
             !self.by_name.contains_key(name),

@@ -2,7 +2,9 @@
 //!
 //! Used by the global cache to track which bytes of a chunk are present or
 //! dirty, and by the CRM to compute holes between requests. Stored as a
-//! sorted `Vec<(start, end)>` of half-open intervals, merged on insert.
+//! sorted `Vec<(start, end)>` of half-open intervals, merged on insert; a
+//! set of one run built from empty keeps that run inline and allocates
+//! nothing until a second, disjoint run arrives.
 //! `insert` and `remove` return the bytes they added or removed, so a
 //! caller keeping byte totals never has to rescan the set. Their strided
 //! twins apply the blocks of a [`Strided`] run clipped to a window (a
@@ -31,12 +33,15 @@ pub struct RangeSet {
     repr: Repr,
 }
 
-/// The two forms of a [`RangeSet`]. The periodic run sits behind a pointer
-/// so a set stays as small as its `Vec`.
+/// The forms of a [`RangeSet`]. The periodic run sits behind a pointer, and
+/// the inline run fits beside the `Vec`'s capacity, so a set stays as small
+/// as its `Vec`.
 #[derive(Debug, Clone)]
 enum Repr {
     /// Sorted, disjoint, non-touching, non-empty runs.
     Runs(Vec<(u64, u64)>),
+    /// Exactly one non-empty run, held inline.
+    One((u64, u64)),
     /// The blocks of a run with [`Strided::has_gaps`].
     Periodic(Box<Strided>),
 }
@@ -88,12 +93,27 @@ impl Iterator for Iter<'_> {
     }
 }
 
+/// A read-only view of a set: its explicit runs (the inline run as a
+/// one-element slice), or its periodic run.
+enum View<'a> {
+    Runs(&'a [(u64, u64)]),
+    Periodic(&'a Strided),
+}
+
 /// The blocks of a periodic run as explicit runs. Out of line: the
 /// mutations that call it stay small on their hot, explicit path.
 #[cold]
 #[inline(never)]
 fn expand(p: &Strided) -> Vec<(u64, u64)> {
     p.iter().map(|b| (b.offset, b.end())).collect()
+}
+
+/// An inline run, or the two it splits into, as a run list with the room
+/// a list grown from empty would have: the next insert does not reallocate.
+fn listed(runs: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mut list = Vec::with_capacity(4);
+    list.extend_from_slice(runs);
+    list
 }
 
 /// The gaps that `runs` leave in `[start, end)`, as `(offset, len)` pairs.
@@ -126,15 +146,27 @@ impl RangeSet {
         s
     }
 
-    /// The explicit run list, expanding a periodic run into it first.
+    /// The explicit run list, expanding a periodic or inline run into it
+    /// first.
     #[inline]
     fn runs_mut(&mut self) -> &mut Vec<(u64, u64)> {
-        if let Repr::Periodic(p) = &self.repr {
-            self.repr = Repr::Runs(expand(p));
+        match &self.repr {
+            Repr::Runs(_) => {}
+            Repr::One(run) => self.repr = Repr::Runs(listed(&[*run])),
+            Repr::Periodic(p) => self.repr = Repr::Runs(expand(p)),
         }
         match &mut self.repr {
             Repr::Runs(runs) => runs,
-            Repr::Periodic(_) => unreachable!("periodic set was just expanded"),
+            _ => unreachable!("set was just made explicit"),
+        }
+    }
+
+    #[inline]
+    fn view(&self) -> View<'_> {
+        match &self.repr {
+            Repr::Runs(runs) => View::Runs(runs),
+            Repr::One(run) => View::Runs(std::slice::from_ref(run)),
+            Repr::Periodic(p) => View::Periodic(p),
         }
     }
 
@@ -142,31 +174,31 @@ impl RangeSet {
     pub fn is_empty(&self) -> bool {
         match &self.repr {
             Repr::Runs(runs) => runs.is_empty(),
-            Repr::Periodic(_) => false,
+            Repr::One(_) | Repr::Periodic(_) => false,
         }
     }
 
     /// Number of disjoint runs.
     pub fn num_runs(&self) -> usize {
-        match &self.repr {
-            Repr::Runs(runs) => runs.len(),
-            Repr::Periodic(p) => usize::try_from(p.len()).unwrap_or(usize::MAX),
+        match self.view() {
+            View::Runs(runs) => runs.len(),
+            View::Periodic(p) => usize::try_from(p.len()).unwrap_or(usize::MAX),
         }
     }
 
     /// Total bytes covered.
     pub fn covered(&self) -> u64 {
-        match &self.repr {
-            Repr::Runs(runs) => runs.iter().map(|&(s, e)| e - s).sum(),
-            Repr::Periodic(p) => p.bytes(),
+        match self.view() {
+            View::Runs(runs) => runs.iter().map(|&(s, e)| e - s).sum(),
+            View::Periodic(p) => p.bytes(),
         }
     }
 
     /// Iterate the disjoint `(start, end)` runs in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        match &self.repr {
-            Repr::Runs(runs) => Iter::Runs(runs.iter()),
-            Repr::Periodic(p) => Iter::Periodic(p.iter()),
+        match self.view() {
+            View::Runs(runs) => Iter::Runs(runs.iter()),
+            View::Periodic(p) => Iter::Periodic(p.iter()),
         }
     }
 
@@ -179,9 +211,21 @@ impl RangeSet {
         if len == 0 {
             return 0;
         }
+        let (mut s, mut e) = (start, range_end(start, len));
+        // One run that stays one run keeps the set inline.
+        match &mut self.repr {
+            Repr::Runs(runs) if runs.is_empty() => {
+                self.repr = Repr::One((s, e));
+                return len;
+            }
+            Repr::One((rs, re)) if s <= *re && *rs <= e => {
+                let absorbed = *re - *rs;
+                (*rs, *re) = ((*rs).min(s), (*re).max(e));
+                return (*re - *rs) - absorbed;
+            }
+            _ => {}
+        }
         let runs = self.runs_mut();
-        let mut s = start;
-        let mut e = range_end(start, len);
         // Find all runs overlapping or touching [s, e).
         let lo = runs.partition_point(|&(_, re)| re < s);
         let mut hi = lo;
@@ -205,9 +249,25 @@ impl RangeSet {
         if len == 0 {
             return 0;
         }
-        let runs = self.runs_mut();
         let s = start;
         let e = range_end(start, len);
+        // Cutting an inline run leaves it inline unless it splits in two.
+        if let Repr::One((rs, re)) = &mut self.repr {
+            if e <= *rs || *re <= s {
+                return 0;
+            }
+            let removed = (*re).min(e) - (*rs).max(s);
+            match (*rs < s, e < *re) {
+                (false, false) => self.repr = Repr::default(),
+                (true, false) => *re = s,
+                (false, true) => *rs = e,
+                (true, true) => {
+                    self.repr = Repr::Runs(listed(&[(*rs, s), (e, *re)]));
+                }
+            }
+            return removed;
+        }
+        let runs = self.runs_mut();
         let lo = runs.partition_point(|&(_, re)| re <= s);
         let mut hi = lo;
         let mut removed = 0;
@@ -287,7 +347,7 @@ impl RangeSet {
     fn join(&mut self, whole: Strided) -> Option<u64> {
         let joined = match &mut self.repr {
             Repr::Runs(runs) if runs.is_empty() => whole,
-            Repr::Runs(_) => return None,
+            Repr::Runs(_) | Repr::One(_) => return None,
             Repr::Periodic(p) => {
                 let joined = p.joined(&whole)?;
                 if joined.has_gaps() {
@@ -300,7 +360,7 @@ impl RangeSet {
         self.repr = if joined.has_gaps() {
             Repr::Periodic(Box::new(joined))
         } else {
-            Repr::Runs(vec![(joined.start(), joined.end())])
+            Repr::One((joined.start(), joined.end()))
         };
         Some(whole.bytes())
     }
@@ -361,15 +421,15 @@ impl RangeSet {
             return true;
         }
         let e = range_end(start, len);
-        match &self.repr {
-            Repr::Runs(runs) => {
+        match self.view() {
+            View::Runs(runs) => {
                 let idx = runs.partition_point(|&(_, re)| re <= start);
                 match runs.get(idx) {
                     Some(&(rs, re)) => rs <= start && e <= re,
                     None => false,
                 }
             }
-            Repr::Periodic(p) => p.bytes_in(FileRegion::new(start, e - start)) == e - start,
+            View::Periodic(p) => p.bytes_in(FileRegion::new(start, e - start)) == e - start,
         }
     }
 
@@ -379,8 +439,8 @@ impl RangeSet {
             return 0;
         }
         let e = range_end(start, len);
-        match &self.repr {
-            Repr::Runs(runs) => {
+        match self.view() {
+            View::Runs(runs) => {
                 let mut covered = 0;
                 let idx = runs.partition_point(|&(_, re)| re <= start);
                 for &(rs, re) in &runs[idx..] {
@@ -391,20 +451,20 @@ impl RangeSet {
                 }
                 covered
             }
-            Repr::Periodic(p) => p.bytes_in(FileRegion::new(start, e - start)),
+            View::Periodic(p) => p.bytes_in(FileRegion::new(start, e - start)),
         }
     }
 
     /// The gaps of `[start, start+len)` not covered by the set.
     pub fn gaps(&self, start: u64, len: u64) -> Vec<(u64, u64)> {
         let e = range_end(start, len);
-        match &self.repr {
-            Repr::Runs(runs) => {
+        match self.view() {
+            View::Runs(runs) => {
                 let idx = runs.partition_point(|&(_, re)| re <= start);
                 let inside = runs[idx..].iter().copied().take_while(|&(rs, _)| rs < e);
                 gaps_between(inside, start, e)
             }
-            Repr::Periodic(p) => {
+            View::Periodic(p) => {
                 gaps_between(p.clipped(FileRegion::new(start, e - start)), start, e)
             }
         }
@@ -540,8 +600,26 @@ mod tests {
 
     #[test]
     fn set_stays_small() {
-        // The periodic run sits behind a pointer: a set costs its `Vec`.
+        // The periodic run sits behind a pointer and the inline run beside
+        // the `Vec`'s capacity: a set costs its `Vec`.
         assert_eq!(std::mem::size_of::<RangeSet>(), 24);
+    }
+
+    #[test]
+    fn one_run_stays_inline_until_it_splits() {
+        let mut r = RangeSet::new();
+        assert_eq!(r.insert(100, 50), 50);
+        assert_eq!(r.insert(150, 50), 50); // touching
+        assert_eq!(r.insert(90, 20), 10); // overlapping
+        assert_eq!(r.remove(190, 20), 10); // trims the end
+        assert_eq!(r.remove(0, 10), 0);
+        assert!(matches!(r.repr, Repr::One((90, 190))));
+        assert_eq!(r.remove(120, 10), 10); // splits
+        assert!(matches!(r.repr, Repr::Runs(_)));
+        assert_eq!(r.iter().collect::<Vec<_>>(), vec![(90, 120), (130, 190)]);
+        let mut gone = RangeSet::from_range(0, 10);
+        assert_eq!(gone.remove(0, 20), 10);
+        assert!(gone.is_empty());
     }
 
     /// Rank `k` of four writing 16-byte cells at a 64-byte stride.
@@ -568,7 +646,7 @@ mod tests {
         assert_eq!(r.intersect_len(40, 40), 8 + 16);
         assert_eq!(r.gaps(40, 40), vec![(48, 16)]);
         assert_eq!(r.insert_strided(rank(3).clipped(window)), 64); // fills the stride
-        assert!(matches!(&r.repr, Repr::Runs(runs) if runs == &[(0, 256)]));
+        assert!(matches!(r.repr, Repr::One((0, 256))));
     }
 
     #[test]
